@@ -32,6 +32,7 @@ from repro.core.partition import (
 from repro.core.picasso import (
     IterationStats,
     Picasso,
+    PicassoNonConvergence,
     PicassoResult,
     picasso_color,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "partition_from_coloring",
     "verify_unitarity",
     "IterationStats",
+    "PicassoNonConvergence",
     "Picasso",
     "PicassoResult",
     "picasso_color",

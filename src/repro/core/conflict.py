@@ -12,7 +12,10 @@ Two sweep engines cover the pair space:
   :mod:`repro.device.tiles`: each ``(row_block, col_block)`` tile loads
   its operand slices once and evaluates the fused intersect-then-edge
   kernel as a word broadcast.  No flat-index inversion, no quadratic
-  row gather.
+  row gather.  When the exact count of color-sharing candidate pairs
+  makes it cheaper, a sweep enumerates through the inverted palette
+  index of :mod:`repro.device.palette_index` instead of testing every
+  pair (:func:`repro.parallel.pool.sweep_plan`).
 - ``"pairs"`` — the original flat pair-chunk engine (one simulated SIMT
   thread per pair, operand rows gathered per pair).  Kept as the
   ablation baseline; produces the identical conflict graph.

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.coloring.engine import available_engines
+from repro.device.tiles import DEFAULT_TILE_BYTES
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,22 @@ class PicassoParams:
     engine:
         Pair-sweep engine: ``"tiled"`` (default — the block-broadcast
         kernel engine of :mod:`repro.device.tiles`, with the bitset
-        Algorithm 2) or ``"pairs"`` (the original flat pair-chunk
-        gather kernels plus the Python-set Algorithm 2, kept as the
-        ablation baseline).  Both engines build identical conflict
-        graphs and draw identical random numbers, so colorings match
-        for a given seed.
+        Algorithm 2; each host sweep enumerates through the inverted
+        palette index of :mod:`repro.device.palette_index` instead
+        when its cost rule says that is cheaper) or ``"pairs"`` (the
+        original flat pair-chunk gather kernels plus the Python-set
+        Algorithm 2, kept as the ablation baseline).  Both engines
+        build identical conflict graphs and draw identical random
+        numbers, so colorings match for a given seed.
     tile_budget_bytes:
-        Per-tile scratch budget for the tiled engine (sets the tile
-        edge; see :func:`repro.device.tiles.tile_edge`).  A sizing
-        hint, not a hard cap: the tile edge never drops below the
-        64-row minimum, so budgets under ~41 KB are exceeded.
+        Per-tile scratch budget for the tiled engine's tile sweep (sets
+        the tile edge; see :func:`repro.device.tiles.tile_edge`).  The
+        default, :data:`~repro.device.tiles.DEFAULT_TILE_BYTES`
+        (768 KiB, ``T = 256``), keeps a tile's word-AND temporary in a
+        per-core L2.  A sizing hint, not a hard cap: the tile edge
+        never drops below the 64-row minimum, so budgets under ~41 KB
+        are exceeded.  Sweeps that take the inverted palette index
+        (:mod:`repro.device.palette_index`) use no tiles.
     n_workers:
         Worker processes for conflict-graph construction.  1 (default)
         streams the sweep in-process; >= 2 partitions the sweep domain
@@ -182,7 +189,7 @@ class PicassoParams:
     chunk_size: int = 1 << 18
     min_palette: int = 1
     engine: str = "tiled"
-    tile_budget_bytes: int = 1 << 24
+    tile_budget_bytes: int = DEFAULT_TILE_BYTES
     n_workers: int = 1
     executor: str = "auto"
     shm_gather: bool = False

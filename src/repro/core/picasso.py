@@ -74,6 +74,39 @@ class IterationStats:
     fused: bool = False
 
 
+class PicassoNonConvergence(RuntimeError):
+    """Algorithm 1 hit ``max_iterations`` with vertices still uncolored.
+
+    Carries the state needed to act on it: the last ``iteration`` run,
+    how many vertices were still active (``n_active``), the palette
+    fraction the next iteration would have used, and the partial
+    ``colors`` (``-1`` where uncolored; every other entry is final and
+    proper).
+    """
+
+    def __init__(
+        self,
+        iteration: int,
+        n_active: int,
+        palette_fraction: float,
+        colors: np.ndarray,
+    ) -> None:
+        super().__init__(
+            f"Picasso did not converge in {iteration} iterations "
+            f"({n_active} vertices still uncolored, palette fraction "
+            f"{palette_fraction:g})"
+        )
+        self.iteration = iteration
+        self.n_active = n_active
+        self.palette_fraction = palette_fraction
+        self.colors = colors
+
+    def __reduce__(self):
+        return type(self), (
+            self.iteration, self.n_active, self.palette_fraction, self.colors,
+        )
+
+
 @dataclass
 class PicassoResult(ColoringResult):
     """ColoringResult plus the iteration trace.
@@ -482,9 +515,11 @@ class Picasso:
             fault_point("iteration")
         else:
             if len(active):
-                raise RuntimeError(
-                    f"Picasso did not converge in "
-                    f"{params.max_iterations} iterations"
+                raise PicassoNonConvergence(
+                    iteration=params.max_iterations,
+                    n_active=len(active),
+                    palette_fraction=palette_fraction,
+                    colors=colors,
                 )
 
         elapsed = telemetry.clock() - t_start

@@ -82,18 +82,17 @@ class PauliComplementSource:
 class ExplicitGraphSource:
     """Color an explicit :class:`CSRGraph` (generalized setting).
 
-    Edge queries are vectorized binary searches over sorted adjacency
-    rows, built once at construction.
+    Edge queries are vectorized binary searches over one global sorted
+    key array ``row * n + target``, built once at construction.
     """
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        # Sort each adjacency row once for searchsorted queries.
-        targets = graph.targets.astype(np.int64).copy()
-        for v in range(graph.n_vertices):
-            lo, hi = graph.offsets[v], graph.offsets[v + 1]
-            targets[lo:hi] = np.sort(targets[lo:hi])
-        self._sorted_targets = targets
+        n = graph.n_vertices
+        src = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(graph.offsets).astype(np.int64)
+        )
+        self._keys = np.sort(src * n + graph.targets.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -101,32 +100,12 @@ class ExplicitGraphSource:
 
     def edge_mask(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized membership test of ``j`` in ``adj(i)``."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        out = np.zeros(len(i), dtype=np.uint8)
-        lo = self.graph.offsets[i]
-        hi = self.graph.offsets[i + 1]
-        # Rows are short or long; a per-query searchsorted over the row
-        # slice needs a loop — group queries by source vertex instead.
-        order = np.argsort(i, kind="stable")
-        k = 0
-        while k < len(order):
-            v = i[order[k]]
-            end = k
-            while end < len(order) and i[order[end]] == v:
-                end += 1
-            row = self._sorted_targets[lo[order[k]] : hi[order[k]]]
-            qs = j[order[k:end]]
-            if len(row) == 0:
-                found = np.zeros(len(qs), dtype=bool)
-            else:
-                pos = np.searchsorted(row, qs)
-                found = (pos < len(row)) & (
-                    row[np.minimum(pos, len(row) - 1)] == qs
-                )
-            out[order[k:end]] = found.astype(np.uint8)
-            k = end
-        return out
+        q = np.asarray(i, dtype=np.int64) * self.n + np.asarray(j, dtype=np.int64)
+        if len(self._keys) == 0:
+            return np.zeros(len(q), dtype=np.uint8)
+        pos = np.searchsorted(self._keys, q)
+        pos[pos == len(self._keys)] = 0
+        return (self._keys[pos] == q).astype(np.uint8)
 
     def edge_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Dense adjacency block ``(r1-r0, c1-c0)`` as uint8.
@@ -137,11 +116,11 @@ class ExplicitGraphSource:
         """
         offsets = self.graph.offsets
         lo, hi = int(offsets[r0]), int(offsets[r1])
-        tgt = self._sorted_targets[lo:hi]
         src = np.repeat(
             np.arange(r0, r1, dtype=np.int64),
             np.diff(offsets[r0 : r1 + 1]).astype(np.int64),
         )
+        tgt = self._keys[lo:hi] - src * self.n
         sel = (tgt >= c0) & (tgt < c1)
         block = np.zeros((r1 - r0, c1 - c0), dtype=np.uint8)
         block[src[sel] - r0, tgt[sel] - c0] = 1
@@ -156,7 +135,7 @@ class ExplicitGraphSource:
     @property
     def nbytes(self) -> int:
         """Explicit sources pay for the whole graph (baseline regime)."""
-        return int(self.graph.nbytes + self._sorted_targets.nbytes)
+        return int(self.graph.nbytes + self._keys.nbytes)
 
     def validate(self, colors: np.ndarray, sample_pairs: int | None = None) -> bool:
         return self.graph.validate_coloring(np.asarray(colors))

@@ -9,7 +9,9 @@ This module is the seam where every conflict/graph sweep meets an
 - the ``"tiled"`` engine partitions the upper-triangular tile grid into
   balanced contiguous :class:`~repro.parallel.partition.TileBlock`
   strips, each worker runs the fused block-broadcast kernel over its
-  strip and returns one concatenated ``(i, j)`` hit pair;
+  strip and returns one concatenated ``(i, j)`` hit pair — or, when
+  :func:`sweep_plan` picks the inverted palette index, the strips are
+  the index's row blocks, balanced by exact candidate counts;
 - the ``"pairs"`` engine partitions the flat index range into
   :class:`~repro.parallel.partition.PairRange` slices and runs the
   legacy gather kernel over each.
@@ -56,6 +58,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import telemetry
+from repro.device.palette_index import PaletteIndex, prefers_index
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
     EdgeBlockFn,
@@ -161,6 +164,7 @@ def sweep_payload(
     active_idx: np.ndarray | None = None,
     executor: Executor | None = None,
     kernel_backend: str | None = None,
+    plan: PaletteIndex | None = None,
 ) -> tuple[dict, int | None]:
     """Build the install payload and its token for one sweep.
 
@@ -175,12 +179,18 @@ def sweep_payload(
     spawned and remote workers pick their backend against their own
     environment (a cluster agent without numba degrades to numpy on
     its own, bit-identically).
+
+    ``plan`` is the sweep's :class:`~repro.device.palette_index.PaletteIndex`
+    when :func:`sweep_plan` chose index enumeration (``None`` = tiles);
+    it ships in the delta, so workers run row blocks without rebuilding
+    it.
     """
     delta = {
         "n": n,
         "tile": tile,
         "colmasks": colmasks,
         "active_idx": active_idx,
+        "plan": plan,
     }
     if source is not None and executor is not None and executor.supports_payload_cache:
         # The token must name the *whole* static part, not just the
@@ -334,7 +344,7 @@ def init_sweep_worker(payload: dict) -> None:
     # Worker-side backend resolution: the payload carries the *name*,
     # each worker resolves it against its own environment.
     _WORKER["backend"] = _backend_for(_WORKER.get("kernel_backend"))
-    if _WORKER["engine"] == "tiled":
+    if _WORKER["engine"] == "tiled" and _WORKER["plan"] is None:
         _WORKER["grid"] = tile_grid(_WORKER["n"], _WORKER["tile"])
         _WORKER["scratch"] = TileScratch(_WORKER["tile"])
 
@@ -369,18 +379,27 @@ def finalize_sweep(executor: Executor) -> None:
 
 
 def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: fused conflict kernel over one strip of tiles."""
+    """Worker task of the ``"tiled"`` engine: the fused conflict kernel
+    over one strip of tiles, or — when the sweep's plan is a palette
+    index — the index's row block ``[start, stop)``."""
     fault_point("task")
     start, stop = task
-    with telemetry.span("pool.strip", engine="tiled", start=start, stop=stop):
-        u, v = conflict_hits_strip(
-            _WORKER["colmasks"],
-            _WORKER["grid"][start:stop],
-            _WORKER["edge_mask_fn"],
-            _WORKER["edge_block_fn"],
-            scratch=_WORKER["scratch"],
-            backend=_WORKER.get("backend"),
-        )
+    index = _WORKER["plan"]
+    with telemetry.span(
+        "pool.strip", engine="tiled", start=start, stop=stop,
+        plan="tiles" if index is None else "index",
+    ):
+        if index is not None:
+            u, v = index.block_hits(start, stop, _WORKER["edge_mask_fn"])
+        else:
+            u, v = conflict_hits_strip(
+                _WORKER["colmasks"],
+                _WORKER["grid"][start:stop],
+                _WORKER["edge_mask_fn"],
+                _WORKER["edge_block_fn"],
+                scratch=_WORKER["scratch"],
+                backend=_WORKER.get("backend"),
+            )
     telemetry.observe("pool.strip_hits", float(len(u)))
     return u, v
 
@@ -435,10 +454,15 @@ def _strip_verts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     per-vertex conflict state of the fused pipeline.  Computing it here
     moves the O(|Ec|) vertex detection off the dispatcher and onto the
     worker; the dispatcher only ORs each strip's (much smaller) vertex
-    set into its global conflict mask."""
+    set into its global conflict mask.  A scatter into an ``n``-wide
+    mask is linear in the hits, where a sort-based unique of an index
+    row block's ~1M endpoints cost as much as half its oracle."""
     if not len(u):
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate((u, v)))
+    seen = np.zeros(_WORKER["n"], dtype=bool)
+    seen[u] = True
+    seen[v] = True
+    return np.flatnonzero(seen)
 
 
 def _run_tile_strip_fused(task):
@@ -508,12 +532,49 @@ def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
     return [int(caps[k % len(caps)]) for k in range(n_tasks)]
 
 
+def sweep_plan(
+    n: int,
+    colmasks: np.ndarray,
+    engine: str,
+    tile: int | None,
+    tile_bytes: int | None,
+    edge_mask_fn,
+) -> tuple[PaletteIndex | None, int | None]:
+    """Choose how one sweep enumerates pairs: ``(index, None)`` for the
+    inverted palette index, ``(None, tile)`` for the tile sweep (or
+    ``(None, None)`` for the ``"pairs"`` engine).
+
+    The ``"tiled"`` engine takes the index whenever its exact candidate
+    count undercuts the tile sweep's palette word operations
+    (:func:`repro.device.palette_index.prefers_index`).  Both emit the
+    same pairs, so the choice never changes a CSR.  A caller that pins
+    ``tile`` (the DeviceSim build, whose tile scratch is charged
+    against the budget) keeps the tile sweep; so does a sweep with only
+    a block oracle, since the index queries pairs.
+    """
+    if engine != "tiled" or tile is not None:
+        return None, tile
+    if edge_mask_fn is not None and prefers_index(n, colmasks):
+        return PaletteIndex(colmasks), None
+    return None, tile_edge(
+        colmasks.shape[1], tile_bytes or DEFAULT_TILE_BYTES, n=n
+    )
+
+
 def sweep_strip_tasks(
-    n: int, engine: str, tile: int | None, executor: Executor
+    n: int,
+    engine: str,
+    tile: int | None,
+    executor: Executor,
+    index: PaletteIndex | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Partition the sweep domain for an executor: ``(start, stop)``
     strip tasks in canonical order plus each strip's pair weight (the
     shm gather sizes slot reservations from the weights).
+
+    Under an index plan the strips are the index's row blocks and the
+    weights their exact candidate counts — an upper bound on the
+    block's hits, like a tile strip's pair count.
 
     Heterogeneous backends (hierarchical cluster agents advertising
     their inner pool size) get a capacity-weighted partition: strip
@@ -522,6 +583,9 @@ def sweep_strip_tasks(
     empty strips in place so the ``tasks[k::n]`` alignment holds."""
     n_workers = max(1, executor.n_workers)
     n_tasks = n_workers * TASKS_PER_WORKER
+    if index is not None:
+        n_blocks = index.block_count(n_tasks)
+        return index.row_blocks(n_blocks, strip_shares(executor, n_blocks))
     shares = strip_shares(executor, n_tasks)
     keep = shares is not None
     if engine == "tiled":
@@ -578,23 +642,27 @@ def conflict_sweep_chunks(
     """
     if engine not in ("tiled", "pairs"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "tiled" and tile is None:
-        tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
+    index, tile = sweep_plan(
+        n, colmasks, engine, tile, tile_bytes, edge_mask_fn
+    )
     if executor is None or isinstance(executor, SerialExecutor):
+        if index is not None:
+            yield from index.iter_hits(edge_mask_fn)
+            return
         yield from sweep_conflict_chunks(
             n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
             tile_bytes=tile_bytes, tile=tile,
             backend=_backend_for(kernel_backend),
         )
         return
-    tasks, _ = sweep_strip_tasks(n, engine, tile, executor)
+    tasks, _ = sweep_strip_tasks(n, engine, tile, executor, index)
     task_fn = _run_tile_strip if engine == "tiled" else _run_pair_range
     payload_args = dict(
         n=n, engine=engine, tile=tile, chunk_size=chunk_size,
         colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend,
+        kernel_backend=kernel_backend, plan=index,
     )
     try:
         yield from imap_sweep(executor, task_fn, tasks, payload_args)
@@ -822,19 +890,19 @@ def fused_conflict_csr(
                 for verts in gather.strip_verts:
                     if len(verts):
                         mask[verts] = True
-                chunks = [(u, v) for u, v in gather.chunks if len(u)]
             m = gather.n_edges
             t1 = telemetry.clock()
-            # Assemble inside the context: the renumbered chunks are
-            # fresh arrays, so nothing pins the shared region after it.
+            # Assemble inside the context straight from the gather's own
+            # chunk list (holding no views of our own, which would pin
+            # the region when the context closes it); the renumbered
+            # chunks are fresh arrays.
             with telemetry.span("sweep.assemble", engine=engine):
-                sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
+                sub_gc, conflicted = _fused_sub_csr(n, mask, gather.chunks)
     else:
-        if engine == "tiled" and tile_bytes is not None:
-            tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
-        else:
-            tile = None
-        tasks, _ = sweep_strip_tasks(n, engine, tile, executor)
+        index, tile = sweep_plan(
+            n, colmasks, engine, None, tile_bytes, edge_mask_fn
+        )
+        tasks, _ = sweep_strip_tasks(n, engine, tile, executor, index)
         task_fn = (
             _run_tile_strip_fused if engine == "tiled"
             else _run_pair_range_fused
@@ -844,7 +912,7 @@ def fused_conflict_csr(
             colmasks=colmasks, edge_mask_fn=edge_mask_fn,
             edge_block_fn=edge_block_fn,
             source=source, active_idx=active_idx, executor=executor,
-            kernel_backend=kernel_backend,
+            kernel_backend=kernel_backend, plan=index,
         )
         try:
             with telemetry.span("sweep.gather", engine=engine):

@@ -403,13 +403,10 @@ def shm_conflict_gather(
 
     if executor is None:
         executor = SerialExecutor()
-    if engine == "tiled" and tile is None:
-        from repro.device.tiles import DEFAULT_TILE_BYTES, tile_edge
-
-        tile = tile_edge(
-            colmasks.shape[1], tile_bytes or DEFAULT_TILE_BYTES, n=n
-        )
-    tasks, weights = _pool.sweep_strip_tasks(n, engine, tile, executor)
+    index, tile = _pool.sweep_plan(
+        n, colmasks, engine, tile, tile_bytes, edge_mask_fn
+    )
+    tasks, weights = _pool.sweep_strip_tasks(n, engine, tile, executor, index)
     result = ShmGatherResult(n_strips=len(tasks))
     if not tasks:
         yield result
@@ -427,7 +424,7 @@ def shm_conflict_gather(
         colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend,
+        kernel_backend=kernel_backend, plan=index,
     )
     if fused:
         task_fn = (

@@ -24,7 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.pauli.encoding import I, encode_iooh, encode_symplectic
-from repro.util.bits import parity_block, parity_rows
+from repro.util.bits import parity_block, parity_rows, popcount_u8
+
+#: Pairs per gather in :func:`anticommute_pairs_iooh`: its temporaries
+#: are a few uint64 words per pair, a few tens of MiB at 1M pairs.
+IOOH_GATHER_CHUNK = 1 << 20
 
 
 def anticommute_pairs_chars(
@@ -44,8 +48,26 @@ def anticommute_pairs_chars(
 def anticommute_pairs_iooh(
     packed: np.ndarray, i: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
-    """Inverse one-hot kernel: ``parity(popcount(a & b))`` (the paper's)."""
-    return parity_rows(packed[i] & packed[j])
+    """Inverse one-hot kernel: ``parity(popcount(a & b))`` (the paper's).
+
+    Parity is additive mod 2, so the ``a & b`` words are XOR-folded into
+    one word per pair and popcounted once.  Gathering one word column
+    at a time keeps every temporary one word per pair; pairs go in
+    chunks of :data:`IOOH_GATHER_CHUNK`.
+    """
+    i = np.asarray(i)
+    j = np.asarray(j)
+    out = np.zeros(len(i), dtype=np.uint8)
+    if packed.shape[1] == 0:
+        return out
+    for s in range(0, len(i), IOOH_GATHER_CHUNK):
+        ii = i[s : s + IOOH_GATHER_CHUNK]
+        jj = j[s : s + IOOH_GATHER_CHUNK]
+        fold = packed[:, 0][ii] & packed[:, 0][jj]
+        for w in range(1, packed.shape[1]):
+            fold ^= packed[:, w][ii] & packed[:, w][jj]
+        out[s : s + len(fold)] = popcount_u8(fold) & np.uint8(1)
+    return out
 
 
 def anticommute_pairs_symplectic(

@@ -239,6 +239,32 @@ class TestParameterTradeoffs:
         with pytest.raises(RuntimeError, match="did not converge"):
             picasso_color(ps, params, seed=0)
 
+    def test_non_convergence_carries_state(self):
+        import pickle
+
+        from repro.core import PicassoNonConvergence
+
+        ps = random_pauli_set(100, 6, seed=16)
+        params = PicassoParams(
+            palette_fraction=0.01, alpha=30.0, max_iterations=2,
+            grow_on_stall=1.0,
+        )
+        with pytest.raises(PicassoNonConvergence) as info:
+            picasso_color(ps, params, seed=0)
+        err = info.value
+        assert err.iteration == 2
+        assert err.palette_fraction == 0.01
+        assert err.n_active == int((err.colors < 0).sum()) > 0
+        # The partial coloring is proper on what it colored.
+        colored = np.flatnonzero(err.colors >= 0)
+        full = err.colors.copy()
+        full[err.colors < 0] = err.colors.max() + 1 + np.arange(err.n_active)
+        assert len(colored) > 0
+        assert PauliComplementSource(ps).validate(full)
+        again = pickle.loads(pickle.dumps(err))
+        assert (again.iteration, again.n_active) == (2, err.n_active)
+        np.testing.assert_array_equal(again.colors, err.colors)
+
     def test_single_vertex(self):
         ps = random_pauli_set(1, 4, seed=0)
         r = picasso_color(ps, seed=0)

@@ -72,6 +72,27 @@ class TestExplicitGraphSource:
         expected = np.array([g.has_edge(a, b) for a, b in zip(ii, jj)])
         np.testing.assert_array_equal(mask, expected)
 
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+    def test_unsorted_rows_all_orientations(self, p):
+        """Rows built from a shuffled edge list hold unsorted targets;
+        membership and blocks must still match the dense adjacency for
+        every ordered query, diagonal included."""
+        from repro.graphs.csr import from_edge_list
+
+        n = 25
+        rng = np.random.default_rng(4)
+        e = erdos_renyi(n, p, seed=4).edges()
+        e = e[rng.permutation(len(e))]
+        g = from_edge_list(e[:, 1], e[:, 0], n)
+        dense = np.zeros((n, n), dtype=np.uint8)
+        dense[e[:, 0], e[:, 1]] = dense[e[:, 1], e[:, 0]] = 1
+        src = ExplicitGraphSource(g)
+        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        order = rng.permutation(n * n)
+        got = src.edge_mask(ii.ravel()[order], jj.ravel()[order])
+        np.testing.assert_array_equal(got, dense.ravel()[order])
+        np.testing.assert_array_equal(src.edge_block(3, 17, 5, 25), dense[3:17, 5:25])
+
     def test_isolated_vertices(self):
         g = erdos_renyi(10, 0.0, seed=0)
         src = ExplicitGraphSource(g)

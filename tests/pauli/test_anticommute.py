@@ -90,6 +90,36 @@ class TestKernelAgreement:
             anticommute_pairs_symplectic(x, z, ii, jj), ref
         )
 
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=90),
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_xor_folded_iooh_gather(self, n, nq, n_pairs, chunk, seed):
+        """The XOR-folded gathered IOOH kernel matches the chars and
+        symplectic kernels on arbitrary (unsorted, repeated, diagonal)
+        pair lists, across gather-chunk boundaries and word counts."""
+        import repro.pauli.anticommute as ac
+
+        rng = np.random.default_rng(seed)
+        chars = rng.integers(0, 4, size=(n, nq), dtype=np.uint8)
+        i = rng.integers(0, n, size=n_pairs)
+        j = rng.integers(0, n, size=n_pairs)
+        ref = anticommute_pairs_chars(chars, i, j)
+        x, z = encode_symplectic(chars)
+        np.testing.assert_array_equal(anticommute_pairs_symplectic(x, z, i, j), ref)
+        original = ac.IOOH_GATHER_CHUNK
+        ac.IOOH_GATHER_CHUNK = chunk
+        try:
+            got = anticommute_pairs_iooh(encode_iooh(chars), i, j)
+        finally:
+            ac.IOOH_GATHER_CHUNK = original
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, ref)
+
 
 class TestOracle:
     def test_kernels_give_same_answers(self):
