@@ -175,9 +175,14 @@ class GreedyDynamicEngine(ListColoringEngine):
         executor: Executor | None = None,
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
-        masks_nbytes = self._masks_nbytes(col_lists)
-        # Masks + sizes/pos/bucket int arrays (~3 words per vertex).
-        scratch = masks_nbytes + 3 * gc.n_vertices * 8
+        # The packed masks twice (the row-major build and its
+        # word-major copy briefly coexist), plus five per-vertex Python
+        # lists (bucket slots, pos, sizes, row offsets, colors) at an
+        # 8 B slot and at most one 32 B int object per entry.  The
+        # adjacency is read in place.
+        scratch = (
+            2 * self._masks_nbytes(col_lists) + 5 * (8 + 32) * gc.n_vertices
+        )
         with self._scratch(device, scratch):
             colors, vu = greedy_list_color_dynamic(gc, col_lists, rng)
         peak = gc.nbytes + scratch + colors.nbytes

@@ -15,11 +15,14 @@ Three schemes:
 
 - :func:`greedy_list_color_dynamic` — Algorithm 2 on packed palette
   *bitsets*: always color a vertex with the currently smallest list
-  ("most constrained first").  Candidate lists live in a ``(n, W)``
-  uint64 bitset matrix, neighbor updates are one vectorized word mask
-  per step, and the smallest-list priority structure is flat int-array
-  bucket queues (value = list size) with O(1) swap-removal — no Python
-  ``set`` objects or list-of-lists on the hot path.
+  ("most constrained first").  Candidate lists live in a word-major
+  ``(W, n)`` uint64 bitset matrix, so the neighbor test for a color is
+  one gather from a contiguous row over the int32 adjacency slice
+  (read in place, never widened).  The smallest-list priority
+  structure is bucket queues (value = list size) held in Python lists,
+  with O(1) swap-removal by ``pop`` plus a slot write: the per-neighbor
+  bookkeeping runs on Python ints, not numpy scalars, and no Python
+  ``set`` objects are built.
 - :func:`greedy_list_color_dynamic_sets` — the original Python-``set``
   implementation, kept as the seeded-equivalence reference and as the
   legacy half of the tiled-vs-gather ablation.  Both dynamic variants
@@ -75,120 +78,106 @@ def greedy_list_color_dynamic(
     col_lists = np.asarray(col_lists, dtype=np.int64)
     if col_lists.shape[0] != n:
         raise ValueError("col_lists rows must match vertex count")
-    colors = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        return colors, np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    # Packed per-vertex candidate bitsets over the local palette
-    # (duplicates in a row collapse, exactly like the set() reference).
+    # Packed candidate bitsets over the local palette, word-major: row
+    # w holds word w of every vertex, so the neighbor test for color c
+    # gathers from one contiguous row.  Duplicates in a list collapse,
+    # exactly like the set() reference.  A vertex leaves the graph
+    # (colored, or its list emptied) with an all-zero column, so the
+    # bit test alone excludes it — no separate processed[] gather.
     nbits = int(col_lists.max()) + 1 if col_lists.size else 1
-    masks = bitset_from_lists(col_lists, max(nbits, 1))
-    sizes = popcount_rows(masks)
-    max_size = int(sizes.max())
+    masks = np.ascontiguousarray(bitset_from_lists(col_lists, max(nbits, 1)).T)
+    size_arr = popcount_rows(masks.T)
+    max_size = int(size_arr.max())
 
-    # Flat int-array bucket queues: bucket s holds the unprocessed
-    # vertices whose list currently has s candidates.  Each bucket is a
-    # growable int64 array with a fill count; `pos` gives every
-    # vertex's slot in its bucket so removal is an O(1) swap with the
-    # last element (the paper's auxiliary-array trick).  Initial
-    # population order is vertex-ascending, matching the reference.
-    bucket_count = np.zeros(max_size + 1, dtype=np.int64)
-    init_counts = np.bincount(sizes, minlength=max_size + 1)
-    buckets = [np.empty(int(c), dtype=np.int64) for c in init_counts]
-    pos = np.empty(n, dtype=np.int64)
-    order = np.argsort(sizes, kind="stable")
+    # Bucket queues as Python lists: bucket s holds the unprocessed
+    # vertices whose list currently has s candidates, and pos[v] is v's
+    # slot in its bucket, so removal is an O(1) swap with the last
+    # element (the paper's auxiliary-array trick).  All per-neighbor
+    # bookkeeping runs on Python ints; numpy scalar reads and writes
+    # cost several times more.  Initial population order is
+    # vertex-ascending, matching the reference.
+    order = np.argsort(size_arr, kind="stable")
     starts = np.zeros(max_size + 2, dtype=np.int64)
-    np.cumsum(init_counts, out=starts[1:])
-    for s in range(max_size + 1):
-        members = order[starts[s] : starts[s + 1]]
-        buckets[s][: len(members)] = members
-        pos[members] = np.arange(len(members))
-        bucket_count[s] = len(members)
-
-    processed = np.zeros(n, dtype=bool)
-    uncolored: list[int] = []
-    n_processed = 0
-
-    # One upfront widening of the adjacency (int32 CSR ids) beats a
-    # per-step astype on every neighbor slice.
-    row_offsets = gc.offsets
-    targets64 = gc.targets.astype(np.int64, copy=False)
+    np.cumsum(np.bincount(size_arr, minlength=max_size + 1), out=starts[1:])
+    pos_arr = np.empty(n, dtype=np.int64)
+    pos_arr[order] = np.arange(n) - starts[size_arr[order]]
+    buckets = [
+        order[starts[s] : starts[s + 1]].tolist() for s in range(max_size + 1)
+    ]
+    pos = pos_arr.tolist()
+    sizes = size_arr.tolist()
+    del order, starts, pos_arr, size_arr
+    colors = [-1] * n
 
     # Degenerate all-padding rows have no candidates at all: they join
     # Vu immediately (the reference predates padding and never sees
     # such rows on the Picasso path).
-    empty0 = buckets[0][: bucket_count[0]]
-    if len(empty0):
-        processed[empty0] = True
-        n_processed += len(empty0)
-        uncolored.extend(int(v) for v in empty0)
-        bucket_count[0] = 0
+    uncolored = buckets[0]
+    buckets[0] = []
+    n_processed = len(uncolored)
 
+    offsets = gc.offsets.tolist()
+    targets = gc.targets
     lowest = 0
     while n_processed < n:
         # Lowest non-empty bucket: sizes only decrease for unprocessed
         # vertices, so scanning upward after resets stays O(L) per step.
-        while lowest <= max_size and bucket_count[lowest] == 0:
+        while not buckets[lowest]:
             lowest += 1
         buf = buckets[lowest]
-        cnt = int(bucket_count[lowest])
+        cnt = len(buf)
         idx = int(rng.integers(cnt)) if cnt > 1 else 0
-        v = int(buf[idx])
-
-        # Swap-remove v from its bucket.
-        last = buf[cnt - 1]
-        buf[idx] = last
-        pos[last] = idx
-        bucket_count[lowest] = cnt - 1
-        processed[v] = True
+        v = buf[idx]
+        last = buf.pop()
+        if last != v:
+            buf[idx] = last
+            pos[last] = idx
         n_processed += 1
 
         # Uniform color from the surviving candidates (ascending order).
-        k = int(sizes[v])
+        k = sizes[v]
         r = int(rng.integers(k)) if k > 1 else 0
-        c = int(bitset_indices(masks[v])[r])
+        c = int(bitset_indices(masks[:, v])[r])
         colors[v] = c
+        masks[:, v] = 0
 
-        nbrs = targets64[row_offsets[v] : row_offsets[v + 1]]
+        nbrs = targets[offsets[v] : offsets[v + 1]]
         if len(nbrs) == 0:
             continue
-        w = c >> 6
+        # One vectorized pass: neighbors still holding c lose that bit
+        # and drop one bucket.
+        row = masks[c >> 6]
         bit = np.uint64(1) << np.uint64(c & 63)
-        # One vectorized pass: neighbors still unprocessed whose list
-        # contains c lose that bit and drop one bucket.
-        affected = nbrs[((masks[nbrs, w] & bit) != 0) & ~processed[nbrs]]
+        affected = nbrs[(row[nbrs] & bit) != 0]
         if len(affected) == 0:
             continue
-        masks[affected, w] &= ~bit
-        sizes[affected] -= 1
+        row[affected] &= ~bit
         for u in affected.tolist():
-            s_old = int(sizes[u]) + 1
-            p = int(pos[u])
+            s_old = sizes[u]
+            sizes[u] = s_new = s_old - 1
             b = buckets[s_old]
-            cnt2 = int(bucket_count[s_old])
-            last = b[cnt2 - 1]
-            b[p] = last
-            pos[last] = p
-            bucket_count[s_old] = cnt2 - 1
-            s_new = s_old - 1
+            last = b.pop()
+            if last != u:
+                p = pos[u]
+                b[p] = last
+                pos[last] = p
             if s_new == 0:
                 # List emptied: u joins Vu and is done for this iteration.
-                processed[u] = True
                 n_processed += 1
                 uncolored.append(u)
                 continue
-            b2 = buckets[s_new]
-            c2 = int(bucket_count[s_new])
-            if c2 == len(b2):
-                grown = np.empty(max(2 * len(b2), 4), dtype=np.int64)
-                grown[:c2] = b2[:c2]
-                buckets[s_new] = b2 = grown
-            b2[c2] = u
-            pos[u] = c2
-            bucket_count[s_new] = c2 + 1
+            b = buckets[s_new]
+            pos[u] = len(b)
+            b.append(u)
             if s_new < lowest:
                 lowest = s_new
-    return colors, np.array(sorted(uncolored), dtype=np.int64)
+    return (
+        np.array(colors, dtype=np.int64),
+        np.array(sorted(uncolored), dtype=np.int64),
+    )
 
 
 def greedy_list_color_dynamic_sets(

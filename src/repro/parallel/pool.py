@@ -807,11 +807,21 @@ def _fused_sub_csr(
     (on the conflicted set the induced relabel drops zero arcs, so it
     too is a pure monotone relabel) while never materializing the
     full-width graph, its degree vector, or the relabel pass.
+
+    ``chunks`` is consumed: each original leaves the list as its
+    renumbered copy is made, so the hits and their copies never
+    coexist in full (for an shm gather this also drops the region
+    views early).
     """
     conflicted = np.flatnonzero(mask)
     new_id = np.cumsum(mask, dtype=np.int64)
     new_id -= 1
-    sub_chunks = [(new_id[u], new_id[v]) for u, v in chunks]
+    chunks.reverse()
+    sub_chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    while chunks:
+        u, v = chunks.pop()
+        sub_chunks.append((new_id[u], new_id[v]))
+        del u, v
     return csr_from_coo_chunks(sub_chunks, len(conflicted)), conflicted
 
 
@@ -895,7 +905,8 @@ def fused_conflict_csr(
             # Assemble inside the context straight from the gather's own
             # chunk list (holding no views of our own, which would pin
             # the region when the context closes it); the renumbered
-            # chunks are fresh arrays.
+            # chunks are fresh arrays, and each view is dropped as its
+            # copy lands.
             with telemetry.span("sweep.assemble", engine=engine):
                 sub_gc, conflicted = _fused_sub_csr(n, mask, gather.chunks)
     else:

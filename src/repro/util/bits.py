@@ -320,15 +320,18 @@ def bitset_from_lists(lists: list[np.ndarray] | np.ndarray, nbits: int) -> np.nd
     if isinstance(lists, np.ndarray) and lists.ndim == 2:
         n, _ = lists.shape
         out = np.zeros((n, nwords), dtype=np.uint64)
-        rows, cols = np.nonzero(lists >= 0)
-        idx = lists[rows, cols].astype(np.int64)
-        if idx.size and (idx.max() >= nbits):
-            raise ValueError("bit index out of range")
-        np.bitwise_or.at(
-            out,
-            (rows, idx >> 6),
-            np.uint64(1) << (idx & 63).astype(np.uint64),
-        )
+        rows = np.arange(n)
+        # One column at a time: within a column every row appears once,
+        # so a plain fancy-index OR is exact (no ufunc.at), and the
+        # scratch stays O(n) instead of O(n * L).
+        for col in lists.T:
+            keep = col >= 0
+            idx = col[keep].astype(np.int64)
+            if idx.size and (idx.max() >= nbits):
+                raise ValueError("bit index out of range")
+            out[rows[keep], idx >> 6] |= (
+                np.uint64(1) << (idx & 63).astype(np.uint64)
+            )
         return out
     out = np.zeros((len(lists), nwords), dtype=np.uint64)
     for i, lst in enumerate(lists):

@@ -1,11 +1,14 @@
 """Tests for Algorithm 2 (dynamic bucket list coloring) and the static
 list-coloring variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.coloring.engine import GreedyDynamicEngine
 from repro.coloring.greedy_list import (
     # The implementation home; repro.core.list_coloring is a deprecated
     # shim that warns on import (tested in tests/coloring/test_engines.py).
@@ -13,7 +16,11 @@ from repro.coloring.greedy_list import (
     greedy_list_color_dynamic_sets,
     greedy_list_color_static,
 )
+from repro.core import Picasso, aggressive_params, normal_params
+from repro.datasets import load_molecule
 from repro.graphs import complete_graph, cycle_graph, empty_graph, erdos_renyi
+from repro.graphs.csr import CSRGraph
+from repro.pauli import random_pauli_set
 
 
 def assert_valid_list_coloring(gc, col_lists, colors, uncolored):
@@ -31,6 +38,23 @@ def assert_valid_list_coloring(gc, col_lists, colors, uncolored):
     # Uncolored = exactly the -1 vertices.
     np.testing.assert_array_equal(np.sort(uncolored), np.nonzero(colors < 0)[0])
     assert len(colored) + len(uncolored) == n
+
+
+def algorithm2_inputs(pauli_set, params):
+    """``(gc, col_lists)`` of every Algorithm 2 call of a real Picasso
+    run, in iteration order: conflict CSRs straight from the fused
+    builder (int32 targets, rows rotated rather than sorted)."""
+    calls = []
+    real = GreedyDynamicEngine.color
+
+    def spy(self, gc, col_lists, rng=None, executor=None, device=None):
+        calls.append((gc, np.array(col_lists)))
+        return real(self, gc, col_lists, rng, executor, device)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GreedyDynamicEngine, "color", spy)
+        Picasso(params=params, seed=0).color(pauli_set)
+    return calls
 
 
 class TestDynamic:
@@ -152,6 +176,48 @@ class TestBitsetMatchesSetsReference:
         lists = np.array([[5, 5], [5, 7], [7, 5], [5, 7]], dtype=np.int64)
         self.assert_equivalent(gc, lists, seed=3)
 
+    @pytest.mark.parametrize(
+        "case", ["H4_2D_sto3g-aggressive", "rand300x8-normal"]
+    )
+    def test_fused_builder_conflict_graphs(self, case):
+        """Every iteration's conflict graph from the real fused builder.
+        The Aggressive run has L = P (full lists), so every vertex
+        starts in the top bucket and the lower buckets grow from
+        empty."""
+        if case == "H4_2D_sto3g-aggressive":
+            calls = algorithm2_inputs(
+                load_molecule("H4_2D_sto3g"), aggressive_params()
+            )
+            lists = calls[0][1]
+            assert lists.shape[1] == int(lists.max()) + 1  # L = P
+        else:
+            calls = algorithm2_inputs(
+                random_pauli_set(300, 8, seed=5), normal_params()
+            )
+        assert len(calls) >= 2
+        gc = calls[0][0]
+        assert gc.targets.dtype == np.int32
+        # Rows are rotated (targets above v first, then below it).
+        assert any(
+            (np.diff(gc.neighbors(v)) < 0).any() for v in range(gc.n_vertices)
+        )
+        for seed, (gc, lists) in enumerate(calls):
+            self.assert_equivalent(gc, lists, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiword_palette_high_degree(self, seed):
+        """Multi-word bitsets under neighbor updates of several hundred
+        vertices per step."""
+        rng = np.random.default_rng(seed)
+        n, P = 400, 150
+        gc = erdos_renyi(n, 0.7, seed=seed)
+        assert gc.degree().min() >= 200
+        L = (12, 40, P)[seed]
+        lists = np.stack(
+            [rng.choice(P, size=L, replace=False) for _ in range(n)]
+        ).astype(np.int64)
+        self.assert_equivalent(gc, lists, seed)
+
     def test_padding_rows_join_vu(self):
         """All-padding rows (negative ids) have no candidates: the
         bitset variant sends them straight to Vu."""
@@ -161,6 +227,44 @@ class TestBitsetMatchesSetsReference:
         assert colors[1] == -1
         np.testing.assert_array_equal(vu, [1])
         assert (colors[[0, 2]] >= 0).all()
+
+
+class TestEngineMemoryReport:
+    """``GreedyDynamicEngine.color`` reports a ``peak_bytes`` (graph +
+    charged scratch + colors) that must bound what the call allocates."""
+
+    @staticmethod
+    def traced_peak(gc, lists):
+        tracemalloc.start()
+        try:
+            outcome = GreedyDynamicEngine().color(gc, lists, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, outcome
+
+    def test_dense_conflict_graph(self):
+        """Arcs >> n: a widened copy of the adjacency would break the
+        bound.  Iteration 2 of an Aggressive H6 run."""
+        calls = algorithm2_inputs(
+            load_molecule("H6_2D_sto3g"), aggressive_params()
+        )
+        gc, lists = calls[1]
+        assert len(gc.targets) > 100 * gc.n_vertices
+        peak, outcome = self.traced_peak(gc, lists)
+        assert peak <= outcome.peak_bytes
+
+    def test_edgeless_graph_charges_bookkeeping(self):
+        """No arcs, so the graph term gives no slack: the charged
+        scratch alone must cover the per-vertex bookkeeping."""
+        n, L, P = 20_000, 40, 300
+        gc = CSRGraph(
+            offsets=np.zeros(n + 1, dtype=np.int64),
+            targets=np.zeros(0, dtype=np.int32),
+        )
+        lists = np.random.default_rng(0).integers(0, P, size=(n, L))
+        peak, outcome = self.traced_peak(gc, lists)
+        assert peak <= outcome.peak_bytes
 
 
 class TestStatic:

@@ -1,5 +1,7 @@
 """Integration tests for the Picasso driver (Algorithm 1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.core import (
 )
 from repro.core.sources import PauliComplementSource
 from repro.coloring import greedy_coloring
+from repro.datasets import load_molecule
 from repro.graphs import complement_graph, complete_graph, erdos_renyi
 from repro.pauli import random_pauli_set
 
@@ -52,6 +55,38 @@ class TestPauliWorkload:
         a = picasso_color(ps, seed=1)
         b = picasso_color(ps, seed=2)
         assert (a.colors != b.colors).any()
+
+
+class TestGoldenColorings:
+    """Pinned sha256 of whole-run colors.  Colorings are a pure
+    function of (input, params, seed) on every executor, so a change to
+    the RNG draws or tie-breaking anywhere in the pipeline (conflict
+    build, CSR row order, Algorithm 2 buckets) shows here."""
+
+    GOLDEN = {
+        ("rand2000x20-normal", 0):
+            "6de57bee59a13c5aea5bd7138fe646bd462bfd760c7d88e819d93f1b4d989193",
+        ("rand2000x20-normal", 1):
+            "650544419569f6e90f2350c25763600e9e4f191defddc60a804a0f5ca12b7cc0",
+        ("H4_2D_sto3g-aggressive", 0):
+            "abe407e950a9b573d4b18bc19ff6f69c02435f66d9dce115bce9fc1ab9a7272d",
+        ("H4_2D_sto3g-aggressive", 1):
+            "671d8aab065daf41aacc3a86f187e63a823c98751afae32485386b53cb419cf0",
+    }
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("case,seed", sorted(GOLDEN))
+    def test_colors_unchanged(self, case, seed, n_workers):
+        if case == "rand2000x20-normal":
+            ps = random_pauli_set(2000, 20, seed=11)
+            params = normal_params(n_workers=n_workers)
+        else:
+            ps = load_molecule("H4_2D_sto3g")
+            params = aggressive_params(n_workers=n_workers)
+        r = Picasso(params=params, seed=seed).color(ps)
+        colors = np.asarray(r.colors, dtype="<i8")
+        digest = hashlib.sha256(colors.tobytes()).hexdigest()
+        assert digest == self.GOLDEN[(case, seed)]
 
 
 class TestEngines:
