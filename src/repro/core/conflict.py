@@ -24,9 +24,9 @@ Both engines run through an execution backend
 (:mod:`repro.parallel.executor`): serial in-process streaming, or a
 process pool that sweeps balanced contiguous strips of the domain and
 gathers results in deterministic strip order.  All paths feed the same
-two-pass count-then-fill CSR assembly
-(:func:`repro.graphs.csr.csr_from_coo_chunks`), so serial and parallel
-builds are bit-identical per seed.
+sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`),
+whose rows depend on the edge set alone, so serial and parallel builds
+are bit-identical per seed.
 """
 
 from __future__ import annotations

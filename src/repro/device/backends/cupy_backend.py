@@ -2,8 +2,8 @@
 
 Contract-complete but **untested in CI** (no GPU on the bench host):
 the kernels mirror the numpy word-column formulation on device arrays
-and copy results back to host, so the tiles drivers and two-pass CSR
-fill above the seam run unchanged.  Operand transfer is per call —
+and copy results back to host, so the tiles drivers and the CSR
+assembly above the seam run unchanged.  Operand transfer is per call —
 a real deployment would keep ``packed``/``colmasks`` resident on
 device across the sweep, which is the next milestone behind this seam,
 not a correctness concern: results must match numpy bit for bit either

@@ -6,10 +6,11 @@ conflict kernel's domain is the flat pair range, so ``k`` devices each
 own a contiguous 1/k slice of pair space.  Each device streams its
 slice into its own COO buffer (bounded by its own budget); the host
 folds the per-device partial edge lists — one COO chunk per device, in
-slice order — straight into the shared two-pass count-then-fill
-assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`), the same path
-every other build front uses: nothing is concatenated, and the result
-is bit-identical to a single-device build of the same pair space.
+slice order — straight into the shared sort-key assembly
+(:func:`repro.graphs.csr.csr_from_coo_chunks`), the same path every
+other build front uses: nothing is concatenated, and since the rows
+depend on the edge set alone the result is bit-identical to a
+single-device build of the same pair space.
 (The cross-*host* analog of this decomposition lives in
 :mod:`repro.distributed`.)
 
@@ -102,18 +103,11 @@ def build_conflict_csr_multi(
             dev.free("coo_edges")
             dev.free("edge_counters")
             dev.free("colmasks")
-        chunks.append(
-            (
-                u_buf[:filled].astype(np.int64),
-                v_buf[:filled].astype(np.int64),
-            )
-        )
+        chunks.append((u_buf[:filled].copy(), v_buf[:filled].copy()))
         edges_per_device.append(filled)
 
-    # One COO chunk per device, in pair-slice order, straight into the
-    # shared two-pass assembly — the same chunk stream a single-device
-    # (or strip-parallel) sweep of the full pair space produces, so the
-    # CSR is bit-identical to those builds.
+    # One COO chunk per device: the same edge set a single-device (or
+    # strip-parallel) sweep produces, so the CSR is bit-identical.
     graph = csr_from_coo_chunks(chunks, n)
     stats = MultiBuildStats(
         n_vertices=n,

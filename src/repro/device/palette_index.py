@@ -23,12 +23,13 @@ pairs that share a color:
 - **Oracle.**  Only the surviving pairs reach the source's gathered
   ``edge_mask(i, j)``.
 
-The emitted ``(i, j)`` set equals the tile sweep's, and every vertex
-sees its neighbours in the same order, so the two-pass CSR assembly
-builds a bit-identical graph from either stream.  The expected work is
-``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P`` candidates, the Lemma 2
-quantity itself, against ``n(n-1)/2 * ceil(P/64)`` word operations for
-the tile sweep; :func:`prefers_index` compares the two.
+The emitted ``(i, j)`` set equals the tile sweep's, so the sort-key
+CSR assembly builds a bit-identical graph from either stream (and
+skips its first sort on this one, which arrives in key order).  The
+expected work is ``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P``
+candidates, the Lemma 2 quantity itself, against
+``n(n-1)/2 * ceil(P/64)`` word operations for the tile sweep;
+:func:`prefers_index` compares the two.
 """
 
 from __future__ import annotations

@@ -273,8 +273,7 @@ def conflict_hits_block(
     here either way, so every backend shares one driver.
 
     Hits are returned as global index arrays in row-major tile order
-    (``i`` ascending, ``j`` ascending within a row) — the order the
-    two-pass CSR fill relies on.
+    (``i`` ascending, ``j`` ascending within a row).
     """
     if edge_mask_fn is None and edge_block_fn is None:
         raise ValueError("need edge_mask_fn or edge_block_fn")

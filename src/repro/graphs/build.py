@@ -9,12 +9,11 @@ comparison requires building it.
 The pair sweep runs on the tiled block-broadcast engine
 (:mod:`repro.device.tiles`): each tile evaluates the oracle's block
 kernel once over contiguous row slices instead of gathering both
-operand rows per pair, and the hits stream into the two-pass
-count-then-fill CSR assembly.  With ``n_workers >= 2`` the sweep is
-dispatched over the execution backend layer
-(:mod:`repro.parallel.executor`) as balanced contiguous tile strips;
-strip results are gathered in canonical tile order, so parallel and
-serial builds produce bit-identical CSR.
+operand rows per pair, and the hits stream into the sort-key CSR
+assembly.  With ``n_workers >= 2`` the sweep is dispatched over the
+execution backend layer (:mod:`repro.parallel.executor`) as balanced
+contiguous tile strips; the assembly depends on the edge set alone,
+so parallel and serial builds produce bit-identical CSR.
 """
 
 from __future__ import annotations

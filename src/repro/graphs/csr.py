@@ -11,6 +11,8 @@ switch in Algorithm 3).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,11 @@ class CSRGraph:
         ``int64[n+1]`` prefix offsets into ``targets``.
     targets:
         Neighbor ids; each undirected edge appears in both endpoint rows.
+
+    Graphs from :func:`csr_from_coo_chunks` and :func:`from_edge_list`
+    keep one canonical row order: row ``x`` lists its neighbours above
+    ``x`` ascending, then its neighbours below ``x`` ascending.  The
+    arrays depend on the edge set alone, never on input order.
     """
 
     offsets: np.ndarray
@@ -107,77 +114,85 @@ class CSRGraph:
         return f"CSRGraph(n={self.n_vertices}, m={self.n_edges})"
 
 
-def _fill_arcs(
-    cursor: np.ndarray, targets: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> None:
-    """Scatter one direction of arcs into preallocated CSR ``targets``.
+#: Edges per block in the O(block)-scratch passes of the assembly.
+_BLOCK = 1 << 19
 
-    ``cursor`` holds each vertex's next write position and advances by
-    that vertex's arc count — the "fill" half of the two-pass
-    count-then-fill construction.  Arcs are written in appearance
-    order: inputs already sorted by ``src`` (tile/pair sweeps emit rows
-    ascending) skip the stable counting sort entirely.
-    """
-    if len(src) == 0:
-        return
-    if np.any(src[:-1] > src[1:]):
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = dst[order]
-    # Rank of each arc within its (contiguous) source-vertex run.
-    change = np.empty(len(src), dtype=bool)
-    change[0] = True
-    np.not_equal(src[1:], src[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    run_lengths = np.diff(np.append(starts, len(src)))
-    rank = np.arange(len(src), dtype=np.int64) - np.repeat(starts, run_lengths)
-    targets[cursor[src] + rank] = dst
-    cursor[src[starts]] += run_lengths
+
+def _scatter(
+    targets: np.ndarray, key: np.ndarray, ptr: np.ndarray, base: np.ndarray, s: int
+) -> None:
+    """Write the column of sorted key ``j`` (``row << s | col``) to
+    ``targets[j + base[row]]``; ``ptr`` holds the row starts in ``key``."""
+    col_mask = key.dtype.type((1 << s) - 1)
+    for a in range(0, len(key), _BLOCK):
+        blk = key[a : a + _BLOCK]
+        r0, r1 = int(blk[0] >> s), int(blk[-1] >> s) + 1
+        runs = np.diff(np.clip(ptr[r0 : r1 + 1], a, a + len(blk)))
+        dest = np.repeat(base[r0:r1], runs)
+        dest += np.arange(a, a + len(blk))
+        targets[dest] = blk & col_mask
 
 
 def csr_from_coo_chunks(
     chunks: list[tuple[np.ndarray, np.ndarray]], n_vertices: int
 ) -> CSRGraph:
-    """Two-pass count-then-fill CSR assembly from streamed COO chunks.
+    """Sort-key CSR assembly from streamed COO chunks.
 
     ``chunks`` is a list of ``(u, v)`` endpoint arrays, each unordered
-    edge appearing exactly once across all chunks (the output of a pair
-    or tile sweep).  Pass 1 accumulates per-vertex degrees; pass 2
-    scatters both arc directions into one exactly-sized ``targets``
-    buffer.  Nothing is concatenated and no global sort runs — the
-    assembly is O(arcs) after the counting pass.
-
-    Arc order per vertex matches the legacy concatenate-and-stable-sort
-    assembly (all ``u``-side arcs in chunk order, then all ``v``-side
-    arcs), so downstream order-sensitive consumers see identical CSR.
+    edge appearing exactly once across all chunks in either orientation
+    (the output of a pair or tile sweep); each chunk leaves the list as
+    soon as it is encoded.  Every edge becomes one key ``min << s | max``
+    with ``s = bit_length(n - 1)``, ``int32`` when ``2s <= 31`` and
+    ``int64`` otherwise (the paper's 4-byte/8-byte switch).  Sorting the
+    keys (skipped when the stream arrives sorted) orders each row's upper
+    neighbours; transposing them in place and sorting again orders the
+    lower ones.  Both halves scatter straight to their final slots, so
+    the result depends on the edge set alone (see :class:`CSRGraph`).
+    Scratch is the one ``m``-long key array plus O(block) temporaries.
     """
-    chunks = [
-        (np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
-        for u, v in chunks
-        if len(u)
-    ]
-    counts = np.zeros(n_vertices, dtype=np.int64)
-    m = 0
-    for u, v in chunks:
-        # Small chunks scatter directly; big ones amortize a full-width
-        # bincount.  Keeps the counting pass O(arcs + n), not
-        # O(n_chunks * n), when a tile sweep feeds thousands of chunks.
-        if 4 * len(u) < n_vertices:
-            np.add.at(counts, u, 1)
-            np.add.at(counts, v, 1)
-        else:
-            counts += np.bincount(u, minlength=n_vertices)
-            counts += np.bincount(v, minlength=n_vertices)
-        m += len(u)
-    offsets = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    targets = np.empty(2 * m, dtype=index_dtype(n_vertices))
-    cursor = offsets[:-1].copy()
-    for u, v in chunks:
-        _fill_arcs(cursor, targets, u, v)
-    for u, v in chunks:
-        _fill_arcs(cursor, targets, v, u)
-    return CSRGraph(offsets=offsets, targets=targets)
+    n = n_vertices
+    s = max(n - 1, 0).bit_length()
+    key = np.empty(sum(len(u) for u, _ in chunks), np.int32 if 2 * s <= 31 else np.int64)
+    in_order = True
+    pos = 0
+    chunks.reverse()
+    while chunks:
+        u, v = chunks.pop()
+        for a in range(0, len(u), _BLOCK):
+            lo = np.minimum(u[a : a + _BLOCK], v[a : a + _BLOCK])
+            hi = np.maximum(u[a : a + _BLOCK], v[a : a + _BLOCK])
+            # Per block, not per row pointer: an id >= 2**s would fold
+            # into another row's key without moving any row boundary.
+            if lo.min() < 0 or hi.max() >= n:
+                raise ValueError("vertex id out of range")
+            blk = key[pos : pos + len(lo)]
+            blk[:] = lo
+            blk <<= s
+            blk |= hi
+            in_order = in_order and (pos == 0 or key[pos - 1] <= blk[0])
+            in_order = in_order and not (blk[1:] < blk[:-1]).any()
+            pos += len(blk)
+        del u, v
+    if not in_order:
+        key.sort()
+    up_ptr = np.searchsorted(key, np.arange(n + 1, dtype=key.dtype) << s)
+    col_mask = key.dtype.type((1 << s) - 1)
+    low_ptr = np.zeros(n + 1, dtype=np.int64)
+    for a in range(0, len(key), _BLOCK):
+        low_ptr[1:] += np.bincount(key[a : a + _BLOCK] & col_mask, minlength=n)
+    np.cumsum(low_ptr, out=low_ptr)
+    # Return freed chunk pages first (glibc): reused or not by luck of
+    # heap fragmentation, they swung peak RSS by ``targets.nbytes``.
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).malloc_trim(0)
+    targets = np.empty(2 * len(key), dtype=index_dtype(n))
+    _scatter(targets, key, up_ptr, low_ptr, s)
+    for a in range(0, len(key), _BLOCK):
+        blk = key[a : a + _BLOCK]
+        blk[:] = (blk & col_mask) << s | blk >> s
+    key.sort()
+    _scatter(targets, key, low_ptr, up_ptr[1:], s)
+    return CSRGraph(offsets=up_ptr + low_ptr, targets=targets)
 
 
 def from_edge_list(
@@ -185,9 +200,8 @@ def from_edge_list(
 ) -> CSRGraph:
     """Build a :class:`CSRGraph` from an undirected edge list.
 
-    Two-pass count-then-fill construction: per-vertex degrees are
-    counted first, then both arc directions are scattered into a
-    preallocated ``targets`` array (no concatenation, no global sort).
+    Runs the sort-key assembly of :func:`csr_from_coo_chunks` on the
+    single chunk ``(u, v)``.
 
     Parameters
     ----------
@@ -196,7 +210,8 @@ def from_edge_list(
     n_vertices:
         Total vertex count (isolated vertices allowed).
     dedupe:
-        Remove duplicate edges first (costs a sort of the edge list).
+        Remove duplicate edges first.  The ``np.unique`` sort leaves
+        the edges in key order, so the assembly skips its first sort.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -207,9 +222,6 @@ def from_edge_list(
     if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n_vertices):
         raise ValueError("vertex id out of range")
     if dedupe and len(u):
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * np.int64(n_vertices) + hi
-        _, keep = np.unique(key, return_index=True)
-        u, v = lo[keep], hi[keep]
+        key = np.unique(np.minimum(u, v) * np.int64(n_vertices) + np.maximum(u, v))
+        u, v = np.divmod(key, n_vertices)
     return csr_from_coo_chunks([(u, v)], n_vertices)

@@ -195,8 +195,8 @@ class Executor(ABC):
 
     An executor runs ``task_fn`` over ``tasks`` after installing
     ``payload`` via ``initializer`` exactly once per worker, and returns
-    the results *in task order* — the ordering contract the
-    deterministic CSR assembly relies on.
+    the results *in task order*, so every backend returns the same
+    result sequence as the serial one.
     """
 
     #: Worker processes the backend will use (1 for serial).

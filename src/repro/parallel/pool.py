@@ -26,11 +26,11 @@ pool lives and the token matches, later sweeps ship only the delta —
 the per-iteration colmasks instead of the full payload.  Workers derive
 the iteration's edge oracle from the cached root source and the active
 indices, which reproduces the dispatcher's own subset construction
-exactly.  Strips keep the canonical tile order and results are gathered
-in task order, so the concatenated hit stream is identical to the
-serial sweep's and the two-pass CSR assembly
-(:func:`repro.graphs.csr.csr_from_coo_chunks`) produces **bit-identical
-graphs** for serial and parallel builds per seed.
+exactly.  Strips carry the same hit set as the serial sweep, and the
+sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`)
+depends on the edge set alone, not on strip or chunk order, so it
+produces **bit-identical graphs** for serial and parallel builds per
+seed.
 
 Hit arrays travel back either pickled through the result pipe (the
 default) or through a shared-memory COO region
@@ -69,7 +69,7 @@ from repro.device.tiles import (
     sweep_conflict_chunks,
     tile_edge,
 )
-from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
+from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, index_dtype
 from repro.parallel.executor import Executor, SerialExecutor, owned_executor
 from repro.parallel.partition import (
     partition_pairs,
@@ -750,7 +750,7 @@ def gathered_conflict_csr(
 ) -> tuple[CSRGraph, int]:
     """Sweep-and-assemble: the shared back half of every host conflict
     build.  Runs one sweep through :func:`conflict_hit_chunks` and
-    folds the hit stream into the two-pass CSR assembly, returning
+    folds the hit stream into the sort-key CSR assembly, returning
     ``(graph, n_conflict_edges)``.
 
     Centralized because the shm view-lifetime protocol is subtle: the
@@ -798,24 +798,22 @@ def _fused_sub_csr(
     """Assemble the conflicted-subgraph CSR directly from hit chunks.
 
     ``mask`` flags the conflict vertices (the union of all strip vertex
-    sets).  The relabel ``old -> new`` is strictly monotone, so
-    renumbered chunks keep every ordering property of the originals:
-    chunk order is unchanged, within-chunk source order is unchanged,
-    and ties break identically under the stable fill sort — which makes
-    this CSR **bit-identical** to the unfused
+    sets).  The relabel ``old -> new`` is strictly monotone, so it maps
+    each row's neighbours above and below it onto the same sides in
+    the same order, and the sort-key assembly (whose rows depend on the
+    edge set alone) makes this CSR **bit-identical** to the unfused
     ``induced_subgraph(csr_from_coo_chunks(chunks, n), conflicted)``
     (on the conflicted set the induced relabel drops zero arcs, so it
     too is a pure monotone relabel) while never materializing the
     full-width graph, its degree vector, or the relabel pass.
 
     ``chunks`` is consumed: each original leaves the list as its
-    renumbered copy is made, so the hits and their copies never
-    coexist in full (for an shm gather this also drops the region
-    views early).
+    renumbered copy (4-byte ids while they fit) is made, so the hits
+    and their copies never coexist in full (for an shm gather this
+    also drops the region views early).
     """
     conflicted = np.flatnonzero(mask)
-    new_id = np.cumsum(mask, dtype=np.int64)
-    new_id -= 1
+    new_id = np.cumsum(mask, dtype=index_dtype(n)) - 1
     chunks.reverse()
     sub_chunks: list[tuple[np.ndarray, np.ndarray]] = []
     while chunks:
@@ -994,9 +992,8 @@ def parallel_conflict_graph(
     """Build the conflict graph over a Pauli set with worker processes.
 
     Thin front end over :func:`conflict_sweep_chunks` plus the shared
-    two-pass count-then-fill CSR assembly — the same code path the
-    serial host build uses, so parallel and serial graphs are
-    bit-identical.
+    sort-key CSR assembly — the same code path the serial host build
+    uses, so parallel and serial graphs are bit-identical.
 
     Parameters
     ----------

@@ -1,11 +1,15 @@
 """Tests for the CSR graph structure and edge-list builder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import CSRGraph, from_edge_list, index_dtype
+from repro.graphs import csr as csr_module
+from repro.graphs.csr import csr_from_coo_chunks
 
 
 def triangle() -> CSRGraph:
@@ -48,6 +52,16 @@ class TestFromEdgeList:
     def test_dedupe(self):
         g = from_edge_list([0, 1, 0], [1, 0, 1], 2, dedupe=True)
         assert g.n_edges == 1
+
+    def test_dedupe_matches_unique_edge_set(self):
+        rng = np.random.default_rng(3)
+        u = rng.integers(0, 50, 400)
+        v = (u + rng.integers(1, 50, 400)) % 50
+        g = from_edge_list(u, v, 50, dedupe=True)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
+        offsets, targets = reference_csr(sorted(edges), 50)
+        np.testing.assert_array_equal(g.offsets, offsets)
+        np.testing.assert_array_equal(g.targets, targets)
 
     def test_index_dtype_switch(self):
         assert index_dtype(100) == np.int32
@@ -124,3 +138,146 @@ class TestAgainstNetworkx:
         assert nxg.number_of_edges() == g.n_edges
         for v in range(n):
             assert nxg.degree[v] == g.degree(v)
+
+
+def reference_csr(edges, n):
+    """Naive canonical CSR: row ``x`` lists its neighbours above ``x``
+    ascending, then its neighbours below ``x`` ascending."""
+    upper = [[] for _ in range(n)]
+    lower = [[] for _ in range(n)]
+    for a, b in edges:
+        lo, hi = min(a, b), max(a, b)
+        upper[lo].append(hi)
+        lower[hi].append(lo)
+    rows = [sorted(upper[x]) + sorted(lower[x]) for x in range(n)]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    targets = np.array([t for r in rows for t in r], dtype=index_dtype(n))
+    return offsets, targets
+
+
+def split_chunks(edges, cuts, dtype):
+    """``edges`` as ``(u, v)`` chunks cut at ``cuts`` (repeats give
+    empty chunks)."""
+    e = np.array(edges, dtype=dtype).reshape(-1, 2)
+    bounds = [0, *sorted(cuts), len(e)]
+    return [(e[a:b, 0], e[a:b, 1]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@st.composite
+def chunked_graphs(draw, max_n=30):
+    """A vertex count, a unique edge list in mixed orientation, and two
+    different chunkings of it (the second also shuffled)."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)]
+    cut = st.lists(st.integers(0, len(edges)), max_size=6)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    first = split_chunks(edges, draw(cut), dtype)
+    second = split_chunks(draw(st.permutations(edges)), draw(cut), dtype)
+    return n, edges, first, second
+
+
+class TestSortKeyAssembly:
+    """``csr_from_coo_chunks`` against the naive reference: the arrays
+    depend on the edge set alone, whatever the orientation, chunking or
+    order of the stream."""
+
+    @given(chunked_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_for_any_chunking(self, case):
+        n, edges, first, second = case
+        offsets, targets = reference_csr(edges, n)
+        for chunks in (first, second):
+            g = csr_from_coo_chunks(chunks, n)
+            assert g.offsets.dtype == np.int64
+            assert g.targets.dtype == index_dtype(n)
+            np.testing.assert_array_equal(g.offsets, offsets)
+            np.testing.assert_array_equal(g.targets, targets)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_and_edgeless(self, n):
+        empty = np.empty(0, dtype=np.int64)
+        g = csr_from_coo_chunks([(empty, empty)], n)
+        np.testing.assert_array_equal(g.offsets, np.zeros(n + 1))
+        assert len(g.targets) == 0
+        assert csr_from_coo_chunks([], n).n_vertices == n
+
+    def test_single_edge_reversed(self):
+        g = csr_from_coo_chunks([(np.array([1]), np.array([0]))], 2)
+        np.testing.assert_array_equal(g.offsets, [0, 1, 2])
+        np.testing.assert_array_equal(g.targets, [1, 0])
+
+    @pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+    def test_key_width_boundary(self, n):
+        """``n = 2**15`` is the last size with 4-byte keys; one more
+        vertex switches to 8-byte keys.  Edges touch vertex ``n - 1``."""
+        rng = np.random.default_rng(n)
+        top = n - 1
+        others = rng.choice(top, 300, replace=False)
+        edges = [(top, x) for x in others[:150].tolist()]
+        edges += list(zip(others[150:225].tolist(), others[225:].tolist()))
+        offsets, targets = reference_csr(edges, n)
+        chunks = split_chunks(edges[::-1], [40, 40, 200], np.int64)
+        g = csr_from_coo_chunks(chunks, n)
+        np.testing.assert_array_equal(g.offsets, offsets)
+        np.testing.assert_array_equal(g.targets, targets)
+
+    def test_chunks_are_consumed(self):
+        chunks = split_chunks([(0, 1), (2, 1), (3, 0)], [1, 1], np.int64)
+        csr_from_coo_chunks(chunks, 4)
+        assert chunks == []
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([0, -1], [1, 2]),  # negative id
+            ([0, 1], [1, 5]),  # id == n rounds into the unused key range
+            ([0, 1], [1, 9]),  # id >= 2**s would fold into another row
+            ([0, 2**20], [1, 2]),  # far above n: would wrap a 4-byte key
+        ],
+    )
+    def test_bad_ids_raise(self, u, v):
+        with pytest.raises(ValueError, match="out of range"):
+            csr_from_coo_chunks([(np.array(u), np.array(v))], 5)
+
+    @pytest.mark.parametrize("libc", [OSError, AttributeError, TypeError])
+    def test_assembles_without_malloc_trim(self, monkeypatch, libc):
+        """The heap trim before ``targets`` is allocated is best effort:
+        a C library without ``malloc_trim`` (or none at all) changes
+        nothing in the result."""
+        edges = [(0, 3), (2, 1), (4, 0), (1, 3)]
+        offsets, targets = reference_csr(edges, 5)
+
+        def no_trim(name):
+            raise libc("no malloc_trim")
+
+        monkeypatch.setattr(csr_module.ctypes, "CDLL", no_trim)
+        g = csr_from_coo_chunks(split_chunks(edges, [2], np.int64), 5)
+        np.testing.assert_array_equal(g.offsets, offsets)
+        np.testing.assert_array_equal(g.targets, targets)
+
+
+class TestAssemblyMemory:
+    """Peak scratch is one ``m``-long key array next to ``targets``
+    plus O(block) temporaries: a second key array or a ``2m``-long
+    selector would break the bound."""
+
+    def test_traced_peak_bound(self):
+        n, m = 5000, 6 << 20
+        rng = np.random.default_rng(0)
+        u = rng.integers(0, n - 1, m, dtype=np.int32)
+        v = (u + rng.integers(1, n - u, dtype=np.int32)).astype(np.int32)
+        chunks = [(u[a : a + (m >> 6)], v[a : a + (m >> 6)]) for a in range(0, m, m >> 6)]
+        del u, v
+        key_itemsize = 4  # 2 * bit_length(n - 1) <= 31
+        tracemalloc.start()
+        try:
+            g = csr_from_coo_chunks(chunks, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.targets.nbytes == 2 * m * 4
+        assert peak <= g.targets.nbytes + m * key_itemsize + (32 << 20)
