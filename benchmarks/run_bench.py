@@ -43,16 +43,6 @@ round-parallelism); the delta is recorded, not hidden.
   bit-identity assertion, since a snapshot that perturbed the
   trajectory would defeat its purpose.
 
-- **fused iterate** (new) — every row above now runs the fused
-  pipeline (worker-side edge sweep, streamed CSR assembly); a
-  ``tiled_unfused`` row keeps the classic iterate on the trajectory.
-  ``fused_speedup`` is classic/fused wall time and
-  ``dispatcher_serial_fraction`` shows the dispatcher-side
-  O(|Ec|) edge sweep going from a measured fraction of the classic
-  iteration to exactly zero in the fused one (the sweep happens on
-  the workers, per strip).  The unfused colorings join the
-  bit-identity assertion: fusion is a pure dataflow change.
-
 - **kernel backend** (new) — when the numba runtime imports, a
   ``tiled_numba`` row runs the same serial tiled iterate with the
   compiled kernel backend (``PicassoParams(kernel_backend="numba")``)
@@ -169,8 +159,6 @@ def run_config(pauli_set, params: PicassoParams, seed: int, repeats: int = 2) ->
         "conflict_color_s": round(phases["conflict_coloring"], 4),
         "sweep_s": round(phases["sweep"], 4),
         "assemble_s": round(phases["assemble"], 4),
-        "edge_sweep_s": round(phases["edge_sweep"], 4),
-        "fused": bool(result.iterations and result.iterations[0].fused),
         "n_colors": int(result.n_colors),
         "n_iterations": result.n_iterations,
         "color_engine": result.engine,
@@ -254,17 +242,13 @@ def disabled_overhead_pct(headline_total_s: float, snap: dict) -> tuple[float, f
 
 
 def phase_breakdown(row: dict) -> dict:
-    """Build-vs-color wall-time split of one config row, including the
-    dispatcher-side edge-sweep bucket — identically zero in fused rows
-    (the sweep runs worker-side, folded into ``build_s``)."""
+    """Build-vs-color wall-time split of one config row."""
     total = max(row["total_s"], 1e-9)
     return {
         "build_s": row["conflict_build_s"],
         "color_s": row["conflict_color_s"],
-        "dispatcher_edge_sweep_s": row["edge_sweep_s"],
         "build_fraction": round(row["conflict_build_s"] / total, 4),
         "color_fraction": round(row["conflict_color_s"] / total, 4),
-        "dispatcher_serial_fraction": round(row["edge_sweep_s"] / total, 4),
     }
 
 
@@ -317,8 +301,7 @@ def main(argv=None) -> int:
     kernel_backend = "numba" if "numba" in available_backends() else "numpy"
     report = {
         "benchmark": (
-            "fused worker-swept iterate vs the classic dispatcher-swept "
-            "one, distributed socket-sharded sweep+coloring vs the "
+            "distributed socket-sharded sweep+coloring vs the "
             f"single-host axes: greedy-dynamic vs {args.color_engine} "
             "coloring, plus the PR 1-3 backend/gather rows"
         ),
@@ -366,13 +349,8 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
     """The per-case measurement loop (cluster lifetime owned by main)."""
     for name, n, nq in cases:
         pauli_set = random_pauli_set(n, nq, seed=0)
-        # PR 1-3 axes (greedy-dynamic coloring throughout).  The rows
-        # run the PR 7 fused iterate (the default); tiled_unfused keeps
-        # the classic dispatcher-swept iterate on the trajectory.
+        # PR 1-3 axes (greedy-dynamic coloring throughout).
         tiled = run_config(pauli_set, PicassoParams(engine="tiled"), args.seed)
-        tiled_unfused = run_config(
-            pauli_set, PicassoParams(engine="tiled", fused=False), args.seed
-        )
         tiled_par = run_config(
             pauli_set,
             PicassoParams(engine="tiled", n_workers=args.workers),
@@ -437,8 +415,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
                 args.seed,
             )
         identical = bool(
-            np.array_equal(tiled["colors"], tiled_unfused["colors"])
-            and np.array_equal(tiled["colors"], gather["colors"])
+            np.array_equal(tiled["colors"], gather["colors"])
             and np.array_equal(tiled["colors"], tiled_par["colors"])
             and np.array_equal(tiled["colors"], tiled_shm["colors"])
             and np.array_equal(tiled["colors"], cluster_row["colors"])
@@ -459,7 +436,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             color_serial["n_colors"] == color_pool["n_colors"]
         )
         for row in (
-            tiled, tiled_unfused, tiled_par, tiled_shm, gather,
+            tiled, tiled_par, tiled_shm, gather,
             color_serial, color_pool, cluster_row, checkpointed,
             *([tiled_compiled] if tiled_compiled else []),
         ):
@@ -493,9 +470,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             / max(tiled["n_colors"], 1),
             2,
         )
-        # The PR 7 headlines: classic/fused wall-time ratio, and the
-        # dispatcher-side O(|Ec|) edge sweep as a fraction of the run —
-        # measurable in the classic iterate, identically zero fused.
         # The PR 9 headline: numpy/compiled ratio of the conflict-build
         # (sweep) phase — None where no compiled runtime imports.
         compiled_kernel_speedup = (
@@ -507,18 +481,11 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             if tiled_compiled is not None
             else None
         )
-        fused_speedup = tiled_unfused["total_s"] / max(tiled["total_s"], 1e-9)
-        unfused_phases = phase_breakdown(tiled_unfused)
-        dispatcher_serial_fraction = {
-            "classic": unfused_phases["dispatcher_serial_fraction"],
-            "fused": phase_breakdown(tiled)["dispatcher_serial_fraction"],
-        }
         row = {
             "name": name,
             "n_strings": n,
             "n_qubits": nq,
             "tiled": tiled,
-            "tiled_unfused": tiled_unfused,
             "tiled_parallel": tiled_par,
             "tiled_parallel_shm": tiled_shm,
             "gather": gather,
@@ -535,12 +502,9 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             # choice and must not collapse the dict onto the baseline.
             "phase_breakdown": {
                 "baseline_greedy_dynamic": greedy_phases,
-                "classic_unfused": unfused_phases,
                 f"color_{args.color_engine}": parallel_phases,
             },
-            "fused_speedup": round(fused_speedup, 2),
             "compiled_kernel_speedup": compiled_kernel_speedup,
-            "dispatcher_serial_fraction": dispatcher_serial_fraction,
             "engine_speedup": round(engine_speedup, 2),
             "workers_build_speedup": round(workers_build_speedup, 2),
             "shm_gather_build_speedup": round(shm_gather_build_speedup, 2),
@@ -574,9 +538,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             f"{parallel_phases['color_fraction']:.2f}) "
             f"ckpt_overhead {checkpoint_overhead_pct:+.1f}% "
             f"quality {quality_delta_pct:+.1f}% "
-            f"fused {fused_speedup:.2f}x (edge-sweep fraction "
-            f"{dispatcher_serial_fraction['classic']:.3f}->"
-            f"{dispatcher_serial_fraction['fused']:.3f}) "
             + (
                 f"compiled({kernel_backend}) {compiled_kernel_speedup:.2f}x "
                 if compiled_kernel_speedup is not None

@@ -146,8 +146,6 @@ def _make_params(args: argparse.Namespace):
         overrides["failover"] = args.failover
     if getattr(args, "max_retries", None) is not None:
         overrides["max_retries"] = args.max_retries
-    if getattr(args, "fused", None) is not None:
-        overrides["fused"] = args.fused
     if getattr(args, "kernel_backend", None) is not None:
         overrides["kernel_backend"] = args.kernel_backend
     return base.with_(**overrides)
@@ -157,8 +155,8 @@ def _write_metrics(path: str, result, algorithm: str) -> None:
     """The ``color`` run summary: uniform schema plus per-iteration
     stats and phase wall-time buckets.
 
-    Picasso results carry the full iteration trace (including the PR 7
-    sweep / assemble / edge_sweep split); baseline algorithms get the
+    Picasso results carry the full iteration trace (including the
+    sweep / assemble split of the build); baseline algorithms get the
     headline numbers with ``null`` iteration fields.
     """
     import dataclasses
@@ -469,13 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         "numpy); numba is a compiled CPU path, cupy a GPU path — both "
         "bit-identical to numpy, with a stderr note and numpy fallback "
         "when the requested runtime is not importable",
-    )
-    p.add_argument(
-        "--fused", action=argparse.BooleanOptionalAction, default=None,
-        help="fuse the iteration: workers pre-sweep per-strip conflict "
-        "vertices so the dispatcher skips its O(|Ec|) edge sweep "
-        "(default on, also via REPRO_FUSED=0/1; bit-identical either "
-        "way — --no-fused keeps the classic iterate)",
     )
     p.add_argument("--validate", action="store_true")
     p.add_argument("--output", "-o", default=None, help="write per-vertex colors")

@@ -14,9 +14,6 @@ from repro.core.analysis import (
     sublinear_space_bound,
 )
 from repro.coloring import (
-    # Via the coloring package's public API, not the deprecated
-    # repro.core.list_coloring shim — importing repro.core must not
-    # trip the shim's DeprecationWarning.
     greedy_list_color_dynamic,
     greedy_list_color_static,
 )

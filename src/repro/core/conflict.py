@@ -27,6 +27,11 @@ gathers results in deterministic strip order.  All paths feed the same
 sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`),
 whose rows depend on the edge set alone, so serial and parallel builds
 are bit-identical per seed.
+
+The Picasso driver calls :func:`build_fused_conflict_state`, which
+returns the conflicted sub-CSR directly.  :func:`build_conflict_graph`
+returns the full-width graph: the public API and the differential
+reference the tests compare the driver's build against.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ def build_conflict_graph(
     active_idx: np.ndarray | None = None,
     hosts=None,
     transport: str = "socket",
-    timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Build the conflict graph over ``n`` active vertices on the host.
@@ -108,9 +112,6 @@ def build_conflict_graph(
         backend (spec ``"cluster"``, or ``"auto"`` with hosts set; see
         :mod:`repro.distributed`).  Sharded builds stay bit-identical
         to serial — strips merge in canonical order.
-    timings:
-        Optional dict accumulating ``sweep_s`` / ``assemble_s`` phase
-        buckets (see :func:`repro.parallel.pool.gathered_conflict_csr`).
     kernel_backend:
         Kernel-backend *name* (:mod:`repro.device.backends`) for the
         sweep's hot kernels; ``None`` runs the direct numpy path.
@@ -125,7 +126,7 @@ def build_conflict_graph(
             n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex, shm=shm,
             est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx, timings=timings,
+            source=source, active_idx=active_idx,
             kernel_backend=kernel_backend,
         )
 
@@ -150,12 +151,16 @@ def build_fused_conflict_state(
     timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, np.ndarray, int]:
-    """Fused variant of :func:`build_conflict_graph`: returns the
+    """The conflict build of every host Picasso iteration: returns the
     conflicted-subgraph CSR, the conflict vertex ids and the edge count
-    in one pass, with the O(|Ec|) dispatcher edge sweep done on the
-    workers (see :func:`repro.parallel.pool.fused_conflict_csr`).
-    Bit-identical state to the classic build + degree scan +
-    induced-subgraph sequence, on every backend.
+    in one pass, without the full-width graph (see
+    :func:`repro.parallel.pool.fused_conflict_csr`).  Bit-identical
+    state to :func:`build_conflict_graph` followed by a degree scan and
+    ``induced_subgraph``, on every backend.  Parameters as for
+    :func:`build_conflict_graph`, plus ``region_pool`` (a
+    :class:`repro.parallel.shm.ShmRegionPool` reused across sweeps) and
+    ``timings`` (a dict accumulating the ``sweep_s`` / ``assemble_s``
+    phase buckets).
     """
     with owned_executor(
         executor, n_workers, hosts=hosts, transport=transport

@@ -22,7 +22,7 @@ from repro import telemetry
 from repro.coloring.base import ColoringResult
 from repro.coloring.engine import get_engine
 from repro.core.analysis import expected_conflict_edges
-from repro.core.conflict import build_conflict_graph, build_fused_conflict_state
+from repro.core.conflict import build_fused_conflict_state
 from repro.core.palette import assign_color_lists, lists_nbytes
 from repro.core.params import PicassoParams
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
@@ -63,15 +63,12 @@ class IterationStats:
     built_on_device: bool | None = None
     color_rounds: int = 1
     color_peak_bytes: int = 0
-    #: Sub-buckets of the build/color phases (PR 7 fused pipeline
-    #: telemetry).  ``sweep_s`` drains the worker hit stream,
-    #: ``assemble_s`` is the CSR build, ``edge_sweep_s`` is the
-    #: dispatcher-side degree scan + induced-subgraph relabel — zero on
-    #: the fused path, where that work rides the workers' strips.
+    #: Sub-buckets of the build phase: ``sweep_s`` drains the hit
+    #: stream (worker compute plus gather), ``assemble_s`` is the
+    #: conflicted sub-CSR build.  Zero on the device path, whose
+    #: budgeted Algorithm 3 build is timed as a whole.
     sweep_s: float = 0.0
     assemble_s: float = 0.0
-    edge_sweep_s: float = 0.0
-    fused: bool = False
 
 
 class PicassoNonConvergence(RuntimeError):
@@ -136,10 +133,8 @@ class PicassoResult(ColoringResult):
     def phase_times(self) -> dict[str, float]:
         """Cumulative seconds per phase (Fig. 3 breakdown).
 
-        The three coarse phases are joined by their sub-buckets:
-        ``sweep`` / ``assemble`` split ``conflict_graph``, and
-        ``edge_sweep`` is the dispatcher-side portion of
-        ``conflict_coloring`` that the fused pipeline eliminates.
+        The three coarse phases are joined by the sub-buckets
+        ``sweep`` / ``assemble`` that split ``conflict_graph``.
         """
         return {
             "assignment": sum(s.assign_s for s in self.iterations),
@@ -147,7 +142,6 @@ class PicassoResult(ColoringResult):
             "conflict_coloring": sum(s.conflict_color_s for s in self.iterations),
             "sweep": sum(s.sweep_s for s in self.iterations),
             "assemble": sum(s.assemble_s for s in self.iterations),
-            "edge_sweep": sum(s.edge_sweep_s for s in self.iterations),
         }
 
 
@@ -220,11 +214,12 @@ class Picasso:
             hosts=params.hosts, transport=params.transport,
             failover=params.failover, max_retries=params.max_retries,
         )
-        # Double-buffered shm regions reused across the run's fused
+        # Double-buffered shm regions reused across the run's host
         # sweeps (instead of create/zero/unlink churn per iteration);
-        # run-scoped like the executor, closed with it.
+        # run-scoped like the executor, closed with it.  The device
+        # build charges each region to its budget, so it never pools.
         region_pool = None
-        if params.shm_gather and self.device is None and params.resolved_fused():
+        if params.shm_gather and self.device is None:
             from repro.parallel.shm import ShmRegionPool
 
             region_pool = ShmRegionPool()
@@ -265,10 +260,6 @@ class Picasso:
         iterations: list[IterationStats] = []
         peak_bytes = 0
         start_iteration = 1
-        # Fused iterate: workers pre-sweep conflict vertices and the
-        # dispatcher assembles the conflicted sub-CSR directly.  Host
-        # path only — the device build owns its own budgeted assembly.
-        fused = self.device is None and params.resolved_fused()
 
         ckpt_dir = params.checkpoint_dir
         fingerprint = (
@@ -353,11 +344,18 @@ class Picasso:
                     )
                     n_conf_edges = build_stats.n_conflict_edges
                     built_on_device = build_stats.built_on_device
-                elif fused:
-                    # Fused iterate: the sweep comes back as
-                    # coloring-round state — conflicted vertex ids plus
-                    # their sub-CSR — with the edge-level degree scan
-                    # already folded into the workers' strips.
+                    # The device build returns the full-width graph;
+                    # reduce it to the same coloring state the host
+                    # build returns.  The Table IV term stays the full
+                    # graph, which is what the device holds.
+                    conflicted = np.flatnonzero(gc.degree())
+                    sub_gc, _ = induced_subgraph(gc, conflicted)
+                    graph_nbytes = gc.nbytes
+                    del gc
+                else:
+                    # The sweep comes back as coloring-round state:
+                    # conflicted vertex ids plus their sub-CSR, with no
+                    # full-width graph in between.
                     sub_gc, conflicted, n_conf_edges = (
                         build_fused_conflict_state(
                             n,
@@ -377,23 +375,7 @@ class Picasso:
                             kernel_backend=kb,
                         )
                     )
-                else:
-                    gc, n_conf_edges = build_conflict_graph(
-                        n,
-                        active_source.edge_mask,
-                        colmasks,
-                        chunk_size=params.chunk_size,
-                        engine=params.engine,
-                        edge_block_fn=edge_block_fn,
-                        tile_bytes=params.tile_budget_bytes,
-                        executor=executor,
-                        shm=params.shm_gather,
-                        est_conflict_edges=est_edges,
-                        source=source,
-                        active_idx=active_idx,
-                        timings=timings,
-                        kernel_backend=kb,
-                    )
+                    graph_nbytes = sub_gc.nbytes + conflicted.nbytes
             t_build = telemetry.clock() - t0
 
             # Lines 8-9: color unconflicted vertices from their lists,
@@ -401,25 +383,9 @@ class Picasso:
             t0 = telemetry.clock()
             with telemetry.span("picasso.conflict_color", iteration=it):
                 local_colors = np.full(n, -1, dtype=np.int64)
-                if fused:
-                    # The conflicted set is in hand; its complement is
-                    # the same ascending id list the degree scan would
-                    # produce.
-                    umask = np.ones(n, dtype=bool)
-                    umask[conflicted] = False
-                    unconflicted = np.flatnonzero(umask)
-                    graph_nbytes = sub_gc.nbytes + conflicted.nbytes
-                else:
-                    t_es = telemetry.clock()
-                    with telemetry.span("picasso.edge_sweep", iteration=it):
-                        degrees = gc.degree()
-                        unconflicted = np.nonzero(degrees == 0)[0]
-                        conflicted = np.nonzero(degrees > 0)[0]
-                        sub_gc = None
-                        if len(conflicted):
-                            sub_gc, _ = induced_subgraph(gc, conflicted)
-                    timings["edge_sweep_s"] = telemetry.clock() - t_es
-                    graph_nbytes = gc.nbytes
+                umask = np.ones(n, dtype=bool)
+                umask[conflicted] = False
+                unconflicted = np.flatnonzero(umask)
                 local_colors[unconflicted] = col_lists[unconflicted, 0]
 
                 color_rounds = 0
@@ -449,10 +415,8 @@ class Picasso:
             # but kept out of the Table IV peak metric, whose definition
             # predates the engine layer — changing it would break the
             # cross-PR memory trajectory.
-            # The fused path never holds the full-width graph, so its
-            # term is the conflicted sub-CSR plus the vertex ids — the
-            # same definition the unfused path converges to after its
-            # induced_subgraph, just without the transient full graph.
+            # The host build never holds the full-width graph, so its
+            # term is the conflicted sub-CSR plus the vertex ids.
             iter_peak = (
                 active_source.nbytes
                 + lists_nbytes(col_lists, colmasks)
@@ -479,8 +443,6 @@ class Picasso:
                     color_peak_bytes=int(color_peak),
                     sweep_s=float(timings.get("sweep_s", 0.0)),
                     assemble_s=float(timings.get("assemble_s", 0.0)),
-                    edge_sweep_s=float(timings.get("edge_sweep_s", 0.0)),
-                    fused=fused,
                 )
             )
 

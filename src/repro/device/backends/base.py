@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: Environment override consulted by :func:`resolve_backend` when no
-#: explicit backend name is given (mirrors ``REPRO_FUSED`` and the
+#: explicit backend name is given (mirrors ``REPRO_TELEMETRY`` and the
 #: executor envs).
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 

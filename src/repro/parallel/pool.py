@@ -35,7 +35,9 @@ seed.
 Hit arrays travel back either pickled through the result pipe (the
 default) or through a shared-memory COO region
 (:mod:`repro.parallel.shm`) where workers write into reserved slices
-and only hit counts cross the pipe.
+and only hit counts cross the pipe.  That makes four worker sweep
+tasks, ``{tile strip, pair range} x {pickled, shm}``, and one gather
+seam, :func:`conflict_hit_chunks`, which every build drains.
 
 Per-sweep worker state (colmasks, derived oracle, tile scratch) is
 cleared in a ``finally`` on the dispatcher side after every sweep —
@@ -449,50 +451,6 @@ def run_pair_range_shm(task) -> int:
     return write_strip_hits(u, v, spec)
 
 
-def _strip_verts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sorted unique endpoint ids of one strip's hits — the pre-swept
-    per-vertex conflict state of the fused pipeline.  Computing it here
-    moves the O(|Ec|) vertex detection off the dispatcher and onto the
-    worker; the dispatcher only ORs each strip's (much smaller) vertex
-    set into its global conflict mask.  A scatter into an ``n``-wide
-    mask is linear in the hits, where a sort-based unique of an index
-    row block's ~1M endpoints cost as much as half its oracle."""
-    if not len(u):
-        return np.empty(0, dtype=np.int64)
-    seen = np.zeros(_WORKER["n"], dtype=bool)
-    seen[u] = True
-    seen[v] = True
-    return np.flatnonzero(seen)
-
-
-def _run_tile_strip_fused(task):
-    """Worker task: tile-strip sweep plus per-strip conflict vertices."""
-    u, v = _run_tile_strip(task)
-    return u, v, _strip_verts(u, v)
-
-
-def _run_pair_range_fused(task):
-    """Worker task: pair-range sweep plus per-strip conflict vertices."""
-    u, v = _run_pair_range(task)
-    return u, v, _strip_verts(u, v)
-
-
-def run_tile_strip_shm_fused(task) -> tuple[int, np.ndarray]:
-    """Worker task: tile strip into a shared COO slice, returning the
-    hit count (negated on overflow) and the strip's conflict vertices
-    (valid either way — the sweep ran even when the write did not)."""
-    (start, stop), spec = task
-    u, v = _run_tile_strip((start, stop))
-    return write_strip_hits(u, v, spec), _strip_verts(u, v)
-
-
-def run_pair_range_shm_fused(task) -> tuple[int, np.ndarray]:
-    """Worker task: pair range into a shared COO slice, fused variant."""
-    (start, stop), spec = task
-    u, v = _run_pair_range((start, stop))
-    return write_strip_hits(u, v, spec), _strip_verts(u, v)
-
-
 def _init_block_worker(payload: dict) -> None:
     _WORKER.clear()
     _WORKER.update(payload)
@@ -605,6 +563,15 @@ def sweep_strip_tasks(
     return tasks, weights
 
 
+def _check_sweep_args(engine: str, chunk_size: int) -> None:
+    if engine not in ("tiled", "pairs"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if chunk_size < 1:
+        # A non-positive step would make every pair range empty (or
+        # raise deep inside ``range``) instead of sweeping it.
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+
+
 def conflict_sweep_chunks(
     n: int,
     edge_mask_fn,
@@ -640,8 +607,7 @@ def conflict_sweep_chunks(
     state is cleared in a ``finally`` whether the sweep completes or
     aborts.
     """
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
+    _check_sweep_args(engine, chunk_size)
     index, tile = sweep_plan(
         n, colmasks, engine, tile, tile_bytes, edge_mask_fn
     )
@@ -686,6 +652,7 @@ def conflict_hit_chunks(
     source=None,
     active_idx: np.ndarray | None = None,
     region_cb=None,
+    region_pool=None,
     kernel_backend: str | None = None,
 ):
     """One gather-policy seam for every conflict build.
@@ -701,19 +668,21 @@ def conflict_hit_chunks(
     host build, the device build and :func:`parallel_conflict_graph`
     can never diverge on it.  Shm-backed chunks are views into the
     shared region and are only valid inside the ``with`` block.
+    ``region_cb`` and ``region_pool`` pass through to
+    :func:`repro.parallel.shm.shm_conflict_gather` (budget hook and
+    cross-iteration region reuse).
     """
     # Validate up front so both gather paths reject bad input
     # identically (the pickled path would raise inside the sweep; the
     # shm partitioner would silently treat unknown engines as "pairs").
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
+    _check_sweep_args(engine, chunk_size)
     if shm and executor is not None and executor.supports_shm_gather:
         with shm_conflict_gather(
             n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
             tile_bytes=tile_bytes, tile=tile, executor=executor,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx, region_cb=region_cb,
-            kernel_backend=kernel_backend,
+            region_pool=region_pool, kernel_backend=kernel_backend,
         ) as gather:
             yield gather.chunks
         return
@@ -745,7 +714,6 @@ def gathered_conflict_csr(
     est_conflict_edges: float | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
-    timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Sweep-and-assemble: the shared back half of every host conflict
@@ -757,10 +725,6 @@ def gathered_conflict_csr(
     chunk references must be dropped *before* the gather context closes
     the shared region, or the unmap sees live buffer exports.  One copy
     of that dance, not one per caller.
-
-    ``timings``, when given, accumulates ``sweep_s`` (draining the hit
-    stream — worker compute plus gather) and ``assemble_s`` (the CSR
-    build) into the dict, for the per-iteration phase metrics.
     """
     with conflict_hit_chunks(
         n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
@@ -770,21 +734,11 @@ def gathered_conflict_csr(
         kernel_backend=kernel_backend,
     ) as hit_stream:
         try:
-            t0 = telemetry.clock()
             with telemetry.span("sweep.gather", engine=engine):
                 chunks = [(u, v) for u, v in hit_stream if len(u)]
-            t1 = telemetry.clock()
             m = sum(len(u) for u, _ in chunks)
             with telemetry.span("sweep.assemble", engine=engine):
                 graph = csr_from_coo_chunks(chunks, n)
-            if timings is not None:
-                timings["sweep_s"] = (
-                    timings.get("sweep_s", 0.0) + (t1 - t0)
-                )
-                timings["assemble_s"] = (
-                    timings.get("assemble_s", 0.0)
-                    + (telemetry.clock() - t1)
-                )
         finally:
             chunks = None
     return graph, m
@@ -797,11 +751,11 @@ def _fused_sub_csr(
 ) -> tuple[CSRGraph, np.ndarray]:
     """Assemble the conflicted-subgraph CSR directly from hit chunks.
 
-    ``mask`` flags the conflict vertices (the union of all strip vertex
-    sets).  The relabel ``old -> new`` is strictly monotone, so it maps
+    ``mask`` flags the conflict vertices (every hit endpoint).  The
+    relabel ``old -> new`` is strictly monotone, so it maps
     each row's neighbours above and below it onto the same sides in
     the same order, and the sort-key assembly (whose rows depend on the
-    edge set alone) makes this CSR **bit-identical** to the unfused
+    edge set alone) makes this CSR **bit-identical** to
     ``induced_subgraph(csr_from_coo_chunks(chunks, n), conflicted)``
     (on the conflicted set the induced relabel drops zero arcs, so it
     too is a pure monotone relabel) while never materializing the
@@ -809,8 +763,7 @@ def _fused_sub_csr(
 
     ``chunks`` is consumed: each original leaves the list as its
     renumbered copy (4-byte ids while they fit) is made, so the hits
-    and their copies never coexist in full (for an shm gather this
-    also drops the region views early).
+    and their copies never coexist in full.
     """
     conflicted = np.flatnonzero(mask)
     new_id = np.cumsum(mask, dtype=index_dtype(n)) - 1
@@ -840,104 +793,50 @@ def fused_conflict_csr(
     timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, np.ndarray, int]:
-    """Fused sweep-and-assemble: one pass from pair sweep to
-    coloring-ready conflict state.
+    """Sweep-and-assemble into coloring-ready conflict state.
 
-    Workers emit each strip's hits *plus* its pre-swept conflict-vertex
-    set, so the dispatcher-side O(|Ec|) edge sweep of the unfused path
-    (full-width CSR build, degree scan, induced-subgraph relabel) is
-    replaced by OR-ing per-strip vertex sets into a mask and assembling
-    the conflicted sub-CSR directly.  Returns ``(sub_gc, conflicted,
-    n_conflict_edges)`` where ``sub_gc`` is bit-identical to the
-    unfused ``induced_subgraph`` result and ``conflicted`` to the
-    unfused ``nonzero(degree > 0)`` vertex set.
+    Drains the hit stream of :func:`conflict_hit_chunks` once, marking
+    each chunk's endpoints in an ``n``-wide conflict mask as it lands,
+    then assembles the conflicted sub-CSR directly — no full-width
+    graph, degree scan or induced-subgraph relabel.  Returns ``(sub_gc,
+    conflicted, n_conflict_edges)`` where ``sub_gc`` is bit-identical
+    to ``induced_subgraph`` of the :func:`gathered_conflict_csr` graph
+    and ``conflicted`` to its ``nonzero(degree > 0)`` vertex set.
 
     ``region_pool`` (a :class:`repro.parallel.shm.ShmRegionPool`)
     double-buffers the shm gather regions across iterations.
-    ``timings`` accumulates ``sweep_s`` / ``assemble_s``.
+    ``timings``, when given, accumulates ``sweep_s`` (draining the hit
+    stream — worker compute plus gather) and ``assemble_s`` (the
+    sub-CSR build), for the per-iteration phase metrics.
     """
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
-    t0 = telemetry.clock()
     mask = np.zeros(n, dtype=bool)
     chunks: list[tuple[np.ndarray, np.ndarray]] = []
     m = 0
-    if executor is None or isinstance(executor, SerialExecutor):
-        # In-process sweep: there is no worker to pre-sweep on, so the
-        # vertex detection scatters endpoints directly per chunk (same
-        # set as the per-strip unique, no sort needed).
-        stream = conflict_sweep_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=executor,
-            source=source, active_idx=active_idx,
-            kernel_backend=kernel_backend,
-        )
+    t0 = telemetry.clock()
+    with conflict_hit_chunks(
+        n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
+        tile_bytes=tile_bytes, executor=executor, shm=shm,
+        est_conflict_edges=est_conflict_edges,
+        source=source, active_idx=active_idx, region_pool=region_pool,
+        kernel_backend=kernel_backend,
+    ) as hit_stream:
         try:
             with telemetry.span("sweep.gather", engine=engine):
-                for u, v in stream:
+                for u, v in hit_stream:
                     if len(u):
-                        chunks.append((u, v))
                         mask[u] = True
                         mask[v] = True
                         m += len(u)
-        finally:
-            stream.close()
-        t1 = telemetry.clock()
-        with telemetry.span("sweep.assemble", engine=engine):
-            sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
-    elif shm and executor.supports_shm_gather:
-        with shm_conflict_gather(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=executor,
-            est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx,
-            fused=True, region_pool=region_pool,
-            kernel_backend=kernel_backend,
-        ) as gather:
-            with telemetry.span("sweep.gather", engine=engine):
-                for verts in gather.strip_verts:
-                    if len(verts):
-                        mask[verts] = True
-            m = gather.n_edges
-            t1 = telemetry.clock()
-            # Assemble inside the context straight from the gather's own
-            # chunk list (holding no views of our own, which would pin
-            # the region when the context closes it); the renumbered
-            # chunks are fresh arrays, and each view is dropped as its
-            # copy lands.
-            with telemetry.span("sweep.assemble", engine=engine):
-                sub_gc, conflicted = _fused_sub_csr(n, mask, gather.chunks)
-    else:
-        index, tile = sweep_plan(
-            n, colmasks, engine, None, tile_bytes, edge_mask_fn
-        )
-        tasks, _ = sweep_strip_tasks(n, engine, tile, executor, index)
-        task_fn = (
-            _run_tile_strip_fused if engine == "tiled"
-            else _run_pair_range_fused
-        )
-        payload_args = dict(
-            n=n, engine=engine, tile=tile, chunk_size=chunk_size,
-            colmasks=colmasks, edge_mask_fn=edge_mask_fn,
-            edge_block_fn=edge_block_fn,
-            source=source, active_idx=active_idx, executor=executor,
-            kernel_backend=kernel_backend, plan=index,
-        )
-        try:
-            with telemetry.span("sweep.gather", engine=engine):
-                for u, v, verts in imap_sweep(
-                    executor, task_fn, tasks, payload_args
-                ):
-                    if len(verts):
-                        mask[verts] = True
-                    if len(u):
                         chunks.append((u, v))
-                        m += len(u)
+            t1 = telemetry.clock()
+            # Assembled inside the context: shm chunks are views of the
+            # shared region, valid only until the context closes it.
+            with telemetry.span("sweep.assemble", engine=engine):
+                sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
         finally:
-            finalize_sweep(executor)
-        t1 = telemetry.clock()
-        with telemetry.span("sweep.assemble", engine=engine):
-            sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
+            # No view may outlive the gather context, which unmaps the
+            # region: not the loop variables, not an unconsumed list.
+            chunks = u = v = None
     if timings is not None:
         timings["sweep_s"] = timings.get("sweep_s", 0.0) + (t1 - t0)
         timings["assemble_s"] = (

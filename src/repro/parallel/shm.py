@@ -334,13 +334,9 @@ class ShmGatherResult:
     ``chunks`` holds per-strip ``(u, v)`` int64 views into the shared
     region(s), in canonical strip order — the exact stream the pickled
     gather would have produced, valid only inside the gather context.
-    A fused sweep also fills ``strip_verts``: each strip's sorted
-    unique conflict-vertex ids (plain arrays off the result pipe, one
-    entry per strip, aligned with the task order).
     """
 
     chunks: list = field(default_factory=list)
-    strip_verts: list = field(default_factory=list)
     n_edges: int = 0
     n_strips: int = 0
     n_zero_strips: int = 0
@@ -365,7 +361,6 @@ def shm_conflict_gather(
     source=None,
     active_idx: np.ndarray | None = None,
     region_cb=None,
-    fused: bool = False,
     region_pool: "ShmRegionPool | None" = None,
     kernel_backend: str | None = None,
 ):
@@ -385,14 +380,10 @@ def shm_conflict_gather(
     (see :mod:`repro.parallel.pool`).  Works with any executor; the
     serial backend simply runs the same strip tasks in-process.
 
-    ``fused`` runs the fused strip tasks, which additionally return
-    each strip's pre-swept conflict-vertex set through the result pipe
-    (filling ``result.strip_verts``); overflowed strips keep their
-    main-pass vertex set — the sweep ran even though the write did not,
-    and the retry's identical set is discarded.  ``region_pool``
-    (a :class:`ShmRegionPool`) supplies the *main* region from a reused
-    double-buffered pool instead of a per-sweep segment; the pool owns
-    that region's lifetime, while retry regions always stay per-sweep.
+    ``region_pool`` (a :class:`ShmRegionPool`) supplies the *main*
+    region from a reused double-buffered pool instead of a per-sweep
+    segment; the pool owns that region's lifetime, while retry regions
+    always stay per-sweep.
     Pooled acquisitions skip ``region_cb`` (the budget hook charges new
     segments, and the device build never pools).
     """
@@ -426,16 +417,10 @@ def shm_conflict_gather(
         source=source, active_idx=active_idx, executor=executor,
         kernel_backend=kernel_backend, plan=index,
     )
-    if fused:
-        task_fn = (
-            _pool.run_tile_strip_shm_fused if engine == "tiled"
-            else _pool.run_pair_range_shm_fused
-        )
-    else:
-        task_fn = (
-            _pool.run_tile_strip_shm if engine == "tiled"
-            else _pool.run_pair_range_shm
-        )
+    task_fn = (
+        _pool.run_tile_strip_shm if engine == "tiled"
+        else _pool.run_pair_range_shm
+    )
 
     regions: list[ShmCooRegion] = []
 
@@ -447,12 +432,6 @@ def shm_conflict_gather(
         telemetry.count("shm.region.create")
         regions.append(region)
         return region
-
-    def _counts(raw: list) -> list[int]:
-        """Split fused ``(count, verts)`` results; bare counts pass through."""
-        if not fused:
-            return raw
-        return [c for c, _ in raw]
 
     try:
         if region_pool is not None:
@@ -466,12 +445,9 @@ def shm_conflict_gather(
             )
             for k, t in enumerate(tasks)
         ]
-        raw = list(
+        counts = list(
             _pool.imap_sweep(executor, task_fn, shm_tasks, payload_args)
         )
-        counts = _counts(raw)
-        if fused:
-            result.strip_verts = [verts for _, verts in raw]
 
         # Grow-and-retry: strips that overflowed reported their exact
         # hit count; a second region sized by those counts re-runs just
@@ -504,9 +480,9 @@ def shm_conflict_gather(
             # re-install the payload (a delta no-op while the token is
             # still held) so a worker respawned since the main pass
             # does not run the strip against empty state.
-            retry_counts = _counts(list(
+            retry_counts = list(
                 _pool.imap_sweep(executor, task_fn, retry_tasks, payload_args)
-            ))
+            )
             for r, k in enumerate(failed):
                 if retry_counts[r] < 0:  # pragma: no cover - exact sizing
                     raise RuntimeError("shm retry region overflowed")
@@ -532,7 +508,6 @@ def shm_conflict_gather(
         # a rebind would leave their reference still pinning the views.
         _pool.finalize_sweep(executor)
         result.chunks.clear()
-        result.strip_verts.clear()
         for r in regions:
             r.close()
             r.unlink()

@@ -58,7 +58,7 @@ __all__ = [
 
 #: Environment knob: a truthy value enables telemetry when
 #: ``PicassoParams(telemetry=None)`` leaves the choice open (mirrors
-#: ``REPRO_FUSED`` / ``REPRO_KERNEL_BACKEND``).
+#: ``REPRO_KERNEL_BACKEND``).
 ENV_VAR = "REPRO_TELEMETRY"
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})

@@ -318,49 +318,3 @@ class TestBaselineProvenance:
             assert r.engine, r.algorithm
             assert r.n_rounds >= 1, r.algorithm
             assert r.peak_bytes > 0, r.algorithm
-
-
-class TestShim:
-    def _fresh_shim_import(self):
-        """Import the shim as if for the first time (the module-level
-        warning fires once per import, so drop any cached module)."""
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.list_coloring", None)
-        return importlib.import_module("repro.core.list_coloring")
-
-    def test_import_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="repro.core.list_coloring"):
-            self._fresh_shim_import()
-
-    def test_core_list_coloring_reexports(self):
-        import warnings
-
-        import repro.coloring.greedy_list as new
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = self._fresh_shim_import()
-
-        assert shim.greedy_list_color_dynamic is new.greedy_list_color_dynamic
-        assert (
-            shim.greedy_list_color_dynamic_sets
-            is new.greedy_list_color_dynamic_sets
-        )
-        assert shim.greedy_list_color_static is new.greedy_list_color_static
-        assert "DEPRECATED" in shim.__doc__
-
-    def test_repro_core_import_does_not_warn(self):
-        """The package __init__ must import from the engine home, not
-        the shim — `import repro.core` alone never warns."""
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c",
-             "import repro.core"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr

@@ -24,11 +24,24 @@ class TestValidation:
             {"engine": "warp"},
             {"n_workers": 0},
             {"executor": "threads"},
+            {"chunk_size": 0},
+            {"chunk_size": -1},
+            {"min_palette": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PicassoParams(**kwargs)
+
+    def test_chunk_size_rejected_before_the_pool_runs(self):
+        """A negative step used to turn every pool pair range into an
+        empty ``range`` and return an improper coloring."""
+        with pytest.raises(ValueError, match="chunk_size"):
+            PicassoParams(engine="pairs", chunk_size=-1, n_workers=2)
+
+    def test_fused_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            PicassoParams(fused=True)
 
     def test_backend_defaults(self):
         p = PicassoParams()

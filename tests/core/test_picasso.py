@@ -17,6 +17,7 @@ from repro.core import (
 from repro.core.sources import PauliComplementSource
 from repro.coloring import greedy_coloring
 from repro.datasets import load_molecule
+from repro.device.sim import DeviceSim
 from repro.graphs import complement_graph, complete_graph, erdos_renyi
 from repro.pauli import random_pauli_set
 
@@ -87,6 +88,36 @@ class TestGoldenColorings:
         colors = np.asarray(r.colors, dtype="<i8")
         digest = hashlib.sha256(colors.tobytes()).hexdigest()
         assert digest == self.GOLDEN[(case, seed)]
+
+
+class TestDevicePath:
+    """Algorithm 1 through the DeviceSim build (Algorithm 3) reaches
+    the host run's exact colors: the full-width device graph reduced by
+    a degree scan and ``induced_subgraph`` is the host build's state."""
+
+    @pytest.mark.parametrize("preset", [normal_params, aggressive_params])
+    @pytest.mark.parametrize("n,nq,ps_seed,seed", [
+        (150, 8, 5, 1), (200, 8, 2, 4), (120, 7, 3, 1),
+    ])
+    def test_colors_match_host(self, preset, n, nq, ps_seed, seed):
+        ps = random_pauli_set(n, nq, seed=ps_seed)
+        host = Picasso(preset(), seed=seed).color(ps)
+        device = Picasso(
+            preset(), device=DeviceSim(budget_bytes=1 << 28), seed=seed
+        ).color(ps)
+        np.testing.assert_array_equal(host.colors, device.colors)
+        assert all(s.built_on_device is not None for s in device.iterations)
+
+    def test_peak_bytes_model_pinned(self):
+        """The Table IV model: the host term is the conflicted sub-CSR
+        plus its vertex ids, the device term the full-width graph."""
+        ps = random_pauli_set(150, 8, seed=5)
+        host = Picasso(normal_params(), seed=1).color(ps)
+        device = Picasso(
+            normal_params(), device=DeviceSim(budget_bytes=1 << 28), seed=1
+        ).color(ps)
+        assert host.peak_bytes == 64576
+        assert device.peak_bytes == 63376
 
 
 class TestEngines:
@@ -168,20 +199,11 @@ class TestIterationTrace:
         phases = r.phase_times()
         assert set(phases) == {
             "assignment", "conflict_graph", "conflict_coloring",
-            "sweep", "assemble", "edge_sweep",
+            "sweep", "assemble",
         }
-        # Default run is fused: the dispatcher edge sweep is eliminated
-        # and the build splits into its sweep/assemble sub-buckets.
-        assert all(s.fused for s in r.iterations)
-        assert phases["edge_sweep"] == 0.0
+        # The build splits into its sweep/assemble sub-buckets.
         assert phases["sweep"] > 0.0
         assert phases["assemble"] > 0.0
-
-    def test_unfused_edge_sweep_measured(self):
-        ps = random_pauli_set(100, 6, seed=7)
-        r = picasso_color(ps, PicassoParams(fused=False), seed=0)
-        assert not any(s.fused for s in r.iterations)
-        assert r.phase_times()["edge_sweep"] > 0.0
 
     def test_active_counts_decrease(self):
         ps = random_pauli_set(150, 6, seed=8)

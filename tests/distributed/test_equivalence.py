@@ -95,85 +95,54 @@ class TestConflictCSREquivalence:
         ) == count_conflict_edges(80, src.edge_mask, masks)
 
 
-class TestPicassoEquivalence:
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_sweep_coloring_identical_per_seed(self, cluster, fused):
-        """End-to-end Algorithm 1 with the default greedy-dynamic
-        coloring: serial, pool and cluster draw identical graphs, so
-        the coloring is identical per seed — in both the fused and the
-        classic iterate."""
-        ps = random_pauli_set(150, 8, seed=9)
-        serial = Picasso(params=PicassoParams(fused=fused), seed=11).color(ps)
-        pool = Picasso(
-            params=PicassoParams(n_workers=_CI_WORKERS, fused=fused), seed=11
-        ).color(ps)
-        dist = Picasso(
-            params=PicassoParams(hosts=cluster.hosts, fused=fused), seed=11
-        ).color(ps)
-        np.testing.assert_array_equal(serial.colors, pool.colors)
-        np.testing.assert_array_equal(serial.colors, dist.colors)
-        assert serial.n_colors == dist.n_colors
+def _backend_variants(cluster):
+    """Param overrides for every executor/gather combination."""
+    return (
+        {},
+        {"n_workers": _CI_WORKERS},
+        {"n_workers": _CI_WORKERS, "shm_gather": True},
+        {"hosts": cluster.hosts},
+    )
 
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_parallel_list_engine_identical_per_seed(self, cluster, fused):
+
+class TestPicassoEquivalence:
+    @pytest.mark.parametrize("kernel_backend", available_backends())
+    def test_sweep_coloring_identical_per_seed(self, cluster, kernel_backend):
+        """End-to-end Algorithm 1 with the default greedy-dynamic
+        coloring: serial, pool (pickled and shm gather) and cluster
+        draw identical graphs, so the coloring is identical per seed on
+        every available kernel backend."""
+        ps = random_pauli_set(150, 8, seed=9)
+        ref = Picasso(params=PicassoParams(), seed=11).color(ps)
+        for kw in _backend_variants(cluster):
+            got = Picasso(
+                params=PicassoParams(kernel_backend=kernel_backend, **kw),
+                seed=11,
+            ).color(ps)
+            np.testing.assert_array_equal(ref.colors, got.colors)
+            assert ref.n_colors == got.n_colors
+
+    @pytest.mark.parametrize("kernel_backend", available_backends())
+    def test_parallel_list_engine_identical_per_seed(
+        self, cluster, kernel_backend
+    ):
         """The round-synchronous coloring engine dispatched over the
         cluster: rounds are pure functions of committed state, so any
         shard count lands on the same colors as in-process rounds."""
         ps = random_pauli_set(150, 8, seed=9)
-        serial = Picasso(
-            params=PicassoParams(color_engine="parallel-list", fused=fused),
-            seed=11,
-        ).color(ps)
-        pool = Picasso(
-            params=PicassoParams(
-                color_engine="parallel-list", n_workers=_CI_WORKERS,
-                fused=fused,
-            ),
-            seed=11,
-        ).color(ps)
-        dist = Picasso(
-            params=PicassoParams(
-                color_engine="parallel-list", hosts=cluster.hosts,
-                fused=fused,
-            ),
-            seed=11,
-        ).color(ps)
-        np.testing.assert_array_equal(serial.colors, pool.colors)
-        np.testing.assert_array_equal(serial.colors, dist.colors)
-        assert serial.engine == dist.engine == "parallel-list"
-
-    @pytest.mark.parametrize("kernel_backend", available_backends())
-    @pytest.mark.parametrize(
-        "color_engine", ["greedy-dynamic", "parallel-list"]
-    )
-    def test_fused_identical_to_unfused(
-        self, cluster, color_engine, kernel_backend
-    ):
-        """The PR 7 bit-identity contract: the fused iterate lands on
-        the classic iterate's exact colors for every gather/executor
-        combination, both coloring engines and every available kernel
-        backend."""
-        ps = random_pauli_set(150, 8, seed=9)
         ref = Picasso(
-            params=PicassoParams(color_engine=color_engine, fused=False),
-            seed=11,
+            params=PicassoParams(color_engine="parallel-list"), seed=11
         ).color(ps)
-        for kw in (
-            {},
-            {"n_workers": _CI_WORKERS},
-            {"n_workers": _CI_WORKERS, "shm_gather": True},
-            {"hosts": cluster.hosts},
-        ):
+        for kw in _backend_variants(cluster):
             got = Picasso(
                 params=PicassoParams(
-                    color_engine=color_engine, fused=True,
+                    color_engine="parallel-list",
                     kernel_backend=kernel_backend, **kw
                 ),
                 seed=11,
             ).color(ps)
             np.testing.assert_array_equal(ref.colors, got.colors)
-            assert all(s.fused for s in got.iterations)
-            assert all(s.edge_sweep_s == 0.0 for s in got.iterations)
+            assert got.engine == "parallel-list"
 
     def test_coloring_validates(self, cluster):
         ps = random_pauli_set(100, 7, seed=21)

@@ -115,16 +115,14 @@ class TestHierarchicalAgent:
                 got, m_got = _build(src, masks, ex)
         _assert_identical(got, m_got, ref, m_ref)
 
-    def test_picasso_hierarchical_identical_fused_and_classic(self):
+    def test_picasso_hierarchical_matches_serial(self):
         ps = random_pauli_set(120, 7, seed=5)
-        ref = Picasso(params=PicassoParams(fused=False), seed=3).color(ps)
+        ref = Picasso(seed=3).color(ps)
         with LocalCluster(2, inner_workers=2) as cluster:
-            for fused in (False, True):
-                got = Picasso(
-                    params=PicassoParams(hosts=cluster.hosts, fused=fused),
-                    seed=3,
-                ).color(ps)
-                np.testing.assert_array_equal(ref.colors, got.colors)
+            got = Picasso(
+                params=PicassoParams(hosts=cluster.hosts), seed=3
+            ).color(ps)
+        np.testing.assert_array_equal(ref.colors, got.colors)
 
 
 class TestHierarchicalFailures:

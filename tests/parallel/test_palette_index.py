@@ -2,11 +2,13 @@
 
 The index (:mod:`repro.device.palette_index`) and the tile sweep
 enumerate the same conflict pairs, so every conflict build must come
-out bit-identical under either plan — serial, 2/3-worker pool, shm
-gather, fused and classic — and equal to the ``"pairs"`` reference
-engine.  The plan is forced by patching the cost constant ``kappa``:
-``0`` takes the index for every sweep of two or more vertices, ``inf``
-never does.  Inputs are adversarial: ``n`` at and around a word
+out bit-identical under either plan — serial, 2/3-worker pool and shm
+gather — and equal to the ``"pairs"`` reference engine.  The driver's
+build (conflicted sub-CSR plus vertex ids) must equal the full-width
+reference graph reduced by a degree scan and ``induced_subgraph``.
+The plan is forced by patching the cost constant ``kappa``: ``0``
+takes the index for every sweep of two or more vertices, ``inf`` never
+does.  Inputs are adversarial: ``n`` at and around a word
 boundary, ``P = 1``, ``L = P``, duplicate and identity strings, fully
 commuting and fully anticommuting sets, and an explicit graph.
 """
@@ -27,6 +29,7 @@ from repro.device.csr_build import build_conflict_csr
 from repro.device.palette_index import PaletteIndex, candidate_pairs, prefers_index
 from repro.device.sim import DeviceSim
 from repro.graphs.generators import erdos_renyi
+from repro.graphs.ops import induced_subgraph
 from repro.parallel import PoolExecutor, pool
 from repro.pauli import PauliSet, random_pauli_set
 from repro.util.bits import popcount_rows
@@ -112,6 +115,13 @@ def _build_fused(ps, masks, **kw):
     return build_fused_conflict_state(
         ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
     )
+
+
+def _induced(full):
+    """The conflict state the driver's build must reproduce: the full
+    graph's non-isolated vertices and the subgraph they induce."""
+    conflicted = np.flatnonzero(full.degree())
+    return induced_subgraph(full, conflicted)[0], conflicted
 
 
 def _brute_shared(masks: np.ndarray) -> np.ndarray:
@@ -212,7 +222,11 @@ class TestSerialEquivalence:
     def test_index_tiles_pairs_bit_identical(self, case, monkeypatch):
         ps, masks = _masks(case)
         ref, m_ref = _build(ps, masks, engine="pairs")
-        sub_ref = _build_fused(ps, masks, engine="pairs")
+        sub_ref = _induced(ref)
+        sub, conflicted, m_fused = _build_fused(ps, masks, engine="pairs")
+        assert m_fused == m_ref
+        _assert_csr_equal(sub, sub_ref[0])
+        np.testing.assert_array_equal(conflicted, sub_ref[1])
         for plan in PLANS:
             force_plan(monkeypatch, plan)
             got, m = _build(ps, masks)
@@ -292,7 +306,7 @@ class TestPoolEquivalence:
         with PoolExecutor(n_workers) as ex:
             for ps, masks in problems:
                 ref, m_ref = _build(ps, masks, engine="pairs")
-                sub_ref = _build_fused(ps, masks, engine="pairs")
+                sub_ref = _induced(ref)
                 got, m = _build(ps, masks, executor=ex, shm=shm)
                 assert m == m_ref
                 _assert_csr_equal(got, ref)
@@ -305,13 +319,13 @@ class TestPoolEquivalence:
 
     def test_weighted_cluster_bit_identical(self, monkeypatch):
         """Mixed-capacity agents get capacity-weighted row blocks under
-        the positional deal; fused and classic builds stay identical."""
+        the positional deal; full and sub-CSR builds stay identical."""
         from repro.distributed import ClusterExecutor, LocalCluster
 
         ps = random_pauli_set(300, 8, seed=12)
         _, masks = assign_color_lists(300, 40, 6, rng=4)
         ref, m_ref = _build(ps, masks, engine="pairs")
-        sub_ref = _build_fused(ps, masks, engine="pairs")
+        sub_ref = _induced(ref)
         monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
         force_plan(monkeypatch, "index")
         with LocalCluster(1) as flat, LocalCluster(1, inner_workers=2) as hier:
@@ -345,12 +359,11 @@ class TestPicasso:
         ref = Picasso(PicassoParams(engine="pairs"), seed=seed).color(ps)
         for plan in PLANS:
             force_plan(monkeypatch, plan)
-            for fused in (True, False):
-                got = Picasso(PicassoParams(fused=fused), seed=seed).color(ps)
-                np.testing.assert_array_equal(got.colors, ref.colors)
-                assert [s.n_conflict_edges for s in got.iterations] == [
-                    s.n_conflict_edges for s in ref.iterations
-                ]
+            got = Picasso(PicassoParams(), seed=seed).color(ps)
+            np.testing.assert_array_equal(got.colors, ref.colors)
+            assert [s.n_conflict_edges for s in got.iterations] == [
+                s.n_conflict_edges for s in ref.iterations
+            ]
 
     def test_pool_coloring_matches_pairs(self, monkeypatch):
         ps = random_pauli_set(200, 8, seed=30)

@@ -103,6 +103,23 @@ class TestParallelConflictGraph:
         assert m_got == m_ref
         _assert_bit_identical(got, ref)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    @pytest.mark.parametrize(
+        "n_workers,shm", [(1, False), (2, False), (2, True)],
+        ids=["serial", "pool", "pool-shm"],
+    )
+    def test_bad_chunk_size_rejected(self, n_workers, shm, chunk_size):
+        """Every gather path refuses a non-positive chunk size instead
+        of sweeping nothing (a negative ``range`` step in each pool
+        pair range) or failing inside a worker."""
+        ps = random_pauli_set(40, 5, seed=3)
+        _, masks = assign_color_lists(40, 8, 3, rng=1)
+        with pytest.raises(ValueError, match="chunk_size"):
+            parallel_conflict_graph(
+                ps, masks, n_workers=n_workers, chunk_size=chunk_size,
+                engine="pairs", shm=shm,
+            )
+
     def test_empty_conflicts(self):
         """Disjoint singleton lists across a huge palette -> few conflicts."""
         ps = random_pauli_set(30, 5, seed=2)

@@ -358,6 +358,30 @@ class TestPicassoShmEndToEnd:
         assert not dev.live_allocations()
 
 
+    def test_region_pool_reused_across_iterations(self):
+        """The run's double-buffered region pool: the two slots are
+        created by iterations 1 and 2 and reused from iteration 3 on,
+        with the serial colors."""
+        from repro import telemetry
+
+        ps = random_pauli_set(150, 8, seed=9)
+        serial = Picasso(params=PicassoParams(), seed=11).color(ps)
+        telemetry.reset()
+        try:
+            got = Picasso(
+                params=PicassoParams(
+                    n_workers=2, shm_gather=True, telemetry=True
+                ),
+                seed=11,
+            ).color(ps)
+        finally:
+            telemetry.reset()
+            telemetry.enable(False)
+        assert got.n_iterations >= 3
+        assert got.telemetry["counters"].get("shm.region.reuse", 0) >= 1
+        np.testing.assert_array_equal(serial.colors, got.colors)
+
+
 class TestPinning:
     def test_noop_without_sched_setaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)

@@ -3,7 +3,7 @@
 The registry is write-only from the algorithm's point of view, so a
 run with telemetry enabled must be bit-identical to the same run with
 it disabled — same colors, same color count, same per-iteration count
-statistics — across every executor backend and both sweep pipelines.
+statistics — across every executor backend.
 Only timing fields may differ between the paired runs.
 """
 
@@ -46,9 +46,9 @@ def cluster():
         yield c
 
 
-def _run(ps, *, telemetry_on, fused, **kw):
+def _run(ps, *, telemetry_on, **kw):
     telemetry.reset()
-    params = PicassoParams(telemetry=telemetry_on, fused=fused, **kw)
+    params = PicassoParams(telemetry=telemetry_on, **kw)
     result = Picasso(params=params, seed=7).color(ps)
     telemetry.reset()
     telemetry.enable(False)
@@ -67,22 +67,21 @@ def _assert_neutral(on, off):
     assert off.telemetry is None
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "classic"])
 class TestNeutrality:
-    def test_serial(self, fused):
+    def test_serial(self):
         ps = random_pauli_set(150, 6, seed=11)
-        on = _run(ps, telemetry_on=True, fused=fused, n_workers=1)
-        off = _run(ps, telemetry_on=False, fused=fused, n_workers=1)
+        on = _run(ps, telemetry_on=True, n_workers=1)
+        off = _run(ps, telemetry_on=False, n_workers=1)
         _assert_neutral(on, off)
 
-    def test_pool(self, fused):
+    def test_pool(self):
         ps = random_pauli_set(150, 6, seed=11)
-        on = _run(ps, telemetry_on=True, fused=fused, n_workers=_CI_WORKERS)
-        off = _run(ps, telemetry_on=False, fused=fused, n_workers=_CI_WORKERS)
+        on = _run(ps, telemetry_on=True, n_workers=_CI_WORKERS)
+        off = _run(ps, telemetry_on=False, n_workers=_CI_WORKERS)
         _assert_neutral(on, off)
 
-    def test_cluster(self, fused, cluster):
+    def test_cluster(self, cluster):
         ps = random_pauli_set(150, 6, seed=11)
-        on = _run(ps, telemetry_on=True, fused=fused, hosts=cluster.hosts)
-        off = _run(ps, telemetry_on=False, fused=fused, hosts=cluster.hosts)
+        on = _run(ps, telemetry_on=True, hosts=cluster.hosts)
+        off = _run(ps, telemetry_on=False, hosts=cluster.hosts)
         _assert_neutral(on, off)
