@@ -17,7 +17,7 @@ import time
 import numpy as np
 from conftest import write_report
 
-from repro.device.tiles import anticommute_parity_block, sweep_block_hits, tile_edge
+from repro.device.tiles import anticommute_parity_block, strip_height, sweep_block_hits
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import (
     anticommute_pairs_chars,
@@ -101,10 +101,11 @@ def test_tiled_vs_gather_sweep(benchmark):
         return total
 
     def tiled_count():
-        tile = tile_edge(packed.shape[1], n=n)
         total = 0
         for i, _ in sweep_block_hits(
-            n, lambda r0, r1, c0, c1: anticommute_parity_block(packed, r0, r1, c0, c1), tile
+            n,
+            lambda r0, r1, c0, c1: anticommute_parity_block(packed, r0, r1, c0, c1),
+            strip_height(n),
         ):
             total += len(i)
         return total

@@ -1,24 +1,34 @@
-"""Iteration-1 conflict build: inverted palette index vs tile sweep.
+"""Iteration-1 conflict build: each enumeration plan vs the tile sweep.
 
 Times Picasso's first conflict build — ``build_fused_conflict_state``
-over ``n`` uniform 50-qubit strings with Normal-preset candidate lists
-(``P = 0.125n``, ``L = round(2 ln n)``), serial — once with each
-enumeration plan forced, asserts the two conflicted sub-CSRs are
+over ``n`` uniform 50-qubit strings, serial — once with each
+enumeration plan forced, asserts the conflicted sub-CSRs are
 bit-identical, and fits the growth exponent ``t ~ n^k`` per plan.  The
 tile plan is skipped above ``--tiles-max`` (it is cubic in ``n``).
 
-The plan is forced through the cost constant of the plan rule,
+``--preset normal`` (default; ``P = 0.125n``, ``L = round(2 ln n)``)
+compares the inverted palette index with the tile sweep.  The plan is
+forced through the cost constant of the plan rule,
 ``repro.device.palette_index.INDEX_COST_PER_CANDIDATE`` (``0`` = always
-the index, ``inf`` = always tiles).  Each row also prints the rule's
-inputs — the exact candidate count ``C`` and the tile sweep's palette
-word operations ``n(n-1)/2 * W`` — so the crossover in ``ops / C`` is
-the measurement behind that constant:
+the index, ``inf`` = always tiles), with the ``rows`` rule off.  Each
+row also prints the rule's inputs — the exact candidate count ``C`` and
+the tile sweep's palette word operations ``n(n-1)/2 * W`` — so the
+crossover in ``ops / C`` is the measurement behind that constant.
+
+``--preset aggressive`` (``P = 0.03n``, ``L = min(round(30 ln n), P)``)
+compares the ``rows`` plan with the tile sweep.  Lists fill the palette
+(``L = P``) up to about ``n = 9k``, where the rule picks ``rows``; the
+tile run switches the ``rows`` rule off (and the index with it), so it
+sweeps default-budget tiles as before the ``rows`` plan existed:
 
     PYTHONPATH=src python benchmarks/bench_index_scaling.py
     PYTHONPATH=src python benchmarks/bench_index_scaling.py \\
         --sizes 1000 2000 3000 4000 --tiles-max 4000
+    PYTHONPATH=src python benchmarks/bench_index_scaling.py \\
+        --preset aggressive --sizes 2000 4000 8000
 
-Results go to ``benchmarks/results/index_scaling.json`` (untracked).
+Results go to ``benchmarks/results/index_scaling[_aggressive].json``
+(untracked).
 """
 
 from __future__ import annotations
@@ -29,42 +39,64 @@ import math
 import pathlib
 import platform
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.core.conflict import build_fused_conflict_state
 from repro.core.palette import assign_color_lists
-from repro.core.params import normal_params
+from repro.core.params import aggressive_params, normal_params
 from repro.core.sources import PauliComplementSource
 from repro.device import palette_index
+from repro.parallel import pool
 from repro.pauli import random_pauli_set
 from repro.util.chunking import num_pairs
 
-OUT_PATH = pathlib.Path(__file__).resolve().parent / "results" / "index_scaling.json"
+RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 
-KAPPA = {"index": 0.0, "tiles": float("inf")}
+#: preset -> (params factory, the plan timed against the tile sweep)
+PRESETS = {
+    "normal": (normal_params, "index"),
+    "aggressive": (aggressive_params, "rows"),
+}
 
 
-def build_once(n: int, plan: str, seed: int):
+@contextmanager
+def forced(plan: str):
+    """Force ``plan``: the index or tiles through ``kappa`` with the
+    ``rows`` rule off, or ``rows`` through the rule itself."""
+    saved = palette_index.INDEX_COST_PER_CANDIDATE, pool.all_pairs_share
+    palette_index.INDEX_COST_PER_CANDIDATE = 0.0 if plan == "index" else math.inf
+    if plan != "rows":
+        pool.all_pairs_share = lambda colmasks: False
+    try:
+        yield
+    finally:
+        palette_index.INDEX_COST_PER_CANDIDATE, pool.all_pairs_share = saved
+
+
+def build_once(n: int, plan: str, seed: int, preset: str):
     """One timed iteration-1 build under ``plan``; returns the state
     and its wall time."""
-    params = normal_params()
+    params = PRESETS[preset][0]()
     ps = random_pauli_set(n, 50, seed=seed)
     source = PauliComplementSource(ps)
     _, masks = assign_color_lists(
         n, params.palette_size(n), params.list_size(n), rng=seed
     )
-    saved = palette_index.INDEX_COST_PER_CANDIDATE
-    palette_index.INDEX_COST_PER_CANDIDATE = KAPPA[plan]
-    try:
+    with forced(plan):
         t0 = time.perf_counter()
         state = build_fused_conflict_state(
             n, source.edge_mask, masks, edge_block_fn=source.edge_block
         )
         elapsed = time.perf_counter() - t0
-    finally:
-        palette_index.INDEX_COST_PER_CANDIDATE = saved
     return state, elapsed, masks
+
+
+def rule_pick(n: int, masks: np.ndarray) -> str:
+    """The plan the unforced rule picks for a sweep with both oracles."""
+    plan, _ = pool.sweep_plan(n, masks, "tiled", None, None, len, len)
+    return "tiles" if plan is None else "rows" if plan == "rows" else "index"
 
 
 def fitted_exponent(sizes: list[int], times: list[float]) -> float | None:
@@ -77,27 +109,33 @@ def fitted_exponent(sizes: list[int], times: list[float]) -> float | None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--preset", choices=sorted(PRESETS), default="normal")
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[5000, 10000, 20000, 40000]
+        "--sizes", type=int, nargs="+", default=None,
+        help="default 5000 10000 20000 40000 (normal), 2000 4000 8000 (aggressive)",
     )
     parser.add_argument("--tiles-max", type=int, default=20000)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    fast = PRESETS[args.preset][1]
+    sizes = args.sizes or (
+        [5000, 10000, 20000, 40000] if args.preset == "normal" else [2000, 4000, 8000]
+    )
 
     rows = []
-    for n in args.sizes:
-        plans = ["index"] + (["tiles"] if n <= args.tiles_max else [])
+    for n in sizes:
+        plans = [fast] + (["tiles"] if n <= args.tiles_max else [])
         best: dict[str, float] = {}
         states = {}
         masks = None
         for _ in range(args.repeats):
             for plan in plans:
-                state, elapsed, masks = build_once(n, plan, args.seed)
+                state, elapsed, masks = build_once(n, plan, args.seed, args.preset)
                 best[plan] = min(best.get(plan, math.inf), elapsed)
                 states[plan] = state
         if "tiles" in states:
-            (gi, ci, mi), (gt, ct, mt) = states["index"], states["tiles"]
+            (gi, ci, mi), (gt, ct, mt) = states[fast], states["tiles"]
             assert mi == mt, f"n={n}: edge counts differ ({mi} vs {mt})"
             assert np.array_equal(ci, ct), f"n={n}: conflicted sets differ"
             assert np.array_equal(gi.offsets, gt.offsets), f"n={n}: offsets differ"
@@ -106,21 +144,23 @@ def main() -> None:
         word_ops = num_pairs(n) * masks.shape[1]
         row = {
             "n": n,
-            "conflict_edges": states["index"][2],
+            "palette": int(PRESETS[args.preset][0]().palette_size(n)),
+            "list_size": int(PRESETS[args.preset][0]().list_size(n)),
+            "conflict_edges": states[fast][2],
             "candidates": candidates,
             "tile_word_ops": word_ops,
             "ops_per_candidate": word_ops / candidates if candidates else None,
-            "rule_picks": "index" if palette_index.prefers_index(n, masks) else "tiles",
-            "index_s": best["index"],
+            "rule_picks": rule_pick(n, masks),
+            f"{fast}_s": best[fast],
             "tiles_s": best.get("tiles"),
         }
         if row["tiles_s"] is not None:
-            row["tiles_over_index"] = row["tiles_s"] / row["index_s"]
+            row[f"tiles_over_{fast}"] = row["tiles_s"] / row[f"{fast}_s"]
         rows.append(row)
         print(json.dumps(row), flush=True)
 
     fits = {}
-    for plan in ("index", "tiles"):
+    for plan in (fast, "tiles"):
         pts = [(r["n"], r[f"{plan}_s"]) for r in rows if r.get(f"{plan}_s")]
         fits[plan] = fitted_exponent([p[0] for p in pts], [p[1] for p in pts])
         if fits[plan] is not None:
@@ -132,13 +172,16 @@ def main() -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
+        "preset": args.preset,
         "kappa": palette_index.INDEX_COST_PER_CANDIDATE,
         "rows": rows,
         "fitted_exponent": fits,
     }
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUT_PATH}")
+    suffix = "" if args.preset == "normal" else f"_{args.preset}"
+    out_path = RESULTS / f"index_scaling{suffix}.json"
+    RESULTS.mkdir(exist_ok=True)
+    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out_path}")
 
 
 if __name__ == "__main__":

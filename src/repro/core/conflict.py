@@ -15,7 +15,10 @@ Two sweep engines cover the pair space:
   row gather.  When the exact count of color-sharing candidate pairs
   makes it cheaper, a sweep enumerates through the inverted palette
   index of :mod:`repro.device.palette_index` instead of testing every
-  pair (:func:`repro.parallel.pool.sweep_plan`).
+  pair; when every pair shares a color (``L = P``, the Aggressive
+  preset below about 10k active vertices) it skips the palette test
+  and sweeps row strips of the block oracle, whose hits arrive in the
+  CSR's key order (:func:`repro.parallel.pool.sweep_plan`).
 - ``"pairs"`` — the original flat pair-chunk engine (one simulated SIMT
   thread per pair, operand rows gathered per pair).  Kept as the
   ablation baseline; produces the identical conflict graph.

@@ -131,8 +131,8 @@ class KernelBackend(ABC):
     def block_hits(
         self, block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle hits of a block predicate on one tile (see
-        :func:`repro.device.tiles.block_hits`)."""
+        """Upper-triangle hits of a block predicate on one block, in
+        row-major order (see :func:`repro.device.tiles.block_hits`)."""
         from repro.device import tiles
 
         telemetry.count("device.dispatch", backend=self.name)

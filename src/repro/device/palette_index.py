@@ -42,9 +42,11 @@ __all__ = [
     "INDEX_BLOCK_CANDIDATES",
     "INDEX_COST_PER_CANDIDATE",
     "PaletteIndex",
+    "all_pairs_share",
     "bucket_sizes",
     "candidate_pairs",
     "prefers_index",
+    "row_blocks",
 ]
 
 #: Candidate pairs per row block: bounds the block's key, sort and
@@ -94,9 +96,51 @@ def prefers_index(n: int, colmasks: np.ndarray) -> bool:
     """The plan rule: enumerate through the index when its candidate
     work undercuts the tile sweep's palette word operations,
     ``C * kappa < n(n-1)/2 * W``.  With ``L = P`` every vertex sits in
-    every bucket (``C = P * n(n-1)/2``), so that regime stays on tiles."""
+    every bucket (``C = P * n(n-1)/2``): that regime takes the ``rows``
+    plan (:func:`all_pairs_share`) without consulting this rule."""
     tile_ops = num_pairs(n) * colmasks.shape[1]
     return candidate_pairs(colmasks) * INDEX_COST_PER_CANDIDATE < tile_ops
+
+
+def all_pairs_share(colmasks: np.ndarray) -> bool:
+    """True when every list is the same non-empty bitset, so every pair
+    shares a color (the ``L = P`` branch of
+    :func:`repro.core.palette.assign_color_lists` always gives this).
+    ``O(nW)``, with an early exit every 4096 rows."""
+    if len(colmasks) == 0 or not colmasks[0].any():
+        return False
+    return all(
+        (colmasks[a : a + 4096] == colmasks[0]).all()
+        for a in range(0, len(colmasks), 4096)
+    )
+
+
+def row_blocks(
+    prefix: np.ndarray,
+    n_blocks: int,
+    shares: list[int] | None = None,
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Contiguous row blocks ``[a, b)`` and their weights, cut where the
+    row-weight prefix sums (``prefix[r]`` = weight of rows ``[0, r)``)
+    cross ``n_blocks`` equal quotas, or quotas proportional to
+    ``shares`` (one per block, for capacity-weighted deals — empty
+    blocks are then kept so block ``k`` stays aligned with share
+    ``k``).  Without shares, blocks of no rows are dropped."""
+    total = int(prefix[-1])
+    if shares is None:
+        quota = [total * k // n_blocks for k in range(1, n_blocks)]
+    else:
+        csum = np.cumsum(np.asarray(shares, dtype=np.int64)).tolist()
+        quota = [total * s // csum[-1] for s in csum[:-1]]
+    cuts = np.searchsorted(prefix, quota, side="left")
+    bounds = [0, *(int(c) for c in cuts), len(prefix) - 1]
+    weights = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    if shares is None:
+        keep = [k for k, (a, b) in enumerate(blocks) if b > a]
+        blocks = [blocks[k] for k in keep]
+        weights = weights[keep]
+    return blocks, weights
 
 
 class PaletteIndex:
@@ -150,29 +194,8 @@ class PaletteIndex:
         shares: list[int] | None = None,
     ) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Contiguous row blocks ``[a, b)`` and their exact candidate
-        counts.
-
-        Cuts sit where the running candidate count crosses ``n_blocks``
-        equal quotas, or quotas proportional to ``shares`` (one per
-        block, for capacity-weighted deals — empty blocks are then kept
-        in place so block ``k`` stays aligned with share ``k``).
-        Without shares, blocks of no rows are dropped.
-        """
-        total = self.n_candidates
-        if shares is None:
-            quota = [total * k // n_blocks for k in range(1, n_blocks)]
-        else:
-            csum = np.cumsum(np.asarray(shares, dtype=np.int64)).tolist()
-            quota = [total * s // csum[-1] for s in csum[:-1]]
-        cuts = np.searchsorted(self.row_candidates, quota, side="left")
-        bounds = [0, *(int(c) for c in cuts), self.n]
-        weights = self.row_candidates[bounds[1:]] - self.row_candidates[bounds[:-1]]
-        blocks = list(zip(bounds[:-1], bounds[1:]))
-        if shares is None:
-            keep = [k for k, (a, b) in enumerate(blocks) if b > a]
-            blocks = [blocks[k] for k in keep]
-            weights = weights[keep]
-        return blocks, weights
+        counts (see :func:`row_blocks`)."""
+        return row_blocks(self.row_candidates, n_blocks, shares)
 
     def block_pairs(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique ``(i, j)``, ``a <= i < b``, ``i < j``, sharing

@@ -44,6 +44,11 @@ Design notes (the tiling model):
   exit): only surviving pairs consult the edge oracle, either as a
   sparse gathered query (few survivors) or as a block oracle call when
   the tile is dense enough that the broadcast beats the gather.
+- **All-pairs sweep.**  :func:`sweep_block_hits` calls the block oracle
+  on row strips ``[r0, r1) x [r0, n)`` sized by the same per-pair
+  scratch model (:func:`strip_height`) and masks only each strip's
+  leading square, so hits come out in CSR key order.  It serves the
+  explicit graph builders and the ``L = P`` conflict sweep.
 """
 
 from __future__ import annotations
@@ -76,7 +81,8 @@ __all__ = [
     "conflict_hits_block",
     "conflict_hits_strip",
     "block_hits",
-    "block_hits_strip",
+    "concat_hits",
+    "strip_height",
     "sweep_conflict_hits",
     "sweep_conflict_chunks",
     "sweep_block_hits",
@@ -113,6 +119,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 #: Block edge oracle: (r0, r1, c0, c1) -> uint8/bool (r1-r0, c1-c0)
 #: matrix over global vertex ids (only entries with i != j are used).
+#: The all-pairs sweeps mask the block in place, so it must be fresh or
+#: a scratch buffer that the next call overwrites anyway.
 EdgeBlockFn = Callable[[int, int, int, int], np.ndarray]
 
 
@@ -151,6 +159,12 @@ def _tile_edge_base(tile_bytes: int) -> int:
     """The budget solve of :func:`tile_edge`, before the ``n`` cap."""
     t = int(math.isqrt(max(tile_bytes, 1) // SCRATCH_BYTES_PER_PAIR))
     return max(MIN_TILE, min(t - t % MIN_TILE, MAX_TILE))
+
+
+def strip_height(n: int, tile_bytes: int = DEFAULT_TILE_BYTES) -> int:
+    """Rows per ``[r0, r1) x [r0, n)`` strip of the all-pairs sweep
+    whose scratch fits ``tile_bytes`` (at least one row)."""
+    return max(1, tile_bytes // (SCRATCH_BYTES_PER_PAIR * max(n, 1)))
 
 
 def tile_scratch_bytes(tile: int) -> int:
@@ -318,64 +332,78 @@ def conflict_hits_strip(
     one task, one ``(i, j)`` result pair.  ``backend`` dispatches the
     per-tile kernel (``None`` = the direct numpy path).
     """
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
     block_op = (
         backend.conflict_hits_block if backend is not None
         else conflict_hits_block
     )
-    for r0, r1, c0, c1 in tiles:
-        i, j = block_op(
+    return concat_hits(
+        block_op(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
             dense_edge_fraction=dense_edge_fraction, scratch=scratch,
         )
-        if len(i):
-            us.append(i)
-            vs.append(j)
-    if not us:
+        for r0, r1, c0, c1 in tiles
+    )
+
+
+def concat_hits(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(i, j)`` pair from a stream of hit chunks, in stream order
+    (the result of one worker task)."""
+    kept = [(i, j) for i, j in chunks if len(i)]
+    if not kept:
         return _EMPTY, _EMPTY
-    return np.concatenate(us), np.concatenate(vs)
+    return np.concatenate([i for i, _ in kept]), np.concatenate([j for _, j in kept])
 
 
 def block_hits(
     block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle hits of ``block_fn`` on one tile, as global
-    ``(i, j)`` index arrays — the shared per-tile body of
-    :func:`sweep_block_hits` and :func:`block_hits_strip` (one place to
-    keep the diagonal masking, so serial and parallel explicit-builder
-    sweeps cannot diverge).  This is the inner block op a
-    :class:`~repro.device.backends.KernelBackend` may override to fuse
-    the predicate and the masking on-device."""
+    """Upper-triangle hits of ``block_fn`` on one block, as global
+    ``(i, j)`` index arrays in row-major order.  A block with ``r0 ==
+    c0`` starts on the diagonal: only its leading square can hold pairs
+    with ``i >= j``, so only that square is masked.  This is the inner
+    block op a :class:`~repro.device.backends.KernelBackend` may
+    override to fuse the predicate and the masking on-device."""
+    blk = _upper_block(block_fn, r0, r1, c0, c1)
+    j = np.flatnonzero(blk)
+    if len(j) == 0:
+        return _EMPTY, _EMPTY
+    # A flat scan plus per-row offsets: ~4x faster than a 2-D nonzero.
+    per_row = np.count_nonzero(blk, axis=1)
+    w = c1 - c0
+    j += np.repeat(np.arange(c0, c0 - (r1 - r0) * w, -w), per_row)
+    return np.repeat(np.arange(r0, r1), per_row), j
+
+
+def _upper_block(block_fn, r0, r1, c0, c1) -> np.ndarray:
     blk = np.asarray(block_fn(r0, r1, c0, c1)).astype(bool, copy=False)
     if r0 == c0:
-        blk = blk & upper_triangle_mask(r0, r1, c0, c1)
-    li, lj = np.nonzero(blk)
-    if len(li) == 0:
-        return _EMPTY, _EMPTY
-    return li + r0, lj + c0
+        h = min(r1 - r0, c1 - c0)
+        blk[:, :h] &= _triangle_mask(r1 - r0, h, 0)
+    return blk
 
 
-def block_hits_strip(
+def sweep_block_hits(
+    n: int,
     block_fn: EdgeBlockFn,
-    tiles,
+    height: int,
     backend: KernelBackend | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker task of the generic tiled pair sweep: concatenate the
-    upper-triangle hits of ``block_fn`` over a strip of tiles (the
-    parallel unit behind :func:`sweep_block_hits`).  ``backend``
-    dispatches the inner block op (``None`` = :func:`block_hits`)."""
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
+    a: int = 0,
+    b: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The all-pairs sweep: yield the upper-triangle hits of
+    ``block_fn`` over rows ``[a, b)`` (default all), one row strip
+    ``[r0, r1) x [r0, n)`` of ``height`` rows at a time.
+
+    Hits come out in ``(i, j)`` row-major order, i.e. in the key order
+    of the CSR assembly, which then skips its first sort.  Serves the
+    explicit graph builders and the ``rows`` conflict plan (``L = P``,
+    where every edge is a conflict edge).  ``backend`` dispatches the
+    per-strip block op (``None`` = :func:`block_hits`).
+    """
     block_op = backend.block_hits if backend is not None else block_hits
-    for r0, r1, c0, c1 in tiles:
-        i, j = block_op(block_fn, r0, r1, c0, c1)
-        if len(i):
-            us.append(i)
-            vs.append(j)
-    if not us:
-        return _EMPTY, _EMPTY
-    return np.concatenate(us), np.concatenate(vs)
+    stop = n if b is None else b
+    for r0 in range(a, stop, height):
+        yield block_op(block_fn, r0, min(r0 + height, stop), r0, n)
 
 
 def sweep_conflict_hits(
@@ -437,30 +465,10 @@ def sweep_conflict_chunks(
         raise ValueError(f"unknown engine {engine!r}")
 
 
-def sweep_block_hits(
-    n: int,
-    block_fn: EdgeBlockFn,
-    tile: int,
-    backend: KernelBackend | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Generic tiled pair sweep: yield global ``(i, j)`` where
-    ``block_fn``'s block is nonzero, upper triangle only.
-
-    Used by the explicit graph builders, whose predicate (anticommute /
-    commute) applies to every pair rather than being conflict-filtered.
-    """
-    block_op = backend.block_hits if backend is not None else block_hits
-    for r0, r1, c0, c1 in iter_tiles(n, tile):
-        yield block_op(block_fn, r0, r1, c0, c1)
-
-
-def count_block_hits(n: int, block_fn: EdgeBlockFn, tile: int) -> int:
-    """Count nonzero upper-triangle pairs of a block predicate without
-    materializing any index arrays."""
-    total = 0
-    for r0, r1, c0, c1 in iter_tiles(n, tile):
-        blk = np.asarray(block_fn(r0, r1, c0, c1)).astype(bool, copy=False)
-        if r0 == c0:
-            blk &= upper_triangle_mask(r0, r1, c0, c1)
-        total += int(np.count_nonzero(blk))
-    return total
+def count_block_hits(n: int, block_fn: EdgeBlockFn, height: int) -> int:
+    """Count nonzero upper-triangle pairs of a block predicate, strip
+    by strip, without materializing any index arrays."""
+    return sum(
+        int(np.count_nonzero(_upper_block(block_fn, r0, min(r0 + height, n), r0, n)))
+        for r0 in range(0, n, height)
+    )

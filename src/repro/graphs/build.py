@@ -6,14 +6,15 @@ whole point), but ColPack-style greedy, Jones–Plassmann and speculative
 coloring must load the full graph into memory, so Table IV's memory
 comparison requires building it.
 
-The pair sweep runs on the tiled block-broadcast engine
-(:mod:`repro.device.tiles`): each tile evaluates the oracle's block
-kernel once over contiguous row slices instead of gathering both
-operand rows per pair, and the hits stream into the sort-key CSR
-assembly.  With ``n_workers >= 2`` the sweep is dispatched over the
-execution backend layer (:mod:`repro.parallel.executor`) as balanced
-contiguous tile strips; the assembly depends on the edge set alone,
-so parallel and serial builds produce bit-identical CSR.
+The pair sweep is the all-pairs row-strip sweep
+(:func:`repro.device.tiles.sweep_block_hits`): each strip ``[r0, r1) x
+[r0, n)`` evaluates the oracle's block kernel once over contiguous row
+slices instead of gathering both operand rows per pair, and the hits
+stream into the sort-key CSR assembly in key order.  With
+``n_workers >= 2`` the sweep is dispatched over the execution backend
+layer (:mod:`repro.parallel.executor`) as row ranges of equal pair
+weight; the assembly depends on the edge set alone, so parallel and
+serial builds produce bit-identical CSR.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
     count_block_hits,
-    tile_edge,
+    strip_height,
 )
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.pauli.strings import PauliSet
@@ -55,7 +56,7 @@ def complement_graph(
     distinct pairs — the graph the coloring baselines run on (§II-B).
 
     ``hosts`` shards the sweep over multi-host worker agents
-    (:mod:`repro.distributed`); results merge in canonical tile order,
+    (:mod:`repro.distributed`); results merge in canonical row order,
     so the built CSR is bit-identical to the serial one.
     """
     return _oracle_graph(
@@ -73,10 +74,11 @@ def _block_fn(oracle, want_anticommute: bool):
     return oracle.anticommute_block if want_anticommute else oracle.commute_block
 
 
-def _oracle_tile(pauli_set: PauliSet, chunk_size: int) -> int:
-    """Tile edge for an oracle sweep; ``chunk_size`` (pairs per legacy
-    launch) doubles as a scratch hint so old callers keep their knob."""
-    return tile_edge(1, min(DEFAULT_TILE_BYTES, 10 * chunk_size), n=pauli_set.n)
+def _oracle_budget(chunk_size: int) -> int:
+    """Strip scratch budget for an oracle sweep; ``chunk_size`` (pairs
+    per legacy launch) doubles as a scratch hint so old callers keep
+    their knob."""
+    return min(DEFAULT_TILE_BYTES, 10 * chunk_size)
 
 
 def _oracle_graph(
@@ -89,7 +91,6 @@ def _oracle_graph(
     hosts=None,
 ) -> CSRGraph:
     oracle = pauli_set.oracle(kernel)
-    tile = _oracle_tile(pauli_set, chunk_size)
     block_fn = _block_fn(oracle, want_anticommute)
     # Imported lazily: repro.parallel pulls in this package, so a
     # module-level import would be circular.
@@ -106,7 +107,7 @@ def _oracle_graph(
         chunks = [
             (i, j)
             for i, j in block_sweep_chunks(
-                pauli_set.n, block_fn, tile, executor=ex
+                pauli_set.n, block_fn, _oracle_budget(chunk_size), executor=ex
             )
             if len(i)
         ]
@@ -123,5 +124,5 @@ def complement_edge_count(pauli_set: PauliSet, chunk_size: int = 1 << 20) -> int
 def anticommute_edge_count(pauli_set: PauliSet, chunk_size: int = 1 << 20) -> int:
     """Number of anticommute edges (Table II's "# of edges" column)."""
     oracle = pauli_set.oracle()
-    tile = _oracle_tile(pauli_set, chunk_size)
-    return count_block_hits(pauli_set.n, oracle.anticommute_block, tile)
+    height = strip_height(pauli_set.n, _oracle_budget(chunk_size))
+    return count_block_hits(pauli_set.n, oracle.anticommute_block, height)

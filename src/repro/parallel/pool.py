@@ -11,7 +11,10 @@ This module is the seam where every conflict/graph sweep meets an
   strips, each worker runs the fused block-broadcast kernel over its
   strip and returns one concatenated ``(i, j)`` hit pair — or, when
   :func:`sweep_plan` picks the inverted palette index, the strips are
-  the index's row blocks, balanced by exact candidate counts;
+  the index's row blocks, balanced by exact candidate counts; under
+  the ``rows`` plan (every pair shares a color, ``L = P``) they are
+  row ranges of equal pair weight, swept as row strips of the block
+  oracle with no palette test;
 - the ``"pairs"`` engine partitions the flat index range into
   :class:`~repro.parallel.partition.PairRange` slices and runs the
   legacy gather kernel over each.
@@ -60,13 +63,14 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import telemetry
-from repro.device.palette_index import PaletteIndex, prefers_index
+from repro.device.palette_index import PaletteIndex, all_pairs_share, prefers_index, row_blocks
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
     EdgeBlockFn,
     TileScratch,
-    block_hits_strip,
+    concat_hits,
     conflict_hits_strip,
+    strip_height,
     sweep_block_hits,
     sweep_conflict_chunks,
     tile_edge,
@@ -182,10 +186,11 @@ def sweep_payload(
     environment (a cluster agent without numba degrades to numpy on
     its own, bit-identically).
 
-    ``plan`` is the sweep's :class:`~repro.device.palette_index.PaletteIndex`
-    when :func:`sweep_plan` chose index enumeration (``None`` = tiles);
-    it ships in the delta, so workers run row blocks without rebuilding
-    it.
+    ``plan`` is the sweep's plan from :func:`sweep_plan` (a
+    :class:`~repro.device.palette_index.PaletteIndex`, ``"rows"``, or
+    ``None`` = tiles); it ships in the delta, so workers run row blocks
+    without rebuilding an index.  Under ``"rows"``, ``tile`` is the
+    strip height.
     """
     delta = {
         "n": n,
@@ -380,19 +385,28 @@ def finalize_sweep(executor: Executor) -> None:
     )
 
 
+def _plan_name(plan) -> str:
+    return "tiles" if plan is None else "rows" if plan == "rows" else "index"
+
+
 def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Worker task of the ``"tiled"`` engine: the fused conflict kernel
-    over one strip of tiles, or — when the sweep's plan is a palette
-    index — the index's row block ``[start, stop)``."""
+    over one strip of tiles, or the row block ``[start, stop)`` of an
+    index or ``rows`` plan."""
     fault_point("task")
     start, stop = task
-    index = _WORKER["plan"]
+    plan = _WORKER["plan"]
     with telemetry.span(
         "pool.strip", engine="tiled", start=start, stop=stop,
-        plan="tiles" if index is None else "index",
+        plan=_plan_name(plan),
     ):
-        if index is not None:
-            u, v = index.block_hits(start, stop, _WORKER["edge_mask_fn"])
+        if plan == "rows":
+            u, v = concat_hits(sweep_block_hits(
+                _WORKER["n"], _WORKER["edge_block_fn"], _WORKER["tile"],
+                _WORKER.get("backend"), start, stop,
+            ))
+        elif plan is not None:
+            u, v = plan.block_hits(start, stop, _WORKER["edge_mask_fn"])
         else:
             u, v = conflict_hits_strip(
                 _WORKER["colmasks"],
@@ -414,26 +428,20 @@ def _run_pair_range(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     start, stop = task
     n = _WORKER["n"]
     chunk = _WORKER["chunk_size"]
-    edge_mask_fn = _WORKER["edge_mask_fn"]
-    colmasks = _WORKER["colmasks"]
-    us, vs = [], []
-    with telemetry.span("pool.strip", engine="pairs", start=start, stop=stop):
+
+    def hits():
         for s in range(start, stop, chunk):
-            e = min(s + chunk, stop)
-            k = np.arange(s, e, dtype=np.int64)
+            k = np.arange(s, min(s + chunk, stop), dtype=np.int64)
             i, j = pair_index_to_ij(k, n)
             mask = conflict_pair_kernel(
-                edge_mask_fn, colmasks, i, j
+                _WORKER["edge_mask_fn"], _WORKER["colmasks"], i, j
             ).astype(bool)
-            if mask.any():
-                us.append(i[mask])
-                vs.append(j[mask])
-    n_hits = sum(len(u) for u in us)
-    telemetry.observe("pool.strip_hits", float(n_hits))
-    if not us:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(us), np.concatenate(vs)
+            yield i[mask], j[mask]
+
+    with telemetry.span("pool.strip", engine="pairs", start=start, stop=stop):
+        u, v = concat_hits(hits())
+    telemetry.observe("pool.strip_hits", float(len(u)))
+    return u, v
 
 
 def run_tile_strip_shm(task) -> int:
@@ -449,23 +457,6 @@ def run_pair_range_shm(task) -> int:
     (start, stop), spec = task
     u, v = _run_pair_range((start, stop))
     return write_strip_hits(u, v, spec)
-
-
-def _init_block_worker(payload: dict) -> None:
-    _WORKER.clear()
-    _WORKER.update(payload)
-    _WORKER["grid"] = tile_grid(payload["n"], payload["tile"])
-    _WORKER["backend"] = _backend_for(payload.get("kernel_backend"))
-
-
-def _run_block_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: generic block predicate over one strip of tiles."""
-    start, stop = task
-    return block_hits_strip(
-        _WORKER["block_fn"],
-        _WORKER["grid"][start:stop],
-        backend=_WORKER.get("backend"),
-    )
 
 
 def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
@@ -497,26 +488,37 @@ def sweep_plan(
     tile: int | None,
     tile_bytes: int | None,
     edge_mask_fn,
-) -> tuple[PaletteIndex | None, int | None]:
-    """Choose how one sweep enumerates pairs: ``(index, None)`` for the
-    inverted palette index, ``(None, tile)`` for the tile sweep (or
-    ``(None, None)`` for the ``"pairs"`` engine).
+    edge_block_fn: EdgeBlockFn | None = None,
+) -> tuple[PaletteIndex | str | None, int | None]:
+    """Choose how one sweep enumerates pairs, as ``(plan, tile)``:
 
-    The ``"tiled"`` engine takes the index whenever its exact candidate
-    count undercuts the tile sweep's palette word operations
-    (:func:`repro.device.palette_index.prefers_index`).  Both emit the
-    same pairs, so the choice never changes a CSR.  A caller that pins
-    ``tile`` (the DeviceSim build, whose tile scratch is charged
-    against the budget) keeps the tile sweep; so does a sweep with only
-    a block oracle, since the index queries pairs.
+    - ``("rows", height)`` when every pair shares a color (``L = P``,
+      :func:`repro.device.palette_index.all_pairs_share`) and the sweep
+      has a block oracle: the conflict edges are the oracle's edges, so
+      row strips of ``height`` rows skip the palette test and emit hits
+      in CSR key order (:func:`repro.device.tiles.sweep_block_hits`);
+    - ``(index, None)`` when the inverted palette index's exact
+      candidate count undercuts the tile sweep's palette word
+      operations (:func:`repro.device.palette_index.prefers_index`);
+    - ``(None, tile)`` for the tile sweep (``(None, None)`` for the
+      ``"pairs"`` engine).
+
+    All plans emit the same pairs, so the choice never changes a CSR.
+    A caller that pins ``tile`` (the DeviceSim build, whose tile
+    scratch is charged against the budget) keeps the tile sweep.  Each
+    choice is counted as ``sweep.plan.<name>``.
     """
-    if engine != "tiled" or tile is not None:
-        return None, tile
-    if edge_mask_fn is not None and prefers_index(n, colmasks):
-        return PaletteIndex(colmasks), None
-    return None, tile_edge(
-        colmasks.shape[1], tile_bytes or DEFAULT_TILE_BYTES, n=n
-    )
+    plan: PaletteIndex | str | None = None
+    if engine == "tiled" and tile is None:
+        budget = tile_bytes or DEFAULT_TILE_BYTES
+        if edge_block_fn is not None and all_pairs_share(colmasks):
+            plan, tile = "rows", strip_height(n, budget)
+        elif edge_mask_fn is not None and prefers_index(n, colmasks):
+            plan = PaletteIndex(colmasks)
+        else:
+            tile = tile_edge(colmasks.shape[1], budget, n=n)
+    telemetry.count(f"sweep.plan.{_plan_name(plan) if engine == 'tiled' else engine}")
+    return plan, tile
 
 
 def sweep_strip_tasks(
@@ -524,7 +526,7 @@ def sweep_strip_tasks(
     engine: str,
     tile: int | None,
     executor: Executor,
-    index: PaletteIndex | None = None,
+    plan: PaletteIndex | str | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Partition the sweep domain for an executor: ``(start, stop)``
     strip tasks in canonical order plus each strip's pair weight (the
@@ -532,7 +534,8 @@ def sweep_strip_tasks(
 
     Under an index plan the strips are the index's row blocks and the
     weights their exact candidate counts — an upper bound on the
-    block's hits, like a tile strip's pair count.
+    block's hits, like a tile strip's pair count.  Under the ``rows``
+    plan they are row ranges cut to equal pair weight.
 
     Heterogeneous backends (hierarchical cluster agents advertising
     their inner pool size) get a capacity-weighted partition: strip
@@ -541,9 +544,15 @@ def sweep_strip_tasks(
     empty strips in place so the ``tasks[k::n]`` alignment holds."""
     n_workers = max(1, executor.n_workers)
     n_tasks = n_workers * TASKS_PER_WORKER
-    if index is not None:
-        n_blocks = index.block_count(n_tasks)
-        return index.row_blocks(n_blocks, strip_shares(executor, n_blocks))
+    if plan == "rows":
+        # Row ``i`` holds ``n - 1 - i`` pairs.
+        r = np.arange(n + 1, dtype=np.int64)
+        return row_blocks(
+            r * (2 * n - r - 1) // 2, n_tasks, strip_shares(executor, n_tasks)
+        )
+    if plan is not None:
+        n_blocks = plan.block_count(n_tasks)
+        return plan.row_blocks(n_blocks, strip_shares(executor, n_blocks))
     shares = strip_shares(executor, n_tasks)
     keep = shares is not None
     if engine == "tiled":
@@ -590,11 +599,12 @@ def conflict_sweep_chunks(
 
     The single entry point behind the host build
     (:mod:`repro.core.conflict`), the device build
-    (:mod:`repro.device.csr_build`) and
-    :func:`parallel_conflict_graph`.  A serial backend (or ``None``)
-    short-circuits to the streaming in-process sweep — same kernels,
-    same tile order, lowest memory.  A pool backend partitions the
-    domain into contiguous strips (tile grid for ``"tiled"``, flat pair
+    (:mod:`repro.device.csr_build`), the explicit graph builders
+    (:func:`block_sweep_chunks`) and :func:`parallel_conflict_graph`.
+    A serial backend (or ``None``) short-circuits to the streaming
+    in-process sweep — same kernels, same order, lowest memory.  A pool
+    backend partitions the domain into contiguous strips (tile grid or
+    row blocks for ``"tiled"``, per :func:`sweep_plan`; flat pair
     ranges for ``"pairs"``), installs the payload once per worker, and
     yields the per-strip results in strip order, which makes the
     concatenated hit stream — and therefore the assembled CSR —
@@ -608,12 +618,17 @@ def conflict_sweep_chunks(
     aborts.
     """
     _check_sweep_args(engine, chunk_size)
-    index, tile = sweep_plan(
-        n, colmasks, engine, tile, tile_bytes, edge_mask_fn
+    plan, tile = sweep_plan(
+        n, colmasks, engine, tile, tile_bytes, edge_mask_fn, edge_block_fn
     )
     if executor is None or isinstance(executor, SerialExecutor):
-        if index is not None:
-            yield from index.iter_hits(edge_mask_fn)
+        if plan == "rows":
+            yield from sweep_block_hits(
+                n, edge_block_fn, tile, backend=_backend_for(kernel_backend)
+            )
+            return
+        if plan is not None:
+            yield from plan.iter_hits(edge_mask_fn)
             return
         yield from sweep_conflict_chunks(
             n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
@@ -621,14 +636,14 @@ def conflict_sweep_chunks(
             backend=_backend_for(kernel_backend),
         )
         return
-    tasks, _ = sweep_strip_tasks(n, engine, tile, executor, index)
+    tasks, _ = sweep_strip_tasks(n, engine, tile, executor, plan)
     task_fn = _run_tile_strip if engine == "tiled" else _run_pair_range
     payload_args = dict(
         n=n, engine=engine, tile=tile, chunk_size=chunk_size,
         colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend, plan=index,
+        kernel_backend=kernel_backend, plan=plan,
     )
     try:
         yield from imap_sweep(executor, task_fn, tasks, payload_args)
@@ -848,32 +863,18 @@ def fused_conflict_csr(
 def block_sweep_chunks(
     n: int,
     block_fn: EdgeBlockFn,
-    tile: int,
+    tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
     kernel_backend: str | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Executor-routed generic tiled pair sweep (explicit graph
-    builders): yield upper-triangle ``(i, j)`` hits of ``block_fn`` in
-    canonical tile order, strip-parallel when a pool backend is given."""
-    if executor is None or isinstance(executor, SerialExecutor):
-        yield from sweep_block_hits(
-            n, block_fn, tile, backend=_backend_for(kernel_backend)
-        )
-        return
-    n_tasks = max(1, executor.n_workers) * TASKS_PER_WORKER
-    blocks = partition_tiles(n, tile, n_tasks)
-    tasks = [(b.start, b.stop) for b in blocks if len(b)]
-    payload = {
-        "n": n, "tile": tile, "block_fn": block_fn,
-        "kernel_backend": kernel_backend,
-    }
-    try:
-        yield from executor.imap(
-            _run_block_strip, tasks, initializer=_init_block_worker,
-            payload=(payload,),
-        )
-    finally:
-        finalize_sweep(executor)
+    """Executor-routed all-pairs sweep (explicit graph builders): yield
+    the upper-triangle ``(i, j)`` hits of ``block_fn`` in key order.
+    This is the ``rows`` plan of a one-color palette, under which every
+    pair shares the color and every edge is a conflict edge."""
+    return conflict_sweep_chunks(
+        n, None, np.ones((n, 1), dtype=np.uint64), edge_block_fn=block_fn,
+        tile_bytes=tile_bytes, executor=executor, kernel_backend=kernel_backend,
+    )
 
 
 def parallel_conflict_graph(

@@ -394,10 +394,10 @@ def shm_conflict_gather(
 
     if executor is None:
         executor = SerialExecutor()
-    index, tile = _pool.sweep_plan(
-        n, colmasks, engine, tile, tile_bytes, edge_mask_fn
+    plan, tile = _pool.sweep_plan(
+        n, colmasks, engine, tile, tile_bytes, edge_mask_fn, edge_block_fn
     )
-    tasks, weights = _pool.sweep_strip_tasks(n, engine, tile, executor, index)
+    tasks, weights = _pool.sweep_strip_tasks(n, engine, tile, executor, plan)
     result = ShmGatherResult(n_strips=len(tasks))
     if not tasks:
         yield result
@@ -415,7 +415,7 @@ def shm_conflict_gather(
         colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend, plan=index,
+        kernel_backend=kernel_backend, plan=plan,
     )
     task_fn = (
         _pool.run_tile_strip_shm if engine == "tiled"

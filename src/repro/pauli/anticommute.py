@@ -218,10 +218,10 @@ class AnticommuteOracle:
         return anticommute_block_chars(self.chars, r0, r1, c0, c1)
 
     def commute_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Block form of :meth:`commute_edges`.  Diagonal entries
-        (``i == j``) are meaningless here; tiled consumers mask the
-        strict upper triangle before use."""
-        return (1 - self.anticommute_block(r0, r1, c0, c1)).astype(np.uint8)
+        """Block form of :meth:`commute_edges`, as a fresh bool block
+        (one compare).  Diagonal entries (``i == j``) are meaningless
+        here; tiled consumers mask the strict upper triangle before use."""
+        return self.anticommute_block(r0, r1, c0, c1) == 0
 
     @property
     def nbytes(self) -> int:

@@ -1,33 +1,42 @@
-"""Differential tests for the inverted palette index.
+"""Differential tests for the sweep plans: the inverted palette
+index, the tile sweep and the ``L = P`` row strips.
 
-The index (:mod:`repro.device.palette_index`) and the tile sweep
-enumerate the same conflict pairs, so every conflict build must come
-out bit-identical under either plan — serial, 2/3-worker pool and shm
-gather — and equal to the ``"pairs"`` reference engine.  The driver's
-build (conflicted sub-CSR plus vertex ids) must equal the full-width
-reference graph reduced by a degree scan and ``induced_subgraph``.
-The plan is forced by patching the cost constant ``kappa``: ``0``
-takes the index for every sweep of two or more vertices, ``inf`` never
-does.  Inputs are adversarial: ``n`` at and around a word
-boundary, ``P = 1``, ``L = P``, duplicate and identity strings, fully
-commuting and fully anticommuting sets, and an explicit graph.
+The index (:mod:`repro.device.palette_index`), the tile sweep and the
+``rows`` plan enumerate the same conflict pairs, so every conflict
+build must come out bit-identical under any plan — serial, 2/3-worker
+pool, shm gather and weighted cluster — and equal to the ``"pairs"``
+reference engine.  The driver's build (conflicted sub-CSR plus vertex
+ids) must equal the full-width reference graph reduced by a degree
+scan and ``induced_subgraph``.  The index and tile plans are forced by
+patching the cost constant ``kappa`` (``0`` takes the index for every
+sweep of two or more vertices, ``inf`` never does) and switching the
+``rows`` rule off; ``rows`` is what the rule itself picks whenever all
+lists equal the palette.  Inputs are adversarial: ``n`` at and around
+a word boundary, ``P = 1``, ``L = P``, duplicate and identity strings,
+fully commuting and fully anticommuting sets, and an explicit graph.
 """
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core import Picasso, PicassoParams
 from repro.core.conflict import build_conflict_graph, build_fused_conflict_state
 from repro.core.palette import assign_color_lists
+from repro.core.params import aggressive_params
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
+from repro.datasets import load_molecule
 from repro.device import palette_index
 from repro.device.csr_build import build_conflict_csr
 from repro.device.palette_index import PaletteIndex, candidate_pairs, prefers_index
 from repro.device.sim import DeviceSim
+from repro.device.tiles import DEFAULT_TILE_BYTES, strip_height
+from repro.graphs.csr import csr_from_coo_chunks
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.ops import induced_subgraph
 from repro.parallel import PoolExecutor, pool
@@ -45,9 +54,16 @@ def _any_edge(i, j):
     return np.ones(len(i), dtype=np.uint8)
 
 
+def _any_block(r0, r1, c0, c1):
+    """A block oracle for plan-choice tests (its answers are unused)."""
+    return np.ones((r1 - r0, c1 - c0), dtype=bool)
+
+
 def force_plan(monkeypatch, plan: str) -> None:
+    """Force the index or the tile plan, with the ``rows`` rule off."""
     kappa = 0.0 if plan == "index" else float("inf")
     monkeypatch.setattr(palette_index, "INDEX_COST_PER_CANDIDATE", kappa)
+    monkeypatch.setattr(pool, "all_pairs_share", lambda colmasks: False)
 
 
 def _anticommuting(n_qubits: int) -> PauliSet:
@@ -186,15 +202,55 @@ class TestIndex:
 
 
 class TestCostRule:
-    def test_tiles_when_lists_fill_the_palette(self):
+    def test_rows_when_lists_fill_the_palette(self, monkeypatch):
         """``L = P`` puts every vertex in every bucket, so ``C = P``
-        times the pair count: the rule keeps the tile sweep."""
+        times the pair count and the index never wins; with a block
+        oracle the sweep takes the ``rows`` plan without consulting the
+        index rule, and its strips fit the tile budget."""
         for n, palette in ((50, 5), (400, 40), (2000, 100)):
             _, masks = assign_color_lists(n, palette, palette, rng=0)
             assert candidate_pairs(masks) == palette * n * (n - 1) // 2
             assert not prefers_index(n, masks)
-            index, tile = pool.sweep_plan(n, masks, "tiled", None, None, _any_edge)
-            assert index is None and tile is not None
+            with monkeypatch.context() as m:
+                m.setattr(pool, "prefers_index", None)  # not consulted
+                plan, height = pool.sweep_plan(
+                    n, masks, "tiled", None, None, _any_edge, _any_block
+                )
+            assert plan == "rows"
+            assert height == strip_height(n, DEFAULT_TILE_BYTES)
+            assert height * n * 10 <= DEFAULT_TILE_BYTES
+            plan, height = pool.sweep_plan(
+                n, masks, "tiled", None, 1 << 14, _any_edge, _any_block
+            )
+            assert plan == "rows" and height == max(1, (1 << 14) // (10 * n))
+
+    def test_equal_empty_lists_are_not_rows(self):
+        """Equal but all-zero lists share nothing: no ``rows`` plan."""
+        masks = np.zeros((50, 2), dtype=np.uint64)
+        plan, _ = pool.sweep_plan(50, masks, "tiled", None, None, _any_edge, _any_block)
+        assert plan != "rows"
+        assert not palette_index.all_pairs_share(masks)
+        assert not palette_index.all_pairs_share(masks[:0])
+
+    def test_unequal_lists_are_not_rows(self):
+        _, masks = assign_color_lists(5000, 40, 40, rng=0)
+        masks[4500, 0] ^= np.uint64(1)  # past the first early-exit block
+        assert not palette_index.all_pairs_share(masks)
+        assert palette_index.all_pairs_share(masks[:4500])
+
+    def test_rows_needs_block_oracle_and_free_tile(self):
+        """A block-less oracle, a pinned tile and the ``"pairs"`` engine
+        never pick ``rows``, even when every list is the palette."""
+        _, masks = assign_color_lists(65, 5, 5, rng=0)
+        assert palette_index.all_pairs_share(masks)
+        plan, tile = pool.sweep_plan(65, masks, "tiled", None, None, _any_edge, None)
+        assert plan is None and tile is not None
+        assert pool.sweep_plan(
+            65, masks, "tiled", 64, None, _any_edge, _any_block
+        ) == (None, 64)
+        assert pool.sweep_plan(
+            65, masks, "pairs", None, None, _any_edge, _any_block
+        ) == (None, None)
 
     def test_index_for_normal_preset_at_scale(self):
         n = 4000
@@ -203,8 +259,11 @@ class TestCostRule:
             n, params.palette_size(n), params.list_size(n), rng=0
         )
         assert prefers_index(n, masks)
-        index, tile = pool.sweep_plan(n, masks, "tiled", None, None, _any_edge)
-        assert isinstance(index, PaletteIndex) and tile is None
+        for block_fn in (None, _any_block):
+            index, tile = pool.sweep_plan(
+                n, masks, "tiled", None, None, _any_edge, block_fn
+            )
+            assert isinstance(index, PaletteIndex) and tile is None
 
     def test_pinned_tile_pairs_engine_and_block_only_oracle_keep_tiles(
         self, monkeypatch
@@ -382,3 +441,145 @@ class TestPicasso:
         got = Picasso(seed=5).color(g)
         np.testing.assert_array_equal(got.colors, ref.colors)
         assert g.validate_coloring(got.colors)
+
+
+def _rows_problems():
+    """``L = P`` inputs for the ``rows`` plan: Pauli sets and explicit
+    graphs, ``n`` in {1, 2, 65, 300}, ``P`` in {1, 5}; each as
+    ``(name, n, source, masks)``."""
+    out = []
+    for n in (1, 2, 65, 300):
+        for palette in (1, 5):
+            _, masks = assign_color_lists(n, palette, palette, rng=n)
+            sources = {
+                "pauli": PauliComplementSource(random_pauli_set(n, 6, seed=n)),
+                "explicit": ExplicitGraphSource(erdos_renyi(n, 0.3, seed=n)),
+            }
+            for kind, src in sources.items():
+                out.append((f"{kind}-n{n}-P{palette}", n, src, masks))
+    return out
+
+
+ROWS_PROBLEMS = _rows_problems()
+
+
+def _rows_build(n, src, masks, **kw):
+    return build_conflict_graph(
+        n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+    )
+
+
+def _rows_build_fused(n, src, masks, **kw):
+    return build_fused_conflict_state(
+        n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+    )
+
+
+def _pinned_tiles(n, src, masks):
+    """The tile sweep with a pinned 64-wide tile, assembled."""
+    chunks = [
+        (u, v)
+        for u, v in pool.conflict_sweep_chunks(
+            n, src.edge_mask, masks, edge_block_fn=src.edge_block, tile=64
+        )
+        if len(u)
+    ]
+    m = sum(len(u) for u, _ in chunks)
+    return csr_from_coo_chunks(chunks, n), m
+
+
+def _assert_rows_matches(n, src, masks, **kw):
+    """The ``rows`` build equals the ``"pairs"`` engine and the
+    pinned-tile sweep, full-width and as the driver's sub-CSR."""
+    plan, _ = pool.sweep_plan(
+        n, masks, "tiled", None, None, src.edge_mask, src.edge_block
+    )
+    assert plan == "rows"
+    ref, m_ref = build_conflict_graph(n, src.edge_mask, masks, engine="pairs")
+    tiles, m_tiles = _pinned_tiles(n, src, masks)
+    assert m_tiles == m_ref
+    _assert_csr_equal(tiles, ref)
+    got, m = _rows_build(n, src, masks, **kw)
+    assert m == m_ref
+    _assert_csr_equal(got, ref)
+    sub_ref, conflicted_ref = _induced(ref)
+    sub, conflicted, m_fused = _rows_build_fused(n, src, masks, **kw)
+    assert m_fused == m_ref
+    _assert_csr_equal(sub, sub_ref)
+    np.testing.assert_array_equal(conflicted, conflicted_ref)
+
+
+def _keys(chunks, n):
+    i = np.concatenate([u for u, _ in chunks] + [np.empty(0, np.int64)])
+    j = np.concatenate([v for _, v in chunks] + [np.empty(0, np.int64)])
+    assert (i < j).all()
+    return i << max(n - 1, 0).bit_length() | j
+
+
+class TestRowsPlan:
+    @pytest.mark.parametrize(
+        "problem", ROWS_PROBLEMS, ids=[p[0] for p in ROWS_PROBLEMS]
+    )
+    def test_serial_bit_identical(self, problem):
+        _, n, src, masks = problem
+        _assert_rows_matches(n, src, masks)
+        # Strips of one and of seven rows: every strip shape, the same CSR.
+        for tile_bytes in (1, 70 * max(n, 1)):
+            _assert_rows_matches(n, src, masks, tile_bytes=tile_bytes)
+
+    @pytest.mark.parametrize("shm", [False, True])
+    @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
+    def test_pool_bit_identical(self, n_workers, shm):
+        with PoolExecutor(n_workers) as ex:
+            for _, n, src, masks in ROWS_PROBLEMS:
+                _assert_rows_matches(n, src, masks, executor=ex, shm=shm)
+
+    def test_weighted_cluster_bit_identical(self):
+        """Mixed-capacity agents get capacity-weighted row ranges under
+        the positional deal; full and sub-CSR builds stay identical."""
+        from repro.distributed import ClusterExecutor, LocalCluster
+
+        with LocalCluster(1) as flat, LocalCluster(1, inner_workers=2) as hier:
+            with ClusterExecutor(flat.hosts + hier.hosts) as ex:
+                assert ex.worker_capacities() == [1, 2]
+                tasks, weights = pool.sweep_strip_tasks(300, "tiled", 7, ex, "rows")
+                assert len(tasks) == ex.n_workers * pool.TASKS_PER_WORKER
+                assert int(weights.sum()) == 300 * 299 // 2
+                for _, n, src, masks in ROWS_PROBLEMS:
+                    _assert_rows_matches(n, src, masks, executor=ex)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_hit_stream_in_key_order(self, n_workers):
+        """Rows hits arrive strictly increasing in ``i << s | j`` (the
+        CSR assembly's key), serial and gathered from a pool."""
+        for _, n, src, masks in ROWS_PROBLEMS:
+            with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
+                chunks = list(pool.conflict_sweep_chunks(
+                    n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+                    tile_bytes=70 * n, executor=ex,
+                ))
+            keys = _keys(chunks, n)
+            assert (np.diff(keys) > 0).all()
+            _, m = _rows_build(n, src, masks, engine="pairs")
+            assert len(keys) == m
+
+    def test_aggressive_hamiltonian_counts_only_rows(self):
+        """An Aggressive run on H4 is ``L = P`` at every iteration: the
+        telemetry counts one ``rows`` plan per sweep and nothing else,
+        and pool strips are tagged ``plan="rows"``."""
+        ps = load_molecule("H4_2D_sto3g")
+        try:
+            result = Picasso(
+                aggressive_params(n_workers=2, telemetry=True), seed=0
+            ).color(ps)
+        finally:
+            telemetry.reset()
+            telemetry.enable(False)
+        counters = result.telemetry["counters"]
+        plans = {k: v for k, v in counters.items() if k.startswith("sweep.plan.")}
+        assert plans == {"sweep.plan.rows": float(len(result.iterations))}
+        strips = [
+            e["attrs"] for e in result.telemetry["events"]
+            if e["name"] == "pool.strip"
+        ]
+        assert strips and all(a["plan"] == "rows" for a in strips)
