@@ -102,12 +102,12 @@ def test_tiled_vs_gather_sweep(benchmark):
 
     def tiled_count():
         total = 0
-        for i, _ in sweep_block_hits(
+        for keys in sweep_block_hits(
             n,
             lambda r0, r1, c0, c1: anticommute_parity_block(packed, r0, r1, c0, c1),
             strip_height(n),
         ):
-            total += len(i)
+            total += len(keys)
         return total
 
     for _ in range(REPEATS):

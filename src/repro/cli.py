@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shm", action="store_true",
-        help="gather sweep hits through a shared-memory COO region "
+        help="gather sweep hits through a shared-memory key region "
         "sized by the Lemma 2 estimate (zero-copy; bit-identical to "
         "the default pickled gather)",
     )

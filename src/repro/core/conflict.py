@@ -26,7 +26,8 @@ Two sweep engines cover the pair space:
 Both engines run through an execution backend
 (:mod:`repro.parallel.executor`): serial in-process streaming, or a
 process pool that sweeps balanced contiguous strips of the domain and
-gathers results in deterministic strip order.  All paths feed the same
+gathers results in deterministic strip order.  Every path emits its
+hits as CSR keys (:func:`repro.graphs.csr.key_layout`) into the same
 sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`),
 whose rows depend on the edge set alone, so serial and parallel builds
 are bit-identical per seed.
@@ -98,7 +99,7 @@ def build_conflict_graph(
         instance stays open for its owner (executor lifecycle
         contract).
     shm:
-        Gather hits through a shared COO region sized by the Lemma 2
+        Gather hits through a shared key region sized by the Lemma 2
         estimate (:mod:`repro.parallel.shm`) instead of pickling strip
         results — zero-copy into the CSR assembly.  Ignored for serial
         backends, where results never cross a pipe to begin with.
@@ -198,10 +199,10 @@ def count_conflict_edges(
         executor, n_workers, hosts=hosts, transport=transport
     ) as ex:
         total = 0
-        for i, _ in conflict_sweep_chunks(
+        for keys in conflict_sweep_chunks(
             n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex,
             kernel_backend=kernel_backend,
         ):
-            total += len(i)
+            total += len(keys)
         return total

@@ -77,7 +77,7 @@ class PicassoParams:
         :mod:`repro.distributed.cluster`.
     shm_gather:
         Gather sweep hits through a ``multiprocessing.shared_memory``
-        COO region sized by the Lemma 2 estimate instead of pickling
+        key region sized by the Lemma 2 estimate instead of pickling
         per-strip hit arrays through the pool's result pipe
         (:mod:`repro.parallel.shm`).  Identical output either way —
         serial, pickled-pool and shm-pool builds are bit-identical per

@@ -69,6 +69,8 @@ class IterationStats:
     #: budgeted Algorithm 3 build is timed as a whole.
     sweep_s: float = 0.0
     assemble_s: float = 0.0
+    #: Key bytes the host build gathered (0 on the device path).
+    hit_bytes: int = 0
 
 
 class PicassoNonConvergence(RuntimeError):
@@ -443,6 +445,7 @@ class Picasso:
                     color_peak_bytes=int(color_peak),
                     sweep_s=float(timings.get("sweep_s", 0.0)),
                     assemble_s=float(timings.get("assemble_s", 0.0)),
+                    hit_bytes=int(timings.get("hit_bytes", 0)),
                 )
             )
 

@@ -129,14 +129,15 @@ class KernelBackend(ABC):
         )
 
     def block_hits(
-        self, block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle hits of a block predicate on one block, in
-        row-major order (see :func:`repro.device.tiles.block_hits`)."""
+        self, block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int, s: int
+    ) -> np.ndarray:
+        """Upper-triangle hits of a block predicate on one block, as
+        ascending CSR keys ``i << s | j`` (see
+        :func:`repro.device.tiles.block_hits`)."""
         from repro.device import tiles
 
         telemetry.count("device.dispatch", backend=self.name)
-        return tiles.block_hits(block_fn, r0, r1, c0, c1)
+        return tiles.block_hits(block_fn, r0, r1, c0, c1, s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

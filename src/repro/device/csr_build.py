@@ -31,7 +31,7 @@ from repro.device.tiles import (
     tile_edge,
     tile_scratch_bytes,
 )
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.pool import conflict_hit_chunks
 
@@ -104,7 +104,7 @@ def build_conflict_csr(
         A spec-created backend is closed before returning; a passed
         instance stays open for its owner.
     shm:
-        Stage worker hits in a shared-memory COO region
+        Stage worker hits in a shared-memory key region
         (:mod:`repro.parallel.shm`) instead of the result pipe.  The
         staging region is charged to the device budget like any other
         allocation (pinned host staging of a real GPU gather), so OOM
@@ -241,24 +241,26 @@ def _algorithm3(
             kernel_backend=kernel_backend,
         ) as hit_stream:
             try:
-                for ei, ej in hit_stream:
-                    if n_edges + len(ei) > capacity:
+                # The sweep's CSR keys are decoded into the two-id COO
+                # buffer the paper's Algorithm 3 charges.
+                for keys in hit_stream:
+                    if n_edges + len(keys) > capacity:
                         device.n_ooms += 1
                         from repro.device.sim import DeviceOutOfMemory
 
                         raise DeviceOutOfMemory(
-                            f"COO buffer overflow: {n_edges + len(ei)} "
+                            f"COO buffer overflow: {n_edges + len(keys)} "
                             f"conflict edges exceed capacity {capacity}"
                         )
-                    coo_u[n_edges : n_edges + len(ei)] = ei
-                    coo_v[n_edges : n_edges + len(ej)] = ej
-                    n_edges += len(ei)
+                    end = n_edges + len(keys)
+                    coo_u[n_edges:end], coo_v[n_edges:end] = key_pairs(keys, n)
+                    n_edges = end
             finally:
-                # The loop variables are views into the shared region on
-                # the shm path; drop them before the gather context
+                # The loop variable is a view into the shared region on
+                # the shm path; drop it before the gather context
                 # closes the segment, or the unmap would see live
                 # buffer exports.
-                ei = ej = None
+                keys = None
 
         # Degree counters in one pass over the filled COO region —
         # O(|Ec| + n), independent of how many kernel launches fed it.

@@ -15,17 +15,18 @@ pairs that share a color:
   of candidate pairs per row is known before any pair is produced.
   Rows are cut into contiguous blocks ``[a, b)`` of about
   :data:`INDEX_BLOCK_CANDIDATES` candidates each.
-- **Dedupe.**  A pair sharing several colors appears once per shared
-  color; each block sorts its keys ``i*n + j`` and drops adjacent
-  repeats (``np.unique`` is an order of magnitude slower on these
-  keys).  Blocks cover ascending row ranges, so the concatenated
+- **Dedupe.**  Each candidate is generated as its CSR key
+  (:func:`repro.graphs.csr.key_layout`).  A pair sharing several colors
+  appears once per shared color; each block sorts its keys and drops
+  adjacent repeats (``np.unique`` is an order of magnitude slower on
+  these keys).  Blocks cover ascending row ranges, so the concatenated
   stream is globally sorted.
-- **Oracle.**  Only the surviving pairs reach the source's gathered
-  ``edge_mask(i, j)``.
+- **Oracle.**  Only the surviving keys, decoded by shift and mask,
+  reach the source's gathered ``edge_mask(i, j)``.
 
-The emitted ``(i, j)`` set equals the tile sweep's, so the sort-key
-CSR assembly builds a bit-identical graph from either stream (and
-skips its first sort on this one, which arrives in key order).  The
+The emitted key set equals the tile sweep's, so the sort-key CSR
+assembly builds a bit-identical graph from either stream, and takes
+this one as its key array, which arrives sorted.  The
 expected work is ``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P``
 candidates, the Lemma 2 quantity itself, against
 ``n(n-1)/2 * ceil(P/64)`` word operations for the tile sweep;
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.csr import key_layout, key_pairs
 from repro.util.chunking import num_pairs
 
 __all__ = [
@@ -61,9 +63,6 @@ INDEX_BLOCK_CANDIDATES = 1 << 20
 #: 0.95x the tile sweep's speed at n = 2.5k (word ops per candidate
 #: 6.1) and 1.05x at n = 3k (8.8), crossing near 7.5.
 INDEX_COST_PER_CANDIDATE = 7.5
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 def _word_bits(colmasks: np.ndarray, w: int) -> np.ndarray:
     """``(n, 64)`` uint8 bits of word column ``w``, bit ``b`` at column
@@ -165,7 +164,7 @@ class PaletteIndex:
         color = np.concatenate(colors)
         #: Bucket entries: vertex ids, color-major and ascending within
         #: each color.
-        self.verts = np.concatenate(verts).astype(np.int64)
+        self.verts = np.concatenate(verts).astype(key_layout(n)[1])
         bucket_end = np.cumsum(np.bincount(color, minlength=64 * n_words))
         #: Entries after each entry in its bucket — its candidate count.
         self.later = bucket_end[color] - np.arange(len(color)) - 1
@@ -197,43 +196,42 @@ class PaletteIndex:
         counts (see :func:`row_blocks`)."""
         return row_blocks(self.row_candidates, n_blocks, shares)
 
-    def block_pairs(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique ``(i, j)``, ``a <= i < b``, ``i < j``, sharing
-        at least one candidate color."""
+    def block_keys(self, a: int, b: int) -> np.ndarray:
+        """Sorted unique CSR keys ``i << s | j`` (:func:`key_layout`) of
+        the pairs ``a <= i < b``, ``i < j``, sharing at least one
+        candidate color."""
         entries = self.by_vertex[self.row_ptr[a] : self.row_ptr[b]]
         counts = self.later[entries]
         total = int(counts.sum())
+        s, dtype = key_layout(self.n)
         if total == 0:
-            return _EMPTY, _EMPTY
+            return np.empty(0, dtype)
         # Entry e pairs with bucket entries e+1 .. e+counts[e].
         starts = np.cumsum(counts) - counts
         keys = self.verts[
             np.arange(total, dtype=np.int64)
             + np.repeat(entries + 1 - starts, counts)
         ]
-        keys += np.repeat(self.verts[entries] * self.n, counts)
+        keys |= np.repeat(self.verts[entries] << s, counts)
         keys.sort()
         first = np.empty(total, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        i = keys // self.n
-        return i, keys - i * self.n
+        return keys[first]
 
-    def block_hits(
-        self, a: int, b: int, edge_mask_fn
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Conflict edges of rows ``[a, b)``: the block's candidate pairs
-        that ``edge_mask_fn`` confirms as edges, in sorted order."""
-        i, j = self.block_pairs(a, b)
-        if len(i) == 0:
-            return i, j
-        keep = np.asarray(edge_mask_fn(i, j)).astype(bool, copy=False)
-        return i[keep], j[keep]
+    def block_hits(self, a: int, b: int, edge_mask_fn) -> np.ndarray:
+        """Conflict edges of rows ``[a, b)``: the keys of the block's
+        candidate pairs that ``edge_mask_fn`` confirms as edges, in
+        sorted order."""
+        keys = self.block_keys(a, b)
+        if len(keys) == 0:
+            return keys
+        keep = np.asarray(edge_mask_fn(*key_pairs(keys, self.n)))
+        return keys[keep.astype(bool, copy=False)]
 
     def iter_hits(self, edge_mask_fn):
-        """Yield ``(i, j)`` conflict-edge chunks block by block — the
-        serial sweep, globally sorted."""
+        """Yield conflict-edge key chunks block by block — the serial
+        sweep, globally sorted."""
         blocks, _ = self.row_blocks(self.block_count())
         for a, b in blocks:
             yield self.block_hits(a, b, edge_mask_fn)

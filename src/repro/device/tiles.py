@@ -43,11 +43,13 @@ Design notes (the tiling model):
   cheap palette intersection first (the paper's list-intersect early
   exit): only surviving pairs consult the edge oracle, either as a
   sparse gathered query (few survivors) or as a block oracle call when
-  the tile is dense enough that the broadcast beats the gather.
+  the tile is dense enough that the broadcast beats the gather.  It
+  returns ``(i, j)``; the sweeps encode each tile's hits as CSR keys
+  (:func:`repro.graphs.csr.key_layout`), like every other sweep.
 - **All-pairs sweep.**  :func:`sweep_block_hits` calls the block oracle
   on row strips ``[r0, r1) x [r0, n)`` sized by the same per-pair
   scratch model (:func:`strip_height`) and masks only each strip's
-  leading square, so hits come out in CSR key order.  It serves the
+  leading square, so its CSR keys come out ascending.  It serves the
   explicit graph builders and the ``L = P`` conflict sweep.
 """
 
@@ -60,6 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.graphs.csr import key_dtype, key_layout, pair_keys
 from repro.util.bits import anybit_block, parity_block
 
 if TYPE_CHECKING:
@@ -321,57 +324,59 @@ def conflict_hits_strip(
     dense_edge_fraction: float = DENSE_EDGE_FRACTION,
     scratch: TileScratch | None = None,
     backend: KernelBackend | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Run the fused conflict kernel over a strip of tiles.
 
     ``tiles`` is an iterable of ``(r0, r1, c0, c1)`` blocks in canonical
-    row-major order; the per-tile hits are concatenated in that order,
-    so a partitioned sweep that gathers strip results in strip order
-    reproduces the serial sweep's global hit stream exactly.  This is
+    row-major order; each tile's hits are encoded as CSR keys as they
+    are produced and concatenated in tile order, so a partitioned sweep
+    that gathers strip results in strip order reproduces the serial
+    sweep's global hit stream exactly.  This is
     the unit of work an execution backend ships to a worker process —
-    one task, one ``(i, j)`` result pair.  ``backend`` dispatches the
-    per-tile kernel (``None`` = the direct numpy path).
+    one task, one key array.  ``backend`` dispatches the per-tile
+    kernel (``None`` = the direct numpy path).
     """
     block_op = (
         backend.conflict_hits_block if backend is not None
         else conflict_hits_block
     )
+    n = len(colmasks)
     return concat_hits(
-        block_op(
-            colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-            dense_edge_fraction=dense_edge_fraction, scratch=scratch,
-        )
-        for r0, r1, c0, c1 in tiles
+        (
+            pair_keys(*block_op(
+                colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
+                dense_edge_fraction=dense_edge_fraction, scratch=scratch,
+            ), n)
+            for r0, r1, c0, c1 in tiles
+        ),
+        n,
     )
 
 
-def concat_hits(chunks) -> tuple[np.ndarray, np.ndarray]:
-    """One ``(i, j)`` pair from a stream of hit chunks, in stream order
-    (the result of one worker task)."""
-    kept = [(i, j) for i, j in chunks if len(i)]
-    if not kept:
-        return _EMPTY, _EMPTY
-    return np.concatenate([i for i, _ in kept]), np.concatenate([j for _, j in kept])
+def concat_hits(chunks, n: int) -> np.ndarray:
+    """One key array over ``n`` vertices from a stream of key chunks,
+    in stream order (the result of one worker task)."""
+    return np.concatenate([np.empty(0, key_layout(n)[1]), *chunks])
 
 
 def block_hits(
-    block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle hits of ``block_fn`` on one block, as global
-    ``(i, j)`` index arrays in row-major order.  A block with ``r0 ==
-    c0`` starts on the diagonal: only its leading square can hold pairs
-    with ``i >= j``, so only that square is masked.  This is the inner
-    block op a :class:`~repro.device.backends.KernelBackend` may
-    override to fuse the predicate and the masking on-device."""
+    block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int, s: int
+) -> np.ndarray:
+    """Upper-triangle hits of ``block_fn`` on one block, as CSR keys
+    ``i << s | j`` (:func:`repro.graphs.csr.key_layout`) in row-major,
+    hence ascending, order.  A block with ``r0 == c0`` starts on the
+    diagonal: only its leading square can hold pairs with ``i >= j``,
+    so only that square is masked.  This is the inner block op a
+    :class:`~repro.device.backends.KernelBackend` may override to fuse
+    the predicate and the masking on-device."""
     blk = _upper_block(block_fn, r0, r1, c0, c1)
-    j = np.flatnonzero(blk)
-    if len(j) == 0:
-        return _EMPTY, _EMPTY
-    # A flat scan plus per-row offsets: ~4x faster than a 2-D nonzero.
-    per_row = np.count_nonzero(blk, axis=1)
-    w = c1 - c0
-    j += np.repeat(np.arange(c0, c0 - (r1 - r0) * w, -w), per_row)
-    return np.repeat(np.arange(r0, r1), per_row), j
+    # A flat scan plus per-row key offsets (~4x faster than a 2-D
+    # nonzero): position ``lr * w + lc`` is key ``(r0 + lr) << s | c0 + lc``.
+    keys = np.flatnonzero(blk)
+    rows = np.arange(r0, r1, dtype=np.intp)
+    offsets = (rows << s) - (rows - r0) * (c1 - c0) + c0
+    keys += np.repeat(offsets, np.count_nonzero(blk, axis=1))
+    return keys.astype(key_dtype(s), copy=False)
 
 
 def _upper_block(block_fn, r0, r1, c0, c1) -> np.ndarray:
@@ -389,21 +394,22 @@ def sweep_block_hits(
     backend: KernelBackend | None = None,
     a: int = 0,
     b: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """The all-pairs sweep: yield the upper-triangle hits of
-    ``block_fn`` over rows ``[a, b)`` (default all), one row strip
-    ``[r0, r1) x [r0, n)`` of ``height`` rows at a time.
+    ``block_fn`` over rows ``[a, b)`` (default all) as CSR keys, one
+    row strip ``[r0, r1) x [r0, n)`` of ``height`` rows at a time.
 
-    Hits come out in ``(i, j)`` row-major order, i.e. in the key order
-    of the CSR assembly, which then skips its first sort.  Serves the
-    explicit graph builders and the ``rows`` conflict plan (``L = P``,
-    where every edge is a conflict edge).  ``backend`` dispatches the
-    per-strip block op (``None`` = :func:`block_hits`).
+    Keys come out ascending, so the CSR assembly takes them as its key
+    array and skips its first sort.  Serves the explicit graph builders
+    and the ``rows`` conflict plan (``L = P``, where every edge is a
+    conflict edge).  ``backend`` dispatches the per-strip block op
+    (``None`` = :func:`block_hits`).
     """
     block_op = backend.block_hits if backend is not None else block_hits
+    s, _ = key_layout(n)
     stop = n if b is None else b
     for r0 in range(a, stop, height):
-        yield block_op(block_fn, r0, min(r0 + height, stop), r0, n)
+        yield block_op(block_fn, r0, min(r0 + height, stop), r0, n, s)
 
 
 def sweep_conflict_hits(
@@ -414,9 +420,9 @@ def sweep_conflict_hits(
     tile: int | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     backend: KernelBackend | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Run the fused conflict kernel over all upper-triangle tiles,
-    yielding one ``(i, j)`` hit pair per tile (possibly empty)."""
+    yielding one CSR key array per tile (possibly empty)."""
     if tile is None:
         tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
     scratch = TileScratch(tile)
@@ -425,10 +431,10 @@ def sweep_conflict_hits(
         else conflict_hits_block
     )
     for r0, r1, c0, c1 in iter_tiles(n, tile):
-        yield block_op(
+        yield pair_keys(*block_op(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
             scratch=scratch,
-        )
+        ), n)
 
 
 def sweep_conflict_chunks(
@@ -441,10 +447,10 @@ def sweep_conflict_chunks(
     tile_bytes: int = DEFAULT_TILE_BYTES,
     tile: int | None = None,
     backend: KernelBackend | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Engine dispatch for the conflict sweep, shared by the host build
     (:mod:`repro.core.conflict`) and the device build
-    (:mod:`repro.device.csr_build`): yield ``(i, j)`` conflict-edge
+    (:mod:`repro.device.csr_build`): yield conflict-edge CSR key
     chunks from the selected engine (``"tiled"`` block broadcast or
     ``"pairs"`` flat gather).  ``backend`` dispatches the tiled
     engine's kernels; the pairs engine is numpy-only (its flat gather
@@ -460,7 +466,7 @@ def sweep_conflict_chunks(
 
         for i, j in iter_pair_chunks(n, chunk_size):
             mask = conflict_pair_kernel(edge_mask_fn, colmasks, i, j).astype(bool)
-            yield i[mask], j[mask]
+            yield pair_keys(i[mask], j[mask], n)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 

@@ -10,7 +10,7 @@ The pair sweep is the all-pairs row-strip sweep
 (:func:`repro.device.tiles.sweep_block_hits`): each strip ``[r0, r1) x
 [r0, n)`` evaluates the oracle's block kernel once over contiguous row
 slices instead of gathering both operand rows per pair, and the hits
-stream into the sort-key CSR assembly in key order.  With
+stream into the sort-key CSR assembly as ascending CSR keys.  With
 ``n_workers >= 2`` the sweep is dispatched over the execution backend
 layer (:mod:`repro.parallel.executor`) as row ranges of equal pair
 weight; the assembly depends on the edge set alone, so parallel and
@@ -105,11 +105,11 @@ def _oracle_graph(
         executor if executor is not None else "auto", n_workers, hosts=hosts
     ) as ex:
         chunks = [
-            (i, j)
-            for i, j in block_sweep_chunks(
+            keys
+            for keys in block_sweep_chunks(
                 pauli_set.n, block_fn, _oracle_budget(chunk_size), executor=ex
             )
-            if len(i)
+            if len(keys)
         ]
     return csr_from_coo_chunks(chunks, pauli_set.n)
 

@@ -133,53 +133,97 @@ def _scatter(
         targets[dest] = blk & col_mask
 
 
-def csr_from_coo_chunks(
-    chunks: list[tuple[np.ndarray, np.ndarray]], n_vertices: int
-) -> CSRGraph:
-    """Sort-key CSR assembly from streamed COO chunks.
+def key_layout(n_vertices: int) -> tuple[int, np.dtype]:
+    """The CSR key layout for ``n_vertices``: the shift
+    ``s = bit_length(n - 1)`` of a key ``min << s | max`` and its dtype,
+    ``int32`` when ``2s <= 31`` and ``int64`` otherwise (the paper's
+    4-byte/8-byte switch).  Every sweep emits its hits in this layout."""
+    s = max(n_vertices - 1, 0).bit_length()
+    return s, key_dtype(s)
 
-    ``chunks`` is a list of ``(u, v)`` endpoint arrays, each unordered
-    edge appearing exactly once across all chunks in either orientation
-    (the output of a pair or tile sweep); each chunk leaves the list as
-    soon as it is encoded.  Every edge becomes one key ``min << s | max``
-    with ``s = bit_length(n - 1)``, ``int32`` when ``2s <= 31`` and
-    ``int64`` otherwise (the paper's 4-byte/8-byte switch).  Sorting the
-    keys (skipped when the stream arrives sorted) orders each row's upper
-    neighbours; transposing them in place and sorting again orders the
-    lower ones.  Both halves scatter straight to their final slots, so
-    the result depends on the edge set alone (see :class:`CSRGraph`).
-    Scratch is the one ``m``-long key array plus O(block) temporaries.
+
+def key_dtype(s: int) -> np.dtype:
+    """``int32`` when a key of two ``s``-bit ids fits, else ``int64``."""
+    return np.dtype(np.int32 if 2 * s <= 31 else np.int64)
+
+
+def pair_keys(i: np.ndarray, j: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Keys ``i << s | j`` of pairs with ``i < j`` (:func:`key_layout`)."""
+    s, dtype = key_layout(n_vertices)
+    keys = i.astype(dtype)
+    keys <<= s
+    keys |= j
+    return keys
+
+
+def key_pairs(keys: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode keys into ``(i, j)`` intp arrays by shift and mask."""
+    s, _ = key_layout(n_vertices)
+    i = np.right_shift(keys, s, dtype=np.intp)
+    return i, np.bitwise_and(keys, (1 << s) - 1, dtype=np.intp)
+
+
+def csr_from_coo_chunks(
+    chunks: list[np.ndarray | tuple[np.ndarray, np.ndarray]], n_vertices: int
+) -> CSRGraph:
+    """Sort-key CSR assembly from streamed edge chunks.
+
+    Each chunk is a 1-D array of keys ``min << s | max`` in the
+    :func:`key_layout` of ``n_vertices`` (what every sweep emits), or a
+    ``(u, v)`` pair of endpoint arrays in either orientation, encoded
+    into keys here; each unordered edge appears exactly once across all
+    chunks, and each chunk leaves the list as soon as it is copied.
+    Sorting the keys (skipped when the stream arrives sorted) orders
+    each row's upper neighbours; transposing them in place and sorting
+    again orders the lower ones.  Both halves scatter straight to their
+    final slots, so the result depends on the edge set alone (see
+    :class:`CSRGraph`).  Scratch is the one ``m``-long key array plus
+    O(block) temporaries.
     """
     n = n_vertices
-    s = max(n - 1, 0).bit_length()
-    key = np.empty(sum(len(u) for u, _ in chunks), np.int32 if 2 * s <= 31 else np.int64)
+    s, dtype = key_layout(n)
+    sizes = [len(c) if isinstance(c, np.ndarray) else len(c[0]) for c in chunks]
+    key = np.empty(sum(sizes), dtype)
     in_order = True
     pos = 0
     chunks.reverse()
     while chunks:
-        u, v = chunks.pop()
-        for a in range(0, len(u), _BLOCK):
-            lo = np.minimum(u[a : a + _BLOCK], v[a : a + _BLOCK])
-            hi = np.maximum(u[a : a + _BLOCK], v[a : a + _BLOCK])
-            # Per block, not per row pointer: an id >= 2**s would fold
-            # into another row's key without moving any row boundary.
-            if lo.min() < 0 or hi.max() >= n:
-                raise ValueError("vertex id out of range")
-            blk = key[pos : pos + len(lo)]
-            blk[:] = lo
-            blk <<= s
-            blk |= hi
+        chunk = chunks.pop()
+        for a in range(0, sizes.pop(0), _BLOCK):
+            if isinstance(chunk, np.ndarray):
+                # A row field >= n fails here, a column field >= n as
+                # an overlong column count below.
+                src = chunk[a : a + _BLOCK]
+                if src.min() < 0 or src.max() >= n << s:
+                    raise ValueError("vertex id out of range")
+                blk = key[pos : pos + len(src)]
+                blk[:] = src
+            else:
+                u, v = chunk
+                lo = np.minimum(u[a : a + _BLOCK], v[a : a + _BLOCK])
+                hi = np.maximum(u[a : a + _BLOCK], v[a : a + _BLOCK])
+                # Per block, not per row pointer: an id >= 2**s would fold
+                # into another row's key without moving any row boundary.
+                if lo.min() < 0 or hi.max() >= n:
+                    raise ValueError("vertex id out of range")
+                blk = key[pos : pos + len(lo)]
+                blk[:] = lo
+                blk <<= s
+                blk |= hi
             in_order = in_order and (pos == 0 or key[pos - 1] <= blk[0])
             in_order = in_order and not (blk[1:] < blk[:-1]).any()
             pos += len(blk)
-        del u, v
+        del chunk
     if not in_order:
         key.sort()
     up_ptr = np.searchsorted(key, np.arange(n + 1, dtype=key.dtype) << s)
     col_mask = key.dtype.type((1 << s) - 1)
     low_ptr = np.zeros(n + 1, dtype=np.int64)
     for a in range(0, len(key), _BLOCK):
-        low_ptr[1:] += np.bincount(key[a : a + _BLOCK] & col_mask, minlength=n)
+        counts = np.bincount(key[a : a + _BLOCK] & col_mask, minlength=n)
+        if len(counts) > n:
+            raise ValueError("vertex id out of range")
+        low_ptr[1:] += counts
     np.cumsum(low_ptr, out=low_ptr)
     # Return freed chunk pages first (glibc): reused or not by luck of
     # heap fragmentation, they swung peak RSS by ``targets.nbytes``.
@@ -210,8 +254,8 @@ def from_edge_list(
     n_vertices:
         Total vertex count (isolated vertices allowed).
     dedupe:
-        Remove duplicate edges first.  The ``np.unique`` sort leaves
-        the edges in key order, so the assembly skips its first sort.
+        Remove duplicate edges first.  The ``np.unique`` sort of their
+        keys leaves them in order, so the assembly skips its first sort.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -222,6 +266,6 @@ def from_edge_list(
     if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n_vertices):
         raise ValueError("vertex id out of range")
     if dedupe and len(u):
-        key = np.unique(np.minimum(u, v) * np.int64(n_vertices) + np.maximum(u, v))
-        u, v = np.divmod(key, n_vertices)
+        keys = pair_keys(np.minimum(u, v), np.maximum(u, v), n_vertices)
+        return csr_from_coo_chunks([np.unique(keys)], n_vertices)
     return csr_from_coo_chunks([(u, v)], n_vertices)

@@ -9,7 +9,7 @@ This module is the seam where every conflict/graph sweep meets an
 - the ``"tiled"`` engine partitions the upper-triangular tile grid into
   balanced contiguous :class:`~repro.parallel.partition.TileBlock`
   strips, each worker runs the fused block-broadcast kernel over its
-  strip and returns one concatenated ``(i, j)`` hit pair — or, when
+  strip and returns one array of CSR keys — or, when
   :func:`sweep_plan` picks the inverted palette index, the strips are
   the index's row blocks, balanced by exact candidate counts; under
   the ``rows`` plan (every pair shares a color, ``L = P``) they are
@@ -35,8 +35,10 @@ depends on the edge set alone, not on strip or chunk order, so it
 produces **bit-identical graphs** for serial and parallel builds per
 seed.
 
-Hit arrays travel back either pickled through the result pipe (the
-default) or through a shared-memory COO region
+Hits are CSR keys (:func:`repro.graphs.csr.key_layout`, 4 bytes per
+edge up to 32,768 vertices) from the worker through the gather to the
+assembly.  Key arrays travel back either pickled through the result
+pipe (the default) or through a shared-memory key region
 (:mod:`repro.parallel.shm`) where workers write into reserved slices
 and only hit counts cross the pipe.  That makes four worker sweep
 tasks, ``{tile strip, pair range} x {pickled, shm}``, and one gather
@@ -75,7 +77,7 @@ from repro.device.tiles import (
     sweep_conflict_chunks,
     tile_edge,
 )
-from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, index_dtype
+from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, key_layout, pair_keys
 from repro.parallel.executor import Executor, SerialExecutor, owned_executor
 from repro.parallel.partition import (
     partition_pairs,
@@ -389,10 +391,10 @@ def _plan_name(plan) -> str:
     return "tiles" if plan is None else "rows" if plan == "rows" else "index"
 
 
-def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
     """Worker task of the ``"tiled"`` engine: the fused conflict kernel
     over one strip of tiles, or the row block ``[start, stop)`` of an
-    index or ``rows`` plan."""
+    index or ``rows`` plan, as one CSR key array."""
     fault_point("task")
     start, stop = task
     plan = _WORKER["plan"]
@@ -401,14 +403,14 @@ def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         plan=_plan_name(plan),
     ):
         if plan == "rows":
-            u, v = concat_hits(sweep_block_hits(
+            keys = concat_hits(sweep_block_hits(
                 _WORKER["n"], _WORKER["edge_block_fn"], _WORKER["tile"],
                 _WORKER.get("backend"), start, stop,
-            ))
+            ), _WORKER["n"])
         elif plan is not None:
-            u, v = plan.block_hits(start, stop, _WORKER["edge_mask_fn"])
+            keys = plan.block_hits(start, stop, _WORKER["edge_mask_fn"])
         else:
-            u, v = conflict_hits_strip(
+            keys = conflict_hits_strip(
                 _WORKER["colmasks"],
                 _WORKER["grid"][start:stop],
                 _WORKER["edge_mask_fn"],
@@ -416,11 +418,11 @@ def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
                 scratch=_WORKER["scratch"],
                 backend=_WORKER.get("backend"),
             )
-    telemetry.observe("pool.strip_hits", float(len(u)))
-    return u, v
+    telemetry.observe("pool.strip_hits", float(len(keys)))
+    return keys
 
 
-def _run_pair_range(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _run_pair_range(task: tuple[int, int]) -> np.ndarray:
     """Worker task: gather-engine conflict scan of one flat pair range."""
     from repro.device.kernels import conflict_pair_kernel
 
@@ -436,27 +438,25 @@ def _run_pair_range(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
             mask = conflict_pair_kernel(
                 _WORKER["edge_mask_fn"], _WORKER["colmasks"], i, j
             ).astype(bool)
-            yield i[mask], j[mask]
+            yield pair_keys(i[mask], j[mask], n)
 
     with telemetry.span("pool.strip", engine="pairs", start=start, stop=stop):
-        u, v = concat_hits(hits())
-    telemetry.observe("pool.strip_hits", float(len(u)))
-    return u, v
+        keys = concat_hits(hits(), n)
+    telemetry.observe("pool.strip_hits", float(len(keys)))
+    return keys
 
 
 def run_tile_strip_shm(task) -> int:
-    """Worker task: tile strip swept into a shared COO slice; returns
+    """Worker task: tile strip swept into a shared key slice; returns
     the hit count (negated on reservation overflow)."""
     (start, stop), spec = task
-    u, v = _run_tile_strip((start, stop))
-    return write_strip_hits(u, v, spec)
+    return write_strip_hits(_run_tile_strip((start, stop)), spec)
 
 
 def run_pair_range_shm(task) -> int:
-    """Worker task: pair range swept into a shared COO slice."""
+    """Worker task: pair range swept into a shared key slice."""
     (start, stop), spec = task
-    u, v = _run_pair_range((start, stop))
-    return write_strip_hits(u, v, spec)
+    return write_strip_hits(_run_pair_range((start, stop)), spec)
 
 
 def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
@@ -594,8 +594,9 @@ def conflict_sweep_chunks(
     source=None,
     active_idx: np.ndarray | None = None,
     kernel_backend: str | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Executor-routed conflict sweep: yield ``(i, j)`` edge chunks.
+) -> Iterator[np.ndarray]:
+    """Executor-routed conflict sweep: yield edge chunks as arrays of
+    CSR keys ``i << s | j`` (:func:`repro.graphs.csr.key_layout`).
 
     The single entry point behind the host build
     (:mod:`repro.core.conflict`), the device build
@@ -672,7 +673,7 @@ def conflict_hit_chunks(
 ):
     """One gather-policy seam for every conflict build.
 
-    Yields an iterable of ``(i, j)`` hit chunks in canonical strip
+    Yields an iterable of CSR key chunks in canonical strip
     order, resolved through the shared-memory gather when ``shm`` is on
     and the backend supports it (same-node worker pools), and through
     the plain result stream otherwise — ``shm`` is meaningless for
@@ -750,8 +751,9 @@ def gathered_conflict_csr(
     ) as hit_stream:
         try:
             with telemetry.span("sweep.gather", engine=engine):
-                chunks = [(u, v) for u, v in hit_stream if len(u)]
-            m = sum(len(u) for u, _ in chunks)
+                chunks = [keys for keys in hit_stream if len(keys)]
+            m = sum(len(keys) for keys in chunks)
+            telemetry.count("sweep.hit_bytes", float(sum(k.nbytes for k in chunks)))
             with telemetry.span("sweep.assemble", engine=engine):
                 graph = csr_from_coo_chunks(chunks, n)
         finally:
@@ -760,34 +762,45 @@ def gathered_conflict_csr(
 
 
 def _fused_sub_csr(
-    n: int,
-    mask: np.ndarray,
-    chunks: list[tuple[np.ndarray, np.ndarray]],
+    n: int, chunks: list[np.ndarray]
 ) -> tuple[CSRGraph, np.ndarray]:
-    """Assemble the conflicted-subgraph CSR directly from hit chunks.
+    """Assemble the conflicted-subgraph CSR directly from key chunks.
 
-    ``mask`` flags the conflict vertices (every hit endpoint).  The
-    relabel ``old -> new`` is strictly monotone, so it maps
-    each row's neighbours above and below it onto the same sides in
-    the same order, and the sort-key assembly (whose rows depend on the
-    edge set alone) makes this CSR **bit-identical** to
+    The conflict vertices are the keys' endpoints (marking stops once
+    all ``n`` are marked).  The relabel ``old -> new`` is strictly
+    monotone, so each key maps onto the subgraph's :func:`key_layout`
+    in the same order, and the sort-key assembly (whose rows depend on
+    the edge set alone) makes this CSR **bit-identical** to
     ``induced_subgraph(csr_from_coo_chunks(chunks, n), conflicted)``
     (on the conflicted set the induced relabel drops zero arcs, so it
     too is a pure monotone relabel) while never materializing the
-    full-width graph, its degree vector, or the relabel pass.
-
-    ``chunks`` is consumed: each original leaves the list as its
-    renumbered copy (4-byte ids while they fit) is made, so the hits
-    and their copies never coexist in full.
+    full-width graph.  When every vertex is conflicted the relabel is
+    the identity and the keys pass straight through.  ``chunks`` is
+    consumed: each original leaves the list as its relabeled copy is
+    made, so the two never coexist in full.
     """
+    s, _ = key_layout(n)
+    col_mask = (1 << s) - 1
+    mask = np.zeros(n, dtype=bool)
+    for keys in chunks:
+        if mask.all():
+            break
+        mask[keys >> s] = True
+        mask[keys & col_mask] = True
     conflicted = np.flatnonzero(mask)
-    new_id = np.cumsum(mask, dtype=index_dtype(n)) - 1
+    if len(conflicted) == n:
+        return csr_from_coo_chunks(chunks, n), conflicted
+    sub_s, sub_dtype = key_layout(len(conflicted))
+    new_id = np.cumsum(mask, dtype=sub_dtype) - 1
     chunks.reverse()
-    sub_chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    sub_chunks: list[np.ndarray] = []
     while chunks:
-        u, v = chunks.pop()
-        sub_chunks.append((new_id[u], new_id[v]))
-        del u, v
+        keys = chunks.pop()
+        sub = new_id[keys >> s]
+        sub <<= sub_s
+        sub |= new_id[keys & col_mask]
+        sub_chunks.append(sub)
+        del keys
     return csr_from_coo_chunks(sub_chunks, len(conflicted)), conflicted
 
 
@@ -810,9 +823,9 @@ def fused_conflict_csr(
 ) -> tuple[CSRGraph, np.ndarray, int]:
     """Sweep-and-assemble into coloring-ready conflict state.
 
-    Drains the hit stream of :func:`conflict_hit_chunks` once, marking
-    each chunk's endpoints in an ``n``-wide conflict mask as it lands,
-    then assembles the conflicted sub-CSR directly — no full-width
+    Drains the key stream of :func:`conflict_hit_chunks` once, then
+    marks the conflict vertices and assembles the conflicted sub-CSR
+    directly in key space (:func:`_fused_sub_csr`) — no full-width
     graph, degree scan or induced-subgraph relabel.  Returns ``(sub_gc,
     conflicted, n_conflict_edges)`` where ``sub_gc`` is bit-identical
     to ``induced_subgraph`` of the :func:`gathered_conflict_csr` graph
@@ -821,12 +834,10 @@ def fused_conflict_csr(
     ``region_pool`` (a :class:`repro.parallel.shm.ShmRegionPool`)
     double-buffers the shm gather regions across iterations.
     ``timings``, when given, accumulates ``sweep_s`` (draining the hit
-    stream — worker compute plus gather) and ``assemble_s`` (the
-    sub-CSR build), for the per-iteration phase metrics.
+    stream — worker compute plus gather), ``assemble_s`` (the sub-CSR
+    build) and ``hit_bytes`` (the gathered key bytes), for the
+    per-iteration metrics.
     """
-    mask = np.zeros(n, dtype=bool)
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
-    m = 0
     t0 = telemetry.clock()
     with conflict_hit_chunks(
         n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
@@ -837,26 +848,25 @@ def fused_conflict_csr(
     ) as hit_stream:
         try:
             with telemetry.span("sweep.gather", engine=engine):
-                for u, v in hit_stream:
-                    if len(u):
-                        mask[u] = True
-                        mask[v] = True
-                        m += len(u)
-                        chunks.append((u, v))
+                chunks = [keys for keys in hit_stream if len(keys)]
+            m = sum(len(keys) for keys in chunks)
+            hit_bytes = sum(keys.nbytes for keys in chunks)
+            telemetry.count("sweep.hit_bytes", float(hit_bytes))
             t1 = telemetry.clock()
             # Assembled inside the context: shm chunks are views of the
             # shared region, valid only until the context closes it.
             with telemetry.span("sweep.assemble", engine=engine):
-                sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
+                sub_gc, conflicted = _fused_sub_csr(n, chunks)
         finally:
             # No view may outlive the gather context, which unmaps the
-            # region: not the loop variables, not an unconsumed list.
-            chunks = u = v = None
+            # region: not an unconsumed list.
+            chunks = None
     if timings is not None:
         timings["sweep_s"] = timings.get("sweep_s", 0.0) + (t1 - t0)
         timings["assemble_s"] = (
             timings.get("assemble_s", 0.0) + (telemetry.clock() - t1)
         )
+        timings["hit_bytes"] = timings.get("hit_bytes", 0) + hit_bytes
     return sub_gc, conflicted, m
 
 
@@ -866,9 +876,9 @@ def block_sweep_chunks(
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
     kernel_backend: str | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Executor-routed all-pairs sweep (explicit graph builders): yield
-    the upper-triangle ``(i, j)`` hits of ``block_fn`` in key order.
+    the upper-triangle hits of ``block_fn`` as ascending CSR keys.
     This is the ``rows`` plan of a one-color palette, under which every
     pair shares the color and every edge is a conflict edge."""
     return conflict_sweep_chunks(
@@ -916,7 +926,7 @@ def parallel_conflict_graph(
         backend is closed before returning; a passed instance is left
         open for its owner.
     shm:
-        Gather hits through a shared-memory COO region instead of the
+        Gather hits through a shared-memory key region instead of the
         result pipe (:mod:`repro.parallel.shm`).
 
     Returns

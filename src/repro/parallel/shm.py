@@ -4,14 +4,14 @@ The PR 2 pool returned every per-strip hit array by pickling it through
 the pool's result pipe — output-proportional *communication*, but each
 conflict edge still crossed a pipe twice (pickle, unpickle).  This
 module removes that copy: the dispatcher allocates one
-``multiprocessing.shared_memory`` COO region sized by the paper's
+``multiprocessing.shared_memory`` key region sized by the paper's
 Lemma 2 conflict-edge estimate, every strip of the sweep gets a
-reserved slot range inside it, workers write their ``(i, j)`` hits
-directly into their slices, and only a per-strip *hit count* (one
-integer) travels back through the pipe.  The dispatcher then hands
-NumPy views over the shared region straight to
-:func:`repro.graphs.csr.csr_from_coo_chunks` — no result pickling, no
-gather-side concatenation.
+reserved slot range inside it, workers write their hits (one CSR key
+per slot, :func:`repro.graphs.csr.key_layout`) directly into their
+slices, and only a per-strip *hit count* (one integer) travels back
+through the pipe.  The dispatcher then hands NumPy views over the shared
+region straight to :func:`repro.graphs.csr.csr_from_coo_chunks` — no
+result pickling, no gather-side concatenation.
 
 Sizing follows Lemma 2: the expected conflict-edge count is
 ``|E| * p_share`` with ``p_share`` the exact list-intersection
@@ -40,6 +40,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro import telemetry
+from repro.graphs.csr import key_layout
 from repro.util.chunking import num_pairs
 
 __all__ = [
@@ -65,10 +66,6 @@ SHM_SAFETY = 1.5
 #: every strip a useful slice (a few cache lines; never exceeds the
 #: strip's own pair count).
 MIN_STRIP_SLOTS = 32
-
-#: Bytes per COO slot: one int64 ``i`` plus one int64 ``j``.
-SLOT_BYTES = 16
-
 
 def _attach_untracked(name: str):
     """Attach an existing segment without resource-tracker bookkeeping.
@@ -99,35 +96,31 @@ def _attach_untracked(name: str):
 
 
 class ShmCooRegion:
-    """A shared-memory COO buffer: ``capacity`` slots of ``(u, v)``.
+    """A shared-memory edge buffer: ``capacity`` slots of one CSR key
+    each, of ``dtype`` (the sweep's :func:`key_layout` dtype).
 
-    Layout is two back-to-back int64 arrays (all ``u`` then all ``v``),
-    so a strip's reservation ``[off, off + cap)`` is one contiguous
-    slice of each.  The creator owns the segment (close + unlink);
-    workers attach by name and only close.
+    A strip's reservation ``[off, off + cap)`` is one contiguous slice.
+    The creator owns the segment (close + unlink); workers attach by
+    name and only close.
     """
 
-    def __init__(self, shm, capacity: int, owner: bool) -> None:
+    def __init__(self, shm, capacity: int, owner: bool, dtype) -> None:
         self._shm = shm
         self.capacity = int(capacity)
         self.owner = owner
-        self.u = np.frombuffer(shm.buf, dtype=np.int64, count=self.capacity)
-        self.v = np.frombuffer(
-            shm.buf, dtype=np.int64, count=self.capacity,
-            offset=8 * self.capacity,
-        )
+        self.keys = np.frombuffer(shm.buf, dtype=dtype, count=self.capacity)
 
     @classmethod
-    def create(cls, capacity: int) -> "ShmCooRegion":
+    def create(cls, capacity: int, dtype=np.int64) -> "ShmCooRegion":
         capacity = max(int(capacity), 1)
         shm = shared_memory.SharedMemory(
-            create=True, size=SLOT_BYTES * capacity
+            create=True, size=np.dtype(dtype).itemsize * capacity
         )
-        return cls(shm, capacity, owner=True)
+        return cls(shm, capacity, owner=True, dtype=dtype)
 
     @classmethod
-    def attach(cls, name: str, capacity: int) -> "ShmCooRegion":
-        return cls(_attach_untracked(name), capacity, owner=False)
+    def attach(cls, name: str, capacity: int, dtype=np.int64) -> "ShmCooRegion":
+        return cls(_attach_untracked(name), capacity, owner=False, dtype=dtype)
 
     @property
     def name(self) -> str:
@@ -135,18 +128,15 @@ class ShmCooRegion:
 
     @property
     def nbytes(self) -> int:
-        return SLOT_BYTES * self.capacity
+        return self.keys.nbytes
 
-    def slice(self, offset: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of one reservation's first ``count`` filled slots."""
-        return (
-            self.u[offset : offset + count],
-            self.v[offset : offset + count],
-        )
+    def slice(self, offset: int, count: int) -> np.ndarray:
+        """View of one reservation's first ``count`` filled slots."""
+        return self.keys[offset : offset + count]
 
     def close(self) -> None:
-        """Drop the NumPy views and unmap the segment."""
-        self.u = self.v = None
+        """Drop the NumPy view and unmap the segment."""
+        self.keys = None
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - stray external view
@@ -179,19 +169,20 @@ class ShmRegionPool:
         self._slots: list[ShmCooRegion | None] = [None] * max(1, int(n_slots))
         self._next = 0
 
-    def acquire(self, capacity: int) -> ShmCooRegion:
-        """A region with at least ``capacity`` slots, reused if possible."""
+    def acquire(self, capacity: int, dtype=np.int64) -> ShmCooRegion:
+        """A region with at least ``capacity`` slots of ``dtype``,
+        reused if possible."""
         capacity = max(int(capacity), 1)
         k = self._next
         self._next = (k + 1) % len(self._slots)
         region = self._slots[k]
-        if region is not None and region.capacity >= capacity:
+        if region is not None and region.capacity >= capacity and region.keys.dtype == dtype:
             telemetry.count("shm.region.reuse")
             return region
         if region is not None:
             region.close()
             region.unlink()
-        region = ShmCooRegion.create(capacity)
+        region = ShmCooRegion.create(capacity, dtype)
         telemetry.count("shm.region.create")
         self._slots[k] = region
         return region
@@ -217,10 +208,10 @@ class ShmRegionPool:
 _ATTACHED: dict[str, ShmCooRegion] = {}
 
 
-def _attached_region(name: str, capacity: int) -> ShmCooRegion:
+def _attached_region(name: str, capacity: int, dtype) -> ShmCooRegion:
     region = _ATTACHED.get(name)
     if region is None:
-        region = ShmCooRegion.attach(name, capacity)
+        region = ShmCooRegion.attach(name, capacity, dtype)
         _ATTACHED[name] = region
     return region
 
@@ -232,10 +223,10 @@ def close_worker_attachments() -> None:
     _ATTACHED.clear()
 
 
-def write_strip_hits(
-    u: np.ndarray, v: np.ndarray, spec: tuple[str, int, int, int]
-) -> int:
-    """Write one strip's hits into its reserved slice; return the count.
+def write_strip_hits(keys: np.ndarray, spec: tuple[str, int, int, int]) -> int:
+    """Write one strip's key array into its reserved slice; return the
+    count.  The region's slots share the keys' dtype (both follow the
+    sweep's :func:`key_layout`).
 
     ``spec`` is ``(region_name, region_capacity, offset, slot_cap)``.
     A strip whose hits exceed its reservation returns the *negated*
@@ -244,13 +235,12 @@ def write_strip_hits(
     overflow again).
     """
     name, capacity, offset, slot_cap = spec
-    n_hits = len(u)
+    n_hits = len(keys)
     if n_hits > slot_cap:
         return -n_hits
     if n_hits:
-        region = _attached_region(name, capacity)
-        region.u[offset : offset + n_hits] = u
-        region.v[offset : offset + n_hits] = v
+        region = _attached_region(name, capacity, keys.dtype)
+        region.keys[offset : offset + n_hits] = keys
     return n_hits
 
 
@@ -299,10 +289,11 @@ def staging_bytes_hint(
     per-strip floor and ceil cushion, capped at pair space.
     """
     total = num_pairs(n)
+    slot_bytes = key_layout(n)[1].itemsize
     if total == 0:
-        return SLOT_BYTES  # the region clamps to one slot
+        return slot_bytes  # the region clamps to one slot
     slots = int(max(est_edges, 0.0) * safety) + n_strips * (MIN_STRIP_SLOTS + 1)
-    return SLOT_BYTES * max(min(slots, total), 1)
+    return slot_bytes * max(min(slots, total), 1)
 
 
 def plan_strip_slots(
@@ -331,8 +322,8 @@ def plan_strip_slots(
 class ShmGatherResult:
     """Outcome of one shared-memory sweep.
 
-    ``chunks`` holds per-strip ``(u, v)`` int64 views into the shared
-    region(s), in canonical strip order — the exact stream the pickled
+    ``chunks`` holds per-strip key views into the shared region(s), in
+    canonical strip order — the exact stream the pickled
     gather would have produced, valid only inside the gather context.
     """
 
@@ -368,7 +359,7 @@ def shm_conflict_gather(
 
     Same domain decomposition, payload shipping and strip order as
     :func:`repro.parallel.pool.conflict_sweep_chunks`, but hit arrays
-    come back through a shared COO region instead of the result pipe.
+    come back through a shared key region instead of the result pipe.
     Yields a :class:`ShmGatherResult` whose ``chunks`` feed
     :func:`repro.graphs.csr.csr_from_coo_chunks` with no copy; the
     region is closed and unlinked when the context exits.
@@ -423,19 +414,20 @@ def shm_conflict_gather(
     )
 
     regions: list[ShmCooRegion] = []
+    dtype = key_layout(n)[1]
 
     def _new_region(capacity: int) -> ShmCooRegion:
         capacity = max(int(capacity), 1)
         if region_cb is not None:
-            region_cb(SLOT_BYTES * capacity)
-        region = ShmCooRegion.create(capacity)
+            region_cb(dtype.itemsize * capacity)
+        region = ShmCooRegion.create(capacity, dtype)
         telemetry.count("shm.region.create")
         regions.append(region)
         return region
 
     try:
         if region_pool is not None:
-            region = region_pool.acquire(result.total_slots)
+            region = region_pool.acquire(result.total_slots, dtype)
         else:
             region = _new_region(result.total_slots)
         shm_tasks = [

@@ -189,8 +189,8 @@ class AnticommuteOracle:
 
     def anticommute(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """uint8 mask, 1 where ``P_i`` and ``P_j`` anticommute."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
         if self.kernel == "iooh":
             return anticommute_pairs_iooh(self._packed, i, j)
         if self.kernel == "symplectic":
@@ -200,7 +200,9 @@ class AnticommuteOracle:
     def commute_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """uint8 mask, 1 where ``(i, j)`` is an edge of the *complement*
         graph ``G'`` (distinct strings that do **not** anticommute)."""
-        return (1 - self.anticommute(i, j)).astype(np.uint8)
+        mask = self.anticommute(i, j)
+        mask ^= 1
+        return mask
 
     def anticommute_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block form of :meth:`anticommute`: uint8 ``(r1-r0, c1-c0)``

@@ -247,7 +247,8 @@ def test_block_hits_dispatches(backend):
     from repro.device.tiles import block_hits
 
     block_fn = PauliComplementSource(ps).edge_block
-    got = backend.block_hits(block_fn, 0, 30, 0, 30)
-    ref = block_hits(block_fn, 0, 30, 0, 30)
-    np.testing.assert_array_equal(got[0], ref[0])
-    np.testing.assert_array_equal(got[1], ref[1])
+    for r0, r1 in [(0, 30), (7, 19)]:
+        got = backend.block_hits(block_fn, r0, r1, r0, 30, 5)
+        ref = block_hits(block_fn, r0, r1, r0, 30, 5)
+        assert got.dtype == ref.dtype == np.int32
+        np.testing.assert_array_equal(got, ref)

@@ -32,6 +32,7 @@ from repro.device.tiles import (
     upper_triangle_mask,
 )
 from repro.graphs import erdos_renyi
+from repro.graphs.csr import key_pairs
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import (
     anticommute_block_chars,
@@ -157,6 +158,11 @@ def _hits_to_set(hits):
     return out
 
 
+def _keys_to_set(chunks, n):
+    """The pair set of a stream of CSR key chunks over ``n`` vertices."""
+    return _hits_to_set(key_pairs(keys, n) for keys in chunks)
+
+
 class TestFusedConflictKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n,palette,L", [(60, 16, 4), (37, 130, 11)])
@@ -171,15 +177,15 @@ class TestFusedConflictKernel:
         slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj).astype(bool)
         assert set(zip(ii[slow].tolist(), jj[slow].tolist())) == expected
 
-        tiled = _hits_to_set(
-            sweep_conflict_hits(n, masks, src.edge_mask, src.edge_block, tile=19)
+        tiled = _keys_to_set(
+            sweep_conflict_hits(n, masks, src.edge_mask, src.edge_block, tile=19), n
         )
         assert tiled == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_degenerate_sizes(self, n):
         ps, src, lists, masks = make_inputs(n=n, palette=4, L=2, seed=0)
-        hits = _hits_to_set(sweep_conflict_hits(n, masks, src.edge_mask))
+        hits = _keys_to_set(sweep_conflict_hits(n, masks, src.edge_mask), n)
         if n < 2:
             assert hits == set()
         gt, mt = build_conflict_graph(n, src.edge_mask, masks, engine="tiled")
@@ -262,7 +268,7 @@ class TestBlockSweeps:
     def test_sweep_and_count_agree(self):
         ps = random_pauli_set(55, 7, seed=11)
         oracle = ps.oracle()
-        hits = _hits_to_set(sweep_block_hits(55, oracle.anticommute_block, 16))
+        hits = _keys_to_set(sweep_block_hits(55, oracle.anticommute_block, 16), 55)
         assert len(hits) == count_block_hits(55, oracle.anticommute_block, 16)
         ii, jj = np.triu_indices(55, k=1)
         anti = oracle.anticommute(ii, jj).astype(bool)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.graphs import CSRGraph, from_edge_list, index_dtype
 from repro.graphs import csr as csr_module
-from repro.graphs.csr import csr_from_coo_chunks
+from repro.device.palette_index import PaletteIndex
+from repro.graphs.csr import csr_from_coo_chunks, key_layout, key_pairs, pair_keys
+from repro.util.bits import bitset_from_lists
 
 
 def triangle() -> CSRGraph:
@@ -164,10 +166,18 @@ def split_chunks(edges, cuts, dtype):
     return [(e[a:b, 0], e[a:b, 1]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def as_keys(chunk, n):
+    """A ``(u, v)`` chunk as a 1-D key array in ``key_layout(n)``."""
+    u, v = chunk
+    return pair_keys(np.minimum(u, v), np.maximum(u, v), n)
+
+
 @st.composite
 def chunked_graphs(draw, max_n=30):
-    """A vertex count, a unique edge list in mixed orientation, and two
-    different chunkings of it (the second also shuffled)."""
+    """A vertex count, a unique edge list in mixed orientation, and
+    three different chunkings of it: ``(u, v)`` chunks, the same edges
+    shuffled as a mix of ``(u, v)`` and key chunks, and all key
+    chunks."""
     n = draw(st.integers(0, max_n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -177,20 +187,23 @@ def chunked_graphs(draw, max_n=30):
     dtype = draw(st.sampled_from([np.int32, np.int64]))
     first = split_chunks(edges, draw(cut), dtype)
     second = split_chunks(draw(st.permutations(edges)), draw(cut), dtype)
-    return n, edges, first, second
+    mixed = [as_keys(c, n) if draw(st.booleans()) else c for c in second]
+    keys = [as_keys(c, n) for c in split_chunks(edges, draw(cut), dtype)]
+    return n, edges, first, mixed, keys
 
 
 class TestSortKeyAssembly:
     """``csr_from_coo_chunks`` against the naive reference: the arrays
-    depend on the edge set alone, whatever the orientation, chunking or
-    order of the stream."""
+    depend on the edge set alone, whatever the orientation, chunking,
+    order or encoding (key arrays, ``(u, v)`` pairs or a mix) of the
+    stream."""
 
     @given(chunked_graphs())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_for_any_chunking(self, case):
-        n, edges, first, second = case
+        n, edges, *streams = case
         offsets, targets = reference_csr(edges, n)
-        for chunks in (first, second):
+        for chunks in streams:
             g = csr_from_coo_chunks(chunks, n)
             assert g.offsets.dtype == np.int64
             assert g.targets.dtype == index_dtype(n)
@@ -221,9 +234,33 @@ class TestSortKeyAssembly:
         edges += list(zip(others[150:225].tolist(), others[225:].tolist()))
         offsets, targets = reference_csr(edges, n)
         chunks = split_chunks(edges[::-1], [40, 40, 200], np.int64)
-        g = csr_from_coo_chunks(chunks, n)
-        np.testing.assert_array_equal(g.offsets, offsets)
-        np.testing.assert_array_equal(g.targets, targets)
+        keys = [as_keys(c, n) for c in chunks]
+        assert keys[0].dtype == (np.int32 if n == 2**15 else np.int64)
+        for stream in (chunks, keys):
+            g = csr_from_coo_chunks(stream, n)
+            np.testing.assert_array_equal(g.offsets, offsets)
+            np.testing.assert_array_equal(g.targets, targets)
+
+    @pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+    def test_index_key_width_boundary(self, n):
+        """``PaletteIndex.block_keys`` switches key width with the
+        assembly: one color per vertex (``L = 1``) from a large
+        palette, with ``(n - 2, n - 1)`` sharing a color."""
+        palette = 2048
+        lists = (np.arange(n) * 7 % palette).reshape(-1, 1)
+        lists[n - 1] = lists[n - 2]
+        index = PaletteIndex(bitset_from_lists(lists, palette))
+        keys = index.block_keys(0, n)
+        assert keys.dtype == key_layout(n)[1]
+        assert keys.dtype == (np.int32 if n == 2**15 else np.int64)
+        assert (np.diff(keys) > 0).all()
+        i, j = key_pairs(keys, n)
+        assert (i < j).all() and (lists[i] == lists[j]).all()
+        assert (n - 2, n - 1) == (i[-1], j[-1])
+        sizes = np.bincount(lists[:, 0], minlength=palette)
+        assert len(keys) == int((sizes * (sizes - 1) // 2).sum())
+        g = csr_from_coo_chunks([keys], n)
+        assert g.n_edges == len(keys) and g.degree(n - 1) == g.degree(n - 2)
 
     def test_chunks_are_consumed(self):
         chunks = split_chunks([(0, 1), (2, 1), (3, 0)], [1, 1], np.int64)
@@ -242,6 +279,21 @@ class TestSortKeyAssembly:
     def test_bad_ids_raise(self, u, v):
         with pytest.raises(ValueError, match="out of range"):
             csr_from_coo_chunks([(np.array(u), np.array(v))], 5)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            -1,  # negative
+            5 << 3 | 6,  # row field == n (s = 3 at n = 5)
+            1 << 3 | 5,  # column field == n, inside row 1's key range
+            0 << 3 | 7,  # column field at the top of the unused range
+            2**40,  # far above n: would wrap a 4-byte key
+        ],
+    )
+    def test_bad_keys_raise(self, key):
+        good = pair_keys(np.array([0, 1]), np.array([1, 2]), 5)
+        with pytest.raises(ValueError, match="out of range"):
+            csr_from_coo_chunks([good, np.array([key], dtype=np.int64)], 5)
 
     @pytest.mark.parametrize("libc", [OSError, AttributeError, TypeError])
     def test_assembles_without_malloc_trim(self, monkeypatch, libc):

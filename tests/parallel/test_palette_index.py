@@ -36,7 +36,7 @@ from repro.device.csr_build import build_conflict_csr
 from repro.device.palette_index import PaletteIndex, candidate_pairs, prefers_index
 from repro.device.sim import DeviceSim
 from repro.device.tiles import DEFAULT_TILE_BYTES, strip_height
-from repro.graphs.csr import csr_from_coo_chunks
+from repro.graphs.csr import csr_from_coo_chunks, key_layout, key_pairs, pair_keys
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.ops import induced_subgraph
 from repro.parallel import PoolExecutor, pool
@@ -170,9 +170,9 @@ class TestIndex:
         assert all(a < b for a, b in blocks)
         assert bounds == sorted(bounds)
         assert int(weights.sum()) == index.n_candidates
-        pairs = [index.block_pairs(a, b) for a, b in blocks]
-        i = np.concatenate([p[0] for p in pairs] + [np.empty(0, np.int64)])
-        j = np.concatenate([p[1] for p in pairs] + [np.empty(0, np.int64)])
+        keys = [index.block_keys(a, b) for a, b in blocks]
+        assert all(k.dtype == key_layout(len(masks))[1] for k in keys)
+        i, j = key_pairs(np.concatenate([np.empty(0, np.int32), *keys]), len(masks))
         ei, ej = np.nonzero(np.triu(_brute_shared(masks), 1))
         np.testing.assert_array_equal(i, ei)
         np.testing.assert_array_equal(j, ej)
@@ -195,10 +195,10 @@ class TestIndex:
         _, masks = assign_color_lists(n, palette, list_size, rng=seed)
         index = PaletteIndex(masks)
         blocks, _ = index.row_blocks(int(rng.integers(1, 9)))
-        got = [index.block_pairs(a, b) for a, b in blocks]
+        got = [index.block_keys(a, b) for a, b in blocks]
         ei, ej = np.nonzero(np.triu(_brute_shared(masks), 1))
-        keys = np.concatenate([i * max(n, 1) + j for i, j in got] + [ei[:0]])
-        np.testing.assert_array_equal(keys, ei * max(n, 1) + ej)
+        keys = np.concatenate([np.empty(0, np.int32), *got])
+        np.testing.assert_array_equal(keys, pair_keys(ei, ej, n))
 
 
 class TestCostRule:
@@ -478,13 +478,13 @@ def _rows_build_fused(n, src, masks, **kw):
 def _pinned_tiles(n, src, masks):
     """The tile sweep with a pinned 64-wide tile, assembled."""
     chunks = [
-        (u, v)
-        for u, v in pool.conflict_sweep_chunks(
+        keys
+        for keys in pool.conflict_sweep_chunks(
             n, src.edge_mask, masks, edge_block_fn=src.edge_block, tile=64
         )
-        if len(u)
+        if len(keys)
     ]
-    m = sum(len(u) for u, _ in chunks)
+    m = sum(len(keys) for keys in chunks)
     return csr_from_coo_chunks(chunks, n), m
 
 
@@ -510,10 +510,13 @@ def _assert_rows_matches(n, src, masks, **kw):
 
 
 def _keys(chunks, n):
-    i = np.concatenate([u for u, _ in chunks] + [np.empty(0, np.int64)])
-    j = np.concatenate([v for _, v in chunks] + [np.empty(0, np.int64)])
-    assert (i < j).all()
-    return i << max(n - 1, 0).bit_length() | j
+    """One key array from a sweep's chunks, checked to be 1-D arrays in
+    ``key_layout(n)`` that decode to pairs ``i < j``."""
+    assert all(k.ndim == 1 and k.dtype == key_layout(n)[1] for k in chunks)
+    keys = np.concatenate([np.empty(0, key_layout(n)[1]), *chunks])
+    i, j = key_pairs(keys, n)
+    assert (i < j).all() and (j < n).all()
+    return keys
 
 
 class TestRowsPlan:
@@ -583,3 +586,108 @@ class TestRowsPlan:
             if e["name"] == "pool.strip"
         ]
         assert strips and all(a["plan"] == "rows" for a in strips)
+
+
+def _stream(ps, masks, executor=None, **kw):
+    src = PauliComplementSource(ps)
+    return list(pool.conflict_sweep_chunks(
+        ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+        executor=executor, **kw,
+    ))
+
+
+class TestKeyStream:
+    """Every plan and engine yields 1-D CSR key arrays in
+    ``key_layout(n)``; the index and ``rows`` streams arrive strictly
+    increasing, so the assembly takes them unsorted-check only."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("plan", ["index", "rows", "tiles", "pairs"])
+    def test_every_plan_yields_keys(self, plan, n_workers, monkeypatch):
+        ps = random_pauli_set(300, 8, seed=13)
+        list_size = 40 if plan == "rows" else 6
+        _, masks = assign_color_lists(300, 40, list_size, rng=5)
+        _, m_ref = _build(ps, masks, engine="pairs")
+        if plan in PLANS:
+            monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
+            force_plan(monkeypatch, plan)
+        kw = {"engine": "pairs", "chunk_size": 4096} if plan == "pairs" else {}
+        with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
+            chunks = _stream(ps, masks, ex, **kw)
+        assert len(chunks) > 1
+        keys = _keys(chunks, 300)
+        assert len(keys) == m_ref
+        if plan in ("index", "rows"):
+            assert (np.diff(keys) > 0).all()
+        else:
+            assert len(np.unique(keys)) == m_ref
+
+    def test_index_blocks_strictly_increasing(self):
+        _, masks = _masks("n65")
+        index = PaletteIndex(masks)
+        blocks, _ = index.row_blocks(5)
+        keys = [index.block_keys(a, b) for a, b in blocks]
+        assert all(k.dtype == np.int32 for k in keys)
+        assert (np.diff(np.concatenate(keys)) > 0).all()
+
+    @pytest.mark.parametrize("shm", [False, True])
+    def test_hit_bytes_counts_key_width(self, shm):
+        """``sweep.hit_bytes`` is the gathered key bytes: ``m`` times the
+        4-byte key width, on a 2-worker pool with either gather, and
+        the driver's iteration stats carry the same figure."""
+        ps = random_pauli_set(300, 8, seed=14)
+        _, masks = assign_color_lists(300, 40, 6, rng=6)
+        telemetry.reset()
+        telemetry.enable(True)
+        try:
+            with PoolExecutor(2) as ex:
+                timings = {}
+                _, _, m = _build_fused(
+                    ps, masks, executor=ex, shm=shm, timings=timings
+                )
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.reset()
+            telemetry.enable(False)
+        assert m > 0
+        assert counters["sweep.hit_bytes"] == timings["hit_bytes"] == 4 * m
+        result = Picasso(PicassoParams(n_workers=2, shm_gather=shm), seed=1).color(ps)
+        for it in result.iterations:
+            assert it.hit_bytes == 4 * it.n_conflict_edges
+
+
+class TestFusedSubCsr:
+    """``_fused_sub_csr`` marks the conflict vertices and relabels in
+    key space; it must equal ``induced_subgraph`` of the full graph."""
+
+    @pytest.mark.parametrize(
+        "n, n_conflicted",
+        [
+            (120, 120),  # identity relabel: the keys pass straight through
+            (120, 119),  # the last vertex is isolated
+            (120, 50),  # the subgraph's keys shift by one bit less
+            (40_000, 300),  # int64 keys in, int32 keys out
+        ],
+    )
+    def test_matches_induced_subgraph(self, n, n_conflicted):
+        rng = np.random.default_rng(n_conflicted)
+        keep = np.sort(rng.choice(n, n_conflicted, replace=False))
+        if n_conflicted < n:
+            keep[-1] = min(keep[-1], n - 2)  # vertex n - 1 stays isolated
+        # A cycle through the kept vertices (every one has an edge) plus
+        # random chords among them.
+        u = np.concatenate([keep, rng.choice(keep, 4 * n_conflicted)])
+        v = np.concatenate([np.roll(keep, 1), rng.choice(keep, 4 * n_conflicted)])
+        u, v = np.minimum(u, v)[u != v], np.maximum(u, v)[u != v]
+        keys = np.unique(pair_keys(u, v, n))
+        ref, conflicted_ref = _induced(csr_from_coo_chunks([keys.copy()], n))
+        np.testing.assert_array_equal(conflicted_ref, np.unique(keep))
+        chunks = np.split(keys, [7, len(keys) // 2, len(keys) // 2 + 1])
+        sub, conflicted = pool._fused_sub_csr(n, chunks)
+        assert chunks == []
+        np.testing.assert_array_equal(conflicted, conflicted_ref)
+        _assert_csr_equal(sub, ref)
+
+    def test_no_edges(self):
+        sub, conflicted = pool._fused_sub_csr(10, [])
+        assert sub.n_vertices == 0 and len(conflicted) == 0

@@ -52,19 +52,20 @@ def _assert_bit_identical(got, ref):
 
 class TestShmCooRegion:
     def test_create_write_attach_roundtrip(self):
-        region = ShmCooRegion.create(64)
-        try:
-            region.u[:3] = [1, 2, 3]
-            region.v[:3] = [4, 5, 6]
-            other = ShmCooRegion.attach(region.name, 64)
-            u, v = other.slice(0, 3)
-            np.testing.assert_array_equal(u, [1, 2, 3])
-            np.testing.assert_array_equal(v, [4, 5, 6])
-            del u, v  # views must die before the segment unmaps
-            other.close()
-        finally:
-            region.close()
-            region.unlink()
+        for dtype in (np.int32, np.int64):
+            region = ShmCooRegion.create(64, dtype)
+            try:
+                assert region.nbytes == 64 * np.dtype(dtype).itemsize
+                region.keys[:3] = [1, 2, 3]
+                other = ShmCooRegion.attach(region.name, 64, dtype)
+                keys = other.slice(0, 3)
+                assert keys.dtype == dtype
+                np.testing.assert_array_equal(keys, [1, 2, 3])
+                del keys  # views must die before the segment unmaps
+                other.close()
+            finally:
+                region.close()
+                region.unlink()
 
     def test_zero_capacity_clamped(self):
         region = ShmCooRegion.create(0)
@@ -190,9 +191,10 @@ class TestShmGatherEquivalence:
             edge_block_fn=src.edge_block, executor=SerialExecutor(),
         ) as gather:
             assert gather.chunks, "expected conflict edges"
-            u, v = gather.chunks[0]
-            assert u.base is not None  # a view into the region buffer
-            del u, v  # views must die before the segment unmaps
+            keys = gather.chunks[0]
+            assert keys.base is not None  # a view into the region buffer
+            assert keys.dtype == np.int32  # one 4-byte key per slot
+            del keys  # views must die before the segment unmaps
 
 
 class TestPersistentPool:
