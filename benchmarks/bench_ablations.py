@@ -158,13 +158,13 @@ def test_ablation_multi_device(benchmark):
     src = PauliComplementSource(ps)
     params = PicassoParams()
     palette = params.palette_size(ps.n)
-    _, masks = assign_color_lists(ps.n, palette, params.list_size(ps.n), rng=0)
+    lists = assign_color_lists(ps.n, palette, params.list_size(ps.n), rng=0)
 
     single = DeviceSim(budget_bytes=1 << 24, name="single")
-    g1, s1 = build_conflict_csr(ps.n, src.edge_mask, masks, single)
+    g1, s1 = build_conflict_csr(ps.n, src.edge_mask, lists, palette, single)
 
     quads = [DeviceSim(budget_bytes=1 << 22, name=f"q{r}") for r in range(4)]
-    g4, s4 = build_conflict_csr_multi(ps.n, src.edge_mask, masks, quads)
+    g4, s4 = build_conflict_csr_multi(ps.n, src.edge_mask, lists, palette, quads)
 
     assert s4.n_conflict_edges == s1.n_conflict_edges
     np.testing.assert_array_equal(g4.offsets, g1.offsets)
@@ -185,7 +185,8 @@ def test_ablation_multi_device(benchmark):
         lambda: build_conflict_csr_multi(
             ps.n,
             src.edge_mask,
-            masks,
+            lists,
+            palette,
             [DeviceSim(budget_bytes=1 << 22) for _ in range(4)],
         ),
         rounds=2,

@@ -68,7 +68,7 @@ def forced(plan: str):
     saved = palette_index.INDEX_COST_PER_CANDIDATE, pool.all_pairs_share
     palette_index.INDEX_COST_PER_CANDIDATE = 0.0 if plan == "index" else math.inf
     if plan != "rows":
-        pool.all_pairs_share = lambda colmasks: False
+        pool.all_pairs_share = lambda col_lists, palette_size: False
     try:
         yield
     finally:
@@ -81,21 +81,20 @@ def build_once(n: int, plan: str, seed: int, preset: str):
     params = PRESETS[preset][0]()
     ps = random_pauli_set(n, 50, seed=seed)
     source = PauliComplementSource(ps)
-    _, masks = assign_color_lists(
-        n, params.palette_size(n), params.list_size(n), rng=seed
-    )
+    palette = params.palette_size(n)
+    lists = assign_color_lists(n, palette, params.list_size(n), rng=seed)
     with forced(plan):
         t0 = time.perf_counter()
         state = build_fused_conflict_state(
-            n, source.edge_mask, masks, edge_block_fn=source.edge_block
+            n, source.edge_mask, lists, palette, edge_block_fn=source.edge_block
         )
         elapsed = time.perf_counter() - t0
-    return state, elapsed, masks
+    return state, elapsed, lists
 
 
-def rule_pick(n: int, masks: np.ndarray) -> str:
+def rule_pick(n: int, lists: np.ndarray, palette: int) -> str:
     """The plan the unforced rule picks for a sweep with both oracles."""
-    plan, _ = pool.sweep_plan(n, masks, "tiled", None, None, len, len)
+    plan, _, _ = pool.sweep_plan(n, lists, palette, "tiled", None, None, len, len)
     return "tiles" if plan is None else "rows" if plan == "rows" else "index"
 
 
@@ -128,10 +127,10 @@ def main() -> None:
         plans = [fast] + (["tiles"] if n <= args.tiles_max else [])
         best: dict[str, float] = {}
         states = {}
-        masks = None
+        lists = None
         for _ in range(args.repeats):
             for plan in plans:
-                state, elapsed, masks = build_once(n, plan, args.seed, args.preset)
+                state, elapsed, lists = build_once(n, plan, args.seed, args.preset)
                 best[plan] = min(best.get(plan, math.inf), elapsed)
                 states[plan] = state
         if "tiles" in states:
@@ -140,17 +139,18 @@ def main() -> None:
             assert np.array_equal(ci, ct), f"n={n}: conflicted sets differ"
             assert np.array_equal(gi.offsets, gt.offsets), f"n={n}: offsets differ"
             assert np.array_equal(gi.targets, gt.targets), f"n={n}: targets differ"
-        candidates = palette_index.candidate_pairs(masks)
-        word_ops = num_pairs(n) * masks.shape[1]
+        palette = PRESETS[args.preset][0]().palette_size(n)
+        candidates = palette_index.candidate_pairs(lists)
+        word_ops = num_pairs(n) * -(-palette // 64)
         row = {
             "n": n,
-            "palette": int(PRESETS[args.preset][0]().palette_size(n)),
-            "list_size": int(PRESETS[args.preset][0]().list_size(n)),
+            "palette": int(palette),
+            "list_size": int(lists.shape[1]),
             "conflict_edges": states[fast][2],
             "candidates": candidates,
             "tile_word_ops": word_ops,
             "ops_per_candidate": word_ops / candidates if candidates else None,
-            "rule_picks": rule_pick(n, masks),
+            "rule_picks": rule_pick(n, lists, palette),
             f"{fast}_s": best[fast],
             "tiles_s": best.get("tiles"),
         }

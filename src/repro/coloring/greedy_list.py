@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.util.bits import bitset_from_lists, bitset_indices, popcount_rows
+from repro.util.bits import bitset_from_lists, popcount_rows
 from repro.util.rng import as_generator
 
 
@@ -135,10 +135,16 @@ def greedy_list_color_dynamic(
             pos[last] = idx
         n_processed += 1
 
-        # Uniform color from the surviving candidates (ascending order).
+        # Uniform color from the surviving candidates: the r-th set bit.
         k = sizes[v]
         r = int(rng.integers(k)) if k > 1 else 0
-        c = int(bitset_indices(masks[:, v])[r])
+        for w, word in enumerate(masks[:, v].tolist()):
+            if r < (count := word.bit_count()):
+                break
+            r -= count
+        for _ in range(r):
+            word &= word - 1
+        c = 64 * w + (word & -word).bit_length() - 1
         colors[v] = c
         masks[:, v] = 0
 

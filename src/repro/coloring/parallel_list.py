@@ -28,7 +28,7 @@ Rounds dispatch over vertex strips through an
 candidate bitsets install once under a ``("color", ...)`` payload token
 (its own channel, coexisting with the sweep token) and every later
 round ships only the *changed forbidden words* — the same token-cached
-delta path the conflict sweep uses for colmasks.  Workers keep a
+delta path the conflict sweep uses for its plan.  Workers keep a
 mutable forbidden copy keyed by the token and apply word deltas
 in-place.
 """

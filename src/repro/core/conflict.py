@@ -55,7 +55,8 @@ from repro.parallel.pool import (
 def build_conflict_graph(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -74,9 +75,11 @@ def build_conflict_graph(
 
     Parameters
     ----------
-    n, edge_mask_fn, colmasks:
-        Active vertex count, pairwise edge oracle, packed palette
-        bitsets.
+    n, edge_mask_fn:
+        Active vertex count, pairwise edge oracle.
+    col_lists, palette_size:
+        ``(n, L)`` candidate lists, each row ``L`` distinct colors of
+        the palette ``{0..palette_size-1}``.
     chunk_size:
         Pairs per launch for the ``"pairs"`` engine.
     engine:
@@ -92,10 +95,10 @@ def build_conflict_graph(
     executor:
         Backend spec (``"auto"``/``"serial"``/``"pool"``) or an
         :class:`~repro.parallel.executor.Executor` instance.  With a
-        pool backend the edge oracle and colmasks ship once per worker
-        and the strip results are gathered in deterministic order, so
-        the built CSR is bit-identical to the serial one.  A
-        spec-created backend is closed before returning; a passed
+        pool backend the edge oracle and the sweep plan ship once per
+        worker and the strip results are gathered in deterministic
+        order, so the built CSR is bit-identical to the serial one.
+        A spec-created backend is closed before returning; a passed
         instance stays open for its owner (executor lifecycle
         contract).
     shm:
@@ -105,8 +108,8 @@ def build_conflict_graph(
         backends, where results never cross a pipe to begin with.
     est_conflict_edges:
         Expected conflict-edge count for shm region sizing (the driver
-        passes the Lemma 2 expectation; ``None`` derives a bound from
-        the masks).
+        passes the Lemma 2 expectation; ``None`` derives it from
+        ``n``, ``P`` and ``L``).
     source, active_idx:
         Root edge source and active-vertex indices for the
         persistent-pool delta payload (see
@@ -127,18 +130,18 @@ def build_conflict_graph(
         executor, n_workers, hosts=hosts, transport=transport
     ) as ex:
         return gathered_conflict_csr(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex, shm=shm,
+            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+            edge_block_fn, tile_bytes=tile_bytes, executor=ex, shm=shm,
             est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx,
-            kernel_backend=kernel_backend,
+            source=source, active_idx=active_idx, kernel_backend=kernel_backend,
         )
 
 
 def build_fused_conflict_state(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -170,8 +173,8 @@ def build_fused_conflict_state(
         executor, n_workers, hosts=hosts, transport=transport
     ) as ex:
         return fused_conflict_csr(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex, shm=shm,
+            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+            edge_block_fn, tile_bytes=tile_bytes, executor=ex, shm=shm,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx,
             region_pool=region_pool, timings=timings,
@@ -182,7 +185,8 @@ def build_fused_conflict_state(
 def count_conflict_edges(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -200,8 +204,8 @@ def count_conflict_edges(
     ) as ex:
         total = 0
         for keys in conflict_sweep_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex,
+            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+            edge_block_fn, tile_bytes=tile_bytes, executor=ex,
             kernel_backend=kernel_backend,
         ):
             total += len(keys)

@@ -71,7 +71,7 @@ class PicassoParams:
         multi-host worker agents; requires ``hosts`` or the
         ``REPRO_HOSTS`` environment variable).  Pools and cluster
         connections are persistent: created once per run, reused
-        across Algorithm 1 iterations (only the per-iteration colmasks
+        across Algorithm 1 iterations (only the per-iteration sweep-plan
         delta ships to the workers), and closed when the run ends.
         See :mod:`repro.parallel.executor` /
         :mod:`repro.distributed.cluster`.

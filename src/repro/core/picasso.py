@@ -203,7 +203,7 @@ class Picasso:
         # cluster connections, when ``hosts`` selects the distributed
         # backend) is created once, the root source is installed into
         # the workers under a payload token on the first sweep, and
-        # every later iteration ships only its delta (colmasks + active
+        # every later iteration ships only its delta (sweep plan + active
         # indices) — workers derive the iteration's subset oracle
         # locally.  We created the executor from a spec, so we own it:
         # the ``finally`` below closes it (worker processes are not
@@ -303,7 +303,7 @@ class Picasso:
             # Line 6: random candidate lists from a fresh palette.
             t0 = telemetry.clock()
             with telemetry.span("picasso.assign", iteration=it):
-                col_lists, colmasks = assign_color_lists(
+                col_lists = assign_color_lists(
                     n, palette, list_size, self.rng
                 )
             t_assign = telemetry.clock() - t0
@@ -331,7 +331,8 @@ class Picasso:
                     gc, build_stats = build_conflict_csr(
                         n,
                         active_source.edge_mask,
-                        colmasks,
+                        col_lists,
+                        palette,
                         self.device,
                         chunk_size=params.chunk_size,
                         engine=params.engine,
@@ -362,7 +363,8 @@ class Picasso:
                         build_fused_conflict_state(
                             n,
                             active_source.edge_mask,
-                            colmasks,
+                            col_lists,
+                            palette,
                             chunk_size=params.chunk_size,
                             engine=params.engine,
                             edge_block_fn=edge_block_fn,
@@ -421,7 +423,7 @@ class Picasso:
             # term is the conflicted sub-CSR plus the vertex ids.
             iter_peak = (
                 active_source.nbytes
-                + lists_nbytes(col_lists, colmasks)
+                + lists_nbytes(col_lists)
                 + graph_nbytes
                 + colors.nbytes
             )

@@ -53,7 +53,8 @@ class BuildStats:
 def build_conflict_csr(
     n: int,
     edge_mask_fn: EdgeMaskFn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     device: DeviceSim,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
@@ -75,8 +76,9 @@ def build_conflict_csr(
         Number of active vertices.
     edge_mask_fn:
         Complement-edge oracle over pair index arrays.
-    colmasks:
-        ``(n, W)`` packed candidate-color bitsets.
+    col_lists, palette_size:
+        ``(n, L)`` candidate lists over ``{0..palette_size-1}``; the
+        device sweep ANDs (and is charged for) their packed bitsets.
     device:
         Budgeted device; raises :class:`DeviceOutOfMemory` when the COO
         buffer cannot hold the conflict edges.
@@ -111,8 +113,8 @@ def build_conflict_csr(
         semantics stay honest.  Ignored for backends that cannot carry
         it (serial in-process sweeps, cross-host cluster backends).
     est_conflict_edges:
-        Lemma 2 expectation for shm region sizing (``None`` derives a
-        bound from the masks).
+        Lemma 2 expectation for shm region sizing (``None`` derives it
+        from ``n``, ``P`` and ``L``).
     source, active_idx:
         Root edge source + active indices for the persistent-pool
         delta payload (:mod:`repro.parallel.pool`).
@@ -127,15 +129,15 @@ def build_conflict_csr(
     """
     with owned_executor(executor, n_workers) as ex:
         return _algorithm3(
-            n, edge_mask_fn, colmasks, device, chunk_size, engine,
-            edge_block_fn, tile_bytes, ex, shm, est_conflict_edges,
+            n, edge_mask_fn, col_lists, palette_size, device, chunk_size,
+            engine, edge_block_fn, tile_bytes, ex, shm, est_conflict_edges,
             source, active_idx, kernel_backend,
         )
 
 
 def _algorithm3(
-    n, edge_mask_fn, colmasks, device, chunk_size, engine, edge_block_fn,
-    tile_bytes, ex, shm, est_conflict_edges, source, active_idx,
+    n, edge_mask_fn, col_lists, palette_size, device, chunk_size, engine,
+    edge_block_fn, tile_bytes, ex, shm, est_conflict_edges, source, active_idx,
     kernel_backend=None,
 ) -> tuple[CSRGraph, BuildStats]:
     """Algorithm 3 proper, against an already-resolved executor."""
@@ -148,9 +150,11 @@ def _algorithm3(
     # exactly once whether the build completes or aborts mid-stream.
     with ExitStack() as allocs:
         # Input residency: encoded strings + color lists live on device
-        # for the kernel (approximated by the colmask bytes; the Pauli
-        # payload is charged by the caller, which owns its lifetime).
-        allocs.enter_context(device.scratch("colmasks", int(colmasks.nbytes)))
+        # for the kernel (approximated by the packed bitset bytes the
+        # palette test ANDs; the Pauli payload is charged by the
+        # caller, which owns its lifetime).
+        n_words = -(-palette_size // 64)
+        allocs.enter_context(device.scratch("colmasks", 8 * n * n_words))
 
         # Degree counters: 4-byte if |V|^2 < 2^32 else 8-byte (§V).
         counter_bytes = 4 if n * n < 2**32 else 8
@@ -166,7 +170,7 @@ def _algorithm3(
         tile = None
         if engine == "tiled":
             candidate = tile_edge(
-                colmasks.shape[1],
+                n_words,
                 min(tile_bytes, device.available // 4 // workers),
                 n=n,
             )
@@ -198,9 +202,10 @@ def _algorithm3(
             )
 
             if est_conflict_edges is None:
-                # Reused below for slot planning too — one mask pass,
-                # not two.
-                est_conflict_edges = estimate_conflict_edges(n, colmasks)
+                # Reused below for slot planning too.
+                est_conflict_edges = estimate_conflict_edges(
+                    n, palette_size, col_lists.shape[1]
+                )
             staging_hint = staging_bytes_hint(
                 n, est_conflict_edges, workers * TASKS_PER_WORKER
             )
@@ -233,8 +238,8 @@ def _algorithm3(
         coo_v = np.empty(capacity, dtype=id_dtype)
         n_edges = 0
         with conflict_hit_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile=tile, executor=ex, shm=shm,
+            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+            edge_block_fn, tile=tile, executor=ex, shm=shm,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx,
             region_cb=_charge_shm_region,

@@ -29,6 +29,7 @@ from repro.device.kernels import EdgeMaskFn, conflict_pair_kernel
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.parallel.partition import partition_pairs
+from repro.util.bits import bitset_from_lists
 from repro.util.chunking import pair_index_to_ij
 
 
@@ -45,15 +46,16 @@ class MultiBuildStats:
 def build_conflict_csr_multi(
     n: int,
     edge_mask_fn: EdgeMaskFn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     devices: list[DeviceSim],
     chunk_size: int = 1 << 18,
 ) -> tuple[CSRGraph, MultiBuildStats]:
     """Build the conflict graph across several simulated devices.
 
-    Each device holds a replica of the encoded inputs (colmasks) plus a
-    COO buffer sized to its remaining budget, and scans a contiguous
-    slice of pair space.  Raises :class:`DeviceOutOfMemory` naming the
+    Each device holds a replica of the encoded inputs (the lists'
+    packed bitsets, which its pair kernel ANDs) plus a COO buffer sized
+    to its remaining budget, and scans a contiguous slice of pair space.  Raises :class:`DeviceOutOfMemory` naming the
     device whose slice overflowed.
     """
     if not devices:
@@ -69,6 +71,7 @@ def build_conflict_csr_multi(
     edges_per_device: list[int] = []
     id_bytes = 4 if n < 2**31 else 8
     id_dtype = np.int32 if id_bytes == 4 else np.int64
+    colmasks = bitset_from_lists(col_lists, palette_size)
 
     for rank, (dev, rng) in enumerate(zip(devices, ranges)):
         dev.alloc("colmasks", int(colmasks.nbytes))

@@ -6,10 +6,12 @@ Two vertices can only conflict when their candidate lists share a color
 cubic in ``n`` under ``P = 0.125n``.  This module enumerates only the
 pairs that share a color:
 
-- **Buckets.**  Unpacking the packed ``colmasks`` one word column at a
-  time and taking ``np.nonzero`` of the transpose lists, for every
-  color, the ascending ids of the vertices whose list holds it — the
-  color-major, vertex-ascending bucket array.
+- **Buckets.**  One stable sort of the ``nL`` color ids of the
+  ``(n, L)`` candidate lists (16-bit ids while ``P <= 65536``, which
+  numpy radix-sorts) gives, for every color, the ascending ids of the
+  vertices whose list holds it — the color-major, vertex-ascending
+  bucket array.  The lists are vertex-major, so the inverse of that
+  permutation groups the entries by vertex.  ``O(nL)``, whatever ``P``.
 - **Row blocks.**  A vertex at bucket position ``p`` pairs with the
   ``|B_c| - 1 - p`` later entries of that bucket, so the exact number
   of candidate pairs per row is known before any pair is produced.
@@ -30,7 +32,11 @@ this one as its key array, which arrives sorted.  The
 expected work is ``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P``
 candidates, the Lemma 2 quantity itself, against
 ``n(n-1)/2 * ceil(P/64)`` word operations for the tile sweep;
-:func:`prefers_index` compares the two.
+:func:`prefers_index` compares the two from the bucket sizes alone.
+
+Every function here takes lists whose rows hold distinct colors of
+``{0..P-1}``, as :func:`repro.core.palette.assign_color_lists` draws
+them.
 """
 
 from __future__ import annotations
@@ -45,73 +51,52 @@ __all__ = [
     "INDEX_COST_PER_CANDIDATE",
     "PaletteIndex",
     "all_pairs_share",
-    "bucket_sizes",
     "candidate_pairs",
     "prefers_index",
     "row_blocks",
 ]
 
 #: Candidate pairs per row block: bounds the block's key, sort and
-#: oracle-gather temporaries to a few tens of MiB.
-INDEX_BLOCK_CANDIDATES = 1 << 20
+#: oracle-gather temporaries to a few tens of MiB (halving ``1 << 20``
+#: cut 3 MiB of peak RSS and some gather page faults on rand50q-10k).
+INDEX_BLOCK_CANDIDATES = 1 << 19
 
 #: Cost of one index candidate in tile-sweep palette word operations
 #: (``kappa`` of the plan rule ``C * kappa < n(n-1)/2 * W``).  Measured
-#: with ``benchmarks/bench_index_scaling.py --sizes 1000 ... 5000``
+#: with ``benchmarks/bench_index_scaling.py --sizes 1000 ... 5000
+#: --repeats 3`` and ``--sizes 1500 ... 3000 --repeats 5 --seed 2``
 #: (serial iteration-1 builds, uniform 50-qubit strings, Normal preset,
-#: 768 KiB tiles) on a 2-vCPU x86-64 VM with numpy 2.4: the index ran
-#: 0.95x the tile sweep's speed at n = 2.5k (word ops per candidate
-#: 6.1) and 1.05x at n = 3k (8.8), crossing near 7.5.
-INDEX_COST_PER_CANDIDATE = 7.5
-
-def _word_bits(colmasks: np.ndarray, w: int) -> np.ndarray:
-    """``(n, 64)`` uint8 bits of word column ``w``, bit ``b`` at column
-    ``b`` (little-endian unpack, whatever the host byte order)."""
-    col = np.ascontiguousarray(colmasks[:, w], dtype="<u8")
-    return np.unpackbits(
-        col.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-    )
+#: 768 KiB tiles, index built from the lists) on a 2-vCPU x86-64 VM
+#: with numpy 2.4: the index ran 0.94-1.07x the tile sweep's speed at
+#: n = 1.5k (word ops per candidate 2.5), 0.99-1.09x at n = 2k (4.5)
+#: and 1.23-1.28x at n = 2.5k (6.1), crossing between 2.5 and 4.5.
+INDEX_COST_PER_CANDIDATE = 4.0
 
 
-def bucket_sizes(colmasks: np.ndarray) -> np.ndarray:
-    """``|B_c|`` for every palette bit: how many lists hold color ``c``."""
-    n_words = colmasks.shape[1]
-    sizes = np.zeros(64 * n_words, dtype=np.int64)
-    for w in range(n_words):
-        sizes[64 * w : 64 * (w + 1)] = _word_bits(colmasks, w).sum(
-            axis=0, dtype=np.int64
-        )
-    return sizes
-
-
-def candidate_pairs(colmasks: np.ndarray) -> int:
+def candidate_pairs(col_lists: np.ndarray) -> int:
     """``C = sum_c |B_c|(|B_c|-1)/2``: in-bucket pairs, with a pair
-    counted once per color its endpoints share."""
-    sizes = bucket_sizes(colmasks)
+    counted once per color its endpoints share; the bucket sizes
+    ``|B_c|`` are one ``bincount`` of the lists."""
+    sizes = np.bincount(col_lists.ravel())
     return int((sizes * (sizes - 1) // 2).sum())
 
 
-def prefers_index(n: int, colmasks: np.ndarray) -> bool:
+def prefers_index(n: int, col_lists: np.ndarray, palette_size: int) -> bool:
     """The plan rule: enumerate through the index when its candidate
     work undercuts the tile sweep's palette word operations,
     ``C * kappa < n(n-1)/2 * W``.  With ``L = P`` every vertex sits in
     every bucket (``C = P * n(n-1)/2``): that regime takes the ``rows``
     plan (:func:`all_pairs_share`) without consulting this rule."""
-    tile_ops = num_pairs(n) * colmasks.shape[1]
-    return candidate_pairs(colmasks) * INDEX_COST_PER_CANDIDATE < tile_ops
+    tile_ops = num_pairs(n) * -(-palette_size // 64)
+    return candidate_pairs(col_lists) * INDEX_COST_PER_CANDIDATE < tile_ops
 
 
-def all_pairs_share(colmasks: np.ndarray) -> bool:
-    """True when every list is the same non-empty bitset, so every pair
-    shares a color (the ``L = P`` branch of
-    :func:`repro.core.palette.assign_color_lists` always gives this).
-    ``O(nW)``, with an early exit every 4096 rows."""
-    if len(colmasks) == 0 or not colmasks[0].any():
-        return False
-    return all(
-        (colmasks[a : a + 4096] == colmasks[0]).all()
-        for a in range(0, len(colmasks), 4096)
-    )
+def all_pairs_share(col_lists: np.ndarray, palette_size: int) -> bool:
+    """True when every pair shares a color: there are lists, and with
+    distinct colors per row ``L = P`` makes each the whole palette
+    (the branch of :func:`repro.core.palette.assign_color_lists` that
+    draws nothing).  ``O(1)``."""
+    return len(col_lists) > 0 and col_lists.shape[1] == palette_size
 
 
 def row_blocks(
@@ -145,37 +130,40 @@ def row_blocks(
 class PaletteIndex:
     """Per-color vertex buckets of one iteration's candidate lists.
 
-    Built from the packed ``(n, W)`` palette bitsets.  Holds, per
-    bucket entry, the vertex id and how many entries follow it in its
-    bucket, plus a vertex-major permutation of the entries and the
-    exact per-row candidate prefix sums that row blocks are cut from.
-    Plain arrays only, so it pickles into worker payloads as is.
+    Built from the ``(n, L)`` candidate lists.  Holds, per bucket
+    entry, the vertex id and how many entries follow it in its bucket,
+    plus a vertex-major permutation of the entries and the exact
+    per-row candidate prefix sums that row blocks are cut from.  Plain
+    arrays only, so it pickles into worker payloads as is.
     """
 
-    def __init__(self, colmasks: np.ndarray) -> None:
-        n, n_words = colmasks.shape
+    def __init__(self, col_lists: np.ndarray) -> None:
+        n, list_size = col_lists.shape
         self.n = n
-        colors: list[np.ndarray] = []
-        verts: list[np.ndarray] = []
-        for w in range(n_words):
-            c, v = np.nonzero(_word_bits(colmasks, w).T)
-            colors.append(c + 64 * w)
-            verts.append(v)
-        color = np.concatenate(colors)
+        #: Entries per vertex: vertex ``v`` owns entries ``[vL, vL + L)``.
+        self.list_size = list_size
+        flat = col_lists.ravel()
+        ids = flat.astype(np.min_scalar_type(int(flat.max()) if flat.size else 0))
+        order = np.argsort(ids, kind="stable")
+        color = ids[order]
         #: Bucket entries: vertex ids, color-major and ascending within
         #: each color.
-        self.verts = np.concatenate(verts).astype(key_layout(n)[1])
-        bucket_end = np.cumsum(np.bincount(color, minlength=64 * n_words))
+        self.verts = (order // list_size).astype(key_layout(n)[1])
+        last = np.ones(len(color), dtype=bool)
+        np.not_equal(color[1:], color[:-1], out=last[:-1])
+        if (np.equal(self.verts[1:], self.verts[:-1]) & ~last[:-1]).any():
+            raise ValueError("a candidate list holds a color twice")
+        ends = np.flatnonzero(last) + 1
         #: Entries after each entry in its bucket — its candidate count.
-        self.later = bucket_end[color] - np.arange(len(color)) - 1
-        #: Entry ids grouped by vertex (ascending), for row blocks.
-        self.by_vertex = np.argsort(self.verts, kind="stable")
-        self.row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.verts, minlength=n), out=self.row_ptr[1:])
-        cum = np.zeros(len(self.verts) + 1, dtype=np.int64)
-        np.cumsum(self.later[self.by_vertex], out=cum[1:])
+        self.later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(len(color)) - 1
+        #: Entry ids grouped by vertex (the inverse permutation: the
+        #: flat lists are vertex-major), for row blocks.
+        self.by_vertex = np.empty(len(order), dtype=np.intp)
+        self.by_vertex[order] = np.arange(len(order))
+        rows = self.later[self.by_vertex].reshape(n, list_size).sum(axis=1)
         #: ``row_candidates[r]`` = candidate pairs of rows ``[0, r)``.
-        self.row_candidates = cum[self.row_ptr]
+        self.row_candidates = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(rows, out=self.row_candidates[1:])
 
     @property
     def n_candidates(self) -> int:
@@ -200,7 +188,7 @@ class PaletteIndex:
         """Sorted unique CSR keys ``i << s | j`` (:func:`key_layout`) of
         the pairs ``a <= i < b``, ``i < j``, sharing at least one
         candidate color."""
-        entries = self.by_vertex[self.row_ptr[a] : self.row_ptr[b]]
+        entries = self.by_vertex[a * self.list_size : b * self.list_size]
         counts = self.later[entries]
         total = int(counts.sum())
         s, dtype = key_layout(self.n)

@@ -11,7 +11,7 @@ changes to their dispatch logic**:
 
 - payloads install through a broadcast to every shard, recorded under
   **channelled payload tokens** exactly as on the pool — repeat sweeps
-  ship only the colmasks / forbidden-word delta, and the sweep and
+  ship only the sweep-plan / forbidden-word delta, and the sweep and
   coloring channels coexist without evicting each other;
 - :meth:`holds_token` additionally pins the agent *incarnations* seen
   at install time (the socket analog of the pool's worker-pid pin): an

@@ -316,7 +316,7 @@ class Executor(ABC):
         """Run a cleanup function once per worker after a sweep.
 
         The dispatcher calls this in a ``finally`` to drop per-sweep
-        worker state (colmasks, scratch, derived oracles) so large
+        worker state (plan, bitsets, scratch, derived oracles) so large
         arrays do not stay alive between builds.  In-process for the
         serial backend; a broadcast for pools (no-op when no pool is
         live).  Returns the per-worker return values in slot order

@@ -22,12 +22,12 @@ This module is the seam where every conflict/graph sweep meets an
 Payload shipping is two-tier for the persistent pool.  The payload is
 split into a **static** part (the edge source / oracle and engine
 configuration — constant across Algorithm 1 iterations when the caller
-passes the *root* ``source``) and a per-sweep **delta** (the packed
-color masks, the active-vertex indices and the tile size).  The static
-part is installed once under a token and cached worker-side; while the
-pool lives and the token matches, later sweeps ship only the delta —
-the per-iteration colmasks instead of the full payload.  Workers derive
-the iteration's edge oracle from the cached root source and the active
+passes the *root* ``source``) and a per-sweep **delta** (the palette
+index under the index plan, the packed palette bitsets under the tile
+plan or the ``"pairs"`` engine, the active-vertex indices and the tile
+size).  The static part is installed once under a token and cached
+worker-side; while the pool lives and the token matches, later sweeps
+ship only the delta.  Workers derive the iteration's edge oracle from the cached root source and the active
 indices, which reproduces the dispatcher's own subset construction
 exactly.  Strips carry the same hit set as the serial sweep, and the
 sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`)
@@ -44,7 +44,7 @@ and only hit counts cross the pipe.  That makes four worker sweep
 tasks, ``{tile strip, pair range} x {pickled, shm}``, and one gather
 seam, :func:`conflict_hit_chunks`, which every build drains.
 
-Per-sweep worker state (colmasks, derived oracle, tile scratch) is
+Per-sweep worker state (plan, bitsets, derived oracle, tile scratch) is
 cleared in a ``finally`` on the dispatcher side after every sweep —
 both in-process and, for pools, via a teardown broadcast — so large
 arrays never stay alive between builds.  Only the token-cached static
@@ -91,6 +91,7 @@ from repro.parallel.shm import (
 )
 from repro.pauli.anticommute import AnticommuteOracle
 from repro.resilience.faults import fault_point
+from repro.util.bits import bitset_from_lists
 from repro.util.chunking import pair_index_to_ij
 
 __all__ = [
@@ -165,7 +166,7 @@ def sweep_payload(
     engine: str,
     tile: int | None,
     chunk_size: int,
-    colmasks: np.ndarray,
+    colmasks: np.ndarray | None,
     edge_mask_fn,
     edge_block_fn,
     source=None,
@@ -178,9 +179,9 @@ def sweep_payload(
 
     With a ``source`` and a cache-capable executor the static part is
     the *root* source; when the executor still holds the token, the
-    static part is elided and only the delta (colmasks, active indices,
-    tile) ships.  Without a source the edge functions themselves are
-    the static part and every install is a full one (token ``None``).
+    static part is elided and only the delta (plan, bitsets, active
+    indices, tile) ships.  Without a source the edge functions
+    themselves are the static part and every install is a full one (token ``None``).
 
     ``kernel_backend`` ships as a *name* in the static part and is
     resolved by :func:`init_sweep_worker` in the worker process —
@@ -188,11 +189,9 @@ def sweep_payload(
     environment (a cluster agent without numba degrades to numpy on
     its own, bit-identically).
 
-    ``plan`` is the sweep's plan from :func:`sweep_plan` (a
-    :class:`~repro.device.palette_index.PaletteIndex`, ``"rows"``, or
-    ``None`` = tiles); it ships in the delta, so workers run row blocks
-    without rebuilding an index.  Under ``"rows"``, ``tile`` is the
-    strip height.
+    ``plan`` and ``colmasks`` come from :func:`sweep_plan`; they ship
+    in the delta, so workers run row blocks without rebuilding an
+    index.  Under ``"rows"``, ``tile`` is the strip height.
     """
     delta = {
         "n": n,
@@ -361,8 +360,8 @@ def init_sweep_worker(payload: dict) -> None:
 def teardown_sweep_worker() -> dict | None:
     """Drop per-sweep worker state (the dispatcher's ``finally`` duty).
 
-    Clears the colmasks, the derived oracle functions and the tile
-    scratch, and closes cached shared-memory attachments, so none of it
+    Clears the plan and bitsets, the derived oracle functions and the
+    tile scratch, and closes cached shared-memory attachments, so none of it
     outlives the sweep.  The token-cached static payload is kept — that
     persistence is what lets the next install ship only a delta.
 
@@ -483,25 +482,27 @@ def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
 
 def sweep_plan(
     n: int,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     engine: str,
     tile: int | None,
     tile_bytes: int | None,
     edge_mask_fn,
     edge_block_fn: EdgeBlockFn | None = None,
-) -> tuple[PaletteIndex | str | None, int | None]:
-    """Choose how one sweep enumerates pairs, as ``(plan, tile)``:
+) -> tuple[PaletteIndex | str | None, int | None, np.ndarray | None]:
+    """Choose how one sweep enumerates pairs, as ``(plan, tile, colmasks)``:
 
-    - ``("rows", height)`` when every pair shares a color (``L = P``,
-      :func:`repro.device.palette_index.all_pairs_share`) and the sweep
-      has a block oracle: the conflict edges are the oracle's edges, so
-      row strips of ``height`` rows skip the palette test and emit hits
-      in CSR key order (:func:`repro.device.tiles.sweep_block_hits`);
-    - ``(index, None)`` when the inverted palette index's exact
+    - ``("rows", height, None)`` when every pair shares a color (``L =
+      P``, :func:`repro.device.palette_index.all_pairs_share`) and the
+      sweep has a block oracle: the conflict edges are the oracle's
+      edges, so row strips of ``height`` rows skip the palette test and
+      emit hits in CSR key order (:func:`repro.device.tiles.sweep_block_hits`);
+    - ``(index, None, None)`` when the inverted palette index's exact
       candidate count undercuts the tile sweep's palette word
       operations (:func:`repro.device.palette_index.prefers_index`);
-    - ``(None, tile)`` for the tile sweep (``(None, None)`` for the
-      ``"pairs"`` engine).
+    - ``(None, tile, colmasks)`` for the tile sweep (``(None, None,
+      colmasks)`` for the ``"pairs"`` engine), the only plans that AND
+      the packed palette bitsets, so the only ones that build them.
 
     All plans emit the same pairs, so the choice never changes a CSR.
     A caller that pins ``tile`` (the DeviceSim build, whose tile
@@ -511,14 +512,15 @@ def sweep_plan(
     plan: PaletteIndex | str | None = None
     if engine == "tiled" and tile is None:
         budget = tile_bytes or DEFAULT_TILE_BYTES
-        if edge_block_fn is not None and all_pairs_share(colmasks):
+        if edge_block_fn is not None and all_pairs_share(col_lists, palette_size):
             plan, tile = "rows", strip_height(n, budget)
-        elif edge_mask_fn is not None and prefers_index(n, colmasks):
-            plan = PaletteIndex(colmasks)
+        elif edge_mask_fn is not None and prefers_index(n, col_lists, palette_size):
+            plan = PaletteIndex(col_lists)
         else:
-            tile = tile_edge(colmasks.shape[1], budget, n=n)
+            tile = tile_edge(-(-palette_size // 64), budget, n=n)
     telemetry.count(f"sweep.plan.{_plan_name(plan) if engine == 'tiled' else engine}")
-    return plan, tile
+    colmasks = None if plan is not None else bitset_from_lists(col_lists, palette_size)
+    return plan, tile, colmasks
 
 
 def sweep_strip_tasks(
@@ -584,7 +586,8 @@ def _check_sweep_args(engine: str, chunk_size: int) -> None:
 def conflict_sweep_chunks(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -611,16 +614,20 @@ def conflict_sweep_chunks(
     concatenated hit stream — and therefore the assembled CSR —
     bit-identical to the serial sweep's.
 
+    ``col_lists`` are the ``(n, L)`` candidate lists over the palette
+    ``{0..palette_size-1}``, each row of distinct colors.
+
     ``source``/``active_idx`` (optional) enable the persistent-pool
     delta payload: the root ``source`` is installed once under a token,
-    later sweeps ship only colmasks + active indices, and each worker
-    derives ``source.subset(active_idx)`` locally.  Per-sweep worker
-    state is cleared in a ``finally`` whether the sweep completes or
-    aborts.
+    later sweeps ship only the plan (or the bitsets) + active indices,
+    and each worker derives ``source.subset(active_idx)`` locally.
+    Per-sweep worker state is cleared in a ``finally`` whether the
+    sweep completes or aborts.
     """
     _check_sweep_args(engine, chunk_size)
-    plan, tile = sweep_plan(
-        n, colmasks, engine, tile, tile_bytes, edge_mask_fn, edge_block_fn
+    plan, tile, colmasks = sweep_plan(
+        n, col_lists, palette_size, engine, tile, tile_bytes,
+        edge_mask_fn, edge_block_fn,
     )
     if executor is None or isinstance(executor, SerialExecutor):
         if plan == "rows":
@@ -656,7 +663,8 @@ def conflict_sweep_chunks(
 def conflict_hit_chunks(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -694,19 +702,18 @@ def conflict_hit_chunks(
     _check_sweep_args(engine, chunk_size)
     if shm and executor is not None and executor.supports_shm_gather:
         with shm_conflict_gather(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, tile=tile, executor=executor,
-            est_conflict_edges=est_conflict_edges,
+            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+            edge_block_fn, tile_bytes=tile_bytes, tile=tile,
+            executor=executor, est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx, region_cb=region_cb,
             region_pool=region_pool, kernel_backend=kernel_backend,
         ) as gather:
             yield gather.chunks
         return
     stream = conflict_sweep_chunks(
-        n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-        tile_bytes=tile_bytes, tile=tile, executor=executor,
-        source=source, active_idx=active_idx,
-        kernel_backend=kernel_backend,
+        n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+        edge_block_fn, tile_bytes=tile_bytes, tile=tile, executor=executor,
+        source=source, active_idx=active_idx, kernel_backend=kernel_backend,
     )
     try:
         yield stream
@@ -720,7 +727,8 @@ def conflict_hit_chunks(
 def gathered_conflict_csr(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -743,11 +751,10 @@ def gathered_conflict_csr(
     of that dance, not one per caller.
     """
     with conflict_hit_chunks(
-        n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-        tile_bytes=tile_bytes, executor=executor, shm=shm,
+        n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+        edge_block_fn, tile_bytes=tile_bytes, executor=executor, shm=shm,
         est_conflict_edges=est_conflict_edges,
-        source=source, active_idx=active_idx,
-        kernel_backend=kernel_backend,
+        source=source, active_idx=active_idx, kernel_backend=kernel_backend,
     ) as hit_stream:
         try:
             with telemetry.span("sweep.gather", engine=engine):
@@ -807,7 +814,8 @@ def _fused_sub_csr(
 def fused_conflict_csr(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
@@ -840,8 +848,8 @@ def fused_conflict_csr(
     """
     t0 = telemetry.clock()
     with conflict_hit_chunks(
-        n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-        tile_bytes=tile_bytes, executor=executor, shm=shm,
+        n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
+        edge_block_fn, tile_bytes=tile_bytes, executor=executor, shm=shm,
         est_conflict_edges=est_conflict_edges,
         source=source, active_idx=active_idx, region_pool=region_pool,
         kernel_backend=kernel_backend,
@@ -882,14 +890,15 @@ def block_sweep_chunks(
     This is the ``rows`` plan of a one-color palette, under which every
     pair shares the color and every edge is a conflict edge."""
     return conflict_sweep_chunks(
-        n, None, np.ones((n, 1), dtype=np.uint64), edge_block_fn=block_fn,
+        n, None, np.zeros((n, 1), dtype=np.int64), 1, edge_block_fn=block_fn,
         tile_bytes=tile_bytes, executor=executor, kernel_backend=kernel_backend,
     )
 
 
 def parallel_conflict_graph(
     pauli_set,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     n_workers: int = 2,
     chunk_size: int = 1 << 16,
     want_anticommute: bool = False,
@@ -910,8 +919,9 @@ def parallel_conflict_graph(
     pauli_set:
         The active :class:`repro.pauli.PauliSet` (complement edges are
         derived on the fly in each worker).
-    colmasks:
-        Packed candidate-color bitsets for the active vertices.
+    col_lists, palette_size:
+        ``(n, L)`` candidate lists of the active vertices and the
+        palette size ``P``.
     n_workers:
         Pool size; 1 short-circuits to the in-process streaming sweep.
         Ignored when ``executor`` is given.
@@ -944,7 +954,8 @@ def parallel_conflict_graph(
         return gathered_conflict_csr(
             pauli_set.n,
             edge_mask_fn,
-            colmasks,
+            col_lists,
+            palette_size,
             chunk_size=chunk_size,
             engine=engine,
             edge_block_fn=edge_block_fn,

@@ -244,34 +244,15 @@ def write_strip_hits(keys: np.ndarray, spec: tuple[str, int, int, int]) -> int:
     return n_hits
 
 
-def estimate_conflict_edges(n: int, colmasks: np.ndarray) -> float:
-    """Lemma 2 conflict-edge expectation derived from the masks alone.
+def estimate_conflict_edges(n: int, palette_size: int, list_size: int) -> float:
+    """Lemma 2 conflict-edge expectation with ``|E|`` bounded by all
+    ``n(n-1)/2`` pairs (the sweep exists to avoid knowing ``|E|``): an
+    overestimate, but variance cuts the other way, and the
+    grow-and-retry path absorbs what is left."""
+    # Lazy import: repro.core pulls this package in.
+    from repro.core.analysis import expected_conflict_edges
 
-    ``E[|Ec|] = |E| * p_share`` needs the colored graph's edge count,
-    which the sweep exists to avoid knowing — so ``|E|`` is bounded by
-    all ``n(n-1)/2`` pairs and ``p_share`` is the exact intersection
-    probability for the palette width and mean list size read off the
-    packed masks.  An overestimate of the expectation, but variance cuts
-    the other way; the grow-and-retry path absorbs what is left.
-    """
-    total = num_pairs(n)
-    if total == 0 or colmasks.size == 0:
-        return 0.0
-    # Palette size: highest set bit across all masks, + 1.
-    orbits = np.bitwise_or.reduce(colmasks, axis=0)
-    nz = np.flatnonzero(orbits)
-    if len(nz) == 0:
-        return 0.0
-    w = int(nz[-1])
-    palette = 64 * w + int(orbits[w]).bit_length()
-    from repro.util.bits import popcount_rows
-
-    list_size = max(1, round(float(popcount_rows(colmasks).mean())))
-    list_size = min(list_size, palette)
-    # Exact p_share (lazy import: repro.core pulls this package in).
-    from repro.core.analysis import list_share_probability
-
-    return total * list_share_probability(palette, list_size)
+    return expected_conflict_edges(num_pairs(n), palette_size, list_size)
 
 
 def staging_bytes_hint(
@@ -340,7 +321,8 @@ class ShmGatherResult:
 def shm_conflict_gather(
     n: int,
     edge_mask_fn,
-    colmasks: np.ndarray,
+    col_lists: np.ndarray,
+    palette_size: int,
     chunk_size: int = 1 << 18,
     engine: str = "tiled",
     edge_block_fn=None,
@@ -385,8 +367,9 @@ def shm_conflict_gather(
 
     if executor is None:
         executor = SerialExecutor()
-    plan, tile = _pool.sweep_plan(
-        n, colmasks, engine, tile, tile_bytes, edge_mask_fn, edge_block_fn
+    plan, tile, colmasks = _pool.sweep_plan(
+        n, col_lists, palette_size, engine, tile, tile_bytes,
+        edge_mask_fn, edge_block_fn,
     )
     tasks, weights = _pool.sweep_strip_tasks(n, engine, tile, executor, plan)
     result = ShmGatherResult(n_strips=len(tasks))
@@ -395,7 +378,9 @@ def shm_conflict_gather(
         return
 
     if est_conflict_edges is None:
-        est_conflict_edges = estimate_conflict_edges(n, colmasks)
+        est_conflict_edges = estimate_conflict_edges(
+            n, palette_size, col_lists.shape[1]
+        )
     slots = plan_strip_slots(weights, est_conflict_edges, safety)
     offsets = np.zeros(len(slots) + 1, dtype=np.int64)
     np.cumsum(slots, out=offsets[1:])

@@ -26,6 +26,7 @@ from repro.device.kernels import lists_intersect_kernel
 from repro.graphs.csr import from_edge_list
 from repro.graphs.ops import induced_subgraph
 from repro.resilience.supervisor import supervised_executor
+from repro.util.bits import bitset_from_lists
 from repro.util.rng import as_generator
 
 
@@ -100,7 +101,8 @@ def _semi_streaming_color(stream, params, rng, color_engine, executor):
         palette = max(params.min_palette, round(palette_fraction * n_active))
         raw_list = max(1, round(params.alpha * np.log(n_active))) if n_active > 1 else 1
         list_size = min(raw_list, palette)
-        col_lists, colmasks = assign_color_lists(n_active, palette, list_size, rng)
+        col_lists = assign_color_lists(n_active, palette, list_size, rng)
+        colmasks = bitset_from_lists(col_lists, palette)
 
         # Single pass: retain only live conflicted edges.
         passes += 1

@@ -210,18 +210,6 @@ def smallest_available_color(forbidden: np.ndarray) -> int:
     return int(lowest_set_bit_rows(~present[None, :])[0])
 
 
-def bitset_indices(row: np.ndarray) -> np.ndarray:
-    """Sorted bit indices set in a single packed bitset row.
-
-    ``row`` is a ``(W,)`` uint64 vector; the result is the ascending
-    ``int64`` array of set-bit positions (the canonical candidate order
-    of the bitset list coloring).
-    """
-    row = np.ascontiguousarray(row, dtype=np.uint64)
-    bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits).astype(np.int64)
-
-
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Total population count along the last axis.
 

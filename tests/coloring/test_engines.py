@@ -213,17 +213,17 @@ class TestTokenChannels:
 
         ps = random_pauli_set(120, 6, seed=21)
         src = PauliComplementSource(ps)
-        _, colmasks = assign_color_lists(ps.n, 16, 4, np.random.default_rng(0))
+        pal = (assign_color_lists(ps.n, 16, 4, np.random.default_rng(0)), 16)
         gc, lists = _random_instance(22, n_lo=40, n_hi=80)
         eng = get_engine("parallel-list")
         with PoolExecutor(2) as ex:
             ref_g, m_ref = build_conflict_graph(
-                ps.n, src.edge_mask, colmasks
+                ps.n, src.edge_mask, *pal
             )
             ref_c = eng.color(gc, lists, rng=4)
             for _ in range(2):
                 g, m = build_conflict_graph(
-                    ps.n, src.edge_mask, colmasks, executor=ex, source=src
+                    ps.n, src.edge_mask, *pal, executor=ex, source=src
                 )
                 assert m == m_ref
                 np.testing.assert_array_equal(g.offsets, ref_g.offsets)

@@ -15,6 +15,7 @@ from repro.core.analysis import (
 )
 from repro.core.palette import assign_color_lists
 from repro.device.kernels import lists_intersect_kernel
+from repro.util.bits import bitset_from_lists
 
 
 class TestShareProbability:
@@ -51,7 +52,9 @@ class TestShareProbability:
     def test_matches_empirical_frequency(self, palette, seed):
         list_size = max(1, palette // 8)
         n = 600
-        _, masks = assign_color_lists(n, palette, list_size, rng=seed)
+        masks = bitset_from_lists(
+            assign_color_lists(n, palette, list_size, rng=seed), palette
+        )
         ii = np.arange(0, n - 1, 2)
         jj = ii + 1
         emp = lists_intersect_kernel(masks, ii, jj).mean()
@@ -72,7 +75,7 @@ class TestConflictEdgePrediction:
         over a complete graph (every pair an edge)."""
         n, P, L = 300, 40, 3
         rng = np.random.default_rng(0)
-        _, masks = assign_color_lists(n, P, L, rng=rng)
+        masks = bitset_from_lists(assign_color_lists(n, P, L, rng=rng), P)
         ii, jj = np.triu_indices(n, k=1)
         measured = int(lists_intersect_kernel(masks, ii, jj).sum())
         expected = expected_conflict_edges(len(ii), P, L)

@@ -225,9 +225,10 @@ def test_lowest_set_bit_rows_empty_and_shape(backend):
 def test_conflict_hits_block_dispatches(backend):
     from repro.core.palette import assign_color_lists
     from repro.device.tiles import conflict_hits_block
+    from repro.util.bits import bitset_from_lists
 
     rng = np.random.default_rng(3)
-    _, colmasks = assign_color_lists(40, 20, 3, rng)
+    colmasks = bitset_from_lists(assign_color_lists(40, 20, 3, rng), 20)
     ps = random_pauli_set(40, 5, seed=4)
     from repro.core.sources import PauliComplementSource
 

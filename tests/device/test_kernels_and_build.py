@@ -16,13 +16,18 @@ from repro.device import (
     lists_intersect_kernel,
 )
 from repro.pauli import random_pauli_set
+from repro.util.bits import bitset_from_lists
 
 
-def make_inputs(n=60, nq=6, palette=16, L=4, seed=0):
+#: Default palette size of :func:`make_inputs`.
+PALETTE = 16
+
+
+def make_inputs(n=60, nq=6, palette=PALETTE, L=4, seed=0):
     ps = random_pauli_set(n, nq, seed=seed)
     src = PauliComplementSource(ps)
-    lists, masks = assign_color_lists(n, palette, L, rng=seed)
-    return src, lists, masks
+    lists = assign_color_lists(n, palette, L, rng=seed)
+    return src, lists, bitset_from_lists(lists, palette)
 
 
 class TestKernels:
@@ -73,14 +78,16 @@ class TestKernels:
 
 class TestHostBuild:
     def test_counts_match_graph(self):
-        src, _, masks = make_inputs()
-        gc, m = build_conflict_graph(60, src.edge_mask, masks, chunk_size=61)
+        src, lists, masks = make_inputs()
+        gc, m = build_conflict_graph(60, src.edge_mask, lists, PALETTE, chunk_size=61)
         assert gc.n_edges == m
-        assert m == count_conflict_edges(60, src.edge_mask, masks, chunk_size=37)
+        assert m == count_conflict_edges(
+            60, src.edge_mask, lists, PALETTE, chunk_size=37
+        )
 
     def test_conflict_subset_of_complement(self):
-        src, _, masks = make_inputs()
-        gc, _ = build_conflict_graph(60, src.edge_mask, masks)
+        src, lists, masks = make_inputs()
+        gc, _ = build_conflict_graph(60, src.edge_mask, lists, PALETTE)
         e = gc.edges()
         if len(e):
             assert src.edge_mask(e[:, 0], e[:, 1]).all()
@@ -88,10 +95,10 @@ class TestHostBuild:
 
 class TestAlgorithm3:
     def test_matches_host_build(self):
-        src, _, masks = make_inputs(n=80)
-        host_gc, host_m = build_conflict_graph(80, src.edge_mask, masks)
+        src, lists, masks = make_inputs(n=80)
+        host_gc, host_m = build_conflict_graph(80, src.edge_mask, lists, PALETTE)
         dev = DeviceSim(budget_bytes=1 << 22)
-        dev_gc, stats = build_conflict_csr(80, src.edge_mask, masks, dev)
+        dev_gc, stats = build_conflict_csr(80, src.edge_mask, lists, PALETTE, dev)
         assert stats.n_conflict_edges == host_m
         np.testing.assert_array_equal(dev_gc.offsets, host_gc.offsets)
         for v in range(80):
@@ -100,18 +107,18 @@ class TestAlgorithm3:
             )
 
     def test_all_memory_freed_after_build(self):
-        src, _, masks = make_inputs(n=40)
+        src, lists, masks = make_inputs(n=40)
         dev = DeviceSim(budget_bytes=1 << 22)
-        build_conflict_csr(40, src.edge_mask, masks, dev)
+        build_conflict_csr(40, src.edge_mask, lists, PALETTE, dev)
         assert dev.used_bytes == 0
         assert dev.peak_bytes > 0
 
     def test_device_vs_host_csr_path(self):
         """Plenty of budget -> CSR assembled on device; cramped budget
         (but enough for COO) -> host fallback (Alg. 3 lines 5-8)."""
-        src, _, masks = make_inputs(n=80)
+        src, lists, masks = make_inputs(n=80)
         roomy = DeviceSim(budget_bytes=1 << 24)
-        _, s1 = build_conflict_csr(80, src.edge_mask, masks, roomy)
+        _, s1 = build_conflict_csr(80, src.edge_mask, lists, PALETTE, roomy)
         assert s1.built_on_device
         # Budget sized so COO fits but CSR (2x) does not: compute actual
         # edge count then craft the budget.
@@ -119,27 +126,28 @@ class TestAlgorithm3:
         fixed = masks.nbytes + 2 * 80 * 4  # colmasks + counters
         coo_bytes = 2 * m * 4 + 4  # just over the edge list
         cramped = DeviceSim(budget_bytes=fixed + coo_bytes)
-        _, s2 = build_conflict_csr(80, src.edge_mask, masks, cramped)
+        _, s2 = build_conflict_csr(80, src.edge_mask, lists, PALETTE, cramped)
         assert not s2.built_on_device
         assert s2.n_conflict_edges == m
 
     def test_oom_on_tiny_budget(self):
-        src, _, masks = make_inputs(n=80)
+        src, lists, masks = make_inputs(n=80)
         dev = DeviceSim(budget_bytes=masks.nbytes + 2 * 80 * 4 + 64)
         with pytest.raises(DeviceOutOfMemory):
-            build_conflict_csr(80, src.edge_mask, masks, dev)
+            build_conflict_csr(80, src.edge_mask, lists, PALETTE, dev)
 
     def test_parallel_build_bit_identical_and_scratch_per_worker(self):
         """A multi-worker Algorithm 3 build returns the same CSR and
         charges one tile scratch per worker against the budget."""
-        src, _, masks = make_inputs(n=80)
+        src, lists, masks = make_inputs(n=80)
         serial_dev = DeviceSim(budget_bytes=1 << 24)
         ref, s_ref = build_conflict_csr(
-            80, src.edge_mask, masks, serial_dev, edge_block_fn=src.edge_block
+            80, src.edge_mask, lists, PALETTE, serial_dev,
+            edge_block_fn=src.edge_block,
         )
         par_dev = DeviceSim(budget_bytes=1 << 24)
         got, s_got = build_conflict_csr(
-            80, src.edge_mask, masks, par_dev,
+            80, src.edge_mask, lists, PALETTE, par_dev,
             edge_block_fn=src.edge_block, n_workers=2,
         )
         assert s_got.n_workers == 2
@@ -153,11 +161,11 @@ class TestAlgorithm3:
     def test_parallel_scratch_pressure_degrades_to_pairs(self):
         """When per-worker scratch cannot fit, the build falls back to
         the scratch-free pair engine instead of overcommitting."""
-        src, _, masks = make_inputs(n=80)
+        src, lists, masks = make_inputs(n=80)
         fixed = masks.nbytes + 2 * 80 * 4
         dev = DeviceSim(budget_bytes=fixed + 110 * 1024)
         _, stats = build_conflict_csr(
-            80, src.edge_mask, masks, dev,
+            80, src.edge_mask, lists, PALETTE, dev,
             edge_block_fn=src.edge_block, n_workers=8,
         )
         assert stats.engine == "pairs"
@@ -167,11 +175,11 @@ class TestAlgorithm3:
         """COO overflow mid-stream with a pool backend must raise
         DeviceOutOfMemory promptly and tear the workers down (the
         generator close path), not hang on undelivered results."""
-        src, _, masks = make_inputs(n=80)
+        src, lists, masks = make_inputs(n=80)
         dev = DeviceSim(budget_bytes=masks.nbytes + 2 * 80 * 4 + 1024)
         with pytest.raises(DeviceOutOfMemory):
             build_conflict_csr(
-                80, src.edge_mask, masks, dev,
+                80, src.edge_mask, lists, PALETTE, dev,
                 edge_block_fn=src.edge_block, n_workers=2,
             )
         assert dev.used_bytes == 0

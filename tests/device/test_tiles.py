@@ -43,17 +43,15 @@ from repro.pauli.anticommute import (
     anticommute_pairs_symplectic,
 )
 from repro.pauli.encoding import encode_iooh, encode_symplectic
+from repro.util.bits import bitset_from_lists
 from repro.util.chunking import num_pairs
 
 
 def make_inputs(n=60, nq=6, palette=16, L=4, seed=0):
     ps = random_pauli_set(n, nq, seed=seed)
     src = PauliComplementSource(ps)
-    lists, masks = assign_color_lists(n, palette, L, rng=seed) if n else (
-        np.empty((0, L), dtype=np.int64),
-        np.empty((0, (palette + 63) // 64), dtype=np.uint64),
-    )
-    return ps, src, lists, masks
+    lists = assign_color_lists(n, palette, L, rng=seed)
+    return ps, src, lists, bitset_from_lists(lists, palette)
 
 
 class TestTileGeometry:
@@ -188,8 +186,8 @@ class TestFusedConflictKernel:
         hits = _keys_to_set(sweep_conflict_hits(n, masks, src.edge_mask), n)
         if n < 2:
             assert hits == set()
-        gt, mt = build_conflict_graph(n, src.edge_mask, masks, engine="tiled")
-        gp, mp = build_conflict_graph(n, src.edge_mask, masks, engine="pairs")
+        gt, mt = build_conflict_graph(n, src.edge_mask, lists, 4, engine="tiled")
+        gp, mp = build_conflict_graph(n, src.edge_mask, lists, 4, engine="pairs")
         assert mt == mp == len(hits)
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
 
@@ -219,9 +217,9 @@ class TestFusedConflictKernel:
             conflict_hits_block(masks, 0, 10, 0, 10)
 
     def test_unknown_engine_rejected(self):
-        _, src, _, masks = make_inputs(n=10)
+        _, src, lists, _ = make_inputs(n=10)
         with pytest.raises(ValueError):
-            build_conflict_graph(10, src.edge_mask, masks, engine="warp")
+            build_conflict_graph(10, src.edge_mask, lists, 16, engine="warp")
 
 
 class TestEngineEquivalence:
@@ -234,22 +232,23 @@ class TestEngineEquivalence:
         L = int(rng.integers(1, min(6, palette) + 1))
         ps = random_pauli_set(n, nq, seed=seed)
         src = PauliComplementSource(ps)
-        _, masks = assign_color_lists(n, palette, L, rng=seed)
+        lists = assign_color_lists(n, palette, L, rng=seed)
         gt, mt = build_conflict_graph(
-            n, src.edge_mask, masks, engine="tiled",
+            n, src.edge_mask, lists, palette, engine="tiled",
             edge_block_fn=src.edge_block, tile_bytes=1 << 14,
         )
         gp, mp = build_conflict_graph(
-            n, src.edge_mask, masks, chunk_size=97, engine="pairs"
+            n, src.edge_mask, lists, palette, chunk_size=97, engine="pairs"
         )
         assert mt == mp
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
         np.testing.assert_array_equal(gt.targets, gp.targets)
         assert mt == count_conflict_edges(
-            n, src.edge_mask, masks, engine="tiled", edge_block_fn=src.edge_block
+            n, src.edge_mask, lists, palette, engine="tiled",
+            edge_block_fn=src.edge_block,
         )
         assert mt == count_conflict_edges(
-            n, src.edge_mask, masks, chunk_size=53, engine="pairs"
+            n, src.edge_mask, lists, palette, chunk_size=53, engine="pairs"
         )
 
     def test_explicit_graph_edge_block(self):

@@ -39,10 +39,10 @@ def _assert_bit_identical(got, ref):
     assert got.targets.dtype == ref.targets.dtype
 
 
-def _build(ps, masks, **kw):
+def _build(ps, pal, **kw):
     src = PauliComplementSource(ps)
     return build_conflict_graph(
-        ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+        ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
     )
 
 
@@ -50,13 +50,13 @@ class TestConflictCSREquivalence:
     @pytest.mark.parametrize("engine", ["tiled", "pairs"])
     def test_cluster_bit_identical_to_serial_and_pool(self, cluster, engine):
         ps = random_pauli_set(120, 7, seed=5)
-        _, masks = assign_color_lists(120, 18, 5, rng=3)
-        ref, m_ref = _build(ps, masks, engine=engine)
+        pal = (assign_color_lists(120, 18, 5, rng=3), 18)
+        ref, m_ref = _build(ps, pal, engine=engine)
         pool, m_pool = _build(
-            ps, masks, engine=engine, executor=PoolExecutor(_CI_WORKERS)
+            ps, pal, engine=engine, executor=PoolExecutor(_CI_WORKERS)
         )
         got, m_got = _build(
-            ps, masks, engine=engine, executor="cluster", hosts=cluster.hosts
+            ps, pal, engine=engine, executor="cluster", hosts=cluster.hosts
         )
         assert m_got == m_ref == m_pool
         _assert_bit_identical(got, ref)
@@ -70,12 +70,12 @@ class TestConflictCSREquivalence:
         src = PauliComplementSource(ps)
         with cluster.executor() as ex:
             for rng_seed in (0, 1, 2):
-                _, masks = assign_color_lists(90, 14, 4, rng=rng_seed)
+                pal = (assign_color_lists(90, 14, 4, rng=rng_seed), 14)
                 ref, m_ref = build_conflict_graph(
-                    90, src.edge_mask, masks, edge_block_fn=src.edge_block
+                    90, src.edge_mask, *pal, edge_block_fn=src.edge_block
                 )
                 got, m_got = build_conflict_graph(
-                    90, src.edge_mask, masks, edge_block_fn=src.edge_block,
+                    90, src.edge_mask, *pal, edge_block_fn=src.edge_block,
                     executor=ex, source=src,
                 )
                 assert m_got == m_ref
@@ -89,10 +89,10 @@ class TestConflictCSREquivalence:
     def test_count_conflict_edges_matches(self, cluster):
         ps = random_pauli_set(80, 6, seed=7)
         src = PauliComplementSource(ps)
-        _, masks = assign_color_lists(80, 12, 4, rng=5)
+        pal = (assign_color_lists(80, 12, 4, rng=5), 12)
         assert count_conflict_edges(
-            80, src.edge_mask, masks, hosts=cluster.hosts, executor="cluster"
-        ) == count_conflict_edges(80, src.edge_mask, masks)
+            80, src.edge_mask, *pal, hosts=cluster.hosts, executor="cluster"
+        ) == count_conflict_edges(80, src.edge_mask, *pal)
 
 
 def _backend_variants(cluster):

@@ -173,17 +173,17 @@ class TestAgentResilience:
         from repro.pauli import random_pauli_set
 
         ps = random_pauli_set(90, 6, seed=3)
-        _, masks = assign_color_lists(90, 14, 4, rng=1)
+        pal = (assign_color_lists(90, 14, 4, rng=1), 14)
         src = PauliComplementSource(ps)
         ref, m_ref = build_conflict_graph(
-            90, src.edge_mask, masks, edge_block_fn=src.edge_block
+            90, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         with LocalCluster(2) as cluster:
             cluster.kill_worker(1)
             cluster.restart_worker(1)
             with cluster.executor() as ex:
                 got, m_got = build_conflict_graph(
-                    90, src.edge_mask, masks,
+                    90, src.edge_mask, *pal,
                     edge_block_fn=src.edge_block, executor=ex,
                 )
         assert m_got == m_ref

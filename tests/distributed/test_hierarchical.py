@@ -47,17 +47,17 @@ def _slow_echo(seconds):
 
 def _problem(n=120, seed=3):
     ps = random_pauli_set(n, 6, seed=seed)
-    _, masks = assign_color_lists(n, 16, 4, rng=1)
+    pal = (assign_color_lists(n, 16, 4, rng=1), 16)
     src = PauliComplementSource(ps)
     ref, m_ref = build_conflict_graph(
-        n, src.edge_mask, masks, edge_block_fn=src.edge_block
+        n, src.edge_mask, *pal, edge_block_fn=src.edge_block
     )
-    return src, masks, ref, m_ref
+    return src, pal, ref, m_ref
 
 
-def _build(src, masks, ex, **kw):
+def _build(src, pal, ex, **kw):
     return build_conflict_graph(
-        src.n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+        src.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
         executor=ex, **kw
     )
 
@@ -93,11 +93,11 @@ class TestHierarchicalAgent:
         """Sharded build over hierarchical agents matches serial, and
         repeat sweeps on one executor ride the token-cached delta path
         through the agents' inner pools."""
-        src, masks, ref, m_ref = _problem()
+        src, pal, ref, m_ref = _problem()
         with LocalCluster(2, inner_workers=2) as cluster:
             with cluster.executor() as ex:
                 for _ in range(2):
-                    got, m_got = _build(src, masks, ex, source=src)
+                    got, m_got = _build(src, pal, ex, source=src)
                     _assert_identical(got, m_got, ref, m_ref)
                 assert any(ex.holds_token(t) for t in ex._tokens.values())
 
@@ -106,13 +106,13 @@ class TestHierarchicalAgent:
         weighted strip deal; the result is still bit-identical."""
         from repro.parallel.pool import strip_shares
 
-        src, masks, ref, m_ref = _problem()
+        src, pal, ref, m_ref = _problem()
         with LocalCluster(1) as flat, LocalCluster(1, inner_workers=3) as hier:
             hosts = flat.hosts + hier.hosts
             with ClusterExecutor(hosts) as ex:
                 assert ex.worker_capacities() == [1, 3]
                 assert strip_shares(ex, 6) == [1, 3, 1, 3, 1, 3]
-                got, m_got = _build(src, masks, ex)
+                got, m_got = _build(src, pal, ex)
         _assert_identical(got, m_got, ref, m_ref)
 
     def test_picasso_hierarchical_matches_serial(self):
@@ -133,7 +133,7 @@ class TestHierarchicalFailures:
         detects it within its result bound, the typed WorkerFailure
         crosses the wire verbatim, and the agent (inner pool recycled)
         serves the next sweep bit-identically."""
-        src, masks, ref, m_ref = _problem()
+        src, pal, ref, m_ref = _problem()
         # The agent reads its inner result bound at spawn; the kill
         # fault fires in the first inner worker to run a strip, once.
         monkeypatch.setenv("REPRO_RESULT_TIMEOUT_S", "5")
@@ -144,9 +144,9 @@ class TestHierarchicalFailures:
             with cluster.executor(result_timeout_s=30.0) as ex:
                 t0 = time.perf_counter()
                 with pytest.raises(WorkerFailure):
-                    _build(src, masks, ex)
+                    _build(src, pal, ex)
                 assert time.perf_counter() - t0 < 40.0
-                got, m_got = _build(src, masks, ex)
+                got, m_got = _build(src, pal, ex)
         _assert_identical(got, m_got, ref, m_ref)
         assert os.path.exists(tmp_path / "once")
 
@@ -174,7 +174,7 @@ class TestHierarchicalFailures:
         """A shard that fails (inner worker killed) redistributes to
         the survivors and the CSR stays bit-identical — the PR 6
         redistribution contract, unchanged under hierarchy."""
-        src, masks, ref, m_ref = _problem()
+        src, pal, ref, m_ref = _problem()
         monkeypatch.setenv("REPRO_RESULT_TIMEOUT_S", "5")
         monkeypatch.setenv("REPRO_FAULT", "kill:task:1")
         monkeypatch.setenv("REPRO_FAULT_ONCE", str(tmp_path / "once"))
@@ -183,5 +183,5 @@ class TestHierarchicalFailures:
             with cluster.executor(
                 result_timeout_s=30.0, redistribute=True
             ) as ex:
-                got, m_got = _build(src, masks, ex)
+                got, m_got = _build(src, pal, ex)
         _assert_identical(got, m_got, ref, m_ref)

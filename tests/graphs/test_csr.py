@@ -11,7 +11,6 @@ from repro.graphs import CSRGraph, from_edge_list, index_dtype
 from repro.graphs import csr as csr_module
 from repro.device.palette_index import PaletteIndex
 from repro.graphs.csr import csr_from_coo_chunks, key_layout, key_pairs, pair_keys
-from repro.util.bits import bitset_from_lists
 
 
 def triangle() -> CSRGraph:
@@ -249,7 +248,7 @@ class TestSortKeyAssembly:
         palette = 2048
         lists = (np.arange(n) * 7 % palette).reshape(-1, 1)
         lists[n - 1] = lists[n - 2]
-        index = PaletteIndex(bitset_from_lists(lists, palette))
+        index = PaletteIndex(lists)
         keys = index.block_keys(0, n)
         assert keys.dtype == key_layout(n)[1]
         assert keys.dtype == (np.int32 if n == 2**15 else np.int64)

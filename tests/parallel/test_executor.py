@@ -200,15 +200,15 @@ class TestSpawnConflictBuild:
         """Forcing spawn must reproduce the serial CSR bit for bit —
         the backend the fork-less platforms fall back to."""
         ps = random_pauli_set(90, 6, seed=3)
-        _, masks = assign_color_lists(90, 14, 4, rng=1)
+        pal = (assign_color_lists(90, 14, 4, rng=1), 14)
         src = PauliComplementSource(ps)
         ref, m_ref = build_conflict_graph(
-            90, src.edge_mask, masks, edge_block_fn=src.edge_block
+            90, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         got, m_got = build_conflict_graph(
             90,
             src.edge_mask,
-            masks,
+            *pal,
             edge_block_fn=src.edge_block,
             executor=PoolExecutor(2, start_method="spawn"),
         )

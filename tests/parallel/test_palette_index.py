@@ -41,7 +41,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.ops import induced_subgraph
 from repro.parallel import PoolExecutor, pool
 from repro.pauli import PauliSet, random_pauli_set
-from repro.util.bits import popcount_rows
+from repro.util.bits import bitset_from_lists, popcount_rows
 
 _CI_WORKERS = int(os.environ.get("REPRO_TEST_N_WORKERS", "2"))
 _WORKER_COUNTS = sorted({2, 3, _CI_WORKERS})
@@ -63,7 +63,7 @@ def force_plan(monkeypatch, plan: str) -> None:
     """Force the index or the tile plan, with the ``rows`` rule off."""
     kappa = 0.0 if plan == "index" else float("inf")
     monkeypatch.setattr(palette_index, "INDEX_COST_PER_CANDIDATE", kappa)
-    monkeypatch.setattr(pool, "all_pairs_share", lambda colmasks: False)
+    monkeypatch.setattr(pool, "all_pairs_share", lambda col_lists, palette_size: False)
 
 
 def _anticommuting(n_qubits: int) -> PauliSet:
@@ -107,10 +107,10 @@ CASES = {
 }
 
 
-def _masks(case: str, seed: int = 0) -> tuple[PauliSet, np.ndarray]:
+def _palette(case: str, seed: int = 0) -> tuple[PauliSet, tuple[np.ndarray, int]]:
+    """The case's Pauli set and its palette ``(lists, P)``."""
     ps, palette, list_size = CASES[case]
-    _, masks = assign_color_lists(ps.n, palette, list_size, rng=seed)
-    return ps, masks
+    return ps, (assign_color_lists(ps.n, palette, list_size, rng=seed), palette)
 
 
 def _assert_csr_equal(got, ref):
@@ -119,17 +119,17 @@ def _assert_csr_equal(got, ref):
     assert got.targets.dtype == ref.targets.dtype
 
 
-def _build(ps, masks, **kw):
+def _build(ps, pal, **kw):
     src = PauliComplementSource(ps)
     return build_conflict_graph(
-        ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+        ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
     )
 
 
-def _build_fused(ps, masks, **kw):
+def _build_fused(ps, pal, **kw):
     src = PauliComplementSource(ps)
     return build_fused_conflict_state(
-        ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+        ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
     )
 
 
@@ -140,8 +140,10 @@ def _induced(full):
     return induced_subgraph(full, conflicted)[0], conflicted
 
 
-def _brute_shared(masks: np.ndarray) -> np.ndarray:
-    """``(n, n)`` shared-color counts ``popcount(m_i & m_j)``."""
+def _brute_shared(pal: tuple[np.ndarray, int]) -> np.ndarray:
+    """``(n, n)`` shared-color counts ``popcount(m_i & m_j)`` over the
+    lists' packed bitsets."""
+    masks = bitset_from_lists(*pal)
     n = len(masks)
     out = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -152,10 +154,10 @@ def _brute_shared(masks: np.ndarray) -> np.ndarray:
 class TestIndex:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_candidate_count_exact(self, case):
-        _, masks = _masks(case)
-        shared = np.triu(_brute_shared(masks), 1)
-        index = PaletteIndex(masks)
-        assert index.n_candidates == candidate_pairs(masks) == int(shared.sum())
+        _, pal = _palette(case)
+        shared = np.triu(_brute_shared(pal), 1)
+        index = PaletteIndex(pal[0])
+        assert index.n_candidates == candidate_pairs(pal[0]) == int(shared.sum())
         np.testing.assert_array_equal(
             np.diff(index.row_candidates), shared.sum(axis=1)
         )
@@ -163,23 +165,24 @@ class TestIndex:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("n_blocks", [1, 2, 7])
     def test_blocks_enumerate_sharing_pairs_sorted(self, case, n_blocks):
-        _, masks = _masks(case)
-        index = PaletteIndex(masks)
+        _, pal = _palette(case)
+        n = len(pal[0])
+        index = PaletteIndex(pal[0])
         blocks, weights = index.row_blocks(n_blocks)
         bounds = [a for a, _ in blocks] + [blocks[-1][1]] if blocks else []
         assert all(a < b for a, b in blocks)
         assert bounds == sorted(bounds)
         assert int(weights.sum()) == index.n_candidates
         keys = [index.block_keys(a, b) for a, b in blocks]
-        assert all(k.dtype == key_layout(len(masks))[1] for k in keys)
-        i, j = key_pairs(np.concatenate([np.empty(0, np.int32), *keys]), len(masks))
-        ei, ej = np.nonzero(np.triu(_brute_shared(masks), 1))
+        assert all(k.dtype == key_layout(n)[1] for k in keys)
+        i, j = key_pairs(np.concatenate([np.empty(0, np.int32), *keys]), n)
+        ei, ej = np.nonzero(np.triu(_brute_shared(pal), 1))
         np.testing.assert_array_equal(i, ei)
         np.testing.assert_array_equal(j, ej)
 
     def test_weighted_blocks_keep_alignment(self):
-        _, masks = _masks("n65")
-        index = PaletteIndex(masks)
+        _, (lists, _) = _palette("n65")
+        index = PaletteIndex(lists)
         blocks, weights = index.row_blocks(6, shares=[1, 3] * 3)
         assert len(blocks) == 6
         assert blocks[0][0] == 0 and blocks[-1][1] == 65
@@ -192,13 +195,63 @@ class TestIndex:
         n = int(rng.integers(0, 140))
         palette = int(rng.integers(1, 150))
         list_size = int(rng.integers(1, palette + 1))
-        _, masks = assign_color_lists(n, palette, list_size, rng=seed)
-        index = PaletteIndex(masks)
+        lists = assign_color_lists(n, palette, list_size, rng=seed)
+        index = PaletteIndex(lists)
         blocks, _ = index.row_blocks(int(rng.integers(1, 9)))
         got = [index.block_keys(a, b) for a, b in blocks]
-        ei, ej = np.nonzero(np.triu(_brute_shared(masks), 1))
+        ei, ej = np.nonzero(np.triu(_brute_shared((lists, palette)), 1))
         keys = np.concatenate([np.empty(0, np.int32), *got])
         np.testing.assert_array_equal(keys, pair_keys(ei, ej, n))
+
+
+def test_index_rejects_a_repeated_color():
+    """A row holding a color twice would pair the vertex with itself."""
+    with pytest.raises(ValueError, match="twice"):
+        PaletteIndex(np.array([[0, 1], [2, 2], [1, 3]]))
+
+
+def _naive_buckets(lists: np.ndarray, palette: int) -> list[np.ndarray]:
+    """The bucket oracle: per color, the ascending ids of the vertices
+    whose packed bitset holds it."""
+    masks = bitset_from_lists(lists, palette).astype("<u8")
+    bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
+    return [np.flatnonzero(bits[:, c]) for c in range(palette)]
+
+
+class TestIndexAgainstBucketOracle:
+    """The list-built index against buckets read off the bitsets."""
+
+    @pytest.mark.parametrize("n, palette, list_size", [
+        (0, 4, 2), (1, 3, 3), (200, 64, 5), (300, 70, 40), (500, 9, 9),
+        (32_768, 40_000, 2),  # the last n with int32 keys
+        (32_769, 40_000, 2),  # the first with int64 keys
+    ])
+    def test_index_matches_oracle(self, n, palette, list_size):
+        lists = assign_color_lists(n, palette, list_size, rng=n + palette)
+        buckets = _naive_buckets(lists, palette)
+        index = PaletteIndex(lists)
+        np.testing.assert_array_equal(index.verts, np.concatenate(buckets))
+        np.testing.assert_array_equal(
+            index.later,
+            np.concatenate([np.arange(len(b))[::-1] for b in buckets]),
+        )
+        per_row = np.zeros(n, dtype=np.int64)
+        for b in buckets:
+            np.add.at(per_row, b, np.arange(len(b))[::-1])
+        np.testing.assert_array_equal(np.diff(index.row_candidates), per_row)
+        sizes = np.array([len(b) for b in buckets])
+        assert index.n_candidates == int((sizes * (sizes - 1) // 2).sum())
+        pairs = [np.triu_indices(len(b), 1) for b in buckets]
+        ref = np.unique(np.concatenate([
+            np.empty(0, key_layout(n)[1]),
+            *(pair_keys(b[p], b[q], n) for b, (p, q) in zip(buckets, pairs)),
+        ]))
+        blocks, _ = index.row_blocks(3)
+        keys = [index.block_keys(a, b) for a, b in blocks]
+        assert all(k.dtype == key_layout(n)[1] for k in keys)
+        np.testing.assert_array_equal(
+            np.concatenate([np.empty(0, key_layout(n)[1]), *keys]), ref
+        )
 
 
 class TestCostRule:
@@ -206,99 +259,122 @@ class TestCostRule:
         """``L = P`` puts every vertex in every bucket, so ``C = P``
         times the pair count and the index never wins; with a block
         oracle the sweep takes the ``rows`` plan without consulting the
-        index rule, and its strips fit the tile budget."""
+        index rule, builds no bitsets, and its strips fit the tile
+        budget."""
         for n, palette in ((50, 5), (400, 40), (2000, 100)):
-            _, masks = assign_color_lists(n, palette, palette, rng=0)
-            assert candidate_pairs(masks) == palette * n * (n - 1) // 2
-            assert not prefers_index(n, masks)
+            lists = assign_color_lists(n, palette, palette, rng=0)
+            assert candidate_pairs(lists) == palette * n * (n - 1) // 2
+            assert not prefers_index(n, lists, palette)
             with monkeypatch.context() as m:
                 m.setattr(pool, "prefers_index", None)  # not consulted
-                plan, height = pool.sweep_plan(
-                    n, masks, "tiled", None, None, _any_edge, _any_block
+                plan, height, masks = pool.sweep_plan(
+                    n, lists, palette, "tiled", None, None, _any_edge, _any_block
                 )
-            assert plan == "rows"
+            assert plan == "rows" and masks is None
             assert height == strip_height(n, DEFAULT_TILE_BYTES)
             assert height * n * 10 <= DEFAULT_TILE_BYTES
-            plan, height = pool.sweep_plan(
-                n, masks, "tiled", None, 1 << 14, _any_edge, _any_block
+            plan, height, _ = pool.sweep_plan(
+                n, lists, palette, "tiled", None, 1 << 14, _any_edge, _any_block
             )
             assert plan == "rows" and height == max(1, (1 << 14) // (10 * n))
 
     def test_equal_empty_lists_are_not_rows(self):
-        """Equal but all-zero lists share nothing: no ``rows`` plan."""
-        masks = np.zeros((50, 2), dtype=np.uint64)
-        plan, _ = pool.sweep_plan(50, masks, "tiled", None, None, _any_edge, _any_block)
+        """Equal but empty lists share nothing: no ``rows`` plan."""
+        lists = np.zeros((50, 0), dtype=np.int64)
+        plan, _, _ = pool.sweep_plan(
+            50, lists, 2, "tiled", None, None, _any_edge, _any_block
+        )
         assert plan != "rows"
-        assert not palette_index.all_pairs_share(masks)
-        assert not palette_index.all_pairs_share(masks[:0])
+        assert not palette_index.all_pairs_share(lists, 2)
+        assert not palette_index.all_pairs_share(np.zeros((0, 2), np.int64), 2)
 
     def test_unequal_lists_are_not_rows(self):
-        _, masks = assign_color_lists(5000, 40, 40, rng=0)
-        masks[4500, 0] ^= np.uint64(1)  # past the first early-exit block
-        assert not palette_index.all_pairs_share(masks)
-        assert palette_index.all_pairs_share(masks[:4500])
+        """Lists short of the palette (``L < P``) never take ``rows``,
+        even when every pair happens to share a color."""
+        lists = assign_color_lists(5000, 40, 39, rng=0)
+        assert not palette_index.all_pairs_share(lists, 40)
+        assert not palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 2)
+        assert palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 1)
 
     def test_rows_needs_block_oracle_and_free_tile(self):
         """A block-less oracle, a pinned tile and the ``"pairs"`` engine
-        never pick ``rows``, even when every list is the palette."""
-        _, masks = assign_color_lists(65, 5, 5, rng=0)
-        assert palette_index.all_pairs_share(masks)
-        plan, tile = pool.sweep_plan(65, masks, "tiled", None, None, _any_edge, None)
+        never pick ``rows``, even when every list is the palette; they
+        sweep the packed bitsets."""
+        lists = assign_color_lists(65, 5, 5, rng=0)
+        masks = bitset_from_lists(lists, 5)
+        assert palette_index.all_pairs_share(lists, 5)
+        plan, tile, got = pool.sweep_plan(
+            65, lists, 5, "tiled", None, None, _any_edge, None
+        )
         assert plan is None and tile is not None
-        assert pool.sweep_plan(
-            65, masks, "tiled", 64, None, _any_edge, _any_block
-        ) == (None, 64)
-        assert pool.sweep_plan(
-            65, masks, "pairs", None, None, _any_edge, _any_block
-        ) == (None, None)
+        np.testing.assert_array_equal(got, masks)
+        for engine, tile in (("tiled", 64), ("pairs", None)):
+            plan, got_tile, got = pool.sweep_plan(
+                65, lists, 5, engine, tile, None, _any_edge, _any_block
+            )
+            assert (plan, got_tile) == (None, tile)
+            np.testing.assert_array_equal(got, masks)
 
     def test_index_for_normal_preset_at_scale(self):
         n = 4000
         params = PicassoParams()
-        _, masks = assign_color_lists(
-            n, params.palette_size(n), params.list_size(n), rng=0
-        )
-        assert prefers_index(n, masks)
+        palette = params.palette_size(n)
+        lists = assign_color_lists(n, palette, params.list_size(n), rng=0)
+        assert prefers_index(n, lists, palette)
         for block_fn in (None, _any_block):
-            index, tile = pool.sweep_plan(
-                n, masks, "tiled", None, None, _any_edge, block_fn
+            index, tile, masks = pool.sweep_plan(
+                n, lists, palette, "tiled", None, None, _any_edge, block_fn
             )
             assert isinstance(index, PaletteIndex) and tile is None
+            assert masks is None
 
     def test_pinned_tile_pairs_engine_and_block_only_oracle_keep_tiles(
         self, monkeypatch
     ):
         force_plan(monkeypatch, "index")
-        _, masks = _masks("n65")
-        assert pool.sweep_plan(65, masks, "tiled", 64, None, _any_edge) == (None, 64)
-        assert pool.sweep_plan(65, masks, "pairs", None, None, _any_edge) == (None, None)
-        index, tile = pool.sweep_plan(65, masks, "tiled", None, None, None)
+        _, pal = _palette("n65")
+        assert pool.sweep_plan(65, *pal, "tiled", 64, None, _any_edge)[:2] == (None, 64)
+        assert pool.sweep_plan(65, *pal, "pairs", None, None, _any_edge)[:2] == (None, None)
+        index, tile, _ = pool.sweep_plan(65, *pal, "tiled", None, None, None)
         assert index is None and tile is not None
+
+    def test_rule_counts_buckets_like_the_bitsets(self):
+        """The plan rule's candidate count, from a ``bincount`` of the
+        lists, equals the count from the unpacked bitsets' per-color
+        popcounts."""
+        for n, palette, list_size in ((300, 70, 6), (1000, 130, 9), (40, 3, 2)):
+            lists = assign_color_lists(n, palette, list_size, rng=n)
+            bits = np.unpackbits(
+                bitset_from_lists(lists, palette).astype("<u8").view(np.uint8),
+                axis=1, bitorder="little",
+            )[:, :palette]
+            sizes = bits.sum(axis=0)
+            assert candidate_pairs(lists) == int((sizes * (sizes - 1) // 2).sum())
 
 
 class TestSerialEquivalence:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_index_tiles_pairs_bit_identical(self, case, monkeypatch):
-        ps, masks = _masks(case)
-        ref, m_ref = _build(ps, masks, engine="pairs")
+        ps, pal = _palette(case)
+        ref, m_ref = _build(ps, pal, engine="pairs")
         sub_ref = _induced(ref)
-        sub, conflicted, m_fused = _build_fused(ps, masks, engine="pairs")
+        sub, conflicted, m_fused = _build_fused(ps, pal, engine="pairs")
         assert m_fused == m_ref
         _assert_csr_equal(sub, sub_ref[0])
         np.testing.assert_array_equal(conflicted, sub_ref[1])
         for plan in PLANS:
             force_plan(monkeypatch, plan)
-            got, m = _build(ps, masks)
+            got, m = _build(ps, pal)
             assert m == m_ref
             _assert_csr_equal(got, ref)
-            sub, conflicted, m_fused = _build_fused(ps, masks)
+            sub, conflicted, m_fused = _build_fused(ps, pal)
             assert m_fused == m_ref
             _assert_csr_equal(sub, sub_ref[0])
             np.testing.assert_array_equal(conflicted, sub_ref[1])
 
     def test_index_plan_runs(self, monkeypatch):
         """Forcing kappa = 0 really routes the sweep through the index."""
-        ps, masks = _masks("n64")
+        ps, pal = _palette("n64")
         calls = []
         original = PaletteIndex.block_hits
 
@@ -308,22 +384,22 @@ class TestSerialEquivalence:
 
         monkeypatch.setattr(PaletteIndex, "block_hits", spy)
         force_plan(monkeypatch, "index")
-        _build(ps, masks)
+        _build(ps, pal)
         assert calls and calls[0][0] == 0 and calls[-1][1] == 64
         calls.clear()
         force_plan(monkeypatch, "tiles")
-        _build(ps, masks)
+        _build(ps, pal)
         assert calls == []
 
     def test_explicit_graph_source(self, monkeypatch):
         g = erdos_renyi(90, 0.3, seed=5)
         src = ExplicitGraphSource(g)
-        _, masks = assign_color_lists(90, 12, 3, rng=1)
-        ref, m_ref = build_conflict_graph(90, src.edge_mask, masks, engine="pairs")
+        pal = (assign_color_lists(90, 12, 3, rng=1), 12)
+        ref, m_ref = build_conflict_graph(90, src.edge_mask, *pal, engine="pairs")
         for plan in PLANS:
             force_plan(monkeypatch, plan)
             got, m = build_conflict_graph(
-                90, src.edge_mask, masks, edge_block_fn=src.edge_block
+                90, src.edge_mask, *pal, edge_block_fn=src.edge_block
             )
             assert m == m_ref
             _assert_csr_equal(got, ref)
@@ -331,9 +407,9 @@ class TestSerialEquivalence:
     def test_device_build_keeps_tiles(self, monkeypatch):
         """The DeviceSim build pins its budgeted tile, so it never
         builds an index even when the rule would pick one."""
-        ps, masks = _masks("n65")
+        ps, pal = _palette("n65")
         src = PauliComplementSource(ps)
-        ref, _ = _build(ps, masks, engine="pairs")
+        ref, _ = _build(ps, pal, engine="pairs")
         force_plan(monkeypatch, "index")
 
         def refuse(*args, **kwargs):
@@ -341,7 +417,7 @@ class TestSerialEquivalence:
 
         monkeypatch.setattr(pool, "PaletteIndex", refuse)
         got, stats = build_conflict_csr(
-            ps.n, src.edge_mask, masks, DeviceSim(),
+            ps.n, src.edge_mask, *pal, DeviceSim(),
             edge_block_fn=src.edge_block,
         )
         _assert_csr_equal(got, ref)
@@ -356,21 +432,21 @@ class TestPoolEquivalence:
     @pytest.mark.parametrize("shm", [False, True])
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
     def test_pool_bit_identical(self, n_workers, shm, monkeypatch):
-        problems = [_masks(case) for case in POOL_CASES]
+        problems = [_palette(case) for case in POOL_CASES]
         ps = random_pauli_set(300, 8, seed=11)
-        problems.append((ps, assign_color_lists(300, 40, 6, rng=2)[1]))
+        problems.append((ps, (assign_color_lists(300, 40, 6, rng=2), 40)))
         # Small blocks, so every worker gets several row blocks.
         monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
         force_plan(monkeypatch, "index")
         with PoolExecutor(n_workers) as ex:
-            for ps, masks in problems:
-                ref, m_ref = _build(ps, masks, engine="pairs")
+            for ps, pal in problems:
+                ref, m_ref = _build(ps, pal, engine="pairs")
                 sub_ref = _induced(ref)
-                got, m = _build(ps, masks, executor=ex, shm=shm)
+                got, m = _build(ps, pal, executor=ex, shm=shm)
                 assert m == m_ref
                 _assert_csr_equal(got, ref)
                 sub, conflicted, m_fused = _build_fused(
-                    ps, masks, executor=ex, shm=shm
+                    ps, pal, executor=ex, shm=shm
                 )
                 assert m_fused == m_ref
                 _assert_csr_equal(sub, sub_ref[0])
@@ -382,16 +458,16 @@ class TestPoolEquivalence:
         from repro.distributed import ClusterExecutor, LocalCluster
 
         ps = random_pauli_set(300, 8, seed=12)
-        _, masks = assign_color_lists(300, 40, 6, rng=4)
-        ref, m_ref = _build(ps, masks, engine="pairs")
+        pal = (assign_color_lists(300, 40, 6, rng=4), 40)
+        ref, m_ref = _build(ps, pal, engine="pairs")
         sub_ref = _induced(ref)
         monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
         force_plan(monkeypatch, "index")
         with LocalCluster(1) as flat, LocalCluster(1, inner_workers=2) as hier:
             with ClusterExecutor(flat.hosts + hier.hosts) as ex:
                 assert ex.worker_capacities() == [1, 2]
-                got, m = _build(ps, masks, executor=ex)
-                sub, conflicted, m_fused = _build_fused(ps, masks, executor=ex)
+                got, m = _build(ps, pal, executor=ex)
+                sub, conflicted, m_fused = _build_fused(ps, pal, executor=ex)
         assert m == m_fused == m_ref
         _assert_csr_equal(got, ref)
         _assert_csr_equal(sub, sub_ref[0])
@@ -400,11 +476,11 @@ class TestPoolEquivalence:
     def test_pool_explicit_graph(self, monkeypatch):
         g = erdos_renyi(120, 0.2, seed=6)
         src = ExplicitGraphSource(g)
-        _, masks = assign_color_lists(120, 15, 3, rng=3)
-        ref, m_ref = build_conflict_graph(120, src.edge_mask, masks, engine="pairs")
+        pal = (assign_color_lists(120, 15, 3, rng=3), 15)
+        ref, m_ref = build_conflict_graph(120, src.edge_mask, *pal, engine="pairs")
         force_plan(monkeypatch, "index")
         got, m = build_conflict_graph(
-            120, src.edge_mask, masks, edge_block_fn=src.edge_block,
+            120, src.edge_mask, *pal, edge_block_fn=src.edge_block,
             n_workers=2,
         )
         assert m == m_ref
@@ -446,41 +522,41 @@ class TestPicasso:
 def _rows_problems():
     """``L = P`` inputs for the ``rows`` plan: Pauli sets and explicit
     graphs, ``n`` in {1, 2, 65, 300}, ``P`` in {1, 5}; each as
-    ``(name, n, source, masks)``."""
+    ``(name, n, source, pal)``."""
     out = []
     for n in (1, 2, 65, 300):
         for palette in (1, 5):
-            _, masks = assign_color_lists(n, palette, palette, rng=n)
+            pal = (assign_color_lists(n, palette, palette, rng=n), palette)
             sources = {
                 "pauli": PauliComplementSource(random_pauli_set(n, 6, seed=n)),
                 "explicit": ExplicitGraphSource(erdos_renyi(n, 0.3, seed=n)),
             }
             for kind, src in sources.items():
-                out.append((f"{kind}-n{n}-P{palette}", n, src, masks))
+                out.append((f"{kind}-n{n}-P{palette}", n, src, pal))
     return out
 
 
 ROWS_PROBLEMS = _rows_problems()
 
 
-def _rows_build(n, src, masks, **kw):
+def _rows_build(n, src, pal, **kw):
     return build_conflict_graph(
-        n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+        n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
     )
 
 
-def _rows_build_fused(n, src, masks, **kw):
+def _rows_build_fused(n, src, pal, **kw):
     return build_fused_conflict_state(
-        n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+        n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
     )
 
 
-def _pinned_tiles(n, src, masks):
+def _pinned_tiles(n, src, pal):
     """The tile sweep with a pinned 64-wide tile, assembled."""
     chunks = [
         keys
         for keys in pool.conflict_sweep_chunks(
-            n, src.edge_mask, masks, edge_block_fn=src.edge_block, tile=64
+            n, src.edge_mask, *pal, edge_block_fn=src.edge_block, tile=64
         )
         if len(keys)
     ]
@@ -488,22 +564,22 @@ def _pinned_tiles(n, src, masks):
     return csr_from_coo_chunks(chunks, n), m
 
 
-def _assert_rows_matches(n, src, masks, **kw):
+def _assert_rows_matches(n, src, pal, **kw):
     """The ``rows`` build equals the ``"pairs"`` engine and the
     pinned-tile sweep, full-width and as the driver's sub-CSR."""
-    plan, _ = pool.sweep_plan(
-        n, masks, "tiled", None, None, src.edge_mask, src.edge_block
+    plan, _, _ = pool.sweep_plan(
+        n, *pal, "tiled", None, None, src.edge_mask, src.edge_block
     )
     assert plan == "rows"
-    ref, m_ref = build_conflict_graph(n, src.edge_mask, masks, engine="pairs")
-    tiles, m_tiles = _pinned_tiles(n, src, masks)
+    ref, m_ref = build_conflict_graph(n, src.edge_mask, *pal, engine="pairs")
+    tiles, m_tiles = _pinned_tiles(n, src, pal)
     assert m_tiles == m_ref
     _assert_csr_equal(tiles, ref)
-    got, m = _rows_build(n, src, masks, **kw)
+    got, m = _rows_build(n, src, pal, **kw)
     assert m == m_ref
     _assert_csr_equal(got, ref)
     sub_ref, conflicted_ref = _induced(ref)
-    sub, conflicted, m_fused = _rows_build_fused(n, src, masks, **kw)
+    sub, conflicted, m_fused = _rows_build_fused(n, src, pal, **kw)
     assert m_fused == m_ref
     _assert_csr_equal(sub, sub_ref)
     np.testing.assert_array_equal(conflicted, conflicted_ref)
@@ -524,18 +600,18 @@ class TestRowsPlan:
         "problem", ROWS_PROBLEMS, ids=[p[0] for p in ROWS_PROBLEMS]
     )
     def test_serial_bit_identical(self, problem):
-        _, n, src, masks = problem
-        _assert_rows_matches(n, src, masks)
+        _, n, src, pal = problem
+        _assert_rows_matches(n, src, pal)
         # Strips of one and of seven rows: every strip shape, the same CSR.
         for tile_bytes in (1, 70 * max(n, 1)):
-            _assert_rows_matches(n, src, masks, tile_bytes=tile_bytes)
+            _assert_rows_matches(n, src, pal, tile_bytes=tile_bytes)
 
     @pytest.mark.parametrize("shm", [False, True])
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
     def test_pool_bit_identical(self, n_workers, shm):
         with PoolExecutor(n_workers) as ex:
-            for _, n, src, masks in ROWS_PROBLEMS:
-                _assert_rows_matches(n, src, masks, executor=ex, shm=shm)
+            for _, n, src, pal in ROWS_PROBLEMS:
+                _assert_rows_matches(n, src, pal, executor=ex, shm=shm)
 
     def test_weighted_cluster_bit_identical(self):
         """Mixed-capacity agents get capacity-weighted row ranges under
@@ -548,22 +624,22 @@ class TestRowsPlan:
                 tasks, weights = pool.sweep_strip_tasks(300, "tiled", 7, ex, "rows")
                 assert len(tasks) == ex.n_workers * pool.TASKS_PER_WORKER
                 assert int(weights.sum()) == 300 * 299 // 2
-                for _, n, src, masks in ROWS_PROBLEMS:
-                    _assert_rows_matches(n, src, masks, executor=ex)
+                for _, n, src, pal in ROWS_PROBLEMS:
+                    _assert_rows_matches(n, src, pal, executor=ex)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_hit_stream_in_key_order(self, n_workers):
         """Rows hits arrive strictly increasing in ``i << s | j`` (the
         CSR assembly's key), serial and gathered from a pool."""
-        for _, n, src, masks in ROWS_PROBLEMS:
+        for _, n, src, pal in ROWS_PROBLEMS:
             with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
                 chunks = list(pool.conflict_sweep_chunks(
-                    n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+                    n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
                     tile_bytes=70 * n, executor=ex,
                 ))
             keys = _keys(chunks, n)
             assert (np.diff(keys) > 0).all()
-            _, m = _rows_build(n, src, masks, engine="pairs")
+            _, m = _rows_build(n, src, pal, engine="pairs")
             assert len(keys) == m
 
     def test_aggressive_hamiltonian_counts_only_rows(self):
@@ -588,10 +664,10 @@ class TestRowsPlan:
         assert strips and all(a["plan"] == "rows" for a in strips)
 
 
-def _stream(ps, masks, executor=None, **kw):
+def _stream(ps, pal, executor=None, **kw):
     src = PauliComplementSource(ps)
     return list(pool.conflict_sweep_chunks(
-        ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+        ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
         executor=executor, **kw,
     ))
 
@@ -606,14 +682,14 @@ class TestKeyStream:
     def test_every_plan_yields_keys(self, plan, n_workers, monkeypatch):
         ps = random_pauli_set(300, 8, seed=13)
         list_size = 40 if plan == "rows" else 6
-        _, masks = assign_color_lists(300, 40, list_size, rng=5)
-        _, m_ref = _build(ps, masks, engine="pairs")
+        pal = (assign_color_lists(300, 40, list_size, rng=5), 40)
+        _, m_ref = _build(ps, pal, engine="pairs")
         if plan in PLANS:
             monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
             force_plan(monkeypatch, plan)
         kw = {"engine": "pairs", "chunk_size": 4096} if plan == "pairs" else {}
         with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
-            chunks = _stream(ps, masks, ex, **kw)
+            chunks = _stream(ps, pal, ex, **kw)
         assert len(chunks) > 1
         keys = _keys(chunks, 300)
         assert len(keys) == m_ref
@@ -623,8 +699,8 @@ class TestKeyStream:
             assert len(np.unique(keys)) == m_ref
 
     def test_index_blocks_strictly_increasing(self):
-        _, masks = _masks("n65")
-        index = PaletteIndex(masks)
+        _, pal = _palette("n65")
+        index = PaletteIndex(pal[0])
         blocks, _ = index.row_blocks(5)
         keys = [index.block_keys(a, b) for a, b in blocks]
         assert all(k.dtype == np.int32 for k in keys)
@@ -636,14 +712,14 @@ class TestKeyStream:
         4-byte key width, on a 2-worker pool with either gather, and
         the driver's iteration stats carry the same figure."""
         ps = random_pauli_set(300, 8, seed=14)
-        _, masks = assign_color_lists(300, 40, 6, rng=6)
+        pal = (assign_color_lists(300, 40, 6, rng=6), 40)
         telemetry.reset()
         telemetry.enable(True)
         try:
             with PoolExecutor(2) as ex:
                 timings = {}
                 _, _, m = _build_fused(
-                    ps, masks, executor=ex, shm=shm, timings=timings
+                    ps, pal, executor=ex, shm=shm, timings=timings
                 )
             counters = telemetry.snapshot()["counters"]
         finally:

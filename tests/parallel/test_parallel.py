@@ -63,18 +63,18 @@ def _assert_bit_identical(got, ref):
 
 
 class TestParallelConflictGraph:
-    def _expected(self, ps, masks):
+    def _expected(self, ps, pal):
         src = PauliComplementSource(ps)
-        return build_conflict_graph(ps.n, src.edge_mask, masks)
+        return build_conflict_graph(ps.n, src.edge_mask, *pal)
 
     @pytest.mark.parametrize("engine", ["tiled", "pairs"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_matches_sequential(self, n_workers, engine):
         ps = random_pauli_set(70, 6, seed=0)
-        _, masks = assign_color_lists(70, 12, 4, rng=0)
-        expect_g, expect_m = self._expected(ps, masks)
+        pal = (assign_color_lists(70, 12, 4, rng=0), 12)
+        expect_g, expect_m = self._expected(ps, pal)
         got_g, got_m = parallel_conflict_graph(
-            ps, masks, n_workers=n_workers, chunk_size=101, engine=engine
+            ps, *pal, n_workers=n_workers, chunk_size=101, engine=engine
         )
         assert got_m == expect_m
         _assert_bit_identical(got_g, expect_g)
@@ -84,21 +84,21 @@ class TestParallelConflictGraph:
         ps = random_pauli_set(40, 5, seed=1)
         # Full palette overlap: every pair shares a color, so the
         # conflict graph equals the underlying edge set.
-        _, masks = assign_color_lists(40, 2, 2, rng=0)
-        g_comm, m_comm = parallel_conflict_graph(ps, masks, n_workers=1)
+        pal = (assign_color_lists(40, 2, 2, rng=0), 2)
+        g_comm, m_comm = parallel_conflict_graph(ps, *pal, n_workers=1)
         g_anti, m_anti = parallel_conflict_graph(
-            ps, masks, n_workers=1, want_anticommute=True
+            ps, *pal, n_workers=1, want_anticommute=True
         )
         assert m_comm + m_anti == num_pairs(40)
 
     def test_anticommute_parallel_matches_serial(self):
         ps = random_pauli_set(50, 5, seed=4)
-        _, masks = assign_color_lists(50, 8, 3, rng=2)
+        pal = (assign_color_lists(50, 8, 3, rng=2), 8)
         ref, m_ref = parallel_conflict_graph(
-            ps, masks, n_workers=1, want_anticommute=True
+            ps, *pal, n_workers=1, want_anticommute=True
         )
         got, m_got = parallel_conflict_graph(
-            ps, masks, n_workers=2, want_anticommute=True
+            ps, *pal, n_workers=2, want_anticommute=True
         )
         assert m_got == m_ref
         _assert_bit_identical(got, ref)
@@ -113,10 +113,10 @@ class TestParallelConflictGraph:
         of sweeping nothing (a negative ``range`` step in each pool
         pair range) or failing inside a worker."""
         ps = random_pauli_set(40, 5, seed=3)
-        _, masks = assign_color_lists(40, 8, 3, rng=1)
+        pal = (assign_color_lists(40, 8, 3, rng=1), 8)
         with pytest.raises(ValueError, match="chunk_size"):
             parallel_conflict_graph(
-                ps, masks, n_workers=n_workers, chunk_size=chunk_size,
+                ps, *pal, n_workers=n_workers, chunk_size=chunk_size,
                 engine="pairs", shm=shm,
             )
 
@@ -124,10 +124,8 @@ class TestParallelConflictGraph:
         """Disjoint singleton lists across a huge palette -> few conflicts."""
         ps = random_pauli_set(30, 5, seed=2)
         lists = np.arange(30, dtype=np.int64).reshape(-1, 1)
-        from repro.util.bits import bitset_from_lists
-
-        masks = bitset_from_lists(lists, 30)
-        _, m = parallel_conflict_graph(ps, masks, n_workers=2)
+        pal = (lists, 30)
+        _, m = parallel_conflict_graph(ps, *pal, n_workers=2)
         assert m == 0
 
 
@@ -135,24 +133,24 @@ class TestBackendEquivalence:
     """ISSUE 2 acceptance: tiled-parallel builds are bit-identical to
     tiled-serial and to the pairs engine, and colorings match per seed."""
 
-    def _build(self, ps, masks, **kw):
+    def _build(self, ps, pal, **kw):
         src = PauliComplementSource(ps)
         return build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block, **kw
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
         )
 
     @pytest.mark.parametrize("kernel_backend", available_backends())
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
     def test_tiled_parallel_bit_identical(self, n_workers, kernel_backend):
         ps = random_pauli_set(120, 7, seed=5)
-        _, masks = assign_color_lists(120, 18, 5, rng=3)
-        ref, m_ref = self._build(ps, masks)
-        pairs, m_pairs = self._build(ps, masks, engine="pairs")
+        pal = (assign_color_lists(120, 18, 5, rng=3), 18)
+        ref, m_ref = self._build(ps, pal)
+        pairs, m_pairs = self._build(ps, pal, engine="pairs")
         got, m_got = self._build(
-            ps, masks, n_workers=n_workers, kernel_backend=kernel_backend
+            ps, pal, n_workers=n_workers, kernel_backend=kernel_backend
         )
         serial, m_serial = self._build(
-            ps, masks, kernel_backend=kernel_backend
+            ps, pal, kernel_backend=kernel_backend
         )
         assert m_got == m_ref == m_pairs == m_serial
         _assert_bit_identical(got, ref)
@@ -164,9 +162,9 @@ class TestBackendEquivalence:
         """ISSUE 3 acceptance: the shared-memory gather reproduces the
         pickled gather bit for bit at every pool size."""
         ps = random_pauli_set(120, 7, seed=5)
-        _, masks = assign_color_lists(120, 18, 5, rng=3)
-        ref, m_ref = self._build(ps, masks)
-        got, m_got = self._build(ps, masks, n_workers=n_workers, shm=True)
+        pal = (assign_color_lists(120, 18, 5, rng=3), 18)
+        ref, m_ref = self._build(ps, pal)
+        got, m_got = self._build(ps, pal, n_workers=n_workers, shm=True)
         assert m_got == m_ref
         _assert_bit_identical(got, ref)
 
@@ -180,10 +178,10 @@ class TestBackendEquivalence:
         ps = random_pauli_set(n, int(rng.integers(4, 9)), seed=seed)
         palette = int(rng.integers(2, max(3, n // 3)))
         lsize = int(rng.integers(1, palette + 1))
-        _, masks = assign_color_lists(n, palette, lsize, rng=seed)
-        ref, m_ref = self._build(ps, masks)
-        par, m_par = self._build(ps, masks, n_workers=2)
-        pairs, m_pairs = self._build(ps, masks, engine="pairs")
+        pal = (assign_color_lists(n, palette, lsize, rng=seed), palette)
+        ref, m_ref = self._build(ps, pal)
+        par, m_par = self._build(ps, pal, n_workers=2)
+        pairs, m_pairs = self._build(ps, pal, engine="pairs")
         assert m_par == m_ref == m_pairs
         _assert_bit_identical(par, ref)
         _assert_bit_identical(pairs, ref)
@@ -213,26 +211,26 @@ class TestBackendEquivalence:
         """executor="pool" with one worker still routes through the
         process pool and stays bit-identical."""
         ps = random_pauli_set(60, 6, seed=6)
-        _, masks = assign_color_lists(60, 10, 3, rng=4)
-        ref, m_ref = self._build(ps, masks)
-        got, m_got = self._build(ps, masks, n_workers=1, executor="pool")
+        pal = (assign_color_lists(60, 10, 3, rng=4), 10)
+        ref, m_ref = self._build(ps, pal)
+        got, m_got = self._build(ps, pal, n_workers=1, executor="pool")
         assert m_got == m_ref
         _assert_bit_identical(got, ref)
 
     def test_count_conflict_edges_parallel(self):
         ps = random_pauli_set(80, 6, seed=7)
         src = PauliComplementSource(ps)
-        _, masks = assign_color_lists(80, 12, 4, rng=5)
+        pal = (assign_color_lists(80, 12, 4, rng=5), 12)
         assert count_conflict_edges(
-            80, src.edge_mask, masks, n_workers=2
-        ) == count_conflict_edges(80, src.edge_mask, masks)
+            80, src.edge_mask, *pal, n_workers=2
+        ) == count_conflict_edges(80, src.edge_mask, *pal)
 
     def test_explicit_pool_executor_instance(self):
         ps = random_pauli_set(100, 7, seed=8)
-        _, masks = assign_color_lists(100, 15, 4, rng=6)
-        ref, m_ref = self._build(ps, masks)
+        pal = (assign_color_lists(100, 15, 4, rng=6), 15)
+        ref, m_ref = self._build(ps, pal)
         got, m_got = self._build(
-            ps, masks, executor=PoolExecutor(_CI_WORKERS)
+            ps, pal, executor=PoolExecutor(_CI_WORKERS)
         )
         assert m_got == m_ref
         _assert_bit_identical(got, ref)

@@ -30,7 +30,6 @@ from repro.parallel import (
 )
 from repro.parallel.shm import MIN_STRIP_SLOTS
 from repro.pauli import random_pauli_set
-from repro.util.bits import bitset_from_lists
 
 
 def _worker_pid(_):
@@ -39,9 +38,9 @@ def _worker_pid(_):
 
 def _problem(n=90, nq=6, seed=3, palette=14, lsize=4, rng=1):
     ps = random_pauli_set(n, nq, seed=seed)
-    _, masks = assign_color_lists(n, palette, lsize, rng=rng)
+    pal = (assign_color_lists(n, palette, lsize, rng=rng), palette)
     src = PauliComplementSource(ps)
-    return ps, src, masks
+    return ps, src, pal
 
 
 def _assert_bit_identical(got, ref):
@@ -93,32 +92,31 @@ class TestSizing:
         assert plan_strip_slots(np.array([], dtype=np.int64), 10.0).size == 0
 
     def test_estimate_positive_for_overlapping_lists(self):
-        _, _, masks = _problem()
-        est = estimate_conflict_edges(90, masks)
+        est = estimate_conflict_edges(90, 14, 4)
         assert est > 0
         # Bounded by pair space.
         assert est <= 90 * 89 / 2
 
     def test_estimate_zero_for_empty_masks(self):
-        masks = np.zeros((10, 1), dtype=np.uint64)
-        assert estimate_conflict_edges(10, masks) == 0.0
+        assert estimate_conflict_edges(10, 1, 0) == 0.0
+        assert estimate_conflict_edges(1, 14, 4) == 0.0
 
 
 class TestShmGatherEquivalence:
     """shm-pool CSR must be bit-identical to serial and pickled-pool."""
 
-    def _ref(self, src, masks, n):
+    def _ref(self, src, pal, n):
         return build_conflict_graph(
-            n, src.edge_mask, masks, edge_block_fn=src.edge_block
+            n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
 
     @pytest.mark.parametrize("engine", ["tiled", "pairs"])
     def test_shm_pool_matches_serial(self, engine):
-        ps, src, masks = _problem()
-        ref, m_ref = self._ref(src, masks, ps.n)
+        ps, src, pal = _problem()
+        ref, m_ref = self._ref(src, pal, ps.n)
         with PoolExecutor(2) as ex:
             got, m = build_conflict_graph(
-                ps.n, src.edge_mask, masks, engine=engine,
+                ps.n, src.edge_mask, *pal, engine=engine,
                 edge_block_fn=src.edge_block, executor=ex, shm=True,
             )
         assert m == m_ref
@@ -126,11 +124,11 @@ class TestShmGatherEquivalence:
 
     def test_shm_spawn_matches_serial(self):
         """The shm path must work without fork (CI forces spawn too)."""
-        ps, src, masks = _problem()
-        ref, m_ref = self._ref(src, masks, ps.n)
+        ps, src, pal = _problem()
+        ref, m_ref = self._ref(src, pal, ps.n)
         with PoolExecutor(2, start_method="spawn") as ex:
             got, m = build_conflict_graph(
-                ps.n, src.edge_mask, masks,
+                ps.n, src.edge_mask, *pal,
                 edge_block_fn=src.edge_block, executor=ex, shm=True,
             )
         assert m == m_ref
@@ -139,10 +137,10 @@ class TestShmGatherEquivalence:
     def test_serial_executor_ignores_shm(self):
         """No pipe to avoid for in-process sweeps: shm=True degrades to
         the plain streaming path, same result."""
-        ps, src, masks = _problem()
-        ref, m_ref = self._ref(src, masks, ps.n)
+        ps, src, pal = _problem()
+        ref, m_ref = self._ref(src, pal, ps.n)
         got, m = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
             executor=SerialExecutor(), shm=True,
         )
         assert m == m_ref
@@ -153,11 +151,11 @@ class TestShmGatherEquivalence:
         gather still produces the (empty) graph."""
         ps = random_pauli_set(30, 5, seed=2)
         lists = np.arange(30, dtype=np.int64).reshape(-1, 1)
-        masks = bitset_from_lists(lists, 30)
+        pal = (lists, 30)
         src = PauliComplementSource(ps)
         with PoolExecutor(2) as ex:
             with shm_conflict_gather(
-                30, src.edge_mask, masks,
+                30, src.edge_mask, *pal,
                 edge_block_fn=src.edge_block, executor=ex,
             ) as gather:
                 graph = csr_from_coo_chunks(gather.chunks, 30)
@@ -170,11 +168,11 @@ class TestShmGatherEquivalence:
         """A deliberately absurd Lemma 2 estimate (zero) forces strip
         overflow; the retry region is sized exactly and the result stays
         bit-identical."""
-        ps, src, masks = _problem()
-        ref, m_ref = self._ref(src, masks, ps.n)
+        ps, src, pal = _problem()
+        ref, m_ref = self._ref(src, pal, ps.n)
         with PoolExecutor(2) as ex:
             with shm_conflict_gather(
-                ps.n, src.edge_mask, masks,
+                ps.n, src.edge_mask, *pal,
                 edge_block_fn=src.edge_block, executor=ex,
                 est_conflict_edges=0.0, safety=0.0,
             ) as gather:
@@ -185,9 +183,9 @@ class TestShmGatherEquivalence:
 
     def test_views_are_views_not_copies(self):
         """The chunks handed to the assembly alias the shared region."""
-        ps, src, masks = _problem()
+        ps, src, pal = _problem()
         with shm_conflict_gather(
-            ps.n, src.edge_mask, masks,
+            ps.n, src.edge_mask, *pal,
             edge_block_fn=src.edge_block, executor=SerialExecutor(),
         ) as gather:
             assert gather.chunks, "expected conflict edges"
@@ -201,9 +199,9 @@ class TestPersistentPool:
     def test_reuse_across_three_builds_bit_identical(self):
         """One pool, >= 3 builds: same worker processes every time and
         bit-identical CSR every time (pickled and shm gathers)."""
-        ps, src, masks = _problem()
+        ps, src, pal = _problem()
         ref, m_ref = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         with PoolExecutor(2) as ex:
             ex.map(_worker_pid, range(8))  # spin the pool up
@@ -211,7 +209,7 @@ class TestPersistentPool:
             assert len(pids0) == 2
             for k in range(3):
                 got, m = build_conflict_graph(
-                    ps.n, src.edge_mask, masks,
+                    ps.n, src.edge_mask, *pal,
                     edge_block_fn=src.edge_block, executor=ex,
                     shm=(k % 2 == 0),
                 )
@@ -223,16 +221,16 @@ class TestPersistentPool:
     def test_payload_token_delta(self):
         """A source-keyed install leaves its token behind; the next
         sweep on the same executor ships only the delta."""
-        ps, src, masks = _problem()
+        ps, src, pal = _problem()
         ref, m_ref = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         with PoolExecutor(2) as ex:
             assert not ex.holds_token(object())
             installed = None
             for _ in range(3):
                 got, m = build_conflict_graph(
-                    ps.n, src.edge_mask, masks,
+                    ps.n, src.edge_mask, *pal,
                     edge_block_fn=src.edge_block, executor=ex,
                     source=src,
                 )
@@ -252,12 +250,12 @@ class TestPersistentPool:
         """Regression: the payload token names the whole static config,
         so swapping engines (or chunk sizes) on one executor + source
         must force a full re-install, not run a stale cached engine."""
-        ps, src, masks = _problem()
+        ps, src, pal = _problem()
         ref_t, m_t = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         ref_p, m_p = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block,
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
             engine="pairs",
         )
         with PoolExecutor(2) as ex:
@@ -267,7 +265,7 @@ class TestPersistentPool:
                 ("tiled", ref_t, m_t),
             ):
                 got, m = build_conflict_graph(
-                    ps.n, src.edge_mask, masks, engine=engine,
+                    ps.n, src.edge_mask, *pal, engine=engine,
                     edge_block_fn=src.edge_block, executor=ex, source=src,
                 )
                 assert m == m_ref
@@ -320,34 +318,34 @@ class TestPicassoShmEndToEnd:
         hint must be reserved first."""
         n = 1500
         ps = random_pauli_set(n, 12, seed=0)
-        _, masks = assign_color_lists(n, 200, 10, rng=0)
+        pal = (assign_color_lists(n, 200, 10, rng=0), 200)
         src = PauliComplementSource(ps)
         # Worst-case COO (2 * n * (n-1) * 4 B ~ 18 MB) exceeds what is
         # left of the 40 MB default budget after payload + scratch, so
         # the COO buffer is budget-limited — the regression regime.
         ref, _ = build_conflict_csr(
-            ps.n, src.edge_mask, masks, DeviceSim(),
+            ps.n, src.edge_mask, *pal, DeviceSim(),
             edge_block_fn=src.edge_block,
         )
         with PoolExecutor(2) as ex:
             got, stats = build_conflict_csr(
-                ps.n, src.edge_mask, masks, DeviceSim(),
+                ps.n, src.edge_mask, *pal, DeviceSim(),
                 edge_block_fn=src.edge_block, executor=ex, shm=True,
             )
         assert stats.gather == "shm"
         _assert_bit_identical(got, ref)
 
     def test_device_build_charges_shm_region(self):
-        ps, src, masks = _problem()
+        ps, src, pal = _problem()
         dev_ref = DeviceSim()
         ref, stats_ref = build_conflict_csr(
-            ps.n, src.edge_mask, masks, dev_ref,
+            ps.n, src.edge_mask, *pal, dev_ref,
             edge_block_fn=src.edge_block,
         )
         dev = DeviceSim()
         with PoolExecutor(2) as ex:
             got, stats = build_conflict_csr(
-                ps.n, src.edge_mask, masks, dev,
+                ps.n, src.edge_mask, *pal, dev,
                 edge_block_fn=src.edge_block, executor=ex, shm=True,
             )
         _assert_bit_identical(got, ref)
@@ -397,13 +395,13 @@ class TestPinning:
         not hasattr(os, "sched_setaffinity"), reason="no affinity syscall"
     )
     def test_pinned_pool_builds_bit_identical(self):
-        ps, src, masks = _problem()
+        ps, src, pal = _problem()
         ref, m_ref = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         with PoolExecutor(2, pin=True) as ex:
             got, m = build_conflict_graph(
-                ps.n, src.edge_mask, masks,
+                ps.n, src.edge_mask, *pal,
                 edge_block_fn=src.edge_block, executor=ex, shm=True,
             )
         assert m == m_ref

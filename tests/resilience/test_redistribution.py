@@ -27,17 +27,17 @@ def _disarm():
 @pytest.fixture(scope="module")
 def problem():
     ps = random_pauli_set(120, 6, seed=3)
-    _, masks = assign_color_lists(120, 16, 4, rng=1)
+    pal = (assign_color_lists(120, 16, 4, rng=1), 16)
     src = PauliComplementSource(ps)
     ref, m_ref = build_conflict_graph(
-        120, src.edge_mask, masks, edge_block_fn=src.edge_block
+        120, src.edge_mask, *pal, edge_block_fn=src.edge_block
     )
-    return src, masks, ref, m_ref
+    return src, pal, ref, m_ref
 
 
-def _build(src, masks, ex):
+def _build(src, pal, ex):
     return build_conflict_graph(
-        120, src.edge_mask, masks, edge_block_fn=src.edge_block,
+        120, src.edge_mask, *pal, edge_block_fn=src.edge_block,
         executor=ex,
     )
 
@@ -55,7 +55,7 @@ class TestRedistribution:
         """The tentpole acceptance: an agent SIGKILLed on its first
         strip; its remaining strips are re-dealt, the CSR is
         bit-identical, and the executor compacts to the survivors."""
-        src, masks, ref, m_ref = problem
+        src, pal, ref, m_ref = problem
         monkeypatch.setenv("REPRO_FAULT", "kill:task:1")
         monkeypatch.setenv("REPRO_FAULT_ONCE", str(tmp_path / "once"))
         monkeypatch.setenv("REPRO_FAULT_SPARE_PID", str(os.getpid()))
@@ -63,11 +63,11 @@ class TestRedistribution:
             with cluster.executor(
                 result_timeout_s=15.0, redistribute=True
             ) as ex:
-                got, m_got = _build(src, masks, ex)
+                got, m_got = _build(src, pal, ex)
                 assert ex.n_workers == 1  # compacted to the survivor
                 # The compacted executor keeps serving (next sweep runs
                 # on the survivor alone, still bit-identical).
-                got2, m2 = _build(src, masks, ex)
+                got2, m2 = _build(src, pal, ex)
         _assert_identical(got, m_got, ref, m_ref)
         _assert_identical(got2, m2, ref, m_ref)
         assert os.path.exists(tmp_path / "once")
@@ -75,7 +75,7 @@ class TestRedistribution:
     def test_wall_clock_kill_mid_sweep(self, problem):
         """Racy variant: the kill lands wherever it lands (possibly
         after the sweep).  Either way the answer must be identical."""
-        src, masks, ref, m_ref = problem
+        src, pal, ref, m_ref = problem
         with LocalCluster(2) as cluster:
             with cluster.executor(
                 result_timeout_s=15.0, redistribute=True
@@ -84,14 +84,14 @@ class TestRedistribution:
                     target=lambda: (time.sleep(0.2), cluster.kill_worker(1))
                 )
                 killer.start()
-                got, m_got = _build(src, masks, ex)
+                got, m_got = _build(src, pal, ex)
                 killer.join()
         _assert_identical(got, m_got, ref, m_ref)
 
     def test_all_shards_dead_raises_bounded(self, monkeypatch, problem):
         """No survivor to redistribute to: a typed WorkerFailure, not a
         hang — the supervisor's failover picks it up from there."""
-        src, masks, _, _ = problem
+        src, pal, _, _ = problem
         monkeypatch.setenv("REPRO_FAULT", "kill:task:1")
         monkeypatch.setenv("REPRO_FAULT_SPARE_PID", str(os.getpid()))
         with LocalCluster(1) as cluster:
@@ -99,18 +99,18 @@ class TestRedistribution:
                 result_timeout_s=15.0, redistribute=True
             ) as ex:
                 with pytest.raises(WorkerFailure, match="no survivor"):
-                    _build(src, masks, ex)
+                    _build(src, pal, ex)
 
     def test_without_flag_death_stays_loud(self, monkeypatch, problem):
         """redistribute=False (the default) preserves PR 5 semantics:
         a death surfaces as a bounded error."""
-        src, masks, _, _ = problem
+        src, pal, _, _ = problem
         monkeypatch.setenv("REPRO_FAULT", "kill:task:1")
         monkeypatch.setenv("REPRO_FAULT_SPARE_PID", str(os.getpid()))
         with LocalCluster(2) as cluster:
             with cluster.executor(result_timeout_s=15.0) as ex:
                 with pytest.raises(RuntimeError):
-                    _build(src, masks, ex)
+                    _build(src, pal, ex)
 
 
 class TestFailoverChain:
@@ -124,7 +124,7 @@ class TestFailoverChain:
         import repro.parallel.executor as pexec
         from repro.resilience.supervisor import supervised_executor
 
-        src, masks, ref, m_ref = problem
+        src, pal, ref, m_ref = problem
         monkeypatch.setattr(pexec, "RESULT_TIMEOUT_S", 6.0)
         monkeypatch.setenv("REPRO_FAULT", "kill:task:1")
         monkeypatch.setenv("REPRO_FAULT_SPARE_PID", str(os.getpid()))
@@ -135,7 +135,7 @@ class TestFailoverChain:
                 backoff_base_s=0.01,
             )
             try:
-                got, m_got = _build(src, masks, ex)
+                got, m_got = _build(src, pal, ex)
                 from repro.parallel.executor import SerialExecutor
 
                 assert isinstance(ex.inner, SerialExecutor)
