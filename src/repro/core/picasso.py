@@ -395,17 +395,18 @@ class Picasso:
                 color_rounds = 0
                 color_peak = 0
                 if len(conflicted):
-                    sub_lists = col_lists[conflicted]
-                    outcome = color_engine.color(
-                        sub_gc, sub_lists, self.rng,
-                        executor=executor, device=self.device,
+                    outcome = color_engine.color(  # all conflicted: no list copy
+                        sub_gc, col_lists if len(conflicted) == n else col_lists[conflicted],
+                        self.rng, executor=executor, device=self.device,
                     )
                     color_rounds = outcome.n_rounds
                     color_peak = outcome.peak_bytes
                     local_colors[conflicted] = outcome.colors
                     vu_local = conflicted[outcome.uncolored]
+                    del outcome
                 else:
                     vu_local = np.empty(0, dtype=np.int64)
+                del sub_gc  # iteration k's graph goes before k + 1's build
             t_color = telemetry.clock() - t0
 
             # Commit global colors with the per-iteration offset.

@@ -27,8 +27,7 @@ pairs that share a color:
   reach the source's gathered ``edge_mask(i, j)``.
 
 The emitted key set equals the tile sweep's, so the sort-key CSR
-assembly builds a bit-identical graph from either stream, and takes
-this one as its key array, which arrives sorted.  The
+assembly builds a bit-identical graph from either stream.  The
 expected work is ``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P``
 candidates, the Lemma 2 quantity itself, against
 ``n(n-1)/2 * ceil(P/64)`` word operations for the tile sweep;

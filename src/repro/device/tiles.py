@@ -399,8 +399,7 @@ def sweep_block_hits(
     ``block_fn`` over rows ``[a, b)`` (default all) as CSR keys, one
     row strip ``[r0, r1) x [r0, n)`` of ``height`` rows at a time.
 
-    Keys come out ascending, so the CSR assembly takes them as its key
-    array and skips its first sort.  Serves the explicit graph builders
+    Keys come out ascending.  Serves the explicit graph builders
     and the ``rows`` conflict plan (``L = P``, where every edge is a
     conflict edge).  ``backend`` dispatches the per-strip block op
     (``None`` = :func:`block_hits`).

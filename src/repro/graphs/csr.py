@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,19 +119,49 @@ class CSRGraph:
 _BLOCK = 1 << 19
 
 
-def _scatter(
-    targets: np.ndarray, key: np.ndarray, ptr: np.ndarray, base: np.ndarray, s: int
-) -> None:
-    """Write the column of sorted key ``j`` (``row << s | col``) to
-    ``targets[j + base[row]]``; ``ptr`` holds the row starts in ``key``."""
-    col_mask = key.dtype.type((1 << s) - 1)
-    for a in range(0, len(key), _BLOCK):
-        blk = key[a : a + _BLOCK]
-        r0, r1 = int(blk[0] >> s), int(blk[-1] >> s) + 1
-        runs = np.diff(np.clip(ptr[r0 : r1 + 1], a, a + len(blk)))
-        dest = np.repeat(base[r0:r1], runs)
-        dest += np.arange(a, a + len(blk))
-        targets[dest] = blk & col_mask
+def _trim_heap() -> None:
+    """Return freed heap pages to the OS (glibc, best effort) so they
+    do not stay resident under the pages ``targets`` faults in."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).malloc_trim(0)
+
+
+def _edge_keys(
+    chunk: np.ndarray | tuple[np.ndarray, np.ndarray], n: int, s: int
+) -> Iterator[np.ndarray]:
+    """A chunk as blocks of keys ``min << s | max``, row ids checked."""
+    if isinstance(chunk, np.ndarray):
+        for a in range(0, len(chunk), _BLOCK):
+            key = chunk[a : a + _BLOCK]
+            if key.min() < 0 or key.max() >= n << s:
+                raise ValueError("vertex id out of range")
+            yield key
+        return
+    u, v = chunk
+    for a in range(0, len(u), _BLOCK):
+        lo = np.minimum(u[a : a + _BLOCK], v[a : a + _BLOCK])
+        hi = np.maximum(u[a : a + _BLOCK], v[a : a + _BLOCK])
+        # Per block, not per row pointer: an id >= 2**s would fold into
+        # another row's key without moving any row boundary.
+        if lo.min() < 0 or hi.max() >= n:
+            raise ValueError("vertex id out of range")
+        yield pair_keys(lo, hi, n)
+
+
+def _place(targets: np.ndarray, fill: list[int], keys: np.ndarray) -> None:
+    """Commit a block of arc keys ``row << (s + 1) | ...``: with one row
+    band they were computed in place at ``fill[0]``; with more, band
+    ``b = key >> 31`` gets their low 31 bits at ``fill[b]``."""
+    if len(fill) > 1:
+        if (keys[1:] < keys[:-1]).any():
+            keys.sort()
+        b0 = int(keys[0]) >> 31
+        cuts = np.searchsorted(keys, np.arange(b0 + 1, (int(keys[-1]) >> 31) + 1) << 31)
+        for b, lo, hi in zip(range(b0, len(fill)), [0, *cuts], [*cuts, len(keys)]):
+            np.bitwise_and(keys[lo:hi], (1 << 31) - 1, out=targets[fill[b] : fill[b] + hi - lo])
+            fill[b] += hi - lo
+    else:
+        fill[0] += len(keys)
 
 
 def key_layout(n_vertices: int) -> tuple[int, np.dtype]:
@@ -166,77 +197,82 @@ def key_pairs(keys: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray
 def csr_from_coo_chunks(
     chunks: list[np.ndarray | tuple[np.ndarray, np.ndarray]], n_vertices: int
 ) -> CSRGraph:
-    """Sort-key CSR assembly from streamed edge chunks.
+    """Sort-key CSR assembly from streamed edge chunks, inside ``targets``.
 
     Each chunk is a 1-D array of keys ``min << s | max`` in the
     :func:`key_layout` of ``n_vertices`` (what every sweep emits), or a
-    ``(u, v)`` pair of endpoint arrays in either orientation, encoded
-    into keys here; each unordered edge appears exactly once across all
-    chunks, and each chunk leaves the list as soon as it is copied.
-    Sorting the keys (skipped when the stream arrives sorted) orders
-    each row's upper neighbours; transposing them in place and sorting
-    again orders the lower ones.  Both halves scatter straight to their
-    final slots, so the result depends on the edge set alone (see
-    :class:`CSRGraph`).  Scratch is the one ``m``-long key array plus
-    O(block) temporaries.
+    ``(u, v)`` pair of endpoint arrays in either orientation; each
+    unordered edge appears once across all chunks, and each chunk leaves
+    the list as soon as it is copied.  Arc ``row -> nbr`` is written to
+    ``targets`` as the int32 key ``(row - r0) << (s + 1) | (nbr < row) <<
+    s | nbr``, rows banded by ``2**(30 - s)`` from ``r0`` (one band up to
+    32,768 vertices).  One in-place sort per band gives the canonical
+    rows of :class:`CSRGraph`, ``searchsorted`` the row starts and a mask
+    the ids.  Scratch is O(block) beside ``targets``.
     """
     n = n_vertices
-    s, dtype = key_layout(n)
-    sizes = [len(c) if isinstance(c, np.ndarray) else len(c[0]) for c in chunks]
-    key = np.empty(sum(sizes), dtype)
-    in_order = True
-    pos = 0
+    s, _ = key_layout(n)
+    hb = 30 - s  # log2 of the rows per band
+    n_bands = max(-(-n >> hb), 1)
+    mask = (1 << s) - 1
+    arcs = np.zeros((2, n_bands), dtype=np.int64)  # upper, lower per band
+    if n_bands == 1:
+        arcs[:] = sum(len(c) if isinstance(c, np.ndarray) else len(c[0]) for c in chunks)
+    for chunk in chunks if n_bands > 1 else []:
+        for key in _edge_keys(chunk, n, s):
+            arcs[0] += np.bincount(key >> 30, minlength=n_bands)
+            arcs[1] += np.bincount((key & mask) >> hb, minlength=n_bands)[:n_bands]
+    start = np.concatenate([[0], np.cumsum(arcs.sum(axis=0))]).tolist()
+    m = int(arcs[0].sum())
+    _trim_heap()
+    targets = np.empty(2 * m, dtype=index_dtype(n))
+
+    def block(size: int) -> np.ndarray:
+        """Keys are computed in place with one band, else in scratch."""
+        return targets[fill[0] : fill[0] + size] if n_bands == 1 else np.empty(size, np.int64)
+
+    # Upper arcs: the key with its row field moved up one bit.  The heap
+    # is trimmed after every 16 MiB of chunks consumed, and at the end.
+    fill, freed = start[:-1], 0
     chunks.reverse()
     while chunks:
         chunk = chunks.pop()
-        for a in range(0, sizes.pop(0), _BLOCK):
-            if isinstance(chunk, np.ndarray):
-                # A row field >= n fails here, a column field >= n as
-                # an overlong column count below.
-                src = chunk[a : a + _BLOCK]
-                if src.min() < 0 or src.max() >= n << s:
-                    raise ValueError("vertex id out of range")
-                blk = key[pos : pos + len(src)]
-                blk[:] = src
-            else:
-                u, v = chunk
-                lo = np.minimum(u[a : a + _BLOCK], v[a : a + _BLOCK])
-                hi = np.maximum(u[a : a + _BLOCK], v[a : a + _BLOCK])
-                # Per block, not per row pointer: an id >= 2**s would fold
-                # into another row's key without moving any row boundary.
-                if lo.min() < 0 or hi.max() >= n:
-                    raise ValueError("vertex id out of range")
-                blk = key[pos : pos + len(lo)]
-                blk[:] = lo
-                blk <<= s
-                blk |= hi
-            in_order = in_order and (pos == 0 or key[pos - 1] <= blk[0])
-            in_order = in_order and not (blk[1:] < blk[:-1]).any()
-            pos += len(blk)
+        for key in _edge_keys(chunk, n, s):
+            dst = block(len(key))
+            np.bitwise_and(key, ~mask, out=dst)
+            dst += key
+            _place(targets, fill, dst)
+            freed += key.nbytes
         del chunk
-    if not in_order:
-        key.sort()
-    up_ptr = np.searchsorted(key, np.arange(n + 1, dtype=key.dtype) << s)
-    col_mask = key.dtype.type((1 << s) - 1)
-    low_ptr = np.zeros(n + 1, dtype=np.int64)
-    for a in range(0, len(key), _BLOCK):
-        counts = np.bincount(key[a : a + _BLOCK] & col_mask, minlength=n)
-        if len(counts) > n:
-            raise ValueError("vertex id out of range")
-        low_ptr[1:] += counts
-    np.cumsum(low_ptr, out=low_ptr)
-    # Return freed chunk pages first (glibc): reused or not by luck of
-    # heap fragmentation, they swung peak RSS by ``targets.nbytes``.
-    with contextlib.suppress(AttributeError, OSError, TypeError):
-        ctypes.CDLL(None).malloc_trim(0)
-    targets = np.empty(2 * len(key), dtype=index_dtype(n))
-    _scatter(targets, key, up_ptr, low_ptr, s)
-    for a in range(0, len(key), _BLOCK):
-        blk = key[a : a + _BLOCK]
-        blk[:] = (blk & col_mask) << s | blk >> s
-    key.sort()
-    _scatter(targets, key, low_ptr, up_ptr[1:], s)
-    return CSRGraph(offsets=up_ptr + low_ptr, targets=targets)
+        if freed >= 16 << 20 or not chunks:
+            _trim_heap()
+            freed = 0
+    # Lower arcs: nbr << (s + 1) | 1 << s | row, from the upper ones.
+    up_end = [a + int(c) for a, c in zip(start, arcs[0])]
+    fill = up_end.copy()
+    for b in range(n_bands):
+        for a in range(start[b], up_end[b], _BLOCK):
+            up = targets[a : min(a + _BLOCK, up_end[b])]
+            dst = block(len(up))
+            np.bitwise_and(up, mask, out=dst)
+            if dst.max() >= n:  # a column field >= n
+                raise ValueError("vertex id out of range")
+            dst <<= s + 1
+            dst |= 1 << s | b << hb
+            dst |= up >> (s + 1)
+            _place(targets, fill, dst)
+
+    offsets = np.empty(n + 1, dtype=np.int64)
+    offsets[n] = 2 * m  # n << (s + 1) would not fit int32 at n = 2**15
+    for b in range(n_bands):
+        seg = targets[start[b] : start[b + 1]]
+        seg.sort()
+        r0, r1 = b << hb, min((b + 1) << hb, n)
+        # int32 probes: int64 ones would cast all of seg to int64.
+        probes = np.arange(r1 - r0, dtype=seg.dtype) << (s + 1)
+        offsets[r0:r1] = np.searchsorted(seg, probes) + start[b]
+        seg &= mask
+    return CSRGraph(offsets=offsets, targets=targets)
 
 
 def from_edge_list(
@@ -254,8 +290,7 @@ def from_edge_list(
     n_vertices:
         Total vertex count (isolated vertices allowed).
     dedupe:
-        Remove duplicate edges first.  The ``np.unique`` sort of their
-        keys leaves them in order, so the assembly skips its first sort.
+        Remove duplicate edges first (``np.unique`` of their keys).
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Integration tests for the Picasso driver (Algorithm 1)."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.core import (
     normal_params,
     picasso_color,
 )
+from repro.core import picasso as picasso_module
 from repro.core.sources import PauliComplementSource
 from repro.coloring import greedy_coloring
 from repro.datasets import load_molecule
@@ -240,6 +242,26 @@ class TestIterationTrace:
         ps = random_pauli_set(80, 5, seed=11)
         r = picasso_color(ps, seed=0)
         assert r.peak_bytes > 0
+
+
+    def test_conflict_graph_released_before_next_build(self, monkeypatch):
+        """Iteration k's conflict CSR is dead when iteration k + 1's
+        build starts, so two iterations' graphs never coexist."""
+        build = picasso_module.build_fused_conflict_state
+        graphs: list[weakref.ref] = []
+        alive = []
+
+        def tracked(*args, **kwargs):
+            alive.extend(ref() is not None for ref in graphs)
+            state = build(*args, **kwargs)
+            graphs.append(weakref.ref(state[0]))
+            return state
+
+        monkeypatch.setattr(picasso_module, "build_fused_conflict_state", tracked)
+        ps = random_pauli_set(150, 6, seed=9)
+        r = picasso_color(ps, PicassoParams(palette_fraction=0.05, alpha=1.0), seed=0)
+        assert r.n_iterations >= 2 and len(graphs) == r.n_iterations
+        assert alive and not any(alive)
 
 
 class TestParameterTradeoffs:

@@ -261,6 +261,38 @@ class TestSortKeyAssembly:
         g = csr_from_coo_chunks([keys], n)
         assert g.n_edges == len(keys) and g.degree(n - 1) == g.degree(n - 2)
 
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1, 70_000])
+    def test_row_bands(self, n):
+        """Sorted, shuffled, ``(u, v)`` and mixed streams at the
+        one-band edge (``n = 2**15``: the row-start sentinel ``n << 16``
+        does not fit int32) and with bands of ``2**(30 - s)`` rows: 2 at
+        ``2**15 + 1``, 9 of 8,192 at 70,000.  Edges cross every band
+        boundary and touch vertices 0 and ``n - 1``."""
+        rng = np.random.default_rng(n)
+        s, _ = key_layout(n)
+        cuts = np.arange(0, n, 1 << max(30 - s, 0))
+        ends = np.concatenate([cuts, cuts - 1, cuts + 1, [0, n - 1]]).clip(0, n - 1)
+        u = np.concatenate([rng.integers(0, n, 3000), ends, rng.choice(ends, len(ends))])
+        v = np.concatenate([rng.integers(0, n, 3000), rng.permutation(ends), ends[::-1]])
+        keys = np.unique(pair_keys(np.minimum(u, v), np.maximum(u, v), n)[u != v])
+        i, j = key_pairs(keys, n)
+        offsets, targets = reference_csr(zip(i.tolist(), j.tolist()), n)
+        shuffled = rng.permutation(keys)
+        flip = rng.random(len(keys)) < 0.5
+        a_ids, b_ids = np.where(flip, j, i), np.where(flip, i, j)
+        pairs = [(a_ids[a : a + 700], b_ids[a : a + 700]) for a in range(0, len(keys), 700)]
+        streams = [
+            [keys[a : a + 500] for a in range(0, len(keys), 500)],
+            [shuffled[a : a + 900] for a in range(0, len(keys), 900)],
+            pairs,
+            [as_keys(c, n) if k % 2 else c for k, c in enumerate(pairs)],
+        ]
+        for chunks in streams:
+            g = csr_from_coo_chunks(chunks, n)
+            assert chunks == []
+            np.testing.assert_array_equal(g.offsets, offsets)
+            np.testing.assert_array_equal(g.targets, targets)
+
     def test_chunks_are_consumed(self):
         chunks = split_chunks([(0, 1), (2, 1), (3, 0)], [1, 1], np.int64)
         csr_from_coo_chunks(chunks, 4)
@@ -312,18 +344,23 @@ class TestSortKeyAssembly:
 
 
 class TestAssemblyMemory:
-    """Peak scratch is one ``m``-long key array next to ``targets``
-    plus O(block) temporaries: a second key array or a ``2m``-long
-    selector would break the bound."""
+    """The assembly writes its keys into ``targets`` itself: traced
+    peak is ``targets`` plus O(block) temporaries, so an ``m``-long
+    key array or a ``2m``-long selector breaks the bound."""
 
-    def test_traced_peak_bound(self):
-        n, m = 5000, 6 << 20
+    @staticmethod
+    def traced_peak(n, m, as_keys):
+        """Assemble ``m`` random edges on ``n`` vertices, streamed as 64
+        chunks of ``(u, v)`` pairs or of keys; return the graph and the
+        traced peak."""
         rng = np.random.default_rng(0)
         u = rng.integers(0, n - 1, m, dtype=np.int32)
         v = (u + rng.integers(1, n - u, dtype=np.int32)).astype(np.int32)
-        chunks = [(u[a : a + (m >> 6)], v[a : a + (m >> 6)]) for a in range(0, m, m >> 6)]
+        step = m >> 6
+        chunks = [(u[a : a + step], v[a : a + step]) for a in range(0, m, step)]
+        if as_keys:
+            chunks = [pair_keys(a, b, n) for a, b in chunks]
         del u, v
-        key_itemsize = 4  # 2 * bit_length(n - 1) <= 31
         tracemalloc.start()
         try:
             g = csr_from_coo_chunks(chunks, n)
@@ -331,4 +368,14 @@ class TestAssemblyMemory:
         finally:
             tracemalloc.stop()
         assert g.targets.nbytes == 2 * m * 4
-        assert peak <= g.targets.nbytes + m * key_itemsize + (32 << 20)
+        return g, peak
+
+    def test_traced_peak_bound(self):
+        g, peak = self.traced_peak(5000, 6 << 20, as_keys=False)
+        assert peak <= g.targets.nbytes + (16 << 20)
+
+    def test_traced_peak_bound_int64_bands(self):
+        """int64 keys and three row bands of 16,384 rows."""
+        g, peak = self.traced_peak(40_000, 3 << 20, as_keys=True)
+        assert key_layout(40_000)[1] == np.int64
+        assert peak <= g.targets.nbytes + (16 << 20)
