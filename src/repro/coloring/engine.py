@@ -17,8 +17,10 @@ two layers into one pluggable seam:
 Engines:
 
 ======================  =====================================================
-``greedy-dynamic``      Algorithm 2 on packed bitsets with bucket queues
-                        (the paper's choice; serial, best quality)
+``greedy-dynamic``      Algorithm 2 on packed bitsets with one numpy
+                        priority key per vertex, (list size, rank), and a
+                        blocked argmin (the paper's choice; serial, best
+                        quality)
 ``sets``                the Python-``set`` reference implementation —
                         bit-identical to ``greedy-dynamic`` per seed
 ``greedy-static``       fixed-order list coloring (``order`` knob:
@@ -35,6 +37,7 @@ memory lands in the same ledger as the conflict build's buffers.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
@@ -163,7 +166,7 @@ def get_engine(name: str, **knobs: Any) -> ListColoringEngine:
 
 @register_engine
 class GreedyDynamicEngine(ListColoringEngine):
-    """Algorithm 2 on packed bitsets (most-constrained-first buckets)."""
+    """Algorithm 2 on packed bitsets (most-constrained-first keys)."""
 
     name = "greedy-dynamic"
 
@@ -176,12 +179,18 @@ class GreedyDynamicEngine(ListColoringEngine):
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
         # The packed masks twice (the row-major build and its
-        # word-major copy briefly coexist), plus five per-vertex Python
-        # lists (bucket slots, pos, sizes, row offsets, colors) at an
-        # 8 B slot and at most one 32 B int object per entry.  The
-        # adjacency is read in place.
+        # word-major copy briefly coexist); the keys, padded to whole
+        # blocks of B < 2*sqrt(n) + 64, and one minimum per block; rank
+        # (whose bytes Vu reuses), draws and colors at 8 B per vertex;
+        # and one neighbor pass's temporaries, at most five words per
+        # neighbor of the highest-degree vertex.  The adjacency is read
+        # in place.
+        n = gc.n_vertices
         scratch = (
-            2 * self._masks_nbytes(col_lists) + 5 * (8 + 32) * gc.n_vertices
+            2 * self._masks_nbytes(col_lists)
+            + 8 * (n + 3 * math.isqrt(n) + 128)
+            + 3 * 8 * n
+            + 5 * 8 * gc.max_degree()
         )
         with self._scratch(device, scratch):
             colors, vu = greedy_list_color_dynamic(gc, col_lists, rng)

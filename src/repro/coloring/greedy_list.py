@@ -16,32 +16,38 @@ Three schemes:
   ("most constrained first").  Candidate lists live in a word-major
   ``(W, n)`` uint64 bitset matrix, so the neighbor test for a color is
   one gather from a contiguous row over the int32 adjacency slice
-  (read in place, never widened).  The smallest-list priority
-  structure is bucket queues (value = list size) held in Python lists,
-  with O(1) swap-removal by ``pop`` plus a slot write: the per-neighbor
-  bookkeeping runs on Python ints, not numpy scalars, and no Python
-  ``set`` objects are built.
-- :func:`greedy_list_color_dynamic_sets` — the original Python-``set``
-  implementation, kept as the seeded-equivalence reference and as the
-  legacy half of the tiled-vs-gather ablation.  Both dynamic variants
-  draw the same random numbers and make identical choices, so they
-  produce identical colorings for a given seed (property-tested).
+  (read in place, never widened).  The priority is one int64 key per
+  vertex, ``size * n + rank``, in ``sqrt(n)``-sized blocks with a
+  minimum per block: a pick is two ``argmin`` calls, and a colored
+  vertex updates its affected neighbors' keys and block minima in one
+  vectorized pass, with no per-neighbor Python code.
+- :func:`greedy_list_color_dynamic_sets` — the same rule in naive form
+  (per-vertex Python ``set`` state, ``min`` over the live vertices),
+  kept as the seeded-equivalence reference and as the color engine of
+  ``engine="pairs"`` runs.  Both dynamic variants produce identical
+  colorings for a given seed (property-tested).
 - :func:`greedy_list_color_static` — process vertices in a fixed order
   (natural / random / largest-degree-first), taking the first list
   color not used by an already-colored neighbor.  The paper reports
   dynamic ordering colors better; the static variants are kept for the
   ablation.
 
-Random choices are canonical in both dynamic variants: the vertex is
-drawn uniformly from the lowest bucket (by position), and the color is
-drawn uniformly from the vertex's surviving candidates *in ascending
-color order* — the natural order of a bitset scan.
+Random choices are canonical in both dynamic variants, drawn once per
+call and indexed by vertex: ``rank = rng.permutation(n)`` and
+``u = rng.random(n)``.  The next vertex is the unprocessed one with the
+fewest surviving candidates, ties to the lowest ``rank``; it takes
+surviving candidate ``floor(u[v] * k)`` of its ``k`` *in ascending
+color order* — the natural order of a bitset scan.  A vertex whose list
+empties has size 0, so it is picked next and joins ``Vu`` without a
+draw, and its place in the order cannot shift any later choice.
+Negative list entries are padding in every scheme.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.graphs.csr import CSRGraph
 from repro.util.bits import bitset_from_lists, popcount_rows
 from repro.util.rng import as_generator
@@ -52,7 +58,7 @@ def greedy_list_color_dynamic(
     col_lists: np.ndarray,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 2: bucket-based dynamic greedy list coloring on bitsets.
+    """Algorithm 2: most-constrained-first greedy list coloring on bitsets.
 
     Parameters
     ----------
@@ -62,8 +68,8 @@ def greedy_list_color_dynamic(
         ``(n, L)`` matrix of local candidate color ids.  Negative
         entries are treated as padding and ignored.
     rng:
-        Drives the uniform choices of Algorithm 2 (vertex from lowest
-        bucket, color from list).
+        Draws the tie-break ranks and the per-vertex color draws, once
+        per call.
 
     Returns
     -------
@@ -78,66 +84,53 @@ def greedy_list_color_dynamic(
         raise ValueError("col_lists rows must match vertex count")
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    rank = rng.permutation(n)
+    draws = rng.random(n)
 
     # Packed candidate bitsets over the local palette, word-major: row
     # w holds word w of every vertex, so the neighbor test for color c
     # gathers from one contiguous row.  Duplicates in a list collapse,
     # exactly like the set() reference.  A vertex leaves the graph
     # (colored, or its list emptied) with an all-zero column, so the
-    # bit test alone excludes it — no separate processed[] gather.
+    # bit test alone excludes it.
     nbits = int(col_lists.max()) + 1 if col_lists.size else 1
     masks = np.ascontiguousarray(bitset_from_lists(col_lists, max(nbits, 1)).T)
-    size_arr = popcount_rows(masks.T)
-    max_size = int(size_arr.max())
 
-    # Bucket queues as Python lists: bucket s holds the unprocessed
-    # vertices whose list currently has s candidates, and pos[v] is v's
-    # slot in its bucket, so removal is an O(1) swap with the last
-    # element (the paper's auxiliary-array trick).  All per-neighbor
-    # bookkeeping runs on Python ints; numpy scalar reads and writes
-    # cost several times more.  Initial population order is
-    # vertex-ascending, matching the reference.
-    order = np.argsort(size_arr, kind="stable")
-    starts = np.zeros(max_size + 2, dtype=np.int64)
-    np.cumsum(np.bincount(size_arr, minlength=max_size + 1), out=starts[1:])
-    pos_arr = np.empty(n, dtype=np.int64)
-    pos_arr[order] = np.arange(n) - starts[size_arr[order]]
-    buckets = [
-        order[starts[s] : starts[s + 1]].tolist() for s in range(max_size + 1)
-    ]
-    pos = pos_arr.tolist()
-    sizes = size_arr.tolist()
-    del order, starts, pos_arr, size_arr
-    colors = [-1] * n
+    # One priority key per vertex, size * n + rank, in a padded
+    # (n_blocks, B) array with a minimum per block (B = 2^shift, the
+    # power of two >= sqrt(n), at least 64): a pick is two argmins of
+    # about sqrt(n) keys.  Losing a candidate lowers a key by n, so an
+    # emptied list (size 0) is picked next.  A processed vertex's key is
+    # `done`, above every live key.
+    shift = max(6, ((n - 1).bit_length() + 1) // 2)
+    n_blocks = ((n - 1) >> shift) + 1
+    done = np.iinfo(np.int64).max
+    key = np.full(n_blocks << shift, done, dtype=np.int64)
+    key[:n] = popcount_rows(masks.T)
+    key[:n] *= n
+    key[:n] += rank
+    del rank
+    blocks = key.reshape(n_blocks, 1 << shift)
+    block_min = blocks.min(axis=1)
+    colors = np.full(n, -1, dtype=np.int64)
 
-    # Degenerate all-padding rows have no candidates at all: they join
-    # Vu immediately (the reference predates padding and never sees
-    # such rows on the Picasso path).
-    uncolored = buckets[0]
-    buckets[0] = []
-    n_processed = len(uncolored)
-
-    offsets = gc.offsets.tolist()
+    offsets = gc.offsets
     targets = gc.targets
-    lowest = 0
-    while n_processed < n:
-        # Lowest non-empty bucket: sizes only decrease for unprocessed
-        # vertices, so scanning upward after resets stays O(L) per step.
-        while not buckets[lowest]:
-            lowest += 1
-        buf = buckets[lowest]
-        cnt = len(buf)
-        idx = int(rng.integers(cnt)) if cnt > 1 else 0
-        v = buf[idx]
-        last = buf.pop()
-        if last != v:
-            buf[idx] = last
-            pos[last] = idx
-        n_processed += 1
+    key_updates = 0
+    for _ in range(n):
+        b = int(block_min.argmin())
+        block = blocks[b]
+        j = int(block.argmin())
+        k = int(block[j]) // n
+        block[j] = done
+        block_min[b] = block[block.argmin()]
+        if k == 0:
+            continue  # list emptied: v joins Vu
+        v = (b << shift) + j
 
-        # Uniform color from the surviving candidates: the r-th set bit.
-        k = sizes[v]
-        r = int(rng.integers(k)) if k > 1 else 0
+        # Candidate floor(draw * k) of the survivors in ascending
+        # color order: the r-th set bit.
+        r = int(draws[v] * k)
         for w, word in enumerate(masks[:, v].tolist()):
             if r < (count := word.bit_count()):
                 break
@@ -148,40 +141,24 @@ def greedy_list_color_dynamic(
         colors[v] = c
         masks[:, v] = 0
 
+        # One vectorized pass: neighbors still holding c lose that bit,
+        # and their keys and block minima drop by one list size.
         nbrs = targets[offsets[v] : offsets[v + 1]]
-        if len(nbrs) == 0:
-            continue
-        # One vectorized pass: neighbors still holding c lose that bit
-        # and drop one bucket.
         row = masks[c >> 6]
-        bit = np.uint64(1) << np.uint64(c & 63)
-        affected = nbrs[(row[nbrs] & bit) != 0]
+        bit = np.uint64(1 << (c & 63))
+        held = row.take(nbrs)
+        held &= bit
+        affected = nbrs[held.astype(bool)]
         if len(affected) == 0:
             continue
-        row[affected] &= ~bit
-        for u in affected.tolist():
-            s_old = sizes[u]
-            sizes[u] = s_new = s_old - 1
-            b = buckets[s_old]
-            last = b.pop()
-            if last != u:
-                p = pos[u]
-                b[p] = last
-                pos[last] = p
-            if s_new == 0:
-                # List emptied: u joins Vu and is done for this iteration.
-                n_processed += 1
-                uncolored.append(u)
-                continue
-            b = buckets[s_new]
-            pos[u] = len(b)
-            b.append(u)
-            if s_new < lowest:
-                lowest = s_new
-    return (
-        np.array(colors, dtype=np.int64),
-        np.array(sorted(uncolored), dtype=np.int64),
-    )
+        affected = affected.astype(np.intp)
+        row[affected] ^= bit
+        lowered = key[affected] - n
+        key[affected] = lowered
+        np.minimum.at(block_min, affected >> shift, lowered)
+        key_updates += len(affected)
+    telemetry.count("coloring.key_updates", float(key_updates))
+    return colors, np.flatnonzero(colors < 0)
 
 
 def greedy_list_color_dynamic_sets(
@@ -191,87 +168,37 @@ def greedy_list_color_dynamic_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 2 on Python sets — the seeded-equivalence reference.
 
-    Structurally the original implementation (per-vertex ``set`` state,
-    list-of-lists buckets); random draws are canonicalized to ascending
-    candidate order so :func:`greedy_list_color_dynamic` reproduces its
-    output exactly for any seed.  Used by tests and as the legacy half
-    of the tiled-vs-gather ablation (``engine="pairs"``).
+    The canonical rule in its naive form: per-vertex candidate sets
+    (negative ids are padding), and each step takes the live vertex
+    with the fewest candidates, ties to the lowest rank.
+    :func:`greedy_list_color_dynamic` reproduces its output exactly for
+    any seed.  Also the color engine of ``engine="pairs"`` runs.
     """
     rng = as_generator(rng)
     n = gc.n_vertices
     if col_lists.shape[0] != n:
         raise ValueError("col_lists rows must match vertex count")
-    list_size = col_lists.shape[1]
     colors = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return colors, np.empty(0, dtype=np.int64)
+    rank = rng.permutation(n).tolist()
+    draws = rng.random(n).tolist()
 
-    # Mutable per-vertex list state: live[v] = remaining candidates
-    # (Python sets give O(1) removal; lists are O(L) small).
-    live: list[set[int]] = [set(row) for row in col_lists.tolist()]
-    sizes = np.array([len(s) for s in live], dtype=np.int64)
-
-    # Bucket array B[s] = vertices whose current list size is s, with a
-    # position index for O(1) swap-removal (paper's auxiliary array).
-    buckets: list[list[int]] = [[] for _ in range(list_size + 1)]
-    pos = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        pos[v] = len(buckets[sizes[v]])
-        buckets[sizes[v]].append(v)
-
-    def bucket_remove(v: int) -> None:
-        b = buckets[sizes[v]]
-        p = pos[v]
-        last = b[-1]
-        b[p] = last
-        pos[last] = p
-        b.pop()
-
-    def bucket_insert(v: int) -> None:
-        b = buckets[sizes[v]]
-        pos[v] = len(b)
-        b.append(v)
-
-    processed = np.zeros(n, dtype=bool)
+    live = [{c for c in row if c >= 0} for row in col_lists.tolist()]
+    unprocessed = set(range(n))
     uncolored: list[int] = []
-    n_processed = 0
-    lowest = 0
-    while n_processed < n:
-        # Find the lowest non-empty bucket.  Sizes only decrease for
-        # unprocessed vertices, so scanning upward from `lowest` after a
-        # reset to the smallest possible decrease keeps this O(L) per
-        # step as the paper argues.
-        while lowest <= list_size and not buckets[lowest]:
-            lowest += 1
-        blist = buckets[lowest]
-        v = blist[int(rng.integers(len(blist)))] if len(blist) > 1 else blist[0]
-
-        bucket_remove(v)
-        processed[v] = True
-        n_processed += 1
-        cand = live[v]
-        if len(cand) > 1:
-            ordered = sorted(cand)
-            c = ordered[int(rng.integers(len(ordered)))]
-        else:
-            c = next(iter(cand))
+    while unprocessed:
+        v = min(unprocessed, key=lambda u: (len(live[u]), rank[u]))
+        unprocessed.remove(v)
+        cand = sorted(live[v])
+        if not cand:
+            uncolored.append(v)
+            continue
+        c = cand[int(draws[v] * len(cand))]
         colors[v] = c
-        for u in gc.neighbors(v):
-            u = int(u)
-            if processed[u] or c not in live[u]:
-                continue
-            live[u].discard(c)
-            bucket_remove(u)
-            sizes[u] -= 1
-            if sizes[u] == 0:
-                # List emptied: u joins Vu and is done for this iteration.
-                processed[u] = True
-                n_processed += 1
-                uncolored.append(u)
-            else:
-                bucket_insert(u)
-                if sizes[u] < lowest:
-                    lowest = int(sizes[u])
+        for u in gc.neighbors(v).tolist():
+            if u in unprocessed:
+                live[u].discard(c)
     return colors, np.array(sorted(uncolored), dtype=np.int64)
 
 
@@ -307,9 +234,9 @@ def greedy_list_color_static(
             int(c) for c in colors[gc.neighbors(v)] if c >= 0
         )
         chosen = -1
-        for c in col_lists[v]:
-            if int(c) not in taken:
-                chosen = int(c)
+        for c in col_lists[v].tolist():
+            if c >= 0 and c not in taken:
+                chosen = c
                 break
         if chosen < 0:
             uncolored.append(int(v))

@@ -1,5 +1,5 @@
-"""Tests for Algorithm 2 (dynamic bucket list coloring) and the static
-list-coloring variants."""
+"""Tests for Algorithm 2 (dynamic most-constrained-first list coloring)
+and the static list-coloring variants."""
 
 import tracemalloc
 
@@ -219,14 +219,43 @@ class TestBitsetMatchesSetsReference:
         self.assert_equivalent(gc, lists, seed)
 
     def test_padding_rows_join_vu(self):
-        """All-padding rows (negative ids) have no candidates: the
-        bitset variant sends them straight to Vu."""
+        """All-padding rows (negative ids) have no candidates: both
+        engines send them to Vu, so Vu is exactly the -1 vertices."""
         gc = empty_graph(3)
         lists = np.array([[0, 1], [-1, -1], [2, 0]], dtype=np.int64)
+        self.assert_equivalent(gc, lists, seed=0)
         colors, vu = greedy_list_color_dynamic(gc, lists, rng=0)
         assert colors[1] == -1
         np.testing.assert_array_equal(vu, [1])
         assert (colors[[0, 2]] >= 0).all()
+
+    @pytest.mark.parametrize("p", [0.05, 0.8], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 200])
+    def test_key_blocks(self, n, p):
+        """Keys sit in blocks of 64 at these sizes: one partial block
+        (63), whole blocks only (64, 128), and a partial last block (65,
+        200)."""
+        rng = np.random.default_rng(n)
+        gc = erdos_renyi(n, p, seed=n)
+        lists = np.stack(
+            [rng.choice(90, size=6, replace=False) for _ in range(n)]
+        ).astype(np.int64)
+        self.assert_equivalent(gc, lists, seed=n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lists_empty_mid_run(self, seed):
+        """On a dense graph with a small palette most lists empty while
+        other vertices are still live; an emptied vertex is picked next
+        and joins Vu without a draw."""
+        rng = np.random.default_rng(seed)
+        n = 150
+        gc = erdos_renyi(n, 0.9, seed=seed)
+        lists = np.stack(
+            [rng.choice(10, size=4, replace=False) for _ in range(n)]
+        ).astype(np.int64)
+        self.assert_equivalent(gc, lists, seed)
+        colors, vu = greedy_list_color_dynamic(gc, lists, rng=seed)
+        assert 0 < (colors >= 0).sum() and len(vu) > n // 2
 
 
 class TestEngineMemoryReport:
@@ -278,6 +307,15 @@ class TestStatic:
         ).astype(np.int64)
         colors, vu = greedy_list_color_static(gc, lists, order, rng=0)
         assert_valid_list_coloring(gc, lists, colors, vu)
+
+    @pytest.mark.parametrize("order", ["natural", "random", "lf"])
+    def test_padding_is_skipped(self, order):
+        """Negative ids are padding, never a color."""
+        gc = empty_graph(2)
+        lists = np.array([[-1, 5], [3, -1]], dtype=np.int64)
+        colors, vu = greedy_list_color_static(gc, lists, order, rng=0)
+        np.testing.assert_array_equal(colors, [5, 3])
+        assert len(vu) == 0
 
     def test_unknown_order(self):
         with pytest.raises(ValueError):

@@ -64,17 +64,17 @@ class TestGoldenColorings:
     """Pinned sha256 of whole-run colors.  Colorings are a pure
     function of (input, params, seed) on every executor, so a change to
     the RNG draws or tie-breaking anywhere in the pipeline (conflict
-    build, CSR row order, Algorithm 2 buckets) shows here."""
+    build, CSR row order, Algorithm 2 tie-breaks) shows here."""
 
     GOLDEN = {
         ("rand2000x20-normal", 0):
-            "6d11966276d36bc8b9c7d7ffb44d3d137bca5747908013e539c7092815de8132",
+            "9442be90648bc07150c0bdcc648c47c96ac7618c69f3607e4577fae45414ea9c",
         ("rand2000x20-normal", 1):
-            "1c151c179fef0bce53811c0d6e0c0a21f5caf1e82ee99d0562148be73ba38c23",
+            "d6902fe2e7bb193575ed4952d571296760d778ea04f09fc53d68fd86c143c34a",
         ("H4_2D_sto3g-aggressive", 0):
-            "abe407e950a9b573d4b18bc19ff6f69c02435f66d9dce115bce9fc1ab9a7272d",
+            "bba8289059538b60526a77302dbc6f4396e31e3731d27cf2a32a058ca65561cb",
         ("H4_2D_sto3g-aggressive", 1):
-            "671d8aab065daf41aacc3a86f187e63a823c98751afae32485386b53cb419cf0",
+            "e7efa890f9bdffcd0190c90327fd1145bfb4927619205d878fa8470b1da50537",
     }
 
     @pytest.mark.parametrize("n_workers", [1, 2])
