@@ -4,8 +4,8 @@ Times the three hot word-level primitives of the kernel-backend
 contract (:mod:`repro.device.backends`) in isolation — popcount-parity
 blocks, palette-intersect blocks and lowest-set-bit row scans — and
 reports **nanoseconds per uint64 word** per available backend, so the
-compiled (numba) and device (cupy) paths are comparable to numpy on a
-hardware-independent axis.
+compiled (numba) path is comparable to numpy on a hardware-independent
+axis.
 
 Backends are warmed before timing (numba's first call JIT-compiles; the
 ``cache=True`` kernels then persist to disk) and each kernel is checked

@@ -1,13 +1,12 @@
-"""Perf-trajectory entry point: engines, backends, gathers and coloring.
+"""Perf-trajectory entry point: engines, backends and coloring.
 
 Runs ``Picasso.color`` end to end on random Pauli sets across the axes
 grown so far:
 
 - **pair-sweep engine** — ``tiled`` block-broadcast kernels vs the
   legacy ``pairs`` gather kernels;
-- **execution backend / gather** — serial, a ``--workers``-sized
-  persistent pool with the pickled result gather, and the same pool
-  with the zero-copy shared-memory gather;
+- **execution backend** — serial and a ``--workers``-sized persistent
+  pool (strip results pickled through its result pipe);
 - **coloring engine** — the serial bitset Algorithm 2
   (``greedy-dynamic``) vs the round-synchronous ``parallel-list``
   engine (``--color-engine`` picks any registry engine for these rows),
@@ -28,8 +27,8 @@ conflict color wall-time) for the serial and parallel coloring engines
 plus the measured **serial-fraction reduction**: after PRs 1–3
 parallelized the build, Algorithm 2 was the dominant serial fraction of
 an iteration; the breakdown shows how much of it the parallel engine
-removes.  Backend identity is asserted per engine — every backend and
-gather builds bit-identical conflict CSR, and the round-synchronous
+removes.  Backend identity is asserted per engine — every backend
+builds a bit-identical conflict CSR, and the round-synchronous
 coloring is partition-independent, so colorings must match exactly for
 a given seed *within* an engine.  Across engines the group count may
 differ (lowest-bit speculative picks trade a few percent of quality for
@@ -52,8 +51,8 @@ round-parallelism); the delta is recorded, not hidden.
 
 - **telemetry** (new) — a probe pass re-runs the last case with
   telemetry enabled and records the headline counter totals (transport
-  bytes over the cluster row, pool install delta hit-rate, shm region
-  reuse) plus the merged Prometheus snapshot as an artifact next to
+  bytes over the cluster row, pool install delta hit-rate) plus the
+  merged Prometheus snapshot as an artifact next to
   the report; a microbenchmark of the disabled no-op hooks asserts the
   default-off path adds < 2% to the headline wall time.
 
@@ -173,8 +172,8 @@ def _counter(snap: dict, name: str) -> float:
 
 
 def telemetry_probe(pauli_set, hosts: str, workers: int, seed: int) -> tuple[dict, dict]:
-    """Enabled re-run of one case on the pooled-shm and cluster
-    backends: headline counter totals plus the merged snapshot.
+    """Enabled re-run of one case on the pool and cluster backends:
+    headline counter totals plus the merged snapshot.
 
     Runs after every timing measurement (the enabled path is not the
     one being timed) and leaves telemetry disabled behind it.
@@ -184,8 +183,7 @@ def telemetry_probe(pauli_set, hosts: str, workers: int, seed: int) -> tuple[dic
     try:
         Picasso(
             params=PicassoParams(
-                engine="tiled", n_workers=workers, shm_gather=True,
-                telemetry=True,
+                engine="tiled", n_workers=workers, telemetry=True,
             ),
             seed=seed,
         ).color(pauli_set)
@@ -199,13 +197,10 @@ def telemetry_probe(pauli_set, hosts: str, workers: int, seed: int) -> tuple[dic
         telemetry.reset()
     delta = _counter(snap, "pool.install.delta")
     full = _counter(snap, "pool.install.full")
-    reuse = _counter(snap, "shm.region.reuse")
-    create = _counter(snap, "shm.region.create")
     totals = {
         "transport_bytes_sent": int(_counter(snap, "transport.bytes_sent")),
         "transport_bytes_recv": int(_counter(snap, "transport.bytes_recv")),
         "install_delta_hit_rate": round(delta / max(delta + full, 1.0), 4),
-        "shm_region_reuse_rate": round(reuse / max(reuse + create, 1.0), 4),
         "span_events": len(snap["events"]),
     }
     return totals, snap
@@ -217,8 +212,8 @@ def disabled_overhead_pct(headline_total_s: float, snap: dict) -> tuple[float, f
     Microbenchmarks one disabled no-op hook call, scales it by the hook
     call volume the *enabled* probe actually recorded (spans enter
     through three calls; each counter whose value is a count fired once
-    per unit; byte totals share their call sites' frame/region
-    counters; histogram observations carry their own count), and
+    per unit; byte totals share their call sites' frame counters;
+    histogram observations carry their own count), and
     returns ``(pct_of_headline, ns_per_call)``.
     """
     assert not telemetry.enabled()
@@ -231,10 +226,9 @@ def disabled_overhead_pct(headline_total_s: float, snap: dict) -> tuple[float, f
     for key, val in snap["counters"].items():
         if "bytes" not in key:
             ops += val
-    # Byte totals fire one hook per frame / region alongside these.
+    # Byte totals fire one hook per frame alongside these.
     ops += _counter(snap, "transport.frames_sent")
     ops += _counter(snap, "transport.frames_recv")
-    ops += _counter(snap, "shm.region.reuse") + _counter(snap, "shm.region.create")
     for hist in snap["hists"].values():
         ops += hist.get("count", 0.0)
     pct = 100.0 * per_call * ops / max(headline_total_s, 1e-9)
@@ -356,13 +350,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             PicassoParams(engine="tiled", n_workers=args.workers),
             args.seed,
         )
-        tiled_shm = run_config(
-            pauli_set,
-            PicassoParams(
-                engine="tiled", n_workers=args.workers, shm_gather=True
-            ),
-            args.seed,
-        )
         gather = run_config(pauli_set, PicassoParams(engine="pairs"), args.seed)
         # PR 9 axis: the serial tiled iterate on the compiled kernel
         # backend.  On hosts without numba this row is skipped (not run
@@ -375,8 +362,8 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
                 args.seed,
             )
         # PR 4 axis: the selected coloring engine, rounds in-process vs
-        # dispatched over the shared persistent pool (with shm gather —
-        # the full parallel iterate: sweep and color on one pool).
+        # dispatched over the shared persistent pool (the full parallel
+        # iterate: sweep and color on one pool).
         color_serial = run_config(
             pauli_set,
             PicassoParams(engine="tiled", color_engine=args.color_engine),
@@ -388,7 +375,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
                 engine="tiled",
                 color_engine=args.color_engine,
                 n_workers=args.workers,
-                shm_gather=True,
             ),
             args.seed,
         )
@@ -417,7 +403,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         identical = bool(
             np.array_equal(tiled["colors"], gather["colors"])
             and np.array_equal(tiled["colors"], tiled_par["colors"])
-            and np.array_equal(tiled["colors"], tiled_shm["colors"])
             and np.array_equal(tiled["colors"], cluster_row["colors"])
             and np.array_equal(tiled["colors"], checkpointed["colors"])
             and (
@@ -436,7 +421,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             color_serial["n_colors"] == color_pool["n_colors"]
         )
         for row in (
-            tiled, tiled_par, tiled_shm, gather,
+            tiled, tiled_par, gather,
             color_serial, color_pool, cluster_row, checkpointed,
             *([tiled_compiled] if tiled_compiled else []),
         ):
@@ -450,9 +435,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         engine_speedup = gather["total_s"] / max(tiled["total_s"], 1e-9)
         workers_build_speedup = tiled["conflict_build_s"] / max(
             tiled_par["conflict_build_s"], 1e-9
-        )
-        shm_gather_build_speedup = tiled_par["conflict_build_s"] / max(
-            tiled_shm["conflict_build_s"], 1e-9
         )
         # The ISSUE 4 headline: how much of the iteration's serial
         # fraction the parallel coloring engine removes.
@@ -487,7 +469,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             "n_qubits": nq,
             "tiled": tiled,
             "tiled_parallel": tiled_par,
-            "tiled_parallel_shm": tiled_shm,
             "gather": gather,
             "color_serial": color_serial,
             "color_pool": color_pool,
@@ -507,7 +488,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             "compiled_kernel_speedup": compiled_kernel_speedup,
             "engine_speedup": round(engine_speedup, 2),
             "workers_build_speedup": round(workers_build_speedup, 2),
-            "shm_gather_build_speedup": round(shm_gather_build_speedup, 2),
             # >1 needs real extra hosts; on one box this is transport
             # overhead and the number to watch is how small it stays.
             "cluster_build_speedup": round(
@@ -566,8 +546,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         f"telemetry probe ({name}): transport "
         f"{totals['transport_bytes_sent']:,}B out / "
         f"{totals['transport_bytes_recv']:,}B in, install delta hit-rate "
-        f"{totals['install_delta_hit_rate']:.2f}, shm reuse "
-        f"{totals['shm_region_reuse_rate']:.2f}, disabled overhead "
+        f"{totals['install_delta_hit_rate']:.2f}, disabled overhead "
         f"{overhead_pct:.4f}% ({ns_per_call:.0f} ns/hook)"
     )
     if overhead_pct >= 2.0:

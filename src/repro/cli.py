@@ -126,8 +126,6 @@ def _make_params(args: argparse.Namespace):
         overrides["n_workers"] = args.workers
     if getattr(args, "executor", None) is not None:
         overrides["executor"] = args.executor
-    if getattr(args, "shm", False):
-        overrides["shm_gather"] = True
     if getattr(args, "pin", False):
         overrides["pin_workers"] = True
     if getattr(args, "color_engine", None) is not None:
@@ -393,12 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "without --hosts reads the REPRO_HOSTS environment variable",
     )
     p.add_argument(
-        "--shm", action="store_true",
-        help="gather sweep hits through a shared-memory key region "
-        "sized by the Lemma 2 estimate (zero-copy; bit-identical to "
-        "the default pickled gather)",
-    )
-    p.add_argument(
         "--pin", action="store_true",
         help="pin each pool worker to one core (sched_setaffinity; "
         "no-op where unsupported)",
@@ -464,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *registered_backends()],
         help="compute-kernel backend for the hot sweep/coloring kernels "
         "(registry name; default auto reads REPRO_KERNEL_BACKEND, else "
-        "numpy); numba is a compiled CPU path, cupy a GPU path — both "
-        "bit-identical to numpy, with a stderr note and numpy fallback "
-        "when the requested runtime is not importable",
+        "numpy); numba is a compiled CPU path, bit-identical to numpy, "
+        "with a stderr note and numpy fallback when numba is not "
+        "importable",
     )
     p.add_argument("--validate", action="store_true")
     p.add_argument("--output", "-o", default=None, help="write per-vertex colors")

@@ -26,7 +26,7 @@ Engines:
 ``greedy-static``       fixed-order list coloring (``order`` knob:
                         natural / random / lf) — the §IV-B ablation
 ``parallel-list``       round-synchronous speculative/JP list coloring on
-                        the executor/shm substrate
+                        the executor substrate
                         (:mod:`repro.coloring.parallel_list`)
 ======================  =====================================================
 

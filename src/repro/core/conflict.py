@@ -63,8 +63,6 @@ def build_conflict_graph(
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
     hosts=None,
@@ -101,15 +99,6 @@ def build_conflict_graph(
         A spec-created backend is closed before returning; a passed
         instance stays open for its owner (executor lifecycle
         contract).
-    shm:
-        Gather hits through a shared key region sized by the Lemma 2
-        estimate (:mod:`repro.parallel.shm`) instead of pickling strip
-        results — zero-copy into the CSR assembly.  Ignored for serial
-        backends, where results never cross a pipe to begin with.
-    est_conflict_edges:
-        Expected conflict-edge count for shm region sizing (the driver
-        passes the Lemma 2 expectation; ``None`` derives it from
-        ``n``, ``P`` and ``L``).
     source, active_idx:
         Root edge source and active-vertex indices for the
         persistent-pool delta payload (see
@@ -131,8 +120,7 @@ def build_conflict_graph(
     ) as ex:
         return gathered_conflict_csr(
             n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile_bytes=tile_bytes, executor=ex, shm=shm,
-            est_conflict_edges=est_conflict_edges,
+            edge_block_fn, tile_bytes=tile_bytes, executor=ex,
             source=source, active_idx=active_idx, kernel_backend=kernel_backend,
         )
 
@@ -148,13 +136,10 @@ def build_fused_conflict_state(
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
     hosts=None,
     transport: str = "socket",
-    region_pool=None,
     timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, np.ndarray, int]:
@@ -164,20 +149,16 @@ def build_fused_conflict_state(
     :func:`repro.parallel.pool.fused_conflict_csr`).  Bit-identical
     state to :func:`build_conflict_graph` followed by a degree scan and
     ``induced_subgraph``, on every backend.  Parameters as for
-    :func:`build_conflict_graph`, plus ``region_pool`` (a
-    :class:`repro.parallel.shm.ShmRegionPool` reused across sweeps) and
-    ``timings`` (a dict accumulating the ``sweep_s`` / ``assemble_s``
-    phase buckets).
+    :func:`build_conflict_graph`, plus ``timings`` (a dict accumulating
+    the ``sweep_s`` / ``assemble_s`` phase buckets).
     """
     with owned_executor(
         executor, n_workers, hosts=hosts, transport=transport
     ) as ex:
         return fused_conflict_csr(
             n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile_bytes=tile_bytes, executor=ex, shm=shm,
-            est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx,
-            region_pool=region_pool, timings=timings,
+            edge_block_fn, tile_bytes=tile_bytes, executor=ex,
+            source=source, active_idx=active_idx, timings=timings,
             kernel_backend=kernel_backend,
         )
 

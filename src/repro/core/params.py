@@ -75,13 +75,6 @@ class PicassoParams:
         delta ships to the workers), and closed when the run ends.
         See :mod:`repro.parallel.executor` /
         :mod:`repro.distributed.cluster`.
-    shm_gather:
-        Gather sweep hits through a ``multiprocessing.shared_memory``
-        key region sized by the Lemma 2 estimate instead of pickling
-        per-strip hit arrays through the pool's result pipe
-        (:mod:`repro.parallel.shm`).  Identical output either way —
-        serial, pickled-pool and shm-pool builds are bit-identical per
-        seed — so this is purely a communication-cost knob.
     pin_workers:
         Pin each pool worker to one core via ``os.sched_setaffinity``
         so its tile scratch stays NUMA-local; silently ignored on
@@ -110,8 +103,8 @@ class PicassoParams:
         and merge in canonical order, so distributed CSR builds and
         colorings are **bit-identical per seed** to serial for any
         shard count — like ``n_workers``, purely a throughput knob.
-        ``shm_gather`` is ignored for cluster backends (shared memory
-        does not cross hosts).
+        Strip results come back through the framed socket stream, as a
+        pool's come back through its result pipe.
     transport:
         Wire protocol for the distributed backend; ``"socket"`` (the
         length-prefixed raw-buffer protocol) is the only one today.
@@ -149,9 +142,9 @@ class PicassoParams:
     kernel_backend:
         Compute-kernel backend for the hot word kernels
         (:mod:`repro.device.backends` registry): ``"numpy"`` (the
-        vectorized default), ``"numba"`` (compiled CPU loops) or
-        ``"cupy"`` (device arrays).  ``"auto"`` (default) defers to the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then numpy.
+        vectorized default) or ``"numba"`` (compiled CPU loops).
+        ``"auto"`` (default) defers to the ``REPRO_KERNEL_BACKEND``
+        environment variable, then numpy.
         Backends are **bit-identical per seed** — CSR structures and
         colorings never change with this knob, only throughput.  The
         name ships to pool and cluster workers, each of which resolves
@@ -182,7 +175,6 @@ class PicassoParams:
     tile_budget_bytes: int = DEFAULT_TILE_BYTES
     n_workers: int = 1
     executor: str = "auto"
-    shm_gather: bool = False
     pin_workers: bool = False
     color_engine: str = "auto"
     color_max_rounds: int | None = None
@@ -252,8 +244,8 @@ class PicassoParams:
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
         if self.kernel_backend != "auto":
-            # Registered, not available: naming "cupy" on a GPU-less
-            # dispatch host is legitimate when the workers have one
+            # Registered, not available: naming "numba" on a dispatch
+            # host without it is legitimate when the workers have it
             # (and degrades to numpy bit-identically when they don't).
             from repro.device.backends import registered_backends
 

@@ -21,7 +21,6 @@ import numpy as np
 from repro import telemetry
 from repro.coloring.base import ColoringResult
 from repro.coloring.engine import get_engine
-from repro.core.analysis import expected_conflict_edges
 from repro.core.conflict import build_fused_conflict_state
 from repro.core.palette import assign_color_lists, lists_nbytes
 from repro.core.params import PicassoParams
@@ -40,7 +39,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faults import fault_point
 from repro.resilience.supervisor import supervised_executor
-from repro.util.chunking import num_pairs
 from repro.util.rng import as_generator
 
 
@@ -216,25 +214,12 @@ class Picasso:
             hosts=params.hosts, transport=params.transport,
             failover=params.failover, max_retries=params.max_retries,
         )
-        # Double-buffered shm regions reused across the run's host
-        # sweeps (instead of create/zero/unlink churn per iteration);
-        # run-scoped like the executor, closed with it.  The device
-        # build charges each region to its budget, so it never pools.
-        region_pool = None
-        if params.shm_gather and self.device is None:
-            from repro.parallel.shm import ShmRegionPool
-
-            region_pool = ShmRegionPool()
         try:
-            return self._color_source_with(source, executor, region_pool)
+            return self._color_source_with(source, executor)
         finally:
-            if region_pool is not None:
-                region_pool.close()
             executor.close()
 
-    def _color_source_with(
-        self, source, executor, region_pool=None
-    ) -> PicassoResult:
+    def _color_source_with(self, source, executor) -> PicassoResult:
         params = self.params
         # Telemetry is enable-only here: a run that asks for it turns
         # the process-wide collector on; a run that does not leaves
@@ -314,16 +299,10 @@ class Picasso:
             # pairwise survivor gather).  The *root* source plus the
             # global active indices ride along so a persistent pool can
             # reuse its installed payload and receive only this
-            # iteration's delta; the Lemma 2 expectation sizes the
-            # shared-memory gather region when that path is on.
+            # iteration's delta.
             t0 = telemetry.clock()
             built_on_device: bool | None = None
             edge_block_fn = getattr(active_source, "edge_block", None)
-            est_edges = (
-                expected_conflict_edges(num_pairs(n), palette, list_size)
-                if params.shm_gather
-                else None
-            )
             active_idx = active if it > 1 else None
             timings: dict[str, float] = {}
             with telemetry.span("picasso.conflict_build", iteration=it):
@@ -339,8 +318,6 @@ class Picasso:
                         edge_block_fn=edge_block_fn,
                         tile_bytes=params.tile_budget_bytes,
                         executor=executor,
-                        shm=params.shm_gather,
-                        est_conflict_edges=est_edges,
                         source=source,
                         active_idx=active_idx,
                         kernel_backend=kb,
@@ -370,11 +347,8 @@ class Picasso:
                             edge_block_fn=edge_block_fn,
                             tile_bytes=params.tile_budget_bytes,
                             executor=executor,
-                            shm=params.shm_gather,
-                            est_conflict_edges=est_edges,
                             source=source,
                             active_idx=active_idx,
-                            region_pool=region_pool,
                             timings=timings,
                             kernel_backend=kb,
                         )

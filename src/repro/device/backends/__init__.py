@@ -1,10 +1,9 @@
 """Registry-dispatched compute-kernel backends (see :mod:`.base`).
 
-Importing this package registers the three shipped backends:
-``numpy`` (the default — the existing vectorized kernels, unchanged),
+Importing this package registers the two shipped backends: ``numpy``
+(the default — the existing vectorized kernels, unchanged) and
 ``numba`` (compiled CPU loops, lazily jitted, degrades to numpy when
-numba is absent) and ``cupy`` (device arrays, contract-complete,
-untested in CI).  Selection threads through
+numba is absent).  Selection threads through
 ``PicassoParams(kernel_backend=...)`` / ``--kernel-backend`` /
 ``REPRO_KERNEL_BACKEND`` and is resolved worker-side via
 :func:`resolve_backend`.
@@ -18,7 +17,6 @@ from repro.device.backends.base import (
     registered_backends,
     resolve_backend,
 )
-from repro.device.backends.cupy_backend import CupyBackend
 from repro.device.backends.numba_backend import NumbaBackend
 from repro.device.backends.numpy_backend import NumpyBackend
 
@@ -26,7 +24,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "register_backend",
     "get_backend",
     "registered_backends",

@@ -11,9 +11,9 @@ coloring-engine registry (:mod:`repro.coloring.engine`):
 - :func:`register_backend` / :func:`get_backend` /
   :func:`registered_backends` / :func:`available_backends` — the
   registry.  *Registered* names include backends whose runtime is not
-  importable here (``cupy`` on a CPU host); *available* names are the
-  subset that can actually run, which is what test parametrization and
-  benchmarks iterate.
+  importable here (``numba`` on a host without it); *available* names
+  are the subset that can actually run, which is what test
+  parametrization and benchmarks iterate.
 - :func:`resolve_backend` — the selection policy shared by the driver
   and every worker initializer: an explicit name wins, ``None`` /
   ``"auto"`` falls back to ``REPRO_KERNEL_BACKEND``, then ``"numpy"``.

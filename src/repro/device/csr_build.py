@@ -18,7 +18,7 @@ as §V describes.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,7 @@ from repro.device.tiles import (
 )
 from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
-from repro.parallel.pool import conflict_hit_chunks
+from repro.parallel.pool import conflict_sweep_chunks
 
 
 @dataclass
@@ -47,7 +47,6 @@ class BuildStats:
     coo_capacity_edges: int
     engine: str = "pairs"
     n_workers: int = 1
-    gather: str = "pickle"
 
 
 def build_conflict_csr(
@@ -62,8 +61,6 @@ def build_conflict_csr(
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
     source=None,
     active_idx=None,
     kernel_backend: str | None = None,
@@ -105,16 +102,6 @@ def build_conflict_csr(
         Backend spec or instance (see :mod:`repro.parallel.executor`).
         A spec-created backend is closed before returning; a passed
         instance stays open for its owner.
-    shm:
-        Stage worker hits in a shared-memory key region
-        (:mod:`repro.parallel.shm`) instead of the result pipe.  The
-        staging region is charged to the device budget like any other
-        allocation (pinned host staging of a real GPU gather), so OOM
-        semantics stay honest.  Ignored for backends that cannot carry
-        it (serial in-process sweeps, cross-host cluster backends).
-    est_conflict_edges:
-        Lemma 2 expectation for shm region sizing (``None`` derives it
-        from ``n``, ``P`` and ``L``).
     source, active_idx:
         Root edge source + active indices for the persistent-pool
         delta payload (:mod:`repro.parallel.pool`).
@@ -130,19 +117,17 @@ def build_conflict_csr(
     with owned_executor(executor, n_workers) as ex:
         return _algorithm3(
             n, edge_mask_fn, col_lists, palette_size, device, chunk_size,
-            engine, edge_block_fn, tile_bytes, ex, shm, est_conflict_edges,
-            source, active_idx, kernel_backend,
+            engine, edge_block_fn, tile_bytes, ex, source, active_idx,
+            kernel_backend,
         )
 
 
 def _algorithm3(
     n, edge_mask_fn, col_lists, palette_size, device, chunk_size, engine,
-    edge_block_fn, tile_bytes, ex, shm, est_conflict_edges, source, active_idx,
-    kernel_backend=None,
+    edge_block_fn, tile_bytes, ex, source, active_idx, kernel_backend=None,
 ) -> tuple[CSRGraph, BuildStats]:
     """Algorithm 3 proper, against an already-resolved executor."""
     workers = max(1, ex.n_workers)
-    use_shm = shm and ex.supports_shm_gather
 
     # All build allocations go through DeviceSim.scratch on one
     # ExitStack — the same named-allocation discipline the coloring
@@ -189,83 +174,40 @@ def _algorithm3(
             else:
                 engine = "pairs"
 
-        # Shm staging must be budgeted *before* the COO buffer takes
-        # all remaining memory, or the mandatory staging allocation
-        # would find 0 bytes available whenever the worst case reaches
-        # the budget.
-        staging_hint = 0
-        if use_shm:
-            from repro.parallel.pool import TASKS_PER_WORKER
-            from repro.parallel.shm import (
-                estimate_conflict_edges,
-                staging_bytes_hint,
-            )
-
-            if est_conflict_edges is None:
-                # Reused below for slot planning too.
-                est_conflict_edges = estimate_conflict_edges(
-                    n, palette_size, col_lists.shape[1]
-                )
-            staging_hint = staging_bytes_hint(
-                n, est_conflict_edges, workers * TASKS_PER_WORKER
-            )
-
-        # COO buffer: min(worst case, all remaining memory minus the
-        # shm staging reservation). Each COO entry is two vertex ids.
+        # COO buffer: min(worst case, all remaining memory).  Each COO
+        # entry is two vertex ids.
         id_bytes = 4 if n < 2**31 else 8
         worst_case_bytes = 2 * n * max(n - 1, 0) * id_bytes
-        coo_bytes = min(
-            worst_case_bytes, max(device.available - staging_hint, 0)
-        )
+        coo_bytes = min(worst_case_bytes, device.available)
         allocs.enter_context(device.scratch("coo_edges", coo_bytes))
         capacity = coo_bytes // (2 * id_bytes)
-
-        # Shared-memory staging regions are device-charged as they
-        # appear (the initial region, plus a retry region on
-        # undershoot) — the pinned-host-staging analog of a real GPU
-        # gather.
-        shm_count = 0
-
-        def _charge_shm_region(nbytes: int) -> None:
-            nonlocal shm_count
-            allocs.enter_context(
-                device.scratch(f"shm_coo_{shm_count}", nbytes)
-            )
-            shm_count += 1
 
         id_dtype = np.int32 if id_bytes == 4 else np.int64
         coo_u = np.empty(capacity, dtype=id_dtype)
         coo_v = np.empty(capacity, dtype=id_dtype)
         n_edges = 0
-        with conflict_hit_chunks(
+        with closing(conflict_sweep_chunks(
             n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile=tile, executor=ex, shm=shm,
-            est_conflict_edges=est_conflict_edges,
+            edge_block_fn, tile=tile, executor=ex,
             source=source, active_idx=active_idx,
-            region_cb=_charge_shm_region,
             kernel_backend=kernel_backend,
-        ) as hit_stream:
-            try:
-                # The sweep's CSR keys are decoded into the two-id COO
-                # buffer the paper's Algorithm 3 charges.
-                for keys in hit_stream:
-                    if n_edges + len(keys) > capacity:
-                        device.n_ooms += 1
-                        from repro.device.sim import DeviceOutOfMemory
+        )) as hit_stream:
+            # The sweep's CSR keys are decoded into the two-id COO
+            # buffer the paper's Algorithm 3 charges.  Closing the
+            # stream on overflow unwinds the executor's sweep now, not
+            # at garbage collection.
+            for keys in hit_stream:
+                if n_edges + len(keys) > capacity:
+                    device.n_ooms += 1
+                    from repro.device.sim import DeviceOutOfMemory
 
-                        raise DeviceOutOfMemory(
-                            f"COO buffer overflow: {n_edges + len(keys)} "
-                            f"conflict edges exceed capacity {capacity}"
-                        )
-                    end = n_edges + len(keys)
-                    coo_u[n_edges:end], coo_v[n_edges:end] = key_pairs(keys, n)
-                    n_edges = end
-            finally:
-                # The loop variable is a view into the shared region on
-                # the shm path; drop it before the gather context
-                # closes the segment, or the unmap would see live
-                # buffer exports.
-                keys = None
+                    raise DeviceOutOfMemory(
+                        f"COO buffer overflow: {n_edges + len(keys)} "
+                        f"conflict edges exceed capacity {capacity}"
+                    )
+                end = n_edges + len(keys)
+                coo_u[n_edges:end], coo_v[n_edges:end] = key_pairs(keys, n)
+                n_edges = end
 
         # Degree counters in one pass over the filled COO region —
         # O(|Ec| + n), independent of how many kernel launches fed it.
@@ -293,7 +235,6 @@ def _algorithm3(
         coo_capacity_edges=int(capacity),
         engine=engine,
         n_workers=workers,
-        gather="shm" if use_shm else "pickle",
     )
     return graph, stats
 

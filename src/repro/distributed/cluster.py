@@ -28,12 +28,10 @@ changes to their dispatch logic**:
   ``REPRO_BROADCAST_TIMEOUT_S`` / ``REPRO_RESULT_TIMEOUT_S`` knobs the
   pool already honours) instead of hanging the dispatcher.
 
-What does *not* carry over from the pool: the shared-memory gather
-(``shm_gather``) is a single-node shortcut — shared segments do not
-cross hosts — so the executor advertises
-``supports_shm_gather = False`` and the gather seam falls back to the
-framed result stream, which still sends hit arrays as raw out-of-band
-buffers (one memcpy, no per-element pickling).
+Results come home the one way they can cross hosts: the framed
+result stream, which sends each strip's key array as a raw out-of-band
+buffer (one memcpy, no per-element pickling).  It is the cluster's only
+gather, as the pickled result pipe is the pool's.
 
 Closing the executor closes its *connections* only; agent processes
 are a host resource owned by whoever started them (the

@@ -7,8 +7,7 @@ C-contiguous array instead of copying it into the pickle stream, and
 the frame carries those buffers verbatim after the (small) object
 pickle.  No msgpack, no base64, no per-element encoding: a strip's hit
 arrays or a round's forbidden-word delta cross the socket at memcpy
-cost, the same philosophy as the shared-memory gather one node down
-the stack (:mod:`repro.parallel.shm`).
+cost.
 
 Frame layout (all integers big-endian)::
 

@@ -1,11 +1,10 @@
 """Parallel execution substrate (paper §I's parallel implementation).
 
-Four layers: partitioners slice the pair/tile domain
+Three layers: partitioners slice the pair/tile domain
 (:mod:`repro.parallel.partition`), execution backends run task lists
-over persistent workers (:mod:`repro.parallel.executor`), the
-shared-memory gather carries hits back zero-copy
-(:mod:`repro.parallel.shm`), and the sweep dispatcher wires kernels to
-backends (:mod:`repro.parallel.pool`).
+over persistent workers and stream their results back in task order
+(:mod:`repro.parallel.executor`), and the sweep dispatcher wires kernels
+to backends (:mod:`repro.parallel.pool`).
 """
 
 from repro.parallel.executor import (
@@ -30,13 +29,6 @@ from repro.parallel.pool import (
     parallel_conflict_graph,
     payload_token_for,
 )
-from repro.parallel.shm import (
-    ShmCooRegion,
-    ShmGatherResult,
-    estimate_conflict_edges,
-    plan_strip_slots,
-    shm_conflict_gather,
-)
 
 __all__ = [
     "Executor",
@@ -45,11 +37,6 @@ __all__ = [
     "default_start_method",
     "make_executor",
     "pin_current_worker",
-    "ShmCooRegion",
-    "ShmGatherResult",
-    "estimate_conflict_edges",
-    "plan_strip_slots",
-    "shm_conflict_gather",
     "payload_token_for",
     "PairRange",
     "TileBlock",

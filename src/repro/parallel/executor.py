@@ -28,7 +28,9 @@ handed to an :class:`Executor`, which decides where the tasks run.
 All backends preserve task order in their results, which is what lets
 the tile sweep keep its deterministic chunk stream — parallel and
 serial conflict-graph builds are bit-identical per seed (see
-:mod:`repro.parallel.pool`).
+:mod:`repro.parallel.pool`).  That result stream is the one gather
+path: a pool's results come back pickled through its result pipe, a
+cluster's as framed socket messages.
 
 Lifecycle contract: whoever materializes an :class:`Executor` from a
 spec string owns it and must :meth:`~Executor.close` it (or use it as a
@@ -208,13 +210,6 @@ class Executor(ABC):
     #: in the dispatcher).
     supports_payload_cache: bool = False
 
-    #: Whether the shared-memory COO gather (:mod:`repro.parallel.shm`)
-    #: can carry this backend's results: only same-node process pools —
-    #: shared segments do not cross hosts, and in-process sweeps never
-    #: cross a pipe at all.  The gather seam falls back to the plain
-    #: result stream when this is False.
-    supports_shm_gather: bool = False
-
     #: Slot-prefix under which this backend's finalize-channel
     #: telemetry snapshots merge into the dispatcher view (``w`` for
     #: pool workers, ``s`` for cluster shards — see
@@ -389,7 +384,6 @@ class PoolExecutor(Executor):
     """
 
     supports_payload_cache = True
-    supports_shm_gather = True
 
     def __init__(
         self,

@@ -37,12 +37,10 @@ seed.
 
 Hits are CSR keys (:func:`repro.graphs.csr.key_layout`, 4 bytes per
 edge up to 32,768 vertices) from the worker through the gather to the
-assembly.  Key arrays travel back either pickled through the result
-pipe (the default) or through a shared-memory key region
-(:mod:`repro.parallel.shm`) where workers write into reserved slices
-and only hit counts cross the pipe.  That makes four worker sweep
-tasks, ``{tile strip, pair range} x {pickled, shm}``, and one gather
-seam, :func:`conflict_hit_chunks`, which every build drains.
+assembly.  Key arrays travel back pickled through the executor's result
+stream, the one gather path: two worker sweep tasks, a tile strip and a
+pair range, and one stream, :func:`conflict_sweep_chunks`, which every
+build drains.
 
 Per-sweep worker state (plan, bitsets, derived oracle, tile scratch) is
 cleared in a ``finally`` on the dispatcher side after every sweep —
@@ -60,7 +58,7 @@ import itertools
 import threading
 import weakref
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import closing
 
 import numpy as np
 
@@ -84,11 +82,6 @@ from repro.parallel.partition import (
     partition_tiles,
     tile_grid,
 )
-from repro.parallel.shm import (
-    close_worker_attachments,
-    shm_conflict_gather,
-    write_strip_hits,
-)
 from repro.pauli.anticommute import AnticommuteOracle
 from repro.resilience.faults import fault_point
 from repro.util.bits import bitset_from_lists
@@ -96,7 +89,6 @@ from repro.util.chunking import pair_index_to_ij
 
 __all__ = [
     "conflict_sweep_chunks",
-    "conflict_hit_chunks",
     "gathered_conflict_csr",
     "fused_conflict_csr",
     "block_sweep_chunks",
@@ -361,8 +353,7 @@ def teardown_sweep_worker() -> dict | None:
     """Drop per-sweep worker state (the dispatcher's ``finally`` duty).
 
     Clears the plan and bitsets, the derived oracle functions and the
-    tile scratch, and closes cached shared-memory attachments, so none of it
-    outlives the sweep.  The token-cached static payload is kept — that
+    tile scratch, so none of it outlives the sweep.  The token-cached static payload is kept — that
     persistence is what lets the next install ship only a delta.
 
     Returns this worker's accumulated telemetry delta (``None`` when
@@ -370,7 +361,6 @@ def teardown_sweep_worker() -> dict | None:
     every sweep on the channel the executor already has, so worker
     metrics piggyback home without an extra round trip — see
     :func:`finalize_sweep`."""
-    close_worker_attachments()
     _WORKER.clear()
     return telemetry.drain_worker_snapshot()
 
@@ -443,19 +433,6 @@ def _run_pair_range(task: tuple[int, int]) -> np.ndarray:
         keys = concat_hits(hits(), n)
     telemetry.observe("pool.strip_hits", float(len(keys)))
     return keys
-
-
-def run_tile_strip_shm(task) -> int:
-    """Worker task: tile strip swept into a shared key slice; returns
-    the hit count (negated on reservation overflow)."""
-    (start, stop), spec = task
-    return write_strip_hits(_run_tile_strip((start, stop)), spec)
-
-
-def run_pair_range_shm(task) -> int:
-    """Worker task: pair range swept into a shared key slice."""
-    (start, stop), spec = task
-    return write_strip_hits(_run_pair_range((start, stop)), spec)
 
 
 def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
@@ -531,8 +508,7 @@ def sweep_strip_tasks(
     plan: PaletteIndex | str | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Partition the sweep domain for an executor: ``(start, stop)``
-    strip tasks in canonical order plus each strip's pair weight (the
-    shm gather sizes slot reservations from the weights).
+    strip tasks in canonical order plus each strip's pair weight.
 
     Under an index plan the strips are the index's row blocks and the
     weights their exact candidate counts — an upper bound on the
@@ -659,71 +635,6 @@ def conflict_sweep_chunks(
         finalize_sweep(executor)
 
 
-@contextmanager
-def conflict_hit_chunks(
-    n: int,
-    edge_mask_fn,
-    col_lists: np.ndarray,
-    palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    tile: int | None = None,
-    executor: Executor | None = None,
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
-    source=None,
-    active_idx: np.ndarray | None = None,
-    region_cb=None,
-    region_pool=None,
-    kernel_backend: str | None = None,
-):
-    """One gather-policy seam for every conflict build.
-
-    Yields an iterable of CSR key chunks in canonical strip
-    order, resolved through the shared-memory gather when ``shm`` is on
-    and the backend supports it (same-node worker pools), and through
-    the plain result stream otherwise — ``shm`` is meaningless for
-    in-process sweeps (nothing crosses a pipe) and impossible for
-    cluster backends (shared segments do not cross hosts), so both
-    take the plain path.
-    Keeping the policy here, not in each caller, is what guarantees the
-    host build, the device build and :func:`parallel_conflict_graph`
-    can never diverge on it.  Shm-backed chunks are views into the
-    shared region and are only valid inside the ``with`` block.
-    ``region_cb`` and ``region_pool`` pass through to
-    :func:`repro.parallel.shm.shm_conflict_gather` (budget hook and
-    cross-iteration region reuse).
-    """
-    # Validate up front so both gather paths reject bad input
-    # identically (the pickled path would raise inside the sweep; the
-    # shm partitioner would silently treat unknown engines as "pairs").
-    _check_sweep_args(engine, chunk_size)
-    if shm and executor is not None and executor.supports_shm_gather:
-        with shm_conflict_gather(
-            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile_bytes=tile_bytes, tile=tile,
-            executor=executor, est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx, region_cb=region_cb,
-            region_pool=region_pool, kernel_backend=kernel_backend,
-        ) as gather:
-            yield gather.chunks
-        return
-    stream = conflict_sweep_chunks(
-        n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-        edge_block_fn, tile_bytes=tile_bytes, tile=tile, executor=executor,
-        source=source, active_idx=active_idx, kernel_backend=kernel_backend,
-    )
-    try:
-        yield stream
-    finally:
-        # Close explicitly: a consumer that aborts mid-stream (device
-        # COO overflow) unwinds the executor's stream now instead of at
-        # garbage collection.
-        stream.close()
-
-
 def gathered_conflict_csr(
     n: int,
     edge_mask_fn,
@@ -734,38 +645,33 @@ def gathered_conflict_csr(
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Sweep-and-assemble: the shared back half of every host conflict
-    build.  Runs one sweep through :func:`conflict_hit_chunks` and
-    folds the hit stream into the sort-key CSR assembly, returning
-    ``(graph, n_conflict_edges)``.
-
-    Centralized because the shm view-lifetime protocol is subtle: the
-    chunk references must be dropped *before* the gather context closes
-    the shared region, or the unmap sees live buffer exports.  One copy
-    of that dance, not one per caller.
+    build.  Drains one :func:`conflict_sweep_chunks` stream and folds
+    the hits into the sort-key CSR assembly, returning ``(graph,
+    n_conflict_edges)``.
     """
-    with conflict_hit_chunks(
+    chunks = _gather_keys(conflict_sweep_chunks(
         n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-        edge_block_fn, tile_bytes=tile_bytes, executor=executor, shm=shm,
-        est_conflict_edges=est_conflict_edges,
+        edge_block_fn, tile_bytes=tile_bytes, executor=executor,
         source=source, active_idx=active_idx, kernel_backend=kernel_backend,
-    ) as hit_stream:
-        try:
-            with telemetry.span("sweep.gather", engine=engine):
-                chunks = [keys for keys in hit_stream if len(keys)]
-            m = sum(len(keys) for keys in chunks)
-            telemetry.count("sweep.hit_bytes", float(sum(k.nbytes for k in chunks)))
-            with telemetry.span("sweep.assemble", engine=engine):
-                graph = csr_from_coo_chunks(chunks, n)
-        finally:
-            chunks = None
+    ), engine)
+    m = sum(len(keys) for keys in chunks)
+    with telemetry.span("sweep.assemble", engine=engine):
+        graph = csr_from_coo_chunks(chunks, n)
     return graph, m
+
+
+def _gather_keys(stream: Iterator[np.ndarray], engine: str) -> list[np.ndarray]:
+    """Drain a sweep stream into its non-empty key chunks, counting
+    their bytes as ``sweep.hit_bytes``."""
+    with closing(stream), telemetry.span("sweep.gather", engine=engine):
+        chunks = [keys for keys in stream if len(keys)]
+    telemetry.count("sweep.hit_bytes", float(sum(k.nbytes for k in chunks)))
+    return chunks
 
 
 def _fused_sub_csr(
@@ -821,17 +727,14 @@ def fused_conflict_csr(
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
-    region_pool=None,
     timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, np.ndarray, int]:
     """Sweep-and-assemble into coloring-ready conflict state.
 
-    Drains the key stream of :func:`conflict_hit_chunks` once, then
+    Drains the key stream of :func:`conflict_sweep_chunks` once, then
     marks the conflict vertices and assembles the conflicted sub-CSR
     directly in key space (:func:`_fused_sub_csr`) — no full-width
     graph, degree scan or induced-subgraph relabel.  Returns ``(sub_gc,
@@ -839,36 +742,22 @@ def fused_conflict_csr(
     to ``induced_subgraph`` of the :func:`gathered_conflict_csr` graph
     and ``conflicted`` to its ``nonzero(degree > 0)`` vertex set.
 
-    ``region_pool`` (a :class:`repro.parallel.shm.ShmRegionPool`)
-    double-buffers the shm gather regions across iterations.
     ``timings``, when given, accumulates ``sweep_s`` (draining the hit
     stream — worker compute plus gather), ``assemble_s`` (the sub-CSR
     build) and ``hit_bytes`` (the gathered key bytes), for the
     per-iteration metrics.
     """
     t0 = telemetry.clock()
-    with conflict_hit_chunks(
+    chunks = _gather_keys(conflict_sweep_chunks(
         n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-        edge_block_fn, tile_bytes=tile_bytes, executor=executor, shm=shm,
-        est_conflict_edges=est_conflict_edges,
-        source=source, active_idx=active_idx, region_pool=region_pool,
-        kernel_backend=kernel_backend,
-    ) as hit_stream:
-        try:
-            with telemetry.span("sweep.gather", engine=engine):
-                chunks = [keys for keys in hit_stream if len(keys)]
-            m = sum(len(keys) for keys in chunks)
-            hit_bytes = sum(keys.nbytes for keys in chunks)
-            telemetry.count("sweep.hit_bytes", float(hit_bytes))
-            t1 = telemetry.clock()
-            # Assembled inside the context: shm chunks are views of the
-            # shared region, valid only until the context closes it.
-            with telemetry.span("sweep.assemble", engine=engine):
-                sub_gc, conflicted = _fused_sub_csr(n, chunks)
-        finally:
-            # No view may outlive the gather context, which unmaps the
-            # region: not an unconsumed list.
-            chunks = None
+        edge_block_fn, tile_bytes=tile_bytes, executor=executor,
+        source=source, active_idx=active_idx, kernel_backend=kernel_backend,
+    ), engine)
+    m = sum(len(keys) for keys in chunks)
+    hit_bytes = sum(keys.nbytes for keys in chunks)
+    t1 = telemetry.clock()
+    with telemetry.span("sweep.assemble", engine=engine):
+        sub_gc, conflicted = _fused_sub_csr(n, chunks)
     if timings is not None:
         timings["sweep_s"] = timings.get("sweep_s", 0.0) + (t1 - t0)
         timings["assemble_s"] = (
@@ -905,7 +794,6 @@ def parallel_conflict_graph(
     engine: str = "tiled",
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
-    shm: bool = False,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Build the conflict graph over a Pauli set with worker processes.
@@ -935,9 +823,6 @@ def parallel_conflict_graph(
         Explicit backend; overrides ``n_workers``.  A spec-created
         backend is closed before returning; a passed instance is left
         open for its owner.
-    shm:
-        Gather hits through a shared-memory key region instead of the
-        result pipe (:mod:`repro.parallel.shm`).
 
     Returns
     -------
@@ -961,6 +846,5 @@ def parallel_conflict_graph(
             edge_block_fn=edge_block_fn,
             tile_bytes=tile_bytes,
             executor=ex,
-            shm=shm,
             kernel_backend=kernel_backend,
         )

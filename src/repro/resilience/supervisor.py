@@ -169,10 +169,6 @@ class ResilientExecutor(Executor):
     def supports_payload_cache(self) -> bool:  # type: ignore[override]
         return self._inner.supports_payload_cache
 
-    @property
-    def supports_shm_gather(self) -> bool:  # type: ignore[override]
-        return self._inner.supports_shm_gather
-
     def holds_token(self, token: Hashable) -> bool:
         # Delegated, not tracked locally: after a recycle or failover
         # the *current* backend holds nothing, which is exactly what

@@ -43,6 +43,10 @@ class TestValidation:
         with pytest.raises(TypeError):
             PicassoParams(fused=True)
 
+    def test_shm_gather_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            PicassoParams(shm_gather=True)
+
     def test_backend_defaults(self):
         p = PicassoParams()
         assert p.n_workers == 1

@@ -29,9 +29,9 @@ BACKENDS = available_backends()
 
 
 def test_registry_contents():
-    # All three implementations register even when their runtime is
+    # Both implementations register even when their runtime is
     # missing; numpy is always available.
-    assert registered_backends() == ("cupy", "numba", "numpy")
+    assert registered_backends() == ("numba", "numpy")
     assert "numpy" in BACKENDS
     assert set(BACKENDS) <= set(registered_backends())
 
@@ -106,14 +106,16 @@ def test_params_validate_backend_name():
     assert PicassoParams(kernel_backend="numba").kernel_backend == "numba"
     with pytest.raises(ValueError, match="unknown kernel_backend"):
         PicassoParams(kernel_backend="tpu")
+    with pytest.raises(ValueError, match="unknown kernel_backend"):
+        PicassoParams(kernel_backend="cupy")
 
 
 def test_params_resolved_kernel_backend(monkeypatch):
     monkeypatch.delenv(backends_base.ENV_VAR, raising=False)
     assert PicassoParams().resolved_kernel_backend() == "numpy"
     assert (
-        PicassoParams(kernel_backend="cupy").resolved_kernel_backend()
-        == "cupy"
+        PicassoParams(kernel_backend="numba").resolved_kernel_backend()
+        == "numba"
     )
     monkeypatch.setenv(backends_base.ENV_VAR, "numba")
     assert PicassoParams().resolved_kernel_backend() == "numba"

@@ -121,7 +121,6 @@ class TestClusterExecutor:
         ex = cluster.executor()
         assert ex.n_workers == 2
         assert ex.supports_payload_cache
-        assert not ex.supports_shm_gather
 
     def test_fewer_tasks_than_shards(self, cluster):
         with cluster.executor() as ex:

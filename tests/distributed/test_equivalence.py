@@ -96,11 +96,10 @@ class TestConflictCSREquivalence:
 
 
 def _backend_variants(cluster):
-    """Param overrides for every executor/gather combination."""
+    """Param overrides for every executor."""
     return (
         {},
         {"n_workers": _CI_WORKERS},
-        {"n_workers": _CI_WORKERS, "shm_gather": True},
         {"hosts": cluster.hosts},
     )
 
@@ -109,7 +108,7 @@ class TestPicassoEquivalence:
     @pytest.mark.parametrize("kernel_backend", available_backends())
     def test_sweep_coloring_identical_per_seed(self, cluster, kernel_backend):
         """End-to-end Algorithm 1 with the default greedy-dynamic
-        coloring: serial, pool (pickled and shm gather) and cluster
+        coloring: serial, pool and cluster
         draw identical graphs, so the coloring is identical per seed on
         every available kernel backend."""
         ps = random_pauli_set(150, 8, seed=9)

@@ -4,7 +4,7 @@ index, the tile sweep and the ``L = P`` row strips.
 The index (:mod:`repro.device.palette_index`), the tile sweep and the
 ``rows`` plan enumerate the same conflict pairs, so every conflict
 build must come out bit-identical under any plan — serial, 2/3-worker
-pool, shm gather and weighted cluster — and equal to the ``"pairs"``
+pool and weighted cluster — and equal to the ``"pairs"``
 reference engine.  The driver's build (conflicted sub-CSR plus vertex
 ids) must equal the full-width reference graph reduced by a degree
 scan and ``induced_subgraph``.  The index and tile plans are forced by
@@ -429,9 +429,8 @@ POOL_CASES = ("n65", "P1", "duplicates", "all-anticommuting")
 
 
 class TestPoolEquivalence:
-    @pytest.mark.parametrize("shm", [False, True])
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
-    def test_pool_bit_identical(self, n_workers, shm, monkeypatch):
+    def test_pool_bit_identical(self, n_workers, monkeypatch):
         problems = [_palette(case) for case in POOL_CASES]
         ps = random_pauli_set(300, 8, seed=11)
         problems.append((ps, (assign_color_lists(300, 40, 6, rng=2), 40)))
@@ -442,12 +441,10 @@ class TestPoolEquivalence:
             for ps, pal in problems:
                 ref, m_ref = _build(ps, pal, engine="pairs")
                 sub_ref = _induced(ref)
-                got, m = _build(ps, pal, executor=ex, shm=shm)
+                got, m = _build(ps, pal, executor=ex)
                 assert m == m_ref
                 _assert_csr_equal(got, ref)
-                sub, conflicted, m_fused = _build_fused(
-                    ps, pal, executor=ex, shm=shm
-                )
+                sub, conflicted, m_fused = _build_fused(ps, pal, executor=ex)
                 assert m_fused == m_ref
                 _assert_csr_equal(sub, sub_ref[0])
                 np.testing.assert_array_equal(conflicted, sub_ref[1])
@@ -504,11 +501,8 @@ class TestPicasso:
         ps = random_pauli_set(200, 8, seed=30)
         ref = Picasso(PicassoParams(engine="pairs"), seed=4).color(ps)
         force_plan(monkeypatch, "index")
-        for shm in (False, True):
-            got = Picasso(
-                PicassoParams(n_workers=2, shm_gather=shm), seed=4
-            ).color(ps)
-            np.testing.assert_array_equal(got.colors, ref.colors)
+        got = Picasso(PicassoParams(n_workers=2), seed=4).color(ps)
+        np.testing.assert_array_equal(got.colors, ref.colors)
 
     def test_explicit_graph_coloring_matches_pairs(self, monkeypatch):
         g = erdos_renyi(150, 0.4, seed=8)
@@ -606,12 +600,11 @@ class TestRowsPlan:
         for tile_bytes in (1, 70 * max(n, 1)):
             _assert_rows_matches(n, src, pal, tile_bytes=tile_bytes)
 
-    @pytest.mark.parametrize("shm", [False, True])
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
-    def test_pool_bit_identical(self, n_workers, shm):
+    def test_pool_bit_identical(self, n_workers):
         with PoolExecutor(n_workers) as ex:
             for _, n, src, pal in ROWS_PROBLEMS:
-                _assert_rows_matches(n, src, pal, executor=ex, shm=shm)
+                _assert_rows_matches(n, src, pal, executor=ex)
 
     def test_weighted_cluster_bit_identical(self):
         """Mixed-capacity agents get capacity-weighted row ranges under
@@ -706,11 +699,10 @@ class TestKeyStream:
         assert all(k.dtype == np.int32 for k in keys)
         assert (np.diff(np.concatenate(keys)) > 0).all()
 
-    @pytest.mark.parametrize("shm", [False, True])
-    def test_hit_bytes_counts_key_width(self, shm):
+    def test_hit_bytes_counts_key_width(self):
         """``sweep.hit_bytes`` is the gathered key bytes: ``m`` times the
-        4-byte key width, on a 2-worker pool with either gather, and
-        the driver's iteration stats carry the same figure."""
+        4-byte key width, on a 2-worker pool, and the driver's
+        iteration stats carry the same figure."""
         ps = random_pauli_set(300, 8, seed=14)
         pal = (assign_color_lists(300, 40, 6, rng=6), 40)
         telemetry.reset()
@@ -718,16 +710,14 @@ class TestKeyStream:
         try:
             with PoolExecutor(2) as ex:
                 timings = {}
-                _, _, m = _build_fused(
-                    ps, pal, executor=ex, shm=shm, timings=timings
-                )
+                _, _, m = _build_fused(ps, pal, executor=ex, timings=timings)
             counters = telemetry.snapshot()["counters"]
         finally:
             telemetry.reset()
             telemetry.enable(False)
         assert m > 0
         assert counters["sweep.hit_bytes"] == timings["hit_bytes"] == 4 * m
-        result = Picasso(PicassoParams(n_workers=2, shm_gather=shm), seed=1).color(ps)
+        result = Picasso(PicassoParams(n_workers=2), seed=1).color(ps)
         for it in result.iterations:
             assert it.hit_bytes == 4 * it.n_conflict_edges
 

@@ -1,5 +1,6 @@
 """Tests for pair-space partitioning and executor-routed conflict builds."""
 
+import multiprocessing as mp
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.parallel import (
     PoolExecutor,
     parallel_conflict_graph,
     partition_pairs,
+    pin_current_worker,
 )
 from repro.pauli import random_pauli_set
 from repro.util.chunking import num_pairs
@@ -104,20 +106,17 @@ class TestParallelConflictGraph:
         _assert_bit_identical(got, ref)
 
     @pytest.mark.parametrize("chunk_size", [0, -1])
-    @pytest.mark.parametrize(
-        "n_workers,shm", [(1, False), (2, False), (2, True)],
-        ids=["serial", "pool", "pool-shm"],
-    )
-    def test_bad_chunk_size_rejected(self, n_workers, shm, chunk_size):
-        """Every gather path refuses a non-positive chunk size instead
-        of sweeping nothing (a negative ``range`` step in each pool
-        pair range) or failing inside a worker."""
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "pool"])
+    def test_bad_chunk_size_rejected(self, n_workers, chunk_size):
+        """Serial and pool builds refuse a non-positive chunk size
+        instead of sweeping nothing (a negative ``range`` step in each
+        pool pair range) or failing inside a worker."""
         ps = random_pauli_set(40, 5, seed=3)
         pal = (assign_color_lists(40, 8, 3, rng=1), 8)
         with pytest.raises(ValueError, match="chunk_size"):
             parallel_conflict_graph(
                 ps, *pal, n_workers=n_workers, chunk_size=chunk_size,
-                engine="pairs", shm=shm,
+                engine="pairs",
             )
 
     def test_empty_conflicts(self):
@@ -156,17 +155,6 @@ class TestBackendEquivalence:
         _assert_bit_identical(got, ref)
         _assert_bit_identical(got, pairs)
         _assert_bit_identical(serial, ref)
-
-    @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
-    def test_shm_gather_bit_identical(self, n_workers):
-        """ISSUE 3 acceptance: the shared-memory gather reproduces the
-        pickled gather bit for bit at every pool size."""
-        ps = random_pauli_set(120, 7, seed=5)
-        pal = (assign_color_lists(120, 18, 5, rng=3), 18)
-        ref, m_ref = self._build(ps, pal)
-        got, m_got = self._build(ps, pal, n_workers=n_workers, shm=True)
-        assert m_got == m_ref
-        _assert_bit_identical(got, ref)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=8, deadline=None)
@@ -233,4 +221,143 @@ class TestBackendEquivalence:
             ps, pal, executor=PoolExecutor(_CI_WORKERS)
         )
         assert m_got == m_ref
+        _assert_bit_identical(got, ref)
+
+
+def _worker_pid(_):
+    return os.getpid()
+
+
+def _problem(n=90, nq=6, seed=3, palette=14, lsize=4, rng=1):
+    ps = random_pauli_set(n, nq, seed=seed)
+    pal = (assign_color_lists(n, palette, lsize, rng=rng), palette)
+    src = PauliComplementSource(ps)
+    return ps, src, pal
+
+
+class TestPersistentPool:
+    def test_reuse_across_three_builds_bit_identical(self):
+        """One pool, >= 3 builds: same worker processes every time and
+        bit-identical CSR every time."""
+        ps, src, pal = _problem()
+        ref, m_ref = build_conflict_graph(
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
+        )
+        with PoolExecutor(2) as ex:
+            ex.map(_worker_pid, range(8))  # spin the pool up
+            pids0 = ex.worker_pids()
+            assert len(pids0) == 2
+            for _ in range(3):
+                got, m = build_conflict_graph(
+                    ps.n, src.edge_mask, *pal,
+                    edge_block_fn=src.edge_block, executor=ex,
+                )
+                assert m == m_ref
+                _assert_bit_identical(got, ref)
+                # Same pool, same worker processes every build.
+                assert ex.worker_pids() == pids0
+
+    def test_payload_token_delta(self):
+        """A source-keyed install leaves its token behind; the next
+        sweep on the same executor ships only the delta."""
+        ps, src, pal = _problem()
+        ref, m_ref = build_conflict_graph(
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
+        )
+        with PoolExecutor(2) as ex:
+            assert not ex.holds_token(object())
+            installed = None
+            for _ in range(3):
+                got, m = build_conflict_graph(
+                    ps.n, src.edge_mask, *pal,
+                    edge_block_fn=src.edge_block, executor=ex,
+                    source=src,
+                )
+                assert m == m_ref
+                _assert_bit_identical(got, ref)
+                # A token is installed after the first build and stays
+                # put across repeats — the signal that later sweeps
+                # shipped only the delta.
+                token = ex._installed_token
+                assert token is not None
+                assert installed in (None, token)
+                installed = token
+                assert ex.holds_token(token)
+        assert not ex.holds_token(installed)  # closed pool holds nothing
+
+    def test_engine_switch_on_shared_executor(self):
+        """Regression: the payload token names the whole static config,
+        so swapping engines (or chunk sizes) on one executor + source
+        must force a full re-install, not run a stale cached engine."""
+        ps, src, pal = _problem()
+        ref_t, m_t = build_conflict_graph(
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
+        )
+        ref_p, m_p = build_conflict_graph(
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
+            engine="pairs",
+        )
+        with PoolExecutor(2) as ex:
+            for engine, ref, m_ref in (
+                ("tiled", ref_t, m_t),
+                ("pairs", ref_p, m_p),
+                ("tiled", ref_t, m_t),
+            ):
+                got, m = build_conflict_graph(
+                    ps.n, src.edge_mask, *pal, engine=engine,
+                    edge_block_fn=src.edge_block, executor=ex, source=src,
+                )
+                assert m == m_ref
+                _assert_bit_identical(got, ref)
+
+    def test_close_is_idempotent_and_leaves_no_children(self):
+        before = len(mp.active_children())
+        ex = PoolExecutor(2)
+        ex.map(_worker_pid, range(4))
+        ex.close()
+        ex.close()
+        assert len(mp.active_children()) == before
+
+    def test_abandoned_stream_recycles_pool(self):
+        """Dropping a result stream mid-sweep must not poison the next
+        sweep (the executor recycles its pool)."""
+        with PoolExecutor(2) as ex:
+            it = ex.imap(_worker_pid, range(64))
+            next(it)
+            it.close()
+            assert not ex.pool_alive
+            out = ex.map(_worker_pid, range(4))
+            assert len(out) == 4
+
+    def test_picasso_executor_not_leaked(self):
+        """Picasso owns its spec-created pool and closes it."""
+        before = len(mp.active_children())
+        ps = random_pauli_set(80, 6, seed=1)
+        Picasso(params=PicassoParams(n_workers=2), seed=5).color(ps)
+        assert len(mp.active_children()) == before
+
+
+class TestPinning:
+    def test_noop_without_sched_setaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert pin_current_worker(0) is False
+
+    def test_noop_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pin_current_worker(0) is False
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no affinity syscall"
+    )
+    def test_pinned_pool_builds_bit_identical(self):
+        ps, src, pal = _problem()
+        ref, m_ref = build_conflict_graph(
+            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
+        )
+        with PoolExecutor(2, pin=True) as ex:
+            got, m = build_conflict_graph(
+                ps.n, src.edge_mask, *pal,
+                edge_block_fn=src.edge_block, executor=ex,
+            )
+        assert m == m_ref
         _assert_bit_identical(got, ref)

@@ -88,6 +88,13 @@ class TestSweepAndCensusAndTaper:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_shm_flag_is_gone(self, pauli_file, capsys):
+        """The result pipe is the only gather; ``--shm`` is no option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["color", pauli_file, "--shm"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shm" in capsys.readouterr().err
+
 
 #: Every subcommand's --metrics-json carries the same top-level schema.
 _UNIFORM_KEYS = {

@@ -70,12 +70,11 @@ class EngineRegistryRule(Rule):
 #: Kernel-backend *implementation* modules.  Everything outside
 #: ``repro.device.backends`` reaches them through the registry
 #: (``get_backend``/``resolve_backend``) or the package itself, so the
-#: numpy/numba/cupy paths stay swappable behind one dispatch seam.
+#: numpy/numba paths stay swappable behind one dispatch seam.
 _BACKEND_IMPL_MODULES = frozenset(
     {
         "repro.device.backends.numpy_backend",
         "repro.device.backends.numba_backend",
-        "repro.device.backends.cupy_backend",
     }
 )
 

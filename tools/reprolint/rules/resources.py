@@ -1,8 +1,9 @@
 """Resource rules: shared memory and device scratch stay scoped.
 
-POSIX shared memory outlives the process on crash — every segment must
-be created behind :mod:`repro.parallel.shm`'s owning wrappers, whose
-``with``/pool protocols unlink on every path.  Device scratch charges
+POSIX shared memory outlives the process on crash, and the library has
+no use for it: sweep results come home through the executor's result
+stream, the one gather path, so no segment is created anywhere in
+``src/``.  Device scratch charges
 the :class:`DeviceSim` memory ledger; an unreleased scratch makes every
 later peak-bytes measurement lie, so ``scratch()`` is only used where a
 context manager provably releases it.
@@ -17,14 +18,13 @@ from tools.reprolint.core import Finding, LintContext, Rule
 
 
 class ShmRegionScopeRule(Rule):
-    """Shared-memory segments are created only inside ``parallel/shm.py``."""
+    """No shared-memory segment is created in the library."""
 
     name = "shm-region-scope"
     contract = (
-        "SharedMemory(create=True)/ShmCooRegion.create live only in "
-        "repro.parallel.shm, whose region pool and context managers "
-        "guarantee unlink on every path — a leaked segment survives "
-        "the process"
+        "no SharedMemory(create=True) or ShmCooRegion.create in the "
+        "library: results gather through the executor's result stream, "
+        "and a leaked segment survives the process"
     )
     scope = ("src/repro/",)
     exclude = ("src/repro/parallel/shm.py",)
@@ -43,9 +43,9 @@ class ShmRegionScopeRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    "ShmCooRegion.create() outside repro.parallel.shm: "
-                    "allocate through shm_conflict_gather/ShmRegionPool "
-                    "so the segment is unlinked on every path",
+                    "ShmCooRegion.create(): a shared segment outlives a "
+                    "crashed process; return results through the "
+                    "executor's result stream instead",
                 )
                 continue
             name = (
@@ -64,8 +64,9 @@ class ShmRegionScopeRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    "raw SharedMemory(create=True) outside "
-                    "repro.parallel.shm: use the owning wrappers there",
+                    "SharedMemory(create=True): a shared segment outlives "
+                    "a crashed process; return results through the "
+                    "executor's result stream instead",
                 )
 
 
