@@ -94,7 +94,7 @@ def build_once(n: int, plan: str, seed: int, preset: str):
 
 def rule_pick(n: int, lists: np.ndarray, palette: int) -> str:
     """The plan the unforced rule picks for a sweep with both oracles."""
-    plan, _, _ = pool.sweep_plan(n, lists, palette, "tiled", None, None, len, len)
+    plan, _, _ = pool.sweep_plan(n, lists, palette, None, None, len, len)
     return "tiles" if plan is None else "rows" if plan == "rows" else "index"
 
 

@@ -1,10 +1,8 @@
-"""Perf-trajectory entry point: engines, backends and coloring.
+"""Perf-trajectory entry point: backends and coloring engines.
 
 Runs ``Picasso.color`` end to end on random Pauli sets across the axes
 grown so far:
 
-- **pair-sweep engine** — ``tiled`` block-broadcast kernels vs the
-  legacy ``pairs`` gather kernels;
 - **execution backend** — serial and a ``--workers``-sized persistent
   pool (strip results pickled through its result pipe);
 - **coloring engine** — the serial bitset Algorithm 2
@@ -182,13 +180,11 @@ def telemetry_probe(pauli_set, hosts: str, workers: int, seed: int) -> tuple[dic
     telemetry.enable(True)
     try:
         Picasso(
-            params=PicassoParams(
-                engine="tiled", n_workers=workers, telemetry=True,
-            ),
+            params=PicassoParams(n_workers=workers, telemetry=True),
             seed=seed,
         ).color(pauli_set)
         Picasso(
-            params=PicassoParams(engine="tiled", hosts=hosts, telemetry=True),
+            params=PicassoParams(hosts=hosts, telemetry=True),
             seed=seed,
         ).color(pauli_set)
         snap = telemetry.snapshot()
@@ -297,7 +293,7 @@ def main(argv=None) -> int:
         "benchmark": (
             "distributed socket-sharded sweep+coloring vs the "
             f"single-host axes: greedy-dynamic vs {args.color_engine} "
-            "coloring, plus the PR 1-3 backend/gather rows"
+            "coloring, plus the PR 1-3 backend rows"
         ),
         "n_workers": args.workers,
         "color_engine": args.color_engine,
@@ -344,13 +340,10 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
     for name, n, nq in cases:
         pauli_set = random_pauli_set(n, nq, seed=0)
         # PR 1-3 axes (greedy-dynamic coloring throughout).
-        tiled = run_config(pauli_set, PicassoParams(engine="tiled"), args.seed)
+        tiled = run_config(pauli_set, PicassoParams(), args.seed)
         tiled_par = run_config(
-            pauli_set,
-            PicassoParams(engine="tiled", n_workers=args.workers),
-            args.seed,
+            pauli_set, PicassoParams(n_workers=args.workers), args.seed
         )
-        gather = run_config(pauli_set, PicassoParams(engine="pairs"), args.seed)
         # PR 9 axis: the serial tiled iterate on the compiled kernel
         # backend.  On hosts without numba this row is skipped (not run
         # on the silent numpy fallback, which would report a fake 1.0x).
@@ -358,7 +351,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         if kernel_backend != "numpy":
             tiled_compiled = run_config(
                 pauli_set,
-                PicassoParams(engine="tiled", kernel_backend=kernel_backend),
+                PicassoParams(kernel_backend=kernel_backend),
                 args.seed,
             )
         # PR 4 axis: the selected coloring engine, rounds in-process vs
@@ -366,15 +359,13 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         # iterate: sweep and color on one pool).
         color_serial = run_config(
             pauli_set,
-            PicassoParams(engine="tiled", color_engine=args.color_engine),
+            PicassoParams(color_engine=args.color_engine),
             args.seed,
         )
         color_pool = run_config(
             pauli_set,
             PicassoParams(
-                engine="tiled",
-                color_engine=args.color_engine,
-                n_workers=args.workers,
+                color_engine=args.color_engine, n_workers=args.workers
             ),
             args.seed,
         )
@@ -384,7 +375,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         # backend.
         cluster_row = run_config(
             pauli_set,
-            PicassoParams(engine="tiled", hosts=hosts),
+            PicassoParams(hosts=hosts),
             args.seed,
         )
         # PR 6 axis: the same serial run snapshotting every iteration —
@@ -393,16 +384,11 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as ckpt_dir:
             checkpointed = run_config(
                 pauli_set,
-                PicassoParams(
-                    engine="tiled",
-                    checkpoint_dir=ckpt_dir,
-                    checkpoint_every=1,
-                ),
+                PicassoParams(checkpoint_dir=ckpt_dir, checkpoint_every=1),
                 args.seed,
             )
         identical = bool(
-            np.array_equal(tiled["colors"], gather["colors"])
-            and np.array_equal(tiled["colors"], tiled_par["colors"])
+            np.array_equal(tiled["colors"], tiled_par["colors"])
             and np.array_equal(tiled["colors"], cluster_row["colors"])
             and np.array_equal(tiled["colors"], checkpointed["colors"])
             and (
@@ -421,7 +407,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             color_serial["n_colors"] == color_pool["n_colors"]
         )
         for row in (
-            tiled, tiled_par, gather,
+            tiled, tiled_par,
             color_serial, color_pool, cluster_row, checkpointed,
             *([tiled_compiled] if tiled_compiled else []),
         ):
@@ -432,7 +418,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             / max(tiled["total_s"], 1e-9),
             2,
         )
-        engine_speedup = gather["total_s"] / max(tiled["total_s"], 1e-9)
         workers_build_speedup = tiled["conflict_build_s"] / max(
             tiled_par["conflict_build_s"], 1e-9
         )
@@ -469,7 +454,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             "n_qubits": nq,
             "tiled": tiled,
             "tiled_parallel": tiled_par,
-            "gather": gather,
             "color_serial": color_serial,
             "color_pool": color_pool,
             "cluster": cluster_row,
@@ -486,7 +470,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
                 f"color_{args.color_engine}": parallel_phases,
             },
             "compiled_kernel_speedup": compiled_kernel_speedup,
-            "engine_speedup": round(engine_speedup, 2),
             "workers_build_speedup": round(workers_build_speedup, 2),
             # >1 needs real extra hosts; on one box this is transport
             # overhead and the number to watch is how small it stays.

@@ -413,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--color-engine", default=None, dest="color_engine",
         choices=["auto", *available_engines()],
         help="Algorithm 2 implementation for the conflict coloring "
-        "(registry name; default auto pairs greedy-dynamic with the "
-        "tiled engine and sets with pairs; parallel-list runs "
+        "(registry name; default auto resolves to greedy-dynamic; "
+        "sets is its Python-set reference; parallel-list runs "
         "round-synchronous rounds on the worker pool)",
     )
     p.add_argument(

@@ -22,7 +22,9 @@ Engines:
                         blocked argmin (the paper's choice; serial, best
                         quality)
 ``sets``                the Python-``set`` reference implementation —
-                        bit-identical to ``greedy-dynamic`` per seed
+                        bit-identical to ``greedy-dynamic`` per seed;
+                        ``PicassoParams(color_engine="sets")`` is the
+                        end-to-end reference run
 ``greedy-static``       fixed-order list coloring (``order`` knob:
                         natural / random / lf) — the §IV-B ablation
 ``parallel-list``       round-synchronous speculative/JP list coloring on

@@ -23,9 +23,9 @@ Three schemes:
   vectorized pass, with no per-neighbor Python code.
 - :func:`greedy_list_color_dynamic_sets` — the same rule in naive form
   (per-vertex Python ``set`` state, ``min`` over the live vertices),
-  kept as the seeded-equivalence reference and as the color engine of
-  ``engine="pairs"`` runs.  Both dynamic variants produce identical
-  colorings for a given seed (property-tested).
+  kept as the seeded-equivalence reference (the ``sets`` color
+  engine).  Both dynamic variants produce identical colorings for a
+  given seed (property-tested).
 - :func:`greedy_list_color_static` — process vertices in a fixed order
   (natural / random / largest-degree-first), taking the first list
   color not used by an already-colored neighbor.  The paper reports
@@ -172,7 +172,7 @@ def greedy_list_color_dynamic_sets(
     (negative ids are padding), and each step takes the live vertex
     with the fewest candidates, ties to the lowest rank.
     :func:`greedy_list_color_dynamic` reproduces its output exactly for
-    any seed.  Also the color engine of ``engine="pairs"`` runs.
+    any seed.
     """
     rng = as_generator(rng)
     n = gc.n_vertices

@@ -6,24 +6,22 @@ are materialized — the sparsity that gives Picasso its sublinear space
 (Lemma 2).  The device path with budget accounting lives in
 :mod:`repro.device.csr_build`; this host path shares the same kernels.
 
-Two sweep engines cover the pair space:
+One sweep engine covers the pair space, with three plans
+(:func:`repro.parallel.pool.sweep_plan`):
 
-- ``"tiled"`` (default) — the block-broadcast engine of
-  :mod:`repro.device.tiles`: each ``(row_block, col_block)`` tile loads
-  its operand slices once and evaluates the fused intersect-then-edge
-  kernel as a word broadcast.  No flat-index inversion, no quadratic
-  row gather.  When the exact count of color-sharing candidate pairs
-  makes it cheaper, a sweep enumerates through the inverted palette
-  index of :mod:`repro.device.palette_index` instead of testing every
-  pair; when every pair shares a color (``L = P``, the Aggressive
-  preset below about 10k active vertices) it skips the palette test
-  and sweeps row strips of the block oracle, whose hits arrive in the
-  CSR's key order (:func:`repro.parallel.pool.sweep_plan`).
-- ``"pairs"`` — the original flat pair-chunk engine (one simulated SIMT
-  thread per pair, operand rows gathered per pair).  Kept as the
-  ablation baseline; produces the identical conflict graph.
+- the tile sweep of :mod:`repro.device.tiles`: each ``(row_block,
+  col_block)`` tile loads its operand slices once and evaluates the
+  fused intersect-then-edge kernel as a word broadcast.  No flat-index
+  inversion, no quadratic row gather;
+- the inverted palette index of :mod:`repro.device.palette_index`,
+  when the exact count of color-sharing candidate pairs makes
+  enumerating them cheaper than testing every pair;
+- the ``rows`` plan, when every pair shares a color (``L = P``, the
+  Aggressive preset below about 10k active vertices): it skips the
+  palette test and sweeps row strips of the block oracle, whose hits
+  arrive in the CSR's key order.
 
-Both engines run through an execution backend
+Every plan runs through an execution backend
 (:mod:`repro.parallel.executor`): serial in-process streaming, or a
 process pool that sweeps balanced contiguous strips of the domain and
 gathers results in deterministic strip order.  Every path emits its
@@ -57,8 +55,6 @@ def build_conflict_graph(
     edge_mask_fn,
     col_lists: np.ndarray,
     palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
@@ -78,16 +74,11 @@ def build_conflict_graph(
     col_lists, palette_size:
         ``(n, L)`` candidate lists, each row ``L`` distinct colors of
         the palette ``{0..palette_size-1}``.
-    chunk_size:
-        Pairs per launch for the ``"pairs"`` engine.
-    engine:
-        ``"tiled"`` (block-broadcast sweep) or ``"pairs"`` (flat
-        pair-chunk gather sweep, the ablation baseline).
     edge_block_fn:
-        Optional block edge oracle for the tiled engine (dense tiles
-        then skip the pairwise survivor gather entirely).
+        Optional block edge oracle (dense tiles then skip the pairwise
+        survivor gather entirely; required by the ``rows`` plan).
     tile_bytes:
-        Per-tile scratch budget for the tiled engine.
+        Per-tile scratch budget for the tile sweep.
     n_workers:
         Worker processes for the sweep (1 = serial streaming).
     executor:
@@ -119,8 +110,8 @@ def build_conflict_graph(
         executor, n_workers, hosts=hosts, transport=transport
     ) as ex:
         return gathered_conflict_csr(
-            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile_bytes=tile_bytes, executor=ex,
+            n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
+            tile_bytes=tile_bytes, executor=ex,
             source=source, active_idx=active_idx, kernel_backend=kernel_backend,
         )
 
@@ -130,8 +121,6 @@ def build_fused_conflict_state(
     edge_mask_fn,
     col_lists: np.ndarray,
     palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
@@ -156,8 +145,8 @@ def build_fused_conflict_state(
         executor, n_workers, hosts=hosts, transport=transport
     ) as ex:
         return fused_conflict_csr(
-            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile_bytes=tile_bytes, executor=ex,
+            n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
+            tile_bytes=tile_bytes, executor=ex,
             source=source, active_idx=active_idx, timings=timings,
             kernel_backend=kernel_backend,
         )
@@ -168,8 +157,6 @@ def count_conflict_edges(
     edge_mask_fn,
     col_lists: np.ndarray,
     palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
@@ -185,8 +172,8 @@ def count_conflict_edges(
     ) as ex:
         total = 0
         for keys in conflict_sweep_chunks(
-            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile_bytes=tile_bytes, executor=ex,
+            n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
+            tile_bytes=tile_bytes, executor=ex,
             kernel_backend=kernel_backend,
         ):
             total += len(keys)

@@ -33,23 +33,10 @@ class PicassoParams:
         If an iteration colors nothing, multiply the palette fraction
         by this factor for subsequent iterations (implementation detail
         guaranteeing termination; 1.0 disables).
-    chunk_size:
-        Pairs per kernel launch in conflict-graph construction
-        (``"pairs"`` engine only; must be >= 1).
     min_palette:
         Floor on the per-iteration palette size ``P_l`` (>= 1).
-    engine:
-        Pair-sweep engine: ``"tiled"`` (default — the block-broadcast
-        kernel engine of :mod:`repro.device.tiles`, with the bitset
-        Algorithm 2; each host sweep enumerates through the inverted
-        palette index of :mod:`repro.device.palette_index` instead
-        when its cost rule says that is cheaper) or ``"pairs"`` (the
-        original flat pair-chunk gather kernels plus the Python-set
-        Algorithm 2, kept as the ablation baseline).  Both engines
-        build identical conflict graphs and draw identical random
-        numbers, so colorings match for a given seed.
     tile_budget_bytes:
-        Per-tile scratch budget for the tiled engine's tile sweep (sets
+        Per-tile scratch budget for the conflict build's tile sweep (sets
         the tile edge; see :func:`repro.device.tiles.tile_edge`).  The
         default, :data:`~repro.device.tiles.DEFAULT_TILE_BYTES`
         (768 KiB, ``T = 256``), keeps a tile's word-AND temporary in a
@@ -82,10 +69,10 @@ class PicassoParams:
     color_engine:
         Which Algorithm 2 implementation colors the conflict graph
         (:mod:`repro.coloring.engine` registry).  ``"auto"`` (default)
-        keeps the historical pairing — the bitset ``greedy-dynamic``
-        for the tiled engine, the ``sets`` reference for the pairs
-        ablation, ``greedy-static`` when ``conflict_order`` names a
-        static order.  ``"parallel-list"`` selects the
+        resolves to the bitset ``greedy-dynamic``, or to
+        ``greedy-static`` when ``conflict_order`` names a static order.
+        ``"sets"`` is the Python-set reference, bit-identical to
+        ``greedy-dynamic`` per seed.  ``"parallel-list"`` selects the
         round-synchronous speculative engine, whose rounds dispatch
         over the run's executor (sweep *and* color then share one
         persistent pool); output is deterministic per seed for any
@@ -169,9 +156,7 @@ class PicassoParams:
     conflict_order: str = "dynamic"
     max_iterations: int = 200
     grow_on_stall: float = 2.0
-    chunk_size: int = 1 << 18
     min_palette: int = 1
-    engine: str = "tiled"
     tile_budget_bytes: int = DEFAULT_TILE_BYTES
     n_workers: int = 1
     executor: str = "auto"
@@ -199,12 +184,8 @@ class PicassoParams:
             raise ValueError("max_iterations must be >= 1")
         if self.grow_on_stall < 1.0:
             raise ValueError("grow_on_stall must be >= 1.0")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if self.min_palette < 1:
             raise ValueError("min_palette must be >= 1")
-        if self.engine not in ("tiled", "pairs"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.tile_budget_bytes < 1:
             raise ValueError("tile_budget_bytes must be positive")
         if self.n_workers < 1:
@@ -273,17 +254,15 @@ class PicassoParams:
         return min(raw, self.palette_size(n_active))
 
     def resolved_color_engine(self) -> str:
-        """The registry name ``color_engine="auto"`` resolves to.
-
-        Preserves the historical pairing (bitset engine on ``tiled``,
-        set reference on ``pairs``, static engine under a static
-        ``conflict_order``); an explicit engine name passes through.
+        """The registry name ``color_engine="auto"`` resolves to:
+        ``greedy-dynamic``, or ``greedy-static`` under a static
+        ``conflict_order``; an explicit engine name passes through.
         """
         if self.color_engine != "auto":
             return self.color_engine
         if self.conflict_order != "dynamic":
             return "greedy-static"
-        return "greedy-dynamic" if self.engine == "tiled" else "sets"
+        return "greedy-dynamic"
 
     def color_engine_knobs(self) -> dict:
         """Constructor knobs for the resolved engine."""

@@ -294,8 +294,8 @@ class Picasso:
             t_assign = telemetry.clock() - t0
 
             # Line 7: conflict graph (only conflicted edges materialize).
-            # The tiled engine consumes the source's block oracle when
-            # it has one (Pauli sources do; dense tiles then skip the
+            # The sweep consumes the source's block oracle when it has
+            # one (Pauli sources do; dense tiles then skip the
             # pairwise survivor gather).  The *root* source plus the
             # global active indices ride along so a persistent pool can
             # reuse its installed payload and receive only this
@@ -313,8 +313,6 @@ class Picasso:
                         col_lists,
                         palette,
                         self.device,
-                        chunk_size=params.chunk_size,
-                        engine=params.engine,
                         edge_block_fn=edge_block_fn,
                         tile_bytes=params.tile_budget_bytes,
                         executor=executor,
@@ -342,8 +340,6 @@ class Picasso:
                             active_source.edge_mask,
                             col_lists,
                             palette,
-                            chunk_size=params.chunk_size,
-                            engine=params.engine,
                             edge_block_fn=edge_block_fn,
                             tile_bytes=params.tile_budget_bytes,
                             executor=executor,

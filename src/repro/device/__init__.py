@@ -9,7 +9,6 @@ reproduce the paper's control flow.
 from repro.device.csr_build import BuildStats, build_conflict_csr
 from repro.device.multi import MultiBuildStats, build_conflict_csr_multi
 from repro.device.kernels import (
-    conflict_pair_kernel,
     conflict_pair_kernel_python,
     exclusive_scan,
     lists_intersect_kernel,
@@ -40,7 +39,6 @@ __all__ = [
     "build_conflict_csr",
     "MultiBuildStats",
     "build_conflict_csr_multi",
-    "conflict_pair_kernel",
     "conflict_pair_kernel_python",
     "exclusive_scan",
     "lists_intersect_kernel",

@@ -112,7 +112,6 @@ class KernelBackend(ABC):
         c1: int,
         edge_mask_fn=None,
         edge_block_fn: EdgeBlockFn | None = None,
-        dense_edge_fraction: float | None = None,
         scratch: TileScratch | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fused conflict kernel for one tile (see
@@ -120,12 +119,9 @@ class KernelBackend(ABC):
         from repro.device import tiles
 
         telemetry.count("device.dispatch", backend=self.name)
-        if dense_edge_fraction is None:
-            dense_edge_fraction = tiles.DENSE_EDGE_FRACTION
         return tiles.conflict_hits_block(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-            dense_edge_fraction=dense_edge_fraction, scratch=scratch,
-            backend=self,
+            scratch=scratch, backend=self,
         )
 
     def block_hits(

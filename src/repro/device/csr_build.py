@@ -4,9 +4,11 @@ Faithful to the paper's control flow:
 
 1. allocate ``min(worst-case edge list, remaining device memory)`` for
    the unordered COO buffer (line 1–2);
-2. launch the pair kernel to fill the COO edge list and per-vertex
-   degree counters (line 3) — overflowing the COO buffer is a device
-   OOM, the failure mode Fig. 2's dashed line delimits;
+2. launch the conflict kernel — the tile sweep, whose per-worker tile
+   scratch is reserved ahead of the COO buffer — to fill the COO edge
+   list and per-vertex degree counters (line 3); overflowing the COO
+   buffer, or a budget that cannot hold one minimum tile per worker,
+   is a device OOM, the failure mode Fig. 2's dashed line delimits;
 3. exclusive-scan the counters into CSR offsets (line 4);
 4. if the COO list fits in half the *allocated* memory, assemble CSR
    "on device", otherwise fall back to host assembly (lines 5–8) —
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.device.kernels import EdgeMaskFn, exclusive_scan
-from repro.device.sim import DeviceSim
+from repro.device.sim import DeviceOutOfMemory, DeviceSim
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
     EdgeBlockFn,
@@ -45,7 +47,6 @@ class BuildStats:
     built_on_device: bool
     device_peak_bytes: int
     coo_capacity_edges: int
-    engine: str = "pairs"
     n_workers: int = 1
 
 
@@ -55,8 +56,6 @@ def build_conflict_csr(
     col_lists: np.ndarray,
     palette_size: int,
     device: DeviceSim,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
@@ -78,19 +77,13 @@ def build_conflict_csr(
         device sweep ANDs (and is charged for) their packed bitsets.
     device:
         Budgeted device; raises :class:`DeviceOutOfMemory` when the COO
-        buffer cannot hold the conflict edges.
-    chunk_size:
-        Pairs per kernel launch (``"pairs"`` engine).
-    engine:
-        ``"tiled"`` block-broadcast sweep (default) or ``"pairs"`` flat
-        chunks.  The tiled engine's block scratch is a named device
-        allocation sized against the remaining budget *before* the COO
-        buffer takes the rest; if even a minimum tile cannot fit
-        alongside a useful COO buffer the build degrades to the
-        scratch-free pair engine (mirroring Algorithm 3's own
-        device/host fallback discipline).
+        buffer cannot hold the conflict edges.  The tile sweep's scratch
+        is a named device allocation sized against the remaining budget
+        *before* the COO buffer takes the rest; a budget that cannot
+        hold even a minimum tile per worker raises too.
     edge_block_fn:
-        Optional block edge oracle for the tiled engine.
+        Optional block edge oracle (dense tiles use it; its block
+        temporaries are charged alongside the tile scratch).
     tile_bytes:
         Upper bound on the tile scratch allocation *per worker*.
     n_workers:
@@ -116,15 +109,14 @@ def build_conflict_csr(
     """
     with owned_executor(executor, n_workers) as ex:
         return _algorithm3(
-            n, edge_mask_fn, col_lists, palette_size, device, chunk_size,
-            engine, edge_block_fn, tile_bytes, ex, source, active_idx,
-            kernel_backend,
+            n, edge_mask_fn, col_lists, palette_size, device, edge_block_fn,
+            tile_bytes, ex, source, active_idx, kernel_backend,
         )
 
 
 def _algorithm3(
-    n, edge_mask_fn, col_lists, palette_size, device, chunk_size, engine,
-    edge_block_fn, tile_bytes, ex, source, active_idx, kernel_backend=None,
+    n, edge_mask_fn, col_lists, palette_size, device, edge_block_fn,
+    tile_bytes, ex, source, active_idx, kernel_backend=None,
 ) -> tuple[CSRGraph, BuildStats]:
     """Algorithm 3 proper, against an already-resolved executor."""
     workers = max(1, ex.n_workers)
@@ -138,8 +130,9 @@ def _algorithm3(
         # for the kernel (approximated by the packed bitset bytes the
         # palette test ANDs; the Pauli payload is charged by the
         # caller, which owns its lifetime).
-        n_words = -(-palette_size // 64)
-        allocs.enter_context(device.scratch("colmasks", 8 * n * n_words))
+        allocs.enter_context(
+            device.scratch("colmasks", 8 * n * -(-palette_size // 64))
+        )
 
         # Degree counters: 4-byte if |V|^2 < 2^32 else 8-byte (§V).
         counter_bytes = 4 if n * n < 2**32 else 8
@@ -148,31 +141,19 @@ def _algorithm3(
         )
 
         # Tile scratch: reserved ahead of the COO buffer (which takes
-        # all remaining memory).  At most a quarter of what is left —
-        # split across workers, each of which owns a private scratch —
-        # so the COO stream keeps the lion's share; degrade to the pair
-        # engine when a minimum tile per worker would not fit.
-        tile = None
-        if engine == "tiled":
-            candidate = tile_edge(
-                n_words,
-                min(tile_bytes, device.available // 4 // workers),
-                n=n,
-            )
-            # The block edge oracle (dense-tile path) brings its own
-            # (R, C) temporaries on top of the TileScratch buffers —
-            # charge both, for every worker, so the simulated peak
-            # stays honest.
-            scratch = (
-                tile_scratch_bytes(candidate)
-                * (2 if edge_block_fn else 1)
-                * workers
-            )
-            if scratch <= device.available // 2:
-                allocs.enter_context(device.scratch("tile_scratch", scratch))
-                tile = candidate
-            else:
-                engine = "pairs"
+        # all remaining memory), sized from at most a quarter of what
+        # is left — split across workers, each of which owns a private
+        # scratch — so the COO stream keeps the lion's share.  The tile
+        # never drops below the minimum edge; when even that does not
+        # fit, the allocation raises and the ExitStack frees the rest.
+        tile = tile_edge(min(tile_bytes, device.available // 4 // workers), n=n)
+        # The block edge oracle (dense-tile path) brings its own (R, C)
+        # temporaries on top of the TileScratch buffers — charge both,
+        # for every worker, so the simulated peak stays honest.
+        allocs.enter_context(device.scratch(
+            "tile_scratch",
+            tile_scratch_bytes(tile) * (2 if edge_block_fn else 1) * workers,
+        ))
 
         # COO buffer: min(worst case, all remaining memory).  Each COO
         # entry is two vertex ids.
@@ -187,8 +168,8 @@ def _algorithm3(
         coo_v = np.empty(capacity, dtype=id_dtype)
         n_edges = 0
         with closing(conflict_sweep_chunks(
-            n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-            edge_block_fn, tile=tile, executor=ex,
+            n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
+            tile=tile, executor=ex,
             source=source, active_idx=active_idx,
             kernel_backend=kernel_backend,
         )) as hit_stream:
@@ -199,8 +180,6 @@ def _algorithm3(
             for keys in hit_stream:
                 if n_edges + len(keys) > capacity:
                     device.n_ooms += 1
-                    from repro.device.sim import DeviceOutOfMemory
-
                     raise DeviceOutOfMemory(
                         f"COO buffer overflow: {n_edges + len(keys)} "
                         f"conflict edges exceed capacity {capacity}"
@@ -233,7 +212,6 @@ def _algorithm3(
         built_on_device=on_device,
         device_peak_bytes=device.peak_bytes,
         coo_capacity_edges=int(capacity),
-        engine=engine,
         n_workers=workers,
     )
     return graph, stats

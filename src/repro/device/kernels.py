@@ -1,10 +1,11 @@
-"""Vectorized "device" kernels.
+"""Pairwise "device" kernels over flat pair-index arrays.
 
 Each function is the NumPy analog of one CUDA kernel of the paper's §V
-implementation: it consumes flat pair-index chunks (one SIMT thread per
-unordered pair) and whole-array buffers.  The same functions back the
-host path; the device path differs only in that its buffers are
-accounted against a :class:`repro.device.sim.DeviceSim` budget.
+implementation over explicit ``(i, j)`` pair arrays (one SIMT thread per
+unordered pair).  The conflict sweeps themselves run the tiled kernels
+of :mod:`repro.device.tiles`; these serve the per-edge palette test of
+the semi-streaming path, the O(L) sorted-merge ablation, the scalar
+Table V reference and Algorithm 3's exclusive scan.
 """
 
 from __future__ import annotations
@@ -63,28 +64,6 @@ def lists_intersect_sorted(
         pb[r[~hit & ~adv_a]] += 1
         done = (pa >= L) | (pb >= L)
         live &= ~done
-    return out
-
-
-def conflict_pair_kernel(
-    edge_mask_fn: EdgeMaskFn,
-    colmasks: np.ndarray,
-    i: np.ndarray,
-    j: np.ndarray,
-) -> np.ndarray:
-    """The fused §V kernel: a pair is a conflict edge iff it is an edge
-    of the graph being colored AND the endpoints share a candidate color.
-
-    Evaluates the cheap list intersection first and consults the edge
-    oracle only on surviving pairs — the same work-skipping the CUDA
-    kernel gets from its early-exit branch.
-    """
-    shared = lists_intersect_kernel(colmasks, i, j).astype(bool)
-    out = np.zeros(len(i), dtype=np.uint8)
-    if shared.any():
-        sub_i = i[shared]
-        sub_j = j[shared]
-        out[shared] = edge_mask_fn(sub_i, sub_j)
     return out
 
 

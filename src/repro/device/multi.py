@@ -2,11 +2,14 @@
 
 The paper's stated next step is "distributed multi-GPU parallel
 implementations".  The natural decomposition is already in place: the
-conflict kernel's domain is the flat pair range, so ``k`` devices each
-own a contiguous 1/k slice of pair space.  Each device streams its
-slice into its own COO buffer (bounded by its own budget); the host
-folds the per-device partial edge lists — one COO chunk per device, in
-slice order — straight into the shared sort-key assembly
+conflict kernel's domain is the upper-triangular tile grid, so ``k``
+devices each own one contiguous strip of it
+(:func:`repro.parallel.partition.partition_tiles`, balanced by pair
+weight).  Each device sweeps its strip with the fused tile kernel
+(:func:`repro.device.tiles.conflict_hits_strip`) into its own COO
+buffer, bounded by its own budget after its tile scratch is charged;
+the host folds the per-device key arrays — one chunk per device, in
+strip order — straight into the shared sort-key assembly
 (:func:`repro.graphs.csr.csr_from_coo_chunks`), the same path every
 other build front uses: nothing is concatenated, and since the rows
 depend on the edge set alone the result is bit-identical to a
@@ -21,16 +24,22 @@ pin down.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.kernels import EdgeMaskFn, conflict_pair_kernel
+from repro.device.kernels import EdgeMaskFn
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
+from repro.device.tiles import (
+    MIN_TILE,
+    TileScratch,
+    conflict_hits_strip,
+    tile_scratch_bytes,
+)
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
-from repro.parallel.partition import partition_pairs
+from repro.parallel.partition import partition_tiles, tile_grid
 from repro.util.bits import bitset_from_lists
-from repro.util.chunking import pair_index_to_ij
 
 
 @dataclass
@@ -49,67 +58,57 @@ def build_conflict_csr_multi(
     col_lists: np.ndarray,
     palette_size: int,
     devices: list[DeviceSim],
-    chunk_size: int = 1 << 18,
 ) -> tuple[CSRGraph, MultiBuildStats]:
     """Build the conflict graph across several simulated devices.
 
     Each device holds a replica of the encoded inputs (the lists'
-    packed bitsets, which its pair kernel ANDs) plus a COO buffer sized
-    to its remaining budget, and scans a contiguous slice of pair space.  Raises :class:`DeviceOutOfMemory` naming the
-    device whose slice overflowed.
+    packed bitsets, which its tile kernel ANDs), one tile scratch and a
+    COO buffer sized to its remaining budget, and sweeps a contiguous
+    strip of the tile grid.  All devices sweep the minimum tile
+    (:data:`~repro.device.tiles.MIN_TILE` rows, fewer when ``n`` is
+    smaller), so the strips' pair weights balance to within one
+    ``64 x 64`` tile and every device charges the same small scratch.
+    Raises :class:`DeviceOutOfMemory` naming the device whose strip
+    overflowed.
     """
     if not devices:
         raise ValueError("need at least one device")
-    ranges = partition_pairs(n, len(devices))
-    # partition_pairs drops empty ranges; align by padding.
-    while len(ranges) < len(devices):
-        from repro.parallel.partition import PairRange
+    tile = min(MIN_TILE, max(n, 1))
+    grid = tile_grid(n, tile)
+    blocks = partition_tiles(n, tile, len(devices), keep_empty=True)
+    scratch = TileScratch(tile)
 
-        ranges.append(PairRange(0, 0))
-
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    chunks: list[np.ndarray] = []
     edges_per_device: list[int] = []
     id_bytes = 4 if n < 2**31 else 8
-    id_dtype = np.int32 if id_bytes == 4 else np.int64
     colmasks = bitset_from_lists(col_lists, palette_size)
 
-    for rank, (dev, rng) in enumerate(zip(devices, ranges)):
-        dev.alloc("colmasks", int(colmasks.nbytes))
-        counter_bytes = 4 if n * n < 2**32 else 8
-        dev.alloc("edge_counters", 2 * n * counter_bytes)
-        coo_bytes = dev.available
-        dev.alloc("coo_edges", coo_bytes)
-        capacity = coo_bytes // (2 * id_bytes)
-        u_buf = np.empty(capacity, dtype=id_dtype)
-        v_buf = np.empty(capacity, dtype=id_dtype)
-        filled = 0
-        try:
-            for start in range(rng.start, rng.stop, chunk_size):
-                stop = min(start + chunk_size, rng.stop)
-                k = np.arange(start, stop, dtype=np.int64)
-                i, j = pair_index_to_ij(k, n)
-                mask = conflict_pair_kernel(edge_mask_fn, colmasks, i, j).astype(
-                    bool
+    for rank, (dev, block) in enumerate(zip(devices, blocks)):
+        with ExitStack() as allocs:
+            allocs.enter_context(dev.scratch("colmasks", int(colmasks.nbytes)))
+            counter_bytes = 4 if n * n < 2**32 else 8
+            allocs.enter_context(dev.scratch("edge_counters", 2 * n * counter_bytes))
+            allocs.enter_context(
+                dev.scratch("tile_scratch", tile_scratch_bytes(tile))
+            )
+            coo_bytes = dev.available
+            allocs.enter_context(dev.scratch("coo_edges", coo_bytes))
+            capacity = coo_bytes // (2 * id_bytes)
+            keys = conflict_hits_strip(
+                colmasks, grid[block.start : block.stop], edge_mask_fn,
+                scratch=scratch,
+            )
+            if len(keys) > capacity:
+                dev.n_ooms += 1
+                raise DeviceOutOfMemory(
+                    f"device {rank} ({dev.name}): tiles "
+                    f"[{block.start}, {block.stop}) produced {len(keys)} "
+                    f"conflict edges, more than its capacity {capacity}"
                 )
-                ei, ej = i[mask], j[mask]
-                if filled + len(ei) > capacity:
-                    dev.n_ooms += 1
-                    raise DeviceOutOfMemory(
-                        f"device {rank} ({dev.name}): slice "
-                        f"[{rng.start}, {rng.stop}) produced more than "
-                        f"{capacity} conflict edges"
-                    )
-                u_buf[filled : filled + len(ei)] = ei
-                v_buf[filled : filled + len(ej)] = ej
-                filled += len(ei)
-        finally:
-            dev.free("coo_edges")
-            dev.free("edge_counters")
-            dev.free("colmasks")
-        chunks.append((u_buf[:filled].copy(), v_buf[:filled].copy()))
-        edges_per_device.append(filled)
+        chunks.append(keys)
+        edges_per_device.append(len(keys))
 
-    # One COO chunk per device: the same edge set a single-device (or
+    # One key chunk per device: the same edge set a single-device (or
     # strip-parallel) sweep produces, so the CSR is bit-identical.
     graph = csr_from_coo_chunks(chunks, n)
     stats = MultiBuildStats(

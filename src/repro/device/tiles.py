@@ -1,16 +1,15 @@
-"""Block-tiled pair-sweep kernel engine (§V, reimagined as cache tiles).
+"""Block-tiled pair-sweep kernels (§V, reimagined as cache tiles).
 
-The pair-chunk kernels in :mod:`repro.device.kernels` emulate one SIMT
-thread per unordered pair: they take flat pair-index chunks, invert
-``k -> (i, j)`` with a ``sqrt``, and *gather* the packed operand rows
-(``packed[i]``, ``packed[j]``) for every pair — so each of the ``n``
-rows is duplicated ~``n`` times across a full sweep.  This module is
-the CUDA-style *tiled* formulation of the same sweep: the upper
-triangle of pair space is walked in ``(row_block, col_block)`` tiles,
-each tile loads its two row slices once (the "shared memory" staging of
-a GPU kernel) and computes the pair results as a word-broadcast
-``a[:, None, :] op b[None, :, :]`` — no flat-index inversion and no
-quadratic row gather on the hot path.
+The paper's §V kernel runs one SIMT thread per unordered pair.  A
+literal NumPy port would take flat pair-index chunks, invert ``k -> (i,
+j)`` and *gather* the packed operand rows (``packed[i]``, ``packed[j]``)
+for every pair — duplicating each of the ``n`` rows ~``n`` times across
+a sweep.  This module is the CUDA-style *tiled* formulation of the same
+sweep: the upper triangle of pair space is walked in ``(row_block,
+col_block)`` tiles, each tile loads its two row slices once (the
+"shared memory" staging of a GPU kernel) and computes the pair results
+as a word-broadcast ``a[:, None, :] op b[None, :, :]`` — no flat-index
+inversion and no quadratic row gather on the hot path.
 
 Design notes (the tiling model):
 
@@ -33,12 +32,11 @@ Design notes (the tiling model):
   same output-proportional shape as Algorithm 3's COO stream.
 - **Device-budget interaction.**  On the :class:`~repro.device.sim.DeviceSim`
   path the tile scratch is a named allocation against the device
-  budget, reserved *before* the COO buffer grabs the remainder
-  (:mod:`repro.device.csr_build`).  When the budget is too tight to
-  host even a minimum tile alongside the COO stream, the build falls
-  back to the pair-chunk engine, which needs no block scratch — the
-  same graceful degradation Algorithm 3 uses for its device/host CSR
-  choice.
+  budget, one per worker, reserved *before* the COO buffer grabs the
+  remainder (:mod:`repro.device.csr_build`, :mod:`repro.device.multi`).
+  A budget that cannot hold even a minimum tile per worker raises
+  :class:`~repro.device.sim.DeviceOutOfMemory`: every buffer the
+  kernel touches is charged.
 - **Fused conflict kernel.**  :func:`conflict_hits_block` evaluates the
   cheap palette intersection first (the paper's list-intersect early
   exit): only surviving pairs consult the edge oracle, either as a
@@ -87,7 +85,6 @@ __all__ = [
     "concat_hits",
     "strip_height",
     "sweep_conflict_hits",
-    "sweep_conflict_chunks",
     "sweep_block_hits",
     "count_block_hits",
 ]
@@ -127,25 +124,21 @@ _EMPTY = np.empty(0, dtype=np.int64)
 EdgeBlockFn = Callable[[int, int, int, int], np.ndarray]
 
 
-def tile_edge(
-    n_words: int,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    n: int | None = None,
-) -> int:
+def tile_edge(tile_bytes: int = DEFAULT_TILE_BYTES, n: int | None = None) -> int:
     """Tile edge ``T`` whose scratch fits ``tile_bytes``.
 
-    ``n_words`` is accepted for interface symmetry (and future
-    word-blocked variants) but does not enter the formula — see the
-    module notes on the per-pair scratch model.  ``n`` caps the tile at
-    the problem size so tiny problems do not round up to a 64-wide tile
-    of mostly out-of-range rows.
+    The packed word count does not enter the formula — see the module
+    notes on the per-pair scratch model.  ``n`` caps the tile at the
+    problem size so tiny problems do not round up to a 64-wide tile of
+    mostly out-of-range rows.
 
     The tile edge never drops below :data:`MIN_TILE` (sub-64 tiles are
     all Python overhead), so budgets under
     ``tile_scratch_bytes(MIN_TILE)`` (~41 KB) are exceeded rather than
     honored — the budget is a sizing hint, not a hard cap.  The device
-    path enforces its real cap separately by checking the resulting
-    scratch against ``device.available`` before allocating.
+    path enforces its real cap separately: it charges the resulting
+    scratch against the device budget, which raises when it does not
+    fit.
 
     The budget solve is memoized per ``tile_bytes`` (the device build
     probes it repeatedly while fitting the tile scratch next to the COO
@@ -268,7 +261,6 @@ def conflict_hits_block(
     c1: int,
     edge_mask_fn=None,
     edge_block_fn: EdgeBlockFn | None = None,
-    dense_edge_fraction: float = DENSE_EDGE_FRACTION,
     scratch: TileScratch | None = None,
     backend: KernelBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +271,9 @@ def conflict_hits_block(
     palette intersection runs first over the whole tile; the edge
     oracle is consulted only for survivors — gathered pairwise through
     ``edge_mask_fn`` when survivors are sparse, or as one
-    ``edge_block_fn`` broadcast when at least ``dense_edge_fraction``
-    of the tile survived (the broadcast reads each operand row once,
-    beating the gather as density grows).
+    ``edge_block_fn`` broadcast when at least
+    :data:`DENSE_EDGE_FRACTION` of the tile survived (the broadcast
+    reads each operand row once, beating the gather as density grows).
 
     ``backend`` (a :class:`~repro.device.backends.KernelBackend`)
     supplies the palette-intersection kernel when given; ``None`` runs
@@ -306,7 +298,7 @@ def conflict_hits_block(
     gi = li + r0
     gj = lj + c0
     if edge_block_fn is not None and (
-        edge_mask_fn is None or len(li) >= dense_edge_fraction * hit.size
+        edge_mask_fn is None or len(li) >= DENSE_EDGE_FRACTION * hit.size
     ):
         keep = np.asarray(edge_block_fn(r0, r1, c0, c1))[li, lj].astype(
             bool, copy=False
@@ -321,7 +313,6 @@ def conflict_hits_strip(
     tiles,
     edge_mask_fn=None,
     edge_block_fn: EdgeBlockFn | None = None,
-    dense_edge_fraction: float = DENSE_EDGE_FRACTION,
     scratch: TileScratch | None = None,
     backend: KernelBackend | None = None,
 ) -> np.ndarray:
@@ -345,7 +336,7 @@ def conflict_hits_strip(
         (
             pair_keys(*block_op(
                 colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-                dense_edge_fraction=dense_edge_fraction, scratch=scratch,
+                scratch=scratch,
             ), n)
             for r0, r1, c0, c1 in tiles
         ),
@@ -423,7 +414,7 @@ def sweep_conflict_hits(
     """Run the fused conflict kernel over all upper-triangle tiles,
     yielding one CSR key array per tile (possibly empty)."""
     if tile is None:
-        tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
+        tile = tile_edge(tile_bytes, n=n)
     scratch = TileScratch(tile)
     block_op = (
         backend.conflict_hits_block if backend is not None
@@ -434,40 +425,6 @@ def sweep_conflict_hits(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
             scratch=scratch,
         ), n)
-
-
-def sweep_conflict_chunks(
-    n: int,
-    edge_mask_fn,
-    colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    tile: int | None = None,
-    backend: KernelBackend | None = None,
-) -> Iterator[np.ndarray]:
-    """Engine dispatch for the conflict sweep, shared by the host build
-    (:mod:`repro.core.conflict`) and the device build
-    (:mod:`repro.device.csr_build`): yield conflict-edge CSR key
-    chunks from the selected engine (``"tiled"`` block broadcast or
-    ``"pairs"`` flat gather).  ``backend`` dispatches the tiled
-    engine's kernels; the pairs engine is numpy-only (its flat gather
-    is the formulation the compiled kernels exist to replace)."""
-    if engine == "tiled":
-        yield from sweep_conflict_hits(
-            n, colmasks, edge_mask_fn, edge_block_fn,
-            tile=tile, tile_bytes=tile_bytes, backend=backend,
-        )
-    elif engine == "pairs":
-        from repro.device.kernels import conflict_pair_kernel
-        from repro.util.chunking import iter_pair_chunks
-
-        for i, j in iter_pair_chunks(n, chunk_size):
-            mask = conflict_pair_kernel(edge_mask_fn, colmasks, i, j).astype(bool)
-            yield pair_keys(i[mask], j[mask], n)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
 
 
 def count_block_hits(n: int, block_fn: EdgeBlockFn, height: int) -> int:

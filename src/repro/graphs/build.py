@@ -31,7 +31,6 @@ from repro.util.chunking import num_pairs
 
 def anticommute_graph(
     pauli_set: PauliSet,
-    chunk_size: int = 1 << 20,
     kernel: str = "iooh",
     n_workers: int = 1,
     executor=None,
@@ -39,14 +38,13 @@ def anticommute_graph(
 ) -> CSRGraph:
     """Explicit graph ``G``: edges connect anticommuting string pairs."""
     return _oracle_graph(
-        pauli_set, want_anticommute=True, chunk_size=chunk_size,
-        kernel=kernel, n_workers=n_workers, executor=executor, hosts=hosts,
+        pauli_set, want_anticommute=True, kernel=kernel,
+        n_workers=n_workers, executor=executor, hosts=hosts,
     )
 
 
 def complement_graph(
     pauli_set: PauliSet,
-    chunk_size: int = 1 << 20,
     kernel: str = "iooh",
     n_workers: int = 1,
     executor=None,
@@ -60,8 +58,8 @@ def complement_graph(
     so the built CSR is bit-identical to the serial one.
     """
     return _oracle_graph(
-        pauli_set, want_anticommute=False, chunk_size=chunk_size,
-        kernel=kernel, n_workers=n_workers, executor=executor, hosts=hosts,
+        pauli_set, want_anticommute=False, kernel=kernel,
+        n_workers=n_workers, executor=executor, hosts=hosts,
     )
 
 
@@ -74,17 +72,9 @@ def _block_fn(oracle, want_anticommute: bool):
     return oracle.anticommute_block if want_anticommute else oracle.commute_block
 
 
-def _oracle_budget(chunk_size: int) -> int:
-    """Strip scratch budget for an oracle sweep; ``chunk_size`` (pairs
-    per legacy launch) doubles as a scratch hint so old callers keep
-    their knob."""
-    return min(DEFAULT_TILE_BYTES, 10 * chunk_size)
-
-
 def _oracle_graph(
     pauli_set: PauliSet,
     want_anticommute: bool,
-    chunk_size: int,
     kernel: str,
     n_workers: int = 1,
     executor=None,
@@ -107,22 +97,22 @@ def _oracle_graph(
         chunks = [
             keys
             for keys in block_sweep_chunks(
-                pauli_set.n, block_fn, _oracle_budget(chunk_size), executor=ex
+                pauli_set.n, block_fn, DEFAULT_TILE_BYTES, executor=ex
             )
             if len(keys)
         ]
     return csr_from_coo_chunks(chunks, pauli_set.n)
 
 
-def complement_edge_count(pauli_set: PauliSet, chunk_size: int = 1 << 20) -> int:
+def complement_edge_count(pauli_set: PauliSet) -> int:
     """Number of complement edges without materializing the graph
     (used for Table II reporting at scales where the explicit graph
     would not fit)."""
-    return num_pairs(pauli_set.n) - anticommute_edge_count(pauli_set, chunk_size)
+    return num_pairs(pauli_set.n) - anticommute_edge_count(pauli_set)
 
 
-def anticommute_edge_count(pauli_set: PauliSet, chunk_size: int = 1 << 20) -> int:
+def anticommute_edge_count(pauli_set: PauliSet) -> int:
     """Number of anticommute edges (Table II's "# of edges" column)."""
     oracle = pauli_set.oracle()
-    height = strip_height(pauli_set.n, _oracle_budget(chunk_size))
+    height = strip_height(pauli_set.n, DEFAULT_TILE_BYTES)
     return count_block_hits(pauli_set.n, oracle.anticommute_block, height)

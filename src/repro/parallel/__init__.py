@@ -1,6 +1,6 @@
 """Parallel execution substrate (paper §I's parallel implementation).
 
-Three layers: partitioners slice the pair/tile domain
+Three layers: the partitioner slices the tile domain
 (:mod:`repro.parallel.partition`), execution backends run task lists
 over persistent workers and stream their results back in task order
 (:mod:`repro.parallel.executor`), and the sweep dispatcher wires kernels
@@ -16,10 +16,8 @@ from repro.parallel.executor import (
     pin_current_worker,
 )
 from repro.parallel.partition import (
-    PairRange,
     TileBlock,
     block_pair_count,
-    partition_pairs,
     partition_tiles,
     tile_grid,
 )
@@ -38,10 +36,8 @@ __all__ = [
     "make_executor",
     "pin_current_worker",
     "payload_token_for",
-    "PairRange",
     "TileBlock",
     "block_pair_count",
-    "partition_pairs",
     "partition_tiles",
     "tile_grid",
     "block_sweep_chunks",

@@ -1,19 +1,14 @@
-"""Pair-space and tile-grid partitioning for parallel execution.
+"""Tile-grid partitioning for parallel execution.
 
-Two decompositions of the same upper-triangular pair domain:
+:func:`partition_tiles` splits the upper-triangular ``(row_block,
+col_block)`` grid of the tile sweep (:mod:`repro.device.tiles`) into
+balanced contiguous :class:`TileBlock` strips.  Tiles keep their
+canonical row-major order inside each strip, so a parallel sweep that
+concatenates strip results in strip order reproduces the serial sweep's
+chunk stream exactly — the property that keeps parallel and serial
+conflict-graph builds bit-identical.
 
-- :func:`partition_pairs` splits the flat index range ``[0, n(n-1)/2)``
-  into balanced contiguous :class:`PairRange` slices — the domain of
-  the ``"pairs"`` gather engine, one simulated SIMT thread per pair.
-- :func:`partition_tiles` splits the upper-triangular ``(row_block,
-  col_block)`` grid of the tiled engine (:mod:`repro.device.tiles`)
-  into balanced contiguous :class:`TileBlock` strips.  Tiles keep their
-  canonical row-major order inside each strip, so a parallel sweep that
-  concatenates strip results in strip order reproduces the serial
-  sweep's chunk stream exactly — the property that keeps parallel and
-  serial conflict-graph builds bit-identical.
-
-Partitioning either domain — rather than the vertex range — gives
+Partitioning the pair domain — rather than the vertex range — gives
 balanced work regardless of degree skew, the same decomposition the
 paper's CUDA grid uses.
 """
@@ -25,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.chunking import num_pairs
-
 __all__ = [
-    "PairRange",
-    "partition_pairs",
     "TileBlock",
     "tile_grid",
     "block_pair_count",
@@ -41,17 +32,6 @@ __all__ = [
 ShareSpec = Sequence[int] | np.ndarray
 
 
-@dataclass(frozen=True)
-class PairRange:
-    """Half-open flat pair-index range ``[start, stop)``."""
-
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-
 def _check_shares(shares: ShareSpec, n_parts: int) -> np.ndarray:
     arr = np.asarray(shares, dtype=np.int64)
     if arr.ndim != 1 or len(arr) != n_parts:
@@ -59,49 +39,6 @@ def _check_shares(shares: ShareSpec, n_parts: int) -> np.ndarray:
     if np.any(arr <= 0):
         raise ValueError("shares must be positive")
     return arr
-
-
-def partition_pairs(
-    n: int,
-    n_parts: int,
-    shares: ShareSpec | None = None,
-    keep_empty: bool = False,
-) -> list[PairRange]:
-    """Split the pair space of ``n`` vertices into ``n_parts`` balanced
-    contiguous ranges (sizes differ by at most one pair).
-
-    With ``shares`` (one positive integer per part), each range's size
-    is instead proportional to its share: boundaries sit where the pair
-    prefix crosses ``total * cumsum(shares) / sum(shares)``, so every
-    part's size is within one pair of its ideal weighted quota.
-
-    ``keep_empty`` keeps zero-length ranges in place (always exactly
-    ``n_parts`` entries) — required by the capacity-weighted positional
-    deal, where part ``k`` must stay at index ``k``.
-    """
-    if n_parts < 1:
-        raise ValueError("n_parts must be >= 1")
-    total = num_pairs(n)
-    out: list[PairRange] = []
-    if shares is None:
-        base, extra = divmod(total, n_parts)
-        start = 0
-        for k in range(n_parts):
-            size = base + (1 if k < extra else 0)
-            out.append(PairRange(start, start + size))
-            start += size
-    else:
-        arr = _check_shares(shares, n_parts)
-        csum = np.cumsum(arr)
-        share_total = int(csum[-1])
-        bounds = [0] + [
-            int(total * int(c) // share_total) for c in csum
-        ]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            out.append(PairRange(a, b))
-    if keep_empty:
-        return out
-    return [r for r in out if len(r) > 0] or [PairRange(0, 0)]
 
 
 @dataclass(frozen=True)
@@ -158,8 +95,7 @@ def partition_tiles(
     the ideal targets ``total * k / n_parts``, so each strip's weight
     differs from the ideal share by less than one tile's weight (tiles
     are atomic — "balance within one tile").  Empty strips are dropped;
-    a degenerate grid yields one empty block, mirroring
-    :func:`partition_pairs`.
+    a degenerate grid yields one empty block.
 
     With ``shares`` (one positive integer per part), targets become
     ``total * cumsum(shares) / sum(shares)`` so strip k's pair weight is

@@ -4,43 +4,41 @@ The paper provides "a sequential and a parallel implementation" (§I);
 its CPU parallelism is shared-memory threads over pair chunks.  Python
 processes substitute for threads (the GIL rules those out for compute).
 This module is the seam where every conflict/graph sweep meets an
-:class:`~repro.parallel.executor.Executor`:
+:class:`~repro.parallel.executor.Executor`.  :func:`sweep_plan` picks
+one of three plans per sweep, and each worker task sweeps one strip of
+it and returns one array of CSR keys:
 
-- the ``"tiled"`` engine partitions the upper-triangular tile grid into
+- the tile sweep partitions the upper-triangular tile grid into
   balanced contiguous :class:`~repro.parallel.partition.TileBlock`
-  strips, each worker runs the fused block-broadcast kernel over its
-  strip and returns one array of CSR keys — or, when
-  :func:`sweep_plan` picks the inverted palette index, the strips are
-  the index's row blocks, balanced by exact candidate counts; under
-  the ``rows`` plan (every pair shares a color, ``L = P``) they are
-  row ranges of equal pair weight, swept as row strips of the block
-  oracle with no palette test;
-- the ``"pairs"`` engine partitions the flat index range into
-  :class:`~repro.parallel.partition.PairRange` slices and runs the
-  legacy gather kernel over each.
+  strips and runs the fused block-broadcast kernel over each;
+- the inverted palette index's strips are its row blocks, balanced by
+  exact candidate counts;
+- under the ``rows`` plan (every pair shares a color, ``L = P``) the
+  strips are row ranges of equal pair weight, swept as row strips of
+  the block oracle with no palette test.
 
 Payload shipping is two-tier for the persistent pool.  The payload is
-split into a **static** part (the edge source / oracle and engine
-configuration — constant across Algorithm 1 iterations when the caller
+split into a **static** part (the edge source / oracle and kernel
+backend — constant across Algorithm 1 iterations when the caller
 passes the *root* ``source``) and a per-sweep **delta** (the palette
 index under the index plan, the packed palette bitsets under the tile
-plan or the ``"pairs"`` engine, the active-vertex indices and the tile
-size).  The static part is installed once under a token and cached
-worker-side; while the pool lives and the token matches, later sweeps
-ship only the delta.  Workers derive the iteration's edge oracle from the cached root source and the active
-indices, which reproduces the dispatcher's own subset construction
-exactly.  Strips carry the same hit set as the serial sweep, and the
-sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`)
-depends on the edge set alone, not on strip or chunk order, so it
-produces **bit-identical graphs** for serial and parallel builds per
-seed.
+plan, the active-vertex indices and the tile size).  The static part
+is installed once under a token and cached worker-side; while the pool
+lives and the token matches, later sweeps ship only the delta.
+Workers derive the iteration's edge oracle from the cached root source
+and the active indices, which reproduces the dispatcher's own subset
+construction exactly.  Strips carry the same hit set as the serial
+sweep, and the sort-key CSR assembly
+(:func:`repro.graphs.csr.csr_from_coo_chunks`) depends on the edge set
+alone, not on strip order, so it produces **bit-identical graphs** for
+serial and parallel builds per seed.
 
 Hits are CSR keys (:func:`repro.graphs.csr.key_layout`, 4 bytes per
 edge up to 32,768 vertices) from the worker through the gather to the
 assembly.  Key arrays travel back pickled through the executor's result
-stream, the one gather path: two worker sweep tasks, a tile strip and a
-pair range, and one stream, :func:`conflict_sweep_chunks`, which every
-build drains.
+stream, the one gather path: one worker sweep task,
+:func:`_run_tile_strip`, and one stream, :func:`conflict_sweep_chunks`,
+which every build drains.
 
 Per-sweep worker state (plan, bitsets, derived oracle, tile scratch) is
 cleared in a ``finally`` on the dispatcher side after every sweep —
@@ -72,20 +70,15 @@ from repro.device.tiles import (
     conflict_hits_strip,
     strip_height,
     sweep_block_hits,
-    sweep_conflict_chunks,
+    sweep_conflict_hits,
     tile_edge,
 )
-from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, key_layout, pair_keys
+from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, key_layout
 from repro.parallel.executor import Executor, SerialExecutor, owned_executor
-from repro.parallel.partition import (
-    partition_pairs,
-    partition_tiles,
-    tile_grid,
-)
+from repro.parallel.partition import partition_tiles, tile_grid
 from repro.pauli.anticommute import AnticommuteOracle
 from repro.resilience.faults import fault_point
 from repro.util.bits import bitset_from_lists
-from repro.util.chunking import pair_index_to_ij
 
 __all__ = [
     "conflict_sweep_chunks",
@@ -116,7 +109,7 @@ TASKS_PER_WORKER = 4
 _WORKER: dict = {}
 
 # Worker-global static-payload cache: one entry, keyed by the payload
-# token.  Holds the root edge source and engine configuration across
+# token.  Holds the root edge source and kernel backend across
 # sweeps of a persistent pool so repeat installs can ship only the
 # delta.  Replaced on the next full install; dies with the pool.
 _STATIC_CACHE: dict = {}
@@ -155,9 +148,7 @@ def _backend_for(kernel_backend: str | None):
 
 def sweep_payload(
     n: int,
-    engine: str,
     tile: int | None,
-    chunk_size: int,
     colmasks: np.ndarray | None,
     edge_mask_fn,
     edge_block_fn,
@@ -194,12 +185,12 @@ def sweep_payload(
     }
     if source is not None and executor is not None and executor.supports_payload_cache:
         # The token must name the *whole* static part, not just the
-        # source: the same executor swept with a different engine,
-        # chunk size or kernel backend is a different payload, and a
-        # delta-only install against the old cache would run stale
-        # config.  The leading "sweep" element is the token channel
-        # (see :func:`repro.parallel.executor.token_channel`): sweep
-        # and coloring payloads coexist on one persistent pool without
+        # source: the same executor swept with a different kernel
+        # backend is a different payload, and a delta-only install
+        # against the old cache would run stale config.  The leading
+        # "sweep" element is the token channel (see
+        # :func:`repro.parallel.executor.token_channel`): sweep and
+        # coloring payloads coexist on one persistent pool without
         # evicting each other's delta path.
         # Telemetry rides the token too: a worker that cached a static
         # payload without the recording flag must take a full install
@@ -207,12 +198,10 @@ def sweep_payload(
         # running under the stale flag.  Neutral either way — the flag
         # never touches the numerics.
         token = (
-            "sweep", payload_token_for(source), engine, chunk_size,
-            kernel_backend, telemetry.enabled(),
+            "sweep", payload_token_for(source), kernel_backend,
+            telemetry.enabled(),
         )
         static = {
-            "engine": engine,
-            "chunk_size": chunk_size,
             "source": source,
             "edge_mask_fn": None,
             "edge_block_fn": None,
@@ -226,8 +215,6 @@ def sweep_payload(
         )
         return {"token": token, "static": static, "delta": delta}, token
     static = {
-        "engine": engine,
-        "chunk_size": chunk_size,
         "source": source,
         "edge_mask_fn": edge_mask_fn if source is None else None,
         "edge_block_fn": edge_block_fn if source is None else None,
@@ -344,7 +331,7 @@ def init_sweep_worker(payload: dict) -> None:
     # Worker-side backend resolution: the payload carries the *name*,
     # each worker resolves it against its own environment.
     _WORKER["backend"] = _backend_for(_WORKER.get("kernel_backend"))
-    if _WORKER["engine"] == "tiled" and _WORKER["plan"] is None:
+    if _WORKER["plan"] is None:
         _WORKER["grid"] = tile_grid(_WORKER["n"], _WORKER["tile"])
         _WORKER["scratch"] = TileScratch(_WORKER["tile"])
 
@@ -381,15 +368,14 @@ def _plan_name(plan) -> str:
 
 
 def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
-    """Worker task of the ``"tiled"`` engine: the fused conflict kernel
-    over one strip of tiles, or the row block ``[start, stop)`` of an
-    index or ``rows`` plan, as one CSR key array."""
+    """The worker sweep task: the fused conflict kernel over one strip
+    of tiles, or the row block ``[start, stop)`` of an index or ``rows``
+    plan, as one CSR key array."""
     fault_point("task")
     start, stop = task
     plan = _WORKER["plan"]
     with telemetry.span(
-        "pool.strip", engine="tiled", start=start, stop=stop,
-        plan=_plan_name(plan),
+        "pool.strip", start=start, stop=stop, plan=_plan_name(plan),
     ):
         if plan == "rows":
             keys = concat_hits(sweep_block_hits(
@@ -407,30 +393,6 @@ def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
                 scratch=_WORKER["scratch"],
                 backend=_WORKER.get("backend"),
             )
-    telemetry.observe("pool.strip_hits", float(len(keys)))
-    return keys
-
-
-def _run_pair_range(task: tuple[int, int]) -> np.ndarray:
-    """Worker task: gather-engine conflict scan of one flat pair range."""
-    from repro.device.kernels import conflict_pair_kernel
-
-    fault_point("task")
-    start, stop = task
-    n = _WORKER["n"]
-    chunk = _WORKER["chunk_size"]
-
-    def hits():
-        for s in range(start, stop, chunk):
-            k = np.arange(s, min(s + chunk, stop), dtype=np.int64)
-            i, j = pair_index_to_ij(k, n)
-            mask = conflict_pair_kernel(
-                _WORKER["edge_mask_fn"], _WORKER["colmasks"], i, j
-            ).astype(bool)
-            yield pair_keys(i[mask], j[mask], n)
-
-    with telemetry.span("pool.strip", engine="pairs", start=start, stop=stop):
-        keys = concat_hits(hits(), n)
     telemetry.observe("pool.strip_hits", float(len(keys)))
     return keys
 
@@ -461,7 +423,6 @@ def sweep_plan(
     n: int,
     col_lists: np.ndarray,
     palette_size: int,
-    engine: str,
     tile: int | None,
     tile_bytes: int | None,
     edge_mask_fn,
@@ -477,9 +438,8 @@ def sweep_plan(
     - ``(index, None, None)`` when the inverted palette index's exact
       candidate count undercuts the tile sweep's palette word
       operations (:func:`repro.device.palette_index.prefers_index`);
-    - ``(None, tile, colmasks)`` for the tile sweep (``(None, None,
-      colmasks)`` for the ``"pairs"`` engine), the only plans that AND
-      the packed palette bitsets, so the only ones that build them.
+    - ``(None, tile, colmasks)`` for the tile sweep, the only plan that
+      ANDs the packed palette bitsets, so the only one that builds them.
 
     All plans emit the same pairs, so the choice never changes a CSR.
     A caller that pins ``tile`` (the DeviceSim build, whose tile
@@ -487,22 +447,21 @@ def sweep_plan(
     choice is counted as ``sweep.plan.<name>``.
     """
     plan: PaletteIndex | str | None = None
-    if engine == "tiled" and tile is None:
+    if tile is None:
         budget = tile_bytes or DEFAULT_TILE_BYTES
         if edge_block_fn is not None and all_pairs_share(col_lists, palette_size):
             plan, tile = "rows", strip_height(n, budget)
         elif edge_mask_fn is not None and prefers_index(n, col_lists, palette_size):
             plan = PaletteIndex(col_lists)
         else:
-            tile = tile_edge(-(-palette_size // 64), budget, n=n)
-    telemetry.count(f"sweep.plan.{_plan_name(plan) if engine == 'tiled' else engine}")
+            tile = tile_edge(budget, n=n)
+    telemetry.count(f"sweep.plan.{_plan_name(plan)}")
     colmasks = None if plan is not None else bitset_from_lists(col_lists, palette_size)
     return plan, tile, colmasks
 
 
 def sweep_strip_tasks(
     n: int,
-    engine: str,
     tile: int | None,
     executor: Executor,
     plan: PaletteIndex | str | None = None,
@@ -533,30 +492,11 @@ def sweep_strip_tasks(
         return plan.row_blocks(n_blocks, strip_shares(executor, n_blocks))
     shares = strip_shares(executor, n_tasks)
     keep = shares is not None
-    if engine == "tiled":
-        blocks = partition_tiles(
-            n, tile, n_tasks, shares=shares, keep_empty=keep
-        )
-        blocks = blocks if keep else [b for b in blocks if len(b)]
-        tasks = [(b.start, b.stop) for b in blocks]
-        weights = np.array([b.n_pairs for b in blocks], dtype=np.int64)
-    else:
-        ranges = partition_pairs(
-            n, n_tasks, shares=shares, keep_empty=keep
-        )
-        ranges = ranges if keep else [r for r in ranges if len(r)]
-        tasks = [(r.start, r.stop) for r in ranges]
-        weights = np.array([len(r) for r in ranges], dtype=np.int64)
+    blocks = partition_tiles(n, tile, n_tasks, shares=shares, keep_empty=keep)
+    blocks = blocks if keep else [b for b in blocks if len(b)]
+    tasks = [(b.start, b.stop) for b in blocks]
+    weights = np.array([b.n_pairs for b in blocks], dtype=np.int64)
     return tasks, weights
-
-
-def _check_sweep_args(engine: str, chunk_size: int) -> None:
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if chunk_size < 1:
-        # A non-positive step would make every pair range empty (or
-        # raise deep inside ``range``) instead of sweeping it.
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
 
 
 def conflict_sweep_chunks(
@@ -564,8 +504,6 @@ def conflict_sweep_chunks(
     edge_mask_fn,
     col_lists: np.ndarray,
     palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     tile: int | None = None,
@@ -584,11 +522,10 @@ def conflict_sweep_chunks(
     A serial backend (or ``None``) short-circuits to the streaming
     in-process sweep — same kernels, same order, lowest memory.  A pool
     backend partitions the domain into contiguous strips (tile grid or
-    row blocks for ``"tiled"``, per :func:`sweep_plan`; flat pair
-    ranges for ``"pairs"``), installs the payload once per worker, and
-    yields the per-strip results in strip order, which makes the
-    concatenated hit stream — and therefore the assembled CSR —
-    bit-identical to the serial sweep's.
+    row blocks, per :func:`sweep_plan`), installs the payload once per
+    worker, and yields the per-strip results in strip order, which
+    makes the concatenated hit stream — and therefore the assembled
+    CSR — bit-identical to the serial sweep's.
 
     ``col_lists`` are the ``(n, L)`` candidate lists over the palette
     ``{0..palette_size-1}``, each row of distinct colors.
@@ -600,10 +537,8 @@ def conflict_sweep_chunks(
     Per-sweep worker state is cleared in a ``finally`` whether the
     sweep completes or aborts.
     """
-    _check_sweep_args(engine, chunk_size)
     plan, tile, colmasks = sweep_plan(
-        n, col_lists, palette_size, engine, tile, tile_bytes,
-        edge_mask_fn, edge_block_fn,
+        n, col_lists, palette_size, tile, tile_bytes, edge_mask_fn, edge_block_fn,
     )
     if executor is None or isinstance(executor, SerialExecutor):
         if plan == "rows":
@@ -614,23 +549,20 @@ def conflict_sweep_chunks(
         if plan is not None:
             yield from plan.iter_hits(edge_mask_fn)
             return
-        yield from sweep_conflict_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, tile=tile,
+        yield from sweep_conflict_hits(
+            n, colmasks, edge_mask_fn, edge_block_fn, tile=tile,
             backend=_backend_for(kernel_backend),
         )
         return
-    tasks, _ = sweep_strip_tasks(n, engine, tile, executor, plan)
-    task_fn = _run_tile_strip if engine == "tiled" else _run_pair_range
+    tasks, _ = sweep_strip_tasks(n, tile, executor, plan)
     payload_args = dict(
-        n=n, engine=engine, tile=tile, chunk_size=chunk_size,
-        colmasks=colmasks, edge_mask_fn=edge_mask_fn,
+        n=n, tile=tile, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
         kernel_backend=kernel_backend, plan=plan,
     )
     try:
-        yield from imap_sweep(executor, task_fn, tasks, payload_args)
+        yield from imap_sweep(executor, _run_tile_strip, tasks, payload_args)
     finally:
         finalize_sweep(executor)
 
@@ -640,8 +572,6 @@ def gathered_conflict_csr(
     edge_mask_fn,
     col_lists: np.ndarray,
     palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
@@ -655,20 +585,20 @@ def gathered_conflict_csr(
     n_conflict_edges)``.
     """
     chunks = _gather_keys(conflict_sweep_chunks(
-        n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-        edge_block_fn, tile_bytes=tile_bytes, executor=executor,
+        n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
+        tile_bytes=tile_bytes, executor=executor,
         source=source, active_idx=active_idx, kernel_backend=kernel_backend,
-    ), engine)
+    ))
     m = sum(len(keys) for keys in chunks)
-    with telemetry.span("sweep.assemble", engine=engine):
+    with telemetry.span("sweep.assemble"):
         graph = csr_from_coo_chunks(chunks, n)
     return graph, m
 
 
-def _gather_keys(stream: Iterator[np.ndarray], engine: str) -> list[np.ndarray]:
+def _gather_keys(stream: Iterator[np.ndarray]) -> list[np.ndarray]:
     """Drain a sweep stream into its non-empty key chunks, counting
     their bytes as ``sweep.hit_bytes``."""
-    with closing(stream), telemetry.span("sweep.gather", engine=engine):
+    with closing(stream), telemetry.span("sweep.gather"):
         chunks = [keys for keys in stream if len(keys)]
     telemetry.count("sweep.hit_bytes", float(sum(k.nbytes for k in chunks)))
     return chunks
@@ -722,8 +652,6 @@ def fused_conflict_csr(
     edge_mask_fn,
     col_lists: np.ndarray,
     palette_size: int,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
@@ -749,14 +677,14 @@ def fused_conflict_csr(
     """
     t0 = telemetry.clock()
     chunks = _gather_keys(conflict_sweep_chunks(
-        n, edge_mask_fn, col_lists, palette_size, chunk_size, engine,
-        edge_block_fn, tile_bytes=tile_bytes, executor=executor,
+        n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
+        tile_bytes=tile_bytes, executor=executor,
         source=source, active_idx=active_idx, kernel_backend=kernel_backend,
-    ), engine)
+    ))
     m = sum(len(keys) for keys in chunks)
     hit_bytes = sum(keys.nbytes for keys in chunks)
     t1 = telemetry.clock()
-    with telemetry.span("sweep.assemble", engine=engine):
+    with telemetry.span("sweep.assemble"):
         sub_gc, conflicted = _fused_sub_csr(n, chunks)
     if timings is not None:
         timings["sweep_s"] = timings.get("sweep_s", 0.0) + (t1 - t0)
@@ -789,9 +717,7 @@ def parallel_conflict_graph(
     col_lists: np.ndarray,
     palette_size: int,
     n_workers: int = 2,
-    chunk_size: int = 1 << 16,
     want_anticommute: bool = False,
-    engine: str = "tiled",
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
     kernel_backend: str | None = None,
@@ -816,9 +742,6 @@ def parallel_conflict_graph(
     want_anticommute:
         Color the anticommute graph itself instead of its complement
         (used by tests to cross-check orientations).
-    engine:
-        ``"tiled"`` block-broadcast sweep (default) or ``"pairs"`` flat
-        gather chunks.
     executor:
         Explicit backend; overrides ``n_workers``.  A spec-created
         backend is closed before returning; a passed instance is left
@@ -841,8 +764,6 @@ def parallel_conflict_graph(
             edge_mask_fn,
             col_lists,
             palette_size,
-            chunk_size=chunk_size,
-            engine=engine,
             edge_block_fn=edge_block_fn,
             tile_bytes=tile_bytes,
             executor=ex,

@@ -3,9 +3,10 @@
 The paper's GPU kernel assigns one thread to each of the
 ``n * (n - 1) / 2`` unordered vertex pairs (§V).  We reproduce that
 decomposition with a flat pair index ``k`` in ``[0, n*(n-1)/2)`` and an
-analytic inverse mapping ``k -> (i, j)``, so both the vectorized device
-kernel and the multiprocessing layer can slice pair space into chunks
-without materializing index arrays for the whole quadratic domain.
+analytic inverse mapping ``k -> (i, j)``, so the edge streams, the
+coloring validators and the random-graph generators can slice pair
+space into chunks without materializing index arrays for the whole
+quadratic domain.
 """
 
 from __future__ import annotations

@@ -262,12 +262,13 @@ class TestPicassoEndToEnd:
         np.testing.assert_array_equal(ref.colors, par.colors)
 
     def test_auto_resolution_preserves_legacy_pairing(self):
+        """``auto`` is ``greedy-dynamic``, or ``greedy-static`` under a
+        static order; an explicit name passes through."""
         assert PicassoParams().resolved_color_engine() == "greedy-dynamic"
-        assert PicassoParams(engine="pairs").resolved_color_engine() == "sets"
         p = PicassoParams(conflict_order="lf")
         assert p.resolved_color_engine() == "greedy-static"
         assert p.color_engine_knobs() == {"order": "lf"}
-        q = PicassoParams(color_engine="sets", engine="tiled")
+        q = PicassoParams(color_engine="sets")
         assert q.resolved_color_engine() == "sets"
 
     def test_unknown_color_engine_rejected(self):

@@ -1,5 +1,7 @@
 """Tests for PicassoParams and presets."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import PicassoParams, aggressive_params, normal_params
@@ -21,11 +23,11 @@ class TestValidation:
             {"conflict_order": "bogus"},
             {"max_iterations": 0},
             {"grow_on_stall": 0.5},
-            {"engine": "warp"},
+            {"tile_budget_bytes": 0},
             {"n_workers": 0},
             {"executor": "threads"},
-            {"chunk_size": 0},
-            {"chunk_size": -1},
+            {"color_max_rounds": 0},
+            {"checkpoint_every": 0},
             {"min_palette": 0},
         ],
     )
@@ -34,10 +36,17 @@ class TestValidation:
             PicassoParams(**kwargs)
 
     def test_chunk_size_rejected_before_the_pool_runs(self):
-        """A negative step used to turn every pool pair range into an
-        empty ``range`` and return an improper coloring."""
-        with pytest.raises(ValueError, match="chunk_size"):
-            PicassoParams(engine="pairs", chunk_size=-1, n_workers=2)
+        """There is no pair-chunk size: any value is refused at
+        construction, before a pool starts."""
+        with pytest.raises(TypeError, match="chunk_size"):
+            PicassoParams(chunk_size=-1, n_workers=2)
+
+    def test_engine_knob_is_gone(self):
+        """One pair-sweep engine: no field selects it."""
+        for engine in ("tiled", "pairs"):
+            with pytest.raises(TypeError):
+                PicassoParams(engine=engine)
+        assert len(fields(PicassoParams)) == 21
 
     def test_fused_knob_is_gone(self):
         with pytest.raises(TypeError):
@@ -88,9 +97,9 @@ class TestPresets:
         assert p.alpha == 30.0
 
     def test_overrides(self):
-        p = normal_params(alpha=3.0, chunk_size=128)
+        p = normal_params(alpha=3.0, tile_budget_bytes=128)
         assert p.alpha == 3.0
-        assert p.chunk_size == 128
+        assert p.tile_budget_bytes == 128
         assert p.palette_fraction == pytest.approx(0.125)
 
     def test_with_is_functional(self):

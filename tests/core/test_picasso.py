@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_reference import reference_coloring
 
 from repro.core import (
     Picasso,
@@ -125,33 +126,33 @@ class TestDevicePath:
 
 class TestEngines:
     def test_tiled_and_pairs_identical_colorings(self):
-        """Both engines build identical conflict graphs and draw the
-        same random numbers, so whole runs must match bit for bit."""
+        """The default run (tiled sweep, bitset Algorithm 2) against the
+        reference run (naive all-pairs builds, ``sets`` Algorithm 2):
+        identical conflict graphs and random draws, so whole runs must
+        match bit for bit."""
         for seed in range(3):
             ps = random_pauli_set(140, 6, seed=seed)
-            rt = picasso_color(ps, PicassoParams(engine="tiled"), seed=seed)
-            rp = picasso_color(ps, PicassoParams(engine="pairs"), seed=seed)
+            rt = picasso_color(ps, PicassoParams(), seed=seed)
+            rp = reference_coloring(ps, seed)
             np.testing.assert_array_equal(rt.colors, rp.colors)
             assert rt.n_iterations == rp.n_iterations
 
     def test_tiled_engine_on_explicit_graph(self):
         g = erdos_renyi(90, 0.4, seed=21)
-        rt = picasso_color(g, PicassoParams(engine="tiled"), seed=2)
-        rp = picasso_color(g, PicassoParams(engine="pairs"), seed=2)
+        rt = picasso_color(g, PicassoParams(), seed=2)
+        rp = reference_coloring(g, 2)
         np.testing.assert_array_equal(rt.colors, rp.colors)
         assert g.validate_coloring(rt.colors)
 
     def test_tile_budget_knob(self):
         ps = random_pauli_set(80, 5, seed=1)
-        r = picasso_color(
-            ps,
-            PicassoParams(engine="tiled", tile_budget_bytes=1 << 13),
-            seed=4,
-        )
+        r = picasso_color(ps, PicassoParams(tile_budget_bytes=1 << 13), seed=4)
         assert PauliComplementSource(ps).validate(r.colors)
 
     def test_engine_validated(self):
-        with pytest.raises(ValueError):
+        """The sweep engine is not a parameter; the tile budget is
+        checked."""
+        with pytest.raises(TypeError):
             PicassoParams(engine="bogus")
         with pytest.raises(ValueError):
             PicassoParams(tile_budget_bytes=0)

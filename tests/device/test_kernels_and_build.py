@@ -10,11 +10,13 @@ from repro.device import (
     DeviceOutOfMemory,
     DeviceSim,
     build_conflict_csr,
-    conflict_pair_kernel,
     conflict_pair_kernel_python,
     exclusive_scan,
     lists_intersect_kernel,
+    sweep_conflict_hits,
+    tile_scratch_bytes,
 )
+from repro.graphs.csr import key_pairs
 from repro.pauli import random_pauli_set
 from repro.util.bits import bitset_from_lists
 
@@ -42,12 +44,15 @@ class TestKernels:
         np.testing.assert_array_equal(got, expected)
 
     def test_vectorized_matches_python_reference(self):
+        """The vectorized tile sweep finds exactly the pairs the scalar
+        Table V kernel flags."""
         src, lists, masks = make_inputs()
         ii, jj = np.triu_indices(60, k=1)
-        fast = conflict_pair_kernel(src.edge_mask, masks, ii, jj)
         sets = [set(row.tolist()) for row in lists]
-        slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj)
-        np.testing.assert_array_equal(fast, slow)
+        slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj).astype(bool)
+        keys = np.concatenate(list(sweep_conflict_hits(60, masks, src.edge_mask, tile=16)))
+        fast = np.stack(key_pairs(np.sort(keys), 60), axis=1)
+        np.testing.assert_array_equal(fast, np.stack([ii[slow], jj[slow]], axis=1))
 
     def test_sorted_merge_matches_bitset(self):
         """The paper's O(L) sorted-merge test (§IV-A) must agree with
@@ -79,11 +84,9 @@ class TestKernels:
 class TestHostBuild:
     def test_counts_match_graph(self):
         src, lists, masks = make_inputs()
-        gc, m = build_conflict_graph(60, src.edge_mask, lists, PALETTE, chunk_size=61)
+        gc, m = build_conflict_graph(60, src.edge_mask, lists, PALETTE)
         assert gc.n_edges == m
-        assert m == count_conflict_edges(
-            60, src.edge_mask, lists, PALETTE, chunk_size=37
-        )
+        assert m == count_conflict_edges(60, src.edge_mask, lists, PALETTE)
 
     def test_conflict_subset_of_complement(self):
         src, lists, masks = make_inputs()
@@ -123,7 +126,8 @@ class TestAlgorithm3:
         # Budget sized so COO fits but CSR (2x) does not: compute actual
         # edge count then craft the budget.
         m = s1.n_conflict_edges
-        fixed = masks.nbytes + 2 * 80 * 4  # colmasks + counters
+        # colmasks + counters + one minimum (64-row) tile scratch
+        fixed = masks.nbytes + 2 * 80 * 4 + tile_scratch_bytes(64)
         coo_bytes = 2 * m * 4 + 4  # just over the edge list
         cramped = DeviceSim(budget_bytes=fixed + coo_bytes)
         _, s2 = build_conflict_csr(80, src.edge_mask, lists, PALETTE, cramped)
@@ -158,26 +162,57 @@ class TestAlgorithm3:
         # is the second worker's private scratch.
         assert par_dev.peak_bytes > serial_dev.peak_bytes
 
-    def test_parallel_scratch_pressure_degrades_to_pairs(self):
-        """When per-worker scratch cannot fit, the build falls back to
-        the scratch-free pair engine instead of overcommitting."""
+    def test_scratch_that_cannot_fit_raises_oom(self):
+        """A budget that cannot hold one minimum tile scratch per worker
+        (8 workers x 2 x 40,960 B with the block oracle) is a device
+        OOM, and every buffer reserved before it is freed."""
         src, lists, masks = make_inputs(n=80)
         fixed = masks.nbytes + 2 * 80 * 4
         dev = DeviceSim(budget_bytes=fixed + 110 * 1024)
-        _, stats = build_conflict_csr(
+        with pytest.raises(DeviceOutOfMemory, match="tile_scratch"):
+            build_conflict_csr(
+                80, src.edge_mask, lists, PALETTE, dev,
+                edge_block_fn=src.edge_block, n_workers=8,
+            )
+        assert dev.used_bytes == 0
+        assert dev.n_ooms == 1
+
+    def test_tight_budget_charges_minimum_tile_per_worker(self):
+        """A budget whose minimum tile scratch fits but crowds the COO
+        buffer still charges one 64-row tile per worker (no uncharged
+        fallback), then builds the same CSR from what is left."""
+        src, lists, masks = make_inputs(n=80)
+        ref, m = build_conflict_graph(80, src.edge_mask, lists, PALETTE)
+        scratch = 2 * 2 * tile_scratch_bytes(64)  # 2 workers, block oracle
+        fixed = masks.nbytes + 2 * 80 * 4
+        dev = DeviceSim(budget_bytes=fixed + scratch + 2 * m * 4)
+        charged = []
+        alloc = dev.alloc
+
+        def spy(name, nbytes):
+            charged.append((name, nbytes))
+            return alloc(name, nbytes)
+
+        dev.alloc = spy
+        got, stats = build_conflict_csr(
             80, src.edge_mask, lists, PALETTE, dev,
-            edge_block_fn=src.edge_block, n_workers=8,
+            edge_block_fn=src.edge_block, n_workers=2,
         )
-        assert stats.engine == "pairs"
-        assert stats.n_workers == 8
+        assert ("tile_scratch", scratch) in charged
+        assert stats.n_conflict_edges == m
+        np.testing.assert_array_equal(got.offsets, ref.offsets)
+        assert dev.used_bytes == 0
 
     def test_parallel_oom_aborts_cleanly(self):
         """COO overflow mid-stream with a pool backend must raise
         DeviceOutOfMemory promptly and tear the workers down (the
         generator close path), not hang on undelivered results."""
         src, lists, masks = make_inputs(n=80)
-        dev = DeviceSim(budget_bytes=masks.nbytes + 2 * 80 * 4 + 1024)
-        with pytest.raises(DeviceOutOfMemory):
+        # colmasks + counters + a minimum tile scratch (doubled for the
+        # block oracle) per worker, then 1 KiB of COO.
+        fixed = masks.nbytes + 2 * 80 * 4 + 2 * 2 * tile_scratch_bytes(64)
+        dev = DeviceSim(budget_bytes=fixed + 1024)
+        with pytest.raises(DeviceOutOfMemory, match="COO buffer overflow"):
             build_conflict_csr(
                 80, src.edge_mask, lists, PALETTE, dev,
                 edge_block_fn=src.edge_block, n_workers=2,

@@ -10,6 +10,7 @@ from repro.device import (
     DeviceOutOfMemory,
     DeviceSim,
     build_conflict_csr_multi,
+    tile_scratch_bytes,
 )
 from repro.pauli import random_pauli_set
 from repro.util.bits import bitset_from_lists
@@ -42,8 +43,9 @@ class TestMultiDevice:
         src, pal = make_inputs(n=200, palette=10, L=5, seed=1)
         _, total_edges = build_conflict_graph(200, src.edge_mask, *pal)
         # Budget sized so one device cannot hold all edges but a quarter
-        # fits comfortably: fixed costs + half the edge payload.
-        fixed = bitset_from_lists(*pal).nbytes + 2 * 200 * 4
+        # fits comfortably: fixed costs (colmasks, counters, one minimum
+        # tile scratch) + half the edge payload.
+        fixed = bitset_from_lists(*pal).nbytes + 2 * 200 * 4 + tile_scratch_bytes(64)
         single_budget = fixed + (2 * total_edges * 4) // 2
         with pytest.raises(DeviceOutOfMemory):
             build_conflict_csr_multi(
@@ -55,6 +57,16 @@ class TestMultiDevice:
         g, stats = build_conflict_csr_multi(200, src.edge_mask, *pal, devices)
         assert stats.n_conflict_edges == total_edges
 
+    def test_tile_scratch_charged_per_device(self):
+        """Each device charges its tile scratch: one whose budget cannot
+        hold a minimum tile raises and frees what it had reserved."""
+        src, pal = make_inputs()
+        fixed = bitset_from_lists(*pal).nbytes + 2 * 100 * 4
+        small = DeviceSim(budget_bytes=fixed + tile_scratch_bytes(64) - 1)
+        with pytest.raises(DeviceOutOfMemory, match="tile_scratch"):
+            build_conflict_csr_multi(100, src.edge_mask, *pal, [small])
+        assert small.used_bytes == 0
+
     def test_memory_freed_on_all_devices(self):
         src, pal = make_inputs()
         devices = [DeviceSim(budget_bytes=1 << 22) for _ in range(3)]
@@ -64,7 +76,7 @@ class TestMultiDevice:
 
     def test_oom_names_device(self):
         src, pal = make_inputs(n=150, palette=8, L=4, seed=2)
-        tiny = bitset_from_lists(*pal).nbytes + 2 * 150 * 4 + 64
+        tiny = bitset_from_lists(*pal).nbytes + 2 * 150 * 4 + tile_scratch_bytes(64) + 64
         devices = [
             DeviceSim(budget_bytes=1 << 22, name="big"),
             DeviceSim(budget_bytes=tiny, name="small"),

@@ -1,22 +1,19 @@
 """Tests for the block-tiled kernel engine (device/tiles.py).
 
 The load-bearing property: every tiled kernel must agree exactly with
-the flat pair-chunk kernels and with the scalar Python reference, over
-random inputs, multi-word palettes (> 64 colors) and the degenerate
-sizes n in {0, 1, 2}.
+the pairwise kernels, the naive all-pairs reference and the scalar
+Python reference, over random inputs, multi-word palettes (> 64 colors)
+and the degenerate sizes n in {0, 1, 2}.
 """
 
 import numpy as np
 import pytest
+from naive_reference import naive_conflict_csr
 
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
-from repro.device import (
-    conflict_pair_kernel,
-    conflict_pair_kernel_python,
-    lists_intersect_kernel,
-)
+from repro.device import conflict_pair_kernel_python, lists_intersect_kernel
 from repro.device.tiles import (
     MIN_TILE,
     TileScratch,
@@ -74,10 +71,10 @@ class TestTileGeometry:
             list(iter_tiles(5, 0))
 
     def test_tile_edge_clamped_and_snapped(self):
-        assert tile_edge(4, 0) == MIN_TILE
-        assert tile_edge(4) % MIN_TILE == 0
-        assert tile_edge(4, n=10) == 10  # capped by problem size
-        big = tile_edge(1, 1 << 40)
+        assert tile_edge(0) == MIN_TILE
+        assert tile_edge() % MIN_TILE == 0
+        assert tile_edge(n=10) == 10  # capped by problem size
+        big = tile_edge(1 << 40)
         assert big % MIN_TILE == 0
         assert tile_scratch_bytes(big) > 0
 
@@ -165,11 +162,11 @@ class TestFusedConflictKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n,palette,L", [(60, 16, 4), (37, 130, 11)])
     def test_three_way_equivalence(self, seed, n, palette, L):
-        """tiled hits == pair-chunk kernel == scalar Python reference."""
+        """tiled hits == naive reference == scalar Python reference."""
         ps, src, lists, masks = make_inputs(n=n, palette=palette, L=L, seed=seed)
         ii, jj = np.triu_indices(n, k=1)
-        fast = conflict_pair_kernel(src.edge_mask, masks, ii, jj).astype(bool)
-        expected = set(zip(ii[fast].tolist(), jj[fast].tolist()))
+        ref, _ = naive_conflict_csr(n, src.edge_mask, lists)
+        expected = {(a, b) for a, b in ref.edges().tolist()}
 
         sets = [set(row.tolist()) for row in lists]
         slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj).astype(bool)
@@ -186,8 +183,8 @@ class TestFusedConflictKernel:
         hits = _keys_to_set(sweep_conflict_hits(n, masks, src.edge_mask), n)
         if n < 2:
             assert hits == set()
-        gt, mt = build_conflict_graph(n, src.edge_mask, lists, 4, engine="tiled")
-        gp, mp = build_conflict_graph(n, src.edge_mask, lists, 4, engine="pairs")
+        gt, mt = build_conflict_graph(n, src.edge_mask, lists, 4)
+        gp, mp = naive_conflict_csr(n, src.edge_mask, lists)
         assert mt == mp == len(hits)
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
 
@@ -197,9 +194,8 @@ class TestFusedConflictKernel:
         via_block = _hits_to_set([
             conflict_hits_block(
                 masks, 0, 50, 0, 50,
-                edge_mask_fn=src.edge_mask,
+                edge_mask_fn=None,  # always block oracle
                 edge_block_fn=src.edge_block,
-                dense_edge_fraction=0.0,  # always block oracle
             )
         ])
         via_gather = _hits_to_set([
@@ -217,8 +213,10 @@ class TestFusedConflictKernel:
             conflict_hits_block(masks, 0, 10, 0, 10)
 
     def test_unknown_engine_rejected(self):
+        """The sweep engine is not a parameter, so naming one is an
+        error."""
         _, src, lists, _ = make_inputs(n=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_conflict_graph(10, src.edge_mask, lists, 16, engine="warp")
 
 
@@ -234,22 +232,17 @@ class TestEngineEquivalence:
         src = PauliComplementSource(ps)
         lists = assign_color_lists(n, palette, L, rng=seed)
         gt, mt = build_conflict_graph(
-            n, src.edge_mask, lists, palette, engine="tiled",
+            n, src.edge_mask, lists, palette,
             edge_block_fn=src.edge_block, tile_bytes=1 << 14,
         )
-        gp, mp = build_conflict_graph(
-            n, src.edge_mask, lists, palette, chunk_size=97, engine="pairs"
-        )
+        gp, mp = naive_conflict_csr(n, src.edge_mask, lists)
         assert mt == mp
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
         np.testing.assert_array_equal(gt.targets, gp.targets)
         assert mt == count_conflict_edges(
-            n, src.edge_mask, lists, palette, engine="tiled",
-            edge_block_fn=src.edge_block,
+            n, src.edge_mask, lists, palette, edge_block_fn=src.edge_block,
         )
-        assert mt == count_conflict_edges(
-            n, src.edge_mask, lists, palette, chunk_size=53, engine="pairs"
-        )
+        assert mt == count_conflict_edges(n, src.edge_mask, lists, palette)
 
     def test_explicit_graph_edge_block(self):
         g = erdos_renyi(70, 0.3, seed=9)

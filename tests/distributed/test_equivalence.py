@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from naive_reference import naive_conflict_csr
 
 from repro.core import Picasso, PicassoParams
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
@@ -47,20 +48,19 @@ def _build(ps, pal, **kw):
 
 
 class TestConflictCSREquivalence:
-    @pytest.mark.parametrize("engine", ["tiled", "pairs"])
-    def test_cluster_bit_identical_to_serial_and_pool(self, cluster, engine):
+    def test_cluster_bit_identical_to_serial_and_pool(self, cluster):
         ps = random_pauli_set(120, 7, seed=5)
         pal = (assign_color_lists(120, 18, 5, rng=3), 18)
-        ref, m_ref = _build(ps, pal, engine=engine)
-        pool, m_pool = _build(
-            ps, pal, engine=engine, executor=PoolExecutor(_CI_WORKERS)
+        ref, m_ref = _build(ps, pal)
+        naive, m_naive = naive_conflict_csr(
+            ps.n, PauliComplementSource(ps).edge_mask, pal[0]
         )
-        got, m_got = _build(
-            ps, pal, engine=engine, executor="cluster", hosts=cluster.hosts
-        )
-        assert m_got == m_ref == m_pool
+        pool, m_pool = _build(ps, pal, executor=PoolExecutor(_CI_WORKERS))
+        got, m_got = _build(ps, pal, executor="cluster", hosts=cluster.hosts)
+        assert m_got == m_ref == m_pool == m_naive
         _assert_bit_identical(got, ref)
         _assert_bit_identical(got, pool)
+        _assert_bit_identical(got, naive)
 
     def test_repeat_builds_on_one_executor_use_token_cache(self, cluster):
         """The delta-install path: the root source installs once under

@@ -26,7 +26,7 @@ from repro.util.chunking import num_pairs
 class TestPauliGraphBuilders:
     def test_matches_dense_matrix(self):
         ps = random_pauli_set(40, 6, seed=0)
-        g = anticommute_graph(ps, chunk_size=97)  # force multiple chunks
+        g = anticommute_graph(ps)
         m = anticommute_matrix(ps.chars)
         assert g.n_edges == m.sum() // 2
         for v in range(ps.n):
@@ -43,8 +43,8 @@ class TestPauliGraphBuilders:
 
     def test_edge_counts_match_graphs(self):
         ps = random_pauli_set(30, 5, seed=2)
-        assert anticommute_edge_count(ps, chunk_size=11) == anticommute_graph(ps).n_edges
-        assert complement_edge_count(ps, chunk_size=13) == complement_graph(ps).n_edges
+        assert anticommute_edge_count(ps) == anticommute_graph(ps).n_edges
+        assert complement_edge_count(ps) == complement_graph(ps).n_edges
 
     def test_identity_vertex_dominates_complement(self):
         ps = PauliSet.from_strings(["IIII", "XYZI", "ZZXX"])

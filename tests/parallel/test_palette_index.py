@@ -4,8 +4,9 @@ index, the tile sweep and the ``L = P`` row strips.
 The index (:mod:`repro.device.palette_index`), the tile sweep and the
 ``rows`` plan enumerate the same conflict pairs, so every conflict
 build must come out bit-identical under any plan — serial, 2/3-worker
-pool and weighted cluster — and equal to the ``"pairs"``
-reference engine.  The driver's build (conflicted sub-CSR plus vertex
+pool and weighted cluster — and equal to the naive all-pairs
+reference (:func:`naive_reference.naive_conflict_csr`, "pairs" in the
+test names).  The driver's build (conflicted sub-CSR plus vertex
 ids) must equal the full-width reference graph reduced by a degree
 scan and ``induced_subgraph``.  The index and tile plans are forced by
 patching the cost constant ``kappa`` (``0`` takes the index for every
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_reference import naive_conflict_csr, reference_coloring
 
 from repro import telemetry
 from repro.core import Picasso, PicassoParams
@@ -131,6 +133,11 @@ def _build_fused(ps, pal, **kw):
     return build_fused_conflict_state(
         ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
     )
+
+
+def _naive(ps, pal):
+    """The naive reference graph of a Pauli problem."""
+    return naive_conflict_csr(ps.n, PauliComplementSource(ps).edge_mask, pal[0])
 
 
 def _induced(full):
@@ -268,13 +275,13 @@ class TestCostRule:
             with monkeypatch.context() as m:
                 m.setattr(pool, "prefers_index", None)  # not consulted
                 plan, height, masks = pool.sweep_plan(
-                    n, lists, palette, "tiled", None, None, _any_edge, _any_block
+                    n, lists, palette, None, None, _any_edge, _any_block
                 )
             assert plan == "rows" and masks is None
             assert height == strip_height(n, DEFAULT_TILE_BYTES)
             assert height * n * 10 <= DEFAULT_TILE_BYTES
             plan, height, _ = pool.sweep_plan(
-                n, lists, palette, "tiled", None, 1 << 14, _any_edge, _any_block
+                n, lists, palette, None, 1 << 14, _any_edge, _any_block
             )
             assert plan == "rows" and height == max(1, (1 << 14) // (10 * n))
 
@@ -282,7 +289,7 @@ class TestCostRule:
         """Equal but empty lists share nothing: no ``rows`` plan."""
         lists = np.zeros((50, 0), dtype=np.int64)
         plan, _, _ = pool.sweep_plan(
-            50, lists, 2, "tiled", None, None, _any_edge, _any_block
+            50, lists, 2, None, None, _any_edge, _any_block
         )
         assert plan != "rows"
         assert not palette_index.all_pairs_share(lists, 2)
@@ -297,23 +304,22 @@ class TestCostRule:
         assert palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 1)
 
     def test_rows_needs_block_oracle_and_free_tile(self):
-        """A block-less oracle, a pinned tile and the ``"pairs"`` engine
-        never pick ``rows``, even when every list is the palette; they
-        sweep the packed bitsets."""
+        """A block-less oracle and a pinned tile never pick ``rows``,
+        even when every list is the palette; they sweep the packed
+        bitsets."""
         lists = assign_color_lists(65, 5, 5, rng=0)
         masks = bitset_from_lists(lists, 5)
         assert palette_index.all_pairs_share(lists, 5)
         plan, tile, got = pool.sweep_plan(
-            65, lists, 5, "tiled", None, None, _any_edge, None
+            65, lists, 5, None, None, _any_edge, None
         )
         assert plan is None and tile is not None
         np.testing.assert_array_equal(got, masks)
-        for engine, tile in (("tiled", 64), ("pairs", None)):
-            plan, got_tile, got = pool.sweep_plan(
-                65, lists, 5, engine, tile, None, _any_edge, _any_block
-            )
-            assert (plan, got_tile) == (None, tile)
-            np.testing.assert_array_equal(got, masks)
+        plan, got_tile, got = pool.sweep_plan(
+            65, lists, 5, 64, None, _any_edge, _any_block
+        )
+        assert (plan, got_tile) == (None, 64)
+        np.testing.assert_array_equal(got, masks)
 
     def test_index_for_normal_preset_at_scale(self):
         n = 4000
@@ -323,19 +329,16 @@ class TestCostRule:
         assert prefers_index(n, lists, palette)
         for block_fn in (None, _any_block):
             index, tile, masks = pool.sweep_plan(
-                n, lists, palette, "tiled", None, None, _any_edge, block_fn
+                n, lists, palette, None, None, _any_edge, block_fn
             )
             assert isinstance(index, PaletteIndex) and tile is None
             assert masks is None
 
-    def test_pinned_tile_pairs_engine_and_block_only_oracle_keep_tiles(
-        self, monkeypatch
-    ):
+    def test_pinned_tile_and_block_only_oracle_keep_tiles(self, monkeypatch):
         force_plan(monkeypatch, "index")
         _, pal = _palette("n65")
-        assert pool.sweep_plan(65, *pal, "tiled", 64, None, _any_edge)[:2] == (None, 64)
-        assert pool.sweep_plan(65, *pal, "pairs", None, None, _any_edge)[:2] == (None, None)
-        index, tile, _ = pool.sweep_plan(65, *pal, "tiled", None, None, None)
+        assert pool.sweep_plan(65, *pal, 64, None, _any_edge)[:2] == (None, 64)
+        index, tile, _ = pool.sweep_plan(65, *pal, None, None, None)
         assert index is None and tile is not None
 
     def test_rule_counts_buckets_like_the_bitsets(self):
@@ -356,12 +359,8 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_index_tiles_pairs_bit_identical(self, case, monkeypatch):
         ps, pal = _palette(case)
-        ref, m_ref = _build(ps, pal, engine="pairs")
+        ref, m_ref = _naive(ps, pal)
         sub_ref = _induced(ref)
-        sub, conflicted, m_fused = _build_fused(ps, pal, engine="pairs")
-        assert m_fused == m_ref
-        _assert_csr_equal(sub, sub_ref[0])
-        np.testing.assert_array_equal(conflicted, sub_ref[1])
         for plan in PLANS:
             force_plan(monkeypatch, plan)
             got, m = _build(ps, pal)
@@ -395,7 +394,7 @@ class TestSerialEquivalence:
         g = erdos_renyi(90, 0.3, seed=5)
         src = ExplicitGraphSource(g)
         pal = (assign_color_lists(90, 12, 3, rng=1), 12)
-        ref, m_ref = build_conflict_graph(90, src.edge_mask, *pal, engine="pairs")
+        ref, m_ref = naive_conflict_csr(90, src.edge_mask, pal[0])
         for plan in PLANS:
             force_plan(monkeypatch, plan)
             got, m = build_conflict_graph(
@@ -409,7 +408,7 @@ class TestSerialEquivalence:
         builds an index even when the rule would pick one."""
         ps, pal = _palette("n65")
         src = PauliComplementSource(ps)
-        ref, _ = _build(ps, pal, engine="pairs")
+        ref, _ = _naive(ps, pal)
         force_plan(monkeypatch, "index")
 
         def refuse(*args, **kwargs):
@@ -439,7 +438,7 @@ class TestPoolEquivalence:
         force_plan(monkeypatch, "index")
         with PoolExecutor(n_workers) as ex:
             for ps, pal in problems:
-                ref, m_ref = _build(ps, pal, engine="pairs")
+                ref, m_ref = _naive(ps, pal)
                 sub_ref = _induced(ref)
                 got, m = _build(ps, pal, executor=ex)
                 assert m == m_ref
@@ -456,7 +455,7 @@ class TestPoolEquivalence:
 
         ps = random_pauli_set(300, 8, seed=12)
         pal = (assign_color_lists(300, 40, 6, rng=4), 40)
-        ref, m_ref = _build(ps, pal, engine="pairs")
+        ref, m_ref = _naive(ps, pal)
         sub_ref = _induced(ref)
         monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
         force_plan(monkeypatch, "index")
@@ -474,7 +473,7 @@ class TestPoolEquivalence:
         g = erdos_renyi(120, 0.2, seed=6)
         src = ExplicitGraphSource(g)
         pal = (assign_color_lists(120, 15, 3, rng=3), 15)
-        ref, m_ref = build_conflict_graph(120, src.edge_mask, *pal, engine="pairs")
+        ref, m_ref = naive_conflict_csr(120, src.edge_mask, pal[0])
         force_plan(monkeypatch, "index")
         got, m = build_conflict_graph(
             120, src.edge_mask, *pal, edge_block_fn=src.edge_block,
@@ -484,11 +483,62 @@ class TestPoolEquivalence:
         _assert_csr_equal(got, ref)
 
 
+@pytest.fixture(scope="module")
+def pool2():
+    """One 2-worker pool for every example of the property test."""
+    with PoolExecutor(2) as ex:
+        yield ex
+
+
+class TestPlansAgainstNaive:
+    @given(
+        n=st.sampled_from([0, 1, 2, 63, 64, 65]),
+        shape=st.sampled_from(["L=1", "L=P", "P=1"]),
+        palette=st.integers(2, 70),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_every_plan_matches_naive(self, pool2, n, shape, palette, seed):
+        """Each plan, forced, serial and on a 2-worker pool, builds the
+        naive reference's CSR and conflict state: ``rows`` wherever
+        every list is the palette (the rule's own pick), index and
+        tiles through the patch."""
+        palette = 1 if shape == "P=1" else palette
+        list_size = palette if shape == "L=P" else 1
+        ps = _random(n, seed=seed % 1000)
+        src = PauliComplementSource(ps)
+        pal = (assign_color_lists(n, palette, list_size, rng=seed), palette)
+        ref, m_ref = naive_conflict_csr(n, src.edge_mask, pal[0])
+        sub_ref, conflicted_ref = _induced(ref)
+        plans = ["index", "tiles"]
+        if palette_index.all_pairs_share(pal[0], palette):
+            plans.append("rows")
+        for plan in plans:
+            with pytest.MonkeyPatch.context() as mp:
+                if plan != "rows":
+                    force_plan(mp, plan)
+                chosen, _, _ = pool.sweep_plan(
+                    n, *pal, None, None, src.edge_mask, src.edge_block
+                )
+                assert n < 2 or pool._plan_name(chosen) == plan
+                for ex in ("serial", pool2):
+                    got, m = _build(ps, pal, executor=ex)
+                    assert m == m_ref
+                    _assert_csr_equal(got, ref)
+                    sub, conflicted, m_fused = _build_fused(ps, pal, executor=ex)
+                    assert m_fused == m_ref
+                    _assert_csr_equal(sub, sub_ref)
+                    np.testing.assert_array_equal(conflicted, conflicted_ref)
+
+
 class TestPicasso:
+    """Whole runs under every plan against :func:`reference_coloring`
+    (the ``sets`` color engine on naive all-pairs builds)."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_colorings_match_pairs_per_seed(self, seed, monkeypatch):
         ps = random_pauli_set(200, 8, seed=20 + seed)
-        ref = Picasso(PicassoParams(engine="pairs"), seed=seed).color(ps)
+        ref = reference_coloring(ps, seed)
         for plan in PLANS:
             force_plan(monkeypatch, plan)
             got = Picasso(PicassoParams(), seed=seed).color(ps)
@@ -499,14 +549,14 @@ class TestPicasso:
 
     def test_pool_coloring_matches_pairs(self, monkeypatch):
         ps = random_pauli_set(200, 8, seed=30)
-        ref = Picasso(PicassoParams(engine="pairs"), seed=4).color(ps)
+        ref = reference_coloring(ps, 4)
         force_plan(monkeypatch, "index")
         got = Picasso(PicassoParams(n_workers=2), seed=4).color(ps)
         np.testing.assert_array_equal(got.colors, ref.colors)
 
     def test_explicit_graph_coloring_matches_pairs(self, monkeypatch):
         g = erdos_renyi(150, 0.4, seed=8)
-        ref = Picasso(PicassoParams(engine="pairs"), seed=5).color(g)
+        ref = reference_coloring(g, 5)
         force_plan(monkeypatch, "index")
         got = Picasso(seed=5).color(g)
         np.testing.assert_array_equal(got.colors, ref.colors)
@@ -559,13 +609,13 @@ def _pinned_tiles(n, src, pal):
 
 
 def _assert_rows_matches(n, src, pal, **kw):
-    """The ``rows`` build equals the ``"pairs"`` engine and the
+    """The ``rows`` build equals the naive reference and the
     pinned-tile sweep, full-width and as the driver's sub-CSR."""
     plan, _, _ = pool.sweep_plan(
-        n, *pal, "tiled", None, None, src.edge_mask, src.edge_block
+        n, *pal, None, None, src.edge_mask, src.edge_block
     )
     assert plan == "rows"
-    ref, m_ref = build_conflict_graph(n, src.edge_mask, *pal, engine="pairs")
+    ref, m_ref = naive_conflict_csr(n, src.edge_mask, pal[0])
     tiles, m_tiles = _pinned_tiles(n, src, pal)
     assert m_tiles == m_ref
     _assert_csr_equal(tiles, ref)
@@ -614,7 +664,7 @@ class TestRowsPlan:
         with LocalCluster(1) as flat, LocalCluster(1, inner_workers=2) as hier:
             with ClusterExecutor(flat.hosts + hier.hosts) as ex:
                 assert ex.worker_capacities() == [1, 2]
-                tasks, weights = pool.sweep_strip_tasks(300, "tiled", 7, ex, "rows")
+                tasks, weights = pool.sweep_strip_tasks(300, 7, ex, "rows")
                 assert len(tasks) == ex.n_workers * pool.TASKS_PER_WORKER
                 assert int(weights.sum()) == 300 * 299 // 2
                 for _, n, src, pal in ROWS_PROBLEMS:
@@ -632,7 +682,7 @@ class TestRowsPlan:
                 ))
             keys = _keys(chunks, n)
             assert (np.diff(keys) > 0).all()
-            _, m = _rows_build(n, src, pal, engine="pairs")
+            _, m = naive_conflict_csr(n, src.edge_mask, pal[0])
             assert len(keys) == m
 
     def test_aggressive_hamiltonian_counts_only_rows(self):
@@ -666,23 +716,22 @@ def _stream(ps, pal, executor=None, **kw):
 
 
 class TestKeyStream:
-    """Every plan and engine yields 1-D CSR key arrays in
+    """Every plan yields 1-D CSR key arrays in
     ``key_layout(n)``; the index and ``rows`` streams arrive strictly
     increasing, so the assembly takes them unsorted-check only."""
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("plan", ["index", "rows", "tiles", "pairs"])
+    @pytest.mark.parametrize("plan", ["index", "rows", "tiles"])
     def test_every_plan_yields_keys(self, plan, n_workers, monkeypatch):
         ps = random_pauli_set(300, 8, seed=13)
         list_size = 40 if plan == "rows" else 6
         pal = (assign_color_lists(300, 40, list_size, rng=5), 40)
-        _, m_ref = _build(ps, pal, engine="pairs")
+        _, m_ref = _naive(ps, pal)
         if plan in PLANS:
             monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
             force_plan(monkeypatch, plan)
-        kw = {"engine": "pairs", "chunk_size": 4096} if plan == "pairs" else {}
         with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
-            chunks = _stream(ps, pal, ex, **kw)
+            chunks = _stream(ps, pal, ex)
         assert len(chunks) > 1
         keys = _keys(chunks, 300)
         assert len(keys) == m_ref

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_reference import naive_conflict_csr
 
 from repro.core import Picasso, PicassoParams
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
@@ -16,7 +17,7 @@ from repro.device.backends import available_backends
 from repro.parallel import (
     PoolExecutor,
     parallel_conflict_graph,
-    partition_pairs,
+    partition_tiles,
     pin_current_worker,
 )
 from repro.pauli import random_pauli_set
@@ -29,33 +30,38 @@ _WORKER_COUNTS = sorted({2, 3, _CI_WORKERS})
 
 
 class TestPartition:
+    """The tile partition covers the pair space; at one-vertex tiles,
+    where every tile holds at most one pair, strips balance to within
+    one pair."""
+
     @given(
         st.integers(min_value=0, max_value=500),
+        st.integers(min_value=1, max_value=97),
         st.integers(min_value=1, max_value=16),
     )
     @settings(max_examples=50, deadline=None)
-    def test_covers_exactly(self, n, parts):
-        ranges = partition_pairs(n, parts)
+    def test_covers_exactly(self, n, tile, parts):
+        blocks = partition_tiles(n, tile, parts)
         total = 0
         prev_stop = 0
-        for r in ranges:
-            assert r.start == prev_stop
-            prev_stop = r.stop
-            total += len(r)
+        for b in blocks:
+            assert b.start == prev_stop
+            prev_stop = b.stop
+            total += b.n_pairs
         assert total == num_pairs(n)
 
     def test_balanced(self):
-        ranges = partition_pairs(100, 7)
-        sizes = [len(r) for r in ranges]
+        sizes = [b.n_pairs for b in partition_tiles(100, 1, 7)]
+        assert len(sizes) == 7
         assert max(sizes) - min(sizes) <= 1
 
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
-            partition_pairs(10, 0)
+            partition_tiles(10, 1, 0)
 
     def test_degenerate(self):
-        ranges = partition_pairs(1, 4)
-        assert sum(len(r) for r in ranges) == 0
+        blocks = partition_tiles(1, 1, 4)
+        assert sum(b.n_pairs for b in blocks) == 0
 
 
 def _assert_bit_identical(got, ref):
@@ -65,19 +71,19 @@ def _assert_bit_identical(got, ref):
 
 
 class TestParallelConflictGraph:
-    def _expected(self, ps, pal):
-        src = PauliComplementSource(ps)
-        return build_conflict_graph(ps.n, src.edge_mask, *pal)
-
-    @pytest.mark.parametrize("engine", ["tiled", "pairs"])
+    @pytest.mark.parametrize("reference", ["tiled", "pairs"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_matches_sequential(self, n_workers, engine):
+    def test_matches_sequential(self, n_workers, reference):
+        """Against the serial tiled build and the naive all-pairs
+        reference."""
         ps = random_pauli_set(70, 6, seed=0)
         pal = (assign_color_lists(70, 12, 4, rng=0), 12)
-        expect_g, expect_m = self._expected(ps, pal)
-        got_g, got_m = parallel_conflict_graph(
-            ps, *pal, n_workers=n_workers, chunk_size=101, engine=engine
-        )
+        src = PauliComplementSource(ps)
+        if reference == "tiled":
+            expect_g, expect_m = build_conflict_graph(ps.n, src.edge_mask, *pal)
+        else:
+            expect_g, expect_m = naive_conflict_csr(ps.n, src.edge_mask, pal[0])
+        got_g, got_m = parallel_conflict_graph(ps, *pal, n_workers=n_workers)
         assert got_m == expect_m
         _assert_bit_identical(got_g, expect_g)
 
@@ -108,15 +114,13 @@ class TestParallelConflictGraph:
     @pytest.mark.parametrize("chunk_size", [0, -1])
     @pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "pool"])
     def test_bad_chunk_size_rejected(self, n_workers, chunk_size):
-        """Serial and pool builds refuse a non-positive chunk size
-        instead of sweeping nothing (a negative ``range`` step in each
-        pool pair range) or failing inside a worker."""
+        """Serial and pool builds take no chunk size: any value is
+        refused before a sweep starts."""
         ps = random_pauli_set(40, 5, seed=3)
         pal = (assign_color_lists(40, 8, 3, rng=1), 8)
-        with pytest.raises(ValueError, match="chunk_size"):
+        with pytest.raises(TypeError, match="chunk_size"):
             parallel_conflict_graph(
-                ps, *pal, n_workers=n_workers, chunk_size=chunk_size,
-                engine="pairs",
+                ps, *pal, n_workers=n_workers, chunk_size=chunk_size
             )
 
     def test_empty_conflicts(self):
@@ -129,8 +133,8 @@ class TestParallelConflictGraph:
 
 
 class TestBackendEquivalence:
-    """ISSUE 2 acceptance: tiled-parallel builds are bit-identical to
-    tiled-serial and to the pairs engine, and colorings match per seed."""
+    """Tiled-parallel builds are bit-identical to tiled-serial and to
+    the naive all-pairs reference, and colorings match per seed."""
 
     def _build(self, ps, pal, **kw):
         src = PauliComplementSource(ps)
@@ -144,7 +148,7 @@ class TestBackendEquivalence:
         ps = random_pauli_set(120, 7, seed=5)
         pal = (assign_color_lists(120, 18, 5, rng=3), 18)
         ref, m_ref = self._build(ps, pal)
-        pairs, m_pairs = self._build(ps, pal, engine="pairs")
+        pairs, m_pairs = naive_conflict_csr(ps.n, PauliComplementSource(ps).edge_mask, pal[0])
         got, m_got = self._build(
             ps, pal, n_workers=n_workers, kernel_backend=kernel_backend
         )
@@ -160,7 +164,7 @@ class TestBackendEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_property_backends_agree_per_seed(self, seed):
         """For random seeds: serial tiled, parallel tiled (2 workers)
-        and the pairs engine all build the same CSR bit for bit."""
+        and the naive reference all build the same CSR bit for bit."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 90))
         ps = random_pauli_set(n, int(rng.integers(4, 9)), seed=seed)
@@ -169,7 +173,7 @@ class TestBackendEquivalence:
         pal = (assign_color_lists(n, palette, lsize, rng=seed), palette)
         ref, m_ref = self._build(ps, pal)
         par, m_par = self._build(ps, pal, n_workers=2)
-        pairs, m_pairs = self._build(ps, pal, engine="pairs")
+        pairs, m_pairs = naive_conflict_csr(n, PauliComplementSource(ps).edge_mask, pal[0])
         assert m_par == m_ref == m_pairs
         _assert_bit_identical(par, ref)
         _assert_bit_identical(pairs, ref)
@@ -190,10 +194,11 @@ class TestBackendEquivalence:
         ).color(ps)
         np.testing.assert_array_equal(serial.colors, par.colors)
         assert serial.n_colors == par.n_colors
-        pairs_par = Picasso(
-            params=PicassoParams(engine="pairs", n_workers=n_workers), seed=11
+        sets_par = Picasso(
+            params=PicassoParams(color_engine="sets", n_workers=n_workers),
+            seed=11,
         ).color(ps)
-        np.testing.assert_array_equal(serial.colors, pairs_par.colors)
+        np.testing.assert_array_equal(serial.colors, sets_par.colors)
 
     def test_forced_pool_single_worker(self):
         """executor="pool" with one worker still routes through the
@@ -287,28 +292,23 @@ class TestPersistentPool:
 
     def test_engine_switch_on_shared_executor(self):
         """Regression: the payload token names the whole static config,
-        so swapping engines (or chunk sizes) on one executor + source
-        must force a full re-install, not run a stale cached engine."""
+        so swapping kernel backends on one executor + source must force
+        a full re-install, not run a stale cached backend."""
         ps, src, pal = _problem()
-        ref_t, m_t = build_conflict_graph(
+        ref, m_ref = build_conflict_graph(
             ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
-        ref_p, m_p = build_conflict_graph(
-            ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
-            engine="pairs",
-        )
         with PoolExecutor(2) as ex:
-            for engine, ref, m_ref in (
-                ("tiled", ref_t, m_t),
-                ("pairs", ref_p, m_p),
-                ("tiled", ref_t, m_t),
-            ):
+            tokens = []
+            for kernel_backend in (None, "numpy", None):
                 got, m = build_conflict_graph(
-                    ps.n, src.edge_mask, *pal, engine=engine,
-                    edge_block_fn=src.edge_block, executor=ex, source=src,
+                    ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
+                    executor=ex, source=src, kernel_backend=kernel_backend,
                 )
                 assert m == m_ref
                 _assert_bit_identical(got, ref)
+                tokens.append(ex._installed_token)
+        assert tokens[0] == tokens[2] != tokens[1]
 
     def test_close_is_idempotent_and_leaves_no_children(self):
         before = len(mp.active_children())

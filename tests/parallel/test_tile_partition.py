@@ -9,7 +9,6 @@ from repro.device.tiles import iter_tiles, upper_triangle_mask
 from repro.parallel.partition import (
     TileBlock,
     block_pair_count,
-    partition_pairs,
     partition_tiles,
     tile_grid,
 )
@@ -138,19 +137,21 @@ class TestWeightedPartition:
     )
     @settings(max_examples=60, deadline=None)
     def test_pairs_weighted_balance_within_one_pair(self, n, shares):
+        """One-vertex tiles hold at most one pair each, so weighted
+        strips land within one pair of their quota."""
         total = num_pairs(n)
-        ranges = partition_pairs(
-            n, len(shares), shares=shares, keep_empty=True
+        blocks = partition_tiles(
+            n, 1, len(shares), shares=shares, keep_empty=True
         )
-        assert len(ranges) == len(shares)
-        assert sum(len(r) for r in ranges) == total
+        assert len(blocks) == len(shares)
+        assert sum(b.n_pairs for b in blocks) == total
         prev_stop = 0
-        for r, share in zip(ranges, shares):
-            assert r.start == prev_stop
-            prev_stop = r.stop
+        for b, share in zip(blocks, shares):
+            assert b.start == prev_stop or total == 0
+            prev_stop = b.stop
             quota = total * share / sum(shares)
-            assert abs(len(r) - quota) <= 1
-        assert prev_stop == total
+            assert abs(b.n_pairs - quota) <= 1
+        assert prev_stop == len(tile_grid(n, 1)) or total == 0
 
     @given(
         st.integers(min_value=0, max_value=300),
@@ -167,9 +168,6 @@ class TestWeightedPartition:
             shares=np.asarray(shares, dtype=np.int64), keep_empty=True,
         )
         assert a == b
-        pa = partition_pairs(n, len(shares), shares=shares, keep_empty=True)
-        pb = partition_pairs(n, len(shares), shares=list(shares), keep_empty=True)
-        assert pa == pb
 
     @given(
         st.integers(min_value=0, max_value=300),
@@ -179,29 +177,17 @@ class TestWeightedPartition:
     @settings(max_examples=40, deadline=None)
     def test_uniform_shares_reproduce_unweighted(self, n, tile, parts):
         """Equal tile shares are a strict generalization: byte-exact
-        match with the classic partition (with empties dropped).  The
-        pairs partitioner's classic path front-loads remainders
-        (divmod) while quotas spread them, so for pairs only the cover
-        and the one-pair balance are shared — exactness there is not
-        load-bearing (uniform capacities take the classic path)."""
+        match with the classic partition (with empties dropped)."""
         classic = partition_tiles(n, tile, parts)
         weighted = partition_tiles(
             n, tile, parts, shares=[3] * parts, keep_empty=True
         )
         kept = [b for b in weighted if len(b)] or [TileBlock(0, 0, 0)]
         assert kept == classic
-        pw = partition_pairs(n, parts, shares=[5] * parts, keep_empty=True)
-        assert sum(len(r) for r in pw) == num_pairs(n)
-        assert all(
-            abs(len(r) - num_pairs(n) / parts) <= 1 for r in pw
-        )
 
     def test_one_strip(self):
         assert partition_tiles(37, 8, 1, shares=[4], keep_empty=True) == (
             partition_tiles(37, 8, 1)
-        )
-        assert partition_pairs(37, 1, shares=[4], keep_empty=True) == (
-            partition_pairs(37, 1)
         )
 
     def test_zero_pair_grid_keeps_all_strips(self):
@@ -230,5 +216,3 @@ class TestWeightedPartition:
         for bad in ([0, 1], [-1, 2], [1, 2, 3]):
             with pytest.raises(ValueError):
                 partition_tiles(10, 8, 2, shares=bad)
-            with pytest.raises(ValueError):
-                partition_pairs(10, 2, shares=bad)
