@@ -17,7 +17,7 @@ import time
 import numpy as np
 from conftest import write_report
 
-from repro.device.tiles import anticommute_parity_block, strip_height, sweep_block_hits
+from repro.device.tiles import strip_height, sweep_block_hits
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import (
     anticommute_pairs_chars,
@@ -25,6 +25,7 @@ from repro.pauli.anticommute import (
     anticommute_pairs_symplectic,
 )
 from repro.pauli.encoding import encode_iooh, encode_symplectic
+from repro.util.bits import parity_block
 from repro.util.chunking import iter_pair_chunks
 
 N = 1500
@@ -104,7 +105,7 @@ def test_tiled_vs_gather_sweep(benchmark):
         total = 0
         for keys in sweep_block_hits(
             n,
-            lambda r0, r1, c0, c1: anticommute_parity_block(packed, r0, r1, c0, c1),
+            lambda r0, r1, c0, c1: parity_block(packed[r0:r1], packed[c0:c1]),
             strip_height(n),
         ):
             total += len(keys)

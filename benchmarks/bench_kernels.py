@@ -1,9 +1,8 @@
 """Per-kernel microbenchmark across the registered kernel backends.
 
-Times the three hot word-level primitives of the kernel-backend
-contract (:mod:`repro.device.backends`) in isolation — popcount-parity
-blocks, palette-intersect blocks and lowest-set-bit row scans — and
-reports **nanoseconds per uint64 word** per available backend, so the
+Times the two hot word-level kernels of the kernel-backend contract
+(:mod:`repro.device.backends`) in isolation — palette-intersect blocks
+and lowest-set-bit row scans — and reports **nanoseconds per uint64 word** per available backend, so the
 compiled (numba) path is comparable to numpy on a hardware-independent
 axis.
 
@@ -57,20 +56,15 @@ def bench_backend(name, rows, words, repeats, reference):
     """
     backend = get_backend(name)
     rng = np.random.default_rng(0)
-    packed = _random_words(rng, rows, words)
     colmasks = _random_words(rng, rows, words, density=0.1)
     lsb_masks = _random_words(rng, rows * 8, words, density=0.02)
 
-    # Block kernels sweep rows x rows word-pairs; the lsb scan reads
+    # The block kernel sweeps rows x rows word-pairs; the lsb scan reads
     # each of its rows*8 x words matrix once.
     block_words = rows * rows * words
     lsb_words = lsb_masks.size
 
     kernels = {
-        "anticommute_parity_block": (
-            lambda: backend.anticommute_parity_block(packed, 0, rows, 0, rows),
-            block_words,
-        ),
         "lists_intersect_block": (
             lambda: backend.lists_intersect_block(colmasks, 0, rows, 0, rows),
             block_words,

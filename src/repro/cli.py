@@ -132,8 +132,6 @@ def _make_params(args: argparse.Namespace):
         overrides["color_engine"] = args.color_engine
     if getattr(args, "hosts", None) is not None:
         overrides["hosts"] = args.hosts
-    if getattr(args, "transport", None) is not None:
-        overrides["transport"] = args.transport
     if getattr(args, "checkpoint_dir", None) is not None:
         overrides["checkpoint_dir"] = args.checkpoint_dir
     if getattr(args, "checkpoint_every", None) is not None:
@@ -401,11 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker agents (python -m repro.distributed.worker on each "
         "host); distributed builds and colorings are bit-identical "
         "to serial per seed",
-    )
-    p.add_argument(
-        "--transport", default=None, choices=["socket"],
-        help="wire protocol for --hosts (default socket: "
-        "length-prefixed frames, numpy buffers sent raw)",
     )
     from repro.coloring.engine import available_engines
 

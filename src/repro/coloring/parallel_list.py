@@ -40,9 +40,10 @@ import itertools
 import numpy as np
 
 from repro import telemetry
+from repro.device.backends import resolve_backend
 from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import Executor, SerialExecutor
-from repro.util.bits import bitset_from_lists, lowest_set_bit_rows
+from repro.util.bits import bitset_from_lists
 from repro.util.rng import as_generator
 
 __all__ = [
@@ -81,7 +82,10 @@ def _init_palette_worker(payload: dict) -> None:
         state = {
             "masks": static["masks"],
             "forbidden": np.zeros_like(static["masks"]),
-            "kernel_backend": static.get("kernel_backend"),
+            # Worker-side backend resolution, as for the conflict
+            # sweep: the payload ships the name, the worker resolves it
+            # against its own environment, once per coloring run.
+            "backend": resolve_backend(static["kernel_backend"]),
         }
         if token is not None:
             _PALETTE_CACHE[token] = state
@@ -104,19 +108,7 @@ def _init_palette_worker(payload: dict) -> None:
     _CWORKER["masks"] = state["masks"]
     _CWORKER["forbidden"] = state["forbidden"]
     _CWORKER["active"] = payload["active"]
-    # Worker-side backend resolution, as for the conflict sweep: the
-    # payload ships the name, the worker resolves it locally.
-    _CWORKER["backend"] = _resolve_backend(state.get("kernel_backend"))
-
-
-def _resolve_backend(kernel_backend: str | None):
-    """Kernel-backend instance for the pick scan (``None`` = direct
-    numpy path; import deferred to keep layering lazy)."""
-    if kernel_backend is None:
-        return None
-    from repro.device.backends import resolve_backend
-
-    return resolve_backend(kernel_backend)
+    _CWORKER["backend"] = state["backend"]
 
 
 def _pick_strip(task: tuple[int, int]) -> np.ndarray:
@@ -124,10 +116,7 @@ def _pick_strip(task: tuple[int, int]) -> np.ndarray:
     start, stop = task
     rows = _CWORKER["active"][start:stop]
     avail = _CWORKER["masks"][rows] & ~_CWORKER["forbidden"][rows]
-    backend = _CWORKER.get("backend")
-    if backend is not None:
-        return backend.lowest_set_bit_rows(avail)
-    return lowest_set_bit_rows(avail)
+    return _CWORKER["backend"].lowest_set_bit_rows(avail)
 
 
 def teardown_palette_worker() -> dict | None:
@@ -200,11 +189,11 @@ def parallel_list_color(
         globally highest-priority tentative never loses), so ``n + 1``
         is a true upper bound.
     kernel_backend:
-        Optional kernel-backend *name* for the lowest-set-bit pick scan
-        (see :mod:`repro.device.backends`).  ``None`` runs the direct
-        numpy kernel; a name is resolved in-process for serial rounds
-        and worker-side for pool rounds.  Backends are bit-identical,
-        so this never changes the coloring.
+        Kernel-backend *name* for the lowest-set-bit pick scan (see
+        :func:`repro.device.backends.resolve_backend`; ``None`` is the
+        environment's choice, numpy by default), resolved once per
+        run in-process and once per run in each pool worker.  Backends
+        are bit-identical, so this never changes the coloring.
 
     Returns
     -------
@@ -264,14 +253,12 @@ def parallel_list_color(
             rows = words = np.empty(0, dtype=np.int64)
         return rows, words, forbidden[rows, words]
 
-    local_backend = _resolve_backend(kernel_backend) if not use_pool else None
+    backend = resolve_backend(kernel_backend)
 
     def _round_picks(active: np.ndarray) -> np.ndarray:
         if not use_pool:
             avail = masks[active] & ~forbidden[active]
-            if local_backend is not None:
-                return local_backend.lowest_set_bit_rows(avail)
-            return lowest_set_bit_rows(avail)
+            return backend.lowest_set_bit_rows(avail)
         from repro.parallel.pool import imap_delta_install
 
         tasks = _strip_tasks(len(active), executor)

@@ -62,7 +62,6 @@ def build_conflict_graph(
     source=None,
     active_idx: np.ndarray | None = None,
     hosts=None,
-    transport: str = "socket",
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Build the conflict graph over ``n`` active vertices on the host.
@@ -94,21 +93,20 @@ def build_conflict_graph(
         Root edge source and active-vertex indices for the
         persistent-pool delta payload (see
         :mod:`repro.parallel.pool`).
-    hosts, transport:
-        Worker-agent addresses and wire protocol for the distributed
-        backend (spec ``"cluster"``, or ``"auto"`` with hosts set; see
+    hosts:
+        Worker-agent addresses for the distributed backend (spec
+        ``"cluster"``, or ``"auto"`` with hosts set; see
         :mod:`repro.distributed`).  Sharded builds stay bit-identical
         to serial — strips merge in canonical order.
     kernel_backend:
-        Kernel-backend *name* (:mod:`repro.device.backends`) for the
-        sweep's hot kernels; ``None`` runs the direct numpy path.
-        Resolved worker-side, bit-identical across backends.
+        Kernel-backend *name* for the tile sweep's palette
+        intersection (:func:`repro.device.backends.resolve_backend`;
+        ``None`` is the environment's choice, numpy by default).
+        Bit-identical across backends.
 
     Returns the CSR conflict graph and the conflict-edge count.
     """
-    with owned_executor(
-        executor, n_workers, hosts=hosts, transport=transport
-    ) as ex:
+    with owned_executor(executor, n_workers, hosts=hosts) as ex:
         return gathered_conflict_csr(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex,
@@ -128,7 +126,6 @@ def build_fused_conflict_state(
     source=None,
     active_idx: np.ndarray | None = None,
     hosts=None,
-    transport: str = "socket",
     timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, np.ndarray, int]:
@@ -141,9 +138,7 @@ def build_fused_conflict_state(
     :func:`build_conflict_graph`, plus ``timings`` (a dict accumulating
     the ``sweep_s`` / ``assemble_s`` phase buckets).
     """
-    with owned_executor(
-        executor, n_workers, hosts=hosts, transport=transport
-    ) as ex:
+    with owned_executor(executor, n_workers, hosts=hosts) as ex:
         return fused_conflict_csr(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex,
@@ -162,14 +157,11 @@ def count_conflict_edges(
     n_workers: int = 1,
     executor: str | Executor = "auto",
     hosts=None,
-    transport: str = "socket",
     kernel_backend: str | None = None,
 ) -> int:
     """Conflict-edge count without materializing the graph (parameter
     sweeps, Fig. 5's ``max |Ec|`` heatmap)."""
-    with owned_executor(
-        executor, n_workers, hosts=hosts, transport=transport
-    ) as ex:
+    with owned_executor(executor, n_workers, hosts=hosts) as ex:
         total = 0
         for keys in conflict_sweep_chunks(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,

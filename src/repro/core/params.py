@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.coloring.engine import available_engines
+from repro.device.backends import backend_name, registered_backends
 from repro.device.tiles import DEFAULT_TILE_BYTES
 
 
@@ -90,11 +91,9 @@ class PicassoParams:
         and merge in canonical order, so distributed CSR builds and
         colorings are **bit-identical per seed** to serial for any
         shard count — like ``n_workers``, purely a throughput knob.
-        Strip results come back through the framed socket stream, as a
-        pool's come back through its result pipe.
-    transport:
-        Wire protocol for the distributed backend; ``"socket"`` (the
-        length-prefixed raw-buffer protocol) is the only one today.
+        Strip results come back through the framed socket stream (the
+        length-prefixed raw-buffer protocol), as a pool's come back
+        through its result pipe.
     checkpoint_dir:
         Directory for atomic snapshots of Algorithm 1 state
         (:mod:`repro.resilience.checkpoint`).  ``None`` (default)
@@ -164,7 +163,6 @@ class PicassoParams:
     color_engine: str = "auto"
     color_max_rounds: int | None = None
     hosts: str | tuple | None = None
-    transport: str = "socket"
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
@@ -192,10 +190,6 @@ class PicassoParams:
             raise ValueError("n_workers must be >= 1")
         if self.executor not in ("auto", "serial", "pool", "cluster"):
             raise ValueError(f"unknown executor {self.executor!r}")
-        if self.transport != "socket":
-            raise ValueError(
-                f"unknown transport {self.transport!r} (available: 'socket')"
-            )
         if self.hosts is not None:
             if self.executor not in ("auto", "cluster"):
                 raise ValueError(
@@ -228,8 +222,6 @@ class PicassoParams:
             # Registered, not available: naming "numba" on a dispatch
             # host without it is legitimate when the workers have it
             # (and degrades to numpy bit-identically when they don't).
-            from repro.device.backends import registered_backends
-
             if self.kernel_backend not in registered_backends():
                 raise ValueError(
                     f"unknown kernel_backend {self.kernel_backend!r}; "
@@ -278,23 +270,15 @@ class PicassoParams:
         return {}
 
     def resolved_kernel_backend(self) -> str:
-        """The backend name ``kernel_backend="auto"`` resolves to.
-
-        An explicit name wins; ``"auto"`` consults
-        ``REPRO_KERNEL_BACKEND`` (read per call, so a test can flip
-        the variable without rebuilding params), landing on
-        ``"numpy"`` when that is unset, empty or itself ``"auto"``.
-        The result is always a concrete name: it ships in worker
-        payloads, so the dispatcher and every worker agree on what was
-        requested even when a worker's missing runtime makes it degrade
-        to numpy locally.
+        """The backend name ``kernel_backend`` selects
+        (:func:`repro.device.backends.backend_name`: an explicit name
+        wins, ``"auto"`` reads ``REPRO_KERNEL_BACKEND`` per call, then
+        numpy).  The result is always a concrete name: it ships in
+        worker payloads, so the dispatcher and every worker agree on
+        what was requested even when a worker's missing runtime makes
+        it degrade to numpy locally.
         """
-        if self.kernel_backend != "auto":
-            return self.kernel_backend
-        import os
-
-        name = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
-        return name if name and name != "auto" else "numpy"
+        return backend_name(self.kernel_backend)
 
     def resolved_telemetry(self) -> bool:
         """Whether this run records telemetry.

@@ -211,7 +211,7 @@ class Picasso:
         # same results, bounded failures recovered instead of raised.
         executor = supervised_executor(
             params.executor, params.n_workers, pin=params.pin_workers,
-            hosts=params.hosts, transport=params.transport,
+            hosts=params.hosts,
             failover=params.failover, max_retries=params.max_retries,
         )
         try:

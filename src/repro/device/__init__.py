@@ -22,7 +22,6 @@ from repro.device.sim import (
 )
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
-    anticommute_parity_block,
     conflict_hits_block,
     count_block_hits,
     iter_tiles,
@@ -48,7 +47,6 @@ __all__ = [
     "DeviceOutOfMemory",
     "DeviceSim",
     "DEFAULT_TILE_BYTES",
-    "anticommute_parity_block",
     "conflict_hits_block",
     "count_block_hits",
     "iter_tiles",

@@ -1,17 +1,20 @@
 """Registry-dispatched compute-kernel backends (see :mod:`.base`).
 
+A backend supplies the two hot kernels: the tile sweep's palette
+intersection and the ``parallel-list`` engine's lowest-set-bit picks.
 Importing this package registers the two shipped backends: ``numpy``
-(the default — the existing vectorized kernels, unchanged) and
-``numba`` (compiled CPU loops, lazily jitted, degrades to numpy when
-numba is absent).  Selection threads through
-``PicassoParams(kernel_backend=...)`` / ``--kernel-backend`` /
-``REPRO_KERNEL_BACKEND`` and is resolved worker-side via
+(the default — the vectorized kernels) and ``numba`` (compiled CPU
+loops, lazily jitted, degrades to numpy when numba is absent).
+Selection threads through ``PicassoParams(kernel_backend=...)`` /
+``--kernel-backend`` / ``REPRO_KERNEL_BACKEND``; every sweep and
+coloring run, in the driver or in a worker, takes its instance from
 :func:`resolve_backend`.
 """
 
 from repro.device.backends.base import (
     KernelBackend,
     available_backends,
+    backend_name,
     get_backend,
     register_backend,
     registered_backends,
@@ -28,5 +31,6 @@ __all__ = [
     "get_backend",
     "registered_backends",
     "available_backends",
+    "backend_name",
     "resolve_backend",
 ]

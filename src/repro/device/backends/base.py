@@ -1,12 +1,13 @@
 """Kernel-backend contract and registry (the accelerator dispatch seam).
 
-The tiled sweep drivers in :mod:`repro.device.tiles` and the coloring
-engines consume three *hot* word-level primitives — popcount-parity
-(`anticommute`), palette-intersect (`conflict candidate`) and
-lowest-set-bit (`color pick`) — plus two thin per-tile drivers built on
-them.  This module narrows that surface into one typed contract,
-:class:`KernelBackend`, and a name-keyed registry mirroring the
-coloring-engine registry (:mod:`repro.coloring.engine`):
+A backend replaces the two word-level kernels the hot path calls
+through this seam: the palette intersection of the tile sweep
+(:func:`repro.device.tiles.conflict_hits_block`, the paper's §V
+early exit) and the lowest-set-bit scan of the ``parallel-list``
+picks (:mod:`repro.coloring.parallel_list`).  Tile bookkeeping,
+diagonal masking, the edge oracle and the key encoding stay in
+:mod:`repro.device.tiles`, shared by every backend.  The registry
+mirrors the coloring-engine registry (:mod:`repro.coloring.engine`):
 
 - :func:`register_backend` / :func:`get_backend` /
   :func:`registered_backends` / :func:`available_backends` — the
@@ -14,13 +15,15 @@ coloring-engine registry (:mod:`repro.coloring.engine`):
   importable here (``numba`` on a host without it); *available* names
   are the subset that can actually run, which is what test
   parametrization and benchmarks iterate.
-- :func:`resolve_backend` — the selection policy shared by the driver
-  and every worker initializer: an explicit name wins, ``None`` /
-  ``"auto"`` falls back to ``REPRO_KERNEL_BACKEND``, then ``"numpy"``.
-  An unavailable or unknown name degrades to numpy with a one-line
-  stderr note (once per name per process) instead of failing the run —
-  backends are bit-identical by contract, so the fallback is always
-  safe, merely slower.
+- :func:`backend_name` — the one reader of ``REPRO_KERNEL_BACKEND``:
+  an explicit name wins, ``None`` / ``"auto"`` fall back to the
+  environment, then ``"numpy"``.
+- :func:`resolve_backend` — the instance every sweep and coloring run
+  uses, in the driver and in every worker initializer.  An unavailable
+  or unknown name degrades to numpy with a one-line stderr note (once
+  per name per process) instead of failing the run — backends are
+  bit-identical by contract, so the fallback is always safe, merely
+  slower.
 
 Every backend must reproduce the numpy reference **bit for bit**: the
 equivalence suites parametrize over :func:`available_backends` and
@@ -37,10 +40,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import telemetry
-
 if TYPE_CHECKING:
-    from repro.device.tiles import EdgeBlockFn, TileScratch
+    from repro.device.tiles import TileScratch
 
 __all__ = [
     "KernelBackend",
@@ -48,25 +49,22 @@ __all__ = [
     "get_backend",
     "registered_backends",
     "available_backends",
+    "backend_name",
     "resolve_backend",
 ]
 
-#: Environment override consulted by :func:`resolve_backend` when no
+#: Environment override consulted by :func:`backend_name` when no
 #: explicit backend name is given (mirrors ``REPRO_TELEMETRY`` and the
 #: executor envs).
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 
 class KernelBackend(ABC):
-    """Contract of one compute-kernel implementation.
-
-    The three abstract primitives are the hot words; the two concrete
-    drivers (:meth:`conflict_hits_block`, :meth:`block_hits`) delegate
-    to the shared tile logic in :mod:`repro.device.tiles` with
-    ``backend=self`` so diagonal masking, dense-vs-gather oracle policy
-    and hit ordering live in exactly one place.  A device backend that
-    wants to fuse the whole tile on-device overrides the drivers too.
-    """
+    """Contract of one compute-kernel implementation: the two hot
+    kernels, nothing else.  The tile drivers in
+    :mod:`repro.device.tiles` call them, so diagonal masking,
+    dense-vs-gather oracle policy and hit ordering live in exactly one
+    place for every backend."""
 
     #: Registry name (set by subclasses).
     name: str = ""
@@ -75,12 +73,6 @@ class KernelBackend(ABC):
     def is_available(cls) -> bool:
         """Whether this backend's runtime can be imported here."""
         return True
-
-    @abstractmethod
-    def anticommute_parity_block(
-        self, packed: np.ndarray, r0: int, r1: int, c0: int, c1: int
-    ) -> np.ndarray:
-        """``parity(popcount(a & b))`` for the block, as uint8 0/1."""
 
     @abstractmethod
     def lists_intersect_block(
@@ -102,38 +94,6 @@ class KernelBackend(ABC):
     def lowest_set_bit_rows(self, masks: np.ndarray) -> np.ndarray:
         """Lowest set bit per row of a packed ``(n, W)`` matrix
         (int64, -1 for all-zero rows)."""
-
-    def conflict_hits_block(
-        self,
-        colmasks: np.ndarray,
-        r0: int,
-        r1: int,
-        c0: int,
-        c1: int,
-        edge_mask_fn=None,
-        edge_block_fn: EdgeBlockFn | None = None,
-        scratch: TileScratch | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused conflict kernel for one tile (see
-        :func:`repro.device.tiles.conflict_hits_block`)."""
-        from repro.device import tiles
-
-        telemetry.count("device.dispatch", backend=self.name)
-        return tiles.conflict_hits_block(
-            colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-            scratch=scratch, backend=self,
-        )
-
-    def block_hits(
-        self, block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int, s: int
-    ) -> np.ndarray:
-        """Upper-triangle hits of a block predicate on one block, as
-        ascending CSR keys ``i << s | j`` (see
-        :func:`repro.device.tiles.block_hits`)."""
-        from repro.device import tiles
-
-        telemetry.count("device.dispatch", backend=self.name)
-        return tiles.block_hits(block_fn, r0, r1, c0, c1, s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -195,23 +155,30 @@ def get_backend(name: str) -> KernelBackend:
     return inst
 
 
-def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Selection policy: explicit name, else env, else numpy.
-
-    ``None`` / ``"auto"`` consult ``REPRO_KERNEL_BACKEND``; an empty or
-    ``"auto"`` env lands on ``"numpy"``.  A name that is unknown or
-    whose runtime is missing **degrades to numpy** with a one-line
-    stderr note (once per name per process): backends are bit-identical
-    by contract, so a cluster agent without numba still produces the
-    same CSR and colorings, just slower.  This is the worker-side
-    resolver — pool and cluster payload installs ship the *name* and
-    call this in the worker process, so spawned and remote workers pick
-    their backend against their own environment.
+def backend_name(name: str | None = None) -> str:
+    """The backend name a request selects, before any availability
+    check: an explicit name wins; ``None`` / ``"auto"`` read
+    ``REPRO_KERNEL_BACKEND`` (per call, so a test can flip it), landing
+    on ``"numpy"`` when that is unset, empty or itself ``"auto"``.
     """
     if name is None or name == "auto":
-        name = os.environ.get(ENV_VAR, "").strip().lower() or "numpy"
-        if name == "auto":
-            name = "numpy"
+        name = os.environ.get(ENV_VAR, "").strip().lower()
+    return name if name and name != "auto" else "numpy"
+
+
+def resolve_backend(name: str | None = None) -> KernelBackend:
+    """The backend instance for :func:`backend_name` of ``name``.
+
+    A name that is unknown or whose runtime is missing **degrades to
+    numpy** with a one-line stderr note (once per name per process):
+    backends are bit-identical by contract, so a cluster agent without
+    numba still produces the same CSR and colorings, just slower.  This
+    is also the worker-side resolver — pool and cluster payload
+    installs ship the *name* and call this in the worker process, so
+    spawned and remote workers pick their backend against their own
+    environment.
+    """
+    name = backend_name(name)
     cls = _REGISTRY.get(name)
     if cls is not None and cls.is_available():
         return get_backend(name)

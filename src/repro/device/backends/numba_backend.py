@@ -1,4 +1,5 @@
-"""Compiled CPU backend: ``@njit(cache=True)`` loops over uint64 words.
+"""Compiled CPU backend: ``@njit(cache=True)`` loops over uint64 words
+for the two kernels of :class:`~repro.device.backends.KernelBackend`.
 
 The numpy kernels pay for generality with broadcast temporaries — the
 ``(R, C)`` word-AND buffer makes a full write+read round trip per word
@@ -6,10 +7,6 @@ column, and the lowest-set-bit scan detours through ``log2`` on
 float64.  The compiled kernels replace those with explicit loops that
 keep the accumulator in a register:
 
-- **parity** — XOR-fold the per-word ANDs, then parity-fold the single
-  accumulator word (``popcount(x ^ y) ≡ popcount(x) + popcount(y)``
-  mod 2, so XOR-accumulating across word columns preserves the parity
-  of the summed popcounts exactly).
 - **intersect** — early-``break`` on the first nonzero word AND; the
   numpy path always touches every word column.
 - **lowest set bit** — find the first nonzero word, then shift out
@@ -33,27 +30,8 @@ __all__ = ["NumbaBackend"]
 
 _AVAILABLE: bool | None = None
 
-# (parity, anybit, lsb) compiled dispatchers, built on first use.
+# (anybit, lsb) compiled dispatchers, built on first use.
 _KERNELS: tuple | None = None
-
-
-def _parity_block_loops(a, b):
-    R, W = a.shape
-    C = b.shape[0]
-    out = np.empty((R, C), dtype=np.uint8)
-    for i in range(R):
-        for j in range(C):
-            acc = np.uint64(0)
-            for w in range(W):
-                acc ^= a[i, w] & b[j, w]
-            acc ^= acc >> np.uint64(32)
-            acc ^= acc >> np.uint64(16)
-            acc ^= acc >> np.uint64(8)
-            acc ^= acc >> np.uint64(4)
-            acc ^= acc >> np.uint64(2)
-            acc ^= acc >> np.uint64(1)
-            out[i, j] = np.uint8(acc & np.uint64(1))
-    return out
 
 
 def _anybit_block_loops(a, b):
@@ -95,7 +73,6 @@ def _kernels() -> tuple:
 
         jit = numba.njit(cache=True)
         _KERNELS = (
-            jit(_parity_block_loops),
             jit(_anybit_block_loops),
             jit(_lowest_set_bit_rows_loops),
         )
@@ -120,13 +97,6 @@ class NumbaBackend(KernelBackend):
                 _AVAILABLE = False
         return _AVAILABLE
 
-    def anticommute_parity_block(
-        self, packed: np.ndarray, r0: int, r1: int, c0: int, c1: int
-    ) -> np.ndarray:
-        parity, _, _ = _kernels()
-        packed = np.asarray(packed, dtype=np.uint64)
-        return parity(packed[r0:r1], packed[c0:c1])
-
     def lists_intersect_block(
         self,
         colmasks: np.ndarray,
@@ -138,7 +108,7 @@ class NumbaBackend(KernelBackend):
     ) -> np.ndarray:
         # The compiled kernel keeps its accumulator in registers;
         # ``scratch`` (the numpy path's tile buffers) is ignored.
-        _, anybit, _ = _kernels()
+        anybit, _ = _kernels()
         colmasks = np.asarray(colmasks, dtype=np.uint64)
         return anybit(colmasks[r0:r1], colmasks[c0:c1])
 
@@ -148,5 +118,5 @@ class NumbaBackend(KernelBackend):
             raise ValueError(
                 f"expected a 2-D bitset matrix, got shape {masks.shape}"
             )
-        _, _, lsb = _kernels()
+        _, lsb = _kernels()
         return lsb(np.ascontiguousarray(masks))

@@ -1,10 +1,11 @@
 """The numpy reference backend: the default, and the bit-identity oracle.
 
-Thin delegation to the existing vectorized kernels — the functions in
-:mod:`repro.device.tiles` and :mod:`repro.util.bits` *are* this
-backend, unchanged, so selecting ``kernel_backend="numpy"`` (or
-selecting nothing at all) runs byte-for-byte the same code the suite
-has always tested.  Every other backend is validated against this one.
+Thin delegation to the vectorized kernels —
+:func:`repro.device.tiles.lists_intersect_block` and
+:func:`repro.util.bits.lowest_set_bit_rows` *are* this backend, so
+selecting ``kernel_backend="numpy"`` (or selecting nothing at all)
+runs byte-for-byte the code the suite tests directly.  Every other
+backend is validated against this one.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ class NumpyBackend(KernelBackend):
     """Vectorized uint64 kernels on the host (the shipped default)."""
 
     name = "numpy"
-
-    def anticommute_parity_block(
-        self, packed: np.ndarray, r0: int, r1: int, c0: int, c1: int
-    ) -> np.ndarray:
-        return tiles.anticommute_parity_block(packed, r0, r1, c0, c1)
 
     def lists_intersect_block(
         self,

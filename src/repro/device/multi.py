@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.device.backends import resolve_backend
 from repro.device.kernels import EdgeMaskFn
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
 from repro.device.tiles import (
@@ -77,6 +78,7 @@ def build_conflict_csr_multi(
     grid = tile_grid(n, tile)
     blocks = partition_tiles(n, tile, len(devices), keep_empty=True)
     scratch = TileScratch(tile)
+    backend = resolve_backend()
 
     chunks: list[np.ndarray] = []
     edges_per_device: list[int] = []
@@ -96,7 +98,7 @@ def build_conflict_csr_multi(
             capacity = coo_bytes // (2 * id_bytes)
             keys = conflict_hits_strip(
                 colmasks, grid[block.start : block.stop], edge_mask_fn,
-                scratch=scratch,
+                scratch=scratch, backend=backend,
             )
             if len(keys) > capacity:
                 dev.n_ooms += 1

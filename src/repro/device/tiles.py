@@ -14,8 +14,8 @@ inversion and no quadratic row gather on the hot path.
 Design notes (the tiling model):
 
 - **Tile size heuristic.**  A tile of edge ``T`` needs scratch for a
-  handful of ``(T, T)`` temporaries: the uint64 word-AND, the uint8
-  popcount/parity accumulator, and the boolean hit mask — about
+  handful of ``(T, T)`` temporaries: the uint64 word-AND, the boolean
+  compare buffer and the boolean hit mask — about
   :data:`SCRATCH_BYTES_PER_PAIR` bytes per pair *independent of the
   word count* because the kernels loop over word columns and reuse the
   same temporary.  :func:`tile_edge` inverts that:
@@ -39,10 +39,13 @@ Design notes (the tiling model):
   kernel touches is charged.
 - **Fused conflict kernel.**  :func:`conflict_hits_block` evaluates the
   cheap palette intersection first (the paper's list-intersect early
-  exit): only surviving pairs consult the edge oracle, either as a
-  sparse gathered query (few survivors) or as a block oracle call when
-  the tile is dense enough that the broadcast beats the gather.  It
-  returns ``(i, j)``; the sweeps encode each tile's hits as CSR keys
+  exit) through the sweep's kernel backend
+  (:meth:`~repro.device.backends.KernelBackend.lists_intersect_block`;
+  :func:`lists_intersect_block` here is the numpy kernel): only
+  surviving pairs consult the edge oracle, either as a sparse gathered
+  query (few survivors) or as a block oracle call when the tile is
+  dense enough that the broadcast beats the gather.  It returns ``(i,
+  j)``; the sweeps encode each tile's hits as CSR keys
   (:func:`repro.graphs.csr.key_layout`), like every other sweep.
 - **All-pairs sweep.**  :func:`sweep_block_hits` calls the block oracle
   on row strips ``[r0, r1) x [r0, n)`` sized by the same per-pair
@@ -61,7 +64,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.graphs.csr import key_dtype, key_layout, pair_keys
-from repro.util.bits import anybit_block, parity_block
+from repro.util.bits import anybit_block
 
 if TYPE_CHECKING:
     from repro.device.backends.base import KernelBackend
@@ -77,7 +80,6 @@ __all__ = [
     "iter_tiles",
     "upper_triangle_mask",
     "TileScratch",
-    "anticommute_parity_block",
     "lists_intersect_block",
     "conflict_hits_block",
     "conflict_hits_strip",
@@ -229,14 +231,6 @@ class TileScratch:
         )
 
 
-def anticommute_parity_block(
-    packed: np.ndarray, r0: int, r1: int, c0: int, c1: int
-) -> np.ndarray:
-    """Tiled anticommutation kernel: ``parity(popcount(a & b))`` for the
-    ``(r0:r1) x (c0:c1)`` block of the packed IOOH matrix, as uint8."""
-    return parity_block(packed[r0:r1], packed[c0:c1])
-
-
 def lists_intersect_block(
     colmasks: np.ndarray,
     r0: int,
@@ -262,7 +256,8 @@ def conflict_hits_block(
     edge_mask_fn=None,
     edge_block_fn: EdgeBlockFn | None = None,
     scratch: TileScratch | None = None,
-    backend: KernelBackend | None = None,
+    *,
+    backend: KernelBackend,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fused §V conflict kernel for one tile, emitting ``(i, j)``.
 
@@ -276,20 +271,16 @@ def conflict_hits_block(
     reads each operand row once, beating the gather as density grows).
 
     ``backend`` (a :class:`~repro.device.backends.KernelBackend`)
-    supplies the palette-intersection kernel when given; ``None`` runs
-    the numpy kernel directly — the exact legacy path, no dispatch.
-    The survivor bookkeeping, diagonal masking and oracle policy stay
-    here either way, so every backend shares one driver.
+    supplies the palette-intersection kernel; the survivor bookkeeping,
+    diagonal masking and oracle policy stay here, so every backend
+    shares one driver.
 
     Hits are returned as global index arrays in row-major tile order
     (``i`` ascending, ``j`` ascending within a row).
     """
     if edge_mask_fn is None and edge_block_fn is None:
         raise ValueError("need edge_mask_fn or edge_block_fn")
-    if backend is None:
-        hit = lists_intersect_block(colmasks, r0, r1, c0, c1, scratch)
-    else:
-        hit = backend.lists_intersect_block(colmasks, r0, r1, c0, c1, scratch)
+    hit = backend.lists_intersect_block(colmasks, r0, r1, c0, c1, scratch)
     if r0 == c0:
         hit &= upper_triangle_mask(r0, r1, c0, c1)
     li, lj = np.nonzero(hit)
@@ -314,7 +305,8 @@ def conflict_hits_strip(
     edge_mask_fn=None,
     edge_block_fn: EdgeBlockFn | None = None,
     scratch: TileScratch | None = None,
-    backend: KernelBackend | None = None,
+    *,
+    backend: KernelBackend,
 ) -> np.ndarray:
     """Run the fused conflict kernel over a strip of tiles.
 
@@ -324,19 +316,14 @@ def conflict_hits_strip(
     that gathers strip results in strip order reproduces the serial
     sweep's global hit stream exactly.  This is
     the unit of work an execution backend ships to a worker process —
-    one task, one key array.  ``backend`` dispatches the per-tile
-    kernel (``None`` = the direct numpy path).
+    one task, one key array.
     """
-    block_op = (
-        backend.conflict_hits_block if backend is not None
-        else conflict_hits_block
-    )
     n = len(colmasks)
     return concat_hits(
         (
-            pair_keys(*block_op(
+            pair_keys(*conflict_hits_block(
                 colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-                scratch=scratch,
+                scratch, backend=backend,
             ), n)
             for r0, r1, c0, c1 in tiles
         ),
@@ -357,9 +344,7 @@ def block_hits(
     ``i << s | j`` (:func:`repro.graphs.csr.key_layout`) in row-major,
     hence ascending, order.  A block with ``r0 == c0`` starts on the
     diagonal: only its leading square can hold pairs with ``i >= j``,
-    so only that square is masked.  This is the inner block op a
-    :class:`~repro.device.backends.KernelBackend` may override to fuse
-    the predicate and the masking on-device."""
+    so only that square is masked."""
     blk = _upper_block(block_fn, r0, r1, c0, c1)
     # A flat scan plus per-row key offsets (~4x faster than a 2-D
     # nonzero): position ``lr * w + lc`` is key ``(r0 + lr) << s | c0 + lc``.
@@ -382,7 +367,6 @@ def sweep_block_hits(
     n: int,
     block_fn: EdgeBlockFn,
     height: int,
-    backend: KernelBackend | None = None,
     a: int = 0,
     b: int | None = None,
 ) -> Iterator[np.ndarray]:
@@ -392,14 +376,12 @@ def sweep_block_hits(
 
     Keys come out ascending.  Serves the explicit graph builders
     and the ``rows`` conflict plan (``L = P``, where every edge is a
-    conflict edge).  ``backend`` dispatches the per-strip block op
-    (``None`` = :func:`block_hits`).
+    conflict edge).
     """
-    block_op = backend.block_hits if backend is not None else block_hits
     s, _ = key_layout(n)
     stop = n if b is None else b
     for r0 in range(a, stop, height):
-        yield block_op(block_fn, r0, min(r0 + height, stop), r0, n, s)
+        yield block_hits(block_fn, r0, min(r0 + height, stop), r0, n, s)
 
 
 def sweep_conflict_hits(
@@ -409,21 +391,18 @@ def sweep_conflict_hits(
     edge_block_fn: EdgeBlockFn | None = None,
     tile: int | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
-    backend: KernelBackend | None = None,
+    *,
+    backend: KernelBackend,
 ) -> Iterator[np.ndarray]:
     """Run the fused conflict kernel over all upper-triangle tiles,
     yielding one CSR key array per tile (possibly empty)."""
     if tile is None:
         tile = tile_edge(tile_bytes, n=n)
     scratch = TileScratch(tile)
-    block_op = (
-        backend.conflict_hits_block if backend is not None
-        else conflict_hits_block
-    )
     for r0, r1, c0, c1 in iter_tiles(n, tile):
-        yield pair_keys(*block_op(
+        yield pair_keys(*conflict_hits_block(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-            scratch=scratch,
+            scratch, backend=backend,
         ), n)
 
 

@@ -25,7 +25,7 @@ Select it with ``PicassoParams(hosts="hostA:7070,hostB:7070")`` (CLI:
 environment variable.
 """
 
-from repro.distributed.cluster import ClusterExecutor, make_cluster_executor
+from repro.distributed.cluster import ClusterExecutor
 from repro.distributed.local import LocalCluster
 from repro.distributed.transport import (
     Connection,
@@ -38,7 +38,6 @@ from repro.distributed.worker import WorkerAgent
 
 __all__ = [
     "ClusterExecutor",
-    "make_cluster_executor",
     "LocalCluster",
     "Connection",
     "HandshakeError",

@@ -56,7 +56,7 @@ from repro.distributed.transport import (
 )
 from repro.parallel.executor import Executor, WorkerFailure, token_channel
 
-__all__ = ["ClusterExecutor", "make_cluster_executor"]
+__all__ = ["ClusterExecutor"]
 
 
 class ClusterExecutor(Executor):
@@ -452,19 +452,3 @@ class ClusterExecutor(Executor):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         addrs = ",".join(f"{h}:{p}" for h, p in self.hosts)
         return f"ClusterExecutor(hosts=[{addrs}])"
-
-
-def make_cluster_executor(
-    hosts, transport: str = "socket", **kwargs
-) -> ClusterExecutor:
-    """Resolve a transport name to a cluster backend.
-
-    ``"socket"`` is the one transport today; the name is a seam for an
-    MPI-style allgather later, and unknown names fail loudly here
-    rather than deep in a connect call.
-    """
-    if transport != "socket":
-        raise ValueError(
-            f"unknown transport {transport!r} (available: 'socket')"
-        )
-    return ClusterExecutor(hosts, **kwargs)

@@ -24,7 +24,6 @@ from repro.parallel.partition import (
 from repro.parallel.pool import (
     block_sweep_chunks,
     conflict_sweep_chunks,
-    parallel_conflict_graph,
     payload_token_for,
 )
 
@@ -42,5 +41,4 @@ __all__ = [
     "tile_grid",
     "block_sweep_chunks",
     "conflict_sweep_chunks",
-    "parallel_conflict_graph",
 ]

@@ -621,7 +621,6 @@ def make_executor(
     start_method: str | None = None,
     pin: bool = False,
     hosts: str | Sequence[str] | None = None,
-    transport: str = "socket",
 ) -> Executor:
     """Resolve an executor spec to a backend instance.
 
@@ -633,7 +632,7 @@ def make_executor(
     :class:`~repro.distributed.cluster.ClusterExecutor` over the worker
     agents named by ``hosts`` (``"host:port,host:port"`` or a
     sequence), falling back to the ``REPRO_HOSTS`` environment
-    variable; ``transport`` selects the wire protocol (``"socket"``).
+    variable.
     An :class:`Executor` instance passes through untouched
     (``pin``/``start_method``/``hosts`` are ignored for it; the
     instance's owner configured and closes it).  Spec-created executors
@@ -650,9 +649,9 @@ def make_executor(
                 "--hosts, or the REPRO_HOSTS environment variable)"
             )
         # Imported lazily: repro.distributed builds on this module.
-        from repro.distributed.cluster import make_cluster_executor
+        from repro.distributed.cluster import ClusterExecutor
 
-        return make_cluster_executor(hosts, transport)
+        return ClusterExecutor(hosts)
     if spec == "serial":
         return SerialExecutor()
     if spec == "pool":
@@ -671,7 +670,6 @@ def owned_executor(
     start_method: str | None = None,
     pin: bool = False,
     hosts: str | Sequence[str] | None = None,
-    transport: str = "socket",
 ) -> Iterator[Executor]:
     """The executor-lifecycle contract as a context manager.
 
@@ -681,7 +679,7 @@ def owned_executor(
     Every build function that accepts a spec-or-instance uses this one
     expression of the ownership rule instead of hand-rolling it.
     """
-    ex = make_executor(spec, n_workers, start_method, pin, hosts, transport)
+    ex = make_executor(spec, n_workers, start_method, pin, hosts)
     try:
         yield ex
     finally:

@@ -61,6 +61,7 @@ from contextlib import closing
 import numpy as np
 
 from repro import telemetry
+from repro.device.backends import resolve_backend
 from repro.device.palette_index import PaletteIndex, all_pairs_share, prefers_index, row_blocks
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
@@ -74,9 +75,8 @@ from repro.device.tiles import (
     tile_edge,
 )
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, key_layout
-from repro.parallel.executor import Executor, SerialExecutor, owned_executor
+from repro.parallel.executor import Executor, SerialExecutor
 from repro.parallel.partition import partition_tiles, tile_grid
-from repro.pauli.anticommute import AnticommuteOracle
 from repro.resilience.faults import fault_point
 from repro.util.bits import bitset_from_lists
 
@@ -85,7 +85,6 @@ __all__ = [
     "gathered_conflict_csr",
     "fused_conflict_csr",
     "block_sweep_chunks",
-    "parallel_conflict_graph",
     "payload_token_for",
     "imap_delta_install",
     "PayloadNotInstalled",
@@ -129,21 +128,6 @@ def payload_token_for(source) -> int:
         token = next(_TOKEN_COUNTER)
         _SOURCE_TOKENS[source] = token
     return token
-
-
-def _backend_for(kernel_backend: str | None):
-    """Resolve a kernel-backend *name* to an instance, lazily.
-
-    ``None`` means "no dispatch" — the tiles drivers run their direct
-    numpy path, exactly the pre-seam code.  The import is deferred so
-    the pool module never drags the backend registry (and through it
-    the device package) into its own import cycle.
-    """
-    if kernel_backend is None:
-        return None
-    from repro.device.backends import resolve_backend
-
-    return resolve_backend(kernel_backend)
 
 
 def sweep_payload(
@@ -330,7 +314,7 @@ def init_sweep_worker(payload: dict) -> None:
         _WORKER["edge_block_fn"] = getattr(source, "edge_block", None)
     # Worker-side backend resolution: the payload carries the *name*,
     # each worker resolves it against its own environment.
-    _WORKER["backend"] = _backend_for(_WORKER.get("kernel_backend"))
+    _WORKER["backend"] = resolve_backend(_WORKER["kernel_backend"])
     if _WORKER["plan"] is None:
         _WORKER["grid"] = tile_grid(_WORKER["n"], _WORKER["tile"])
         _WORKER["scratch"] = TileScratch(_WORKER["tile"])
@@ -380,7 +364,7 @@ def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
         if plan == "rows":
             keys = concat_hits(sweep_block_hits(
                 _WORKER["n"], _WORKER["edge_block_fn"], _WORKER["tile"],
-                _WORKER.get("backend"), start, stop,
+                start, stop,
             ), _WORKER["n"])
         elif plan is not None:
             keys = plan.block_hits(start, stop, _WORKER["edge_mask_fn"])
@@ -390,8 +374,8 @@ def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
                 _WORKER["grid"][start:stop],
                 _WORKER["edge_mask_fn"],
                 _WORKER["edge_block_fn"],
-                scratch=_WORKER["scratch"],
-                backend=_WORKER.get("backend"),
+                _WORKER["scratch"],
+                backend=_WORKER["backend"],
             )
     telemetry.observe("pool.strip_hits", float(len(keys)))
     return keys
@@ -517,15 +501,15 @@ def conflict_sweep_chunks(
 
     The single entry point behind the host build
     (:mod:`repro.core.conflict`), the device build
-    (:mod:`repro.device.csr_build`), the explicit graph builders
-    (:func:`block_sweep_chunks`) and :func:`parallel_conflict_graph`.
-    A serial backend (or ``None``) short-circuits to the streaming
-    in-process sweep — same kernels, same order, lowest memory.  A pool
-    backend partitions the domain into contiguous strips (tile grid or
-    row blocks, per :func:`sweep_plan`), installs the payload once per
-    worker, and yields the per-strip results in strip order, which
-    makes the concatenated hit stream — and therefore the assembled
-    CSR — bit-identical to the serial sweep's.
+    (:mod:`repro.device.csr_build`) and the explicit graph builders
+    (:func:`block_sweep_chunks`).  A serial backend (or ``None``)
+    short-circuits to the streaming in-process sweep — same kernels,
+    same order, lowest memory.  A pool backend partitions the domain
+    into contiguous strips (tile grid or row blocks, per
+    :func:`sweep_plan`), installs the payload once per worker, and
+    yields the per-strip results in strip order, which makes the
+    concatenated hit stream — and therefore the assembled CSR —
+    bit-identical to the serial sweep's.
 
     ``col_lists`` are the ``(n, L)`` candidate lists over the palette
     ``{0..palette_size-1}``, each row of distinct colors.
@@ -536,23 +520,26 @@ def conflict_sweep_chunks(
     and each worker derives ``source.subset(active_idx)`` locally.
     Per-sweep worker state is cleared in a ``finally`` whether the
     sweep completes or aborts.
+
+    ``kernel_backend`` names the palette-intersection kernel
+    (:func:`repro.device.backends.resolve_backend`; ``None`` is the
+    environment's choice, numpy by default).  A serial sweep resolves
+    it once; a pool ships the name and each worker resolves it once
+    per install.
     """
     plan, tile, colmasks = sweep_plan(
         n, col_lists, palette_size, tile, tile_bytes, edge_mask_fn, edge_block_fn,
     )
     if executor is None or isinstance(executor, SerialExecutor):
         if plan == "rows":
-            yield from sweep_block_hits(
-                n, edge_block_fn, tile, backend=_backend_for(kernel_backend)
-            )
-            return
-        if plan is not None:
+            yield from sweep_block_hits(n, edge_block_fn, tile)
+        elif plan is not None:
             yield from plan.iter_hits(edge_mask_fn)
-            return
-        yield from sweep_conflict_hits(
-            n, colmasks, edge_mask_fn, edge_block_fn, tile=tile,
-            backend=_backend_for(kernel_backend),
-        )
+        else:
+            yield from sweep_conflict_hits(
+                n, colmasks, edge_mask_fn, edge_block_fn, tile=tile,
+                backend=resolve_backend(kernel_backend),
+            )
         return
     tasks, _ = sweep_strip_tasks(n, tile, executor, plan)
     payload_args = dict(
@@ -710,62 +697,3 @@ def block_sweep_chunks(
         n, None, np.zeros((n, 1), dtype=np.int64), 1, edge_block_fn=block_fn,
         tile_bytes=tile_bytes, executor=executor, kernel_backend=kernel_backend,
     )
-
-
-def parallel_conflict_graph(
-    pauli_set,
-    col_lists: np.ndarray,
-    palette_size: int,
-    n_workers: int = 2,
-    want_anticommute: bool = False,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    executor: Executor | None = None,
-    kernel_backend: str | None = None,
-) -> tuple[CSRGraph, int]:
-    """Build the conflict graph over a Pauli set with worker processes.
-
-    Thin front end over :func:`conflict_sweep_chunks` plus the shared
-    sort-key CSR assembly — the same code path the serial host build
-    uses, so parallel and serial graphs are bit-identical.
-
-    Parameters
-    ----------
-    pauli_set:
-        The active :class:`repro.pauli.PauliSet` (complement edges are
-        derived on the fly in each worker).
-    col_lists, palette_size:
-        ``(n, L)`` candidate lists of the active vertices and the
-        palette size ``P``.
-    n_workers:
-        Pool size; 1 short-circuits to the in-process streaming sweep.
-        Ignored when ``executor`` is given.
-    want_anticommute:
-        Color the anticommute graph itself instead of its complement
-        (used by tests to cross-check orientations).
-    executor:
-        Explicit backend; overrides ``n_workers``.  A spec-created
-        backend is closed before returning; a passed instance is left
-        open for its owner.
-
-    Returns
-    -------
-    (graph, n_conflict_edges)
-    """
-    oracle = AnticommuteOracle(pauli_set.chars)
-    if want_anticommute:
-        edge_mask_fn = oracle.anticommute
-        edge_block_fn = oracle.anticommute_block
-    else:
-        edge_mask_fn = oracle.commute_edges
-        edge_block_fn = oracle.commute_block
-    with owned_executor(executor if executor is not None else "auto", n_workers) as ex:
-        return gathered_conflict_csr(
-            pauli_set.n,
-            edge_mask_fn,
-            col_lists,
-            palette_size,
-            edge_block_fn=edge_block_fn,
-            tile_bytes=tile_bytes,
-            executor=ex,
-            kernel_backend=kernel_backend,
-        )

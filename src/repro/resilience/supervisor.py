@@ -370,7 +370,6 @@ def supervised_executor(
     start_method: str | None = None,
     pin: bool = False,
     hosts: str | Sequence[str] | None = None,
-    transport: str = "socket",
     failover: str | Sequence[str] | None = None,
     max_retries: int | None = None,
     backoff_base_s: float | None = None,
@@ -390,14 +389,10 @@ def supervised_executor(
     """
     chain = _parse_chain(failover)
     if not chain and max_retries is None:
-        return make_executor(
-            spec, n_workers, start_method, pin, hosts, transport
-        )
+        return make_executor(spec, n_workers, start_method, pin, hosts)
 
     def build(entry: str | Executor) -> Executor:
-        ex = make_executor(
-            entry, n_workers, start_method, pin, hosts, transport
-        )
+        ex = make_executor(entry, n_workers, start_method, pin, hosts)
         # Under supervision a cluster backend redistributes a dead
         # agent's strips to the survivors first; only when that is
         # impossible (no survivors, dispatch/install failure) does the

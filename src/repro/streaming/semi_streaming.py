@@ -69,7 +69,7 @@ def semi_streaming_color(
     # way, so this function owns and closes it.
     executor = supervised_executor(
         params.executor, params.n_workers, pin=params.pin_workers,
-        hosts=params.hosts, transport=params.transport,
+        hosts=params.hosts,
         failover=params.failover, max_retries=params.max_retries,
     )
     try:

@@ -46,7 +46,7 @@ class TestValidation:
         for engine in ("tiled", "pairs"):
             with pytest.raises(TypeError):
                 PicassoParams(engine=engine)
-        assert len(fields(PicassoParams)) == 21
+        assert len(fields(PicassoParams)) == 20
 
     def test_fused_knob_is_gone(self):
         with pytest.raises(TypeError):

@@ -1,8 +1,10 @@
 """Kernel-backend registry, resolution policy and bit-level contract.
 
-The contract every backend signs: the three hot primitives reproduce a
+The contract every backend signs: its two hot kernels reproduce a
 naive per-bit Python reference **exactly**, on randomized packed words,
-all-zero rows and single-word matrices.  The suite parametrizes over
+all-zero rows and single-word matrices, and the drivers that need them
+reach them through :func:`resolve_backend` even when no backend is
+named.  The suite parametrizes over
 :func:`available_backends`, so a CI leg with numba installed runs every
 property against the compiled kernels with zero test changes.
 """
@@ -124,18 +126,6 @@ def test_params_resolved_kernel_backend(monkeypatch):
 # -- per-bit Python references -------------------------------------------
 
 
-def _ref_parity_block(packed, r0, r1, c0, c1):
-    out = np.empty((r1 - r0, c1 - c0), dtype=np.uint8)
-    for i in range(r0, r1):
-        for j in range(c0, c1):
-            bits = sum(
-                bin(int(a) & int(b)).count("1")
-                for a, b in zip(packed[i], packed[j])
-            )
-            out[i - r0, j - c0] = bits & 1
-    return out
-
-
 def _ref_intersect_block(colmasks, r0, r1, c0, c1):
     out = np.empty((r1 - r0, c1 - c0), dtype=bool)
     for i in range(r0, r1):
@@ -176,19 +166,6 @@ def backend(request):
 
 @pytest.mark.parametrize("words", [1, 3])
 @pytest.mark.parametrize("density", [0.02, 0.5])
-def test_parity_block_matches_reference(backend, words, density):
-    rng = np.random.default_rng(7 * words)
-    packed = _random_words(rng, 17, words, density)
-    packed[3] = 0  # all-zero row
-    for r0, r1, c0, c1 in [(0, 17, 0, 17), (2, 9, 5, 17), (0, 1, 16, 17)]:
-        got = backend.anticommute_parity_block(packed, r0, r1, c0, c1)
-        ref = _ref_parity_block(packed, r0, r1, c0, c1)
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, ref)
-
-
-@pytest.mark.parametrize("words", [1, 3])
-@pytest.mark.parametrize("density", [0.02, 0.5])
 def test_intersect_block_matches_reference(backend, words, density):
     rng = np.random.default_rng(11 * words)
     colmasks = _random_words(rng, 17, words, density)
@@ -221,37 +198,64 @@ def test_lowest_set_bit_rows_empty_and_shape(backend):
         backend.lowest_set_bit_rows(np.zeros(4, dtype=np.uint64))
 
 
-# -- backend-dispatched drivers ------------------------------------------
+# -- the seam: two kernels, always dispatched ------------------------------
 
 
-def test_conflict_hits_block_dispatches(backend):
+def test_contract_is_two_kernels():
+    assert KernelBackend.__abstractmethods__ == {
+        "lists_intersect_block", "lowest_set_bit_rows",
+    }
+
+
+def _spy(monkeypatch, method: str) -> list:
+    """Count calls to ``method`` of the backend :func:`resolve_backend`
+    picks with no name given."""
+    cls = type(resolve_backend())
+    original = getattr(cls, method)
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method, spy)
+    return calls
+
+
+def test_tile_sweep_without_a_name_uses_the_resolved_backend(monkeypatch):
+    from naive_reference import naive_conflict_csr
+
+    from repro.core.conflict import build_conflict_graph
     from repro.core.palette import assign_color_lists
-    from repro.device.tiles import conflict_hits_block
-    from repro.util.bits import bitset_from_lists
-
-    rng = np.random.default_rng(3)
-    colmasks = bitset_from_lists(assign_color_lists(40, 20, 3, rng), 20)
-    ps = random_pauli_set(40, 5, seed=4)
     from repro.core.sources import PauliComplementSource
+    from repro.device import palette_index
+    from repro.parallel import pool
 
+    # Force the tile plan, the one plan that runs the palette test.
+    monkeypatch.setattr(palette_index, "INDEX_COST_PER_CANDIDATE", float("inf"))
+    monkeypatch.setattr(pool, "all_pairs_share", lambda lists, palette: False)
+    calls = _spy(monkeypatch, "lists_intersect_block")
+    ps = random_pauli_set(70, 6, seed=2)
     src = PauliComplementSource(ps)
-    for tile in [(0, 40, 0, 40), (3, 20, 17, 40)]:
-        got = backend.conflict_hits_block(
-            colmasks, *tile, edge_mask_fn=src.edge_mask
-        )
-        ref = conflict_hits_block(colmasks, *tile, src.edge_mask)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
+    lists = assign_color_lists(70, 12, 3, rng=1)
+    got, m = build_conflict_graph(
+        70, src.edge_mask, lists, 12, edge_block_fn=src.edge_block,
+    )
+    assert calls
+    ref, m_ref = naive_conflict_csr(70, src.edge_mask, lists)
+    assert m == m_ref
+    np.testing.assert_array_equal(got.offsets, ref.offsets)
+    np.testing.assert_array_equal(got.targets, ref.targets)
 
 
-def test_block_hits_dispatches(backend):
-    ps = random_pauli_set(30, 5, seed=5)
-    from repro.core.sources import PauliComplementSource
-    from repro.device.tiles import block_hits
+def test_parallel_list_without_a_name_uses_the_resolved_backend(monkeypatch):
+    from repro.coloring.parallel_list import parallel_list_color
+    from repro.core.palette import assign_color_lists
+    from repro.graphs import erdos_renyi
 
-    block_fn = PauliComplementSource(ps).edge_block
-    for r0, r1 in [(0, 30), (7, 19)]:
-        got = backend.block_hits(block_fn, r0, r1, r0, 30, 5)
-        ref = block_hits(block_fn, r0, r1, r0, 30, 5)
-        assert got.dtype == ref.dtype == np.int32
-        np.testing.assert_array_equal(got, ref)
+    calls = _spy(monkeypatch, "lowest_set_bit_rows")
+    g = erdos_renyi(40, 0.2, seed=3)
+    colors, vu, info = parallel_list_color(
+        g, assign_color_lists(40, 10, 4, rng=3), rng=5
+    )
+    assert len(calls) == info["n_rounds"] > 0

@@ -16,6 +16,7 @@ from repro.device import (
     sweep_conflict_hits,
     tile_scratch_bytes,
 )
+from repro.device.backends import resolve_backend
 from repro.graphs.csr import key_pairs
 from repro.pauli import random_pauli_set
 from repro.util.bits import bitset_from_lists
@@ -50,7 +51,9 @@ class TestKernels:
         ii, jj = np.triu_indices(60, k=1)
         sets = [set(row.tolist()) for row in lists]
         slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj).astype(bool)
-        keys = np.concatenate(list(sweep_conflict_hits(60, masks, src.edge_mask, tile=16)))
+        keys = np.concatenate(list(sweep_conflict_hits(
+            60, masks, src.edge_mask, tile=16, backend=resolve_backend(),
+        )))
         fast = np.stack(key_pairs(np.sort(keys), 60), axis=1)
         np.testing.assert_array_equal(fast, np.stack([ii[slow], jj[slow]], axis=1))
 

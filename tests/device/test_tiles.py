@@ -14,10 +14,10 @@ from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
 from repro.device import conflict_pair_kernel_python, lists_intersect_kernel
+from repro.device.backends import resolve_backend
 from repro.device.tiles import (
     MIN_TILE,
     TileScratch,
-    anticommute_parity_block,
     conflict_hits_block,
     count_block_hits,
     iter_tiles,
@@ -40,8 +40,12 @@ from repro.pauli.anticommute import (
     anticommute_pairs_symplectic,
 )
 from repro.pauli.encoding import encode_iooh, encode_symplectic
-from repro.util.bits import bitset_from_lists
+from repro.util.bits import bitset_from_lists, parity_block
 from repro.util.chunking import num_pairs
+
+#: The tile drivers' kernel backend: the environment's choice, so a
+#: ``REPRO_KERNEL_BACKEND=numba`` run checks the compiled kernel here.
+BACKEND = resolve_backend()
 
 
 def make_inputs(n=60, nq=6, palette=16, L=4, seed=0):
@@ -110,7 +114,7 @@ class TestBlockKernelsMatchPairKernels:
             np.testing.assert_array_equal(blk_chars[li, lj], expected)
             np.testing.assert_array_equal(blk_sym[li, lj], expected)
             np.testing.assert_array_equal(
-                anticommute_parity_block(packed, r0, r1, c0, c1), blk_iooh
+                parity_block(packed[r0:r1], packed[c0:c1]), blk_iooh
             )
 
     def test_oracle_block_matches_pairwise(self):
@@ -173,14 +177,20 @@ class TestFusedConflictKernel:
         assert set(zip(ii[slow].tolist(), jj[slow].tolist())) == expected
 
         tiled = _keys_to_set(
-            sweep_conflict_hits(n, masks, src.edge_mask, src.edge_block, tile=19), n
+            sweep_conflict_hits(
+                n, masks, src.edge_mask, src.edge_block, tile=19,
+                backend=BACKEND,
+            ),
+            n,
         )
         assert tiled == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_degenerate_sizes(self, n):
         ps, src, lists, masks = make_inputs(n=n, palette=4, L=2, seed=0)
-        hits = _keys_to_set(sweep_conflict_hits(n, masks, src.edge_mask), n)
+        hits = _keys_to_set(
+            sweep_conflict_hits(n, masks, src.edge_mask, backend=BACKEND), n
+        )
         if n < 2:
             assert hits == set()
         gt, mt = build_conflict_graph(n, src.edge_mask, lists, 4)
@@ -196,6 +206,7 @@ class TestFusedConflictKernel:
                 masks, 0, 50, 0, 50,
                 edge_mask_fn=None,  # always block oracle
                 edge_block_fn=src.edge_block,
+                backend=BACKEND,
             )
         ])
         via_gather = _hits_to_set([
@@ -203,6 +214,7 @@ class TestFusedConflictKernel:
                 masks, 0, 50, 0, 50,
                 edge_mask_fn=src.edge_mask,
                 edge_block_fn=None,  # always pairwise gather
+                backend=BACKEND,
             )
         ])
         assert via_block == via_gather
@@ -210,7 +222,7 @@ class TestFusedConflictKernel:
     def test_requires_an_oracle(self):
         _, _, _, masks = make_inputs(n=10)
         with pytest.raises(ValueError):
-            conflict_hits_block(masks, 0, 10, 0, 10)
+            conflict_hits_block(masks, 0, 10, 0, 10, backend=BACKEND)
 
     def test_unknown_engine_rejected(self):
         """The sweep engine is not a parameter, so naming one is an

@@ -7,7 +7,8 @@ over sockets.  CI runs this directory under forced ``spawn``.
 
 import pytest
 
-from repro.distributed import ClusterExecutor, LocalCluster, make_cluster_executor
+from repro.core.params import PicassoParams
+from repro.distributed import ClusterExecutor, LocalCluster
 from repro.parallel.executor import make_executor
 
 # Module-level so they pickle into the (possibly spawn-started) agents.
@@ -128,12 +129,12 @@ class TestClusterExecutor:
 
 
 class TestFactories:
-    def test_make_cluster_executor_transport_validation(self, cluster):
-        ex = make_cluster_executor(cluster.hosts, "socket")
-        assert isinstance(ex, ClusterExecutor)
-        ex.close()
-        with pytest.raises(ValueError, match="unknown transport"):
-            make_cluster_executor(cluster.hosts, "carrier-pigeon")
+    def test_transport_knob_is_gone(self):
+        """The socket protocol is the only wire protocol, so there is no
+        knob to name it."""
+        for transport in ("socket", "carrier-pigeon"):
+            with pytest.raises(TypeError, match="transport"):
+                PicassoParams(transport=transport)
 
     def test_make_executor_cluster_spec(self, cluster, monkeypatch):
         ex = make_executor("cluster", hosts=",".join(cluster.hosts))

@@ -219,10 +219,15 @@ def test_index_rejects_a_repeated_color():
 
 def _naive_buckets(lists: np.ndarray, palette: int) -> list[np.ndarray]:
     """The bucket oracle: per color, the ascending ids of the vertices
-    whose packed bitset holds it."""
-    masks = bitset_from_lists(lists, palette).astype("<u8")
-    bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
-    return [np.flatnonzero(bits[:, c]) for c in range(palette)]
+    whose packed bitset holds it.  One 64-color word column is unpacked
+    at a time, so the scratch is ``64 n`` bytes, not ``n P``."""
+    masks = bitset_from_lists(lists, palette).astype("<u8", copy=False)
+    buckets: list[np.ndarray] = []
+    for w in range(masks.shape[1]):
+        word = np.ascontiguousarray(masks[:, w]).view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(word, axis=1, bitorder="little").T.copy()
+        buckets.extend(np.flatnonzero(b) for b in bits[: palette - 64 * w])
+    return buckets
 
 
 class TestIndexAgainstBucketOracle:

@@ -16,11 +16,11 @@ from repro.core.sources import PauliComplementSource
 from repro.device.backends import available_backends
 from repro.parallel import (
     PoolExecutor,
-    parallel_conflict_graph,
     partition_tiles,
     pin_current_worker,
 )
 from repro.pauli import random_pauli_set
+from repro.pauli.anticommute import AnticommuteOracle
 from repro.util.chunking import num_pairs
 
 #: CI pins the backend-equivalence pool size via REPRO_TEST_N_WORKERS
@@ -70,6 +70,19 @@ def _assert_bit_identical(got, ref):
     assert got.targets.dtype == ref.targets.dtype
 
 
+def _pauli_conflict_graph(ps, lists, palette, want_anticommute=False, **kw):
+    """The conflict graph over a Pauli set's commute graph, or over its
+    anticommute graph with ``want_anticommute``."""
+    oracle = AnticommuteOracle(ps.chars)
+    if want_anticommute:
+        fns = oracle.anticommute, oracle.anticommute_block
+    else:
+        fns = oracle.commute_edges, oracle.commute_block
+    return build_conflict_graph(
+        ps.n, fns[0], lists, palette, edge_block_fn=fns[1], **kw
+    )
+
+
 class TestParallelConflictGraph:
     @pytest.mark.parametrize("reference", ["tiled", "pairs"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
@@ -83,7 +96,7 @@ class TestParallelConflictGraph:
             expect_g, expect_m = build_conflict_graph(ps.n, src.edge_mask, *pal)
         else:
             expect_g, expect_m = naive_conflict_csr(ps.n, src.edge_mask, pal[0])
-        got_g, got_m = parallel_conflict_graph(ps, *pal, n_workers=n_workers)
+        got_g, got_m = _pauli_conflict_graph(ps, *pal, n_workers=n_workers)
         assert got_m == expect_m
         _assert_bit_identical(got_g, expect_g)
 
@@ -93,8 +106,8 @@ class TestParallelConflictGraph:
         # Full palette overlap: every pair shares a color, so the
         # conflict graph equals the underlying edge set.
         pal = (assign_color_lists(40, 2, 2, rng=0), 2)
-        g_comm, m_comm = parallel_conflict_graph(ps, *pal, n_workers=1)
-        g_anti, m_anti = parallel_conflict_graph(
+        g_comm, m_comm = _pauli_conflict_graph(ps, *pal, n_workers=1)
+        g_anti, m_anti = _pauli_conflict_graph(
             ps, *pal, n_workers=1, want_anticommute=True
         )
         assert m_comm + m_anti == num_pairs(40)
@@ -102,10 +115,10 @@ class TestParallelConflictGraph:
     def test_anticommute_parallel_matches_serial(self):
         ps = random_pauli_set(50, 5, seed=4)
         pal = (assign_color_lists(50, 8, 3, rng=2), 8)
-        ref, m_ref = parallel_conflict_graph(
+        ref, m_ref = _pauli_conflict_graph(
             ps, *pal, n_workers=1, want_anticommute=True
         )
-        got, m_got = parallel_conflict_graph(
+        got, m_got = _pauli_conflict_graph(
             ps, *pal, n_workers=2, want_anticommute=True
         )
         assert m_got == m_ref
@@ -119,7 +132,7 @@ class TestParallelConflictGraph:
         ps = random_pauli_set(40, 5, seed=3)
         pal = (assign_color_lists(40, 8, 3, rng=1), 8)
         with pytest.raises(TypeError, match="chunk_size"):
-            parallel_conflict_graph(
+            _pauli_conflict_graph(
                 ps, *pal, n_workers=n_workers, chunk_size=chunk_size
             )
 
@@ -128,7 +141,7 @@ class TestParallelConflictGraph:
         ps = random_pauli_set(30, 5, seed=2)
         lists = np.arange(30, dtype=np.int64).reshape(-1, 1)
         pal = (lists, 30)
-        _, m = parallel_conflict_graph(ps, *pal, n_workers=2)
+        _, m = _pauli_conflict_graph(ps, *pal, n_workers=2)
         assert m == 0
 
 
