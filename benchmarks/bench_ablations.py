@@ -70,7 +70,7 @@ def test_ablation_iterative_vs_single_pass(benchmark):
     data = {}
     for pf in (0.5, 0.25, 0.125, 0.05):
         params = PicassoParams(palette_fraction=pf, alpha=2.0)
-        r = Picasso(params=params, seed=0).color(ps)
+        r = Picasso(params=params, seed=0, exact_edges=True).color(ps)
         data[pf] = (r.n_colors, r.n_iterations)
         rows.append(
             f"{100 * pf:>5.1f}% {r.n_colors:>8} {r.n_iterations:>7} "

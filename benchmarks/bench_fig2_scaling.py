@@ -29,7 +29,7 @@ def test_fig2_scaling(benchmark):
         ps = random_pauli_set_density(
             n, 10, identity_fraction=0.35, seed=42, name=f"scale{n}"
         )
-        result = Picasso(params=normal_params(), seed=0).color(ps)
+        result = Picasso(params=normal_params(), seed=0, exact_edges=True).color(ps)
         n_edges = int(DENSITY * num_pairs(n))  # nominal |E| for the family
         frac = 100.0 * result.max_conflict_edges / n_edges
         # Device feasibility: the COO buffer holds budget/8 edges (two

@@ -160,7 +160,7 @@ def run_config(pauli_set, params: PicassoParams, seed: int, repeats: int = 2) ->
         "n_iterations": result.n_iterations,
         "color_engine": result.engine,
         "color_rounds": int(result.stats.get("color_rounds", 0)),
-        "max_conflict_edges": int(result.max_conflict_edges),
+        "max_conflict_edges": result.max_conflict_edges,  # None: no graph built
         "colors": result.colors,
     }
 

@@ -65,7 +65,7 @@ def main() -> None:
         f"\nPredicted for new input (|V|={fresh.n}, |E|={n_edges}, beta={beta}): "
         f"P'={100 * params.palette_fraction:.1f}%  alpha={params.alpha:.2f}"
     )
-    result = Picasso(params=params, seed=0).color(fresh)
+    result = Picasso(params=params, seed=0, exact_edges=True).color(fresh)
     assert PauliComplementSource(fresh).validate(result.colors)
     print(
         f"Picasso with predicted parameters: {result.n_colors} colors "

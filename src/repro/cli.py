@@ -169,7 +169,7 @@ def _write_metrics(path: str, result, algorithm: str) -> None:
             },
             peak_bytes=int(result.peak_bytes),
             n_iterations=result.n_iterations,
-            max_conflict_edges=int(result.max_conflict_edges),
+            max_conflict_edges=result.max_conflict_edges,
         )
     else:
         payload = _metrics_payload(
@@ -192,7 +192,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     print(f"input: {ps.n} strings, {ps.n_qubits} qubits")
     if args.algorithm == "picasso":
         result = Picasso(params=_make_params(args), seed=args.seed).color(ps)
-        extra = f", {result.n_iterations} iterations, max |Ec| {result.max_conflict_edges:,}"
+        ec = result.max_conflict_edges
+        extra = f", {result.n_iterations} iterations, max |Ec| {'n/a' if ec is None else f'{ec:,}'}"
     else:
         from repro.coloring import (
             greedy_coloring,

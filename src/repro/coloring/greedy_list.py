@@ -20,7 +20,9 @@ Three schemes:
   vertex, ``size * n + rank``, in ``sqrt(n)``-sized blocks with a
   minimum per block: a pick is two ``argmin`` calls, and a colored
   vertex updates its affected neighbors' keys and block minima in one
-  vectorized pass, with no per-neighbor Python code.
+  vectorized pass, with no per-neighbor Python code.  The neighbours
+  of ``v`` still holding ``c`` come from one query: a CSR slice, or
+  :class:`~repro.device.palette_index.BucketQuery` (no graph built).
 - :func:`greedy_list_color_dynamic_sets` — the same rule in naive form
   (per-vertex Python ``set`` state, ``min`` over the live vertices),
   kept as the seeded-equivalence reference (the ``sets`` color
@@ -63,7 +65,8 @@ def greedy_list_color_dynamic(
     Parameters
     ----------
     gc:
-        Conflict graph (local vertex ids ``0..n-1``).
+        Conflict graph (local vertex ids ``0..n-1``), or a neighbour
+        query (:class:`repro.device.palette_index.BucketQuery`).
     col_lists:
         ``(n, L)`` matrix of local candidate color ids.  Negative
         entries are treated as padding and ignored.
@@ -114,8 +117,8 @@ def greedy_list_color_dynamic(
     block_min = blocks.min(axis=1)
     colors = np.full(n, -1, dtype=np.int64)
 
-    offsets = gc.offsets
-    targets = gc.targets
+    csr = isinstance(gc, CSRGraph)
+    offsets, targets = (gc.offsets, gc.targets) if csr else (None, None)
     key_updates = 0
     for _ in range(n):
         b = int(block_min.argmin())
@@ -143,12 +146,15 @@ def greedy_list_color_dynamic(
 
         # One vectorized pass: neighbors still holding c lose that bit,
         # and their keys and block minima drop by one list size.
-        nbrs = targets[offsets[v] : offsets[v + 1]]
         row = masks[c >> 6]
         bit = np.uint64(1 << (c & 63))
-        held = row.take(nbrs)
-        held &= bit
-        affected = nbrs[held.astype(bool)]
+        if csr:
+            nbrs = targets[offsets[v] : offsets[v + 1]]
+            held = row.take(nbrs)
+            held &= bit
+            affected = nbrs[held.astype(bool)]
+        else:
+            affected = gc.holders(v, c, row, bit)
         if len(affected) == 0:
             continue
         affected = affected.astype(np.intp)

@@ -30,18 +30,21 @@ sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`),
 whose rows depend on the edge set alone, so serial and parallel builds
 are bit-identical per seed.
 
-The Picasso driver calls :func:`build_fused_conflict_state`, which
-returns the conflicted sub-CSR directly.  :func:`build_conflict_graph`
-returns the full-width graph: the public API and the differential
-reference the tests compare the driver's build against.
+A serial Picasso iteration on a Pauli input calls
+:func:`bucket_conflict_state`, which builds no graph; the driver's other
+iterations call :func:`build_fused_conflict_state`, which returns the
+conflicted sub-CSR directly.  :func:`build_conflict_graph` returns the
+full-width graph, the public API and the tests' differential reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
+from repro.device.palette_index import BucketQuery, PaletteIndex
 from repro.device.tiles import DEFAULT_TILE_BYTES, EdgeBlockFn
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.pool import (
     conflict_sweep_chunks,
@@ -147,6 +150,25 @@ def build_fused_conflict_state(
         )
 
 
+def bucket_conflict_state(
+    n: int, edge_mask_fn, col_lists: np.ndarray, palette_size: int, **sweep_kw,
+) -> tuple[BucketQuery, np.ndarray]:
+    """The conflicted ids of :func:`build_fused_conflict_state`, detected on
+    the palette index, and the bucket query Algorithm 2 runs on, with no graph.
+    Sparse conflicts are marked by the palette sweep (``sweep_kw`` as for
+    :func:`count_conflict_edges`), whose block oracle beats pairwise tests."""
+    def swept() -> np.ndarray:
+        hit = np.zeros(n, dtype=bool)
+        count_conflict_edges(n, edge_mask_fn, col_lists, palette_size, hit=hit, **sweep_kw)
+        return hit
+
+    index = PaletteIndex(col_lists)
+    hit, tests = index.conflicted(edge_mask_fn, swept)
+    telemetry.count("conflict.detect_tests", float(tests))
+    conflicted = np.flatnonzero(hit)
+    return BucketQuery(index, conflicted, edge_mask_fn), conflicted
+
+
 def count_conflict_edges(
     n: int,
     edge_mask_fn,
@@ -158,9 +180,11 @@ def count_conflict_edges(
     executor: str | Executor = "auto",
     hosts=None,
     kernel_backend: str | None = None,
+    hit: np.ndarray | None = None,
 ) -> int:
     """Conflict-edge count without materializing the graph (parameter
-    sweeps, Fig. 5's ``max |Ec|`` heatmap)."""
+    sweeps, Fig. 5's ``max |Ec|`` heatmap); sets ``hit`` at both ends
+    of every edge when given."""
     with owned_executor(executor, n_workers, hosts=hosts) as ex:
         total = 0
         for keys in conflict_sweep_chunks(
@@ -169,4 +193,7 @@ def count_conflict_edges(
             kernel_backend=kernel_backend,
         ):
             total += len(keys)
+            if hit is not None:
+                i, j = key_pairs(keys, n)
+                hit[i] = hit[j] = True
         return total

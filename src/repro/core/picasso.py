@@ -1,11 +1,12 @@
 """Picasso driver — Algorithm 1 of the paper.
 
 Iteratively: assign random candidate-color lists from a fresh palette,
-materialize only the *conflicted* edges, color unconflicted vertices
-immediately, list-color the conflict graph (Algorithm 2), and recurse
-on whatever stayed uncolored.  Colors are never reused across
-iterations (iteration ``l`` draws from ``[(l-1)P, lP)``), so the union
-of per-iteration colorings is proper by construction.
+find the *conflicted* vertices (a serial Pauli iteration stores no
+conflict edges, :func:`repro.core.conflict.bucket_conflict_state`;
+other runs build their CSR), color unconflicted vertices immediately,
+list-color the conflicted ones (Algorithm 2), and recurse on whatever
+stayed uncolored.  Colors are never reused across iterations (iteration
+``l`` draws from ``[(l-1)P, lP)``), so their union is proper.
 
 The input graph is never stored: a *source* (see
 :mod:`repro.core.sources`) answers vectorized edge queries on the fly.
@@ -21,7 +22,9 @@ import numpy as np
 from repro import telemetry
 from repro.coloring.base import ColoringResult
 from repro.coloring.engine import get_engine
-from repro.core.conflict import build_fused_conflict_state
+from repro.core.conflict import (
+    bucket_conflict_state, build_fused_conflict_state, count_conflict_edges,
+)
 from repro.core.palette import assign_color_lists, lists_nbytes
 from repro.core.params import PicassoParams
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
@@ -51,7 +54,8 @@ class IterationStats:
     palette_size: int
     list_size: int
     n_conflict_vertices: int
-    n_conflict_edges: int
+    #: ``|Ec|``; ``None`` where no graph was built, unless ``exact_edges``.
+    n_conflict_edges: int | None
     n_colored: int
     n_uncolored: int
     assign_s: float
@@ -69,6 +73,8 @@ class IterationStats:
     assemble_s: float = 0.0
     #: Key bytes the host build gathered (0 on the device path).
     hit_bytes: int = 0
+    #: Edge-oracle pairs Algorithm 2 asked on the serial path.
+    oracle_tests: int = 0
 
 
 class PicassoNonConvergence(RuntimeError):
@@ -124,17 +130,17 @@ class PicassoResult(ColoringResult):
         return len(self.iterations)
 
     @property
-    def max_conflict_edges(self) -> int:
-        """``max_l |Ec|`` — the paper's memory-pressure metric (Fig. 2)."""
-        if not self.iterations:
-            return 0
-        return max(s.n_conflict_edges for s in self.iterations)
+    def max_conflict_edges(self) -> int | None:
+        """``max_l |Ec|`` — the paper's memory-pressure metric (Fig. 2),
+        over the iterations that counted it (``None`` if none did)."""
+        edges = [s.n_conflict_edges for s in self.iterations]
+        return max((m for m in edges if m is not None), default=None)
 
     def phase_times(self) -> dict[str, float]:
         """Cumulative seconds per phase (Fig. 3 breakdown).
 
         The three coarse phases are joined by the sub-buckets
-        ``sweep`` / ``assemble`` that split ``conflict_graph``.
+        ``sweep`` / ``assemble`` that split ``conflict_graph`` (0 with no graph).
         """
         return {
             "assignment": sum(s.assign_s for s in self.iterations),
@@ -160,6 +166,9 @@ class Picasso:
         would); otherwise the host path is used.
     seed:
         Seeds list assignment and Algorithm 2's tie-breaking.
+    exact_edges:
+        Also count ``|Ec|`` where no graph is built, with one more palette
+        sweep that stores no edges (Eq. 7 sweeps, Fig. 2/5).  Same colors.
 
     Examples
     --------
@@ -175,10 +184,12 @@ class Picasso:
         params: PicassoParams | None = None,
         device: DeviceSim | None = None,
         seed: int | np.random.Generator | None = None,
+        exact_edges: bool = False,
     ) -> None:
         self.params = params or PicassoParams()
         self.device = device
         self.rng = as_generator(seed)
+        self.exact_edges = exact_edges
 
     # -- public API ------------------------------------------------------
 
@@ -238,6 +249,10 @@ class Picasso:
         # One resolved kernel-backend name for the run; workers resolve
         # it against their own runtime (bit-identical by contract).
         kb = params.resolved_kernel_backend()
+        # Serial Pauli runs build no graph (explicit inputs hold theirs already).
+        graph_free = (self.device is None and executor.n_workers == 1 and params.hosts is None
+                      and color_engine.name == "greedy-dynamic"
+                      and not isinstance(source, ExplicitGraphSource))
         n_total = source.n
         colors = np.full(n_total, -1, dtype=np.int64)
         active = np.arange(n_total, dtype=np.int64)
@@ -293,7 +308,7 @@ class Picasso:
                 )
             t_assign = telemetry.clock() - t0
 
-            # Line 7: conflict graph (only conflicted edges materialize).
+            # Line 7: conflicted vertices, and their graph unless graph-free.
             # The sweep consumes the source's block oracle when it has
             # one (Pauli sources do; dense tiles then skip the
             # pairwise survivor gather).  The *root* source plus the
@@ -330,6 +345,15 @@ class Picasso:
                     sub_gc, _ = induced_subgraph(gc, conflicted)
                     graph_nbytes = gc.nbytes
                     del gc
+                elif graph_free:
+                    state = (n, active_source.edge_mask, col_lists, palette)
+                    sweep = dict(edge_block_fn=edge_block_fn, tile_bytes=params.tile_budget_bytes,
+                                 executor=executor, kernel_backend=kb)
+                    with telemetry.span("picasso.detect", iteration=it):
+                        sub_gc, conflicted = bucket_conflict_state(*state, **sweep)
+                    n_conf_edges = (count_conflict_edges(*state, **sweep)
+                                    if self.exact_edges else None)
+                    graph_nbytes = sub_gc.nbytes
                 else:
                     # The sweep comes back as coloring-round state:
                     # conflicted vertex ids plus their sub-CSR, with no
@@ -376,6 +400,8 @@ class Picasso:
                     del outcome
                 else:
                     vu_local = np.empty(0, dtype=np.int64)
+                oracle_tests = sub_gc.tests if graph_free else 0
+                telemetry.count("coloring.oracle_tests", float(oracle_tests))
                 del sub_gc  # iteration k's graph goes before k + 1's build
             t_color = telemetry.clock() - t0
 
@@ -391,7 +417,7 @@ class Picasso:
             # predates the engine layer — changing it would break the
             # cross-PR memory trajectory.
             # The host build never holds the full-width graph, so its
-            # term is the conflicted sub-CSR plus the vertex ids.
+            # term is the conflicted sub-CSR plus the vertex ids (or the bucket query).
             iter_peak = (
                 active_source.nbytes
                 + lists_nbytes(col_lists)
@@ -406,7 +432,7 @@ class Picasso:
                     palette_size=palette,
                     list_size=list_size,
                     n_conflict_vertices=int(len(conflicted)),
-                    n_conflict_edges=int(n_conf_edges),
+                    n_conflict_edges=n_conf_edges,
                     n_colored=int(len(colored_local)),
                     n_uncolored=int(len(vu_local)),
                     assign_s=t_assign,
@@ -419,6 +445,7 @@ class Picasso:
                     sweep_s=float(timings.get("sweep_s", 0.0)),
                     assemble_s=float(timings.get("assemble_s", 0.0)),
                     hit_bytes=int(timings.get("hit_bytes", 0)),
+                    oracle_tests=int(oracle_tests),
                 )
             )
 

@@ -48,6 +48,7 @@ from repro.util.chunking import num_pairs
 __all__ = [
     "INDEX_BLOCK_CANDIDATES",
     "INDEX_COST_PER_CANDIDATE",
+    "BucketQuery",
     "PaletteIndex",
     "all_pairs_share",
     "candidate_pairs",
@@ -126,6 +127,14 @@ def row_blocks(
     return blocks, weights
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort ``keys`` in place, drop repeats (10x faster than ``np.unique``)."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 class PaletteIndex:
     """Per-color vertex buckets of one iteration's candidate lists.
 
@@ -155,6 +164,8 @@ class PaletteIndex:
         ends = np.flatnonzero(last) + 1
         #: Entries after each entry in its bucket — its candidate count.
         self.later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(len(color)) - 1
+        #: Bucket entries' colors, ascending: bucket ``c`` is the run of ``c``.
+        self.color = color
         #: Entry ids grouped by vertex (the inverse permutation: the
         #: flat lists are vertex-major), for row blocks.
         self.by_vertex = np.empty(len(order), dtype=np.intp)
@@ -200,11 +211,7 @@ class PaletteIndex:
             + np.repeat(entries + 1 - starts, counts)
         ]
         keys |= np.repeat(self.verts[entries] << s, counts)
-        keys.sort()
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        return keys[first]
+        return _sorted_unique(keys)
 
     def block_hits(self, a: int, b: int, edge_mask_fn) -> np.ndarray:
         """Conflict edges of rows ``[a, b)``: the keys of the block's
@@ -222,3 +229,83 @@ class PaletteIndex:
         blocks, _ = self.row_blocks(self.block_count())
         for a, b in blocks:
             yield self.block_hits(a, b, edge_mask_fn)
+
+    def conflicted(self, edge_mask_fn, sweep=None) -> tuple[np.ndarray, int]:
+        """``(mask, oracle tests)``: which vertices have a conflict edge.  Each
+        bucket entry is tested against its successor (<= ``nL`` deduplicated
+        pairs, in blocks); if over a quarter stay unresolved ``sweep()`` gives
+        the mask, else each is tested against its deduplicated bucket-mates
+        (less those that found no edge) in growing chunks, to its first edge."""
+        n, hit, tests = self.n, np.zeros(self.n, dtype=bool), 0
+        succ = np.flatnonzero(self.later)
+        keys = _sorted_unique((self.verts[succ] << key_layout(n)[0]) | self.verts[succ + 1])
+        for a in range(0, len(keys), INDEX_BLOCK_CANDIDATES):
+            i, j = key_pairs(keys[a : a + INDEX_BLOCK_CANDIDATES], n)
+            todo = ~(hit[i] & hit[j])
+            i, j = i[todo], j[todo]
+            edge = np.asarray(edge_mask_fn(i, j)).astype(bool)
+            hit[i[edge]] = hit[j[edge]] = True
+            tests += len(i)
+        if sweep is not None and 4 * (n - np.count_nonzero(hit)) > n:
+            return sweep(), tests
+        done = np.zeros(n, dtype=bool)  # tested against all its mates, no edge
+        for v in np.flatnonzero(~hit).tolist():
+            if hit[v]:
+                continue  # an earlier vertex's test found its edge
+            c = self.color[self.by_vertex[v * self.list_size : (v + 1) * self.list_size]]
+            starts = np.searchsorted(self.color, c)
+            sizes = np.searchsorted(self.color, c, side="right") - starts
+            if sizes.max() == n:  # one bucket holds every vertex
+                mates = np.arange(n)
+            else:  # the entries of v's buckets, concatenated
+                entries = np.arange(int(sizes.sum()))
+                entries += np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+                mates = _sorted_unique(self.verts[entries])
+            mates = mates[(mates != v) & ~done[mates]]
+            a, step = 0, 64
+            while a < len(mates):
+                chunk = mates[a : a + step]
+                edge = np.asarray(edge_mask_fn(np.full(len(chunk), v), chunk)).astype(bool)
+                tests += len(chunk)
+                if edge.any():
+                    hit[v] = hit[chunk[edge]] = True
+                    break
+                a, step = a + step, min(2 * step, INDEX_BLOCK_CANDIDATES)
+            else:
+                done[v] = True
+        return hit, tests
+
+
+class BucketQuery:
+    """Algorithm 2's neighbour query without a conflict graph: the
+    conflict neighbours of ``v`` still holding ``c`` are the conflicted
+    members of ``c``'s bucket that hold ``c`` and are edges of ``v``.
+    Local ids index ``conflicted``; ``tests`` counts oracle pairs."""
+
+    def __init__(self, index: PaletteIndex, conflicted: np.ndarray, edge_mask_fn) -> None:
+        local = np.full(index.n, -1, dtype=np.int64)
+        local[conflicted] = np.arange(len(conflicted))
+        local = local[index.verts]
+        keep = local >= 0
+        #: Conflicted bucket members as local ids; bucket ``c`` is ``[bounds[c], bounds[c + 1])``.
+        self.members = local[keep].astype(index.verts.dtype)
+        self.bounds = np.searchsorted(index.color[keep], np.arange(int(index.color[-1]) + 2))
+        self.ids, self.edge_mask = conflicted, edge_mask_fn
+        self.n_vertices, self.tests = len(conflicted), 0
+        self.nbytes = int(self.members.nbytes + self.bounds.nbytes + conflicted.nbytes)
+
+    def max_degree(self) -> int:
+        """Most oracle tests one pick can ask: the largest bucket."""
+        return int(np.diff(self.bounds).max(initial=0))
+
+    def holders(self, v: int, c: int, row: np.ndarray, bit: np.uint64) -> np.ndarray:
+        """Conflict neighbours of ``v`` whose bitset ``row`` holds ``bit``."""
+        members = self.members[self.bounds[c] : self.bounds[c + 1]]
+        held = row.take(members)
+        held &= bit
+        cand = members[held.astype(bool)]
+        if len(cand):
+            self.tests += len(cand)
+            edge = self.edge_mask(np.full(len(cand), self.ids[v]), self.ids[cand])
+            cand = cand[np.asarray(edge).astype(bool)]
+        return cand

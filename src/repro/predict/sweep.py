@@ -44,12 +44,13 @@ def run_sweep(
     alphas=DEFAULT_ALPHAS,
     seed: int = 0,
 ) -> list[SweepPoint]:
-    """Step 1: evaluate Picasso at every grid point."""
+    """Step 1: evaluate Picasso at every grid point (``|Ec|`` counted
+    exactly, with no conflict graph stored and no device budget)."""
     points = []
     for pp in palette_percents:
         for a in alphas:
             params = PicassoParams(palette_fraction=pp / 100.0, alpha=a)
-            result = Picasso(params=params, seed=seed).color(target)
+            result = Picasso(params=params, seed=seed, exact_edges=True).color(target)
             points.append(
                 SweepPoint(
                     palette_percent=pp,

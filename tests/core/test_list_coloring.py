@@ -43,7 +43,8 @@ def assert_valid_list_coloring(gc, col_lists, colors, uncolored):
 def algorithm2_inputs(pauli_set, params):
     """``(gc, col_lists)`` of every Algorithm 2 call of a real Picasso
     run, in iteration order: conflict CSRs straight from the fused
-    builder (int32 targets, rows rotated rather than sorted)."""
+    builder (int32 targets, rows rotated rather than sorted), which a
+    2-worker run takes (the serial run builds no graph)."""
     calls = []
     real = GreedyDynamicEngine.color
 
@@ -53,7 +54,7 @@ def algorithm2_inputs(pauli_set, params):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GreedyDynamicEngine, "color", spy)
-        Picasso(params=params, seed=0).color(pauli_set)
+        Picasso(params=params.with_(n_workers=2), seed=0).color(pauli_set)
     return calls
 
 

@@ -114,13 +114,17 @@ class TestDevicePath:
     def test_peak_bytes_model_pinned(self):
         """The Table IV model: the palette term is the ``(n, L)`` lists
         alone, the host graph term the conflicted sub-CSR plus its
-        vertex ids, the device term the full-width graph."""
+        vertex ids (the bucket query's arrays on the serial graph-free
+        path), the device term the full-width graph."""
         ps = random_pauli_set(150, 8, seed=5)
         host = Picasso(normal_params(), seed=1).color(ps)
         device = Picasso(
             normal_params(), device=DeviceSim(budget_bytes=1 << 28), seed=1
         ).color(ps)
-        assert host.peak_bytes == 63376
+        pool = Picasso(normal_params(n_workers=2), seed=1).color(ps)
+        # The serial run holds the bucket query, not a sub-CSR.
+        assert host.peak_bytes == 24160
+        assert pool.peak_bytes == 63376
         assert device.peak_bytes == 62176
 
 
@@ -199,15 +203,25 @@ class TestIterationTrace:
         assert first.n_active == 100
         assert first.palette_size == round(0.125 * 100)
         assert first.list_size >= 1
-        assert r.max_conflict_edges >= 0
+        # The serial run builds no conflict graph: no |Ec|, no sweep
+        # or assembly time, and the pick loop's oracle tests instead.
+        assert r.max_conflict_edges is None
+        assert all(s.n_conflict_edges is None for s in r.iterations)
+        assert first.oracle_tests > 0
         phases = r.phase_times()
         assert set(phases) == {
             "assignment", "conflict_graph", "conflict_coloring",
             "sweep", "assemble",
         }
-        # The build splits into its sweep/assemble sub-buckets.
-        assert phases["sweep"] > 0.0
-        assert phases["assemble"] > 0.0
+        assert phases["conflict_graph"] > 0.0
+        assert phases["sweep"] == phases["assemble"] == 0.0
+        # A built graph splits into its sweep/assemble sub-buckets.
+        pooled = picasso_color(ps, PicassoParams(n_workers=2), seed=0)
+        np.testing.assert_array_equal(pooled.colors, r.colors)
+        assert pooled.max_conflict_edges >= 0
+        assert all(s.oracle_tests == 0 for s in pooled.iterations)
+        assert pooled.phase_times()["sweep"] > 0.0
+        assert pooled.phase_times()["assemble"] > 0.0
 
     def test_active_counts_decrease(self):
         ps = random_pauli_set(150, 6, seed=8)
@@ -246,9 +260,18 @@ class TestIterationTrace:
 
 
     def test_conflict_graph_released_before_next_build(self, monkeypatch):
-        """Iteration k's conflict CSR is dead when iteration k + 1's
-        build starts, so two iterations' graphs never coexist."""
-        build = picasso_module.build_fused_conflict_state
+        """Iteration k's conflict CSR (a 2-worker run builds one) is
+        dead when iteration k + 1's build starts, so two iterations'
+        graphs never coexist."""
+        self.assert_released(monkeypatch, "build_fused_conflict_state", 2)
+
+    def test_bucket_query_released_before_next_build(self, monkeypatch):
+        """The same for the serial run's bucket query."""
+        self.assert_released(monkeypatch, "bucket_conflict_state", 1)
+
+    @staticmethod
+    def assert_released(monkeypatch, builder, n_workers):
+        build = getattr(picasso_module, builder)
         graphs: list[weakref.ref] = []
         alive = []
 
@@ -258,9 +281,11 @@ class TestIterationTrace:
             graphs.append(weakref.ref(state[0]))
             return state
 
-        monkeypatch.setattr(picasso_module, "build_fused_conflict_state", tracked)
+        monkeypatch.setattr(picasso_module, builder, tracked)
         ps = random_pauli_set(150, 6, seed=9)
-        r = picasso_color(ps, PicassoParams(palette_fraction=0.05, alpha=1.0), seed=0)
+        r = picasso_color(ps, PicassoParams(
+            palette_fraction=0.05, alpha=1.0, n_workers=n_workers,
+        ), seed=0)
         assert r.n_iterations >= 2 and len(graphs) == r.n_iterations
         assert alive and not any(alive)
 
@@ -269,12 +294,13 @@ class TestParameterTradeoffs:
     def test_smaller_palette_fewer_colors_more_conflicts(self):
         """Fig. 5's central trade-off, statistically."""
         ps = random_pauli_set(200, 6, seed=12)
-        small = picasso_color(
-            ps, PicassoParams(palette_fraction=0.04, alpha=3.0), seed=0
-        )
-        large = picasso_color(
-            ps, PicassoParams(palette_fraction=0.4, alpha=3.0), seed=0
-        )
+        # The serial run builds no graph; exact_edges counts |Ec|.
+        small = Picasso(
+            PicassoParams(palette_fraction=0.04, alpha=3.0), seed=0, exact_edges=True,
+        ).color(ps)
+        large = Picasso(
+            PicassoParams(palette_fraction=0.4, alpha=3.0), seed=0, exact_edges=True,
+        ).color(ps)
         assert small.n_colors <= large.n_colors
         assert small.max_conflict_edges >= large.max_conflict_edges
 

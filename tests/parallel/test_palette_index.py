@@ -538,15 +538,18 @@ class TestPlansAgainstNaive:
 
 class TestPicasso:
     """Whole runs under every plan against :func:`reference_coloring`
-    (the ``sets`` color engine on naive all-pairs builds)."""
+    (the ``sets`` color engine on naive all-pairs builds).  The serial
+    run builds no conflict graph, so the plans run on a 2-worker pool."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_colorings_match_pairs_per_seed(self, seed, monkeypatch):
         ps = random_pauli_set(200, 8, seed=20 + seed)
         ref = reference_coloring(ps, seed)
+        serial = Picasso(PicassoParams(), seed=seed).color(ps)
+        np.testing.assert_array_equal(serial.colors, ref.colors)
         for plan in PLANS:
             force_plan(monkeypatch, plan)
-            got = Picasso(PicassoParams(), seed=seed).color(ps)
+            got = Picasso(PicassoParams(n_workers=2), seed=seed).color(ps)
             np.testing.assert_array_equal(got.colors, ref.colors)
             assert [s.n_conflict_edges for s in got.iterations] == [
                 s.n_conflict_edges for s in ref.iterations
