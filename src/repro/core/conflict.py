@@ -30,11 +30,12 @@ sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`),
 whose rows depend on the edge set alone, so serial and parallel builds
 are bit-identical per seed.
 
-A serial Picasso iteration on a Pauli input calls
-:func:`bucket_conflict_state`, which builds no graph; the driver's other
-iterations call :func:`build_fused_conflict_state`, which returns the
-conflicted sub-CSR directly.  :func:`build_conflict_graph` returns the
-full-width graph, the public API and the tests' differential reference.
+A host Picasso iteration on a Pauli input (serial, pool or cluster)
+calls :func:`bucket_conflict_state`, which builds no graph; the
+driver's other iterations call :func:`build_fused_conflict_state`,
+which returns the conflicted sub-CSR directly.
+:func:`build_conflict_graph` returns the full-width graph, the public
+API and the tests' differential reference.
 """
 
 from __future__ import annotations
@@ -181,16 +182,19 @@ def count_conflict_edges(
     hosts=None,
     kernel_backend: str | None = None,
     hit: np.ndarray | None = None,
+    source=None,
+    active_idx: np.ndarray | None = None,
 ) -> int:
     """Conflict-edge count without materializing the graph (parameter
-    sweeps, Fig. 5's ``max |Ec|`` heatmap); sets ``hit`` at both ends
-    of every edge when given."""
+    sweeps, Fig. 5's ``max |Ec|`` heatmap, detection's sweep); sets
+    ``hit`` at both ends of every edge when given.  ``source`` and
+    ``active_idx`` as for :func:`build_conflict_graph`."""
     with owned_executor(executor, n_workers, hosts=hosts) as ex:
         total = 0
         for keys in conflict_sweep_chunks(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex,
-            kernel_backend=kernel_backend,
+            tile_bytes=tile_bytes, executor=ex, source=source,
+            active_idx=active_idx, kernel_backend=kernel_backend,
         ):
             total += len(keys)
             if hit is not None:

@@ -1,7 +1,7 @@
 """Picasso driver — Algorithm 1 of the paper.
 
 Iteratively: assign random candidate-color lists from a fresh palette,
-find the *conflicted* vertices (a serial Pauli iteration stores no
+find the *conflicted* vertices (a host Pauli iteration stores no
 conflict edges, :func:`repro.core.conflict.bucket_conflict_state`;
 other runs build their CSR), color unconflicted vertices immediately,
 list-color the conflicted ones (Algorithm 2), and recurse on whatever
@@ -208,18 +208,11 @@ class Picasso:
     def color_source(self, source) -> PicassoResult:
         """Algorithm 1 over any edge source."""
         params = self.params
-        # One persistent backend for the whole run: the pool (or the
-        # cluster connections, when ``hosts`` selects the distributed
-        # backend) is created once, the root source is installed into
-        # the workers under a payload token on the first sweep, and
-        # every later iteration ships only its delta (sweep plan + active
-        # indices) — workers derive the iteration's subset oracle
-        # locally.  We created the executor from a spec, so we own it:
-        # the ``finally`` below closes it (worker processes are not
-        # leaked on success *or* on a non-convergence raise).  With
-        # ``failover``/``max_retries`` set, the backend comes back
-        # wrapped in the retry/failover supervisor — same contract,
-        # same results, bounded failures recovered instead of raised.
+        # One backend for the whole run, owned and closed here even on a
+        # raise: a pool or cluster installs the root source once under a
+        # payload token, and later sweeps ship only their delta (workers
+        # derive the subset oracle).  ``failover``/``max_retries`` wrap
+        # it in the retry/failover supervisor, with the same results.
         executor = supervised_executor(
             params.executor, params.n_workers, pin=params.pin_workers,
             hosts=params.hosts,
@@ -249,9 +242,10 @@ class Picasso:
         # One resolved kernel-backend name for the run; workers resolve
         # it against their own runtime (bit-identical by contract).
         kb = params.resolved_kernel_backend()
-        # Serial Pauli runs build no graph (explicit inputs hold theirs already).
-        graph_free = (self.device is None and executor.n_workers == 1 and params.hosts is None
-                      and color_engine.name == "greedy-dynamic"
+        # Host Pauli runs build no graph, on every executor (explicit
+        # inputs hold theirs already); a pool or cluster runs only
+        # detection's sparse-conflict sweep and ``exact_edges`` counts.
+        graph_free = (self.device is None and color_engine.name == "greedy-dynamic"
                       and not isinstance(source, ExplicitGraphSource))
         n_total = source.n
         colors = np.full(n_total, -1, dtype=np.int64)
@@ -309,12 +303,8 @@ class Picasso:
             t_assign = telemetry.clock() - t0
 
             # Line 7: conflicted vertices, and their graph unless graph-free.
-            # The sweep consumes the source's block oracle when it has
-            # one (Pauli sources do; dense tiles then skip the
-            # pairwise survivor gather).  The *root* source plus the
-            # global active indices ride along so a persistent pool can
-            # reuse its installed payload and receive only this
-            # iteration's delta.
+            # Sweeps use the source's block oracle when it has one; the root
+            # source and global active indices let a pool ship only a delta.
             t0 = telemetry.clock()
             built_on_device: bool | None = None
             edge_block_fn = getattr(active_source, "edge_block", None)
@@ -348,7 +338,8 @@ class Picasso:
                 elif graph_free:
                     state = (n, active_source.edge_mask, col_lists, palette)
                     sweep = dict(edge_block_fn=edge_block_fn, tile_bytes=params.tile_budget_bytes,
-                                 executor=executor, kernel_backend=kb)
+                                 executor=executor, source=source, active_idx=active_idx,
+                                 kernel_backend=kb)
                     with telemetry.span("picasso.detect", iteration=it):
                         sub_gc, conflicted = bucket_conflict_state(*state, **sweep)
                     n_conf_edges = (count_conflict_edges(*state, **sweep)

@@ -142,7 +142,7 @@ class PaletteIndex:
     entry, the vertex id and how many entries follow it in its bucket,
     plus a vertex-major permutation of the entries and the exact
     per-row candidate prefix sums that row blocks are cut from.  Plain
-    arrays only, so it pickles into worker payloads as is.
+    arrays only, so it pickles into worker payloads (less ``color``).
     """
 
     def __init__(self, col_lists: np.ndarray) -> None:
@@ -174,6 +174,11 @@ class PaletteIndex:
         #: ``row_candidates[r]`` = candidate pairs of rows ``[0, r)``.
         self.row_candidates = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(rows, out=self.row_candidates[1:])
+
+    def __getstate__(self) -> dict:
+        """Drop ``color``: only the parent's :meth:`conflicted` and
+        :class:`BucketQuery` read it."""
+        return {k: v for k, v in self.__dict__.items() if k != "color"}
 
     @property
     def n_candidates(self) -> int:

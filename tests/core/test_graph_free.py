@@ -1,10 +1,13 @@
-"""The serial Picasso iteration without a conflict graph.
+"""The host Picasso iteration without a conflict graph.
 
-A serial run on a Pauli input detects the conflicted set on the palette index and
-answers each Algorithm 2 pick from a palette bucket plus the edge
-oracle (:func:`repro.core.conflict.bucket_conflict_state`).  These
-tests hold it to the runs that do build a conflict graph: the naive
-reference, a 2-worker pool, the DeviceSim build and checkpoint resume.
+A host run on a Pauli input (serial, pool or cluster) detects the
+conflicted set on the palette index and answers each Algorithm 2 pick
+in the parent from a palette bucket plus the edge oracle
+(:func:`repro.core.conflict.bucket_conflict_state`); a pool or cluster
+runs only detection's sparse-conflict sweep and ``exact_edges`` counts.
+These tests hold it to the runs that do build a conflict graph (the
+naive reference and the DeviceSim build), to a 2-worker pool and to
+checkpoint resume.
 """
 
 import tracemalloc
@@ -16,6 +19,7 @@ from naive_reference import naive_conflict_csr, reference_coloring
 from repro import telemetry
 from repro.coloring.greedy_list import greedy_list_color_dynamic
 from repro.core import Picasso, PicassoParams, aggressive_params
+from repro.core import conflict as conflict_module
 from repro.core import picasso as picasso_module
 from repro.core.conflict import bucket_conflict_state, count_conflict_edges
 from repro.core.palette import assign_color_lists
@@ -27,6 +31,8 @@ from repro.graphs import build as build_module
 from repro.graphs import csr as csr_module
 from repro.graphs import empty_graph, erdos_renyi
 from repro.graphs.csr import from_edge_list
+from repro.distributed import LocalCluster
+from repro.parallel import PoolExecutor
 from repro.parallel import pool as pool_module
 from repro.pauli import PauliSet, random_pauli_set
 from repro.resilience.checkpoint import latest_checkpoint
@@ -133,9 +139,12 @@ class TestDifferential:
             np.testing.assert_array_equal(serial.colors, other.colors, err_msg=label)
             assert trace(serial) == trace(other), label
         assert (serial.colors >= 0).all()
+        # The pool builds a graph exactly where the serial run does.
+        pooled = [s.n_conflict_edges for s in others["pool"].iterations]
+        assert pooled == [s.n_conflict_edges for s in serial.iterations]
         # Counted |Ec| equals the built graphs' edge counts.
         counted = [s.n_conflict_edges for s in others["exact"].iterations]
-        assert counted == [s.n_conflict_edges for s in others["pool"].iterations]
+        assert counted == [s.n_conflict_edges for s in others["reference"].iterations]
         assert counted == [s.n_conflict_edges for s in others["device"].iterations]
 
     def test_regimes_reach_their_list_shapes(self):
@@ -269,6 +278,74 @@ class TestNoGraphBuilt:
             tracemalloc.stop()
         assert result.iterations[0].n_conflict_vertices > 0.99 * n
         assert peak < 8 * edges
+
+
+class TestPoolRouting:
+    """A pool or cluster run of a Pauli input colors in the parent, as a
+    serial run does; the workers see only detection's sweep."""
+
+    @pytest.fixture(autouse=True)
+    def clean_registry(self):
+        telemetry.reset()
+        yield
+        telemetry.reset()
+        telemetry.enable(False)
+
+    def test_sweep_route_ships_deltas(self, monkeypatch):
+        """Mostly isolated Majoranas send detection to the sweep on every
+        iteration of the one-color palette; the root source is installed
+        once, so every later sweep ships only its delta."""
+        inp, knobs = majoranas(40, 9), REGIMES["P1"]
+        tokens = []
+        count = conflict_module.count_conflict_edges
+
+        def spy(*args, **kwargs):
+            out = count(*args, **kwargs)
+            tokens.append(kwargs["executor"]._installed_token)
+            return out
+
+        monkeypatch.setattr(conflict_module, "count_conflict_edges", spy)
+        pooled = Picasso(PicassoParams(n_workers=2, telemetry=True, **knobs),
+                         seed=4).color(inp)
+        counters = pooled.telemetry["counters"]
+        assert pooled.n_iterations == len(tokens) >= 2
+        assert tokens[0] is not None and len(set(tokens)) == 1
+        assert counters["pool.install.full"] == 1
+        assert counters["pool.install.delta"] == len(tokens) - 1
+        serial = Picasso(PicassoParams(**knobs), seed=4).color(inp)
+        np.testing.assert_array_equal(pooled.colors, serial.colors)
+
+    def test_dense_conflicts_dispatch_nothing(self, monkeypatch):
+        """Dense conflicts resolve in detection's successor pass, so a
+        2-worker run sends its pool no task and a cluster run builds no
+        CSR; both color as the serial run does."""
+        ps = random_pauli_set(300, 6, seed=1)
+        params = PicassoParams(palette_fraction=0.3, alpha=2.0)
+        serial = Picasso(params, seed=2).color(ps)
+        imap = PoolExecutor.imap
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return imap(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoolExecutor, "imap", counted)
+        pooled = Picasso(params.with_(n_workers=2, telemetry=True), seed=2).color(ps)
+        assert not calls
+        assert not [k for k in pooled.telemetry["counters"] if k.startswith("sweep.plan.")]
+        np.testing.assert_array_equal(pooled.colors, serial.colors)
+        assert pooled.max_conflict_edges is None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cluster run built a conflict graph")
+
+        monkeypatch.setattr(picasso_module, "build_fused_conflict_state", forbidden)
+        for module in (csr_module, pool_module, build_module, multi_module):
+            monkeypatch.setattr(module, "csr_from_coo_chunks", forbidden)
+        with LocalCluster(2) as lc:
+            clustered = Picasso(params.with_(hosts=lc.hosts), seed=2).color(ps)
+        np.testing.assert_array_equal(clustered.colors, serial.colors)
+        assert clustered.max_conflict_edges is None
 
 
 class TestOracleTests:

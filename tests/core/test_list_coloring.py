@@ -18,7 +18,9 @@ from repro.coloring.greedy_list import (
 )
 from repro.core import Picasso, aggressive_params, normal_params
 from repro.datasets import load_molecule
-from repro.graphs import complete_graph, cycle_graph, empty_graph, erdos_renyi
+from repro.graphs import (
+    complement_graph, complete_graph, cycle_graph, empty_graph, erdos_renyi,
+)
 from repro.graphs.csr import CSRGraph
 from repro.pauli import random_pauli_set
 
@@ -44,7 +46,8 @@ def algorithm2_inputs(pauli_set, params):
     """``(gc, col_lists)`` of every Algorithm 2 call of a real Picasso
     run, in iteration order: conflict CSRs straight from the fused
     builder (int32 targets, rows rotated rather than sorted), which a
-    2-worker run takes (the serial run builds no graph)."""
+    run on the explicit complement graph takes (a Pauli input builds
+    no graph)."""
     calls = []
     real = GreedyDynamicEngine.color
 
@@ -54,7 +57,7 @@ def algorithm2_inputs(pauli_set, params):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GreedyDynamicEngine, "color", spy)
-        Picasso(params=params.with_(n_workers=2), seed=0).color(pauli_set)
+        Picasso(params=params, seed=0).color(complement_graph(pauli_set))
     return calls
 
 

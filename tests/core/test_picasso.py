@@ -114,17 +114,17 @@ class TestDevicePath:
     def test_peak_bytes_model_pinned(self):
         """The Table IV model: the palette term is the ``(n, L)`` lists
         alone, the host graph term the conflicted sub-CSR plus its
-        vertex ids (the bucket query's arrays on the serial graph-free
-        path), the device term the full-width graph."""
+        vertex ids (the bucket query's arrays on the graph-free path,
+        serial or pool), the device term the full-width graph."""
         ps = random_pauli_set(150, 8, seed=5)
         host = Picasso(normal_params(), seed=1).color(ps)
         device = Picasso(
             normal_params(), device=DeviceSim(budget_bytes=1 << 28), seed=1
         ).color(ps)
         pool = Picasso(normal_params(n_workers=2), seed=1).color(ps)
-        # The serial run holds the bucket query, not a sub-CSR.
+        # Serial and pool runs hold the bucket query, not a sub-CSR.
         assert host.peak_bytes == 24160
-        assert pool.peak_bytes == 63376
+        assert pool.peak_bytes == 24160
         assert device.peak_bytes == 62176
 
 
@@ -215,13 +215,21 @@ class TestIterationTrace:
         }
         assert phases["conflict_graph"] > 0.0
         assert phases["sweep"] == phases["assemble"] == 0.0
-        # A built graph splits into its sweep/assemble sub-buckets.
+        # So does a pool run of the same input.
         pooled = picasso_color(ps, PicassoParams(n_workers=2), seed=0)
         np.testing.assert_array_equal(pooled.colors, r.colors)
-        assert pooled.max_conflict_edges >= 0
-        assert all(s.oracle_tests == 0 for s in pooled.iterations)
-        assert pooled.phase_times()["sweep"] > 0.0
-        assert pooled.phase_times()["assemble"] > 0.0
+        assert pooled.max_conflict_edges is None
+        assert [s.oracle_tests for s in pooled.iterations] == [
+            s.oracle_tests for s in r.iterations
+        ]
+        # A built graph (the explicit complement graph holds its edges
+        # already) splits into its sweep/assemble sub-buckets.
+        built = picasso_color(complement_graph(ps), PicassoParams(n_workers=2), seed=0)
+        np.testing.assert_array_equal(built.colors, r.colors)
+        assert built.max_conflict_edges >= 0
+        assert all(s.oracle_tests == 0 for s in built.iterations)
+        assert built.phase_times()["sweep"] > 0.0
+        assert built.phase_times()["assemble"] > 0.0
 
     def test_active_counts_decrease(self):
         ps = random_pauli_set(150, 6, seed=8)
@@ -260,17 +268,17 @@ class TestIterationTrace:
 
 
     def test_conflict_graph_released_before_next_build(self, monkeypatch):
-        """Iteration k's conflict CSR (a 2-worker run builds one) is
-        dead when iteration k + 1's build starts, so two iterations'
-        graphs never coexist."""
-        self.assert_released(monkeypatch, "build_fused_conflict_state", 2)
+        """Iteration k's conflict CSR (a run on an explicit graph builds
+        one) is dead when iteration k + 1's build starts, so two
+        iterations' graphs never coexist."""
+        self.assert_released(monkeypatch, "build_fused_conflict_state", complement_graph)
 
     def test_bucket_query_released_before_next_build(self, monkeypatch):
-        """The same for the serial run's bucket query."""
-        self.assert_released(monkeypatch, "bucket_conflict_state", 1)
+        """The same for a Pauli run's bucket query."""
+        self.assert_released(monkeypatch, "bucket_conflict_state", lambda ps: ps)
 
     @staticmethod
-    def assert_released(monkeypatch, builder, n_workers):
+    def assert_released(monkeypatch, builder, as_input):
         build = getattr(picasso_module, builder)
         graphs: list[weakref.ref] = []
         alive = []
@@ -283,8 +291,8 @@ class TestIterationTrace:
 
         monkeypatch.setattr(picasso_module, builder, tracked)
         ps = random_pauli_set(150, 6, seed=9)
-        r = picasso_color(ps, PicassoParams(
-            palette_fraction=0.05, alpha=1.0, n_workers=n_workers,
+        r = picasso_color(as_input(ps), PicassoParams(
+            palette_fraction=0.05, alpha=1.0,
         ), seed=0)
         assert r.n_iterations >= 2 and len(graphs) == r.n_iterations
         assert alive and not any(alive)

@@ -18,6 +18,7 @@ fully commuting and fully anticommuting sets, and an explicit graph.
 """
 
 import os
+import pickle
 from contextlib import nullcontext
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.device.palette_index import PaletteIndex, candidate_pairs, prefers_in
 from repro.device.sim import DeviceSim
 from repro.device.tiles import DEFAULT_TILE_BYTES, strip_height
 from repro.graphs.csr import csr_from_coo_chunks, key_layout, key_pairs, pair_keys
+from repro.graphs.build import complement_graph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.ops import induced_subgraph
 from repro.parallel import PoolExecutor, pool
@@ -186,6 +188,20 @@ class TestIndex:
         ei, ej = np.nonzero(np.triu(_brute_shared(pal), 1))
         np.testing.assert_array_equal(i, ei)
         np.testing.assert_array_equal(j, ej)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pickle_drops_entry_colors(self, case):
+        """Worker payloads carry the index without the entry colors,
+        which only the parent's detection and bucket query read."""
+        _, pal = _palette(case)
+        index = PaletteIndex(pal[0])
+        wire = pickle.dumps(index)
+        assert len(wire) <= len(pickle.dumps(vars(index))) - index.color.nbytes
+        got = pickle.loads(wire)
+        assert not hasattr(got, "color")
+        blocks, _ = index.row_blocks(3)
+        for a, b in blocks:
+            np.testing.assert_array_equal(got.block_keys(a, b), index.block_keys(a, b))
 
     def test_weighted_blocks_keep_alignment(self):
         _, (lists, _) = _palette("n65")
@@ -538,8 +554,10 @@ class TestPlansAgainstNaive:
 
 class TestPicasso:
     """Whole runs under every plan against :func:`reference_coloring`
-    (the ``sets`` color engine on naive all-pairs builds).  The serial
-    run builds no conflict graph, so the plans run on a 2-worker pool."""
+    (the ``sets`` color engine on naive all-pairs builds).  A Pauli run
+    builds no conflict graph, so the plans run on a 2-worker pool as
+    its ``exact_edges`` counts and as the explicit complement graph's
+    builds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_colorings_match_pairs_per_seed(self, seed, monkeypatch):
@@ -547,13 +565,17 @@ class TestPicasso:
         ref = reference_coloring(ps, seed)
         serial = Picasso(PicassoParams(), seed=seed).color(ps)
         np.testing.assert_array_equal(serial.colors, ref.colors)
+        graph = complement_graph(ps)
         for plan in PLANS:
             force_plan(monkeypatch, plan)
-            got = Picasso(PicassoParams(n_workers=2), seed=seed).color(ps)
-            np.testing.assert_array_equal(got.colors, ref.colors)
-            assert [s.n_conflict_edges for s in got.iterations] == [
-                s.n_conflict_edges for s in ref.iterations
-            ]
+            counted = Picasso(PicassoParams(n_workers=2), seed=seed,
+                              exact_edges=True).color(ps)
+            built = Picasso(PicassoParams(n_workers=2), seed=seed).color(graph)
+            for got in (counted, built):
+                np.testing.assert_array_equal(got.colors, ref.colors)
+                assert [s.n_conflict_edges for s in got.iterations] == [
+                    s.n_conflict_edges for s in ref.iterations
+                ]
 
     def test_pool_coloring_matches_pairs(self, monkeypatch):
         ps = random_pauli_set(200, 8, seed=30)
@@ -694,14 +716,15 @@ class TestRowsPlan:
             assert len(keys) == m
 
     def test_aggressive_hamiltonian_counts_only_rows(self):
-        """An Aggressive run on H4 is ``L = P`` at every iteration: the
-        telemetry counts one ``rows`` plan per sweep and nothing else,
-        and pool strips are tagged ``plan="rows"``."""
-        ps = load_molecule("H4_2D_sto3g")
+        """An Aggressive run on H4's complement graph is ``L = P`` at
+        every iteration: the telemetry counts one ``rows`` plan per
+        sweep (one build per iteration) and nothing else, and pool
+        strips are tagged ``plan="rows"``."""
+        graph = complement_graph(load_molecule("H4_2D_sto3g"))
         try:
             result = Picasso(
                 aggressive_params(n_workers=2, telemetry=True), seed=0
-            ).color(ps)
+            ).color(graph)
         finally:
             telemetry.reset()
             telemetry.enable(False)
@@ -774,7 +797,7 @@ class TestKeyStream:
             telemetry.enable(False)
         assert m > 0
         assert counters["sweep.hit_bytes"] == timings["hit_bytes"] == 4 * m
-        result = Picasso(PicassoParams(n_workers=2), seed=1).color(ps)
+        result = Picasso(PicassoParams(n_workers=2), seed=1).color(complement_graph(ps))
         for it in result.iterations:
             assert it.hit_bytes == 4 * it.n_conflict_edges
 

@@ -15,6 +15,7 @@ import pytest
 from repro import telemetry
 from repro.core import Picasso, PicassoParams
 from repro.distributed import LocalCluster
+from repro.graphs import complement_graph
 from repro.pauli import random_pauli_set
 
 
@@ -29,8 +30,10 @@ def clean_registry():
 
 @pytest.fixture(scope="module")
 def trace_records(tmp_path_factory):
-    """One 2-shard run, exported and re-parsed from disk."""
-    ps = random_pauli_set(300, 6, seed=0)
+    """One 2-shard run, exported and re-parsed from disk.  It colors
+    an explicit graph, which keeps the conflict build (a Pauli input
+    builds no graph, so its sweep gathers no keys)."""
+    graph = complement_graph(random_pauli_set(300, 6, seed=0))
     with LocalCluster(2) as lc:
         telemetry.reset()
         # A small tile budget splits the problem into enough strips
@@ -39,7 +42,7 @@ def trace_records(tmp_path_factory):
         params = PicassoParams(
             hosts=lc.hosts, telemetry=True, tile_budget_bytes=1 << 16
         )
-        result = Picasso(params=params, seed=3).color(ps)
+        result = Picasso(params=params, seed=3).color(graph)
     assert result.telemetry is not None
     out = tmp_path_factory.mktemp("trace") / "cluster.jsonl"
     telemetry.write_trace_jsonl(out, result.telemetry)
