@@ -32,11 +32,12 @@ from repro.coloring.greedy_list import (
     greedy_list_color_dynamic,
     greedy_list_color_dynamic_sets,
 )
-from repro.core.conflict import build_fused_conflict_state
+from repro.core.conflict import build_conflict_graph
 from repro.core.palette import assign_color_lists
 from repro.core.params import aggressive_params, normal_params
 from repro.core.sources import PauliComplementSource
 from repro.datasets import load_molecule
+from repro.graphs.ops import induced_subgraph
 from repro.pauli import random_pauli_set
 
 
@@ -48,10 +49,11 @@ def iteration1_graph(ps, params, seed: int):
     source = PauliComplementSource(ps)
     palette = params.palette_size(n)
     lists = assign_color_lists(n, palette, params.list_size(n), rng=seed)
-    gc, conflicted, _ = build_fused_conflict_state(
+    graph, _ = build_conflict_graph(
         n, source.edge_mask, lists, palette, edge_block_fn=source.edge_block
     )
-    return gc, lists[conflicted]
+    conflicted = np.flatnonzero(graph.degree())
+    return induced_subgraph(graph, conflicted)[0], lists[conflicted]
 
 
 def check_list_coloring(gc, lists, colors, uncolored) -> None:

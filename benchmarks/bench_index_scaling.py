@@ -1,9 +1,10 @@
 """Iteration-1 conflict build: each enumeration plan vs the tile sweep.
 
-Times Picasso's first conflict build — ``build_fused_conflict_state``
-over ``n`` uniform 50-qubit strings, serial — once with each
-enumeration plan forced, asserts the conflicted sub-CSRs are
-bit-identical, and fits the growth exponent ``t ~ n^k`` per plan.  The
+Times Picasso's first host conflict build — ``build_conflict_graph``
+over ``n`` uniform 50-qubit strings, serial, reduced by a degree scan
+and ``induced_subgraph`` to the conflicted sub-CSR the CSR color
+engines color — once with each enumeration plan forced, asserts the
+conflicted sub-CSRs are bit-identical, and fits the growth exponent ``t ~ n^k`` per plan.  The
 tile plan is skipped above ``--tiles-max`` (it is cubic in ``n``).
 
 ``--preset normal`` (default; ``P = 0.125n``, ``L = round(2 ln n)``)
@@ -43,11 +44,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.conflict import build_fused_conflict_state
+from repro.core.conflict import build_conflict_graph
 from repro.core.palette import assign_color_lists
 from repro.core.params import aggressive_params, normal_params
 from repro.core.sources import PauliComplementSource
 from repro.device import palette_index
+from repro.graphs.ops import induced_subgraph
 from repro.parallel import pool
 from repro.pauli import random_pauli_set
 from repro.util.chunking import num_pairs
@@ -85,9 +87,11 @@ def build_once(n: int, plan: str, seed: int, preset: str):
     lists = assign_color_lists(n, palette, params.list_size(n), rng=seed)
     with forced(plan):
         t0 = time.perf_counter()
-        state = build_fused_conflict_state(
+        graph, m = build_conflict_graph(
             n, source.edge_mask, lists, palette, edge_block_fn=source.edge_block
         )
+        conflicted = np.flatnonzero(graph.degree())
+        state = induced_subgraph(graph, conflicted)[0], conflicted, m
         elapsed = time.perf_counter() - t0
     return state, elapsed, lists
 

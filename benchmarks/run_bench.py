@@ -154,8 +154,6 @@ def run_config(pauli_set, params: PicassoParams, seed: int, repeats: int = 2) ->
         "assign_s": round(phases["assignment"], 4),
         "conflict_build_s": round(phases["conflict_graph"], 4),
         "conflict_color_s": round(phases["conflict_coloring"], 4),
-        "sweep_s": round(phases["sweep"], 4),
-        "assemble_s": round(phases["assemble"], 4),
         "n_colors": int(result.n_colors),
         "n_iterations": result.n_iterations,
         "color_engine": result.engine,

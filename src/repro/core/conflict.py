@@ -30,12 +30,13 @@ sort-key CSR assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`),
 whose rows depend on the edge set alone, so serial and parallel builds
 are bit-identical per seed.
 
-A host Picasso iteration on a Pauli input (serial, pool or cluster)
-calls :func:`bucket_conflict_state`, which builds no graph; the
-driver's other iterations call :func:`build_fused_conflict_state`,
-which returns the conflicted sub-CSR directly.
-:func:`build_conflict_graph` returns the full-width graph, the public
-API and the tests' differential reference.
+A host ``greedy-dynamic`` Picasso iteration (serial, pool or cluster)
+builds no conflict graph: a Pauli input calls
+:func:`bucket_conflict_state`, an explicit graph
+:func:`adjacency_conflict_state`.  Every other run (DeviceSim, the CSR
+color engines) builds the full-width graph, on the host with
+:func:`build_conflict_graph`, which is also the public API and the
+tests' differential reference.
 """
 
 from __future__ import annotations
@@ -43,15 +44,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.device.palette_index import BucketQuery, PaletteIndex
+from repro.device.palette_index import BucketQuery, PaletteIndex, row_blocks
 from repro.device.tiles import DEFAULT_TILE_BYTES, EdgeBlockFn
 from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
-from repro.parallel.pool import (
-    conflict_sweep_chunks,
-    fused_conflict_csr,
-    gathered_conflict_csr,
-)
+from repro.parallel.pool import conflict_sweep_chunks, gathered_conflict_csr
+from repro.util.bits import bitset_from_lists
+
+#: Bytes of one gathered bitset operand per block of the explicit arc
+#: pass; its int64 arc temporaries are about as large.  4 MiB raised the
+#: max RSS of an Aggressive run on a 2,000-vertex complement graph by
+#: 4 MiB, 1 MiB left it unchanged.
+ARC_BLOCK_BYTES = 1 << 20
 
 
 def build_conflict_graph(
@@ -118,44 +122,11 @@ def build_conflict_graph(
         )
 
 
-def build_fused_conflict_state(
-    n: int,
-    edge_mask_fn,
-    col_lists: np.ndarray,
-    palette_size: int,
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    n_workers: int = 1,
-    executor: str | Executor = "auto",
-    source=None,
-    active_idx: np.ndarray | None = None,
-    hosts=None,
-    timings: dict | None = None,
-    kernel_backend: str | None = None,
-) -> tuple[CSRGraph, np.ndarray, int]:
-    """The conflict build of every host Picasso iteration: returns the
-    conflicted-subgraph CSR, the conflict vertex ids and the edge count
-    in one pass, without the full-width graph (see
-    :func:`repro.parallel.pool.fused_conflict_csr`).  Bit-identical
-    state to :func:`build_conflict_graph` followed by a degree scan and
-    ``induced_subgraph``, on every backend.  Parameters as for
-    :func:`build_conflict_graph`, plus ``timings`` (a dict accumulating
-    the ``sweep_s`` / ``assemble_s`` phase buckets).
-    """
-    with owned_executor(executor, n_workers, hosts=hosts) as ex:
-        return fused_conflict_csr(
-            n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex,
-            source=source, active_idx=active_idx, timings=timings,
-            kernel_backend=kernel_backend,
-        )
-
-
 def bucket_conflict_state(
     n: int, edge_mask_fn, col_lists: np.ndarray, palette_size: int, **sweep_kw,
 ) -> tuple[BucketQuery, np.ndarray]:
-    """The conflicted ids of :func:`build_fused_conflict_state`, detected on
-    the palette index, and the bucket query Algorithm 2 runs on, with no graph.
+    """The conflicted ids of a Pauli iteration, detected on the palette
+    index, and the bucket query Algorithm 2 runs on, with no graph.
     Sparse conflicts are marked by the palette sweep (``sweep_kw`` as for
     :func:`count_conflict_edges`), whose block oracle beats pairwise tests."""
     def swept() -> np.ndarray:
@@ -168,6 +139,51 @@ def bucket_conflict_state(
     telemetry.count("conflict.detect_tests", float(tests))
     conflicted = np.flatnonzero(hit)
     return BucketQuery(index, conflicted, edge_mask_fn), conflicted
+
+
+def adjacency_conflict_state(
+    graph: CSRGraph, col_lists: np.ndarray, palette_size: int,
+) -> tuple[np.ndarray, int]:
+    """``(conflicted, |Ec|)`` of an explicit graph ``G``.
+
+    Blocked passes over ``G``'s arcs ``u < v`` mark both ends of each
+    arc whose candidate lists intersect and count the distinct ones (a
+    self-loop is no such arc; a repeated arc counts once).  The lists
+    are tested as packed bitsets of one palette window of ``64 L``
+    colors at a time, so the bitsets take the lists' own ``nL`` words
+    (one window, one pass, while ``P <= 64 L``).  Algorithm 2 colors
+    ``G[conflicted]`` as it would the conflict graph: a ``G``-neighbour
+    of ``v`` still holding ``v``'s color ``c`` shares ``c`` with ``v``,
+    so it is a conflict neighbour, and the "still holds ``c``" bit test
+    drops every other one.
+    """
+    n, list_size = col_lists.shape
+    offsets, targets = graph.offsets, graph.targets
+    window = 64 * list_size
+    windows = range(0, palette_size, window)
+    per_block = ARC_BLOCK_BYTES // (8 * min(list_size, -(-palette_size // 64))) or 1
+    blocks, _ = row_blocks(offsets, -(-len(targets) // per_block) or 1)
+    # Arcs already seen to share a color, kept only if a later window could see them again.
+    found = np.zeros(len(targets) if len(windows) > 1 else 0, dtype=bool)
+    hit, n_edges = np.zeros(n, dtype=bool), 0
+    for lo in windows:
+        inside = (col_lists >= lo) & (col_lists < lo + window)
+        masks = bitset_from_lists(np.where(inside, col_lists - lo, -1),
+                                  min(window, palette_size - lo))
+        for a, b in blocks:
+            u = np.repeat(np.arange(a, b), np.diff(offsets[a : b + 1]))
+            arc = np.flatnonzero(u < targets[offsets[a] : offsets[b]]) + offsets[a]
+            if len(found):
+                arc = arc[~found[arc]]
+            u, v = u[arc - offsets[a]], targets[arc]
+            share = (masks[u] & masks[v]).any(axis=1)
+            if len(found):
+                found[arc[share]] = True
+            u, v = u[share], v[share]
+            hit[u] = hit[v] = True
+            keys = u * n + v  # ascending in a canonical CSR, unless an arc repeats
+            n_edges += len(keys if (keys[1:] > keys[:-1]).all() else np.unique(keys))
+    return np.flatnonzero(hit), n_edges
 
 
 def count_conflict_edges(

@@ -1,9 +1,11 @@
 """Picasso driver — Algorithm 1 of the paper.
 
 Iteratively: assign random candidate-color lists from a fresh palette,
-find the *conflicted* vertices (a host Pauli iteration stores no
-conflict edges, :func:`repro.core.conflict.bucket_conflict_state`;
-other runs build their CSR), color unconflicted vertices immediately,
+find the *conflicted* vertices (a host ``greedy-dynamic`` iteration
+stores no conflict edges: a Pauli input asks the palette index,
+:func:`repro.core.conflict.bucket_conflict_state`, and an explicit graph
+its own arcs, :func:`repro.core.conflict.adjacency_conflict_state`;
+other runs build the conflict CSR), color unconflicted vertices immediately,
 list-color the conflicted ones (Algorithm 2), and recurse on whatever
 stayed uncolored.  Colors are never reused across iterations (iteration
 ``l`` draws from ``[(l-1)P, lP)``), so their union is proper.
@@ -23,7 +25,8 @@ from repro import telemetry
 from repro.coloring.base import ColoringResult
 from repro.coloring.engine import get_engine
 from repro.core.conflict import (
-    bucket_conflict_state, build_fused_conflict_state, count_conflict_edges,
+    adjacency_conflict_state, bucket_conflict_state, build_conflict_graph,
+    count_conflict_edges,
 )
 from repro.core.palette import assign_color_lists, lists_nbytes
 from repro.core.params import PicassoParams
@@ -65,14 +68,6 @@ class IterationStats:
     built_on_device: bool | None = None
     color_rounds: int = 1
     color_peak_bytes: int = 0
-    #: Sub-buckets of the build phase: ``sweep_s`` drains the hit
-    #: stream (worker compute plus gather), ``assemble_s`` is the
-    #: conflicted sub-CSR build.  Zero on the device path, whose
-    #: budgeted Algorithm 3 build is timed as a whole.
-    sweep_s: float = 0.0
-    assemble_s: float = 0.0
-    #: Key bytes the host build gathered (0 on the device path).
-    hit_bytes: int = 0
     #: Edge-oracle pairs Algorithm 2 asked on the serial path.
     oracle_tests: int = 0
 
@@ -137,17 +132,11 @@ class PicassoResult(ColoringResult):
         return max((m for m in edges if m is not None), default=None)
 
     def phase_times(self) -> dict[str, float]:
-        """Cumulative seconds per phase (Fig. 3 breakdown).
-
-        The three coarse phases are joined by the sub-buckets
-        ``sweep`` / ``assemble`` that split ``conflict_graph`` (0 with no graph).
-        """
+        """Cumulative seconds per phase (Fig. 3 breakdown)."""
         return {
             "assignment": sum(s.assign_s for s in self.iterations),
             "conflict_graph": sum(s.conflict_build_s for s in self.iterations),
             "conflict_coloring": sum(s.conflict_color_s for s in self.iterations),
-            "sweep": sum(s.sweep_s for s in self.iterations),
-            "assemble": sum(s.assemble_s for s in self.iterations),
         }
 
 
@@ -242,11 +231,12 @@ class Picasso:
         # One resolved kernel-backend name for the run; workers resolve
         # it against their own runtime (bit-identical by contract).
         kb = params.resolved_kernel_backend()
-        # Host Pauli runs build no graph, on every executor (explicit
-        # inputs hold theirs already); a pool or cluster runs only
-        # detection's sparse-conflict sweep and ``exact_edges`` counts.
-        graph_free = (self.device is None and color_engine.name == "greedy-dynamic"
-                      and not isinstance(source, ExplicitGraphSource))
+        # Host greedy-dynamic runs build no graph, on every executor: an
+        # explicit input colors through its own arcs, and a Pauli run's
+        # pool or cluster runs only detection's sparse-conflict sweep and
+        # ``exact_edges`` counts.
+        graph_free = self.device is None and color_engine.name == "greedy-dynamic"
+        explicit = isinstance(source, ExplicitGraphSource)
         n_total = source.n
         colors = np.full(n_total, -1, dtype=np.int64)
         active = np.arange(n_total, dtype=np.int64)
@@ -307,64 +297,36 @@ class Picasso:
             # source and global active indices let a pool ship only a delta.
             t0 = telemetry.clock()
             built_on_device: bool | None = None
-            edge_block_fn = getattr(active_source, "edge_block", None)
-            active_idx = active if it > 1 else None
-            timings: dict[str, float] = {}
+            state = (n, active_source.edge_mask, col_lists, palette)
+            sweep = dict(edge_block_fn=getattr(active_source, "edge_block", None),
+                         tile_bytes=params.tile_budget_bytes, executor=executor,
+                         source=source, active_idx=active if it > 1 else None,
+                         kernel_backend=kb)
             with telemetry.span("picasso.conflict_build", iteration=it):
-                if self.device is not None:
-                    gc, build_stats = build_conflict_csr(
-                        n,
-                        active_source.edge_mask,
-                        col_lists,
-                        palette,
-                        self.device,
-                        edge_block_fn=edge_block_fn,
-                        tile_bytes=params.tile_budget_bytes,
-                        executor=executor,
-                        source=source,
-                        active_idx=active_idx,
-                        kernel_backend=kb,
-                    )
-                    n_conf_edges = build_stats.n_conflict_edges
-                    built_on_device = build_stats.built_on_device
-                    # The device build returns the full-width graph;
-                    # reduce it to the same coloring state the host
-                    # build returns.  The Table IV term stays the full
-                    # graph, which is what the device holds.
-                    conflicted = np.flatnonzero(gc.degree())
-                    sub_gc, _ = induced_subgraph(gc, conflicted)
-                    graph_nbytes = gc.nbytes
-                    del gc
+                if graph_free and explicit:
+                    conflicted, n_conf_edges = adjacency_conflict_state(
+                        active_source.graph, col_lists, palette)
+                    sub_gc, _ = induced_subgraph(active_source.graph, conflicted)
+                    graph_nbytes = sub_gc.nbytes + conflicted.nbytes
                 elif graph_free:
-                    state = (n, active_source.edge_mask, col_lists, palette)
-                    sweep = dict(edge_block_fn=edge_block_fn, tile_bytes=params.tile_budget_bytes,
-                                 executor=executor, source=source, active_idx=active_idx,
-                                 kernel_backend=kb)
                     with telemetry.span("picasso.detect", iteration=it):
                         sub_gc, conflicted = bucket_conflict_state(*state, **sweep)
                     n_conf_edges = (count_conflict_edges(*state, **sweep)
                                     if self.exact_edges else None)
                     graph_nbytes = sub_gc.nbytes
                 else:
-                    # The sweep comes back as coloring-round state:
-                    # conflicted vertex ids plus their sub-CSR, with no
-                    # full-width graph in between.
-                    sub_gc, conflicted, n_conf_edges = (
-                        build_fused_conflict_state(
-                            n,
-                            active_source.edge_mask,
-                            col_lists,
-                            palette,
-                            edge_block_fn=edge_block_fn,
-                            tile_bytes=params.tile_budget_bytes,
-                            executor=executor,
-                            source=source,
-                            active_idx=active_idx,
-                            timings=timings,
-                            kernel_backend=kb,
-                        )
-                    )
-                    graph_nbytes = sub_gc.nbytes + conflicted.nbytes
+                    if self.device is not None:
+                        gc, build_stats = build_conflict_csr(*state, self.device, **sweep)
+                        n_conf_edges = build_stats.n_conflict_edges
+                        built_on_device = build_stats.built_on_device
+                    else:
+                        gc, n_conf_edges = build_conflict_graph(*state, **sweep)
+                    # The full-width graph (the Table IV term, which is
+                    # what a device holds) reduced to the coloring state.
+                    conflicted = np.flatnonzero(gc.degree())
+                    sub_gc, _ = induced_subgraph(gc, conflicted)
+                    graph_nbytes = gc.nbytes
+                    del gc
             t_build = telemetry.clock() - t0
 
             # Lines 8-9: color unconflicted vertices from their lists,
@@ -391,7 +353,7 @@ class Picasso:
                     del outcome
                 else:
                     vu_local = np.empty(0, dtype=np.int64)
-                oracle_tests = sub_gc.tests if graph_free else 0
+                oracle_tests = getattr(sub_gc, "tests", 0)
                 telemetry.count("coloring.oracle_tests", float(oracle_tests))
                 del sub_gc  # iteration k's graph goes before k + 1's build
             t_color = telemetry.clock() - t0
@@ -407,8 +369,9 @@ class Picasso:
             # but kept out of the Table IV peak metric, whose definition
             # predates the engine layer — changing it would break the
             # cross-PR memory trajectory.
-            # The host build never holds the full-width graph, so its
-            # term is the conflicted sub-CSR plus the vertex ids (or the bucket query).
+            # A graph-free iteration's term is its coloring state: the
+            # bucket query, or the explicit graph's conflicted subgraph
+            # plus the vertex ids.
             iter_peak = (
                 active_source.nbytes
                 + lists_nbytes(col_lists)
@@ -433,9 +396,6 @@ class Picasso:
                     built_on_device=built_on_device,
                     color_rounds=color_rounds,
                     color_peak_bytes=int(color_peak),
-                    sweep_s=float(timings.get("sweep_s", 0.0)),
-                    assemble_s=float(timings.get("assemble_s", 0.0)),
-                    hit_bytes=int(timings.get("hit_bytes", 0)),
                     oracle_tests=int(oracle_tests),
                 )
             )

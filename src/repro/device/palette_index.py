@@ -48,6 +48,7 @@ from repro.util.chunking import num_pairs
 __all__ = [
     "INDEX_BLOCK_CANDIDATES",
     "INDEX_COST_PER_CANDIDATE",
+    "SWEEP_MIN_UNRESOLVED",
     "BucketQuery",
     "PaletteIndex",
     "all_pairs_share",
@@ -71,6 +72,19 @@ INDEX_BLOCK_CANDIDATES = 1 << 19
 #: n = 1.5k (word ops per candidate 2.5), 0.99-1.09x at n = 2k (4.5)
 #: and 1.23-1.28x at n = 2.5k (6.1), crossing between 2.5 and 4.5.
 INDEX_COST_PER_CANDIDATE = 4.0
+
+#: Fewest vertices left unresolved by detection's successor pass that
+#: send it to the sweep; fewer go to the second pass.  Measured on a
+#: 2-vCPU x86-64 VM, Normal lists on Jordan-Wigner Majorana strings
+#: (no conflict edge, so every vertex is unresolved and the second pass
+#: tests all its bucket-mates): the second pass costs about 33 us per
+#: vertex (0.27 ms at 8, 0.50 ms at 16, 2.2 ms at 64), a serial sweep
+#: 0.06-0.09 ms, and a warm 2-worker pool's sweep 2.1 ms, plus the pool
+#: start if it is the run's first.  At 16 a serial run loses at most
+#: about 0.5 ms per such iteration and a pool saves at least 1.6 ms; the
+#: late iterations of ``rand50q-10k-pool2`` (1-33 vertices) sent strip
+#: tasks that returned 617 B.
+SWEEP_MIN_UNRESOLVED = 16
 
 
 def candidate_pairs(col_lists: np.ndarray) -> int:
@@ -238,8 +252,9 @@ class PaletteIndex:
     def conflicted(self, edge_mask_fn, sweep=None) -> tuple[np.ndarray, int]:
         """``(mask, oracle tests)``: which vertices have a conflict edge.  Each
         bucket entry is tested against its successor (<= ``nL`` deduplicated
-        pairs, in blocks); if over a quarter stay unresolved ``sweep()`` gives
-        the mask, else each is tested against its deduplicated bucket-mates
+        pairs, in blocks); if over a quarter and more than
+        :data:`SWEEP_MIN_UNRESOLVED` stay unresolved ``sweep()`` gives the
+        mask, else each is tested against its deduplicated bucket-mates
         (less those that found no edge) in growing chunks, to its first edge."""
         n, hit, tests = self.n, np.zeros(self.n, dtype=bool), 0
         succ = np.flatnonzero(self.later)
@@ -251,7 +266,8 @@ class PaletteIndex:
             edge = np.asarray(edge_mask_fn(i, j)).astype(bool)
             hit[i[edge]] = hit[j[edge]] = True
             tests += len(i)
-        if sweep is not None and 4 * (n - np.count_nonzero(hit)) > n:
+        unresolved = n - np.count_nonzero(hit)
+        if sweep is not None and 4 * unresolved > n and unresolved > SWEEP_MIN_UNRESOLVED:
             return sweep(), tests
         done = np.zeros(n, dtype=bool)  # tested against all its mates, no edge
         for v in np.flatnonzero(~hit).tolist():

@@ -38,7 +38,7 @@ edge up to 32,768 vertices) from the worker through the gather to the
 assembly.  Key arrays travel back pickled through the executor's result
 stream, the one gather path: one worker sweep task,
 :func:`_run_tile_strip`, and one stream, :func:`conflict_sweep_chunks`,
-which every build drains.
+which every sweep (a CSR build, a count, detection's sweep) drains.
 
 Per-sweep worker state (plan, bitsets, derived oracle, tile scratch) is
 cleared in a ``finally`` on the dispatcher side after every sweep —
@@ -74,7 +74,7 @@ from repro.device.tiles import (
     sweep_conflict_hits,
     tile_edge,
 )
-from repro.graphs.csr import CSRGraph, csr_from_coo_chunks, key_layout
+from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.parallel.partition import partition_tiles, tile_grid
 from repro.resilience.faults import fault_point
@@ -83,7 +83,6 @@ from repro.util.bits import bitset_from_lists
 __all__ = [
     "conflict_sweep_chunks",
     "gathered_conflict_csr",
-    "fused_conflict_csr",
     "block_sweep_chunks",
     "payload_token_for",
     "imap_delta_install",
@@ -566,120 +565,23 @@ def gathered_conflict_csr(
     active_idx: np.ndarray | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
-    """Sweep-and-assemble: the shared back half of every host conflict
-    build.  Drains one :func:`conflict_sweep_chunks` stream and folds
-    the hits into the sort-key CSR assembly, returning ``(graph,
-    n_conflict_edges)``.
+    """Sweep-and-assemble: the back half of the host conflict build.
+    Drains one :func:`conflict_sweep_chunks` stream (counting the
+    gathered key bytes as ``sweep.hit_bytes``) and folds the hits into
+    the sort-key CSR assembly, returning ``(graph, n_conflict_edges)``.
     """
-    chunks = _gather_keys(conflict_sweep_chunks(
+    stream = conflict_sweep_chunks(
         n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
         tile_bytes=tile_bytes, executor=executor,
         source=source, active_idx=active_idx, kernel_backend=kernel_backend,
-    ))
+    )
+    with closing(stream), telemetry.span("sweep.gather"):
+        chunks = [keys for keys in stream if len(keys)]
+    telemetry.count("sweep.hit_bytes", float(sum(k.nbytes for k in chunks)))
     m = sum(len(keys) for keys in chunks)
     with telemetry.span("sweep.assemble"):
         graph = csr_from_coo_chunks(chunks, n)
     return graph, m
-
-
-def _gather_keys(stream: Iterator[np.ndarray]) -> list[np.ndarray]:
-    """Drain a sweep stream into its non-empty key chunks, counting
-    their bytes as ``sweep.hit_bytes``."""
-    with closing(stream), telemetry.span("sweep.gather"):
-        chunks = [keys for keys in stream if len(keys)]
-    telemetry.count("sweep.hit_bytes", float(sum(k.nbytes for k in chunks)))
-    return chunks
-
-
-def _fused_sub_csr(
-    n: int, chunks: list[np.ndarray]
-) -> tuple[CSRGraph, np.ndarray]:
-    """Assemble the conflicted-subgraph CSR directly from key chunks.
-
-    The conflict vertices are the keys' endpoints (marking stops once
-    all ``n`` are marked).  The relabel ``old -> new`` is strictly
-    monotone, so each key maps onto the subgraph's :func:`key_layout`
-    in the same order, and the sort-key assembly (whose rows depend on
-    the edge set alone) makes this CSR **bit-identical** to
-    ``induced_subgraph(csr_from_coo_chunks(chunks, n), conflicted)``
-    (on the conflicted set the induced relabel drops zero arcs, so it
-    too is a pure monotone relabel) while never materializing the
-    full-width graph.  When every vertex is conflicted the relabel is
-    the identity and the keys pass straight through.  ``chunks`` is
-    consumed: each original leaves the list as its relabeled copy is
-    made, so the two never coexist in full.
-    """
-    s, _ = key_layout(n)
-    col_mask = (1 << s) - 1
-    mask = np.zeros(n, dtype=bool)
-    for keys in chunks:
-        if mask.all():
-            break
-        mask[keys >> s] = True
-        mask[keys & col_mask] = True
-    conflicted = np.flatnonzero(mask)
-    if len(conflicted) == n:
-        return csr_from_coo_chunks(chunks, n), conflicted
-    sub_s, sub_dtype = key_layout(len(conflicted))
-    new_id = np.cumsum(mask, dtype=sub_dtype) - 1
-    chunks.reverse()
-    sub_chunks: list[np.ndarray] = []
-    while chunks:
-        keys = chunks.pop()
-        sub = new_id[keys >> s]
-        sub <<= sub_s
-        sub |= new_id[keys & col_mask]
-        sub_chunks.append(sub)
-        del keys
-    return csr_from_coo_chunks(sub_chunks, len(conflicted)), conflicted
-
-
-def fused_conflict_csr(
-    n: int,
-    edge_mask_fn,
-    col_lists: np.ndarray,
-    palette_size: int,
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    executor: Executor | None = None,
-    source=None,
-    active_idx: np.ndarray | None = None,
-    timings: dict | None = None,
-    kernel_backend: str | None = None,
-) -> tuple[CSRGraph, np.ndarray, int]:
-    """Sweep-and-assemble into coloring-ready conflict state.
-
-    Drains the key stream of :func:`conflict_sweep_chunks` once, then
-    marks the conflict vertices and assembles the conflicted sub-CSR
-    directly in key space (:func:`_fused_sub_csr`) — no full-width
-    graph, degree scan or induced-subgraph relabel.  Returns ``(sub_gc,
-    conflicted, n_conflict_edges)`` where ``sub_gc`` is bit-identical
-    to ``induced_subgraph`` of the :func:`gathered_conflict_csr` graph
-    and ``conflicted`` to its ``nonzero(degree > 0)`` vertex set.
-
-    ``timings``, when given, accumulates ``sweep_s`` (draining the hit
-    stream — worker compute plus gather), ``assemble_s`` (the sub-CSR
-    build) and ``hit_bytes`` (the gathered key bytes), for the
-    per-iteration metrics.
-    """
-    t0 = telemetry.clock()
-    chunks = _gather_keys(conflict_sweep_chunks(
-        n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-        tile_bytes=tile_bytes, executor=executor,
-        source=source, active_idx=active_idx, kernel_backend=kernel_backend,
-    ))
-    m = sum(len(keys) for keys in chunks)
-    hit_bytes = sum(keys.nbytes for keys in chunks)
-    t1 = telemetry.clock()
-    with telemetry.span("sweep.assemble"):
-        sub_gc, conflicted = _fused_sub_csr(n, chunks)
-    if timings is not None:
-        timings["sweep_s"] = timings.get("sweep_s", 0.0) + (t1 - t0)
-        timings["assemble_s"] = (
-            timings.get("assemble_s", 0.0) + (telemetry.clock() - t1)
-        )
-        timings["hit_bytes"] = timings.get("hit_bytes", 0) + hit_bytes
-    return sub_gc, conflicted, m
 
 
 def block_sweep_chunks(

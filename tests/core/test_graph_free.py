@@ -5,7 +5,10 @@ conflicted set on the palette index and answers each Algorithm 2 pick
 in the parent from a palette bucket plus the edge oracle
 (:func:`repro.core.conflict.bucket_conflict_state`); a pool or cluster
 runs only detection's sparse-conflict sweep and ``exact_edges`` counts.
-These tests hold it to the runs that do build a conflict graph (the
+A host run on an explicit graph marks the conflicted set in one pass
+over the graph's arcs and colors the subgraph they induce
+(:func:`repro.core.conflict.adjacency_conflict_state`), with no sweep.
+These tests hold both to the runs that do build a conflict graph (the
 naive reference and the DeviceSim build), to a 2-worker pool and to
 checkpoint resume.
 """
@@ -21,16 +24,19 @@ from repro.coloring.greedy_list import greedy_list_color_dynamic
 from repro.core import Picasso, PicassoParams, aggressive_params
 from repro.core import conflict as conflict_module
 from repro.core import picasso as picasso_module
-from repro.core.conflict import bucket_conflict_state, count_conflict_edges
+from repro.core.conflict import (
+    adjacency_conflict_state, bucket_conflict_state, count_conflict_edges,
+)
 from repro.core.palette import assign_color_lists
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
+from repro.device import palette_index
 from repro.device.palette_index import PaletteIndex
 from repro.device.sim import DeviceSim
 from repro.device import multi as multi_module
 from repro.graphs import build as build_module
 from repro.graphs import csr as csr_module
-from repro.graphs import empty_graph, erdos_renyi
-from repro.graphs.csr import from_edge_list
+from repro.graphs import complement_graph, empty_graph, erdos_renyi
+from repro.graphs.csr import CSRGraph, from_edge_list
 from repro.distributed import LocalCluster
 from repro.parallel import PoolExecutor
 from repro.parallel import pool as pool_module
@@ -105,6 +111,54 @@ def trace(result):
     return [(s.n_conflict_vertices, s.n_uncolored) for s in result.iterations]
 
 
+def loops_and_repeats(seed: int) -> tuple[CSRGraph, CSRGraph]:
+    """A graph with isolated vertices, and a hand-built copy of it with a
+    self-loop on an isolated and on a linked vertex and one arc repeated
+    out of order (so that row's arcs are not ascending)."""
+    clean = with_isolated(20, 6, seed=seed)
+    rows = [clean.neighbors(v).tolist() for v in range(clean.n_vertices)]
+    isolated = next(v for v, row in enumerate(rows) if not row)
+    linked = next(v for v, row in enumerate(rows) if row)
+    rows[isolated].append(isolated)
+    above = rows[linked][0]  # the lowest linked vertex has only higher neighbours
+    rows[linked] += [linked, above]
+    rows[above].append(linked)
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    targets = np.array([t for row in rows for t in row], dtype=np.int32)
+    return clean, CSRGraph(offsets=offsets.astype(np.int64), targets=targets)
+
+
+#: Explicit inputs of the arc pass: sparse and dense random graphs, a
+#: complement graph, the empty graph, isolated vertices, and loops plus
+#: a repeated arc.
+EXPLICIT = {
+    "er-sparse": erdos_renyi(120, 0.02, seed=1),
+    "er-dense": erdos_renyi(60, 0.6, seed=2),
+    "complement": complement_graph(random_pauli_set(90, 6, seed=3)),
+    "empty": empty_graph(30),
+    "isolated": with_isolated(50, 14, seed=3),
+    "loops-repeats": loops_and_repeats(5)[1],
+}
+
+
+def explicit_trace(result):
+    return [(s.n_conflict_vertices, s.n_conflict_edges, s.n_uncolored)
+            for s in result.iterations]
+
+
+def forbid_sweeps(mp) -> None:
+    """Make every sweep, CSR assembly and explicit edge query raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an explicit-graph run swept or asked the edge oracle")
+
+    for module in (conflict_module, pool_module):
+        mp.setattr(module, "conflict_sweep_chunks", forbidden)
+    for module in (csr_module, pool_module, build_module, multi_module):
+        mp.setattr(module, "csr_from_coo_chunks", forbidden)
+    mp.setattr(ExplicitGraphSource, "edge_mask", forbidden)
+    mp.setattr(ExplicitGraphSource, "edge_block", forbidden)
+
+
 class TestDifferential:
     @pytest.mark.parametrize("name,n,regime", inputs())
     def test_serial_matches_graph_runs(self, name, n, regime, tmp_path):
@@ -112,7 +166,7 @@ class TestDifferential:
         knobs = REGIMES[regime]
         seed = 4
         serial = Picasso(PicassoParams(**knobs), seed=seed).color(inp)
-        # An explicit graph keeps the CSR path: it holds its edges already.
+        # An explicit graph counts |Ec| in its arc pass.
         explicit = not isinstance(inp, PauliSet)
         assert all((s.n_conflict_edges is None) != explicit for s in serial.iterations)
         others = {
@@ -147,6 +201,38 @@ class TestDifferential:
         assert counted == [s.n_conflict_edges for s in others["reference"].iterations]
         assert counted == [s.n_conflict_edges for s in others["device"].iterations]
 
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    def test_explicit_adjacency_matches_reference(self, name, regime, tmp_path):
+        """Explicit graphs, serial, on a 2-worker pool and resumed from a
+        checkpoint, color as the reference does, iteration by iteration,
+        with no sweep, CSR assembly or edge-oracle call."""
+        graph, knobs, seed = EXPLICIT[name], REGIMES[regime], 4
+        ref = reference_coloring(graph, seed, **knobs)
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            forbid_sweeps(mp)
+            runs["serial"] = Picasso(PicassoParams(**knobs), seed=seed).color(graph)
+            runs["pool"] = Picasso(PicassoParams(n_workers=2, **knobs), seed=seed).color(graph)
+            if ref.n_iterations >= 2:
+                ckpt = PicassoParams(checkpoint_dir=str(tmp_path), **knobs)
+                install_fault(FaultSpec(kind="error", site="iteration", after=1))
+                try:
+                    with pytest.raises(FaultInjected):
+                        Picasso(ckpt, seed=seed).color(graph)
+                finally:
+                    clear_faults()
+                runs["resume"] = Picasso(ckpt.with_(resume=True), seed=seed).color(graph)
+        for label, run in runs.items():
+            np.testing.assert_array_equal(run.colors, ref.colors, err_msg=label)
+            assert explicit_trace(run) == explicit_trace(ref), label
+        assert graph.validate_coloring(ref.colors)
+        if name == "loops-repeats":
+            # The loops and the repeated arc change nothing.
+            clean = reference_coloring(loops_and_repeats(5)[0], seed, **knobs)
+            np.testing.assert_array_equal(clean.colors, ref.colors)
+            assert explicit_trace(clean) == explicit_trace(ref)
+
     def test_regimes_reach_their_list_shapes(self):
         """The regimes above do draw the list shapes they are named for."""
         shapes = {}
@@ -178,6 +264,24 @@ class TestDetection:
         graph, _ = naive_conflict_csr(n, source.edge_mask, lists)
         np.testing.assert_array_equal(hit, graph.degree() > 0)
         assert tests <= n * (n - 1) + n * size  # pass 2 may test a pair both ways
+
+    @pytest.mark.parametrize("palette,size", [(7, 7), (40, 3), (700, 2)])
+    def test_arc_pass_matches_naive(self, palette, size):
+        """The explicit arc pass marks and counts what the naive reference
+        does, in one palette window or several (``P > 64 L``), loops and
+        repeated arcs included."""
+        for graph in (with_isolated(150, 30, seed=4), loops_and_repeats(6)[1]):
+            n = graph.n_vertices
+            lists = assign_color_lists(n, palette, size, rng=5)
+            conflicted, m = adjacency_conflict_state(graph, lists, palette)
+            ref, m_ref = naive_conflict_csr(n, ExplicitGraphSource(graph).edge_mask, lists)
+            assert m == m_ref
+            np.testing.assert_array_equal(conflicted, np.flatnonzero(ref.degree()))
+        # A pair sharing a color in two windows is one conflict edge.
+        path = from_edge_list(np.array([0, 1]), np.array([1, 2]), 3)
+        lists = np.array([[5, 600], [600, 5], [6, 601]])
+        conflicted, m = adjacency_conflict_state(path, lists, 700)
+        assert m == 1 and conflicted.tolist() == [0, 1]
 
     @pytest.mark.parametrize("n_linked,n_isolated,swept", [(90, 10, False), (0, 60, True)])
     def test_sweep_marks_sparse_conflicts(self, n_linked, n_isolated, swept):
@@ -237,7 +341,7 @@ class TestNoGraphBuilt:
         def forbidden(*args, **kwargs):
             raise AssertionError("the serial run built a conflict graph")
 
-        monkeypatch.setattr(picasso_module, "build_fused_conflict_state", forbidden)
+        monkeypatch.setattr(picasso_module, "build_conflict_graph", forbidden)
         for module in (csr_module, pool_module, build_module, multi_module):
             monkeypatch.setattr(module, "csr_from_coo_chunks", forbidden)
         ps = random_pauli_set(300, 8, seed=2)
@@ -293,9 +397,10 @@ class TestPoolRouting:
 
     def test_sweep_route_ships_deltas(self, monkeypatch):
         """Mostly isolated Majoranas send detection to the sweep on every
-        iteration of the one-color palette; the root source is installed
-        once, so every later sweep ships only its delta."""
-        inp, knobs = majoranas(40, 9), REGIMES["P1"]
+        iteration of the one-color palette (40 copies leave 40 vertices,
+        above the sweep's floor, for iteration 2); the root source is
+        installed once, so every later sweep ships only its delta."""
+        inp, knobs = majoranas(40, 40), REGIMES["P1"]
         tokens = []
         count = conflict_module.count_conflict_edges
 
@@ -314,6 +419,30 @@ class TestPoolRouting:
         assert counters["pool.install.delta"] == len(tokens) - 1
         serial = Picasso(PicassoParams(**knobs), seed=4).color(inp)
         np.testing.assert_array_equal(pooled.colors, serial.colors)
+
+    @pytest.mark.parametrize("n_qubits", [6, 7, 8])
+    def test_tiny_iterations_stay_off_the_executor(self, n_qubits, monkeypatch):
+        """An iteration of at most ``SWEEP_MIN_UNRESOLVED`` vertices
+        cannot leave more unresolved, so detection never sends it to the
+        pool's sweep (these runs have iterations of 1-3 vertices); colors
+        equal the serial run's."""
+        swept = []
+        count = conflict_module.count_conflict_edges
+
+        def spy(n, *args, **kwargs):
+            swept.append(n)
+            return count(n, *args, **kwargs)
+
+        monkeypatch.setattr(conflict_module, "count_conflict_edges", spy)
+        tiny = 0
+        for seed in (1, 2, 3):
+            ps = random_pauli_set(300, n_qubits, seed=seed)
+            pooled = Picasso(PicassoParams(n_workers=2), seed=seed).color(ps)
+            serial = Picasso(PicassoParams(), seed=seed).color(ps)
+            np.testing.assert_array_equal(pooled.colors, serial.colors)
+            tiny += sum(s.n_active <= 3 for s in pooled.iterations)
+        assert tiny > 0
+        assert all(n > palette_index.SWEEP_MIN_UNRESOLVED for n in swept)
 
     def test_dense_conflicts_dispatch_nothing(self, monkeypatch):
         """Dense conflicts resolve in detection's successor pass, so a
@@ -339,7 +468,7 @@ class TestPoolRouting:
         def forbidden(*args, **kwargs):
             raise AssertionError("the cluster run built a conflict graph")
 
-        monkeypatch.setattr(picasso_module, "build_fused_conflict_state", forbidden)
+        monkeypatch.setattr(picasso_module, "build_conflict_graph", forbidden)
         for module in (csr_module, pool_module, build_module, multi_module):
             monkeypatch.setattr(module, "csr_from_coo_chunks", forbidden)
         with LocalCluster(2) as lc:

@@ -44,10 +44,9 @@ def assert_valid_list_coloring(gc, col_lists, colors, uncolored):
 
 def algorithm2_inputs(pauli_set, params):
     """``(gc, col_lists)`` of every Algorithm 2 call of a real Picasso
-    run, in iteration order: conflict CSRs straight from the fused
-    builder (int32 targets, rows rotated rather than sorted), which a
-    run on the explicit complement graph takes (a Pauli input builds
-    no graph)."""
+    run on the explicit complement graph, in iteration order: the
+    subgraphs its conflicted vertices induce (int32 targets, rows
+    rotated rather than sorted; a Pauli input builds no graph)."""
     calls = []
     real = GreedyDynamicEngine.color
 
@@ -184,8 +183,8 @@ class TestBitsetMatchesSetsReference:
         "case", ["H4_2D_sto3g-aggressive", "rand300x8-normal"]
     )
     def test_fused_builder_conflict_graphs(self, case):
-        """Every iteration's conflict graph from the real fused builder.
-        The Aggressive run has L = P (full lists), so every vertex
+        """Every iteration's Algorithm 2 input from a real run on an
+        explicit graph.  The Aggressive run has L = P (full lists), so every vertex
         starts in the top bucket and the lower buckets grow from
         empty."""
         if case == "H4_2D_sto3g-aggressive":

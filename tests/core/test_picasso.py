@@ -203,18 +203,14 @@ class TestIterationTrace:
         assert first.n_active == 100
         assert first.palette_size == round(0.125 * 100)
         assert first.list_size >= 1
-        # The serial run builds no conflict graph: no |Ec|, no sweep
-        # or assembly time, and the pick loop's oracle tests instead.
+        # The serial run builds no conflict graph: no |Ec|, and the
+        # pick loop's oracle tests instead.
         assert r.max_conflict_edges is None
         assert all(s.n_conflict_edges is None for s in r.iterations)
         assert first.oracle_tests > 0
         phases = r.phase_times()
-        assert set(phases) == {
-            "assignment", "conflict_graph", "conflict_coloring",
-            "sweep", "assemble",
-        }
+        assert set(phases) == {"assignment", "conflict_graph", "conflict_coloring"}
         assert phases["conflict_graph"] > 0.0
-        assert phases["sweep"] == phases["assemble"] == 0.0
         # So does a pool run of the same input.
         pooled = picasso_color(ps, PicassoParams(n_workers=2), seed=0)
         np.testing.assert_array_equal(pooled.colors, r.colors)
@@ -222,14 +218,12 @@ class TestIterationTrace:
         assert [s.oracle_tests for s in pooled.iterations] == [
             s.oracle_tests for s in r.iterations
         ]
-        # A built graph (the explicit complement graph holds its edges
-        # already) splits into its sweep/assemble sub-buckets.
+        # The explicit complement graph counts |Ec| in its arc pass and
+        # asks the edge oracle nothing.
         built = picasso_color(complement_graph(ps), PicassoParams(n_workers=2), seed=0)
         np.testing.assert_array_equal(built.colors, r.colors)
         assert built.max_conflict_edges >= 0
         assert all(s.oracle_tests == 0 for s in built.iterations)
-        assert built.phase_times()["sweep"] > 0.0
-        assert built.phase_times()["assemble"] > 0.0
 
     def test_active_counts_decrease(self):
         ps = random_pauli_set(150, 6, seed=8)
@@ -268,17 +262,17 @@ class TestIterationTrace:
 
 
     def test_conflict_graph_released_before_next_build(self, monkeypatch):
-        """Iteration k's conflict CSR (a run on an explicit graph builds
+        """Iteration k's conflict CSR (a ``greedy-static`` run builds
         one) is dead when iteration k + 1's build starts, so two
         iterations' graphs never coexist."""
-        self.assert_released(monkeypatch, "build_fused_conflict_state", complement_graph)
+        self.assert_released(monkeypatch, "build_conflict_graph", "greedy-static")
 
     def test_bucket_query_released_before_next_build(self, monkeypatch):
         """The same for a Pauli run's bucket query."""
-        self.assert_released(monkeypatch, "bucket_conflict_state", lambda ps: ps)
+        self.assert_released(monkeypatch, "bucket_conflict_state", "greedy-dynamic")
 
     @staticmethod
-    def assert_released(monkeypatch, builder, as_input):
+    def assert_released(monkeypatch, builder, color_engine):
         build = getattr(picasso_module, builder)
         graphs: list[weakref.ref] = []
         alive = []
@@ -291,8 +285,8 @@ class TestIterationTrace:
 
         monkeypatch.setattr(picasso_module, builder, tracked)
         ps = random_pauli_set(150, 6, seed=9)
-        r = picasso_color(as_input(ps), PicassoParams(
-            palette_fraction=0.05, alpha=1.0,
+        r = picasso_color(ps, PicassoParams(
+            palette_fraction=0.05, alpha=1.0, color_engine=color_engine,
         ), seed=0)
         assert r.n_iterations >= 2 and len(graphs) == r.n_iterations
         assert alive and not any(alive)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.params import PicassoParams
 from repro.graphs.csr import CSRGraph, index_dtype
-from repro.graphs.ops import induced_subgraph
 
 
 def naive_conflict_csr(n, edge_mask_fn, col_lists) -> tuple[CSRGraph, int]:
@@ -42,13 +41,9 @@ def naive_conflict_csr(n, edge_mask_fn, col_lists) -> tuple[CSRGraph, int]:
     return graph, len(i)
 
 
-def _naive_fused_state(n, edge_mask_fn, col_lists, palette_size, *args, **kwargs):
-    """The driver's conflict state from :func:`naive_conflict_csr`: the
-    conflicted sub-CSR, its vertex ids and the edge count."""
-    graph, m = naive_conflict_csr(n, edge_mask_fn, col_lists)
-    conflicted = np.flatnonzero(graph.degree())
-    sub, _ = induced_subgraph(graph, conflicted)
-    return sub, conflicted, m
+def _naive_graph(n, edge_mask_fn, col_lists, palette_size, *args, **kwargs):
+    """:func:`naive_conflict_csr` in the driver's host builder signature."""
+    return naive_conflict_csr(n, edge_mask_fn, col_lists)
 
 
 def reference_coloring(inp, seed, **params):
@@ -58,7 +53,7 @@ def reference_coloring(inp, seed, **params):
     import repro.core.picasso as picasso
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(picasso, "build_fused_conflict_state", _naive_fused_state)
+        mp.setattr(picasso, "build_conflict_graph", _naive_graph)
         return picasso.Picasso(
             PicassoParams(color_engine="sets", **params), seed=seed
         ).color(inp)

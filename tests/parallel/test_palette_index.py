@@ -6,13 +6,12 @@ The index (:mod:`repro.device.palette_index`), the tile sweep and the
 build must come out bit-identical under any plan — serial, 2/3-worker
 pool and weighted cluster — and equal to the naive all-pairs
 reference (:func:`naive_reference.naive_conflict_csr`, "pairs" in the
-test names).  The driver's build (conflicted sub-CSR plus vertex
-ids) must equal the full-width reference graph reduced by a degree
-scan and ``induced_subgraph``.  The index and tile plans are forced by
-patching the cost constant ``kappa`` (``0`` takes the index for every
-sweep of two or more vertices, ``inf`` never does) and switching the
-``rows`` rule off; ``rows`` is what the rule itself picks whenever all
-lists equal the palette.  Inputs are adversarial: ``n`` at and around
+test names), also once reduced to the driver's coloring state
+(conflicted vertex ids and the sub-CSR they induce).  The index and
+tile plans are forced by patching the cost constant ``kappa`` (``0``
+takes the index for every sweep of two or more vertices, ``inf`` never
+does) and switching the ``rows`` rule off; ``rows`` is what the rule
+itself picks whenever all lists equal the palette.  Inputs are adversarial: ``n`` at and around
 a word boundary, ``P = 1``, ``L = P``, duplicate and identity strings,
 fully commuting and fully anticommuting sets, and an explicit graph.
 """
@@ -29,7 +28,7 @@ from naive_reference import naive_conflict_csr, reference_coloring
 
 from repro import telemetry
 from repro.core import Picasso, PicassoParams
-from repro.core.conflict import build_conflict_graph, build_fused_conflict_state
+from repro.core.conflict import build_conflict_graph
 from repro.core.palette import assign_color_lists
 from repro.core.params import aggressive_params
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
@@ -130,11 +129,10 @@ def _build(ps, pal, **kw):
     )
 
 
-def _build_fused(ps, pal, **kw):
-    src = PauliComplementSource(ps)
-    return build_fused_conflict_state(
-        ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
-    )
+def _build_state(ps, pal, **kw):
+    """The driver's host conflict state: ``(sub-CSR, conflicted, m)``."""
+    graph, m = _build(ps, pal, **kw)
+    return (*_induced(graph), m)
 
 
 def _naive(ps, pal):
@@ -387,8 +385,8 @@ class TestSerialEquivalence:
             got, m = _build(ps, pal)
             assert m == m_ref
             _assert_csr_equal(got, ref)
-            sub, conflicted, m_fused = _build_fused(ps, pal)
-            assert m_fused == m_ref
+            sub, conflicted, m_state = _build_state(ps, pal)
+            assert m_state == m_ref
             _assert_csr_equal(sub, sub_ref[0])
             np.testing.assert_array_equal(conflicted, sub_ref[1])
 
@@ -464,8 +462,8 @@ class TestPoolEquivalence:
                 got, m = _build(ps, pal, executor=ex)
                 assert m == m_ref
                 _assert_csr_equal(got, ref)
-                sub, conflicted, m_fused = _build_fused(ps, pal, executor=ex)
-                assert m_fused == m_ref
+                sub, conflicted, m_state = _build_state(ps, pal, executor=ex)
+                assert m_state == m_ref
                 _assert_csr_equal(sub, sub_ref[0])
                 np.testing.assert_array_equal(conflicted, sub_ref[1])
 
@@ -484,8 +482,8 @@ class TestPoolEquivalence:
             with ClusterExecutor(flat.hosts + hier.hosts) as ex:
                 assert ex.worker_capacities() == [1, 2]
                 got, m = _build(ps, pal, executor=ex)
-                sub, conflicted, m_fused = _build_fused(ps, pal, executor=ex)
-        assert m == m_fused == m_ref
+                sub, conflicted, m_state = _build_state(ps, pal, executor=ex)
+        assert m == m_state == m_ref
         _assert_csr_equal(got, ref)
         _assert_csr_equal(sub, sub_ref[0])
         np.testing.assert_array_equal(conflicted, sub_ref[1])
@@ -546,8 +544,8 @@ class TestPlansAgainstNaive:
                     got, m = _build(ps, pal, executor=ex)
                     assert m == m_ref
                     _assert_csr_equal(got, ref)
-                    sub, conflicted, m_fused = _build_fused(ps, pal, executor=ex)
-                    assert m_fused == m_ref
+                    sub, conflicted, m_state = _build_state(ps, pal, executor=ex)
+                    assert m_state == m_ref
                     _assert_csr_equal(sub, sub_ref)
                     np.testing.assert_array_equal(conflicted, conflicted_ref)
 
@@ -556,8 +554,8 @@ class TestPicasso:
     """Whole runs under every plan against :func:`reference_coloring`
     (the ``sets`` color engine on naive all-pairs builds).  A Pauli run
     builds no conflict graph, so the plans run on a 2-worker pool as
-    its ``exact_edges`` counts and as the explicit complement graph's
-    builds."""
+    its ``exact_edges`` counts; the explicit complement graph, which
+    colors through its own arcs, must agree as well."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_colorings_match_pairs_per_seed(self, seed, monkeypatch):
@@ -619,10 +617,9 @@ def _rows_build(n, src, pal, **kw):
     )
 
 
-def _rows_build_fused(n, src, pal, **kw):
-    return build_fused_conflict_state(
-        n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
-    )
+def _rows_build_state(n, src, pal, **kw):
+    graph, m = _rows_build(n, src, pal, **kw)
+    return (*_induced(graph), m)
 
 
 def _pinned_tiles(n, src, pal):
@@ -653,8 +650,8 @@ def _assert_rows_matches(n, src, pal, **kw):
     assert m == m_ref
     _assert_csr_equal(got, ref)
     sub_ref, conflicted_ref = _induced(ref)
-    sub, conflicted, m_fused = _rows_build_fused(n, src, pal, **kw)
-    assert m_fused == m_ref
+    sub, conflicted, m_state = _rows_build_state(n, src, pal, **kw)
+    assert m_state == m_ref
     _assert_csr_equal(sub, sub_ref)
     np.testing.assert_array_equal(conflicted, conflicted_ref)
 
@@ -718,13 +715,14 @@ class TestRowsPlan:
     def test_aggressive_hamiltonian_counts_only_rows(self):
         """An Aggressive run on H4's complement graph is ``L = P`` at
         every iteration: the telemetry counts one ``rows`` plan per
-        sweep (one build per iteration) and nothing else, and pool
-        strips are tagged ``plan="rows"``."""
+        sweep (one build per iteration; ``greedy-static`` colors a built
+        graph) and nothing else, and pool strips are tagged
+        ``plan="rows"``."""
         graph = complement_graph(load_molecule("H4_2D_sto3g"))
         try:
-            result = Picasso(
-                aggressive_params(n_workers=2, telemetry=True), seed=0
-            ).color(graph)
+            result = Picasso(aggressive_params(
+                n_workers=2, telemetry=True, color_engine="greedy-static",
+            ), seed=0).color(graph)
         finally:
             telemetry.reset()
             telemetry.enable(False)
@@ -781,59 +779,24 @@ class TestKeyStream:
 
     def test_hit_bytes_counts_key_width(self):
         """``sweep.hit_bytes`` is the gathered key bytes: ``m`` times the
-        4-byte key width, on a 2-worker pool, and the driver's
-        iteration stats carry the same figure."""
+        4-byte key width, on a 2-worker pool, and a driver run that
+        builds its graphs (``greedy-static``) counts the same figure."""
         ps = random_pauli_set(300, 8, seed=14)
         pal = (assign_color_lists(300, 40, 6, rng=6), 40)
         telemetry.reset()
         telemetry.enable(True)
         try:
             with PoolExecutor(2) as ex:
-                timings = {}
-                _, _, m = _build_fused(ps, pal, executor=ex, timings=timings)
+                _, m = _build(ps, pal, executor=ex)
             counters = telemetry.snapshot()["counters"]
+            telemetry.reset()
+            result = Picasso(PicassoParams(
+                n_workers=2, telemetry=True, color_engine="greedy-static",
+            ), seed=1).color(ps)
         finally:
             telemetry.reset()
             telemetry.enable(False)
         assert m > 0
-        assert counters["sweep.hit_bytes"] == timings["hit_bytes"] == 4 * m
-        result = Picasso(PicassoParams(n_workers=2), seed=1).color(complement_graph(ps))
-        for it in result.iterations:
-            assert it.hit_bytes == 4 * it.n_conflict_edges
-
-
-class TestFusedSubCsr:
-    """``_fused_sub_csr`` marks the conflict vertices and relabels in
-    key space; it must equal ``induced_subgraph`` of the full graph."""
-
-    @pytest.mark.parametrize(
-        "n, n_conflicted",
-        [
-            (120, 120),  # identity relabel: the keys pass straight through
-            (120, 119),  # the last vertex is isolated
-            (120, 50),  # the subgraph's keys shift by one bit less
-            (40_000, 300),  # int64 keys in, int32 keys out
-        ],
-    )
-    def test_matches_induced_subgraph(self, n, n_conflicted):
-        rng = np.random.default_rng(n_conflicted)
-        keep = np.sort(rng.choice(n, n_conflicted, replace=False))
-        if n_conflicted < n:
-            keep[-1] = min(keep[-1], n - 2)  # vertex n - 1 stays isolated
-        # A cycle through the kept vertices (every one has an edge) plus
-        # random chords among them.
-        u = np.concatenate([keep, rng.choice(keep, 4 * n_conflicted)])
-        v = np.concatenate([np.roll(keep, 1), rng.choice(keep, 4 * n_conflicted)])
-        u, v = np.minimum(u, v)[u != v], np.maximum(u, v)[u != v]
-        keys = np.unique(pair_keys(u, v, n))
-        ref, conflicted_ref = _induced(csr_from_coo_chunks([keys.copy()], n))
-        np.testing.assert_array_equal(conflicted_ref, np.unique(keep))
-        chunks = np.split(keys, [7, len(keys) // 2, len(keys) // 2 + 1])
-        sub, conflicted = pool._fused_sub_csr(n, chunks)
-        assert chunks == []
-        np.testing.assert_array_equal(conflicted, conflicted_ref)
-        _assert_csr_equal(sub, ref)
-
-    def test_no_edges(self):
-        sub, conflicted = pool._fused_sub_csr(10, [])
-        assert sub.n_vertices == 0 and len(conflicted) == 0
+        assert counters["sweep.hit_bytes"] == 4 * m
+        edges = sum(it.n_conflict_edges for it in result.iterations)
+        assert result.telemetry["counters"]["sweep.hit_bytes"] == 4 * edges > 0

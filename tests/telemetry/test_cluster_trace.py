@@ -15,7 +15,6 @@ import pytest
 from repro import telemetry
 from repro.core import Picasso, PicassoParams
 from repro.distributed import LocalCluster
-from repro.graphs import complement_graph
 from repro.pauli import random_pauli_set
 
 
@@ -30,19 +29,20 @@ def clean_registry():
 
 @pytest.fixture(scope="module")
 def trace_records(tmp_path_factory):
-    """One 2-shard run, exported and re-parsed from disk.  It colors
-    an explicit graph, which keeps the conflict build (a Pauli input
-    builds no graph, so its sweep gathers no keys)."""
-    graph = complement_graph(random_pauli_set(300, 6, seed=0))
+    """One 2-shard run, exported and re-parsed from disk.  Its
+    ``greedy-static`` engine colors a built conflict graph (a
+    ``greedy-dynamic`` run builds none, so its sweep gathers no keys)."""
+    ps = random_pauli_set(300, 6, seed=0)
     with LocalCluster(2) as lc:
         telemetry.reset()
         # A small tile budget splits the problem into enough strips
         # that both shards receive work (one strip would land on s0
         # alone and the trace could not witness the second agent).
         params = PicassoParams(
-            hosts=lc.hosts, telemetry=True, tile_budget_bytes=1 << 16
+            hosts=lc.hosts, telemetry=True, tile_budget_bytes=1 << 16,
+            color_engine="greedy-static",
         )
-        result = Picasso(params=params, seed=3).color(graph)
+        result = Picasso(params=params, seed=3).color(ps)
     assert result.telemetry is not None
     out = tmp_path_factory.mktemp("trace") / "cluster.jsonl"
     telemetry.write_trace_jsonl(out, result.telemetry)
@@ -77,8 +77,8 @@ class TestClusterTrace:
     def test_span_parentage_survives_merge(self, trace_records):
         spans = _spans(trace_records)
         by_id = {s["id"]: s for s in spans}
-        # Dispatcher side: the fused sweep's gather/assemble stages sit
-        # under the conflict_build phase of the same iteration.
+        # Dispatcher side: the sweep's gather/assemble stages sit under
+        # the conflict_build phase of the same iteration.
         gathers = [s for s in spans if s["name"] == "sweep.gather"]
         assert gathers
         for g in gathers:
