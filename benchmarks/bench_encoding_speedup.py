@@ -17,7 +17,7 @@ import time
 import numpy as np
 from conftest import write_report
 
-from repro.device.tiles import strip_height, sweep_block_hits
+from repro.device.tiles import strip_height, sweep_strips
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import (
     anticommute_pairs_chars,
@@ -103,10 +103,12 @@ def test_tiled_vs_gather_sweep(benchmark):
 
     def tiled_count():
         total = 0
-        for keys in sweep_block_hits(
+        for keys in sweep_strips(
             n,
-            lambda r0, r1, c0, c1: parity_block(packed[r0:r1], packed[c0:c1]),
             strip_height(n),
+            edge_block_fn=lambda r0, r1, c0, c1: parity_block(
+                packed[r0:r1], packed[c0:c1]
+            ),
         ):
             total += len(keys)
         return total

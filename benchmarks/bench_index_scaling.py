@@ -1,30 +1,31 @@
-"""Iteration-1 conflict build: each enumeration plan vs the tile sweep.
+"""Iteration-1 conflict build: the palette index vs the row strips.
 
 Times Picasso's first host conflict build — ``build_conflict_graph``
 over ``n`` uniform 50-qubit strings, serial, reduced by a degree scan
 and ``induced_subgraph`` to the conflicted sub-CSR the CSR color
-engines color — once with each enumeration plan forced, asserts the
-conflicted sub-CSRs are bit-identical, and fits the growth exponent ``t ~ n^k`` per plan.  The
-tile plan is skipped above ``--tiles-max`` (it is cubic in ``n``).
+engines color — once with each plan forced, asserts the conflicted
+sub-CSRs are bit-identical, and fits the growth exponent ``t ~ n^k``
+per plan.  The ``rows`` plan (its palette test is cubic in ``n``) is
+skipped above ``--rows-max``.
 
 ``--preset normal`` (default; ``P = 0.125n``, ``L = round(2 ln n)``)
-compares the inverted palette index with the tile sweep.  The plan is
-forced through the cost constant of the plan rule,
+compares the inverted palette index with the ``rows`` strips, which AND
+the block oracle with the palette test.  The plan is forced through
+the cost constant of the plan rule,
 ``repro.device.palette_index.INDEX_COST_PER_CANDIDATE`` (``0`` = always
-the index, ``inf`` = always tiles), with the ``rows`` rule off.  Each
-row also prints the rule's inputs — the exact candidate count ``C`` and
-the tile sweep's palette word operations ``n(n-1)/2 * W`` — so the
-crossover in ``ops / C`` is the measurement behind that constant.
+the index, ``inf`` = always ``rows``).  Each row also prints the rule's
+inputs — the exact candidate count ``C`` and the strips' palette word
+operations ``n(n-1)/2 * W`` — so the crossover in ``ops / C`` is the
+measurement behind that constant.
 
 ``--preset aggressive`` (``P = 0.03n``, ``L = min(round(30 ln n), P)``)
-compares the ``rows`` plan with the tile sweep.  Lists fill the palette
-(``L = P``) up to about ``n = 9k``, where the rule picks ``rows``; the
-tile run switches the ``rows`` rule off (and the index with it), so it
-sweeps default-budget tiles as before the ``rows`` plan existed:
+compares the rule's pick, the ``rows`` strips without the palette test
+(lists fill the palette, ``L = P``, up to about ``n = 9k``), with the
+same strips running the palette test (the ``L = P`` rule switched off):
 
     PYTHONPATH=src python benchmarks/bench_index_scaling.py
     PYTHONPATH=src python benchmarks/bench_index_scaling.py \\
-        --sizes 1000 2000 3000 4000 --tiles-max 4000
+        --sizes 1000 2000 3000 4000 --rows-max 4000
     PYTHONPATH=src python benchmarks/bench_index_scaling.py \\
         --preset aggressive --sizes 2000 4000 8000
 
@@ -56,20 +57,21 @@ from repro.util.chunking import num_pairs
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results"
 
-#: preset -> (params factory, the plan timed against the tile sweep)
+#: preset -> (params factory, the plan timed against ``rows``)
 PRESETS = {
     "normal": (normal_params, "index"),
-    "aggressive": (aggressive_params, "rows"),
+    "aggressive": (aggressive_params, "rule"),
 }
 
 
 @contextmanager
 def forced(plan: str):
-    """Force ``plan``: the index or tiles through ``kappa`` with the
-    ``rows`` rule off, or ``rows`` through the rule itself."""
+    """Force ``plan``: the index, or ``rows`` with its palette test,
+    through ``kappa`` with the ``L = P`` rule off; ``rule`` leaves the
+    rule alone."""
     saved = palette_index.INDEX_COST_PER_CANDIDATE, pool.all_pairs_share
-    palette_index.INDEX_COST_PER_CANDIDATE = 0.0 if plan == "index" else math.inf
-    if plan != "rows":
+    if plan != "rule":
+        palette_index.INDEX_COST_PER_CANDIDATE = 0.0 if plan == "index" else math.inf
         pool.all_pairs_share = lambda col_lists, palette_size: False
     try:
         yield
@@ -98,8 +100,8 @@ def build_once(n: int, plan: str, seed: int, preset: str):
 
 def rule_pick(n: int, lists: np.ndarray, palette: int) -> str:
     """The plan the unforced rule picks for a sweep with both oracles."""
-    plan, _, _ = pool.sweep_plan(n, lists, palette, None, None, len, len)
-    return "tiles" if plan is None else "rows" if plan == "rows" else "index"
+    plan, _, masks = pool.sweep_plan(n, lists, palette, len, len)
+    return "index" if plan != "rows" else "rows" if masks is not None else "rows (L = P)"
 
 
 def fitted_exponent(sizes: list[int], times: list[float]) -> float | None:
@@ -117,7 +119,7 @@ def main() -> None:
         "--sizes", type=int, nargs="+", default=None,
         help="default 5000 10000 20000 40000 (normal), 2000 4000 8000 (aggressive)",
     )
-    parser.add_argument("--tiles-max", type=int, default=20000)
+    parser.add_argument("--rows-max", type=int, default=20000)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
@@ -128,7 +130,7 @@ def main() -> None:
 
     rows = []
     for n in sizes:
-        plans = [fast] + (["tiles"] if n <= args.tiles_max else [])
+        plans = [fast] + (["rows"] if n <= args.rows_max else [])
         best: dict[str, float] = {}
         states = {}
         lists = None
@@ -137,8 +139,8 @@ def main() -> None:
                 state, elapsed, lists = build_once(n, plan, args.seed, args.preset)
                 best[plan] = min(best.get(plan, math.inf), elapsed)
                 states[plan] = state
-        if "tiles" in states:
-            (gi, ci, mi), (gt, ct, mt) = states[fast], states["tiles"]
+        if "rows" in states:
+            (gi, ci, mi), (gt, ct, mt) = states[fast], states["rows"]
             assert mi == mt, f"n={n}: edge counts differ ({mi} vs {mt})"
             assert np.array_equal(ci, ct), f"n={n}: conflicted sets differ"
             assert np.array_equal(gi.offsets, gt.offsets), f"n={n}: offsets differ"
@@ -152,19 +154,19 @@ def main() -> None:
             "list_size": int(lists.shape[1]),
             "conflict_edges": states[fast][2],
             "candidates": candidates,
-            "tile_word_ops": word_ops,
+            "strip_word_ops": word_ops,
             "ops_per_candidate": word_ops / candidates if candidates else None,
             "rule_picks": rule_pick(n, lists, palette),
             f"{fast}_s": best[fast],
-            "tiles_s": best.get("tiles"),
+            "rows_s": best.get("rows"),
         }
-        if row["tiles_s"] is not None:
-            row[f"tiles_over_{fast}"] = row["tiles_s"] / row[f"{fast}_s"]
+        if row["rows_s"] is not None:
+            row[f"rows_over_{fast}"] = row["rows_s"] / row[f"{fast}_s"]
         rows.append(row)
         print(json.dumps(row), flush=True)
 
     fits = {}
-    for plan in (fast, "tiles"):
+    for plan in (fast, "rows"):
         pts = [(r["n"], r[f"{plan}_s"]) for r in rows if r.get(f"{plan}_s")]
         fits[plan] = fitted_exponent([p[0] for p in pts], [p[1] for p in pts])
         if fits[plan] is not None:

@@ -1,10 +1,10 @@
 """Per-kernel microbenchmark across the registered kernel backends.
 
-Times the two hot word-level kernels of the kernel-backend contract
-(:mod:`repro.device.backends`) in isolation — palette-intersect blocks
-and lowest-set-bit row scans — and reports **nanoseconds per uint64 word** per available backend, so the
-compiled (numba) path is comparable to numpy on a hardware-independent
-axis.
+Times the word-level kernel of the kernel-backend contract
+(:mod:`repro.device.backends`) in isolation — lowest-set-bit row scans
+— and reports **nanoseconds per uint64 word** per available backend, so
+the compiled (numba) path is comparable to numpy on a
+hardware-independent axis.
 
 Backends are warmed before timing (numba's first call JIT-compiles; the
 ``cache=True`` kernels then persist to disk) and each kernel is checked
@@ -49,26 +49,19 @@ def _time_best(fn, repeats):
 
 
 def bench_backend(name, rows, words, repeats, reference):
-    """ns/word of each contract kernel for one backend.
+    """ns/word of the contract kernel for one backend.
 
     ``reference`` holds the numpy backend's outputs; every kernel is
     asserted bit-identical against it before the timing is reported.
     """
     backend = get_backend(name)
     rng = np.random.default_rng(0)
-    colmasks = _random_words(rng, rows, words, density=0.1)
     lsb_masks = _random_words(rng, rows * 8, words, density=0.02)
 
-    # The block kernel sweeps rows x rows word-pairs; the lsb scan reads
-    # each of its rows*8 x words matrix once.
-    block_words = rows * rows * words
+    # The lsb scan reads each of its rows*8 x words matrix once.
     lsb_words = lsb_masks.size
 
     kernels = {
-        "lists_intersect_block": (
-            lambda: backend.lists_intersect_block(colmasks, 0, rows, 0, rows),
-            block_words,
-        ),
         "lowest_set_bit_rows": (
             lambda: backend.lowest_set_bit_rows(lsb_masks),
             lsb_words,
@@ -94,7 +87,7 @@ def bench_backend(name, rows, words, repeats, reference):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=1024,
-                        help="block side length (default 1024)")
+                        help="the lowest-set-bit matrix has 8x these rows (default 1024)")
     parser.add_argument("--words", type=int, default=4,
                         help="uint64 words per row (default 4 = 256 bits)")
     parser.add_argument("--repeats", type=int, default=5)

@@ -5,6 +5,9 @@ on CPU) with a CUDA kernel, reporting ~60x geometric-mean build speedup
 growing with problem size.  Our analog: the scalar per-pair Python
 kernel ("CPU only") vs the vectorized NumPy device kernel, on the same
 inputs with identical color lists — the outputs are asserted equal.
+The vectorized build passes the source's block oracle, so it runs the
+all-pairs row-strip sweep (or the palette index, where the plan rule
+prefers it).
 
 Paper shape: speedup grows with problem size; build dominates total
 CPU-only time.
@@ -48,7 +51,9 @@ def test_table5_speedup(benchmark, small_suite):
         t_py = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        _, m_vec = build_conflict_graph(ps.n, src.edge_mask, lists, palette)
+        _, m_vec = build_conflict_graph(
+            ps.n, src.edge_mask, lists, palette, edge_block_fn=src.edge_block
+        )
         t_vec = time.perf_counter() - t0
 
         assert m_py == m_vec  # identical conflict graphs
@@ -78,5 +83,7 @@ def test_table5_speedup(benchmark, small_suite):
     src = PauliComplementSource(ps)
     palette = params.palette_size(ps.n)
     lists = assign_color_lists(ps.n, palette, params.list_size(ps.n), rng=0)
-    benchmark(lambda: build_conflict_graph(ps.n, src.edge_mask, lists, palette))
+    benchmark(lambda: build_conflict_graph(
+        ps.n, src.edge_mask, lists, palette, edge_block_fn=src.edge_block
+    ))
 

@@ -44,7 +44,8 @@ round-parallelism); the delta is recorded, not hidden.
   ``tiled_numba`` row runs the same serial tiled iterate with the
   compiled kernel backend (``PicassoParams(kernel_backend="numba")``)
   and joins the bit-identity assertion; ``compiled_kernel_speedup`` is
-  the numpy/numba ratio of the conflict-build (sweep) phase.  Per-
+  the numpy/numba ratio of the conflict-build (sweep) phase, about 1
+  now that no sweep takes a kernel backend.  Per-
   kernel ns/word microbenchmarks live in ``bench_kernels.py``.
 
 - **telemetry** (new) — a probe pass re-runs the last case with

@@ -6,20 +6,19 @@ are materialized — the sparsity that gives Picasso its sublinear space
 (Lemma 2).  The device path with budget accounting lives in
 :mod:`repro.device.csr_build`; this host path shares the same kernels.
 
-One sweep engine covers the pair space, with three plans
+One sweep engine covers the pair space, with two plans
 (:func:`repro.parallel.pool.sweep_plan`):
 
-- the tile sweep of :mod:`repro.device.tiles`: each ``(row_block,
-  col_block)`` tile loads its operand slices once and evaluates the
-  fused intersect-then-edge kernel as a word broadcast.  No flat-index
-  inversion, no quadratic row gather;
 - the inverted palette index of :mod:`repro.device.palette_index`,
   when the exact count of color-sharing candidate pairs makes
   enumerating them cheaper than testing every pair;
-- the ``rows`` plan, when every pair shares a color (``L = P``, the
-  Aggressive preset below about 10k active vertices): it skips the
-  palette test and sweeps row strips of the block oracle, whose hits
-  arrive in the CSR's key order.
+- the ``rows`` plan of :mod:`repro.device.tiles`: each row strip
+  ``[r0, r1) x [r0, n)`` loads its operand slices once and ANDs the
+  block oracle with the palette test as word broadcasts, with no
+  flat-index inversion and no quadratic row gather.  When every pair
+  shares a color (``L = P``, the Aggressive preset below about 10k
+  active vertices) it skips the palette test.  Its hits arrive in the
+  CSR's key order.
 
 Every plan runs through an execution backend
 (:mod:`repro.parallel.executor`): serial in-process streaming, or a
@@ -45,7 +44,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.device.palette_index import BucketQuery, PaletteIndex, row_blocks
-from repro.device.tiles import DEFAULT_TILE_BYTES, EdgeBlockFn
+from repro.device.tiles import EdgeBlockFn
 from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.pool import conflict_sweep_chunks, gathered_conflict_csr
@@ -64,13 +63,11 @@ def build_conflict_graph(
     col_lists: np.ndarray,
     palette_size: int,
     edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
     source=None,
     active_idx: np.ndarray | None = None,
     hosts=None,
-    kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Build the conflict graph over ``n`` active vertices on the host.
 
@@ -82,10 +79,8 @@ def build_conflict_graph(
         ``(n, L)`` candidate lists, each row ``L`` distinct colors of
         the palette ``{0..palette_size-1}``.
     edge_block_fn:
-        Optional block edge oracle (dense tiles then skip the pairwise
-        survivor gather entirely; required by the ``rows`` plan).
-    tile_bytes:
-        Per-tile scratch budget for the tile sweep.
+        Optional block edge oracle (required by the ``rows`` plan; a
+        sweep without one takes the palette index).
     n_workers:
         Worker processes for the sweep (1 = serial streaming).
     executor:
@@ -106,19 +101,13 @@ def build_conflict_graph(
         ``"cluster"``, or ``"auto"`` with hosts set; see
         :mod:`repro.distributed`).  Sharded builds stay bit-identical
         to serial — strips merge in canonical order.
-    kernel_backend:
-        Kernel-backend *name* for the tile sweep's palette
-        intersection (:func:`repro.device.backends.resolve_backend`;
-        ``None`` is the environment's choice, numpy by default).
-        Bit-identical across backends.
 
     Returns the CSR conflict graph and the conflict-edge count.
     """
     with owned_executor(executor, n_workers, hosts=hosts) as ex:
         return gathered_conflict_csr(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex,
-            source=source, active_idx=active_idx, kernel_backend=kernel_backend,
+            executor=ex, source=source, active_idx=active_idx,
         )
 
 
@@ -192,11 +181,9 @@ def count_conflict_edges(
     col_lists: np.ndarray,
     palette_size: int,
     edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
     hosts=None,
-    kernel_backend: str | None = None,
     hit: np.ndarray | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
@@ -209,8 +196,7 @@ def count_conflict_edges(
         total = 0
         for keys in conflict_sweep_chunks(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex, source=source,
-            active_idx=active_idx, kernel_backend=kernel_backend,
+            executor=ex, source=source, active_idx=active_idx,
         ):
             total += len(keys)
             if hit is not None:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 
 from repro.coloring.engine import available_engines
 from repro.device.backends import backend_name, registered_backends
-from repro.device.tiles import DEFAULT_TILE_BYTES
 
 
 @dataclass(frozen=True)
@@ -36,15 +35,6 @@ class PicassoParams:
         guaranteeing termination; 1.0 disables).
     min_palette:
         Floor on the per-iteration palette size ``P_l`` (>= 1).
-    tile_budget_bytes:
-        Per-tile scratch budget for the conflict build's tile sweep (sets
-        the tile edge; see :func:`repro.device.tiles.tile_edge`).  The
-        default, :data:`~repro.device.tiles.DEFAULT_TILE_BYTES`
-        (768 KiB, ``T = 256``), keeps a tile's word-AND temporary in a
-        per-core L2.  A sizing hint, not a hard cap: the tile edge
-        never drops below the 64-row minimum, so budgets under ~41 KB
-        are exceeded.  Sweeps that take the inverted palette index
-        (:mod:`repro.device.palette_index`) use no tiles.
     n_workers:
         Worker processes for conflict-graph construction.  1 (default)
         streams the sweep in-process; >= 2 partitions the sweep domain
@@ -65,7 +55,7 @@ class PicassoParams:
         :mod:`repro.distributed.cluster`.
     pin_workers:
         Pin each pool worker to one core via ``os.sched_setaffinity``
-        so its tile scratch stays NUMA-local; silently ignored on
+        so its strip scratch stays NUMA-local; silently ignored on
         platforms without the call.
     color_engine:
         Which Algorithm 2 implementation colors the conflict graph
@@ -156,7 +146,6 @@ class PicassoParams:
     max_iterations: int = 200
     grow_on_stall: float = 2.0
     min_palette: int = 1
-    tile_budget_bytes: int = DEFAULT_TILE_BYTES
     n_workers: int = 1
     executor: str = "auto"
     pin_workers: bool = False
@@ -184,8 +173,6 @@ class PicassoParams:
             raise ValueError("grow_on_stall must be >= 1.0")
         if self.min_palette < 1:
             raise ValueError("min_palette must be >= 1")
-        if self.tile_budget_bytes < 1:
-            raise ValueError("tile_budget_bytes must be positive")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if self.executor not in ("auto", "serial", "pool", "cluster"):

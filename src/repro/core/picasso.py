@@ -228,9 +228,6 @@ class Picasso:
         color_engine = get_engine(
             params.resolved_color_engine(), **params.color_engine_knobs()
         )
-        # One resolved kernel-backend name for the run; workers resolve
-        # it against their own runtime (bit-identical by contract).
-        kb = params.resolved_kernel_backend()
         # Host greedy-dynamic runs build no graph, on every executor: an
         # explicit input colors through its own arcs, and a Pauli run's
         # pool or cluster runs only detection's sparse-conflict sweep and
@@ -299,9 +296,8 @@ class Picasso:
             built_on_device: bool | None = None
             state = (n, active_source.edge_mask, col_lists, palette)
             sweep = dict(edge_block_fn=getattr(active_source, "edge_block", None),
-                         tile_bytes=params.tile_budget_bytes, executor=executor,
-                         source=source, active_idx=active if it > 1 else None,
-                         kernel_backend=kb)
+                         executor=executor, source=source,
+                         active_idx=active if it > 1 else None)
             with telemetry.span("picasso.conflict_build", iteration=it):
                 if graph_free and explicit:
                     conflicted, n_conf_edges = adjacency_conflict_state(

@@ -40,7 +40,7 @@ class PauliComplementSource:
         return self._oracle.commute_edges(i, j)
 
     def edge_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Block form of :meth:`edge_mask` for the tiled engine: one
+        """Block form of :meth:`edge_mask` for the row-strip sweep: one
         word-broadcast over the encoded payload, no row gather.  Only
         strict upper-triangle entries are meaningful."""
         return self._oracle.commute_block(r0, r1, c0, c1)
@@ -83,16 +83,14 @@ class ExplicitGraphSource:
     """Color an explicit :class:`CSRGraph` (generalized setting).
 
     Edge queries are vectorized binary searches over one global sorted
-    key array ``row * n + target``, built once at construction.
+    key array ``row * n + target``, built on the first :meth:`edge_mask`
+    call: block queries scatter the CSR rows and need no keys, and a
+    ``greedy-dynamic`` run asks neither.
     """
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        n = graph.n_vertices
-        src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(graph.offsets).astype(np.int64)
-        )
-        self._keys = np.sort(src * n + graph.targets.astype(np.int64))
+        self._keys: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -100,6 +98,11 @@ class ExplicitGraphSource:
 
     def edge_mask(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized membership test of ``j`` in ``adj(i)``."""
+        if self._keys is None:
+            src = np.repeat(
+                np.arange(self.n, dtype=np.int64), np.diff(self.graph.offsets)
+            )
+            self._keys = np.sort(src * self.n + self.graph.targets)
         q = np.asarray(i, dtype=np.int64) * self.n + np.asarray(j, dtype=np.int64)
         if len(self._keys) == 0:
             return np.zeros(len(q), dtype=np.uint8)
@@ -111,16 +114,13 @@ class ExplicitGraphSource:
         """Dense adjacency block ``(r1-r0, c1-c0)`` as uint8.
 
         Scatters the CSR rows of the block's vertices into a zeroed
-        block — O(arcs incident to the row range) per tile, fully
+        block — O(arcs incident to the row range) per block, fully
         vectorized (no per-pair membership search).
         """
         offsets = self.graph.offsets
         lo, hi = int(offsets[r0]), int(offsets[r1])
-        src = np.repeat(
-            np.arange(r0, r1, dtype=np.int64),
-            np.diff(offsets[r0 : r1 + 1]).astype(np.int64),
-        )
-        tgt = self._keys[lo:hi] - src * self.n
+        src = np.repeat(np.arange(r0, r1), np.diff(offsets[r0 : r1 + 1]))
+        tgt = self.graph.targets[lo:hi]
         sel = (tgt >= c0) & (tgt < c1)
         block = np.zeros((r1 - r0, c1 - c0), dtype=np.uint8)
         block[src[sel] - r0, tgt[sel] - c0] = 1
@@ -134,8 +134,10 @@ class ExplicitGraphSource:
 
     @property
     def nbytes(self) -> int:
-        """Explicit sources pay for the whole graph (baseline regime)."""
-        return int(self.graph.nbytes + self._keys.nbytes)
+        """Explicit sources pay for the whole graph (baseline regime),
+        plus the edge-query keys once built."""
+        keys = 0 if self._keys is None else self._keys.nbytes
+        return int(self.graph.nbytes + keys)
 
     def validate(self, colors: np.ndarray, sample_pairs: int | None = None) -> bool:
         return self.graph.validate_coloring(np.asarray(colors))

@@ -21,16 +21,12 @@ from repro.device.sim import (
     DeviceSim,
 )
 from repro.device.tiles import (
-    DEFAULT_TILE_BYTES,
-    conflict_hits_block,
+    SCRATCH_BYTES_PER_PAIR,
+    STRIP_BYTES,
     count_block_hits,
-    iter_tiles,
-    lists_intersect_block,
-    sweep_block_hits,
-    sweep_conflict_hits,
-    tile_edge,
-    tile_scratch_bytes,
-    upper_triangle_mask,
+    strip_height,
+    strip_keys,
+    sweep_strips,
 )
 
 __all__ = [
@@ -46,14 +42,10 @@ __all__ = [
     "Allocation",
     "DeviceOutOfMemory",
     "DeviceSim",
-    "DEFAULT_TILE_BYTES",
-    "conflict_hits_block",
+    "SCRATCH_BYTES_PER_PAIR",
+    "STRIP_BYTES",
     "count_block_hits",
-    "iter_tiles",
-    "lists_intersect_block",
-    "sweep_block_hits",
-    "sweep_conflict_hits",
-    "tile_edge",
-    "tile_scratch_bytes",
-    "upper_triangle_mask",
+    "strip_height",
+    "strip_keys",
+    "sweep_strips",
 ]

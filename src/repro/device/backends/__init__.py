@@ -1,14 +1,14 @@
 """Registry-dispatched compute-kernel backends (see :mod:`.base`).
 
-A backend supplies the two hot kernels: the tile sweep's palette
-intersection and the ``parallel-list`` engine's lowest-set-bit picks.
+A backend supplies the one hot word kernel that is not a numpy
+broadcast: the ``parallel-list`` engine's lowest-set-bit picks.
 Importing this package registers the two shipped backends: ``numpy``
 (the default — the vectorized kernels) and ``numba`` (compiled CPU
 loops, lazily jitted, degrades to numpy when numba is absent).
 Selection threads through ``PicassoParams(kernel_backend=...)`` /
-``--kernel-backend`` / ``REPRO_KERNEL_BACKEND``; every sweep and
-coloring run, in the driver or in a worker, takes its instance from
-:func:`resolve_backend`.
+``--kernel-backend`` / ``REPRO_KERNEL_BACKEND``; every
+``parallel-list`` run, in the driver or in a worker, takes its instance
+from :func:`resolve_backend`.
 """
 
 from repro.device.backends.base import (

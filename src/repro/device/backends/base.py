@@ -1,13 +1,10 @@
 """Kernel-backend contract and registry (the accelerator dispatch seam).
 
-A backend replaces the two word-level kernels the hot path calls
-through this seam: the palette intersection of the tile sweep
-(:func:`repro.device.tiles.conflict_hits_block`, the paper's §V
-early exit) and the lowest-set-bit scan of the ``parallel-list``
-picks (:mod:`repro.coloring.parallel_list`).  Tile bookkeeping,
-diagonal masking, the edge oracle and the key encoding stay in
-:mod:`repro.device.tiles`, shared by every backend.  The registry
-mirrors the coloring-engine registry (:mod:`repro.coloring.engine`):
+A backend replaces the word-level kernel the hot path calls through
+this seam: the lowest-set-bit scan of the ``parallel-list`` picks
+(:mod:`repro.coloring.parallel_list`).  The conflict sweeps' palette
+test is a numpy word broadcast in :mod:`repro.device.tiles` and takes
+no backend.  The registry mirrors the coloring-engine registry (:mod:`repro.coloring.engine`):
 
 - :func:`register_backend` / :func:`get_backend` /
   :func:`registered_backends` / :func:`available_backends` — the
@@ -18,7 +15,7 @@ mirrors the coloring-engine registry (:mod:`repro.coloring.engine`):
 - :func:`backend_name` — the one reader of ``REPRO_KERNEL_BACKEND``:
   an explicit name wins, ``None`` / ``"auto"`` fall back to the
   environment, then ``"numpy"``.
-- :func:`resolve_backend` — the instance every sweep and coloring run
+- :func:`resolve_backend` — the instance every ``parallel-list`` run
   uses, in the driver and in every worker initializer.  An unavailable
   or unknown name degrades to numpy with a one-line stderr note (once
   per name per process) instead of failing the run — backends are
@@ -27,7 +24,7 @@ mirrors the coloring-engine registry (:mod:`repro.coloring.engine`):
 
 Every backend must reproduce the numpy reference **bit for bit**: the
 equivalence suites parametrize over :func:`available_backends` and
-require identical CSR structures and colorings per seed.  Anything that
+require identical colorings per seed.  Anything that
 cannot meet that bar is not a backend, it is a different algorithm.
 """
 
@@ -36,12 +33,8 @@ from __future__ import annotations
 import os
 import sys
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.device.tiles import TileScratch
 
 __all__ = [
     "KernelBackend",
@@ -60,11 +53,10 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 
 class KernelBackend(ABC):
-    """Contract of one compute-kernel implementation: the two hot
-    kernels, nothing else.  The tile drivers in
-    :mod:`repro.device.tiles` call them, so diagonal masking,
-    dense-vs-gather oracle policy and hit ordering live in exactly one
-    place for every backend."""
+    """Contract of one compute-kernel implementation: the hot kernel,
+    nothing else.  The round loop of
+    :mod:`repro.coloring.parallel_list` calls it, so the pick policy
+    lives in exactly one place for every backend."""
 
     #: Registry name (set by subclasses).
     name: str = ""
@@ -73,22 +65,6 @@ class KernelBackend(ABC):
     def is_available(cls) -> bool:
         """Whether this backend's runtime can be imported here."""
         return True
-
-    @abstractmethod
-    def lists_intersect_block(
-        self,
-        colmasks: np.ndarray,
-        r0: int,
-        r1: int,
-        c0: int,
-        c1: int,
-        scratch: TileScratch | None = None,
-    ) -> np.ndarray:
-        """Boolean block: True where the palette bitsets intersect.
-
-        ``scratch`` is the numpy path's preallocated tile buffers;
-        compiled backends may ignore it.
-        """
 
     @abstractmethod
     def lowest_set_bit_rows(self, masks: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ Faithful to the paper's control flow:
 
 1. allocate ``min(worst-case edge list, remaining device memory)`` for
    the unordered COO buffer (line 1–2);
-2. launch the conflict kernel — the tile sweep, whose per-worker tile
-   scratch is reserved ahead of the COO buffer — to fill the COO edge
-   list and per-vertex degree counters (line 3); overflowing the COO
-   buffer, or a budget that cannot hold one minimum tile per worker,
-   is a device OOM, the failure mode Fig. 2's dashed line delimits;
+2. launch the conflict kernel — the ``rows`` strip sweep, as the
+   paper's GPU kernel sweeps every pair, whose per-worker strip scratch
+   is reserved ahead of the COO buffer — to fill the COO edge list and
+   per-vertex degree counters (line 3); overflowing the COO buffer, or
+   a budget that cannot hold one row per worker, is a device OOM, the
+   failure mode Fig. 2's dashed line delimits;
 3. exclusive-scan the counters into CSR offsets (line 4);
 4. if the COO list fits in half the *allocated* memory, assemble CSR
    "on device", otherwise fall back to host assembly (lines 5–8) —
@@ -28,10 +29,10 @@ import numpy as np
 from repro.device.kernels import EdgeMaskFn, exclusive_scan
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
 from repro.device.tiles import (
-    DEFAULT_TILE_BYTES,
+    SCRATCH_BYTES_PER_PAIR,
+    STRIP_BYTES,
     EdgeBlockFn,
-    tile_edge,
-    tile_scratch_bytes,
+    strip_height,
 )
 from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
@@ -50,6 +51,26 @@ class BuildStats:
     n_workers: int = 1
 
 
+def strip_scratch(
+    n: int, available: int, workers: int = 1, block_oracle: bool = False,
+) -> tuple[int, int]:
+    """``(height, bytes)`` of the strip scratch a build charges with
+    ``available`` device bytes left, one strip per worker.
+
+    The scratch is reserved ahead of the COO buffer (which takes all
+    remaining memory), sized from at most a quarter of what is left —
+    split across workers, each of which owns a private scratch — so the
+    COO stream keeps the lion's share.  A strip never drops below one
+    row; when even that does not fit, the allocation raises
+    :class:`DeviceOutOfMemory`.  A block edge oracle brings its own
+    strip of temporaries on top of the palette test's, so it doubles
+    the charge.
+    """
+    height = strip_height(n, min(STRIP_BYTES, available // 4 // workers))
+    mult = 2 if block_oracle else 1
+    return height, SCRATCH_BYTES_PER_PAIR * height * n * mult * workers
+
+
 def build_conflict_csr(
     n: int,
     edge_mask_fn: EdgeMaskFn,
@@ -57,12 +78,10 @@ def build_conflict_csr(
     palette_size: int,
     device: DeviceSim,
     edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
     source=None,
     active_idx=None,
-    kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, BuildStats]:
     """Run Algorithm 3 on a simulated device.
 
@@ -77,19 +96,18 @@ def build_conflict_csr(
         device sweep ANDs (and is charged for) their packed bitsets.
     device:
         Budgeted device; raises :class:`DeviceOutOfMemory` when the COO
-        buffer cannot hold the conflict edges.  The tile sweep's scratch
-        is a named device allocation sized against the remaining budget
-        *before* the COO buffer takes the rest; a budget that cannot
-        hold even a minimum tile per worker raises too.
+        buffer cannot hold the conflict edges.  The strip sweep's
+        scratch is a named device allocation sized against the
+        remaining budget *before* the COO buffer takes the rest; a
+        budget that cannot hold one row per worker raises too.
     edge_block_fn:
-        Optional block edge oracle (dense tiles use it; its block
-        temporaries are charged alongside the tile scratch).
-    tile_bytes:
-        Upper bound on the tile scratch allocation *per worker*.
+        Optional block edge oracle (its block temporaries are charged
+        alongside the strip scratch); without it the strips test their
+        palette survivors through ``edge_mask_fn``.
     n_workers:
         Worker processes for the sweep; every worker owns a private
-        tile scratch, so the device is charged ``n_workers`` times the
-        per-tile scratch (a multi-SM kernel reserves shared memory per
+        strip scratch, so the device is charged ``n_workers`` times the
+        per-strip scratch (a multi-SM kernel reserves shared memory per
         resident block the same way).
     executor:
         Backend spec or instance (see :mod:`repro.parallel.executor`).
@@ -98,9 +116,6 @@ def build_conflict_csr(
     source, active_idx:
         Root edge source + active indices for the persistent-pool
         delta payload (:mod:`repro.parallel.pool`).
-    kernel_backend:
-        Kernel-backend *name* (:mod:`repro.device.backends`) for the
-        sweep's hot kernels; ``None`` keeps the direct numpy path.
 
     Returns
     -------
@@ -110,13 +125,13 @@ def build_conflict_csr(
     with owned_executor(executor, n_workers) as ex:
         return _algorithm3(
             n, edge_mask_fn, col_lists, palette_size, device, edge_block_fn,
-            tile_bytes, ex, source, active_idx, kernel_backend,
+            ex, source, active_idx,
         )
 
 
 def _algorithm3(
     n, edge_mask_fn, col_lists, palette_size, device, edge_block_fn,
-    tile_bytes, ex, source, active_idx, kernel_backend=None,
+    ex, source, active_idx,
 ) -> tuple[CSRGraph, BuildStats]:
     """Algorithm 3 proper, against an already-resolved executor."""
     workers = max(1, ex.n_workers)
@@ -140,20 +155,10 @@ def _algorithm3(
             device.scratch("edge_counters", 2 * n * counter_bytes)
         )
 
-        # Tile scratch: reserved ahead of the COO buffer (which takes
-        # all remaining memory), sized from at most a quarter of what
-        # is left — split across workers, each of which owns a private
-        # scratch — so the COO stream keeps the lion's share.  The tile
-        # never drops below the minimum edge; when even that does not
-        # fit, the allocation raises and the ExitStack frees the rest.
-        tile = tile_edge(min(tile_bytes, device.available // 4 // workers), n=n)
-        # The block edge oracle (dense-tile path) brings its own (R, C)
-        # temporaries on top of the TileScratch buffers — charge both,
-        # for every worker, so the simulated peak stays honest.
-        allocs.enter_context(device.scratch(
-            "tile_scratch",
-            tile_scratch_bytes(tile) * (2 if edge_block_fn else 1) * workers,
-        ))
+        height, scratch = strip_scratch(
+            n, device.available, workers, edge_block_fn is not None
+        )
+        allocs.enter_context(device.scratch("strip_scratch", scratch))
 
         # COO buffer: min(worst case, all remaining memory).  Each COO
         # entry is two vertex ids.
@@ -169,9 +174,7 @@ def _algorithm3(
         n_edges = 0
         with closing(conflict_sweep_chunks(
             n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-            tile=tile, executor=ex,
-            source=source, active_idx=active_idx,
-            kernel_backend=kernel_backend,
+            height=height, executor=ex, source=source, active_idx=active_idx,
         )) as hit_stream:
             # The sweep's CSR keys are decoded into the two-id COO
             # buffer the paper's Algorithm 3 charges.  Closing the

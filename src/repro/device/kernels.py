@@ -2,10 +2,11 @@
 
 Each function is the NumPy analog of one CUDA kernel of the paper's §V
 implementation over explicit ``(i, j)`` pair arrays (one SIMT thread per
-unordered pair).  The conflict sweeps themselves run the tiled kernels
-of :mod:`repro.device.tiles`; these serve the per-edge palette test of
-the semi-streaming path, the O(L) sorted-merge ablation, the scalar
-Table V reference and Algorithm 3's exclusive scan.
+unordered pair).  The conflict sweeps themselves run the row strips of
+:mod:`repro.device.tiles` and the palette index; these serve the
+per-edge palette test of the semi-streaming path, the O(L)
+sorted-merge ablation, the scalar Table V reference and Algorithm 3's
+exclusive scan.
 """
 
 from __future__ import annotations

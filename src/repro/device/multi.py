@@ -2,17 +2,16 @@
 
 The paper's stated next step is "distributed multi-GPU parallel
 implementations".  The natural decomposition is already in place: the
-conflict kernel's domain is the upper-triangular tile grid, so ``k``
-devices each own one contiguous strip of it
-(:func:`repro.parallel.partition.partition_tiles`, balanced by pair
-weight).  Each device sweeps its strip with the fused tile kernel
-(:func:`repro.device.tiles.conflict_hits_strip`) into its own COO
-buffer, bounded by its own budget after its tile scratch is charged;
-the host folds the per-device key arrays — one chunk per device, in
-strip order — straight into the shared sort-key assembly
-(:func:`repro.graphs.csr.csr_from_coo_chunks`), the same path every
-other build front uses: nothing is concatenated, and since the rows
-depend on the edge set alone the result is bit-identical to a
+conflict kernel's domain is the upper triangle of pair space, so ``k``
+devices each own one contiguous row range of it, cut to equal pair
+weight (:func:`repro.device.palette_index.pair_blocks`).  Each device
+sweeps its range in row strips (:func:`repro.device.tiles.sweep_strips`)
+into its own COO buffer, bounded by its own budget after its strip
+scratch is charged; the host folds the per-device key arrays — one
+chunk per device, in range order — straight into the shared sort-key
+assembly (:func:`repro.graphs.csr.csr_from_coo_chunks`), the same path
+every other build front uses: nothing is concatenated, and since the
+rows depend on the edge set alone the result is bit-identical to a
 single-device build of the same pair space.
 (The cross-*host* analog of this decomposition lives in
 :mod:`repro.distributed`.)
@@ -29,17 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.backends import resolve_backend
+from repro.device.csr_build import strip_scratch
 from repro.device.kernels import EdgeMaskFn
+from repro.device.palette_index import all_pairs_share, pair_blocks
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
-from repro.device.tiles import (
-    MIN_TILE,
-    TileScratch,
-    conflict_hits_strip,
-    tile_scratch_bytes,
-)
+from repro.device.tiles import concat_hits, sweep_strips
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
-from repro.parallel.partition import partition_tiles, tile_grid
 from repro.util.bits import bitset_from_lists
 
 
@@ -63,55 +57,52 @@ def build_conflict_csr_multi(
     """Build the conflict graph across several simulated devices.
 
     Each device holds a replica of the encoded inputs (the lists'
-    packed bitsets, which its tile kernel ANDs), one tile scratch and a
-    COO buffer sized to its remaining budget, and sweeps a contiguous
-    strip of the tile grid.  All devices sweep the minimum tile
-    (:data:`~repro.device.tiles.MIN_TILE` rows, fewer when ``n`` is
-    smaller), so the strips' pair weights balance to within one
-    ``64 x 64`` tile and every device charges the same small scratch.
-    Raises :class:`DeviceOutOfMemory` naming the device whose strip
+    packed bitsets, which its strips AND), one strip scratch and a COO
+    buffer sized to its remaining budget, and sweeps a contiguous row
+    range of about ``1/k`` of the pairs (empty ranges stay in place, so
+    device ``k`` always owns range ``k``).  Raises
+    :class:`DeviceOutOfMemory` naming the device whose range
     overflowed.
     """
     if not devices:
         raise ValueError("need at least one device")
-    tile = min(MIN_TILE, max(n, 1))
-    grid = tile_grid(n, tile)
-    blocks = partition_tiles(n, tile, len(devices), keep_empty=True)
-    scratch = TileScratch(tile)
-    backend = resolve_backend()
+    ranges, _ = pair_blocks(n, len(devices), [1] * len(devices))
+    colmasks = (
+        None if all_pairs_share(col_lists, palette_size)
+        else bitset_from_lists(col_lists, palette_size)
+    )
 
     chunks: list[np.ndarray] = []
     edges_per_device: list[int] = []
     id_bytes = 4 if n < 2**31 else 8
-    colmasks = bitset_from_lists(col_lists, palette_size)
 
-    for rank, (dev, block) in enumerate(zip(devices, blocks)):
+    for rank, (dev, (a, b)) in enumerate(zip(devices, ranges)):
         with ExitStack() as allocs:
-            allocs.enter_context(dev.scratch("colmasks", int(colmasks.nbytes)))
+            allocs.enter_context(
+                dev.scratch("colmasks", 8 * n * -(-palette_size // 64))
+            )
             counter_bytes = 4 if n * n < 2**32 else 8
             allocs.enter_context(dev.scratch("edge_counters", 2 * n * counter_bytes))
-            allocs.enter_context(
-                dev.scratch("tile_scratch", tile_scratch_bytes(tile))
-            )
+            height, scratch = strip_scratch(n, dev.available)
+            allocs.enter_context(dev.scratch("strip_scratch", scratch))
             coo_bytes = dev.available
             allocs.enter_context(dev.scratch("coo_edges", coo_bytes))
             capacity = coo_bytes // (2 * id_bytes)
-            keys = conflict_hits_strip(
-                colmasks, grid[block.start : block.stop], edge_mask_fn,
-                scratch=scratch, backend=backend,
-            )
+            keys = concat_hits(sweep_strips(
+                n, height, a, b, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
+            ), n)
             if len(keys) > capacity:
                 dev.n_ooms += 1
                 raise DeviceOutOfMemory(
-                    f"device {rank} ({dev.name}): tiles "
-                    f"[{block.start}, {block.stop}) produced {len(keys)} "
-                    f"conflict edges, more than its capacity {capacity}"
+                    f"device {rank} ({dev.name}): rows [{a}, {b}) produced "
+                    f"{len(keys)} conflict edges, more than its capacity "
+                    f"{capacity}"
                 )
         chunks.append(keys)
         edges_per_device.append(len(keys))
 
     # One key chunk per device: the same edge set a single-device (or
-    # strip-parallel) sweep produces, so the CSR is bit-identical.
+    # range-parallel) sweep produces, so the CSR is bit-identical.
     graph = csr_from_coo_chunks(chunks, n)
     stats = MultiBuildStats(
         n_vertices=n,

@@ -1,7 +1,7 @@
 """Inverted palette index: output-sensitive conflict enumeration.
 
 Two vertices can only conflict when their candidate lists share a color
-(Lemma 2).  The tile sweep of :mod:`repro.device.tiles` still tests all
+(Lemma 2).  The row strips of :mod:`repro.device.tiles` test all
 ``n(n-1)/2`` pairs against ``ceil(P/64)`` palette words each, which is
 cubic in ``n`` under ``P = 0.125n``.  This module enumerates only the
 pairs that share a color:
@@ -26,12 +26,12 @@ pairs that share a color:
 - **Oracle.**  Only the surviving keys, decoded by shift and mask,
   reach the source's gathered ``edge_mask(i, j)``.
 
-The emitted key set equals the tile sweep's, so the sort-key CSR
-assembly builds a bit-identical graph from either stream.  The
-expected work is ``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P``
-candidates, the Lemma 2 quantity itself, against
-``n(n-1)/2 * ceil(P/64)`` word operations for the tile sweep;
-:func:`prefers_index` compares the two from the bucket sizes alone.
+The emitted key set equals the strips', so the sort-key CSR assembly
+builds a bit-identical graph from either stream.  The expected work is
+``C = sum_c |B_c|(|B_c|-1)/2 ~ n^2 L^2 / 2P`` candidates, the Lemma 2
+quantity itself, against ``n(n-1)/2 * ceil(P/64)`` palette word
+operations for the strips; :func:`prefers_index` compares the two from
+the bucket sizes alone.
 
 Every function here takes lists whose rows hold distinct colors of
 ``{0..P-1}``, as :func:`repro.core.palette.assign_color_lists` draws
@@ -53,6 +53,7 @@ __all__ = [
     "PaletteIndex",
     "all_pairs_share",
     "candidate_pairs",
+    "pair_blocks",
     "prefers_index",
     "row_blocks",
 ]
@@ -62,16 +63,19 @@ __all__ = [
 #: cut 3 MiB of peak RSS and some gather page faults on rand50q-10k).
 INDEX_BLOCK_CANDIDATES = 1 << 19
 
-#: Cost of one index candidate in tile-sweep palette word operations
+#: Cost of one index candidate in row-strip palette word operations
 #: (``kappa`` of the plan rule ``C * kappa < n(n-1)/2 * W``).  Measured
-#: with ``benchmarks/bench_index_scaling.py --sizes 1000 ... 5000
-#: --repeats 3`` and ``--sizes 1500 ... 3000 --repeats 5 --seed 2``
-#: (serial iteration-1 builds, uniform 50-qubit strings, Normal preset,
-#: 768 KiB tiles, index built from the lists) on a 2-vCPU x86-64 VM
-#: with numpy 2.4: the index ran 0.94-1.07x the tile sweep's speed at
-#: n = 1.5k (word ops per candidate 2.5), 0.99-1.09x at n = 2k (4.5)
-#: and 1.23-1.28x at n = 2.5k (6.1), crossing between 2.5 and 4.5.
-INDEX_COST_PER_CANDIDATE = 4.0
+#: with ``benchmarks/bench_index_scaling.py --sizes 1500 2000 2500 3000
+#: 4000 5000 7000 10000 --repeats 3`` and ``--sizes 1500 ... 5000
+#: --repeats 5 --seed 2`` (serial iteration-1 builds, uniform 50-qubit
+#: strings, Normal preset, 768 KiB strips ANDing the block oracle with
+#: the palette test) on a 2-vCPU x86-64 VM with numpy 2.4: the strips
+#: took 0.48x the index's time at n = 1.5k (word ops per candidate
+#: 2.5), 0.51-0.52x at 2k (4.4), 0.67-0.70x at 2.5k (6.1) and
+#: 0.80-0.90x at 3k (8.8); the index won at 4k (13.8; strips
+#: 1.11-1.19x), 5k (21.6; 1.51-1.53x), 7k (37.8; 2.6x) and 10k (77.2;
+#: 3.5x), so the crossing lies between 8.8 and 13.8.
+INDEX_COST_PER_CANDIDATE = 11.0
 
 #: Fewest vertices left unresolved by detection's successor pass that
 #: send it to the sweep; fewer go to the second pass.  Measured on a
@@ -97,12 +101,12 @@ def candidate_pairs(col_lists: np.ndarray) -> int:
 
 def prefers_index(n: int, col_lists: np.ndarray, palette_size: int) -> bool:
     """The plan rule: enumerate through the index when its candidate
-    work undercuts the tile sweep's palette word operations,
+    work undercuts the row strips' palette word operations,
     ``C * kappa < n(n-1)/2 * W``.  With ``L = P`` every vertex sits in
     every bucket (``C = P * n(n-1)/2``): that regime takes the ``rows``
     plan (:func:`all_pairs_share`) without consulting this rule."""
-    tile_ops = num_pairs(n) * -(-palette_size // 64)
-    return candidate_pairs(col_lists) * INDEX_COST_PER_CANDIDATE < tile_ops
+    strip_ops = num_pairs(n) * -(-palette_size // 64)
+    return candidate_pairs(col_lists) * INDEX_COST_PER_CANDIDATE < strip_ops
 
 
 def all_pairs_share(col_lists: np.ndarray, palette_size: int) -> bool:
@@ -124,6 +128,8 @@ def row_blocks(
     ``shares`` (one per block, for capacity-weighted deals — empty
     blocks are then kept so block ``k`` stays aligned with share
     ``k``).  Without shares, blocks of no rows are dropped."""
+    if n_blocks < 1:
+        raise ValueError("n_blocks must be >= 1")
     total = int(prefix[-1])
     if shares is None:
         quota = [total * k // n_blocks for k in range(1, n_blocks)]
@@ -139,6 +145,15 @@ def row_blocks(
         blocks = [blocks[k] for k in keep]
         weights = weights[keep]
     return blocks, weights
+
+
+def pair_blocks(
+    n: int, n_blocks: int, shares: list[int] | None = None,
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """:func:`row_blocks` of the all-pairs sweep over ``n`` vertices,
+    whose row ``i`` holds the ``n - 1 - i`` pairs ``(i, j > i)``."""
+    r = np.arange(n + 1, dtype=np.int64)
+    return row_blocks(r * (2 * n - r - 1) // 2, n_blocks, shares)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 One agent process runs per host (or per shard).  It owns no algorithm
 logic of its own — RPCs name the *existing* worker task functions
 (:func:`repro.parallel.pool.init_sweep_worker`,
-``_run_tile_strip``, :func:`repro.coloring.parallel_list._pick_strip`,
+``_run_strip``, :func:`repro.coloring.parallel_list._pick_strip`,
 ...) by pickle reference, and the agent just calls them in-process.
 Worker-global state therefore behaves exactly as in a
 ``multiprocessing`` pool worker: the token-cached static payload

@@ -7,7 +7,7 @@ coloring must load the full graph into memory, so Table IV's memory
 comparison requires building it.
 
 The pair sweep is the all-pairs row-strip sweep
-(:func:`repro.device.tiles.sweep_block_hits`): each strip ``[r0, r1) x
+(:func:`repro.device.tiles.sweep_strips`): each strip ``[r0, r1) x
 [r0, n)`` evaluates the oracle's block kernel once over contiguous row
 slices instead of gathering both operand rows per pair, and the hits
 stream into the sort-key CSR assembly as ascending CSR keys.  With
@@ -19,11 +19,7 @@ serial builds produce bit-identical CSR.
 
 from __future__ import annotations
 
-from repro.device.tiles import (
-    DEFAULT_TILE_BYTES,
-    count_block_hits,
-    strip_height,
-)
+from repro.device.tiles import count_block_hits, strip_height
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.pauli.strings import PauliSet
 from repro.util.chunking import num_pairs
@@ -64,7 +60,7 @@ def complement_graph(
 
 
 def _block_fn(oracle, want_anticommute: bool):
-    """Tiled predicate over the oracle: anticommute or its complement.
+    """Block predicate over the oracle: anticommute or its complement.
 
     Bound oracle methods, not closures, so the predicate pickles into
     spawn-context pool workers.
@@ -96,9 +92,7 @@ def _oracle_graph(
     ) as ex:
         chunks = [
             keys
-            for keys in block_sweep_chunks(
-                pauli_set.n, block_fn, DEFAULT_TILE_BYTES, executor=ex
-            )
+            for keys in block_sweep_chunks(pauli_set.n, block_fn, executor=ex)
             if len(keys)
         ]
     return csr_from_coo_chunks(chunks, pauli_set.n)
@@ -114,5 +108,5 @@ def complement_edge_count(pauli_set: PauliSet) -> int:
 def anticommute_edge_count(pauli_set: PauliSet) -> int:
     """Number of anticommute edges (Table II's "# of edges" column)."""
     oracle = pauli_set.oracle()
-    height = strip_height(pauli_set.n, DEFAULT_TILE_BYTES)
+    height = strip_height(pauli_set.n)
     return count_block_hits(pauli_set.n, oracle.anticommute_block, height)

@@ -1,10 +1,10 @@
 """Parallel execution substrate (paper §I's parallel implementation).
 
-Three layers: the partitioner slices the tile domain
-(:mod:`repro.parallel.partition`), execution backends run task lists
-over persistent workers and stream their results back in task order
-(:mod:`repro.parallel.executor`), and the sweep dispatcher wires kernels
-to backends (:mod:`repro.parallel.pool`).
+Two layers: execution backends run task lists over persistent workers
+and stream their results back in task order
+(:mod:`repro.parallel.executor`), and the sweep dispatcher cuts each
+sweep into row ranges and wires its kernels to a backend
+(:mod:`repro.parallel.pool`).
 """
 
 from repro.parallel.executor import (
@@ -14,12 +14,6 @@ from repro.parallel.executor import (
     default_start_method,
     make_executor,
     pin_current_worker,
-)
-from repro.parallel.partition import (
-    TileBlock,
-    block_pair_count,
-    partition_tiles,
-    tile_grid,
 )
 from repro.parallel.pool import (
     block_sweep_chunks,
@@ -35,10 +29,6 @@ __all__ = [
     "make_executor",
     "pin_current_worker",
     "payload_token_for",
-    "TileBlock",
-    "block_pair_count",
-    "partition_tiles",
-    "tile_grid",
     "block_sweep_chunks",
     "conflict_sweep_chunks",
 ]

@@ -1,7 +1,7 @@
 """Execution backends: a common submit/gather interface over workers.
 
 The paper ships "a sequential and a parallel implementation" (§I).  This
-module is the seam between the two: every pair/tile sweep in the library
+module is the seam between the two: every pair sweep in the library
 is expressed as *(initializer payload, task list, task function)* and
 handed to an :class:`Executor`, which decides where the tasks run.
 
@@ -17,7 +17,7 @@ handed to an :class:`Executor`, which decides where the tasks run.
   present the same ``payload_token`` may ship only a delta (the worker
   keeps the token-cached static part; see
   :mod:`repro.parallel.pool`).  Optional ``pin=True`` pins each worker
-  to one core via ``os.sched_setaffinity`` so its tile scratch stays
+  to one core via ``os.sched_setaffinity`` so its strip scratch stays
   NUMA-local (a silent no-op on platforms without the call).
 - :class:`repro.distributed.cluster.ClusterExecutor` (spec
   ``"cluster"``, or ``"auto"`` with ``hosts=``) — the same contract
@@ -26,7 +26,7 @@ handed to an :class:`Executor`, which decides where the tasks run.
   by :func:`make_executor`.
 
 All backends preserve task order in their results, which is what lets
-the tile sweep keep its deterministic chunk stream — parallel and
+the pair sweep keep its deterministic chunk stream — parallel and
 serial conflict-graph builds are bit-identical per seed (see
 :mod:`repro.parallel.pool`).  That result stream is the one gather
 path: a pool's results come back pickled through its result pipe, a
@@ -111,7 +111,7 @@ def pin_current_worker(rank: int) -> bool:
     """Pin the calling process to one CPU of its allowed set.
 
     Worker ``rank`` takes CPU ``allowed[rank % len(allowed)]``, so a
-    pool of ``n_workers <= cores`` lands one worker per core and tile
+    pool of ``n_workers <= cores`` lands one worker per core and strip
     scratch stays core-local.  Returns True when the affinity call
     succeeded; platforms without ``sched_setaffinity`` (macOS, Windows)
     and restricted environments degrade to a silent no-op (False).

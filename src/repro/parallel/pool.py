@@ -5,24 +5,22 @@ its CPU parallelism is shared-memory threads over pair chunks.  Python
 processes substitute for threads (the GIL rules those out for compute).
 This module is the seam where every conflict/graph sweep meets an
 :class:`~repro.parallel.executor.Executor`.  :func:`sweep_plan` picks
-one of three plans per sweep, and each worker task sweeps one strip of
-it and returns one array of CSR keys:
+one of two plans per sweep, and each worker task sweeps one row range
+of it and returns one array of CSR keys:
 
-- the tile sweep partitions the upper-triangular tile grid into
-  balanced contiguous :class:`~repro.parallel.partition.TileBlock`
-  strips and runs the fused block-broadcast kernel over each;
-- the inverted palette index's strips are its row blocks, balanced by
-  exact candidate counts;
-- under the ``rows`` plan (every pair shares a color, ``L = P``) the
-  strips are row ranges of equal pair weight, swept as row strips of
-  the block oracle with no palette test.
+- the inverted palette index's row ranges are its row blocks, balanced
+  by exact candidate counts;
+- under the ``rows`` plan the row ranges have equal pair weight, and
+  each is swept in row strips of the block oracle ANDed with the
+  palette test (:func:`repro.device.tiles.sweep_strips`), which is
+  skipped when every pair shares a color (``L = P``).
 
 Payload shipping is two-tier for the persistent pool.  The payload is
-split into a **static** part (the edge source / oracle and kernel
-backend — constant across Algorithm 1 iterations when the caller
-passes the *root* ``source``) and a per-sweep **delta** (the palette
-index under the index plan, the packed palette bitsets under the tile
-plan, the active-vertex indices and the tile size).  The static part
+split into a **static** part (the edge source / oracle — constant
+across Algorithm 1 iterations when the caller passes the *root*
+``source``) and a per-sweep **delta** (the palette index under the
+index plan, the packed palette bitsets under the ``rows`` plan, the
+active-vertex indices and the strip height).  The static part
 is installed once under a token and cached worker-side; while the pool
 lives and the token matches, later sweeps ship only the delta.
 Workers derive the iteration's edge oracle from the cached root source
@@ -37,10 +35,10 @@ Hits are CSR keys (:func:`repro.graphs.csr.key_layout`, 4 bytes per
 edge up to 32,768 vertices) from the worker through the gather to the
 assembly.  Key arrays travel back pickled through the executor's result
 stream, the one gather path: one worker sweep task,
-:func:`_run_tile_strip`, and one stream, :func:`conflict_sweep_chunks`,
+:func:`_run_strip`, and one stream, :func:`conflict_sweep_chunks`,
 which every sweep (a CSR build, a count, detection's sweep) drains.
 
-Per-sweep worker state (plan, bitsets, derived oracle, tile scratch) is
+Per-sweep worker state (plan, bitsets, derived oracle) is
 cleared in a ``finally`` on the dispatcher side after every sweep —
 both in-process and, for pools, via a teardown broadcast — so large
 arrays never stay alive between builds.  Only the token-cached static
@@ -61,22 +59,10 @@ from contextlib import closing
 import numpy as np
 
 from repro import telemetry
-from repro.device.backends import resolve_backend
-from repro.device.palette_index import PaletteIndex, all_pairs_share, prefers_index, row_blocks
-from repro.device.tiles import (
-    DEFAULT_TILE_BYTES,
-    EdgeBlockFn,
-    TileScratch,
-    concat_hits,
-    conflict_hits_strip,
-    strip_height,
-    sweep_block_hits,
-    sweep_conflict_hits,
-    tile_edge,
-)
+from repro.device.palette_index import PaletteIndex, all_pairs_share, pair_blocks, prefers_index
+from repro.device.tiles import EdgeBlockFn, concat_hits, strip_height, sweep_strips
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.parallel.executor import Executor, SerialExecutor
-from repro.parallel.partition import partition_tiles, tile_grid
 from repro.resilience.faults import fault_point
 from repro.util.bits import bitset_from_lists
 
@@ -107,7 +93,7 @@ TASKS_PER_WORKER = 4
 _WORKER: dict = {}
 
 # Worker-global static-payload cache: one entry, keyed by the payload
-# token.  Holds the root edge source and kernel backend across
+# token.  Holds the root edge source across
 # sweeps of a persistent pool so repeat installs can ship only the
 # delta.  Replaced on the next full install; dies with the pool.
 _STATIC_CACHE: dict = {}
@@ -131,47 +117,37 @@ def payload_token_for(source) -> int:
 
 def sweep_payload(
     n: int,
-    tile: int | None,
+    height: int | None,
     colmasks: np.ndarray | None,
     edge_mask_fn,
     edge_block_fn,
     source=None,
     active_idx: np.ndarray | None = None,
     executor: Executor | None = None,
-    kernel_backend: str | None = None,
-    plan: PaletteIndex | None = None,
+    plan: PaletteIndex | str = "rows",
 ) -> tuple[dict, int | None]:
     """Build the install payload and its token for one sweep.
 
     With a ``source`` and a cache-capable executor the static part is
     the *root* source; when the executor still holds the token, the
     static part is elided and only the delta (plan, bitsets, active
-    indices, tile) ships.  Without a source the edge functions
-    themselves are the static part and every install is a full one (token ``None``).
+    indices, strip height) ships.  Without a source the edge functions
+    themselves are the static part and every install is a full one
+    (token ``None``).
 
-    ``kernel_backend`` ships as a *name* in the static part and is
-    resolved by :func:`init_sweep_worker` in the worker process —
-    spawned and remote workers pick their backend against their own
-    environment (a cluster agent without numba degrades to numpy on
-    its own, bit-identically).
-
-    ``plan`` and ``colmasks`` come from :func:`sweep_plan`; they ship
-    in the delta, so workers run row blocks without rebuilding an
-    index.  Under ``"rows"``, ``tile`` is the strip height.
+    ``plan``, ``height`` and ``colmasks`` come from :func:`sweep_plan`;
+    they ship in the delta, so workers run row blocks without
+    rebuilding an index.
     """
     delta = {
         "n": n,
-        "tile": tile,
+        "height": height,
         "colmasks": colmasks,
         "active_idx": active_idx,
         "plan": plan,
     }
     if source is not None and executor is not None and executor.supports_payload_cache:
-        # The token must name the *whole* static part, not just the
-        # source: the same executor swept with a different kernel
-        # backend is a different payload, and a delta-only install
-        # against the old cache would run stale config.  The leading
-        # "sweep" element is the token channel (see
+        # The leading "sweep" element is the token channel (see
         # :func:`repro.parallel.executor.token_channel`): sweep and
         # coloring payloads coexist on one persistent pool without
         # evicting each other's delta path.
@@ -180,15 +156,11 @@ def sweep_payload(
         # when recording turns on (and vice versa), or it would keep
         # running under the stale flag.  Neutral either way — the flag
         # never touches the numerics.
-        token = (
-            "sweep", payload_token_for(source), kernel_backend,
-            telemetry.enabled(),
-        )
+        token = ("sweep", payload_token_for(source), telemetry.enabled())
         static = {
             "source": source,
             "edge_mask_fn": None,
             "edge_block_fn": None,
-            "kernel_backend": kernel_backend,
             "telemetry": telemetry.enabled(),
         }
         if executor.holds_token(token):
@@ -201,7 +173,6 @@ def sweep_payload(
         "source": source,
         "edge_mask_fn": edge_mask_fn if source is None else None,
         "edge_block_fn": edge_block_fn if source is None else None,
-        "kernel_backend": kernel_backend,
         "telemetry": telemetry.enabled(),
     }
     telemetry.count("pool.install.full")
@@ -273,7 +244,7 @@ def imap_sweep(executor: Executor, task_fn, tasks, payload_args: dict):
 
 
 def init_sweep_worker(payload: dict) -> None:
-    """Install a sweep payload; derive per-worker oracle and tile state.
+    """Install a sweep payload; derive the per-worker oracle.
 
     A payload whose ``static`` part is ``None`` reuses the worker's
     token-cached static payload (the delta-only install of a persistent
@@ -311,20 +282,15 @@ def init_sweep_worker(payload: dict) -> None:
             source = source.subset(idx)
         _WORKER["edge_mask_fn"] = source.edge_mask
         _WORKER["edge_block_fn"] = getattr(source, "edge_block", None)
-    # Worker-side backend resolution: the payload carries the *name*,
-    # each worker resolves it against its own environment.
-    _WORKER["backend"] = resolve_backend(_WORKER["kernel_backend"])
-    if _WORKER["plan"] is None:
-        _WORKER["grid"] = tile_grid(_WORKER["n"], _WORKER["tile"])
-        _WORKER["scratch"] = TileScratch(_WORKER["tile"])
 
 
 def teardown_sweep_worker() -> dict | None:
     """Drop per-sweep worker state (the dispatcher's ``finally`` duty).
 
-    Clears the plan and bitsets, the derived oracle functions and the
-    tile scratch, so none of it outlives the sweep.  The token-cached static payload is kept — that
-    persistence is what lets the next install ship only a delta.
+    Clears the plan and bitsets and the derived oracle functions, so
+    none of it outlives the sweep.  The token-cached static payload is
+    kept — that persistence is what lets the next install ship only a
+    delta.
 
     Returns this worker's accumulated telemetry delta (``None`` when
     telemetry is off or in-process): the teardown broadcast runs after
@@ -347,13 +313,12 @@ def finalize_sweep(executor: Executor) -> None:
 
 
 def _plan_name(plan) -> str:
-    return "tiles" if plan is None else "rows" if plan == "rows" else "index"
+    return "rows" if plan == "rows" else "index"
 
 
-def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
-    """The worker sweep task: the fused conflict kernel over one strip
-    of tiles, or the row block ``[start, stop)`` of an index or ``rows``
-    plan, as one CSR key array."""
+def _run_strip(task: tuple[int, int]) -> np.ndarray:
+    """The worker sweep task: rows ``[start, stop)`` of an index or
+    ``rows`` plan, as one CSR key array."""
     fault_point("task")
     start, stop = task
     plan = _WORKER["plan"]
@@ -361,21 +326,13 @@ def _run_tile_strip(task: tuple[int, int]) -> np.ndarray:
         "pool.strip", start=start, stop=stop, plan=_plan_name(plan),
     ):
         if plan == "rows":
-            keys = concat_hits(sweep_block_hits(
-                _WORKER["n"], _WORKER["edge_block_fn"], _WORKER["tile"],
-                start, stop,
-            ), _WORKER["n"])
-        elif plan is not None:
-            keys = plan.block_hits(start, stop, _WORKER["edge_mask_fn"])
+            n = _WORKER["n"]
+            keys = concat_hits(sweep_strips(
+                n, _WORKER["height"], start, stop, _WORKER["edge_block_fn"],
+                _WORKER["colmasks"], _WORKER["edge_mask_fn"],
+            ), n)
         else:
-            keys = conflict_hits_strip(
-                _WORKER["colmasks"],
-                _WORKER["grid"][start:stop],
-                _WORKER["edge_mask_fn"],
-                _WORKER["edge_block_fn"],
-                _WORKER["scratch"],
-                backend=_WORKER["backend"],
-            )
+            keys = plan.block_hits(start, stop, _WORKER["edge_mask_fn"])
     telemetry.observe("pool.strip_hits", float(len(keys)))
     return keys
 
@@ -406,80 +363,68 @@ def sweep_plan(
     n: int,
     col_lists: np.ndarray,
     palette_size: int,
-    tile: int | None,
-    tile_bytes: int | None,
     edge_mask_fn,
     edge_block_fn: EdgeBlockFn | None = None,
-) -> tuple[PaletteIndex | str | None, int | None, np.ndarray | None]:
-    """Choose how one sweep enumerates pairs, as ``(plan, tile, colmasks)``:
+    height: int | None = None,
+) -> tuple[PaletteIndex | str, int | None, np.ndarray | None]:
+    """Choose how one sweep enumerates pairs, as ``(plan, height, colmasks)``:
 
-    - ``("rows", height, None)`` when every pair shares a color (``L =
-      P``, :func:`repro.device.palette_index.all_pairs_share`) and the
-      sweep has a block oracle: the conflict edges are the oracle's
-      edges, so row strips of ``height`` rows skip the palette test and
-      emit hits in CSR key order (:func:`repro.device.tiles.sweep_block_hits`);
-    - ``(index, None, None)`` when the inverted palette index's exact
-      candidate count undercuts the tile sweep's palette word
+    - ``(index, None, None)`` for the inverted palette index, when the
+      sweep has no block oracle, or has a pairwise one and the index's
+      exact candidate count undercuts the strips' palette word
       operations (:func:`repro.device.palette_index.prefers_index`);
-    - ``(None, tile, colmasks)`` for the tile sweep, the only plan that
-      ANDs the packed palette bitsets, so the only one that builds them.
+    - ``("rows", height, colmasks)`` otherwise: row strips of
+      ``height`` rows (:func:`repro.device.tiles.sweep_strips`) AND the
+      block oracle with the packed palette bitsets ``colmasks``, which
+      are ``None`` when every pair shares a color (``L = P``,
+      :func:`repro.device.palette_index.all_pairs_share`), so the
+      strips skip the palette test.
 
-    All plans emit the same pairs, so the choice never changes a CSR.
-    A caller that pins ``tile`` (the DeviceSim build, whose tile
-    scratch is charged against the budget) keeps the tile sweep.  Each
+    Both plans emit the same pairs, so the choice never changes a CSR.
+    A caller that pins ``height`` (the DeviceSim build, whose strip
+    scratch is charged against the budget) always sweeps rows.  Each
     choice is counted as ``sweep.plan.<name>``.
     """
-    plan: PaletteIndex | str | None = None
-    if tile is None:
-        budget = tile_bytes or DEFAULT_TILE_BYTES
-        if edge_block_fn is not None and all_pairs_share(col_lists, palette_size):
-            plan, tile = "rows", strip_height(n, budget)
-        elif edge_mask_fn is not None and prefers_index(n, col_lists, palette_size):
+    share = all_pairs_share(col_lists, palette_size)
+    plan: PaletteIndex | str = "rows"
+    if height is None:
+        if edge_block_fn is None or (
+            edge_mask_fn is not None and not share
+            and prefers_index(n, col_lists, palette_size)
+        ):
             plan = PaletteIndex(col_lists)
         else:
-            tile = tile_edge(budget, n=n)
+            height = strip_height(n)
     telemetry.count(f"sweep.plan.{_plan_name(plan)}")
-    colmasks = None if plan is not None else bitset_from_lists(col_lists, palette_size)
-    return plan, tile, colmasks
+    if plan != "rows" or share:
+        return plan, height, None
+    return plan, height, bitset_from_lists(col_lists, palette_size)
 
 
 def sweep_strip_tasks(
     n: int,
-    tile: int | None,
     executor: Executor,
-    plan: PaletteIndex | str | None = None,
+    plan: PaletteIndex | str = "rows",
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Partition the sweep domain for an executor: ``(start, stop)``
-    strip tasks in canonical order plus each strip's pair weight.
+    row-range tasks in canonical order plus each range's weight.
 
-    Under an index plan the strips are the index's row blocks and the
-    weights their exact candidate counts — an upper bound on the
-    block's hits, like a tile strip's pair count.  Under the ``rows``
-    plan they are row ranges cut to equal pair weight.
+    Under the ``rows`` plan the ranges are cut to equal pair weight
+    (row ``i`` holds ``n - 1 - i`` pairs); under an index plan they are
+    the index's row blocks and the weights their exact candidate counts
+    — an upper bound on the block's hits, like a row range's pair
+    count.
 
     Heterogeneous backends (hierarchical cluster agents advertising
-    their inner pool size) get a capacity-weighted partition: strip
-    ``k``'s pair weight is proportional to the capacity of the worker
-    slot the positional deal sends it to.  Weighted partitions keep
-    empty strips in place so the ``tasks[k::n]`` alignment holds."""
-    n_workers = max(1, executor.n_workers)
-    n_tasks = n_workers * TASKS_PER_WORKER
+    their inner pool size) get a capacity-weighted partition: range
+    ``k``'s weight is proportional to the capacity of the worker slot
+    the positional deal sends it to.  Weighted partitions keep empty
+    ranges in place so the ``tasks[k::n]`` alignment holds."""
+    n_tasks = max(1, executor.n_workers) * TASKS_PER_WORKER
     if plan == "rows":
-        # Row ``i`` holds ``n - 1 - i`` pairs.
-        r = np.arange(n + 1, dtype=np.int64)
-        return row_blocks(
-            r * (2 * n - r - 1) // 2, n_tasks, strip_shares(executor, n_tasks)
-        )
-    if plan is not None:
-        n_blocks = plan.block_count(n_tasks)
-        return plan.row_blocks(n_blocks, strip_shares(executor, n_blocks))
-    shares = strip_shares(executor, n_tasks)
-    keep = shares is not None
-    blocks = partition_tiles(n, tile, n_tasks, shares=shares, keep_empty=keep)
-    blocks = blocks if keep else [b for b in blocks if len(b)]
-    tasks = [(b.start, b.stop) for b in blocks]
-    weights = np.array([b.n_pairs for b in blocks], dtype=np.int64)
-    return tasks, weights
+        return pair_blocks(n, n_tasks, strip_shares(executor, n_tasks))
+    n_blocks = plan.block_count(n_tasks)
+    return plan.row_blocks(n_blocks, strip_shares(executor, n_blocks))
 
 
 def conflict_sweep_chunks(
@@ -488,12 +433,10 @@ def conflict_sweep_chunks(
     col_lists: np.ndarray,
     palette_size: int,
     edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    tile: int | None = None,
+    height: int | None = None,
     executor: Executor | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
-    kernel_backend: str | None = None,
 ) -> Iterator[np.ndarray]:
     """Executor-routed conflict sweep: yield edge chunks as arrays of
     CSR keys ``i << s | j`` (:func:`repro.graphs.csr.key_layout`).
@@ -504,51 +447,41 @@ def conflict_sweep_chunks(
     (:func:`block_sweep_chunks`).  A serial backend (or ``None``)
     short-circuits to the streaming in-process sweep — same kernels,
     same order, lowest memory.  A pool backend partitions the domain
-    into contiguous strips (tile grid or row blocks, per
-    :func:`sweep_plan`), installs the payload once per worker, and
-    yields the per-strip results in strip order, which makes the
-    concatenated hit stream — and therefore the assembled CSR —
-    bit-identical to the serial sweep's.
+    into contiguous row ranges (per :func:`sweep_plan`), installs the
+    payload once per worker, and yields the per-range results in
+    range order, which makes the concatenated hit stream — and
+    therefore the assembled CSR — bit-identical to the serial sweep's.
 
     ``col_lists`` are the ``(n, L)`` candidate lists over the palette
-    ``{0..palette_size-1}``, each row of distinct colors.
+    ``{0..palette_size-1}``, each row of distinct colors.  ``height``
+    pins the ``rows`` plan's strip height (see :func:`sweep_plan`).
 
     ``source``/``active_idx`` (optional) enable the persistent-pool
     delta payload: the root ``source`` is installed once under a token,
-    later sweeps ship only the plan (or the bitsets) + active indices,
+    later sweeps ship only the plan (and the bitsets) + active indices,
     and each worker derives ``source.subset(active_idx)`` locally.
     Per-sweep worker state is cleared in a ``finally`` whether the
     sweep completes or aborts.
-
-    ``kernel_backend`` names the palette-intersection kernel
-    (:func:`repro.device.backends.resolve_backend`; ``None`` is the
-    environment's choice, numpy by default).  A serial sweep resolves
-    it once; a pool ships the name and each worker resolves it once
-    per install.
     """
-    plan, tile, colmasks = sweep_plan(
-        n, col_lists, palette_size, tile, tile_bytes, edge_mask_fn, edge_block_fn,
+    plan, height, colmasks = sweep_plan(
+        n, col_lists, palette_size, edge_mask_fn, edge_block_fn, height,
     )
     if executor is None or isinstance(executor, SerialExecutor):
         if plan == "rows":
-            yield from sweep_block_hits(n, edge_block_fn, tile)
-        elif plan is not None:
-            yield from plan.iter_hits(edge_mask_fn)
-        else:
-            yield from sweep_conflict_hits(
-                n, colmasks, edge_mask_fn, edge_block_fn, tile=tile,
-                backend=resolve_backend(kernel_backend),
+            yield from sweep_strips(
+                n, height, 0, n, edge_block_fn, colmasks, edge_mask_fn
             )
+        else:
+            yield from plan.iter_hits(edge_mask_fn)
         return
-    tasks, _ = sweep_strip_tasks(n, tile, executor, plan)
+    tasks, _ = sweep_strip_tasks(n, executor, plan)
     payload_args = dict(
-        n=n, tile=tile, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
+        n=n, height=height, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
-        source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend, plan=plan,
+        source=source, active_idx=active_idx, executor=executor, plan=plan,
     )
     try:
-        yield from imap_sweep(executor, _run_tile_strip, tasks, payload_args)
+        yield from imap_sweep(executor, _run_strip, tasks, payload_args)
     finally:
         finalize_sweep(executor)
 
@@ -559,11 +492,9 @@ def gathered_conflict_csr(
     col_lists: np.ndarray,
     palette_size: int,
     edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
     source=None,
     active_idx: np.ndarray | None = None,
-    kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
     """Sweep-and-assemble: the back half of the host conflict build.
     Drains one :func:`conflict_sweep_chunks` stream (counting the
@@ -572,8 +503,7 @@ def gathered_conflict_csr(
     """
     stream = conflict_sweep_chunks(
         n, edge_mask_fn, col_lists, palette_size, edge_block_fn,
-        tile_bytes=tile_bytes, executor=executor,
-        source=source, active_idx=active_idx, kernel_backend=kernel_backend,
+        executor=executor, source=source, active_idx=active_idx,
     )
     with closing(stream), telemetry.span("sweep.gather"):
         chunks = [keys for keys in stream if len(keys)]
@@ -587,9 +517,7 @@ def gathered_conflict_csr(
 def block_sweep_chunks(
     n: int,
     block_fn: EdgeBlockFn,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
-    kernel_backend: str | None = None,
 ) -> Iterator[np.ndarray]:
     """Executor-routed all-pairs sweep (explicit graph builders): yield
     the upper-triangle hits of ``block_fn`` as ascending CSR keys.
@@ -597,5 +525,5 @@ def block_sweep_chunks(
     pair shares the color and every edge is a conflict edge."""
     return conflict_sweep_chunks(
         n, None, np.zeros((n, 1), dtype=np.int64), 1, edge_block_fn=block_fn,
-        tile_bytes=tile_bytes, executor=executor, kernel_backend=kernel_backend,
+        executor=executor,
     )

@@ -175,7 +175,7 @@ class AnticommuteOracle:
 
     def _block_scratch(self, rows: int, cols: int):
         """Persistent per-oracle block buffers (grown on demand) so a
-        tile sweep's edge-block queries stay off the allocator."""
+        strip sweep's edge-block queries stay off the allocator."""
         if (
             self._blk_tmp is None
             or self._blk_tmp.shape[0] < rows
@@ -207,7 +207,7 @@ class AnticommuteOracle:
     def anticommute_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block form of :meth:`anticommute`: uint8 ``(r1-r0, c1-c0)``
         matrix for the row-range x col-range pair block, computed as a
-        word broadcast without gathering any rows (tiled engine).
+        word broadcast without gathering any rows (row-strip sweep).
 
         The returned array may view a reused internal buffer — consume
         it before the next ``*_block`` call on this oracle.
@@ -222,7 +222,7 @@ class AnticommuteOracle:
     def commute_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block form of :meth:`commute_edges`, as a fresh bool block
         (one compare).  Diagonal entries (``i == j``) are meaningless
-        here; tiled consumers mask the strict upper triangle before use."""
+        here; block consumers mask the strict upper triangle before use."""
         return self.anticommute_block(r0, r1, c0, c1) == 0
 
     @property

@@ -57,8 +57,8 @@ def popcount(words: np.ndarray) -> np.ndarray:
 def popcount_u8(words: np.ndarray) -> np.ndarray:
     """Per-element population count as ``uint8`` (no ``int64`` widening).
 
-    The tiled pair kernels accumulate per-word popcounts over whole
-    ``(rows, cols)`` tiles; keeping the result at one byte per pair
+    The block pair kernels accumulate per-word popcounts over whole
+    ``(rows, cols)`` blocks; keeping the result at one byte per pair
     instead of eight is most of their memory-bandwidth win, so this
     variant avoids the :func:`popcount` cast to ``int64``.
     """
@@ -86,8 +86,8 @@ def parity_block(
         Packed word matrices of shapes ``(R, W)`` and ``(C, W)``.
     tmp, out:
         Optional preallocated ``(R, C)`` scratch (uint64 word-AND
-        buffer, uint8 result) — a tile sweep reuses them across tiles
-        so the hot loop never touches the allocator.
+        buffer, uint8 result) — a sweep reuses them across blocks so
+        the hot loop never touches the allocator.
 
     Returns
     -------
@@ -95,7 +95,7 @@ def parity_block(
         ``(R, C)`` uint8 matrix with ``parity(popcount(a[i] & b[j]))``.
 
     This is the broadcast ("block") form of :func:`parity_rows` used by
-    the tiled kernel engine: one word column at a time so the scratch
+    the row-strip sweep: one word column at a time so the scratch
     stays at one ``(R, C)`` temporary instead of ``(R, C, W)``.  The
     per-word popcounts are accumulated with wrapping uint8 addition —
     addition mod 256 preserves parity — and folded to a bit at the end.
@@ -131,8 +131,7 @@ def anybit_block(
     Block-broadcast form of the palette-intersection test
     (``popcount(mask_u & mask_v) > 0`` collapses to "any word AND is
     nonzero", so no popcount is needed at all).  ``tmp``/``tmp_bool``/
-    ``out`` are optional ``(R, C)`` scratch buffers, reused across
-    tiles by the sweep drivers.
+    ``out`` are optional ``(R, C)`` scratch buffers.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)

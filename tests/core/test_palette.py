@@ -38,7 +38,7 @@ class TestAssignColorLists:
             assert distinct.all()
 
     def test_masks_match_lists(self):
-        """The bitsets the tile sweep builds from the lists hold exactly
+        """The bitsets the row strips build from the lists hold exactly
         the listed colors."""
         lists = assign_color_lists(40, 70, 8, rng=3)
         masks = bitset_from_lists(lists, 70)

@@ -23,7 +23,7 @@ class TestValidation:
             {"conflict_order": "bogus"},
             {"max_iterations": 0},
             {"grow_on_stall": 0.5},
-            {"tile_budget_bytes": 0},
+            {"kernel_backend": "tpu"},
             {"n_workers": 0},
             {"executor": "threads"},
             {"color_max_rounds": 0},
@@ -46,7 +46,7 @@ class TestValidation:
         for engine in ("tiled", "pairs"):
             with pytest.raises(TypeError):
                 PicassoParams(engine=engine)
-        assert len(fields(PicassoParams)) == 20
+        assert len(fields(PicassoParams)) == 19
 
     def test_fused_knob_is_gone(self):
         with pytest.raises(TypeError):
@@ -97,9 +97,9 @@ class TestPresets:
         assert p.alpha == 30.0
 
     def test_overrides(self):
-        p = normal_params(alpha=3.0, tile_budget_bytes=128)
+        p = normal_params(alpha=3.0, n_workers=2)
         assert p.alpha == 3.0
-        assert p.tile_budget_bytes == 128
+        assert p.n_workers == 2
         assert p.palette_fraction == pytest.approx(0.125)
 
     def test_with_is_functional(self):

@@ -130,7 +130,7 @@ class TestDevicePath:
 
 class TestEngines:
     def test_tiled_and_pairs_identical_colorings(self):
-        """The default run (tiled sweep, bitset Algorithm 2) against the
+        """The default run (bitset Algorithm 2) against the
         reference run (naive all-pairs builds, ``sets`` Algorithm 2):
         identical conflict graphs and random draws, so whole runs must
         match bit for bit."""
@@ -148,18 +148,10 @@ class TestEngines:
         np.testing.assert_array_equal(rt.colors, rp.colors)
         assert g.validate_coloring(rt.colors)
 
-    def test_tile_budget_knob(self):
-        ps = random_pauli_set(80, 5, seed=1)
-        r = picasso_color(ps, PicassoParams(tile_budget_bytes=1 << 13), seed=4)
-        assert PauliComplementSource(ps).validate(r.colors)
-
     def test_engine_validated(self):
-        """The sweep engine is not a parameter; the tile budget is
-        checked."""
+        """The sweep engine is not a parameter."""
         with pytest.raises(TypeError):
             PicassoParams(engine="bogus")
-        with pytest.raises(ValueError):
-            PicassoParams(tile_budget_bytes=0)
 
 
 class TestExplicitGraphWorkload:

@@ -121,3 +121,49 @@ class TestExplicitGraphSource:
         g = erdos_renyi(50, 0.5, seed=3)
         src = ExplicitGraphSource(g)
         assert src.nbytes >= g.nbytes
+
+    def test_keys_built_lazily_and_charged_once_built(self):
+        """Block queries scatter the CSR rows and build no sorted keys;
+        the first ``edge_mask`` call builds them, and only then does
+        ``nbytes`` charge them."""
+        g = erdos_renyi(60, 0.3, seed=5)
+        src = ExplicitGraphSource(g)
+        blk = src.edge_block(0, 60, 0, 60)
+        assert src._keys is None and src.nbytes == g.nbytes
+        ii, jj = np.triu_indices(60, k=1)
+        np.testing.assert_array_equal(blk[ii, jj], src.edge_mask(ii, jj))
+        assert src._keys.nbytes == 8 * len(g.targets)
+        assert src.nbytes == g.nbytes + src._keys.nbytes
+
+    @pytest.mark.parametrize("run", ["serial", "pool", "device", "device-pool"])
+    def test_graph_runs_never_build_keys(self, run, monkeypatch):
+        """A ``greedy-dynamic`` run on an explicit graph (serial or
+        pool: the arc pass) and a DeviceSim run (its ``rows`` strips ask
+        the block oracle) never ask ``edge_mask``, so no source builds
+        its sorted keys, and the colors equal the naive reference's."""
+        from naive_reference import reference_coloring
+
+        from repro.core import Picasso, PicassoParams
+        from repro.device.sim import DeviceSim
+
+        def forbidden(self, i, j):
+            raise AssertionError("an explicit run built its edge-query keys")
+
+        sources = []
+        init = ExplicitGraphSource.__init__
+
+        def tracked(self, graph):
+            init(self, graph)
+            sources.append(self)
+
+        g = erdos_renyi(150, 0.6, seed=6)  # eight iterations: seven subsets
+        ref = reference_coloring(g, 3)
+        monkeypatch.setattr(ExplicitGraphSource, "edge_mask", forbidden)
+        monkeypatch.setattr(ExplicitGraphSource, "__init__", tracked)
+        workers = 2 if run.endswith("pool") else 1
+        device = DeviceSim() if run.startswith("device") else None
+        got = Picasso(PicassoParams(n_workers=workers), device=device, seed=3).color(g)
+        np.testing.assert_array_equal(got.colors, ref.colors)
+        assert len(got.iterations) > 1
+        assert len(sources) == len(got.iterations)
+        assert all(src._keys is None for src in sources)

@@ -1,9 +1,9 @@
 """Kernel-backend registry, resolution policy and bit-level contract.
 
-The contract every backend signs: its two hot kernels reproduce a
-naive per-bit Python reference **exactly**, on randomized packed words,
-all-zero rows and single-word matrices, and the drivers that need them
-reach them through :func:`resolve_backend` even when no backend is
+The contract every backend signs: its hot kernel reproduces a naive
+per-bit Python reference **exactly**, on randomized packed words,
+all-zero rows and single-word matrices, and the engine that needs it
+reaches it through :func:`resolve_backend` even when no backend is
 named.  The suite parametrizes over
 :func:`available_backends`, so a CI leg with numba installed runs every
 property against the compiled kernels with zero test changes.
@@ -21,8 +21,6 @@ from repro.device.backends import (
     resolve_backend,
 )
 from repro.device.backends import base as backends_base
-from repro.device.tiles import TileScratch
-from repro.pauli import random_pauli_set
 
 BACKENDS = available_backends()
 
@@ -126,16 +124,6 @@ def test_params_resolved_kernel_backend(monkeypatch):
 # -- per-bit Python references -------------------------------------------
 
 
-def _ref_intersect_block(colmasks, r0, r1, c0, c1):
-    out = np.empty((r1 - r0, c1 - c0), dtype=bool)
-    for i in range(r0, r1):
-        for j in range(c0, c1):
-            out[i - r0, j - c0] = any(
-                int(a) & int(b) for a, b in zip(colmasks[i], colmasks[j])
-            )
-    return out
-
-
 def _ref_lowest_set_bit_rows(masks):
     out = np.empty(len(masks), dtype=np.int64)
     for i, row in enumerate(masks):
@@ -164,20 +152,6 @@ def backend(request):
     return get_backend(request.param)
 
 
-@pytest.mark.parametrize("words", [1, 3])
-@pytest.mark.parametrize("density", [0.02, 0.5])
-def test_intersect_block_matches_reference(backend, words, density):
-    rng = np.random.default_rng(11 * words)
-    colmasks = _random_words(rng, 17, words, density)
-    colmasks[5] = 0  # empty palette row intersects nothing
-    scratch = TileScratch(8)
-    for r0, r1, c0, c1 in [(0, 17, 0, 17), (1, 9, 9, 17), (0, 8, 0, 8)]:
-        sc = scratch if (r1 - r0, c1 - c0) == (8, 8) else None
-        got = backend.lists_intersect_block(colmasks, r0, r1, c0, c1, sc)
-        ref = _ref_intersect_block(colmasks, r0, r1, c0, c1)
-        np.testing.assert_array_equal(np.asarray(got, dtype=bool), ref)
-
-
 @pytest.mark.parametrize("words", [1, 4])
 def test_lowest_set_bit_rows_matches_reference(backend, words):
     rng = np.random.default_rng(13 * words)
@@ -198,13 +172,11 @@ def test_lowest_set_bit_rows_empty_and_shape(backend):
         backend.lowest_set_bit_rows(np.zeros(4, dtype=np.uint64))
 
 
-# -- the seam: two kernels, always dispatched ------------------------------
+# -- the seam: one kernel, always dispatched -------------------------------
 
 
-def test_contract_is_two_kernels():
-    assert KernelBackend.__abstractmethods__ == {
-        "lists_intersect_block", "lowest_set_bit_rows",
-    }
+def test_contract_is_one_kernel():
+    assert KernelBackend.__abstractmethods__ == {"lowest_set_bit_rows"}
 
 
 def _spy(monkeypatch, method: str) -> list:
@@ -220,32 +192,6 @@ def _spy(monkeypatch, method: str) -> list:
 
     monkeypatch.setattr(cls, method, spy)
     return calls
-
-
-def test_tile_sweep_without_a_name_uses_the_resolved_backend(monkeypatch):
-    from naive_reference import naive_conflict_csr
-
-    from repro.core.conflict import build_conflict_graph
-    from repro.core.palette import assign_color_lists
-    from repro.core.sources import PauliComplementSource
-    from repro.device import palette_index
-    from repro.parallel import pool
-
-    # Force the tile plan, the one plan that runs the palette test.
-    monkeypatch.setattr(palette_index, "INDEX_COST_PER_CANDIDATE", float("inf"))
-    monkeypatch.setattr(pool, "all_pairs_share", lambda lists, palette: False)
-    calls = _spy(monkeypatch, "lists_intersect_block")
-    ps = random_pauli_set(70, 6, seed=2)
-    src = PauliComplementSource(ps)
-    lists = assign_color_lists(70, 12, 3, rng=1)
-    got, m = build_conflict_graph(
-        70, src.edge_mask, lists, 12, edge_block_fn=src.edge_block,
-    )
-    assert calls
-    ref, m_ref = naive_conflict_csr(70, src.edge_mask, lists)
-    assert m == m_ref
-    np.testing.assert_array_equal(got.offsets, ref.offsets)
-    np.testing.assert_array_equal(got.targets, ref.targets)
 
 
 def test_parallel_list_without_a_name_uses_the_resolved_backend(monkeypatch):

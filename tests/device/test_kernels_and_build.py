@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from device_budget import device_budget
 
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
@@ -13,10 +14,9 @@ from repro.device import (
     conflict_pair_kernel_python,
     exclusive_scan,
     lists_intersect_kernel,
-    sweep_conflict_hits,
-    tile_scratch_bytes,
+    sweep_strips,
 )
-from repro.device.backends import resolve_backend
+from repro.device.csr_build import strip_scratch
 from repro.graphs.csr import key_pairs
 from repro.pauli import random_pauli_set
 from repro.util.bits import bitset_from_lists
@@ -45,16 +45,20 @@ class TestKernels:
         np.testing.assert_array_equal(got, expected)
 
     def test_vectorized_matches_python_reference(self):
-        """The vectorized tile sweep finds exactly the pairs the scalar
-        Table V kernel flags."""
+        """The vectorized row-strip sweep finds exactly the pairs the
+        scalar Table V kernel flags, with the block oracle and with the
+        pairwise one."""
         src, lists, masks = make_inputs()
         ii, jj = np.triu_indices(60, k=1)
         sets = [set(row.tolist()) for row in lists]
         slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj).astype(bool)
-        keys = np.concatenate(list(sweep_conflict_hits(
-            60, masks, src.edge_mask, tile=16, backend=resolve_backend(),
+        keys = np.concatenate(list(sweep_strips(
+            60, 16, colmasks=masks, edge_mask_fn=src.edge_mask,
         )))
-        fast = np.stack(key_pairs(np.sort(keys), 60), axis=1)
+        np.testing.assert_array_equal(keys, np.concatenate(list(sweep_strips(
+            60, 16, edge_block_fn=src.edge_block, colmasks=masks,
+        ))))
+        fast = np.stack(key_pairs(keys, 60), axis=1)
         np.testing.assert_array_equal(fast, np.stack([ii[slow], jj[slow]], axis=1))
 
     def test_sorted_merge_matches_bitset(self):
@@ -129,10 +133,10 @@ class TestAlgorithm3:
         # Budget sized so COO fits but CSR (2x) does not: compute actual
         # edge count then craft the budget.
         m = s1.n_conflict_edges
-        # colmasks + counters + one minimum (64-row) tile scratch
-        fixed = masks.nbytes + 2 * 80 * 4 + tile_scratch_bytes(64)
-        coo_bytes = 2 * m * 4 + 4  # just over the edge list
-        cramped = DeviceSim(budget_bytes=fixed + coo_bytes)
+        # colmasks + counters, then the strip scratch and a COO buffer
+        # just over the edge list.
+        fixed = masks.nbytes + 2 * 80 * 4
+        cramped = DeviceSim(budget_bytes=device_budget(80, fixed, 2 * m * 4 + 4))
         _, s2 = build_conflict_csr(80, src.edge_mask, lists, PALETTE, cramped)
         assert not s2.built_on_device
         assert s2.n_conflict_edges == m
@@ -145,7 +149,7 @@ class TestAlgorithm3:
 
     def test_parallel_build_bit_identical_and_scratch_per_worker(self):
         """A multi-worker Algorithm 3 build returns the same CSR and
-        charges one tile scratch per worker against the budget."""
+        charges one strip scratch per worker against the budget."""
         src, lists, masks = make_inputs(n=80)
         serial_dev = DeviceSim(budget_bytes=1 << 24)
         ref, s_ref = build_conflict_csr(
@@ -161,18 +165,19 @@ class TestAlgorithm3:
         assert s_got.n_conflict_edges == s_ref.n_conflict_edges
         np.testing.assert_array_equal(got.offsets, ref.offsets)
         np.testing.assert_array_equal(got.targets, ref.targets)
-        # Same tile edge fits both budgets here, so the only difference
-        # is the second worker's private scratch.
+        # A whole-height strip fits both budgets here, so the only
+        # difference is the second worker's private scratch.
         assert par_dev.peak_bytes > serial_dev.peak_bytes
 
     def test_scratch_that_cannot_fit_raises_oom(self):
-        """A budget that cannot hold one minimum tile scratch per worker
-        (8 workers x 2 x 40,960 B with the block oracle) is a device
-        OOM, and every buffer reserved before it is freed."""
+        """A budget that cannot hold a one-row strip scratch per worker
+        (8 workers x 2 x 800 B with the block oracle) is a device OOM,
+        and every buffer reserved before it is freed."""
         src, lists, masks = make_inputs(n=80)
         fixed = masks.nbytes + 2 * 80 * 4
-        dev = DeviceSim(budget_bytes=fixed + 110 * 1024)
-        with pytest.raises(DeviceOutOfMemory, match="tile_scratch"):
+        assert strip_scratch(80, 8 * 2 * 800 - 1, 8, True) == (1, 8 * 2 * 800)
+        dev = DeviceSim(budget_bytes=fixed + 8 * 2 * 800 - 1)
+        with pytest.raises(DeviceOutOfMemory, match="strip_scratch"):
             build_conflict_csr(
                 80, src.edge_mask, lists, PALETTE, dev,
                 edge_block_fn=src.edge_block, n_workers=8,
@@ -180,15 +185,18 @@ class TestAlgorithm3:
         assert dev.used_bytes == 0
         assert dev.n_ooms == 1
 
-    def test_tight_budget_charges_minimum_tile_per_worker(self):
-        """A budget whose minimum tile scratch fits but crowds the COO
-        buffer still charges one 64-row tile per worker (no uncharged
-        fallback), then builds the same CSR from what is left."""
+    def test_tight_budget_charges_strip_per_worker(self):
+        """A budget whose strip scratch fits but crowds the COO buffer
+        still charges one strip per worker, doubled for the block oracle
+        (no uncharged fallback), then builds the same CSR from what is
+        left."""
         src, lists, masks = make_inputs(n=80)
         ref, m = build_conflict_graph(80, src.edge_mask, lists, PALETTE)
-        scratch = 2 * 2 * tile_scratch_bytes(64)  # 2 workers, block oracle
         fixed = masks.nbytes + 2 * 80 * 4
-        dev = DeviceSim(budget_bytes=fixed + scratch + 2 * m * 4)
+        budget = device_budget(80, fixed, 2 * m * 4, workers=2, block_oracle=True)
+        height, scratch = strip_scratch(80, budget - fixed, 2, True)
+        assert scratch == 2 * 2 * 10 * height * 80
+        dev = DeviceSim(budget_bytes=budget)
         charged = []
         alloc = dev.alloc
 
@@ -201,7 +209,7 @@ class TestAlgorithm3:
             80, src.edge_mask, lists, PALETTE, dev,
             edge_block_fn=src.edge_block, n_workers=2,
         )
-        assert ("tile_scratch", scratch) in charged
+        assert ("strip_scratch", scratch) in charged
         assert stats.n_conflict_edges == m
         np.testing.assert_array_equal(got.offsets, ref.offsets)
         assert dev.used_bytes == 0
@@ -211,10 +219,12 @@ class TestAlgorithm3:
         DeviceOutOfMemory promptly and tear the workers down (the
         generator close path), not hang on undelivered results."""
         src, lists, masks = make_inputs(n=80)
-        # colmasks + counters + a minimum tile scratch (doubled for the
-        # block oracle) per worker, then 1 KiB of COO.
-        fixed = masks.nbytes + 2 * 80 * 4 + 2 * 2 * tile_scratch_bytes(64)
-        dev = DeviceSim(budget_bytes=fixed + 1024)
+        # colmasks + counters + a strip scratch (doubled for the block
+        # oracle) per worker, then 1 KiB of COO.
+        fixed = masks.nbytes + 2 * 80 * 4
+        dev = DeviceSim(budget_bytes=device_budget(
+            80, fixed, 1024, workers=2, block_oracle=True,
+        ))
         with pytest.raises(DeviceOutOfMemory, match="COO buffer overflow"):
             build_conflict_csr(
                 80, src.edge_mask, lists, PALETTE, dev,

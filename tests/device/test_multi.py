@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from device_budget import device_budget
 
 from repro.core.conflict import build_conflict_graph
 from repro.core.palette import assign_color_lists
@@ -10,7 +11,6 @@ from repro.device import (
     DeviceOutOfMemory,
     DeviceSim,
     build_conflict_csr_multi,
-    tile_scratch_bytes,
 )
 from repro.pauli import random_pauli_set
 from repro.util.bits import bitset_from_lists
@@ -43,10 +43,10 @@ class TestMultiDevice:
         src, pal = make_inputs(n=200, palette=10, L=5, seed=1)
         _, total_edges = build_conflict_graph(200, src.edge_mask, *pal)
         # Budget sized so one device cannot hold all edges but a quarter
-        # fits comfortably: fixed costs (colmasks, counters, one minimum
-        # tile scratch) + half the edge payload.
-        fixed = bitset_from_lists(*pal).nbytes + 2 * 200 * 4 + tile_scratch_bytes(64)
-        single_budget = fixed + (2 * total_edges * 4) // 2
+        # fits comfortably: fixed costs (colmasks, counters), a strip
+        # scratch and half the edge payload.
+        fixed = bitset_from_lists(*pal).nbytes + 2 * 200 * 4
+        single_budget = device_budget(200, fixed, (2 * total_edges * 4) // 2)
         with pytest.raises(DeviceOutOfMemory):
             build_conflict_csr_multi(
                 200, src.edge_mask, *pal, [DeviceSim(budget_bytes=single_budget)]
@@ -57,13 +57,14 @@ class TestMultiDevice:
         g, stats = build_conflict_csr_multi(200, src.edge_mask, *pal, devices)
         assert stats.n_conflict_edges == total_edges
 
-    def test_tile_scratch_charged_per_device(self):
-        """Each device charges its tile scratch: one whose budget cannot
-        hold a minimum tile raises and frees what it had reserved."""
+    def test_strip_scratch_charged_per_device(self):
+        """Each device charges its strip scratch: one whose budget
+        cannot hold a one-row strip (10 B per pair, 100 pairs) raises
+        and frees what it had reserved."""
         src, pal = make_inputs()
         fixed = bitset_from_lists(*pal).nbytes + 2 * 100 * 4
-        small = DeviceSim(budget_bytes=fixed + tile_scratch_bytes(64) - 1)
-        with pytest.raises(DeviceOutOfMemory, match="tile_scratch"):
+        small = DeviceSim(budget_bytes=fixed + 10 * 100 - 1)
+        with pytest.raises(DeviceOutOfMemory, match="strip_scratch"):
             build_conflict_csr_multi(100, src.edge_mask, *pal, [small])
         assert small.used_bytes == 0
 
@@ -76,7 +77,8 @@ class TestMultiDevice:
 
     def test_oom_names_device(self):
         src, pal = make_inputs(n=150, palette=8, L=4, seed=2)
-        tiny = bitset_from_lists(*pal).nbytes + 2 * 150 * 4 + tile_scratch_bytes(64) + 64
+        # colmasks, counters, a one-row strip and 64 B of COO.
+        tiny = bitset_from_lists(*pal).nbytes + 2 * 150 * 4 + 10 * 150 + 64
         devices = [
             DeviceSim(budget_bytes=1 << 22, name="big"),
             DeviceSim(budget_bytes=tiny, name="small"),

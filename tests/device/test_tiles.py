@@ -1,9 +1,10 @@
-"""Tests for the block-tiled kernel engine (device/tiles.py).
+"""Tests for the row-strip sweep (device/tiles.py) and the block
+kernels it runs.
 
-The load-bearing property: every tiled kernel must agree exactly with
-the pairwise kernels, the naive all-pairs reference and the scalar
-Python reference, over random inputs, multi-word palettes (> 64 colors)
-and the degenerate sizes n in {0, 1, 2}.
+The load-bearing property: every block kernel and every strip must
+agree exactly with the pairwise kernels, the naive all-pairs reference
+and the scalar Python reference, over random inputs, multi-word
+palettes (> 64 colors) and the degenerate sizes n in {0, 1, 2}.
 """
 
 import numpy as np
@@ -14,22 +15,16 @@ from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
 from repro.device import conflict_pair_kernel_python, lists_intersect_kernel
-from repro.device.backends import resolve_backend
 from repro.device.tiles import (
-    MIN_TILE,
-    TileScratch,
-    conflict_hits_block,
+    SCRATCH_BYTES_PER_PAIR,
+    STRIP_BYTES,
     count_block_hits,
-    iter_tiles,
-    lists_intersect_block,
-    sweep_block_hits,
-    sweep_conflict_hits,
-    tile_edge,
-    tile_scratch_bytes,
-    upper_triangle_mask,
+    strip_height,
+    strip_keys,
+    sweep_strips,
 )
 from repro.graphs import erdos_renyi
-from repro.graphs.csr import key_pairs
+from repro.graphs.csr import key_pairs, pair_keys
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import (
     anticommute_block_chars,
@@ -40,12 +35,25 @@ from repro.pauli.anticommute import (
     anticommute_pairs_symplectic,
 )
 from repro.pauli.encoding import encode_iooh, encode_symplectic
-from repro.util.bits import bitset_from_lists, parity_block
+from repro.util.bits import anybit_block, bitset_from_lists, parity_block
 from repro.util.chunking import num_pairs
 
-#: The tile drivers' kernel backend: the environment's choice, so a
-#: ``REPRO_KERNEL_BACKEND=numba`` run checks the compiled kernel here.
-BACKEND = resolve_backend()
+
+def _blocks(n, size):
+    """``(r0, r1, c0, c1)`` blocks of ``size``-row bands over columns
+    ``c0 >= r0``: square, rectangular and diagonal-straddling shapes."""
+    for r0 in range(0, n, size):
+        r1 = min(r0 + size, n)
+        for c0 in range(r0, n, size):
+            yield r0, r1, c0, min(c0 + size + 3, n)
+
+
+def _upper(r0, r1, c0, c1):
+    """Local ``(li, lj)`` of a block's pairs ``i < j``."""
+    li, lj = np.nonzero(
+        np.arange(r0, r1)[:, None] < np.arange(c0, c1)[None, :]
+    )
+    return li, lj
 
 
 def make_inputs(n=60, nq=6, palette=16, L=4, seed=0):
@@ -55,37 +63,39 @@ def make_inputs(n=60, nq=6, palette=16, L=4, seed=0):
     return ps, src, lists, bitset_from_lists(lists, palette)
 
 
+def _all_pairs(r0, r1, c0, c1):
+    """A block oracle that marks every pair an edge."""
+    return np.ones((r1 - r0, c1 - c0), dtype=np.uint8)
+
+
 class TestTileGeometry:
+    """The strips ``[r0, r1) x [r0, n)`` tile the upper triangle."""
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 63, 64, 65, 200])
     @pytest.mark.parametrize("tile", [1, 3, 64, 100])
     def test_tiles_cover_upper_triangle_once(self, n, tile):
-        seen = set()
-        for r0, r1, c0, c1 in iter_tiles(n, tile):
-            assert r0 < r1 <= n and c0 < c1 <= n and c0 >= r0
-            mask = upper_triangle_mask(r0, r1, c0, c1)
-            li, lj = np.nonzero(mask)
-            for a, b in zip((li + r0).tolist(), (lj + c0).tolist()):
-                assert a < b
-                assert (a, b) not in seen
-                seen.add((a, b))
-        assert len(seen) == num_pairs(n)
+        keys = np.concatenate(
+            [np.empty(0, np.int64), *sweep_strips(n, tile, edge_block_fn=_all_pairs)]
+        )
+        assert (np.diff(keys) > 0).all()
+        i, j = key_pairs(keys, n)
+        ei, ej = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(i, ei)
+        np.testing.assert_array_equal(j, ej)
+        assert len(keys) == num_pairs(n) == count_block_hits(n, _all_pairs, tile)
 
     def test_invalid_tile(self):
         with pytest.raises(ValueError):
-            list(iter_tiles(5, 0))
+            list(sweep_strips(5, 0, edge_block_fn=_all_pairs))
 
-    def test_tile_edge_clamped_and_snapped(self):
-        assert tile_edge(0) == MIN_TILE
-        assert tile_edge() % MIN_TILE == 0
-        assert tile_edge(n=10) == 10  # capped by problem size
-        big = tile_edge(1 << 40)
-        assert big % MIN_TILE == 0
-        assert tile_scratch_bytes(big) > 0
-
-    def test_scratch_views(self):
-        sc = TileScratch(8)
-        tmp, tb, hit = sc.views(3, 5)
-        assert tmp.shape == (3, 5) and tb.shape == (3, 5) and hit.shape == (3, 5)
+    def test_strip_height_fits_the_budget(self):
+        for n in (1, 10, 80, 1000, 100_000):
+            height = strip_height(n)
+            assert 1 <= height <= n
+            assert height == 1 or SCRATCH_BYTES_PER_PAIR * height * n <= STRIP_BYTES
+        assert strip_height(0) == 1
+        assert strip_height(1000, 1) == 1  # at least one row
+        assert strip_height(10, 1 << 40) == 10  # at most n
 
 
 class TestBlockKernelsMatchPairKernels:
@@ -103,12 +113,11 @@ class TestBlockKernelsMatchPairKernels:
         np.testing.assert_array_equal(
             anticommute_pairs_symplectic(x, z, ii, jj), ref
         )
-        for r0, r1, c0, c1 in iter_tiles(50, 17):
+        for r0, r1, c0, c1 in _blocks(50, 17):
             blk_iooh = anticommute_block_iooh(packed, r0, r1, c0, c1)
             blk_chars = anticommute_block_chars(ps.chars, r0, r1, c0, c1)
             blk_sym = anticommute_block_symplectic(x, z, r0, r1, c0, c1)
-            keep = upper_triangle_mask(r0, r1, c0, c1)
-            li, lj = np.nonzero(keep)
+            li, lj = _upper(r0, r1, c0, c1)
             expected = anticommute_pairs_iooh(packed, li + r0, lj + c0)
             np.testing.assert_array_equal(blk_iooh[li, lj], expected)
             np.testing.assert_array_equal(blk_chars[li, lj], expected)
@@ -128,45 +137,47 @@ class TestBlockKernelsMatchPairKernels:
             np.testing.assert_array_equal(cblk[ii, jj], oracle.commute_edges(ii, jj))
 
     @pytest.mark.parametrize("palette,L", [(16, 4), (70, 9), (200, 30)])
-    def test_lists_intersect_block_matches_kernel(self, palette, L):
-        """Covers multi-word palettes (> 64 colors)."""
+    def test_palette_strips_match_kernel(self, palette, L):
+        """The strips' palette test against the pairwise kernel; covers
+        multi-word palettes (> 64 colors)."""
         _, _, lists, masks = make_inputs(n=45, palette=palette, L=L, seed=5)
         assert masks.shape[1] == (palette + 63) // 64
-        ii, jj = np.triu_indices(45, k=1)
-        ref = lists_intersect_kernel(masks, ii, jj)
-        sc = TileScratch(16)
-        for r0, r1, c0, c1 in iter_tiles(45, 16):
-            blk = lists_intersect_block(masks, r0, r1, c0, c1, scratch=sc)
-            keep = upper_triangle_mask(r0, r1, c0, c1)
-            li, lj = np.nonzero(keep)
+        for r0, r1, c0, c1 in _blocks(45, 16):
+            blk = anybit_block(masks[r0:r1], masks[c0:c1])
+            li, lj = _upper(r0, r1, c0, c1)
             np.testing.assert_array_equal(
                 blk[li, lj].astype(np.uint8),
                 lists_intersect_kernel(masks, li + r0, lj + c0),
             )
         # Scratch and no-scratch paths agree.
+        tmp = np.empty((45, 45), np.uint64), np.empty((45, 45), bool)
         np.testing.assert_array_equal(
-            lists_intersect_block(masks, 0, 45, 0, 45),
-            lists_intersect_block(masks, 0, 45, 0, 45, scratch=TileScratch(45)),
+            anybit_block(masks, masks),
+            anybit_block(masks, masks, *tmp, np.ones((45, 45), bool)),
         )
-
-
-def _hits_to_set(hits):
-    out = set()
-    for i, j in hits:
-        out.update(zip(i.tolist(), j.tolist()))
-    return out
+        # The whole strip sweep: exactly the color-sharing pairs.
+        ii, jj = np.triu_indices(45, k=1)
+        share = lists_intersect_kernel(masks, ii, jj).astype(bool)
+        keys = np.concatenate(list(sweep_strips(
+            45, 16, edge_block_fn=_all_pairs, colmasks=masks,
+        )))
+        np.testing.assert_array_equal(keys, pair_keys(ii[share], jj[share], 45))
 
 
 def _keys_to_set(chunks, n):
     """The pair set of a stream of CSR key chunks over ``n`` vertices."""
-    return _hits_to_set(key_pairs(keys, n) for keys in chunks)
+    out = set()
+    for keys in chunks:
+        i, j = key_pairs(keys, n)
+        out.update(zip(i.tolist(), j.tolist()))
+    return out
 
 
 class TestFusedConflictKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n,palette,L", [(60, 16, 4), (37, 130, 11)])
     def test_three_way_equivalence(self, seed, n, palette, L):
-        """tiled hits == naive reference == scalar Python reference."""
+        """strip hits == naive reference == scalar Python reference."""
         ps, src, lists, masks = make_inputs(n=n, palette=palette, L=L, seed=seed)
         ii, jj = np.triu_indices(n, k=1)
         ref, _ = naive_conflict_csr(n, src.edge_mask, lists)
@@ -176,20 +187,18 @@ class TestFusedConflictKernel:
         slow = conflict_pair_kernel_python(src.edge_mask, sets, ii, jj).astype(bool)
         assert set(zip(ii[slow].tolist(), jj[slow].tolist())) == expected
 
-        tiled = _keys_to_set(
-            sweep_conflict_hits(
-                n, masks, src.edge_mask, src.edge_block, tile=19,
-                backend=BACKEND,
-            ),
-            n,
-        )
-        assert tiled == expected
+        for oracle in ({"edge_block_fn": src.edge_block},
+                       {"edge_mask_fn": src.edge_mask}):
+            strips = _keys_to_set(
+                sweep_strips(n, 19, colmasks=masks, **oracle), n
+            )
+            assert strips == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_degenerate_sizes(self, n):
         ps, src, lists, masks = make_inputs(n=n, palette=4, L=2, seed=0)
         hits = _keys_to_set(
-            sweep_conflict_hits(n, masks, src.edge_mask, backend=BACKEND), n
+            sweep_strips(n, 3, colmasks=masks, edge_mask_fn=src.edge_mask), n
         )
         if n < 2:
             assert hits == set()
@@ -199,30 +208,18 @@ class TestFusedConflictKernel:
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
 
     def test_dense_and_sparse_paths_agree(self):
-        """Force both survivor strategies and compare."""
+        """The block oracle over the whole strip and the pairwise gather
+        of the palette survivors give the same keys, strip by strip."""
         _, src, _, masks = make_inputs(n=50, palette=12, L=6, seed=7)
-        via_block = _hits_to_set([
-            conflict_hits_block(
-                masks, 0, 50, 0, 50,
-                edge_mask_fn=None,  # always block oracle
-                edge_block_fn=src.edge_block,
-                backend=BACKEND,
-            )
-        ])
-        via_gather = _hits_to_set([
-            conflict_hits_block(
-                masks, 0, 50, 0, 50,
-                edge_mask_fn=src.edge_mask,
-                edge_block_fn=None,  # always pairwise gather
-                backend=BACKEND,
-            )
-        ])
-        assert via_block == via_gather
+        for r0, r1 in ((0, 50), (0, 7), (13, 30), (49, 50)):
+            via_block = strip_keys(50, r0, r1, src.edge_block, masks)
+            via_gather = strip_keys(50, r0, r1, colmasks=masks, edge_mask_fn=src.edge_mask)
+            np.testing.assert_array_equal(via_block, via_gather)
 
     def test_requires_an_oracle(self):
         _, _, _, masks = make_inputs(n=10)
         with pytest.raises(ValueError):
-            conflict_hits_block(masks, 0, 10, 0, 10, backend=BACKEND)
+            strip_keys(10, 0, 10, colmasks=masks)
 
     def test_unknown_engine_rejected(self):
         """The sweep engine is not a parameter, so naming one is an
@@ -244,8 +241,7 @@ class TestEngineEquivalence:
         src = PauliComplementSource(ps)
         lists = assign_color_lists(n, palette, L, rng=seed)
         gt, mt = build_conflict_graph(
-            n, src.edge_mask, lists, palette,
-            edge_block_fn=src.edge_block, tile_bytes=1 << 14,
+            n, src.edge_mask, lists, palette, edge_block_fn=src.edge_block,
         )
         gp, mp = naive_conflict_csr(n, src.edge_mask, lists)
         assert mt == mp
@@ -259,10 +255,9 @@ class TestEngineEquivalence:
     def test_explicit_graph_edge_block(self):
         g = erdos_renyi(70, 0.3, seed=9)
         src = ExplicitGraphSource(g)
-        for r0, r1, c0, c1 in iter_tiles(70, 23):
+        for r0, r1, c0, c1 in _blocks(70, 23):
             blk = src.edge_block(r0, r1, c0, c1)
-            keep = upper_triangle_mask(r0, r1, c0, c1)
-            li, lj = np.nonzero(keep)
+            li, lj = _upper(r0, r1, c0, c1)
             np.testing.assert_array_equal(
                 blk[li, lj], src.edge_mask(li + r0, lj + c0)
             )
@@ -272,7 +267,7 @@ class TestBlockSweeps:
     def test_sweep_and_count_agree(self):
         ps = random_pauli_set(55, 7, seed=11)
         oracle = ps.oracle()
-        hits = _keys_to_set(sweep_block_hits(55, oracle.anticommute_block, 16), 55)
+        hits = _keys_to_set(sweep_strips(55, 16, edge_block_fn=oracle.anticommute_block), 55)
         assert len(hits) == count_block_hits(55, oracle.anticommute_block, 16)
         ii, jj = np.triu_indices(55, k=1)
         anti = oracle.anticommute(ii, jj).astype(bool)

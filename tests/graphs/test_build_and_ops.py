@@ -54,7 +54,7 @@ class TestPauliGraphBuilders:
     @pytest.mark.parametrize("builder", [anticommute_graph, complement_graph])
     def test_parallel_builders_bit_identical(self, builder):
         """Explicit builders route through the executor layer: worker
-        strips gather in canonical tile order, so the CSR matches the
+        strips gather in canonical row order, so the CSR matches the
         serial build bit for bit."""
         ps = random_pauli_set(90, 6, seed=3)
         ref = builder(ps)

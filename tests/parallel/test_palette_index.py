@@ -1,17 +1,18 @@
 """Differential tests for the sweep plans: the inverted palette
-index, the tile sweep and the ``L = P`` row strips.
+index and the ``rows`` strips, with and without their palette test.
 
-The index (:mod:`repro.device.palette_index`), the tile sweep and the
-``rows`` plan enumerate the same conflict pairs, so every conflict
-build must come out bit-identical under any plan — serial, 2/3-worker
-pool and weighted cluster — and equal to the naive all-pairs
-reference (:func:`naive_reference.naive_conflict_csr`, "pairs" in the
-test names), also once reduced to the driver's coloring state
-(conflicted vertex ids and the sub-CSR they induce).  The index and
-tile plans are forced by patching the cost constant ``kappa`` (``0``
-takes the index for every sweep of two or more vertices, ``inf`` never
-does) and switching the ``rows`` rule off; ``rows`` is what the rule
-itself picks whenever all lists equal the palette.  Inputs are adversarial: ``n`` at and around
+The index (:mod:`repro.device.palette_index`) and the ``rows`` plan
+(:mod:`repro.device.tiles`) enumerate the same conflict pairs, so every
+conflict build must come out bit-identical under either plan — serial,
+2/3-worker pool and weighted cluster — and equal to the naive
+all-pairs reference (:func:`naive_reference.naive_conflict_csr`,
+"pairs" in the test names), also once reduced to the driver's coloring
+state (conflicted vertex ids and the sub-CSR they induce).  The plans
+are forced by patching the cost constant ``kappa`` (``0`` takes the
+index for every sweep of two or more vertices, ``inf`` never does) and
+switching the ``L = P`` rule off, so a forced ``rows`` plan always runs
+the palette test; the unforced rule takes ``rows`` without it whenever
+all lists equal the palette.  Inputs are adversarial: ``n`` at and around
 a word boundary, ``P = 1``, ``L = P``, duplicate and identity strings,
 fully commuting and fully anticommuting sets, and an explicit graph.
 """
@@ -34,10 +35,12 @@ from repro.core.params import aggressive_params
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
 from repro.datasets import load_molecule
 from repro.device import palette_index
+from repro.device import multi as multi_module
 from repro.device.csr_build import build_conflict_csr
+from repro.device.multi import build_conflict_csr_multi
 from repro.device.palette_index import PaletteIndex, candidate_pairs, prefers_index
 from repro.device.sim import DeviceSim
-from repro.device.tiles import DEFAULT_TILE_BYTES, strip_height
+from repro.device.tiles import STRIP_BYTES, strip_height
 from repro.graphs.csr import csr_from_coo_chunks, key_layout, key_pairs, pair_keys
 from repro.graphs.build import complement_graph
 from repro.graphs.generators import erdos_renyi
@@ -49,7 +52,7 @@ from repro.util.bits import bitset_from_lists, popcount_rows
 _CI_WORKERS = int(os.environ.get("REPRO_TEST_N_WORKERS", "2"))
 _WORKER_COUNTS = sorted({2, 3, _CI_WORKERS})
 
-PLANS = ("index", "tiles")
+PLANS = ("index", "rows")
 
 
 def _any_edge(i, j):
@@ -63,7 +66,8 @@ def _any_block(r0, r1, c0, c1):
 
 
 def force_plan(monkeypatch, plan: str) -> None:
-    """Force the index or the tile plan, with the ``rows`` rule off."""
+    """Force the index or the ``rows`` plan, with the ``L = P`` rule
+    off (so ``rows`` runs its palette test)."""
     kappa = 0.0 if plan == "index" else float("inf")
     monkeypatch.setattr(palette_index, "INDEX_COST_PER_CANDIDATE", kappa)
     monkeypatch.setattr(pool, "all_pairs_share", lambda col_lists, palette_size: False)
@@ -285,8 +289,8 @@ class TestCostRule:
         """``L = P`` puts every vertex in every bucket, so ``C = P``
         times the pair count and the index never wins; with a block
         oracle the sweep takes the ``rows`` plan without consulting the
-        index rule, builds no bitsets, and its strips fit the tile
-        budget."""
+        index rule, builds no bitsets, and its strips fit the strip
+        budget.  A pinned height is kept."""
         for n, palette in ((50, 5), (400, 40), (2000, 100)):
             lists = assign_color_lists(n, palette, palette, rng=0)
             assert candidate_pairs(lists) == palette * n * (n - 1) // 2
@@ -294,22 +298,20 @@ class TestCostRule:
             with monkeypatch.context() as m:
                 m.setattr(pool, "prefers_index", None)  # not consulted
                 plan, height, masks = pool.sweep_plan(
-                    n, lists, palette, None, None, _any_edge, _any_block
+                    n, lists, palette, _any_edge, _any_block
                 )
             assert plan == "rows" and masks is None
-            assert height == strip_height(n, DEFAULT_TILE_BYTES)
-            assert height * n * 10 <= DEFAULT_TILE_BYTES
+            assert height == strip_height(n, STRIP_BYTES)
+            assert height * n * 10 <= STRIP_BYTES
             plan, height, _ = pool.sweep_plan(
-                n, lists, palette, None, 1 << 14, _any_edge, _any_block
+                n, lists, palette, _any_edge, _any_block, height=7
             )
-            assert plan == "rows" and height == max(1, (1 << 14) // (10 * n))
+            assert plan == "rows" and height == 7
 
     def test_equal_empty_lists_are_not_rows(self):
         """Equal but empty lists share nothing: no ``rows`` plan."""
         lists = np.zeros((50, 0), dtype=np.int64)
-        plan, _, _ = pool.sweep_plan(
-            50, lists, 2, None, None, _any_edge, _any_block
-        )
+        plan, _, _ = pool.sweep_plan(50, lists, 2, _any_edge, _any_block)
         assert plan != "rows"
         assert not palette_index.all_pairs_share(lists, 2)
         assert not palette_index.all_pairs_share(np.zeros((0, 2), np.int64), 2)
@@ -322,23 +324,20 @@ class TestCostRule:
         assert not palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 2)
         assert palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 1)
 
-    def test_rows_needs_block_oracle_and_free_tile(self):
-        """A block-less oracle and a pinned tile never pick ``rows``,
-        even when every list is the palette; they sweep the packed
+    def test_rows_needs_a_block_oracle(self):
+        """A block-less oracle takes the index even when every list is
+        the palette, unless the caller pins a strip height; a pinned
+        ``rows`` sweep of lists short of the palette ANDs their packed
         bitsets."""
         lists = assign_color_lists(65, 5, 5, rng=0)
-        masks = bitset_from_lists(lists, 5)
         assert palette_index.all_pairs_share(lists, 5)
-        plan, tile, got = pool.sweep_plan(
-            65, lists, 5, None, None, _any_edge, None
-        )
-        assert plan is None and tile is not None
-        np.testing.assert_array_equal(got, masks)
-        plan, got_tile, got = pool.sweep_plan(
-            65, lists, 5, 64, None, _any_edge, _any_block
-        )
-        assert (plan, got_tile) == (None, 64)
-        np.testing.assert_array_equal(got, masks)
+        plan, height, got = pool.sweep_plan(65, lists, 5, _any_edge)
+        assert isinstance(plan, PaletteIndex) and height is None and got is None
+        assert pool.sweep_plan(65, lists, 5, _any_edge, height=64) == ("rows", 64, None)
+        short = assign_color_lists(65, 5, 2, rng=0)
+        plan, height, got = pool.sweep_plan(65, short, 5, _any_edge, height=64)
+        assert (plan, height) == ("rows", 64)
+        np.testing.assert_array_equal(got, bitset_from_lists(short, 5))
 
     def test_index_for_normal_preset_at_scale(self):
         n = 4000
@@ -347,18 +346,19 @@ class TestCostRule:
         lists = assign_color_lists(n, palette, params.list_size(n), rng=0)
         assert prefers_index(n, lists, palette)
         for block_fn in (None, _any_block):
-            index, tile, masks = pool.sweep_plan(
-                n, lists, palette, None, None, _any_edge, block_fn
+            index, height, masks = pool.sweep_plan(
+                n, lists, palette, _any_edge, block_fn
             )
-            assert isinstance(index, PaletteIndex) and tile is None
+            assert isinstance(index, PaletteIndex) and height is None
             assert masks is None
 
-    def test_pinned_tile_and_block_only_oracle_keep_tiles(self, monkeypatch):
+    def test_pinned_height_and_block_only_oracle_keep_rows(self, monkeypatch):
         force_plan(monkeypatch, "index")
         _, pal = _palette("n65")
-        assert pool.sweep_plan(65, *pal, 64, None, _any_edge)[:2] == (None, 64)
-        index, tile, _ = pool.sweep_plan(65, *pal, None, None, None)
-        assert index is None and tile is not None
+        assert pool.sweep_plan(65, *pal, _any_edge, _any_block, 64)[:2] == ("rows", 64)
+        plan, height, masks = pool.sweep_plan(65, *pal, None, _any_block)
+        assert plan == "rows" and height == strip_height(65)
+        np.testing.assert_array_equal(masks, bitset_from_lists(*pal))
 
     def test_rule_counts_buckets_like_the_bitsets(self):
         """The plan rule's candidate count, from a ``bincount`` of the
@@ -377,6 +377,9 @@ class TestCostRule:
 class TestSerialEquivalence:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_index_tiles_pairs_bit_identical(self, case, monkeypatch):
+        """Every forced plan (the index, and the ``rows`` strips with
+        their palette test) builds the naive reference's CSR and
+        conflict state."""
         ps, pal = _palette(case)
         ref, m_ref = _naive(ps, pal)
         sub_ref = _induced(ref)
@@ -405,7 +408,7 @@ class TestSerialEquivalence:
         _build(ps, pal)
         assert calls and calls[0][0] == 0 and calls[-1][1] == 64
         calls.clear()
-        force_plan(monkeypatch, "tiles")
+        force_plan(monkeypatch, "rows")
         _build(ps, pal)
         assert calls == []
 
@@ -422,9 +425,9 @@ class TestSerialEquivalence:
             assert m == m_ref
             _assert_csr_equal(got, ref)
 
-    def test_device_build_keeps_tiles(self, monkeypatch):
-        """The DeviceSim build pins its budgeted tile, so it never
-        builds an index even when the rule would pick one."""
+    def test_device_build_sweeps_rows(self, monkeypatch):
+        """The DeviceSim build pins its budgeted strip height, so it
+        never builds an index even when the rule would pick one."""
         ps, pal = _palette("n65")
         src = PauliComplementSource(ps)
         ref, _ = _naive(ps, pal)
@@ -519,9 +522,9 @@ class TestPlansAgainstNaive:
     @settings(max_examples=25, deadline=None)
     def test_property_every_plan_matches_naive(self, pool2, n, shape, palette, seed):
         """Each plan, forced, serial and on a 2-worker pool, builds the
-        naive reference's CSR and conflict state: ``rows`` wherever
-        every list is the palette (the rule's own pick), index and
-        tiles through the patch."""
+        naive reference's CSR and conflict state: index and ``rows``
+        with its palette test through the patch, and ``rows`` without
+        it wherever every list is the palette (the rule's own pick)."""
         palette = 1 if shape == "P=1" else palette
         list_size = palette if shape == "L=P" else 1
         ps = _random(n, seed=seed % 1000)
@@ -529,17 +532,18 @@ class TestPlansAgainstNaive:
         pal = (assign_color_lists(n, palette, list_size, rng=seed), palette)
         ref, m_ref = naive_conflict_csr(n, src.edge_mask, pal[0])
         sub_ref, conflicted_ref = _induced(ref)
-        plans = ["index", "tiles"]
+        plans = [(plan, True) for plan in PLANS]
         if palette_index.all_pairs_share(pal[0], palette):
-            plans.append("rows")
-        for plan in plans:
+            plans.append(("rows", False))
+        for plan, forced in plans:
             with pytest.MonkeyPatch.context() as mp:
-                if plan != "rows":
+                if forced:
                     force_plan(mp, plan)
-                chosen, _, _ = pool.sweep_plan(
-                    n, *pal, None, None, src.edge_mask, src.edge_block
+                chosen, _, masks = pool.sweep_plan(
+                    n, *pal, src.edge_mask, src.edge_block
                 )
                 assert n < 2 or pool._plan_name(chosen) == plan
+                assert n < 2 or (masks is None) == (plan == "index" or not forced)
                 for ex in ("serial", pool2):
                     got, m = _build(ps, pal, executor=ex)
                     assert m == m_ref
@@ -622,30 +626,32 @@ def _rows_build_state(n, src, pal, **kw):
     return (*_induced(graph), m)
 
 
-def _pinned_tiles(n, src, pal):
-    """The tile sweep with a pinned 64-wide tile, assembled."""
-    chunks = [
-        keys
-        for keys in pool.conflict_sweep_chunks(
-            n, src.edge_mask, *pal, edge_block_fn=src.edge_block, tile=64
-        )
-        if len(keys)
-    ]
+def _pinned_rows(n, src, pal):
+    """The ``rows`` sweep at a pinned height of 64 rows, with its
+    palette test switched on, assembled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pool, "all_pairs_share", lambda col_lists, palette_size: False)
+        chunks = [
+            keys
+            for keys in pool.conflict_sweep_chunks(
+                n, src.edge_mask, *pal, edge_block_fn=src.edge_block, height=64
+            )
+            if len(keys)
+        ]
     m = sum(len(keys) for keys in chunks)
     return csr_from_coo_chunks(chunks, n), m
 
 
 def _assert_rows_matches(n, src, pal, **kw):
-    """The ``rows`` build equals the naive reference and the
-    pinned-tile sweep, full-width and as the driver's sub-CSR."""
-    plan, _, _ = pool.sweep_plan(
-        n, *pal, None, None, src.edge_mask, src.edge_block
-    )
+    """The ``rows`` build equals the naive reference and the pinned
+    sweep with its palette test, full-width and as the driver's
+    sub-CSR."""
+    plan, _, _ = pool.sweep_plan(n, *pal, src.edge_mask, src.edge_block)
     assert plan == "rows"
     ref, m_ref = naive_conflict_csr(n, src.edge_mask, pal[0])
-    tiles, m_tiles = _pinned_tiles(n, src, pal)
-    assert m_tiles == m_ref
-    _assert_csr_equal(tiles, ref)
+    pinned, m_pinned = _pinned_rows(n, src, pal)
+    assert m_pinned == m_ref
+    _assert_csr_equal(pinned, ref)
     got, m = _rows_build(n, src, pal, **kw)
     assert m == m_ref
     _assert_csr_equal(got, ref)
@@ -670,12 +676,13 @@ class TestRowsPlan:
     @pytest.mark.parametrize(
         "problem", ROWS_PROBLEMS, ids=[p[0] for p in ROWS_PROBLEMS]
     )
-    def test_serial_bit_identical(self, problem):
+    def test_serial_bit_identical(self, problem, monkeypatch):
         _, n, src, pal = problem
         _assert_rows_matches(n, src, pal)
         # Strips of one and of seven rows: every strip shape, the same CSR.
-        for tile_bytes in (1, 70 * max(n, 1)):
-            _assert_rows_matches(n, src, pal, tile_bytes=tile_bytes)
+        for height in (1, 7):
+            monkeypatch.setattr(pool, "strip_height", lambda n, h=height: h)
+            _assert_rows_matches(n, src, pal)
 
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
     def test_pool_bit_identical(self, n_workers):
@@ -691,7 +698,7 @@ class TestRowsPlan:
         with LocalCluster(1) as flat, LocalCluster(1, inner_workers=2) as hier:
             with ClusterExecutor(flat.hosts + hier.hosts) as ex:
                 assert ex.worker_capacities() == [1, 2]
-                tasks, weights = pool.sweep_strip_tasks(300, 7, ex, "rows")
+                tasks, weights = pool.sweep_strip_tasks(300, ex, "rows")
                 assert len(tasks) == ex.n_workers * pool.TASKS_PER_WORKER
                 assert int(weights.sum()) == 300 * 299 // 2
                 for _, n, src, pal in ROWS_PROBLEMS:
@@ -705,7 +712,7 @@ class TestRowsPlan:
             with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
                 chunks = list(pool.conflict_sweep_chunks(
                     n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
-                    tile_bytes=70 * n, executor=ex,
+                    height=7, executor=ex,
                 ))
             keys = _keys(chunks, n)
             assert (np.diff(keys) > 0).all()
@@ -745,29 +752,24 @@ def _stream(ps, pal, executor=None, **kw):
 
 
 class TestKeyStream:
-    """Every plan yields 1-D CSR key arrays in
-    ``key_layout(n)``; the index and ``rows`` streams arrive strictly
-    increasing, so the assembly takes them unsorted-check only."""
+    """Every plan yields 1-D CSR key arrays in ``key_layout(n)``,
+    arriving strictly increasing, so the assembly takes them
+    unsorted-check only."""
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("plan", ["index", "rows", "tiles"])
+    @pytest.mark.parametrize("plan", PLANS)
     def test_every_plan_yields_keys(self, plan, n_workers, monkeypatch):
         ps = random_pauli_set(300, 8, seed=13)
-        list_size = 40 if plan == "rows" else 6
-        pal = (assign_color_lists(300, 40, list_size, rng=5), 40)
+        pal = (assign_color_lists(300, 40, 6, rng=5), 40)
         _, m_ref = _naive(ps, pal)
-        if plan in PLANS:
-            monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
-            force_plan(monkeypatch, plan)
+        monkeypatch.setattr(palette_index, "INDEX_BLOCK_CANDIDATES", 256)
+        force_plan(monkeypatch, plan)
         with PoolExecutor(n_workers) if n_workers > 1 else nullcontext() as ex:
             chunks = _stream(ps, pal, ex)
         assert len(chunks) > 1
         keys = _keys(chunks, 300)
         assert len(keys) == m_ref
-        if plan in ("index", "rows"):
-            assert (np.diff(keys) > 0).all()
-        else:
-            assert len(np.unique(keys)) == m_ref
+        assert (np.diff(keys) > 0).all()
 
     def test_index_blocks_strictly_increasing(self):
         _, pal = _palette("n65")
@@ -800,3 +802,68 @@ class TestKeyStream:
         assert counters["sweep.hit_bytes"] == 4 * m
         edges = sum(it.n_conflict_edges for it in result.iterations)
         assert result.telemetry["counters"]["sweep.hit_bytes"] == 4 * edges > 0
+
+
+#: name -> PicassoParams knobs: lists short of the palette with sparse
+#: and with dense sharing, lists that are the palette, one color.
+REGIMES = {
+    "L<P-sparse": {},
+    "L<P-dense": {"palette_fraction": 0.2, "alpha": 1.5},
+    "L=P": {"palette_fraction": 0.03, "alpha": 30.0},
+    "P=1": {"palette_fraction": 0.001},
+}
+
+#: name -> input: a Pauli set and an explicit graph.
+SOURCES = {
+    "pauli": lambda: random_pauli_set(120, 8, seed=41),
+    "explicit": lambda: erdos_renyi(100, 0.3, seed=42),
+}
+
+
+class TestEveryPathAgainstNaive:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_colors_and_edges_match_reference(self, kind, regime):
+        """Every build path under every plan against the naive reference:
+        whole runs (serial, ``n_workers=2``, DeviceSim with 1 and 2
+        workers; host Pauli runs count ``|Ec|`` with ``exact_edges``)
+        give :func:`reference_coloring`'s colors and per-iteration
+        ``|Ec|``, and 1-3 devices build its first conflict graph.  Each
+        run takes the index forced, ``rows`` forced with its palette
+        test, and the rule's own pick."""
+        inp, knobs, seed = SOURCES[kind](), REGIMES[regime], 6
+        ref = reference_coloring(inp, seed, **knobs)
+        ref_edges = [s.n_conflict_edges for s in ref.iterations]
+        params = PicassoParams(**knobs)
+        n = inp.n if kind == "pauli" else inp.n_vertices
+        src = PauliComplementSource(inp) if kind == "pauli" else ExplicitGraphSource(inp)
+        lists = assign_color_lists(
+            n, params.palette_size(n), params.list_size(n), rng=seed
+        )
+        pal = (lists, params.palette_size(n))
+        assert palette_index.all_pairs_share(*pal) == (regime in ("L=P", "P=1"))
+        graph_ref, m_ref = naive_conflict_csr(n, src.edge_mask, lists)
+        for plan in (*PLANS, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if plan is not None:
+                    force_plan(mp, plan)
+                    mp.setattr(multi_module, "all_pairs_share", lambda *a: False)
+                runs = [
+                    Picasso(PicassoParams(**knobs), seed=seed, exact_edges=True),
+                    Picasso(PicassoParams(n_workers=2, **knobs), seed=seed,
+                            exact_edges=True),
+                    Picasso(PicassoParams(**knobs), seed=seed, device=DeviceSim()),
+                    Picasso(PicassoParams(n_workers=2, **knobs), seed=seed,
+                            device=DeviceSim()),
+                ]
+                for run in runs:
+                    got = run.color(inp)
+                    np.testing.assert_array_equal(got.colors, ref.colors)
+                    assert [s.n_conflict_edges for s in got.iterations] == ref_edges
+                for k in (1, 2, 3):
+                    devices = [DeviceSim() for _ in range(k)]
+                    graph, stats = build_conflict_csr_multi(
+                        n, src.edge_mask, *pal, devices
+                    )
+                    assert stats.n_conflict_edges == m_ref
+                    _assert_csr_equal(graph, graph_ref)

@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_reference import naive_conflict_csr
 
+from repro import telemetry
 from repro.core import Picasso, PicassoParams
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import PauliComplementSource
 from repro.device.backends import available_backends
-from repro.parallel import (
-    PoolExecutor,
-    partition_tiles,
-    pin_current_worker,
-)
+from repro.device.palette_index import pair_blocks
+from repro.parallel import PoolExecutor, pin_current_worker
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import AnticommuteOracle
 from repro.util.chunking import num_pairs
@@ -30,38 +28,67 @@ _WORKER_COUNTS = sorted({2, 3, _CI_WORKERS})
 
 
 class TestPartition:
-    """The tile partition covers the pair space; at one-vertex tiles,
-    where every tile holds at most one pair, strips balance to within
-    one pair."""
+    """The ``rows`` plan's row ranges (:func:`pair_blocks`, row ``i``
+    holding ``n - 1 - i`` pairs) cover the pair space once, each within
+    one row's pairs of its quota; capacity shares keep every range,
+    empty ones included, in place."""
+
+    @staticmethod
+    def _check_cover(n, blocks, weights):
+        bounds = [a for a, _ in blocks] + [blocks[-1][1]]
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(a <= b for a, b in blocks)
+        assert all(b == a2 for (_, b), (a2, _) in zip(blocks, blocks[1:]))
+        for (a, b), w in zip(blocks, weights):
+            assert w == sum(n - 1 - i for i in range(a, b))
+        assert int(weights.sum()) == num_pairs(n)
 
     @given(
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=1, max_value=97),
+        st.integers(min_value=1, max_value=500),
         st.integers(min_value=1, max_value=16),
     )
     @settings(max_examples=50, deadline=None)
-    def test_covers_exactly(self, n, tile, parts):
-        blocks = partition_tiles(n, tile, parts)
-        total = 0
-        prev_stop = 0
-        for b in blocks:
-            assert b.start == prev_stop
-            prev_stop = b.stop
-            total += b.n_pairs
-        assert total == num_pairs(n)
+    def test_covers_exactly(self, n, parts):
+        blocks, weights = pair_blocks(n, parts)
+        assert all(a < b for a, b in blocks)
+        self._check_cover(n, blocks, weights)
 
     def test_balanced(self):
-        sizes = [b.n_pairs for b in partition_tiles(100, 1, 7)]
-        assert len(sizes) == 7
-        assert max(sizes) - min(sizes) <= 1
+        """Every range is within one row (at most ``n - 1`` pairs) of
+        its equal quota."""
+        n, parts = 100, 7
+        blocks, weights = pair_blocks(n, parts)
+        assert len(blocks) == parts
+        quota = num_pairs(n) / parts
+        assert all(abs(w - quota) < n - 1 for w in weights)
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_weighted_shares_keep_ranges_in_place(self, n, shares):
+        """Capacity-weighted ranges: one per share, in share order, empty
+        ones kept, each weight within one row of its quota; uniform
+        shares cut where the unweighted partition does."""
+        blocks, weights = pair_blocks(n, len(shares), shares)
+        assert len(blocks) == len(shares)
+        if n:
+            self._check_cover(n, blocks, weights)
+        quota = num_pairs(n) * np.array(shares) / sum(shares)
+        assert (np.abs(weights - quota) <= max(n - 1, 0) * 2).all()
+        uniform, _ = pair_blocks(n, len(shares), [3] * len(shares))
+        assert [b for b in uniform if b[1] > b[0]] == pair_blocks(n, len(shares))[0]
 
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
-            partition_tiles(10, 1, 0)
+            pair_blocks(10, 0)
 
     def test_degenerate(self):
-        blocks = partition_tiles(1, 1, 4)
-        assert sum(b.n_pairs for b in blocks) == 0
+        blocks, weights = pair_blocks(1, 4)
+        assert int(weights.sum()) == 0
+        blocks, weights = pair_blocks(3, 8, [1] * 8)
+        assert len(blocks) == 8 and int(weights.sum()) == 3
 
 
 def _assert_bit_identical(got, ref):
@@ -87,8 +114,8 @@ class TestParallelConflictGraph:
     @pytest.mark.parametrize("reference", ["tiled", "pairs"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_matches_sequential(self, n_workers, reference):
-        """Against the serial tiled build and the naive all-pairs
-        reference."""
+        """Against the serial build (``tiled``: whichever plan the rule
+        picks) and the naive all-pairs reference."""
         ps = random_pauli_set(70, 6, seed=0)
         pal = (assign_color_lists(70, 12, 4, rng=0), 12)
         src = PauliComplementSource(ps)
@@ -146,8 +173,8 @@ class TestParallelConflictGraph:
 
 
 class TestBackendEquivalence:
-    """Tiled-parallel builds are bit-identical to tiled-serial and to
-    the naive all-pairs reference, and colorings match per seed."""
+    """Parallel builds are bit-identical to serial ones and to the
+    naive all-pairs reference, and colorings match per seed."""
 
     def _build(self, ps, pal, **kw):
         src = PauliComplementSource(ps)
@@ -155,29 +182,22 @@ class TestBackendEquivalence:
             ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block, **kw
         )
 
-    @pytest.mark.parametrize("kernel_backend", available_backends())
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
-    def test_tiled_parallel_bit_identical(self, n_workers, kernel_backend):
+    def test_parallel_bit_identical(self, n_workers):
         ps = random_pauli_set(120, 7, seed=5)
         pal = (assign_color_lists(120, 18, 5, rng=3), 18)
         ref, m_ref = self._build(ps, pal)
         pairs, m_pairs = naive_conflict_csr(ps.n, PauliComplementSource(ps).edge_mask, pal[0])
-        got, m_got = self._build(
-            ps, pal, n_workers=n_workers, kernel_backend=kernel_backend
-        )
-        serial, m_serial = self._build(
-            ps, pal, kernel_backend=kernel_backend
-        )
-        assert m_got == m_ref == m_pairs == m_serial
+        got, m_got = self._build(ps, pal, n_workers=n_workers)
+        assert m_got == m_ref == m_pairs
         _assert_bit_identical(got, ref)
         _assert_bit_identical(got, pairs)
-        _assert_bit_identical(serial, ref)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=8, deadline=None)
     def test_property_backends_agree_per_seed(self, seed):
-        """For random seeds: serial tiled, parallel tiled (2 workers)
-        and the naive reference all build the same CSR bit for bit."""
+        """For random seeds: serial, parallel (2 workers) and the naive
+        reference all build the same CSR bit for bit."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 90))
         ps = random_pauli_set(n, int(rng.integers(4, 9)), seed=seed)
@@ -303,24 +323,29 @@ class TestPersistentPool:
                 assert ex.holds_token(token)
         assert not ex.holds_token(installed)  # closed pool holds nothing
 
-    def test_engine_switch_on_shared_executor(self):
+    def test_config_switch_on_shared_executor(self):
         """Regression: the payload token names the whole static config,
-        so swapping kernel backends on one executor + source must force
-        a full re-install, not run a stale cached backend."""
+        so switching telemetry recording on one executor + source must
+        force a full re-install, not run the stale cached flag."""
         ps, src, pal = _problem()
         ref, m_ref = build_conflict_graph(
             ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block
         )
         with PoolExecutor(2) as ex:
             tokens = []
-            for kernel_backend in (None, "numpy", None):
-                got, m = build_conflict_graph(
-                    ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
-                    executor=ex, source=src, kernel_backend=kernel_backend,
-                )
-                assert m == m_ref
-                _assert_bit_identical(got, ref)
-                tokens.append(ex._installed_token)
+            try:
+                for recording in (False, True, False):
+                    telemetry.enable(recording)
+                    got, m = build_conflict_graph(
+                        ps.n, src.edge_mask, *pal, edge_block_fn=src.edge_block,
+                        executor=ex, source=src,
+                    )
+                    assert m == m_ref
+                    _assert_bit_identical(got, ref)
+                    tokens.append(ex._installed_token)
+            finally:
+                telemetry.reset()
+                telemetry.enable(False)
         assert tokens[0] == tokens[2] != tokens[1]
 
     def test_close_is_idempotent_and_leaves_no_children(self):

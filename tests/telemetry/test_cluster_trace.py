@@ -35,12 +35,10 @@ def trace_records(tmp_path_factory):
     ps = random_pauli_set(300, 6, seed=0)
     with LocalCluster(2) as lc:
         telemetry.reset()
-        # A small tile budget splits the problem into enough strips
-        # that both shards receive work (one strip would land on s0
-        # alone and the trace could not witness the second agent).
+        # Each sweep is cut into several row ranges per shard, so both
+        # shards receive work and the trace witnesses the second agent.
         params = PicassoParams(
-            hosts=lc.hosts, telemetry=True, tile_budget_bytes=1 << 16,
-            color_engine="greedy-static",
+            hosts=lc.hosts, telemetry=True, color_engine="greedy-static",
         )
         result = Picasso(params=params, seed=3).color(ps)
     assert result.telemetry is not None
