@@ -15,7 +15,8 @@ One sweep engine covers the pair space, with two plans
 - the ``rows`` plan of :mod:`repro.device.tiles`: each row strip
   ``[r0, r1) x [r0, n)`` loads its operand slices once and ANDs the
   block oracle with the palette test as word broadcasts, with no
-  flat-index inversion and no quadratic row gather.  When every pair
+  flat-index inversion and no quadratic row gather (a source without a
+  block oracle answers the palette survivors pairwise).  When every pair
   shares a color (``L = P``, the Aggressive preset below about 10k
   active vertices) it skips the palette test.  Its hits arrive in the
   CSR's key order.

@@ -28,12 +28,7 @@ import numpy as np
 
 from repro.device.kernels import EdgeMaskFn, exclusive_scan
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
-from repro.device.tiles import (
-    SCRATCH_BYTES_PER_PAIR,
-    STRIP_BYTES,
-    EdgeBlockFn,
-    strip_height,
-)
+from repro.device.tiles import EdgeBlockFn, strip_scratch
 from repro.graphs.csr import CSRGraph, key_pairs
 from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.pool import conflict_sweep_chunks
@@ -49,26 +44,6 @@ class BuildStats:
     device_peak_bytes: int
     coo_capacity_edges: int
     n_workers: int = 1
-
-
-def strip_scratch(
-    n: int, available: int, workers: int = 1, block_oracle: bool = False,
-) -> tuple[int, int]:
-    """``(height, bytes)`` of the strip scratch a build charges with
-    ``available`` device bytes left, one strip per worker.
-
-    The scratch is reserved ahead of the COO buffer (which takes all
-    remaining memory), sized from at most a quarter of what is left —
-    split across workers, each of which owns a private scratch — so the
-    COO stream keeps the lion's share.  A strip never drops below one
-    row; when even that does not fit, the allocation raises
-    :class:`DeviceOutOfMemory`.  A block edge oracle brings its own
-    strip of temporaries on top of the palette test's, so it doubles
-    the charge.
-    """
-    height = strip_height(n, min(STRIP_BYTES, available // 4 // workers))
-    mult = 2 if block_oracle else 1
-    return height, SCRATCH_BYTES_PER_PAIR * height * n * mult * workers
 
 
 def build_conflict_csr(

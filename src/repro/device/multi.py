@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.csr_build import strip_scratch
 from repro.device.kernels import EdgeMaskFn
 from repro.device.palette_index import all_pairs_share, pair_blocks
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
-from repro.device.tiles import concat_hits, sweep_strips
+from repro.device.tiles import concat_hits, strip_scratch, sweep_strips
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.util.bits import bitset_from_lists
 

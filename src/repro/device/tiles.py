@@ -22,9 +22,10 @@ quadratic row gather.
   fits ``budget // (SCRATCH_BYTES_PER_PAIR * n)`` rows, at least one,
   into the :data:`STRIP_BYTES` budget.
 - **Device budget.**  On the :class:`~repro.device.sim.DeviceSim` path
-  the strip scratch is a named allocation against the device budget,
-  one per worker, reserved *before* the COO buffer grabs the remainder
-  (:mod:`repro.device.csr_build`, :mod:`repro.device.multi`).
+  the strip scratch (:func:`strip_scratch`) is a named allocation
+  against the device budget, one per worker, reserved *before* the COO
+  buffer grabs the remainder (:mod:`repro.device.csr_build`,
+  :mod:`repro.device.multi`).
 - **Keys.**  Each strip's hits come out as ascending CSR keys
   (:func:`repro.graphs.csr.key_layout`): only the strip's leading
   square holds pairs ``i >= j``, so only it is masked, and a row-major
@@ -46,6 +47,7 @@ __all__ = [
     "SCRATCH_BYTES_PER_PAIR",
     "EdgeBlockFn",
     "strip_height",
+    "strip_scratch",
     "strip_keys",
     "sweep_strips",
     "count_block_hits",
@@ -75,6 +77,26 @@ def strip_height(n: int, budget: int = STRIP_BYTES) -> int:
     """Rows per ``[r0, r1) x [r0, n)`` strip whose scratch fits
     ``budget`` bytes: at least one row, at most ``n``."""
     return max(1, min(n, budget // (SCRATCH_BYTES_PER_PAIR * max(n, 1))))
+
+
+def strip_scratch(
+    n: int, available: int, workers: int = 1, block_oracle: bool = False,
+) -> tuple[int, int]:
+    """``(height, bytes)`` of the strip scratch a build charges with
+    ``available`` device bytes left, one strip per worker.
+
+    The scratch is reserved ahead of the COO buffer (which takes all
+    remaining memory), sized from at most a quarter of what is left —
+    split across workers, each of which owns a private scratch — so the
+    COO stream keeps the lion's share.  A strip never drops below one
+    row; when even that does not fit, the allocation raises
+    :class:`~repro.device.sim.DeviceOutOfMemory`.  A block edge oracle
+    brings its own strip of temporaries on top of the palette test's,
+    so it doubles the charge.
+    """
+    height = strip_height(n, min(STRIP_BYTES, available // 4 // workers))
+    mult = 2 if block_oracle else 1
+    return height, SCRATCH_BYTES_PER_PAIR * height * n * mult * workers
 
 
 @lru_cache(maxsize=64)

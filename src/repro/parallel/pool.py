@@ -12,8 +12,9 @@ of it and returns one array of CSR keys:
   by exact candidate counts;
 - under the ``rows`` plan the row ranges have equal pair weight, and
   each is swept in row strips of the block oracle ANDed with the
-  palette test (:func:`repro.device.tiles.sweep_strips`), which is
-  skipped when every pair shares a color (``L = P``).
+  palette test, or of the palette test's survivors through the
+  pairwise oracle (:func:`repro.device.tiles.sweep_strips`); the
+  palette test is skipped when every pair shares a color (``L = P``).
 
 Payload shipping is two-tier for the persistent pool.  The payload is
 split into a **static** part (the edge source / oracle — constant
@@ -370,13 +371,14 @@ def sweep_plan(
     """Choose how one sweep enumerates pairs, as ``(plan, height, colmasks)``:
 
     - ``(index, None, None)`` for the inverted palette index, when the
-      sweep has no block oracle, or has a pairwise one and the index's
-      exact candidate count undercuts the strips' palette word
-      operations (:func:`repro.device.palette_index.prefers_index`);
+      sweep has a pairwise oracle, not every pair shares a color, and
+      the index's exact candidate count undercuts the strips' palette
+      word operations (:func:`repro.device.palette_index.prefers_index`);
     - ``("rows", height, colmasks)`` otherwise: row strips of
       ``height`` rows (:func:`repro.device.tiles.sweep_strips`) AND the
-      block oracle with the packed palette bitsets ``colmasks``, which
-      are ``None`` when every pair shares a color (``L = P``,
+      packed palette bitsets ``colmasks`` with the block oracle, or
+      test their survivors through the pairwise one.  ``colmasks`` is
+      ``None`` when every pair shares a color (``L = P``,
       :func:`repro.device.palette_index.all_pairs_share`), so the
       strips skip the palette test.
 
@@ -388,7 +390,7 @@ def sweep_plan(
     share = all_pairs_share(col_lists, palette_size)
     plan: PaletteIndex | str = "rows"
     if height is None:
-        if edge_block_fn is None or (
+        if (
             edge_mask_fn is not None and not share
             and prefers_index(n, col_lists, palette_size)
         ):

@@ -16,7 +16,7 @@ from repro.device import (
     lists_intersect_kernel,
     sweep_strips,
 )
-from repro.device.csr_build import strip_scratch
+from repro.device.tiles import strip_scratch
 from repro.graphs.csr import key_pairs
 from repro.pauli import random_pauli_set
 from repro.util.bits import bitset_from_lists

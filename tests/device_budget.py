@@ -1,7 +1,7 @@
 """Device budgets for the DeviceSim build tests, derived from the strip
-scratch the build charges (:func:`repro.device.csr_build.strip_scratch`)."""
+scratch the build charges (:func:`repro.device.tiles.strip_scratch`)."""
 
-from repro.device.csr_build import strip_scratch
+from repro.device.tiles import strip_scratch
 
 
 def device_budget(n, fixed, coo_bytes, workers=1, block_oracle=False):

@@ -324,15 +324,24 @@ class TestCostRule:
         assert not palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 2)
         assert palette_index.all_pairs_share(np.zeros((9, 1), np.int64), 1)
 
-    def test_rows_needs_a_block_oracle(self):
-        """A block-less oracle takes the index even when every list is
-        the palette, unless the caller pins a strip height; a pinned
-        ``rows`` sweep of lists short of the palette ANDs their packed
-        bitsets."""
+    def test_block_less_full_palette_is_not_the_index(self, monkeypatch):
+        """A block-less oracle never takes the index when every list is
+        the palette (``C = P`` times the pair count): it sweeps rows
+        without the palette test and answers every pair through the
+        pairwise oracle.  A pinned height is kept; a pinned ``rows``
+        sweep of lists short of the palette ANDs their packed bitsets."""
         lists = assign_color_lists(65, 5, 5, rng=0)
         assert palette_index.all_pairs_share(lists, 5)
-        plan, height, got = pool.sweep_plan(65, lists, 5, _any_edge)
-        assert isinstance(plan, PaletteIndex) and height is None and got is None
+        with monkeypatch.context() as m:
+            m.setattr(pool, "prefers_index", None)  # not consulted
+            plan, height, got = pool.sweep_plan(65, lists, 5, _any_edge)
+        assert (plan, height, got) == ("rows", strip_height(65), None)
+        short = assign_color_lists(65, 5, 2, rng=0)
+        with monkeypatch.context() as m:
+            m.setattr(pool, "prefers_index", lambda *a: False)
+            plan, height, got = pool.sweep_plan(65, short, 5, _any_edge)
+        assert (plan, height) == ("rows", strip_height(65))
+        np.testing.assert_array_equal(got, bitset_from_lists(short, 5))
         assert pool.sweep_plan(65, lists, 5, _any_edge, height=64) == ("rows", 64, None)
         short = assign_color_lists(65, 5, 2, rng=0)
         plan, height, got = pool.sweep_plan(65, short, 5, _any_edge, height=64)
