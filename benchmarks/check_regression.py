@@ -15,10 +15,10 @@ the newest committed trajectory and a full run writes ``<newest+1>``.
 
 Only cases and rows present in *both* reports are compared — a quick
 run carries the ``small`` case only, so the gate measures dispatch and
-per-iteration overhead drift, not 10k-headline throughput.  The
-``tiled_numba`` row appears only where the numba runtime imports (the
-CI numba leg), and joins the gate through the same shared-row rule.
-Cross-machine noise is expected; the threshold is deliberately loose
+per-iteration overhead drift, not 10k-headline throughput.  A row
+that older trajectory files carry and a fresh run no longer writes
+(``tiled_numba``, from when a compiled kernel backend existed) drops
+out of the gate through the same shared-row rule.  Cross-machine noise is expected; the threshold is deliberately loose
 and a genuinely intended slowdown (e.g. a correctness fix) is waivable
 by putting ``[bench-waiver]`` in the commit message.
 

@@ -8,9 +8,8 @@ grown so far:
 - **coloring engine** — the serial bitset Algorithm 2
   (``greedy-dynamic``) vs the round-synchronous ``parallel-list``
   engine (``--color-engine`` picks any registry engine for these rows),
-  both as ``color_serial`` (in-process rounds) and ``color_pool``
-  (rounds dispatched over the worker pool, sweep *and* color sharing
-  one persistent pool via channelled payload tokens);
+  both as ``color_serial`` and ``color_pool`` (the conflict sweep on
+  the worker pool; every engine colors in the parent);
 - **distributed backend** (new) — the same run sharded over socket
   worker agents (:mod:`repro.distributed`): ``--hosts`` names running
   agents, otherwise a loopback :class:`~repro.distributed.local.
@@ -26,9 +25,9 @@ plus the measured **serial-fraction reduction**: after PRs 1–3
 parallelized the build, Algorithm 2 was the dominant serial fraction of
 an iteration; the breakdown shows how much of it the parallel engine
 removes.  Backend identity is asserted per engine — every backend
-builds a bit-identical conflict CSR, and the round-synchronous
-coloring is partition-independent, so colorings must match exactly for
-a given seed *within* an engine.  Across engines the group count may
+builds a bit-identical conflict CSR and the engine colors it in the
+parent, so colorings must match exactly for a given seed *within* an
+engine.  Across engines the group count may
 differ (lowest-bit speculative picks trade a few percent of quality for
 round-parallelism); the delta is recorded, not hidden.
 
@@ -39,14 +38,6 @@ round-parallelism); the delta is recorded, not hidden.
   on the 10k headline) and the checkpointed run participates in the
   bit-identity assertion, since a snapshot that perturbed the
   trajectory would defeat its purpose.
-
-- **kernel backend** (new) — when the numba runtime imports, a
-  ``tiled_numba`` row runs the same serial tiled iterate with the
-  compiled kernel backend (``PicassoParams(kernel_backend="numba")``)
-  and joins the bit-identity assertion; ``compiled_kernel_speedup`` is
-  the numpy/numba ratio of the conflict-build (sweep) phase, about 1
-  now that no sweep takes a kernel backend.  Per-
-  kernel ns/word microbenchmarks live in ``bench_kernels.py``.
 
 - **telemetry** (new) — a probe pass re-runs the last case with
   telemetry enabled and records the headline counter totals (transport
@@ -90,7 +81,6 @@ import numpy as np
 from repro import telemetry
 from repro.coloring.engine import available_engines
 from repro.core import Picasso, PicassoParams
-from repro.device.backends import available_backends
 from repro.pauli import random_pauli_set
 
 _BENCH_DIR = pathlib.Path(__file__).resolve().parent
@@ -281,9 +271,6 @@ def main(argv=None) -> int:
 
     cpu_count = os.cpu_count() or 1
     cases = QUICK_CASES if args.quick else CASES
-    # PR 9 axis: the compiled kernel backend, present only where its
-    # runtime imports (the CI numba leg; a plain host records "numpy").
-    kernel_backend = "numba" if "numba" in available_backends() else "numpy"
     report = {
         "benchmark": (
             "distributed socket-sharded sweep+coloring vs the "
@@ -292,7 +279,6 @@ def main(argv=None) -> int:
         ),
         "n_workers": args.workers,
         "color_engine": args.color_engine,
-        "kernel_backend": kernel_backend,
         "host_cpu_count": cpu_count,
         "cases": [],
     }
@@ -325,12 +311,12 @@ def main(argv=None) -> int:
     # does — finish, assert-divergence return, or raise — the cluster
     # is torn down here, not at each exit site.
     try:
-        return _run_cases(args, report, hosts, cases, kernel_backend)
+        return _run_cases(args, report, hosts, cases)
     finally:
         stack.close()
 
 
-def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
+def _run_cases(args, report, hosts, cases) -> int:
     """The per-case measurement loop (cluster lifetime owned by main)."""
     for name, n, nq in cases:
         pauli_set = random_pauli_set(n, nq, seed=0)
@@ -339,19 +325,8 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         tiled_par = run_config(
             pauli_set, PicassoParams(n_workers=args.workers), args.seed
         )
-        # PR 9 axis: the serial tiled iterate on the compiled kernel
-        # backend.  On hosts without numba this row is skipped (not run
-        # on the silent numpy fallback, which would report a fake 1.0x).
-        tiled_compiled = None
-        if kernel_backend != "numpy":
-            tiled_compiled = run_config(
-                pauli_set,
-                PicassoParams(kernel_backend=kernel_backend),
-                args.seed,
-            )
-        # PR 4 axis: the selected coloring engine, rounds in-process vs
-        # dispatched over the shared persistent pool (the full parallel
-        # iterate: sweep and color on one pool).
+        # PR 4 axis: the selected coloring engine, serial vs with the
+        # conflict sweep on the persistent pool.
         color_serial = run_config(
             pauli_set,
             PicassoParams(color_engine=args.color_engine),
@@ -386,14 +361,9 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             np.array_equal(tiled["colors"], tiled_par["colors"])
             and np.array_equal(tiled["colors"], cluster_row["colors"])
             and np.array_equal(tiled["colors"], checkpointed["colors"])
-            and (
-                tiled_compiled is None
-                or np.array_equal(tiled["colors"], tiled_compiled["colors"])
-            )
         )
-        # Within the coloring engine, serial and pooled rounds must be
-        # bit-identical (round-synchronous rounds are partition-
-        # independent) — the "same number of groups +-0" contract of
+        # Within the coloring engine, serial and pooled runs must be
+        # bit-identical — the "same number of groups +-0" contract of
         # the engine across backends.
         identical_color = bool(
             np.array_equal(color_serial["colors"], color_pool["colors"])
@@ -404,7 +374,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         for row in (
             tiled, tiled_par,
             color_serial, color_pool, cluster_row, checkpointed,
-            *([tiled_compiled] if tiled_compiled else []),
         ):
             row.pop("colors")
         checkpoint_overhead_pct = round(
@@ -432,17 +401,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             / max(tiled["n_colors"], 1),
             2,
         )
-        # The PR 9 headline: numpy/compiled ratio of the conflict-build
-        # (sweep) phase — None where no compiled runtime imports.
-        compiled_kernel_speedup = (
-            round(
-                tiled["conflict_build_s"]
-                / max(tiled_compiled["conflict_build_s"], 1e-9),
-                2,
-            )
-            if tiled_compiled is not None
-            else None
-        )
         row = {
             "name": name,
             "n_strings": n,
@@ -453,18 +411,12 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             "color_pool": color_pool,
             "cluster": cluster_row,
             "checkpointed": checkpointed,
-            **(
-                {f"tiled_{kernel_backend}": tiled_compiled}
-                if tiled_compiled is not None
-                else {}
-            ),
             # Distinct keys: --color-engine greedy-dynamic is a valid
             # choice and must not collapse the dict onto the baseline.
             "phase_breakdown": {
                 "baseline_greedy_dynamic": greedy_phases,
                 f"color_{args.color_engine}": parallel_phases,
             },
-            "compiled_kernel_speedup": compiled_kernel_speedup,
             "workers_build_speedup": round(workers_build_speedup, 2),
             # >1 needs real extra hosts; on one box this is transport
             # overhead and the number to watch is how small it stays.
@@ -496,12 +448,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             f"{parallel_phases['color_fraction']:.2f}) "
             f"ckpt_overhead {checkpoint_overhead_pct:+.1f}% "
             f"quality {quality_delta_pct:+.1f}% "
-            + (
-                f"compiled({kernel_backend}) {compiled_kernel_speedup:.2f}x "
-                if compiled_kernel_speedup is not None
-                else ""
-            )
-            + f"identical={identical}/{identical_color}"
+            f"identical={identical}/{identical_color}"
         )
         if not identical or not identical_color or not same_n_groups:
             print("ERROR: backends diverged", file=sys.stderr)

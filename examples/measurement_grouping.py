@@ -38,7 +38,8 @@ def main() -> None:
     # Algorithm 2 is pluggable: any registry engine slots into the same
     # grouping pipeline via PicassoParams(color_engine=...).  The
     # round-synchronous parallel-list engine trades a few percent of
-    # group quality for data-parallel rounds.
+    # group quality for vectorized rounds, run in this process like
+    # every engine (a pool would shard only the conflict sweep).
     ps = hn_pauli_set(4, 1, "sto3g")
     print(f"\ncoloring engines on {ps.name} (anticommute):")
     print(f"{'engine':<16} {'groups':>7} {'reduction':>10}")

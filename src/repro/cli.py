@@ -142,8 +142,6 @@ def _make_params(args: argparse.Namespace):
         overrides["failover"] = args.failover
     if getattr(args, "max_retries", None) is not None:
         overrides["max_retries"] = args.max_retries
-    if getattr(args, "kernel_backend", None) is not None:
-        overrides["kernel_backend"] = args.kernel_backend
     return base.with_(**overrides)
 
 
@@ -396,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--hosts", default=None, metavar="HOST:PORT,...",
-        help="shard the sweep and coloring rounds over multi-host "
+        help="shard the conflict sweeps over multi-host "
         "worker agents (python -m repro.distributed.worker on each "
         "host); distributed builds and colorings are bit-identical "
         "to serial per seed",
@@ -408,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *available_engines()],
         help="Algorithm 2 implementation for the conflict coloring "
         "(registry name; default auto resolves to greedy-dynamic; "
-        "sets is its Python-set reference; parallel-list runs "
-        "round-synchronous rounds on the worker pool)",
+        "sets is its Python-set reference; parallel-list colors in "
+        "round-synchronous rounds)",
     )
     p.add_argument(
         "--checkpoint-dir", default=None, dest="checkpoint_dir",
@@ -442,17 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded-failure retries per backend per sweep before "
         "failing over (default REPRO_MAX_RETRIES=2; setting this "
         "enables supervision even without --failover)",
-    )
-    from repro.device.backends import registered_backends
-
-    p.add_argument(
-        "--kernel-backend", default=None, dest="kernel_backend",
-        choices=["auto", *registered_backends()],
-        help="compute-kernel backend for the hot sweep/coloring kernels "
-        "(registry name; default auto reads REPRO_KERNEL_BACKEND, else "
-        "numpy); numba is a compiled CPU path, bit-identical to numpy, "
-        "with a stderr note and numpy fallback when numba is not "
-        "importable",
     )
     p.add_argument("--validate", action="store_true")
     p.add_argument("--output", "-o", default=None, help="write per-vertex colors")

@@ -8,7 +8,8 @@ Two families live here:
   ``parallel-list`` — selected by the Picasso driver via
   ``PicassoParams(color_engine=...)``.  Serial machinery in
   :mod:`repro.coloring.greedy_list`, the round-synchronous engine in
-  :mod:`repro.coloring.parallel_list`.
+  :mod:`repro.coloring.parallel_list`.  Every engine colors in the
+  calling process; executors shard only the conflict sweeps.
 - **Whole-graph baselines** (paper §III, §VII comparisons):
   :func:`greedy_coloring` (the ColPack analog),
   :func:`jones_plassmann_ldf` (ECL-GC-R),

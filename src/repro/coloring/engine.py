@@ -6,7 +6,7 @@ stranded in a disconnected baseline layer.  This module collapses the
 two layers into one pluggable seam:
 
 - :class:`ListColoringEngine` — the interface every engine implements:
-  ``color(gc, col_lists, rng, executor=None, device=None)`` returning a
+  ``color(gc, col_lists, rng, device=None)`` returning a
   :class:`ListColoringOutcome` with uniform provenance (``engine``,
   ``n_rounds``, ``peak_bytes``).
 - A **registry** (:func:`register_engine` / :func:`get_engine` /
@@ -27,8 +27,8 @@ Engines:
                         end-to-end reference run
 ``greedy-static``       fixed-order list coloring (``order`` knob:
                         natural / random / lf) — the §IV-B ablation
-``parallel-list``       round-synchronous speculative/JP list coloring on
-                        the executor substrate
+``parallel-list``       round-synchronous speculative/JP list coloring,
+                        every round in the calling process
                         (:mod:`repro.coloring.parallel_list`)
 ======================  =====================================================
 
@@ -57,7 +57,6 @@ from repro.graphs.csr import CSRGraph
 
 if TYPE_CHECKING:
     from repro.device.sim import DeviceSim
-    from repro.parallel.executor import Executor
 
 __all__ = [
     "ListColoringOutcome",
@@ -92,24 +91,18 @@ class ListColoringEngine(ABC):
     #: Registry name (set by subclasses).
     name: str = ""
 
-    #: Whether the engine dispatches rounds over a pool executor.
-    parallel: bool = False
-
     @abstractmethod
     def color(
         self,
         gc: CSRGraph,
         col_lists: np.ndarray,
         rng: np.random.Generator | int | None = None,
-        executor: Executor | None = None,
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
         """List-color ``gc`` from ``col_lists``.
 
-        ``executor`` is consumed by parallel engines (serial engines
-        ignore it — uniform call site in the driver); ``device``, when
-        given, receives the engine's palette scratch as a named
-        allocation.
+        ``device``, when given, receives the engine's palette scratch
+        as a named allocation.
         """
 
     def _scratch(
@@ -177,7 +170,6 @@ class GreedyDynamicEngine(ListColoringEngine):
         gc: CSRGraph,
         col_lists: np.ndarray,
         rng: np.random.Generator | int | None = None,
-        executor: Executor | None = None,
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
         # The packed masks twice (the row-major build and its
@@ -214,7 +206,6 @@ class GreedySetsEngine(ListColoringEngine):
         gc: CSRGraph,
         col_lists: np.ndarray,
         rng: np.random.Generator | int | None = None,
-        executor: Executor | None = None,
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
         col_lists = np.asarray(col_lists)
@@ -245,7 +236,6 @@ class GreedyStaticEngine(ListColoringEngine):
         gc: CSRGraph,
         col_lists: np.ndarray,
         rng: np.random.Generator | int | None = None,
-        executor: Executor | None = None,
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
         scratch = 2 * gc.n_vertices * 8  # perm + taken-colors scratch
@@ -263,36 +253,22 @@ class GreedyStaticEngine(ListColoringEngine):
 
 @register_engine
 class ParallelListEngine(ListColoringEngine):
-    """Round-synchronous speculative list coloring over the executor
-    substrate (:mod:`repro.coloring.parallel_list`)."""
+    """Round-synchronous speculative list coloring
+    (:mod:`repro.coloring.parallel_list`)."""
 
     name = "parallel-list"
-    parallel = True
-
-    def __init__(
-        self,
-        max_rounds: int | None = None,
-        kernel_backend: str | None = None,
-    ) -> None:
-        self.max_rounds = max_rounds
-        self.kernel_backend = kernel_backend
 
     def color(
         self,
         gc: CSRGraph,
         col_lists: np.ndarray,
         rng: np.random.Generator | int | None = None,
-        executor: Executor | None = None,
         device: DeviceSim | None = None,
     ) -> ListColoringOutcome:
         # Candidate + forbidden bitsets, both resident for the run.
         scratch = 2 * self._masks_nbytes(col_lists) + 3 * gc.n_vertices * 8
         with self._scratch(device, scratch):
-            colors, vu, info = parallel_list_color(
-                gc, col_lists, rng,
-                executor=executor, max_rounds=self.max_rounds,
-                kernel_backend=self.kernel_backend,
-            )
+            colors, vu, info = parallel_list_color(gc, col_lists, rng)
         return ListColoringOutcome(
             colors=colors, uncolored=vu, engine=self.name,
             n_rounds=info["n_rounds"], peak_bytes=info["peak_bytes"],

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.coloring.engine import available_engines
-from repro.device.backends import backend_name, registered_backends
 
 
 @dataclass(frozen=True)
@@ -64,21 +63,18 @@ class PicassoParams:
         ``greedy-static`` when ``conflict_order`` names a static order.
         ``"sets"`` is the Python-set reference, bit-identical to
         ``greedy-dynamic`` per seed.  ``"parallel-list"`` selects the
-        round-synchronous speculative engine, whose rounds dispatch
-        over the run's executor (sweep *and* color then share one
-        persistent pool); output is deterministic per seed for any
-        worker count.  An explicit engine name always wins over
+        round-synchronous speculative engine, whose rounds run in the
+        calling process (a pool or cluster shards only the run's
+        conflict-graph sweeps); output is deterministic per seed for
+        any executor.  An explicit engine name always wins over
         ``conflict_order``.
-    color_max_rounds:
-        Safety valve for the round-synchronous engines (``None`` =
-        vertex count + 1, a true upper bound).
     hosts:
         Worker-agent addresses for the distributed backend
         (:mod:`repro.distributed`): ``"host:port,host:port"`` or a
         tuple of such strings.  Setting it routes ``executor="auto"``
         to a :class:`~repro.distributed.cluster.ClusterExecutor`; the
-        sweep strips and coloring round picks shard across the agents
-        and merge in canonical order, so distributed CSR builds and
+        sweep strips shard across the agents and merge in canonical
+        order, so distributed CSR builds and
         colorings are **bit-identical per seed** to serial for any
         shard count — like ``n_workers``, purely a throughput knob.
         Strip results come back through the framed socket stream (the
@@ -115,18 +111,6 @@ class PicassoParams:
         Bounded-failure retries per backend per sweep before failing
         over (or raising); ``None`` defers to ``REPRO_MAX_RETRIES``
         (default 2) when supervision is on.
-    kernel_backend:
-        Compute-kernel backend for the hot word kernels
-        (:mod:`repro.device.backends` registry): ``"numpy"`` (the
-        vectorized default) or ``"numba"`` (compiled CPU loops).
-        ``"auto"`` (default) defers to the ``REPRO_KERNEL_BACKEND``
-        environment variable, then numpy.
-        Backends are **bit-identical per seed** — CSR structures and
-        colorings never change with this knob, only throughput.  The
-        name ships to pool and cluster workers, each of which resolves
-        it against its own environment (missing runtimes degrade to
-        numpy with a stderr note).  An execution knob, so it is
-        excluded from checkpoint fingerprints like ``n_workers``.
     telemetry:
         Record structured metrics and trace spans for the run
         (:mod:`repro.telemetry`): dispatcher phase spans, worker-side
@@ -150,14 +134,12 @@ class PicassoParams:
     executor: str = "auto"
     pin_workers: bool = False
     color_engine: str = "auto"
-    color_max_rounds: int | None = None
     hosts: str | tuple | None = None
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
     failover: str | tuple | None = None
     max_retries: int | None = None
-    kernel_backend: str = "auto"
     telemetry: bool | None = None
 
     def __post_init__(self) -> None:
@@ -191,8 +173,6 @@ class PicassoParams:
                 f"unknown color_engine {self.color_engine!r}; "
                 f"available: {('auto',) + available_engines()}"
             )
-        if self.color_max_rounds is not None and self.color_max_rounds < 1:
-            raise ValueError("color_max_rounds must be >= 1 or None")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.resume and self.checkpoint_dir is None:
@@ -205,15 +185,6 @@ class PicassoParams:
             _parse_chain(self.failover)
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
-        if self.kernel_backend != "auto":
-            # Registered, not available: naming "numba" on a dispatch
-            # host without it is legitimate when the workers have it
-            # (and degrades to numpy bit-identically when they don't).
-            if self.kernel_backend not in registered_backends():
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"available: {('auto',) + registered_backends()}"
-                )
 
     @property
     def supervised(self) -> bool:
@@ -249,31 +220,15 @@ class PicassoParams:
         if name == "greedy-static":
             order = self.conflict_order if self.conflict_order != "dynamic" else "natural"
             return {"order": order}
-        if name == "parallel-list":
-            return {
-                "max_rounds": self.color_max_rounds,
-                "kernel_backend": self.resolved_kernel_backend(),
-            }
         return {}
-
-    def resolved_kernel_backend(self) -> str:
-        """The backend name ``kernel_backend`` selects
-        (:func:`repro.device.backends.backend_name`: an explicit name
-        wins, ``"auto"`` reads ``REPRO_KERNEL_BACKEND`` per call, then
-        numpy).  The result is always a concrete name: it ships in
-        worker payloads, so the dispatcher and every worker agree on
-        what was requested even when a worker's missing runtime makes
-        it degrade to numpy locally.
-        """
-        return backend_name(self.kernel_backend)
 
     def resolved_telemetry(self) -> bool:
         """Whether this run records telemetry.
 
         An explicit ``telemetry`` bool wins; otherwise the
         ``REPRO_TELEMETRY`` environment variable decides (read per
-        call, like :meth:`resolved_kernel_backend`), defaulting to off — the
-        disabled path is the zero-cost one.
+        call), defaulting to off — the disabled path is the zero-cost
+        one.
         """
         if self.telemetry is not None:
             return self.telemetry

@@ -222,9 +222,8 @@ class Picasso:
         run_telemetry = telemetry.enabled()
         t_start = telemetry.clock()
         # One engine instance for the whole run, from the registry —
-        # the pluggable Algorithm 2 seam.  Parallel engines receive the
-        # run's persistent executor; payload tokens are channelled, so
-        # sweep and coloring installs coexist on one pool.
+        # the pluggable Algorithm 2 seam.  Every engine colors in this
+        # process; the executor runs only the conflict sweeps.
         color_engine = get_engine(
             params.resolved_color_engine(), **params.color_engine_knobs()
         )
@@ -340,7 +339,7 @@ class Picasso:
                 if len(conflicted):
                     outcome = color_engine.color(  # all conflicted: no list copy
                         sub_gc, col_lists if len(conflicted) == n else col_lists[conflicted],
-                        self.rng, executor=executor, device=self.device,
+                        self.rng, device=self.device,
                     )
                     color_rounds = outcome.n_rounds
                     color_peak = outcome.peak_bytes

@@ -3,7 +3,8 @@
 A memory-budgeted accelerator model: vectorized NumPy kernels play the
 role of SIMT thread blocks, and every buffer is accounted against a
 byte budget so OOM behaviour and the device-vs-host CSR build choice
-reproduce the paper's control flow.
+reproduce the paper's control flow.  Every kernel is a numpy one; there
+is no compiled-backend switch.
 """
 
 from repro.device.csr_build import BuildStats, build_conflict_csr

@@ -1,9 +1,8 @@
 """Multi-host sharded execution (paper §VIII's distributed future work).
 
-The single-host execution stack (PRs 2–4) made every sweep and every
-coloring round a *(payload install, task list, ordered results)*
-triple against the :class:`~repro.parallel.executor.Executor` seam.
-This package extends that seam beyond one node:
+The single-host execution stack made every conflict sweep a
+*(payload install, task list, ordered results)* triple against the
+:class:`~repro.parallel.executor.Executor` seam.  This package extends that seam beyond one node:
 
 - :mod:`repro.distributed.transport` — a length-prefixed socket
   protocol: pickled control messages, NumPy buffers raw and out of
@@ -12,8 +11,8 @@ This package extends that seam beyond one node:
   install / imap / finalize RPCs with the *existing* worker task
   functions (``python -m repro.distributed.worker --bind ...``).
 - :mod:`repro.distributed.cluster` — :class:`ClusterExecutor`, the
-  full ``Executor`` contract over N agents: channelled payload tokens,
-  delta installs, incarnation-pinned ``holds_token``, recycle on
+  full ``Executor`` contract over N agents: one installed payload
+  token, delta installs, incarnation-pinned ``holds_token``, recycle on
   broken broadcasts; results interleave back into task order so
   distributed CSR builds and colorings are bit-identical per seed to
   serial for any shard count.

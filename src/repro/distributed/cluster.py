@@ -4,15 +4,12 @@
 (:mod:`repro.distributed.worker`) what
 :class:`~repro.parallel.executor.PoolExecutor` is to a persistent
 process pool — it implements the same submit/gather interface, so the
-conflict-sweep dispatcher (:mod:`repro.parallel.pool`) and the
-round-synchronous coloring engine
-(:mod:`repro.coloring.parallel_list`) shard across hosts with **zero
-changes to their dispatch logic**:
+conflict-sweep dispatcher (:mod:`repro.parallel.pool`) shards across
+hosts with **zero changes to its dispatch logic**:
 
 - payloads install through a broadcast to every shard, recorded under
-  **channelled payload tokens** exactly as on the pool — repeat sweeps
-  ship only the sweep-plan / forbidden-word delta, and the sweep and
-  coloring channels coexist without evicting each other;
+  one installed payload token exactly as on the pool — repeat sweeps
+  ship only the sweep-plan delta;
 - :meth:`holds_token` additionally pins the agent *incarnations* seen
   at install time (the socket analog of the pool's worker-pid pin): an
   agent restarted since the install has an empty payload cache, so the
@@ -21,7 +18,7 @@ changes to their dispatch logic**:
   and triggers the dispatcher's one-shot full-install retry;
 - tasks are dealt **round-robin** over the shards and results are
   interleaved back into task order, so the concatenated chunk stream —
-  and therefore the assembled CSR and the coloring rounds — is
+  and therefore the assembled CSR — is
   bit-identical to the serial backend's for any shard count;
 - a broken broadcast, a shard that dies mid-strip, or an abandoned
   result stream **recycles** the connections (bounded by the
@@ -54,7 +51,7 @@ from repro.distributed.transport import (
     connect,
     parse_hosts,
 )
-from repro.parallel.executor import Executor, WorkerFailure, token_channel
+from repro.parallel.executor import Executor, WorkerFailure
 
 __all__ = ["ClusterExecutor"]
 
@@ -111,9 +108,9 @@ class ClusterExecutor(Executor):
             RESULT_TIMEOUT_S if result_timeout_s is None else result_timeout_s
         )
         self._conns: list[Connection] | None = None
-        #: Agent incarnations at install time, per token channel — a
-        #: restarted agent invalidates the delta path for a channel.
-        self._token_incarnations: dict = {}
+        #: Agent incarnations at install time — a restarted agent
+        #: invalidates the delta path.
+        self._token_incarnations: list[str] | None = None
         self._streaming = False
 
     # -- connection lifecycle -------------------------------------------
@@ -144,10 +141,9 @@ class ClusterExecutor(Executor):
             self._conns = conns
             # A fresh connection epoch gives no guarantee about what a
             # previous dispatcher left in the agents' per-sweep state;
-            # forget every token so the next install per channel ships
-            # full (which also clears stale worker state).
-            self._clear_tokens()
-            self._token_incarnations.clear()
+            # forget the token so the next install ships full (which
+            # also clears stale worker state).
+            self._forget_install()
         return self._conns
 
     def _recycle(self) -> None:
@@ -155,9 +151,12 @@ class ClusterExecutor(Executor):
             for c in self._conns:
                 c.close()
             self._conns = None
-        self._clear_tokens()
-        self._token_incarnations.clear()
+        self._forget_install()
         self._streaming = False
+
+    def _forget_install(self) -> None:
+        self._installed_token = None
+        self._token_incarnations = None
 
     def holds_token(self, token) -> bool:
         """A cluster additionally demands the agent set is unchanged:
@@ -168,7 +167,7 @@ class ClusterExecutor(Executor):
         return (
             super().holds_token(token)
             and incs is not None
-            and incs == self._token_incarnations.get(token_channel(token))
+            and incs == self._token_incarnations
         )
 
     def worker_capacities(self) -> list[int]:
@@ -256,8 +255,8 @@ class ClusterExecutor(Executor):
     def _compact(self, dead: set) -> None:
         """Shrink to the surviving shards after a redistributed sweep.
 
-        Connections, hosts and the recorded per-channel incarnation
-        lists all drop the dead indices in lockstep, so
+        Connections, hosts and the recorded incarnation list all drop
+        the dead indices in lockstep, so
         :meth:`holds_token` keeps answering True for the survivors —
         the next sweep ships only its delta to agents that really do
         still hold the static payload."""
@@ -266,9 +265,9 @@ class ClusterExecutor(Executor):
         self._conns = [self._conns[i] for i in alive]
         self.hosts = tuple(self.hosts[i] for i in alive)
         self.n_workers = len(self._conns)
-        for channel, incs in list(self._token_incarnations.items()):
-            if incs is not None and len(incs) == before:
-                self._token_incarnations[channel] = [incs[i] for i in alive]
+        incs = self._token_incarnations
+        if incs is not None and len(incs) == before:
+            self._token_incarnations = [incs[i] for i in alive]
 
     def _redistribute_dead(
         self, first_dead: int, tasks, task_fn, emissions, owner, dead
@@ -395,13 +394,8 @@ class ClusterExecutor(Executor):
         conns = self._ensure_connected()
         if initializer is not None:
             self._broadcast(initializer, payload)
-            self._record_install(payload_token)
-            if payload_token is None:
-                self._token_incarnations.clear()
-            else:
-                self._token_incarnations[token_channel(payload_token)] = (
-                    self.worker_incarnations()
-                )
+            self._installed_token = payload_token
+            self._token_incarnations = self.worker_incarnations()
         n = len(conns)
         try:
             for k, conn in enumerate(conns):

@@ -6,8 +6,7 @@ raw buffers — ``pickle`` emits a :class:`pickle.PickleBuffer` per
 C-contiguous array instead of copying it into the pickle stream, and
 the frame carries those buffers verbatim after the (small) object
 pickle.  No msgpack, no base64, no per-element encoding: a strip's hit
-arrays or a round's forbidden-word delta cross the socket at memcpy
-cost.
+arrays or a sweep's palette delta cross the socket at memcpy cost.
 
 Frame layout (all integers big-endian)::
 
@@ -37,7 +36,7 @@ handshakes wait at most ``REPRO_BROADCAST_TIMEOUT_S``
 (:data:`repro.parallel.executor.BROADCAST_TIMEOUT_S`), per-result waits
 at most ``REPRO_RESULT_TIMEOUT_S``
 (:data:`repro.parallel.executor.RESULT_TIMEOUT_S`) — so a peer that
-died mid-round surfaces as a :class:`TransportError` within the bound
+died mid-sweep surfaces as a :class:`TransportError` within the bound
 instead of hanging the dispatcher forever.
 """
 

@@ -2,17 +2,16 @@
 
 One agent process runs per host (or per shard).  It owns no algorithm
 logic of its own — RPCs name the *existing* worker task functions
-(:func:`repro.parallel.pool.init_sweep_worker`,
-``_run_strip``, :func:`repro.coloring.parallel_list._pick_strip`,
-...) by pickle reference, and the agent just calls them in-process.
-Worker-global state therefore behaves exactly as in a
-``multiprocessing`` pool worker: the token-cached static payload
-(:data:`repro.parallel.pool._STATIC_CACHE`, the palette cache of the
-parallel coloring engine) survives between RPCs for as long as the
-agent process lives, which is what makes delta installs work across
-hosts, and :class:`~repro.parallel.pool.PayloadNotInstalled` travels
-back to the dispatcher as itself so the one-shot full-install retry of
-:func:`repro.parallel.pool.imap_delta_install` fires unchanged.
+(:func:`repro.parallel.pool.init_sweep_worker`, ``_run_strip``,
+:func:`repro.parallel.pool.teardown_sweep_worker`) by pickle
+reference, and the agent just calls them in-process.  Worker-global
+state therefore behaves exactly as in a ``multiprocessing`` pool
+worker: the token-cached static payload
+(:data:`repro.parallel.pool._STATIC_CACHE`) survives between RPCs for
+as long as the agent process lives, which is what makes delta installs
+work across hosts, and :class:`~repro.parallel.pool.PayloadNotInstalled`
+travels back to the dispatcher as itself so the one-shot full-install
+retry of :func:`repro.parallel.pool.imap_sweep` fires unchanged.
 
 RPC vocabulary (one pickled dict per request)::
 

@@ -60,7 +60,6 @@ __all__ = [
     "owned_executor",
     "default_start_method",
     "pin_current_worker",
-    "token_channel",
 ]
 
 
@@ -174,24 +173,6 @@ def _broadcast_task(arg: tuple[Callable[..., Any], tuple[Any, ...]]) -> Any:
     return ret
 
 
-def token_channel(token: Hashable) -> Hashable:
-    """The namespace a payload token installs under.
-
-    Workers keep one token-cached static payload *per consumer module*
-    (the sweep cache in :mod:`repro.parallel.pool`, the palette cache
-    in :mod:`repro.coloring.parallel_list`), so the dispatcher must
-    track one installed token per such channel too — otherwise a run
-    that alternates sweep and coloring installs on one persistent pool
-    would evict each other's tokens and force full payloads every
-    iteration.  Convention: tuple tokens are namespaced by their first
-    element (``("sweep", ...)``, ``("color", ...)``); scalar tokens are
-    their own channel.
-    """
-    if isinstance(token, tuple) and token:
-        return token[0]
-    return token
-
-
 class Executor(ABC):
     """Submit/gather interface shared by all backends.
 
@@ -217,30 +198,11 @@ class Executor(ABC):
     telemetry_prefix: str = "w"
 
     def __init__(self) -> None:
-        #: Installed payload token per channel (see :func:`token_channel`);
-        #: empty when nothing is installed or the pool has been recycled.
-        self._tokens: dict[Hashable, Hashable] = {}
-        self._last_token: Hashable = None
-
-    @property
-    def _installed_token(self) -> Hashable:
-        """Most recently installed payload token (diagnostics/tests)."""
-        return self._last_token
-
-    def _record_install(self, token: Hashable) -> None:
-        if token is None:
-            # A tokenless initializer gives no contract about which
-            # worker-side caches it clobbered, so every channel's
-            # record is suspect — drop them all (the next tokened
-            # install per channel ships in full).
-            self._clear_tokens()
-            return
-        self._last_token = token
-        self._tokens[token_channel(token)] = token
-
-    def _clear_tokens(self) -> None:
-        self._tokens.clear()
-        self._last_token = None
+        #: The installed payload token: ``None`` when nothing is
+        #: installed, the last install was tokenless, or the workers
+        #: have been recycled.  Workers cache one static payload, so a
+        #: new install replaces the old token.
+        self._installed_token: Hashable = None
 
     @abstractmethod
     def imap(
@@ -287,13 +249,8 @@ class Executor(ABC):
     def holds_token(self, token: Hashable) -> bool:
         """True when the workers still hold the payload installed under
         ``token`` (same live pool, no recycle since) — the signal that a
-        delta payload suffices for the next install.  Tokens are tracked
-        per channel, so sweep and coloring payloads on one executor do
-        not evict each other."""
-        return (
-            token is not None
-            and self._tokens.get(token_channel(token)) == token
-        )
+        delta payload suffices for the next install."""
+        return token is not None and self._installed_token == token
 
     def worker_capacities(self) -> list[int]:
         """Relative task-weight capacity of each worker slot, aligned
@@ -350,11 +307,11 @@ class SerialExecutor(Executor):
             return iter(())
         if initializer is not None:
             initializer(*payload)
-            self._record_install(payload_token)
+            self._installed_token = payload_token
         return map(task_fn, tasks)
 
     def close(self) -> None:
-        self._clear_tokens()
+        self._installed_token = None
 
 
 class PoolExecutor(Executor):
@@ -403,9 +360,9 @@ class PoolExecutor(Executor):
         self.start_method = start_method
         self.pin = pin
         self._pool: mp_pool.Pool | None = None
-        #: Worker pid set at install time, per token channel — a
-        #: respawned worker invalidates the delta path for a channel.
-        self._token_pids: dict[Hashable, list[int] | None] = {}
+        #: Worker pid set at install time — a respawned worker
+        #: invalidates the delta path.
+        self._token_pids: list[int] | None = None
         self._streaming = False
 
     def resolved_start_method(self) -> str:
@@ -443,8 +400,7 @@ class PoolExecutor(Executor):
                 initargs=(rank_counter, barrier, self.pin),
             )
             self._pool = pool
-            self._clear_tokens()
-            self._token_pids.clear()
+            self._forget_install()
         return pool
 
     def _broadcast(
@@ -513,9 +469,12 @@ class PoolExecutor(Executor):
             # no timeout; terminate() above SIGTERMs the workers first.
             self._pool.join()
             self._pool = None
-        self._clear_tokens()
-        self._token_pids.clear()
+        self._forget_install()
         self._streaming = False
+
+    def _forget_install(self) -> None:
+        self._installed_token = None
+        self._token_pids = None
 
     def holds_token(self, token: Hashable) -> bool:
         """A pool additionally demands the worker set is unchanged: a
@@ -528,7 +487,7 @@ class PoolExecutor(Executor):
         return (
             super().holds_token(token)
             and pids is not None
-            and pids == self._token_pids.get(token_channel(token))
+            and pids == self._token_pids
         )
 
     def imap(
@@ -555,13 +514,8 @@ class PoolExecutor(Executor):
         pool = self._ensure_pool()
         if initializer is not None:
             self._broadcast(initializer, payload)
-            self._record_install(payload_token)
-            if payload_token is None:
-                self._token_pids.clear()
-            else:
-                self._token_pids[token_channel(payload_token)] = (
-                    self.worker_pids()
-                )
+            self._installed_token = payload_token
+            self._token_pids = self.worker_pids()
         # imap (not map): results stream back in task order as they
         # finish, so a consumer filling a bounded buffer — the device
         # COO stream — never holds every strip's hit arrays at once and
@@ -604,8 +558,7 @@ class PoolExecutor(Executor):
             # no timeout; close() stops intake so idle workers exit.
             self._pool.join()
             self._pool = None
-        self._clear_tokens()
-        self._token_pids.clear()
+        self._forget_install()
         self._streaming = False
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net

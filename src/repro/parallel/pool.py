@@ -72,7 +72,6 @@ __all__ = [
     "gathered_conflict_csr",
     "block_sweep_chunks",
     "payload_token_for",
-    "imap_delta_install",
     "PayloadNotInstalled",
     "TASKS_PER_WORKER",
     "strip_shares",
@@ -148,16 +147,12 @@ def sweep_payload(
         "plan": plan,
     }
     if source is not None and executor is not None and executor.supports_payload_cache:
-        # The leading "sweep" element is the token channel (see
-        # :func:`repro.parallel.executor.token_channel`): sweep and
-        # coloring payloads coexist on one persistent pool without
-        # evicting each other's delta path.
-        # Telemetry rides the token too: a worker that cached a static
+        # Telemetry rides the token: a worker that cached a static
         # payload without the recording flag must take a full install
         # when recording turns on (and vice versa), or it would keep
         # running under the stale flag.  Neutral either way — the flag
         # never touches the numerics.
-        token = ("sweep", payload_token_for(source), telemetry.enabled())
+        token = (payload_token_for(source), telemetry.enabled())
         static = {
             "source": source,
             "edge_mask_fn": None,
@@ -180,27 +175,23 @@ def sweep_payload(
     return {"token": None, "static": static, "delta": delta}, None
 
 
-def imap_delta_install(
-    executor: Executor, task_fn, tasks, initializer, make_payload
-):
-    """Submit with a token-cached payload, retrying once on the
-    delta-install respawn race — the one retry protocol shared by the
-    conflict sweep and the parallel coloring engine.
+def imap_sweep(executor: Executor, task_fn, tasks, payload_args: dict):
+    """Install a sweep payload and stream the tasks, retrying once on
+    the delta-install respawn race.
 
-    ``make_payload(force_full)`` returns ``(payload, token, is_full)``.
     ``holds_token`` is checked when the payload is built, but a worker
     can die (and be auto-respawned with an empty cache) before the
     broadcast lands; the stranded worker then raises
     :class:`PayloadNotInstalled` and the broadcast recycles the pool.
     Because an install has no side effects beyond worker state, the
-    recovery is mechanical: rebuild the payload in full (a recycled
-    pool no longer holds the token, so delta-aware builders come out
-    full on their own) and submit once more.  The failure may also
-    surface as a *peer's* ``BrokenBarrierError`` (the stranded worker
-    aborts the install barrier, and whichever error the pool reports
-    wins), so both count as the respawn race — but only for a
-    delta-only install; a failure on a *full* install is a real error
-    and propagates.
+    recovery is mechanical: rebuild the payload (a recycled pool no
+    longer holds the token, so :func:`sweep_payload` comes out full on
+    its own) and submit once more.  The failure may also surface as a
+    *peer's* ``BrokenBarrierError`` (the stranded worker aborts the
+    install barrier, and whichever error the pool reports wins), so
+    both count as the respawn race — but only for a delta-only
+    install; a failure on a *full* install is a real error and
+    propagates.
 
     A supervised executor
     (:class:`repro.resilience.supervisor.ResilientExecutor`) exposes
@@ -209,28 +200,6 @@ def imap_delta_install(
     once, so the delta decision is made against whichever backend is
     current.
     """
-    supervised = getattr(executor, "imap_with_payload", None)
-    if supervised is not None:
-        return supervised(task_fn, tasks, initializer, make_payload)
-    payload, token, is_full = make_payload(False)
-    try:
-        return executor.imap(
-            task_fn, tasks, initializer=initializer,
-            payload=(payload,), payload_token=token,
-        )
-    except (PayloadNotInstalled, threading.BrokenBarrierError):
-        if is_full:
-            raise
-        payload, token, _ = make_payload(True)
-        return executor.imap(
-            task_fn, tasks, initializer=initializer,
-            payload=(payload,), payload_token=token,
-        )
-
-
-def imap_sweep(executor: Executor, task_fn, tasks, payload_args: dict):
-    """Install a sweep payload and stream the tasks (see
-    :func:`imap_delta_install` for the retry semantics)."""
 
     def make_payload(force_full: bool):
         # Full-ness is decided by sweep_payload via holds_token; after
@@ -239,9 +208,23 @@ def imap_sweep(executor: Executor, task_fn, tasks, payload_args: dict):
         payload, token = sweep_payload(**payload_args)
         return payload, token, payload["static"] is not None
 
-    return imap_delta_install(
-        executor, task_fn, tasks, init_sweep_worker, make_payload
-    )
+    supervised = getattr(executor, "imap_with_payload", None)
+    if supervised is not None:
+        return supervised(task_fn, tasks, init_sweep_worker, make_payload)
+    payload, token, is_full = make_payload(False)
+    try:
+        return executor.imap(
+            task_fn, tasks, initializer=init_sweep_worker,
+            payload=(payload,), payload_token=token,
+        )
+    except (PayloadNotInstalled, threading.BrokenBarrierError):
+        if is_full:
+            raise
+        payload, token, _ = make_payload(True)
+        return executor.imap(
+            task_fn, tasks, initializer=init_sweep_worker,
+            payload=(payload,), payload_token=token,
+        )
 
 
 def init_sweep_worker(payload: dict) -> None:

@@ -118,7 +118,6 @@ def checkpoint_fingerprint(params, n_total: int) -> str:
         int(params.max_iterations),
         str(params.conflict_order),
         str(params.resolved_color_engine()),
-        params.color_max_rounds,
     ))
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 

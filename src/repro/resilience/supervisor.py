@@ -8,7 +8,7 @@ that detection into recovery.  :class:`ResilientExecutor` wraps any
 backend with the full :class:`~repro.parallel.executor.Executor`
 contract and supervises each operation:
 
-1. **retry** the failed sweep/round on the same backend with capped
+1. **retry** the failed sweep on the same backend with capped
    exponential backoff (the backend already recycled its broken
    workers/connections, so a retry lands on a fresh pool or fresh
    sockets);
@@ -26,9 +26,9 @@ produced which half.
 
 Payload re-installation is the subtle part.  A delta payload built
 against the dead backend's token cache is useless on the replacement,
-so the supervisor re-materializes the payload on every attempt: callers
-that go through :func:`repro.parallel.pool.imap_delta_install` are
-routed to :meth:`ResilientExecutor.imap_with_payload`, whose
+so the supervisor re-materializes the payload on every attempt: the
+sweep dispatcher (:func:`repro.parallel.pool.imap_sweep`) is routed to
+:meth:`ResilientExecutor.imap_with_payload`, whose
 ``make_payload`` closure consults :meth:`holds_token` — which the
 supervisor delegates to the *current* backend, where a recycled pool or
 a fresh fallback holds nothing, so the rebuild comes out full on its
@@ -317,7 +317,7 @@ class ResilientExecutor(Executor):
         make_payload: Callable[[bool], tuple[Any, Hashable, bool]],
     ) -> Iterator[Any]:
         """The supervised form of
-        :func:`repro.parallel.pool.imap_delta_install`: the payload is
+        :func:`repro.parallel.pool.imap_sweep`: the payload is
         re-materialized via ``make_payload`` on every attempt, so a
         retry or failover never replays a delta built against a backend
         that no longer caches its static half.

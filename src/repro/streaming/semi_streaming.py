@@ -25,7 +25,6 @@ from repro.core.params import PicassoParams
 from repro.device.kernels import lists_intersect_kernel
 from repro.graphs.csr import from_edge_list
 from repro.graphs.ops import induced_subgraph
-from repro.resilience.supervisor import supervised_executor
 from repro.util.bits import bitset_from_lists
 from repro.util.rng import as_generator
 
@@ -54,32 +53,10 @@ def semi_streaming_color(
     params = params or PicassoParams()
     rng = as_generator(seed)
     # Same pluggable Algorithm 2 seam as the in-memory driver: the
-    # conflict coloring of each pass goes through the engine registry,
-    # and parallel engines receive the run's executor — the default
-    # params resolve to the in-process serial backend, but
-    # ``n_workers``/``hosts`` put the per-pass conflict coloring on a
-    # pool or on multi-host worker agents exactly as in the in-memory
-    # driver (one persistent backend for all passes).
+    # conflict coloring of each pass goes through the engine registry.
     color_engine = get_engine(
         params.resolved_color_engine(), **params.color_engine_knobs()
     )
-    # ``failover``/``max_retries`` wrap the backend in the
-    # retry/failover supervisor, exactly as in the in-memory driver;
-    # without them this is plain make_executor.  Spec-created either
-    # way, so this function owns and closes it.
-    executor = supervised_executor(
-        params.executor, params.n_workers, pin=params.pin_workers,
-        hosts=params.hosts,
-        failover=params.failover, max_retries=params.max_retries,
-    )
-    try:
-        return _semi_streaming_color(stream, params, rng, color_engine, executor)
-    finally:
-        executor.close()
-
-
-def _semi_streaming_color(stream, params, rng, color_engine, executor):
-    """The pass loop, against an already-resolved executor."""
     n = stream.n
     t0 = telemetry.clock()
     colors = np.full(n, -1, dtype=np.int64)
@@ -133,9 +110,7 @@ def _semi_streaming_color(stream, params, rng, color_engine, executor):
         conflicted = np.nonzero(degrees > 0)[0]
         if len(conflicted):
             sub_gc, _ = induced_subgraph(gc, conflicted)
-            outcome = color_engine.color(
-                sub_gc, col_lists[conflicted], rng, executor=executor
-            )
+            outcome = color_engine.color(sub_gc, col_lists[conflicted], rng)
             local_colors[conflicted] = outcome.colors
 
         colored = np.nonzero(local_colors >= 0)[0]

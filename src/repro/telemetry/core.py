@@ -9,8 +9,8 @@ one module-level bool before touching the registry, so the default
 
 Cross-process collection is delta-based: pool workers and cluster
 agents accumulate into their own process-local registry and ship the
-accumulated delta back on the channels the executors already use (the
-pool finalize broadcast, the distributed finalize RPC).  The
+accumulated delta back on the finalize call the executors already make
+(the pool finalize broadcast, the distributed finalize RPC).  The
 dispatcher absorbs each snapshot under a deterministic per-slot prefix
 (``w0``, ``w1``, … for pool workers, ``s0``, ``s1``, … for cluster
 shards — nested as ``s1:w0`` for hierarchical agents), so one run
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 #: Environment knob: a truthy value enables telemetry when
-#: ``PicassoParams(telemetry=None)`` leaves the choice open (mirrors
-#: ``REPRO_KERNEL_BACKEND``).
+#: ``PicassoParams(telemetry=None)`` leaves the choice open.
 ENV_VAR = "REPRO_TELEMETRY"
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})

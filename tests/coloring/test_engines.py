@@ -28,7 +28,7 @@ from repro.core import Picasso, PicassoParams
 from repro.core.sources import PauliComplementSource
 from repro.device.sim import DeviceSim
 from repro.graphs import complement_graph, complete_graph, empty_graph, erdos_renyi
-from repro.parallel.executor import PoolExecutor, SerialExecutor
+from repro.parallel.executor import PoolExecutor
 from repro.pauli import random_pauli_set
 
 #: CI pins the pool size via REPRO_TEST_N_WORKERS (mirrors tests/parallel).
@@ -93,9 +93,11 @@ class TestRegistry:
 
     def test_engine_knobs(self):
         assert get_engine("greedy-static", order="lf").order == "lf"
-        assert get_engine("parallel-list", max_rounds=7).max_rounds == 7
         with pytest.raises(TypeError):
             get_engine("greedy-dynamic", order="lf")
+        # The round loop's bound is the proven n + 1: no knob.
+        with pytest.raises(TypeError):
+            get_engine("parallel-list", max_rounds=7)
 
     def test_provenance_fields(self):
         gc, lists = _random_instance(5)
@@ -150,6 +152,20 @@ class TestCrossEngineEquivalence:
         assert len(out.colors) == 0 and len(out.uncolored) == 0
 
 
+def _trajectory(result):
+    """Colors plus, per iteration, ``|Vu|``, the engine's round count
+    and ``|Ec|`` — what must match across executors."""
+    return result.colors, [
+        (it.n_uncolored, it.color_rounds, it.n_conflict_edges)
+        for it in result.iterations
+    ]
+
+
+def _assert_same_run(got, ref):
+    np.testing.assert_array_equal(got.colors, ref.colors)
+    assert _trajectory(got)[1] == _trajectory(ref)[1]
+
+
 class TestParallelListEngine:
     def test_deterministic_per_seed(self):
         gc, lists = _random_instance(11, n_lo=20, n_hi=60)
@@ -159,81 +175,56 @@ class TestParallelListEngine:
         assert a.n_rounds == b.n_rounds
 
     def test_pool_matches_serial(self):
-        """Rounds are pure functions of committed state, so the strip
-        partition cannot change the output: serial, SerialExecutor and
-        an n-worker pool produce identical colorings and Vu."""
-        gc, lists = _random_instance(12, n_lo=30, n_hi=80)
-        eng = get_engine("parallel-list")
-        ref = eng.color(gc, lists, rng=9)
-        ser = eng.color(gc, lists, rng=9, executor=SerialExecutor())
-        np.testing.assert_array_equal(ref.colors, ser.colors)
-        with PoolExecutor(_CI_WORKERS) as ex:
-            par = eng.color(gc, lists, rng=9, executor=ex)
-        np.testing.assert_array_equal(ref.colors, par.colors)
-        np.testing.assert_array_equal(ref.uncolored, par.uncolored)
-        assert ref.n_rounds == par.n_rounds
+        """Rounds run in the parent and only the conflict sweep is
+        sharded, so a pooled run colors exactly like a serial one:
+        identical colors, ``Vu`` and round count per iteration."""
+        ps = random_pauli_set(300, 8, seed=12)
+        base = PicassoParams(color_engine="parallel-list")
+        ref = Picasso(params=base, seed=9).color(ps)
+        par = Picasso(
+            params=base.with_(n_workers=_CI_WORKERS), seed=9
+        ).color(ps)
+        _assert_same_run(par, ref)
 
-    def test_pool_spawn_matches_serial(self):
+    def test_pool_spawn_matches_serial(self, monkeypatch):
         """The fork-less path (Windows / macOS default) must agree too."""
-        gc, lists = _random_instance(13, n_lo=20, n_hi=50)
-        eng = get_engine("parallel-list")
-        ref = eng.color(gc, lists, rng=2)
-        with PoolExecutor(2, start_method="spawn") as ex:
-            par = eng.color(gc, lists, rng=2, executor=ex)
-        np.testing.assert_array_equal(ref.colors, par.colors)
-        np.testing.assert_array_equal(ref.uncolored, par.uncolored)
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        ps = random_pauli_set(200, 7, seed=13)
+        base = PicassoParams(color_engine="parallel-list")
+        ref = Picasso(params=base, seed=2).color(ps)
+        par = Picasso(params=base.with_(n_workers=2), seed=2).color(ps)
+        _assert_same_run(par, ref)
 
-    def test_rounds_reuse_one_pool_with_delta(self):
-        """All rounds of one run go through a single persistent pool
-        (same worker pids before and after), with the palette installed
-        under a ``("color", ...)`` channel token."""
-        gc, lists = _random_instance(14, n_lo=40, n_hi=90)
-        with PoolExecutor(2) as ex:
-            out = get_engine("parallel-list").color(gc, lists, rng=3, executor=ex)
-            pids = ex.worker_pids()
-            assert len(pids) == 2
-            out2 = get_engine("parallel-list").color(gc, lists, rng=3, executor=ex)
-            assert ex.worker_pids() == pids  # no pool churn across runs
-        np.testing.assert_array_equal(out.colors, out2.colors)
+    def test_pool_runs_only_sweep_tasks(self, monkeypatch):
+        """A ``parallel-list`` run on a pool hands its workers the
+        conflict sweep's strips and nothing else: every pool task is
+        ``_run_strip`` under the sweep install, and the colors match
+        the serial run's."""
+        submitted = []
+        imap = PoolExecutor.imap
 
-    def test_max_rounds_knob(self):
+        def spy(self, task_fn, tasks, initializer=None, *args, **kwargs):
+            submitted.append((task_fn.__name__, initializer.__name__))
+            return imap(self, task_fn, tasks, initializer, *args, **kwargs)
+
+        monkeypatch.setattr(PoolExecutor, "imap", spy)
+        ps = random_pauli_set(300, 8, seed=14)
+        base = PicassoParams(color_engine="parallel-list")
+        ref = Picasso(params=base, seed=4).color(ps)
+        assert submitted == []
+        par = Picasso(params=base.with_(n_workers=2), seed=4).color(ps)
+        assert submitted
+        assert set(submitted) == {("_run_strip", "init_sweep_worker")}
+        _assert_same_run(par, ref)
+
+    def test_rounds_bounded_by_vertex_count(self):
+        """Every round commits a vertex: K4 with a shared 6-color list
+        takes at most 4 rounds and leaves nothing in ``Vu``."""
         gc = complete_graph(4)
         lists = np.tile(np.arange(6, dtype=np.int64), (4, 1))
-        out = get_engine("parallel-list", max_rounds=10).color(gc, lists, rng=0)
-        assert out.n_rounds <= 10
+        out = get_engine("parallel-list").color(gc, lists, rng=0)
+        assert 1 <= out.n_rounds <= 4
         assert len(out.uncolored) == 0
-
-
-class TestTokenChannels:
-    def test_sweep_and_color_tokens_coexist(self):
-        """The PR 4 seam: alternating sweep and coloring installs on one
-        persistent pool must not evict each other's delta path."""
-        from repro.core.conflict import build_conflict_graph
-        from repro.core.palette import assign_color_lists
-
-        ps = random_pauli_set(120, 6, seed=21)
-        src = PauliComplementSource(ps)
-        pal = (assign_color_lists(ps.n, 16, 4, np.random.default_rng(0)), 16)
-        gc, lists = _random_instance(22, n_lo=40, n_hi=80)
-        eng = get_engine("parallel-list")
-        with PoolExecutor(2) as ex:
-            ref_g, m_ref = build_conflict_graph(
-                ps.n, src.edge_mask, *pal
-            )
-            ref_c = eng.color(gc, lists, rng=4)
-            for _ in range(2):
-                g, m = build_conflict_graph(
-                    ps.n, src.edge_mask, *pal, executor=ex, source=src
-                )
-                assert m == m_ref
-                np.testing.assert_array_equal(g.offsets, ref_g.offsets)
-                np.testing.assert_array_equal(g.targets, ref_g.targets)
-                sweep_token = ex._installed_token
-                assert sweep_token is not None and sweep_token[0] == "sweep"
-                out = eng.color(gc, lists, rng=4, executor=ex)
-                np.testing.assert_array_equal(out.colors, ref_c.colors)
-                # The color install did not evict the sweep channel.
-                assert ex.holds_token(sweep_token)
 
 
 class TestPicassoEndToEnd:

@@ -50,9 +50,9 @@ def algorithm2_inputs(pauli_set, params):
     calls = []
     real = GreedyDynamicEngine.color
 
-    def spy(self, gc, col_lists, rng=None, executor=None, device=None):
+    def spy(self, gc, col_lists, rng=None, device=None):
         calls.append((gc, np.array(col_lists)))
-        return real(self, gc, col_lists, rng, executor, device)
+        return real(self, gc, col_lists, rng, device)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GreedyDynamicEngine, "color", spy)

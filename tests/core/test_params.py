@@ -23,10 +23,10 @@ class TestValidation:
             {"conflict_order": "bogus"},
             {"max_iterations": 0},
             {"grow_on_stall": 0.5},
-            {"kernel_backend": "tpu"},
+            {"max_retries": -1},
             {"n_workers": 0},
             {"executor": "threads"},
-            {"color_max_rounds": 0},
+            {"failover": "threads"},
             {"checkpoint_every": 0},
             {"min_palette": 0},
         ],
@@ -46,7 +46,7 @@ class TestValidation:
         for engine in ("tiled", "pairs"):
             with pytest.raises(TypeError):
                 PicassoParams(engine=engine)
-        assert len(fields(PicassoParams)) == 19
+        assert len(fields(PicassoParams)) == 17
 
     def test_fused_knob_is_gone(self):
         with pytest.raises(TypeError):

@@ -75,21 +75,22 @@ class TestClusterExecutor:
             assert ex.holds_token("t")
             assert not ex.holds_token("other")
             assert not ex.holds_token(None)
-            # Channelled tokens coexist (sweep vs color on one cluster).
+            # One installed token: a new install evicts the old one.
             ex.map(
                 _square_plus_bias, [1], initializer=_install,
                 payload=(0,), payload_token=("sweep", 1),
             )
+            assert ex.holds_token(("sweep", 1))
+            assert not ex.holds_token("t")
             ex.map(
                 _square_plus_bias, [1], initializer=_install,
-                payload=(0,), payload_token=("color", 2),
+                payload=(0,), payload_token=("sweep", 2),
             )
-            assert ex.holds_token(("sweep", 1))
-            assert ex.holds_token(("color", 2))
-            # A tokenless install clears every channel's record.
-            ex.map(_square_plus_bias, [1], initializer=_install, payload=(0,))
+            assert ex.holds_token(("sweep", 2))
             assert not ex.holds_token(("sweep", 1))
-            assert not ex.holds_token(("color", 2))
+            # A tokenless install clears the record.
+            ex.map(_square_plus_bias, [1], initializer=_install, payload=(0,))
+            assert not ex.holds_token(("sweep", 2))
 
     def test_overlapping_sweeps_raise(self, cluster):
         with cluster.executor() as ex:

@@ -99,7 +99,7 @@ class TestHierarchicalAgent:
                 for _ in range(2):
                     got, m_got = _build(src, pal, ex, source=src)
                     _assert_identical(got, m_got, ref, m_ref)
-                assert any(ex.holds_token(t) for t in ex._tokens.values())
+                assert ex.holds_token(ex._installed_token)
 
     def test_heterogeneous_capacities_weighted_and_identical(self):
         """Mixed flat + hierarchical agents trigger the capacity-

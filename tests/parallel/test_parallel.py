@@ -14,7 +14,6 @@ from repro.core import Picasso, PicassoParams
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import PauliComplementSource
-from repro.device.backends import available_backends
 from repro.device.palette_index import pair_blocks
 from repro.parallel import PoolExecutor, pin_current_worker
 from repro.pauli import random_pauli_set
@@ -211,19 +210,14 @@ class TestBackendEquivalence:
         _assert_bit_identical(par, ref)
         _assert_bit_identical(pairs, ref)
 
-    @pytest.mark.parametrize("kernel_backend", available_backends())
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
-    def test_picasso_colorings_identical(self, n_workers, kernel_backend):
+    def test_picasso_colorings_identical(self, n_workers):
         """End-to-end Algorithm 1: the parallel backend draws the same
-        conflict graphs, so the coloring is identical per seed — on
-        every available kernel backend."""
+        conflict graphs, so the coloring is identical per seed."""
         ps = random_pauli_set(150, 8, seed=9)
         serial = Picasso(params=PicassoParams(), seed=11).color(ps)
         par = Picasso(
-            params=PicassoParams(
-                n_workers=n_workers, kernel_backend=kernel_backend
-            ),
-            seed=11,
+            params=PicassoParams(n_workers=n_workers), seed=11
         ).color(ps)
         np.testing.assert_array_equal(serial.colors, par.colors)
         assert serial.n_colors == par.n_colors

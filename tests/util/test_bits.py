@@ -177,6 +177,44 @@ class TestLowestSetBitRows:
             assert got[i] == expect
 
 
+def _ref_lowest_set_bit_rows(masks):
+    """Naive per-bit reference: the lowest set bit of each row, -1 for
+    an all-zero row."""
+    out = np.empty(len(masks), dtype=np.int64)
+    for i, row in enumerate(masks):
+        for w, word in enumerate(row):
+            if int(word):
+                val = int(word)
+                out[i] = 64 * w + (val & -val).bit_length() - 1
+                break
+        else:
+            out[i] = -1
+    return out
+
+
+class TestLowestSetBitRowsReference:
+    @pytest.mark.parametrize("words", [1, 4])
+    def test_matches_reference(self, words):
+        # Sparse words: dense random ones almost never leave a row
+        # all zero, which is one of the interesting cases.
+        rng = np.random.default_rng(13 * words)
+        masks = np.packbits(
+            rng.random((64, words * 64)) < 0.05, axis=1, bitorder="little"
+        ).view(np.uint64).reshape(64, words)
+        masks[0] = 0  # all-zero row -> -1
+        masks[1] = 0
+        masks[1, -1] = np.uint64(1) << np.uint64(63)  # highest bit only
+        got = bits.lowest_set_bit_rows(masks)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _ref_lowest_set_bit_rows(masks))
+
+    def test_empty_and_shape(self):
+        empty = np.empty((0, 2), dtype=np.uint64)
+        assert bits.lowest_set_bit_rows(empty).shape == (0,)
+        with pytest.raises(ValueError):
+            bits.lowest_set_bit_rows(np.zeros(4, dtype=np.uint64))
+
+
 class TestSmallestAvailableColor:
     """Canonical home moved here from coloring.base — the same
     lowest-set-bit primitive the list engines pick colors with."""

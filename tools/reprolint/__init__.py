@@ -2,7 +2,7 @@
 
 Seven PRs of pool/shm/cluster/resilience work accumulated a set of
 load-bearing invariants — bit-identity per seed for any worker count,
-executor ownership, channelled payload tokens, bounded timeouts on
+executor ownership, token-cached payload installs, bounded timeouts on
 every blocking call, no shared-memory segments — that used to be
 enforced only by reviewer vigilance and after-the-fact equivalence
 tests.  This package turns each invariant into a machine-checked AST

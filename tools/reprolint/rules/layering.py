@@ -1,8 +1,8 @@
 """Layering rules: package boundaries the architecture depends on.
 
-The ROADMAP's north star (new backends behind one kernel-dispatch seam,
-new engines behind the registry) only stays cheap if the seams stay
-seams: engines are reached through the registry, process and socket
+New engines behind the registry only stay cheap if the seams stay
+seams: engines are reached through the registry, the package runs on
+numpy alone (no accelerator runtime import), process and socket
 primitives live behind the executor/transport layers, and private
 helpers do not grow cross-package consumers that freeze their
 signatures.
@@ -67,55 +67,30 @@ class EngineRegistryRule(Rule):
                 )
 
 
-#: Kernel-backend *implementation* modules.  Everything outside
-#: ``repro.device.backends`` reaches them through the registry
-#: (``get_backend``/``resolve_backend``) or the package itself, so the
-#: numpy/numba paths stay swappable behind one dispatch seam.
-_BACKEND_IMPL_MODULES = frozenset(
-    {
-        "repro.device.backends.numpy_backend",
-        "repro.device.backends.numba_backend",
-    }
-)
-
-#: Accelerator runtimes only the backend package may import.
+#: Accelerator runtimes the package never imports.
 _ACCEL_RUNTIMES = ("numba", "cupy")
 
 
 class BackendRegistryRule(Rule):
-    """Kernel backends are reached through the registry; accelerator
-    runtimes (numba/cupy) are confined to ``device/backends/``."""
+    """No accelerator runtime (numba/cupy) is imported anywhere in
+    ``src/repro/``: every kernel is a numpy one."""
 
     name = "backend-registry"
     contract = (
-        "outside repro.device.backends, kernel backends are selected "
-        "through the registry (get_backend/resolve_backend) — never by "
-        "importing an implementation module — and the accelerator "
-        "runtimes (numba, cupy) are never imported directly, so every "
-        "compiled path stays behind one import-guarded dispatch seam"
+        "the accelerator runtimes (numba, cupy) are never imported in "
+        "src/repro: every kernel is a numpy one, so the package runs "
+        "on a host that has only numpy and scipy"
     )
     scope = ("src/repro/",)
-    exclude = ("src/repro/device/backends/",)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node, module in _imported_modules(ctx.tree):
-            top = module.split(".")[0]
-            if top in _ACCEL_RUNTIMES:
+            if module.split(".")[0] in _ACCEL_RUNTIMES:
                 yield self.finding(
                     ctx,
                     node,
-                    f"import of accelerator runtime '{module}' outside "
-                    "repro.device.backends: the compiled paths are "
-                    "import-guarded there — go through get_backend/"
-                    "resolve_backend",
-                )
-            elif module in _BACKEND_IMPL_MODULES:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"import of backend implementation '{module}': use "
-                    "repro.device.backends.get_backend/resolve_backend "
-                    "or the package API",
+                    f"import of accelerator runtime '{module}': the "
+                    "package runs on numpy alone",
                 )
 
 
